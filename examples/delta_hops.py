@@ -11,9 +11,10 @@ The walkthrough shows the mechanism at three magnifications:
 
 1. ``explain_delta`` *before the journey*: no cached base, everything
    ships — the classic full-image hop;
-2. ``explain_delta`` *after the journey*: the serializer's base cache
-   knows the cargo didn't move, so the next hop would ship a few hundred
-   bytes and keep the cargo off the wire;
+2. ``explain_delta`` *after the journey*, at the server the courier last
+   left: its base cache knows the cargo didn't move, so a hop from there
+   would ship a few hundred bytes and keep the cargo off the wire (the
+   server it retired at dropped its record with it);
 3. the per-hop cost table (``+d`` path suffix, ``saved`` column) and the
    ``naplet_delta_*`` counters tally what the journey actually saved.
 
@@ -72,11 +73,12 @@ def main() -> None:
         admin = SpaceAdmin(servers)
         admin.wait_space_idle()
 
-        # 2. After the journey the launcher's cache holds the last image
-        #    it saw; an unchanged cargo would ride the cache, not the wire.
-        print("\n=== delta view after the journey ===")
-        view = explain_delta(agent, launcher.serializer)
-        print(view.render())
+        # 2. After the journey d01 still holds the last image it shipped
+        #    (bytes only: the live values were released when d00 acked);
+        #    an unchanged cargo would ride that cache, not the wire.  The
+        #    launcher, where the courier retired, holds no record any more.
+        print("\n=== delta view after the journey, from d01 ===")
+        print(explain_delta(agent, servers["d01"].serializer).render())
 
         # 3. What the hops actually cost: repeat hops show the ``+d``
         #    path and a fat ``saved`` column.

@@ -17,7 +17,6 @@ even inside a single test process.
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 import sys
 import threading
@@ -46,8 +45,12 @@ def source_hash(source: str) -> str:
     its bundled source, the receiver over what it installed — so a hash
     match in the transfer exchange proves the destination already holds
     the exact module and the bundle need not ship again (DESIGN.md §6.7).
+    The same :func:`~repro.transport.delta.content_hash` as every field.
     """
-    return hashlib.blake2b(source.encode("utf-8"), digest_size=16).hexdigest()
+    # Imported here: repro.transport's serializer imports this module.
+    from repro.transport.delta import content_hash
+
+    return content_hash(source.encode("utf-8"))
 
 
 class CodeBase:

@@ -176,12 +176,17 @@ class DeltaXray:
     on the wire; ``skipped`` maps unchanged fields to the bytes the delta
     keeps off it.  Without a cached base every field ships
     (``base_hash`` is None — the first hop is always a full image).
+    ``base_live`` is False when the base holds no live values — the
+    departure it was dumped for was acked and they were released — so a
+    dump here would re-pickle every field; what ships is decided by the
+    bytes' hashes either way.
     """
 
     base_hash: str | None
     image_hash: str
     shipped: dict[str, int]
     skipped: dict[str, int]
+    base_live: bool = False
 
     @property
     def shipped_bytes(self) -> int:
@@ -199,6 +204,7 @@ class DeltaXray:
     def describe(self) -> dict[str, Any]:
         return {
             "base_hash": self.base_hash,
+            "base_live": self.base_live,
             "image_hash": self.image_hash,
             "shipped_bytes": self.shipped_bytes,
             "saved_bytes": self.saved_bytes,
@@ -210,9 +216,14 @@ class DeltaXray:
         """Aligned text table: what ships, what the base cache saves."""
         names = list(self.shipped) + list(self.skipped) + ["(total)"]
         width = max(len(name) for name in names)
+        if not self.base_hash:
+            what = "full image (no cached base)"
+        else:
+            what = "delta against base " + self.base_hash[:12]
+            if not self.base_live:
+                what += " (values released)"
         lines = [
-            "  next hop ships a "
-            + ("delta against base " + self.base_hash[:12] if self.base_hash else "full image (no cached base)"),
+            "  next hop ships a " + what,
             f"  {'attribute':<{width}} {'bytes':>10}  {'fate'}",
         ]
         for name, nbytes in sorted(self.shipped.items(), key=lambda kv: -kv[1]):
@@ -231,10 +242,11 @@ def explain_delta(naplet: Any, serializer: NapletSerializer) -> DeltaXray:
     """Preview *naplet*'s next hop under delta shipping — a pure probe.
 
     Pickles each ``__getstate__`` field independently (same technique as
-    :func:`explain_pickle`, but per-field picklers to mirror the v2
-    envelope exactly) and splits them into shipped-vs-skipped against the
-    base image ``serializer.delta_cache`` holds.  Nothing is mutated: the
-    cache is peeked, not promoted, and dirty flags stay as they are.
+    :func:`explain_pickle`, but through the serializer's own per-field
+    pickler, so the view cannot drift from the v2 envelope) and splits
+    them into shipped-vs-skipped against the base image
+    ``serializer.delta_cache`` holds.  Nothing is mutated: the cache is
+    peeked, not promoted, and dirty flags stay as they are.
     """
     getstate = getattr(naplet, "__getstate__", None)
     state = getstate() if callable(getstate) else dict(naplet.__dict__)
@@ -248,13 +260,11 @@ def explain_delta(naplet: Any, serializer: NapletSerializer) -> DeltaXray:
     skipped: dict[str, int] = {}
     field_hashes: dict[str, str] = {}
     for attr, value in state.items():
-        buf = io.BytesIO()
         try:
-            _ShippingPickler(buf, serializer._protocol, root=naplet).dump(value)
+            data, _stamps = serializer._pickle_field(naplet, attr, value)
         except Exception:
             shipped[_friendly(attr)] = 0  # v2 would bail to v1 here anyway
             continue
-        data = buf.getvalue()
         digest = content_hash(data)
         field_hashes[attr] = digest
         if prev_hashes.get(attr) == digest:
@@ -266,4 +276,6 @@ def explain_delta(naplet: Any, serializer: NapletSerializer) -> DeltaXray:
         image_hash=image_hash(field_hashes),
         shipped=shipped,
         skipped=skipped,
+        base_live=prev is not None
+        and all(entry.live for entry in prev.fields.values()),
     )

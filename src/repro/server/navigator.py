@@ -58,6 +58,7 @@ from repro.server.messenger import NapletMessengerProxy
 from repro.server.monitor import NapletOutcome, _ControlBlock
 from repro.server.security import Permission
 from repro.transport.base import Frame, FrameKind, urn_of
+from repro.util.hlc import HLCStamp
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.naplet import Naplet
@@ -310,6 +311,10 @@ class Navigator:
         Written only after the destination acked the transfer, so every
         record describes a migration that actually happened; harvested
         journals feed ``napletperf hops`` and the per-hop cost tables.
+        By then the naplet is running at the destination and may have
+        left it again, so the record carries the HLC that rode the acked
+        frame: it sorts after this hop's depart event and before the
+        landing, however late this thread gets to write it.
         """
         journal = self.server.journal
         if not journal.enabled:
@@ -321,6 +326,7 @@ class Navigator:
             category="perf",
             naplet=str(nid),
             trace_id=ctx.trace_id if ctx is not None else None,
+            hlc=HLCStamp.decode(frame.headers["hlc"]),
             detail={
                 "source": self.server.hostname,
                 "dest": dest_urn,
@@ -398,6 +404,27 @@ class Navigator:
         code = ack.get("code")
         if isinstance(code, list):
             self._peer_code[dest_urn] = set(code)
+
+    def _transfer_acked(
+        self, naplet: "Naplet", nid: NapletID, dest_urn: str, frame: Frame,
+        cost, ack: dict, observed: str | None, fast_path: bool,
+    ) -> None:
+        """Source-side bookkeeping once *dest_urn* acked the landing."""
+        telemetry = self.server.telemetry
+        if cost.delta:
+            telemetry.delta_hops.inc()
+            if cost.saved_bytes:
+                telemetry.delta_saved_bytes.inc(cost.saved_bytes)
+        self._record_peer_ack(nid, dest_urn, ack, observed)
+        self._journal_hop_cost(nid, naplet, dest_urn, frame, cost, fast_path)
+        # Messages that were parked here waiting for this naplet chase it.
+        self.server.messenger.forward_parked(nid, dest_urn)
+        # Last, off the path of anything another server waits for: the
+        # image the peer acked stays cached here as a delta base, but the
+        # live objects it was pickled from left with the naplet.
+        base = ack.get("base")
+        if isinstance(base, str):
+            self.server.serializer.delta_cache.release(str(nid), base)
 
     def _escalate_plan(
         self, plans: deque, plan: dict, ack: dict, nid: NapletID, dest_urn: str,
@@ -506,17 +533,12 @@ class Navigator:
                     f"transfer to {dest_urn} failed: {exc}"
                 ) from exc
             if ack.get("ok") is True:
-                telemetry = self.server.telemetry
-                telemetry.fast_path_hops.inc()
-                if cost.delta:
-                    telemetry.delta_hops.inc()
-                    if cost.saved_bytes:
-                        telemetry.delta_saved_bytes.inc(cost.saved_bytes)
-                self._record_peer_ack(nid, dest_urn, ack, observed_base)
+                self.server.telemetry.fast_path_hops.inc()
                 hop.set("fast_path", True)
-                self._journal_hop_cost(nid, naplet, dest_urn, frame, cost, fast_path=True)
-                # Messages that were parked here waiting for this naplet chase it.
-                self.server.messenger.forward_parked(nid, dest_urn)
+                self._transfer_acked(
+                    naplet, nid, dest_urn, frame, cost, ack, observed_base,
+                    fast_path=True,
+                )
                 return True
             if ack.get("unsupported"):
                 _rollback()
@@ -618,15 +640,9 @@ class Navigator:
                 naplet, nid, dest_urn, hop, data, transfer_id, cost=cost,
                 buffers=tuple(buffers),
             )
-        telemetry = self.server.telemetry
-        if cost.delta:
-            telemetry.delta_hops.inc()
-            if cost.saved_bytes:
-                telemetry.delta_saved_bytes.inc(cost.saved_bytes)
-        self._record_peer_ack(nid, dest_urn, ack, observed_base)
-        self._journal_hop_cost(nid, naplet, dest_urn, frame, cost, fast_path=False)
-        # Messages that were parked here waiting for this naplet chase it.
-        self.server.messenger.forward_parked(nid, dest_urn)
+        self._transfer_acked(
+            naplet, nid, dest_urn, frame, cost, ack, observed_base, fast_path=False
+        )
 
     # ------------------------------------------------------------------ #
     # Inbound (frame handlers)
@@ -918,6 +934,8 @@ class Navigator:
             nid = agent.naplet_id
             if outcome == NapletOutcome.DEPARTED:
                 return  # dispatch() already released everything
+            # It will not dump here again: its base image goes with it.
+            server.serializer.delta_cache.drop(str(nid))
             server.manager.record_retirement(nid, outcome)
             server.resource_manager.release(nid)
             server.messenger.remove_mailbox(nid)

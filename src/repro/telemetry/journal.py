@@ -167,10 +167,13 @@ class SpaceJournal:
         detail: dict[str, Any] | None = None,
         wall: float | None = None,
         mono: float | None = None,
+        hlc: HLCStamp | None = None,
     ) -> JournalRecord | None:
+        """Append one record, stamped now — or at *hlc*, for a record that
+        is written late but belongs at a causal position already minted."""
         if not self.enabled:
             return None
-        stamp = self.clock.now()
+        stamp = hlc if hlc is not None else self.clock.now()
         if wall is None:
             wall = self._time()
         elif self._time is not time.time:

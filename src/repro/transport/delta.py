@@ -12,9 +12,16 @@ two caches possible:
 
 Cache entries are keyed by naplet id and carry the image's content hash;
 both ends agree a delta applies only when the receiver acks the exact base
-hash the sender remembers.  All hashes are blake2b-128 hex digests —
-content addresses, not security boundaries (the credential signature
-guards integrity).
+hash the sender remembers.  Every hash on this path — field, image, shipped
+module source — is :func:`content_hash`, SHA-256 truncated to 128 bits: a
+content address, not a security boundary (the credential signature guards
+integrity).  The buffer goes to hashlib as it is, read once, never copied.
+
+Lifetime: a record's bytes stay until the naplet retires at this server
+(:meth:`DeltaCache.drop`) or the LRU evicts it; its live values, kept only
+so the next dump *here* can skip an unchanged field by identity, go as soon
+as the destination acks the departure (:meth:`DeltaCache.release`) — the
+naplet cannot dump here again before landing here writes a fresh record.
 """
 
 from __future__ import annotations
@@ -34,9 +41,14 @@ __all__ = [
 ]
 
 
+# What a released FieldEntry holds in place of its live value.  Never None:
+# a field whose value *is* None would then pass the dump's identity skip.
+_RELEASED = object()
+
+
 def content_hash(data: bytes | memoryview) -> str:
-    """blake2b-128 hex digest of *data* — the wire's content address."""
-    return hashlib.blake2b(bytes(data), digest_size=16).hexdigest()
+    """The content address of *data*: SHA-256 cut to 128 bits, 32 hex digits."""
+    return hashlib.sha256(data).hexdigest()[:32]
 
 
 def image_hash(field_hashes: dict[str, str]) -> str:
@@ -45,13 +57,10 @@ def image_hash(field_hashes: dict[str, str]) -> str:
     Derived from the sorted ``name:hash`` pairs so sender and receiver
     compute identical image hashes without exchanging field bytes.
     """
-    h = hashlib.blake2b(digest_size=16)
-    for name in sorted(field_hashes):
-        h.update(name.encode("utf-8"))
-        h.update(b"\x00")
-        h.update(field_hashes[name].encode("ascii"))
-        h.update(b"\x00")
-    return h.hexdigest()
+    return content_hash(
+        "".join(f"{name}\0{field_hashes[name]}\0" for name in sorted(field_hashes))
+        .encode("utf-8")
+    )
 
 
 @dataclass
@@ -60,7 +69,8 @@ class FieldEntry:
 
     ``value`` holds a *strong* reference to the live object the bytes were
     pickled from — identity comparison against it is only meaningful while
-    the object cannot have been garbage collected and its ``id`` reused.
+    the object cannot have been garbage collected and its ``id`` reused;
+    once released (:attr:`live` False) no value compares identical to it.
     ``fingerprint`` is the value's ``__delta_fingerprint__`` at pickle
     time (None when the protocol is absent); ``stamps`` are the shipping
     stamps encountered while pickling this field, kept so eager code
@@ -72,6 +82,11 @@ class FieldEntry:
     value: Any
     fingerprint: Any | None = None
     stamps: frozenset[tuple[str, str, str]] = frozenset()
+
+    @property
+    def live(self) -> bool:
+        """False once :meth:`DeltaCache.release` let the value go."""
+        return self.value is not _RELEASED
 
 
 @dataclass
@@ -132,6 +147,16 @@ class DeltaCache:
             while len(self._records) > self._capacity:
                 self._records.popitem(last=False)
                 self.evictions += 1
+
+    def release(self, nid: str, img_hash: str) -> None:
+        """Let go of the live values of *nid*'s record if it still is the
+        image the destination acked — not the newer one of a naplet that
+        already landed back, whose values are the objects it runs with."""
+        with self._lock:
+            record = self._records.get(nid)
+            if record is not None and record.hash == img_hash:
+                for entry in record.fields.values():
+                    entry.value = _RELEASED
 
     def drop(self, nid: str) -> None:
         with self._lock:

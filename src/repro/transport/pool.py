@@ -14,7 +14,7 @@ request/reply exchanges over it:
   travels as ``("reqb", correlation_id, frame_sans_buffers, expects_reply,
   sizes)`` followed by one raw segment per buffer, written straight from
   the buffer memory with no intermediate concatenation; the server reads
-  the announced sizes back into fresh memoryviews;
+  each announced size back as one ``bytes``;
 - a :class:`PooledConnection` owns the socket: senders serialize on a write
   lock, a single reader thread demultiplexes replies to per-request waiters
   by correlation id, so N threads can have N requests in flight at once;
@@ -62,10 +62,13 @@ def send_blob(sock: socket.socket, blob: bytes) -> None:
 
 
 def _recv_exact(sock: socket.socket, count: int, allow_eof: bool = False) -> bytes | None:
+    # MSG_WAITALL fills a whole body in one recv, and joining one chunk
+    # returns it as it is: the kernel's copy-out is then the only copy.
+    # The loop finishes a read cut short by a signal or a socket timeout.
     chunks: list[bytes] = []
     remaining = count
     while remaining > 0:
-        chunk = sock.recv(remaining)
+        chunk = sock.recv(remaining, socket.MSG_WAITALL)
         if not chunk:
             if allow_eof and remaining == count:
                 return None  # clean close at a message boundary
@@ -108,12 +111,13 @@ def send_blob_segments(
 
 
 def recv_segments(sock: socket.socket, sizes: list[int]) -> tuple:
-    """Read the announced out-of-band segments into fresh memoryviews."""
+    """Read the announced out-of-band segments, each as the ``bytes`` it
+    arrived in — the serializer keeps a field segment as its cached image."""
     segments = []
     for size in sizes:
         if size > MAX_FRAME:
             raise NapletCommunicationError(f"frame segment too large: {size} bytes")
-        segments.append(memoryview(_recv_exact(sock, size)))
+        segments.append(_recv_exact(sock, size))
     return tuple(segments)
 
 

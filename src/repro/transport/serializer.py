@@ -23,9 +23,12 @@ Two envelope versions exist (DESIGN.md §6.7):
   (``mode: full``) or as only the fields changed since a base image the
   destination acked (``mode: delta``).  Field bytes are wrapped in
   :class:`pickle.PickleBuffer` so protocol-5 transports move them as
-  out-of-band frame segments without re-copying; eager code bundles are
-  replaced by ``code_refs`` content hashes when the destination already
-  holds the module.  Produced only by :meth:`dumps_with_cost`, the
+  out-of-band frame segments.  A bulk field is copied once per side — the
+  sender joins the pickler's writes, the receiver unpickles the segment it
+  read off the wire, which itself becomes the cached field — and hashed
+  once per side (:func:`~repro.transport.delta.content_hash`).  Eager code
+  bundles are replaced by ``code_refs`` content hashes when the destination
+  already holds the module.  Produced only by :meth:`dumps_with_cost`, the
   migration path.
 
 The v2 machinery is conservative by construction: a field is re-used from
@@ -40,6 +43,7 @@ import io
 import pickle
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Any, Iterable, Protocol
 
 from repro.codeshipping.codebase import CodeBaseRegistry, CodeCache
@@ -110,7 +114,7 @@ class _ShippingPickler(pickle.Pickler):
     graph with one shared memo and keeps the cycle intact).
     """
 
-    def __init__(self, file: io.BytesIO, protocol: int, root: Any = None) -> None:
+    def __init__(self, file: Any, protocol: int, root: Any = None) -> None:
         super().__init__(file, protocol)
         self.stamps_seen: set[tuple[str, str, str]] = set()
         self._root = root
@@ -261,8 +265,12 @@ class NapletSerializer:
         return data, cost
 
     def _pickle_field(self, root: Any, name: str, value: Any) -> tuple[bytes, frozenset]:
-        buffer = io.BytesIO()
-        pickler = _ShippingPickler(buffer, self._protocol, root=root)
+        # A protocol-5 pickler hands a large bytes payload to ``write``
+        # as the object itself: collect the writes and join once.
+        chunks: list[bytes] = []
+        pickler = _ShippingPickler(
+            SimpleNamespace(write=chunks.append), self._protocol, root=root
+        )
         try:
             pickler.dump(value)
         except _SelfReferential:
@@ -271,7 +279,7 @@ class NapletSerializer:
             raise SerializationError(
                 f"cannot serialize field {name!r} of {type(root).__name__}: {exc}"
             ) from exc
-        return buffer.getvalue(), frozenset(pickler.stamps_seen)
+        return b"".join(chunks), frozenset(pickler.stamps_seen)
 
     def _encode_v2(
         self,

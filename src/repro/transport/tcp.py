@@ -46,6 +46,19 @@ __all__ = ["TcpTransport"]
 _MAX_FRAME = _poolmod.MAX_FRAME  # re-exported for tests predating pool.py
 
 
+def _hang_up(sock: socket.socket) -> None:
+    """shutdown() then close(): on Linux close() alone sends no FIN and
+    leaves a thread blocked in accept() or recv() on the socket asleep."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
 class _Endpoint:
     """Listening socket + accept loop + bounded worker pool for one URN."""
 
@@ -107,9 +120,7 @@ class _Endpoint:
                         # holds its write lock across the whole message).
                         _tag, cid, frame, expects_reply, sizes = envelope
                         frame.buffers = recv_segments(conn, sizes)
-                        self._transport._account_received(
-                            self.urn, sum(b.nbytes for b in frame.buffers)
-                        )
+                        self._transport._account_received(self.urn, sum(sizes))
                         self._workers.submit(
                             self._handle_one, conn, write_lock, cid, frame, expects_reply
                         )
@@ -168,23 +179,11 @@ class _Endpoint:
         with self._conns_lock:
             conns = list(self._conns)
         for conn in conns:
-            # shutdown() (not just close()) sends FIN and wakes any thread
-            # blocked in recv() on this socket.
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
+            _hang_up(conn)
 
     def close(self) -> None:
         self._closing.set()
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        _hang_up(self.sock)  # or the accept thread pins handler and server
         self.drop_connections()
         self._workers.shutdown(wait=False)
 

@@ -72,22 +72,56 @@ def _configs(delta_on_d01: bool = True) -> dict[str, ServerConfig]:
     }
 
 
-def _journey(servers) -> None:
+def _journey(servers, agent=None) -> str:
     listener = repro.NapletListener()
-    agent = CollectorNaplet("courier")
+    agent = agent or CollectorNaplet("courier")
     agent.set_itinerary(
         Itinerary(SeqPattern.of_servers(ROUTE, post_action=ResultReport("visited")))
     )
-    servers["d00"].launch(agent, owner="alice", listener=listener)
+    nid = servers["d00"].launch(agent, owner="alice", listener=listener)
     assert listener.next_report(timeout=30).payload == ROUTE
     # The report fires from the landing server before the *sender* of the
     # final hop finishes its ack bookkeeping (delta counters included):
     # drain the space before reading telemetry.
     SpaceAdmin(servers).wait_space_idle(timeout=10)
+    return str(nid)
 
 
 def _total(servers, counter: str) -> int:
     return int(sum(getattr(s.telemetry, counter).total() for s in servers.values()))
+
+
+def _assert_cache_lifetime(servers, nid: str) -> None:
+    """Retired at d00: no record there.  Departed from d01 and acked: the
+    image stays as a delta base, none of the objects it was pickled from."""
+    assert nid not in servers["d00"].serializer.delta_cache
+    record = servers["d01"].serializer.delta_cache.peek(nid)
+    assert record is not None
+    assert not any(entry.live for entry in record.fields.values())
+
+
+def _journey_with_evicted_base(servers) -> None:
+    """While the naplet sits on d01 (hop 3), every other server loses its
+    delta cache; the next hop lands on d00, which no longer holds the base."""
+
+    def evict_everywhere_else(current_host: str) -> None:
+        for name, server in servers.items():
+            if name != current_host:
+                server.serializer.delta_cache.clear()
+
+    _SABOTAGE.update(hook=evict_everywhere_else, at=3)
+    try:
+        _journey(servers, SaboteurCourier("chaos-courier"))
+    finally:
+        _SABOTAGE.clear()
+    # The sender still believed in its base, the receiver had lost it:
+    # exactly one need_full round trip, then delta shipping resumed.
+    assert _total(servers, "delta_full_reships") == 1
+    # Hops #1 (first image) and #4 (the need_full reship) are full;
+    # the reship re-seeds both ends, so later hops return to deltas.
+    # Hop #5 may go either way — the eviction also hit d00's sender
+    # cache, but hop #4's landing re-seeds it in time on most runs.
+    assert len(ROUTE) - 3 <= _total(servers, "delta_hops") <= len(ROUTE) - 2
 
 
 class TestDeltaOverInMemory:
@@ -105,11 +139,12 @@ class TestDeltaOverInMemory:
 
     def test_repeat_hops_ship_deltas(self, memory_space):
         servers = self._attach(memory_space, _configs())
-        _journey(servers)
+        nid = _journey(servers)
         # Hop 1 is always a full image; every later hop had an acked base.
         assert _total(servers, "delta_hops") == len(ROUTE) - 1
         assert _total(servers, "delta_saved_bytes") > 0
         assert _total(servers, "delta_full_reships") == 0
+        _assert_cache_lifetime(servers, nid)
 
     def test_v1_only_peer_downgrades_route_transparently(self, memory_space):
         servers = self._attach(memory_space, _configs(delta_on_d01=False))
@@ -121,45 +156,26 @@ class TestDeltaOverInMemory:
         assert "naplet://d01" in servers["d00"].navigator._v1_peers
 
     def test_evicted_base_forces_transparent_full_reship(self, memory_space):
-        servers = self._attach(memory_space, _configs())
-        sabotage_at = 3  # naplet sits on d01; next hop lands on d00
-
-        def evict_everywhere_else(current_host: str) -> None:
-            for name, server in servers.items():
-                if name != current_host:
-                    server.serializer.delta_cache.clear()
-
-        _SABOTAGE.update(hook=evict_everywhere_else, at=sabotage_at)
-        try:
-            listener = repro.NapletListener()
-            agent = SaboteurCourier("chaos-courier")
-            agent.set_itinerary(
-                Itinerary(
-                    SeqPattern.of_servers(ROUTE, post_action=ResultReport("visited"))
-                )
-            )
-            servers["d00"].launch(agent, owner="alice", listener=listener)
-            assert listener.next_report(timeout=30).payload == ROUTE
-            SpaceAdmin(servers).wait_space_idle(timeout=10)
-        finally:
-            _SABOTAGE.clear()
-        # The sender still believed in its base, the receiver had lost it:
-        # exactly one need_full round trip, then delta shipping resumed.
-        assert _total(servers, "delta_full_reships") == 1
-        # Hops #1 (first image) and #4 (the need_full reship) are full;
-        # the reship re-seeds both ends, so later hops return to deltas.
-        # Hop #5 may go either way — the eviction also hit d00's sender
-        # cache, but hop #4's landing re-seeds it in time on most runs.
-        assert len(ROUTE) - 3 <= _total(servers, "delta_hops") <= len(ROUTE) - 2
+        _journey_with_evicted_base(self._attach(memory_space, _configs()))
 
 
 class TestDeltaOverTcp:
     def test_repeat_hops_ship_deltas_over_sockets(self):
         transport, servers = _tcp_space(_configs())
         try:
-            _journey(servers)
+            nid = _journey(servers)
             assert _total(servers, "delta_hops") == len(ROUTE) - 1
             assert _total(servers, "delta_full_reships") == 0
+            _assert_cache_lifetime(servers, nid)
+        finally:
+            for server in servers.values():
+                server.shutdown()
+            transport.close()
+
+    def test_evicted_base_forces_full_reship_over_sockets(self):
+        transport, servers = _tcp_space(_configs())
+        try:
+            _journey_with_evicted_base(servers)
         finally:
             for server in servers.values():
                 server.shutdown()

@@ -53,6 +53,36 @@ class TestJournalRecords:
         # Causal order follows the route.
         assert [r.detail["source"] for r in records] == ["s00", "s01", "s02"]
 
+    def test_record_sorts_at_its_departure_however_late_it_is_written(
+        self, small_line, monkeypatch
+    ):
+        """The record is appended after the ack, when the naplet is already
+        running — and may have left again — at the destination; its causal
+        position is the acked frame's stamp, not the moment of the append."""
+        import time
+
+        _network, servers = small_line
+        navigator = servers["s01"].navigator
+        real = navigator._journal_hop_cost
+
+        def late(*args, **kwargs):
+            time.sleep(0.3)  # the whole rest of the tour fits in here
+            real(*args, **kwargs)
+
+        monkeypatch.setattr(navigator, "_journal_hop_cost", late)
+        admin = SpaceAdmin(servers)
+        nid = _tour(servers)
+        assert admin.wait_space_idle()
+        merged = admin.harvest_journal(naplet=str(nid))
+        sources = [r.detail["source"] for r in merged if r.kind == "hop-cost"]
+        assert sources == ["s00", "s01", "s02"]
+        kinds = [(r.server, r.kind) for r in merged]
+        assert (
+            kinds.index(("s01", "naplet-depart"))
+            < kinds.index(("s01", "hop-cost"))
+            < kinds.index(("s02", "naplet-arrive"))
+        )
+
     def test_record_detail_decomposes_the_frame(self, toured):
         _servers, admin, nid = toured
         record = admin.harvest_journal(category="perf", naplet=str(nid))[0]

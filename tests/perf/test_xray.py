@@ -7,9 +7,10 @@ import json
 import pytest
 
 from repro.codeshipping.codebase import CodeBaseRegistry
-from repro.perf import explain_pickle
+from repro.perf import explain_delta, explain_pickle
 from repro.transport.serializer import NapletSerializer
 from tests.conftest import CollectorNaplet
+from tests.core.test_naplet import _identified
 from tests.transport.shipped_fixture import StampedPayload
 
 pytestmark = pytest.mark.perf
@@ -93,3 +94,29 @@ class TestAttribution:
         assert "state" in text
         assert "(structure)" in text
         assert "(total)" in text
+
+
+class TestDeltaView:
+    def test_released_base_reads_as_no_live_value(self):
+        serializer = NapletSerializer()
+        agent = _identified("xray-released")
+        agent.cargo = b"\xab" * 10_000
+        nid = str(agent.naplet_id)
+        serializer.dumps_with_cost(agent)
+        agent.state.set("k", 1)
+        live = explain_delta(agent, serializer)
+        assert live.base_live and "released" not in live.render()
+        assert "state" in live.shipped and "cargo" in live.skipped
+
+        cache = serializer.delta_cache
+        cache.release(nid, live.base_hash)
+        before = cache.stats()
+        released = explain_delta(agent, serializer)
+        # What ships is decided by the cached bytes, which a release keeps.
+        assert not released.base_live and "(values released)" in released.render()
+        assert released.describe()["base_live"] is False
+        assert (released.base_hash, released.shipped, released.skipped) == (
+            live.base_hash, live.shipped, live.skipped,
+        )
+        assert cache.stats() == before  # still a pure probe
+        assert not explain_delta(_identified("never-dumped"), serializer).base_live

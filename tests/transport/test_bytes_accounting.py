@@ -129,6 +129,27 @@ class TestTcpSymmetry:
             timeout=5,
         )
 
+    def test_segmented_request_books_the_same_bytes_on_both_ends(self, transport):
+        """Out-of-band segments are booked at the size they were received
+        at, which is the size they were sent at."""
+        transport.register("naplet://server", lambda f: pickle.dumps(len(f.buffers)))
+        transport.register("naplet://client", lambda f: None)
+        segments = (memoryview(b"\x5a" * 300_000), b"tail")
+        reply = transport.request(
+            Frame(
+                kind=FrameKind.NAPLET_TRANSFER,
+                source="naplet://client",
+                dest="naplet://server",
+                payload=b"core",
+                buffers=segments,
+            ),
+            timeout=5,
+        )
+        assert pickle.loads(reply) == 2
+        client_egress, _ = transport.endpoint_bytes("client")
+        assert client_egress > 300_000
+        assert transport.endpoint_bytes("server")[1] == client_egress
+
     def test_one_way_send_accounts_egress_and_ingress(self, transport):
         import threading
 

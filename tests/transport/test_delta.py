@@ -36,6 +36,21 @@ class TestHashes:
         data = b"payload-bytes"
         assert content_hash(data) == content_hash(memoryview(data))
 
+    def test_content_hash_reads_a_buffer_in_place(self):
+        import tracemalloc
+
+        payload = bytes(range(256)) * 4096  # 1 MiB
+        view = memoryview(payload)
+        expected = content_hash(payload)
+        tracemalloc.start()
+        try:
+            assert content_hash(view) == expected
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(payload) / 10
+        assert len(expected) == 32 and int(expected, 16) >= 0
+
     def test_image_hash_is_order_independent(self):
         hashes = {"a": "1" * 32, "b": "2" * 32}
         assert image_hash(hashes) == image_hash(dict(reversed(hashes.items())))
@@ -73,6 +88,21 @@ class TestDeltaCache:
         assert cache.stats() == before  # no hit/miss movement
         cache.put("n3", _record("H3"))
         assert "n1" not in cache  # peek did not promote n1 over n2
+
+    def test_release_lets_values_go_only_for_the_acked_image(self):
+        cache = DeltaCache()
+        cache.put("n1", _record("H2", f=b"x", g=b"y"))
+        before = cache.stats()
+        cache.release("n1", "H1")  # stale ack: the naplet landed back since
+        cache.release("missing", "H2")
+        assert all(e.live for e in cache.peek("n1").fields.values())
+        cache.release("n1", "H2")
+        record = cache.peek("n1")
+        assert not any(e.live for e in record.fields.values())
+        # Bytes and hashes stay: the record is still a delta base.
+        assert record.fields["f"].data == b"x"
+        assert record.field_hashes() == _record("H2", f=b"x", g=b"y").field_hashes()
+        assert cache.stats() == before  # no hit/miss/LRU movement
 
     def test_drop_and_clear(self):
         cache = DeltaCache()
@@ -206,6 +236,95 @@ class TestV2Envelope:
         envelope["fields"]["_state"] = _pickle.dumps("tampered")
         with pytest.raises(SerializationError, match="content hash"):
             receiver.loads(_pickle.dumps(envelope))
+
+
+    @pytest.mark.parametrize("mode", ["full", "delta"])
+    def test_one_flipped_byte_in_a_shipped_field_is_rejected(self, mode):
+        sender, receiver = self._pair()
+        agent = _identified("bitflip")
+        agent.cargo = b"\xc4" * 4096
+        data, buffers, cost = sender.dumps_with_cost(agent)
+        if mode == "delta":
+            _, info = receiver.loads_with_info(data, buffers=buffers or None)
+            agent.cargo = b"\xc5" * 4096
+            data, buffers, cost = sender.dumps_with_cost(agent, base_hint=info["hash"])
+        assert cost.delta == (mode == "delta")
+        segments = [bytearray(b) for b in buffers]
+        cargo = max(segments, key=len)
+        cargo[len(cargo) // 2] ^= 0x01
+        with pytest.raises(
+            SerializationError, match="does not match the announced content hash"
+        ):
+            receiver.loads_with_info(data, buffers=[bytes(b) for b in segments])
+
+
+class TestRelease:
+    """Values released on ack: every later dump and landing stays right."""
+
+    @staticmethod
+    def _pickled_names(serializer, monkeypatch) -> list[str]:
+        names: list[str] = []
+        real = serializer._pickle_field
+
+        def spy(root, name, value):
+            names.append(name)
+            return real(root, name, value)
+
+        monkeypatch.setattr(serializer, "_pickle_field", spy)
+        return names
+
+    def test_none_valued_field_is_repickled_after_release(self, monkeypatch):
+        sender, receiver = NapletSerializer(), NapletSerializer()
+        agent = _identified("released")
+        agent.note = None
+        nid = str(agent.naplet_id)
+        sender.dumps_with_cost(agent)
+        names = self._pickled_names(sender, monkeypatch)
+        sender.dumps_with_cost(agent)
+        assert "note" not in names  # live base: skipped by identity
+        sender.delta_cache.release(nid, sender.delta_cache.peek(nid).hash)
+        del names[:]
+        data, buffers, _ = sender.dumps_with_cost(agent)
+        assert "note" in names and "_state" in names
+        copy, _ = receiver.loads_with_info(data, buffers=buffers or None)
+        assert copy.note is None
+        assert all(e.live for e in sender.delta_cache.peek(nid).fields.values())
+
+    def test_delta_lands_onto_a_released_base(self):
+        here, there = NapletSerializer(), NapletSerializer()
+        agent = _identified("round-trip")
+        agent.cargo = b"\xd1" * 20_000
+        nid = str(agent.naplet_id)
+        data, buffers, _ = here.dumps_with_cost(agent)
+        away, info = there.loads_with_info(data, buffers=buffers or None)
+        here.delta_cache.release(nid, info["hash"])  # the departure was acked
+
+        away.state.set("k", 5)
+        data2, buffers2, cost = there.dumps_with_cost(away, base_hint=info["hash"])
+        assert cost.delta and cost.saved_bytes >= 20_000
+        back, info2 = here.loads_with_info(data2, buffers=buffers2 or None)
+        assert info2["mode"] == "delta"
+        assert back.state.get("k") == 5 and back.cargo == b"\xd1" * 20_000
+        assert all(e.live for e in here.delta_cache.peek(nid).fields.values())
+
+    def test_redump_after_a_rolled_back_transfer_ships_the_right_bytes(self):
+        sender, receiver = NapletSerializer(), NapletSerializer()
+        agent = _identified("retry")
+        agent.cargo = b"\xd2" * 20_000
+        nid = str(agent.naplet_id)
+        sender.dumps_with_cost(agent)  # attempt 1: never acked, rolled back
+        first = sender.delta_cache.peek(nid).hash
+        # An ack for some other image of this naplet must not touch it.
+        sender.delta_cache.release(nid, "0" * 32)
+        agent.cargo = b"\xd3" * 20_000
+        data, buffers, cost = sender.dumps_with_cost(agent)  # attempt 2
+        assert not cost.delta
+        copy, info = receiver.loads_with_info(data, buffers=buffers or None)
+        assert copy.cargo == b"\xd3" * 20_000 and info["hash"] != first
+        # Attempt 1 *had* landed (its ack was lost) and is acked late: the
+        # record is attempt 2's by now, so nothing is released.
+        sender.delta_cache.release(nid, first)
+        assert all(e.live for e in sender.delta_cache.peek(nid).fields.values())
 
 
 class TestCodeNegotiation:

@@ -184,6 +184,7 @@ class TestOutOfBandSegments:
 
         def handler(frame):
             seen["buffers"] = [bytes(b) for b in frame.buffers]
+            seen["types"] = {type(b) for b in frame.buffers}
             seen["payload"] = frame.payload
             return pickle.dumps(len(frame.buffers))
 
@@ -199,6 +200,19 @@ class TestOutOfBandSegments:
         assert pickle.loads(transport.request(frame, timeout=10)) == 2
         assert seen["payload"] == pickle.dumps("envelope-core")
         assert seen["buffers"] == [bytes(b) for b in buffers]
+        # Each segment is the immutable bytes it was received into: the
+        # serializer caches a field segment as it is, with no further copy.
+        assert seen["types"] == {bytes}
+
+    def test_eof_mid_segment_raises(self):
+        import socket
+
+        near, far = socket.socketpair()
+        with near, far:
+            far.sendall(b"s" * 100 + b"half")
+            far.shutdown(socket.SHUT_WR)
+            with pytest.raises(NapletCommunicationError, match="mid-frame"):
+                poolmod.recv_segments(near, [100, 50])
 
     def test_buffer_bytes_are_accounted_on_the_wire(self, transport):
         transport.register("naplet://meter", lambda f: pickle.dumps(f.size))

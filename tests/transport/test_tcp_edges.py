@@ -66,3 +66,27 @@ class TestEdges:
         transport.register("naplet://x", lambda f: None)
         transport.close()
         transport.close()
+
+    def test_no_server_thread_survives_close(self, transport):
+        """The accept thread holds endpoint -> handler -> server: left
+        blocked in accept() it would pin a closed space in memory."""
+        import threading
+
+        from repro.util.concurrency import wait_until
+
+        for name in ("p", "q"):
+            transport.register(f"naplet://{name}", lambda f: pickle.dumps(b"ok"))
+        frame = Frame(kind=FrameKind.PING, source="naplet://p", dest="naplet://q")
+        assert pickle.loads(transport.request(frame, timeout=2)) == b"ok"
+
+        def server_threads() -> list[str]:
+            return [
+                t.name
+                for t in threading.enumerate()
+                if t.name.startswith(("tcp-accept-naplet://", "tcp-conn-naplet://"))
+                and t.name.endswith(("://p", "://q"))
+            ]
+
+        assert len(server_threads()) >= 3  # two listeners, one served connection
+        transport.close()
+        assert wait_until(lambda: not server_threads(), timeout=2), server_threads()
