@@ -29,13 +29,23 @@ fast path); with it on, repeat hops ship only the changed fields.  The
 wire counters prove the byte win (``bytes_per_hop`` ≤ 40% of full) —
 a structural metric CI gates on — and ``hops_per_sec`` records the
 throughput win.
+
+The frame leg times one pooled request/reply in isolation (a 128-byte
+frame, and a transfer-shaped frame with 13 out-of-band segments) next to
+its floor on the same machine: a bare two-thread socket ping-pong plus the
+pickling of the two envelopes.  The process is pinned to one CPU for it,
+as the journey benchmark is: unpinned, a 2-vCPU VM pays a cross-CPU
+wake-up per thread hand-off and the numbers triple.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+import pickle
+import socket
 import statistics
+import threading
 import time
 from pathlib import Path
 
@@ -45,6 +55,8 @@ from repro.perf.bench import write_bench
 from repro.core.credential import SigningAuthority
 from repro.itinerary import Itinerary, ResultReport, SeqPattern
 from repro.server import DirectoryMode, NapletServer, ServerConfig
+from repro.transport.base import Frame, FrameKind
+from repro.transport.pool import REP, REQ
 from repro.transport.tcp import TcpTransport
 from repro.util.concurrency import wait_until
 from tests.conftest import CollectorNaplet, StallNaplet
@@ -52,6 +64,11 @@ from tests.conftest import CollectorNaplet, StallNaplet
 HOPS = 12
 MESSAGES = 150
 _HOP_KINDS = ("landing-request", "naplet-transfer", "directory-event")
+
+# Frame leg: payload of the small frame, segment count of the segmented one
+# (a counter-only naplet's transfer carries 13 field segments).
+FRAME_BYTES = 128
+FRAME_SEGMENTS = 13
 
 # Delta leg: ping-pong itinerary length and the immutable cargo size.
 DELTA_HOPS = 12
@@ -173,14 +190,23 @@ def _measure_delta(delta: bool) -> dict:
         elapsed = time.perf_counter() - started
         assert report.payload == route
 
+        def counted(name: str) -> int:
+            return int(sum(getattr(s.telemetry, name).total() for s in servers.values()))
+
+        # The source books the last hop (wire counters, then delta
+        # counters) after the landing acks, which can be after the report
+        # is already home: settle before reading.
+        frames = transport.metrics.counter("wire_frames_total")
+        expected_delta_hops = DELTA_HOPS - 1 if delta else 0
+        assert wait_until(
+            lambda: frames.value(kind="naplet-transfer") == DELTA_HOPS
+            and counted("delta_hops") == expected_delta_hops,
+            timeout=10,
+        )
         wire = transport.metrics.counter("wire_bytes_total")
         transfer_bytes = int(wire.value(kind="naplet-transfer"))
-        delta_hops = int(
-            sum(s.telemetry.delta_hops.total() for s in servers.values())
-        )
-        saved_bytes = int(
-            sum(s.telemetry.delta_saved_bytes.total() for s in servers.values())
-        )
+        delta_hops = counted("delta_hops")
+        saved_bytes = counted("delta_saved_bytes")
         return {
             "delta_shipping": delta,
             "hops": DELTA_HOPS,
@@ -192,6 +218,67 @@ def _measure_delta(delta: bool) -> dict:
         }
     finally:
         _shutdown(transport, servers)
+
+
+def _best_us(fn, rounds: int = 5, calls: int = 4000) -> float:
+    """Fastest per-call mean over *rounds* (µs): the least-disturbed one."""
+    for _ in range(calls // 4):
+        fn()
+    best = float("inf")
+    for _ in range(rounds):
+        started = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        best = min(best, (time.perf_counter() - started) / calls)
+    return best * 1e6
+
+
+def _measure_frame() -> dict:
+    """One pooled round trip against its floor, pinned to one CPU."""
+    payload = b"x" * FRAME_BYTES
+    segments = tuple(bytes([i]) * 64 for i in range(FRAME_SEGMENTS))
+    reply = pickle.dumps(b"ok")
+
+    def frame(buffers=()):
+        return Frame(
+            kind=FrameKind.MESSAGE, source="naplet://f00", dest="naplet://f01",
+            payload=payload, buffers=buffers,
+        )
+
+    def echo(sock):
+        while data := sock.recv(4096):
+            sock.sendall(data)
+
+    def ping():
+        near.sendall(payload)
+        near.recv(4096)
+
+    def pickles():
+        pickle.loads(pickle.dumps((REQ, 1, frame(), True)))
+        pickle.loads(pickle.dumps((REP, 1, reply)))
+
+    affinity = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(affinity)})
+    transport = TcpTransport()
+    near, far = socket.socketpair()
+    try:
+        threading.Thread(target=echo, args=(far,), daemon=True).start()
+        transport.register("naplet://f01", lambda _frame: reply)
+        return {
+            "frame_bytes": FRAME_BYTES,
+            "frame_segments": FRAME_SEGMENTS,
+            "floor_pingpong_us": _best_us(ping),
+            "floor_pickle_us": _best_us(pickles),
+            "round_trip_us": _best_us(lambda: transport.request(frame(), timeout=5)),
+            "round_trip_segmented_us": _best_us(
+                lambda: transport.request(frame(segments), timeout=5)
+            ),
+        }
+    finally:
+        near.close()
+        far.close()
+        transport.close()
+        os.sched_setaffinity(0, affinity)
 
 
 class TestTransportFastPath:
@@ -256,6 +343,18 @@ class TestTransportFastPath:
             ],
         )
 
+        frame = _measure_frame()
+        table(
+            "E8c: one pooled frame, round trip vs floor (one CPU, best of 5 x 4000)",
+            ["ping-pong us", "pickle us", "128 B frame us", "13-segment frame us"],
+            [[
+                f"{frame['floor_pingpong_us']:.1f}",
+                f"{frame['floor_pickle_us']:.1f}",
+                f"{frame['round_trip_us']:.1f}",
+                f"{frame['round_trip_segmented_us']:.1f}",
+            ]],
+        )
+
         # Schema-v2 snapshot: same metric keys as always, plus git SHA /
         # timestamp / machine fingerprint so `napletperf diff` can attribute
         # deltas to code vs hardware.  NAPLET_BENCH_HISTORY (set by
@@ -276,6 +375,7 @@ class TestTransportFastPath:
                 / full["hops_per_sec"],
                 "delta_bytes_fraction": delta["bytes_per_hop"]
                 / full["bytes_per_hop"],
+                "frame": frame,
             },
             history_dir=history,
         )

@@ -101,9 +101,10 @@ class RetryPolicy:
         one re-raises); ``give_up_on`` failures — deterministic rejections
         like a denied landing — propagate immediately even when they
         subclass a retryable type.  ``on_retry(attempt, wait, error)`` fires
-        before each backoff wait.
+        before each backoff wait.  The jitter schedule is drawn at the
+        first failure: a first-try success builds no ``Random``.
         """
-        waits = self.schedule()
+        waits: tuple[float, ...] | None = None
         for attempt in range(1, self.max_attempts + 1):
             try:
                 return fn()
@@ -112,6 +113,8 @@ class RetryPolicy:
             except retry_on as exc:
                 if attempt >= self.max_attempts:
                     raise
+                if waits is None:
+                    waits = self.schedule()
                 wait = waits[attempt - 1]
                 if on_retry is not None:
                     on_retry(attempt, wait, exc)

@@ -24,6 +24,7 @@ be merged across servers — :meth:`MetricsSnapshot.merged` is what
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -42,6 +43,12 @@ LabelKey = tuple[tuple[str, str], ...]
 
 
 def _label_key(labels: dict[str, str]) -> LabelKey:
+    # Every per-frame instrument has at most one label: skip the sort there.
+    if not labels:
+        return ()
+    if len(labels) == 1:
+        for name, value in labels.items():
+            return ((name, str(value)),)
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
@@ -207,12 +214,8 @@ class Histogram(_Instrument):
                 cell = self._cells[key] = _HistogramCell(len(self.bounds))
             cell.count += 1
             cell.total += value
-            for index, bound in enumerate(self.bounds):
-                if value <= bound:
-                    cell.bucket_counts[index] += 1
-                    break
-            else:
-                cell.bucket_counts[-1] += 1
+            # First bound >= value; past the last one, the overflow bucket.
+            cell.bucket_counts[bisect_left(self.bounds, value)] += 1
 
     def value(self, **labels: str) -> HistogramValue:
         key = _label_key(labels)

@@ -12,15 +12,17 @@ request/reply exchanges over it:
   when the remote handler raised;
 - a frame carrying out-of-band buffers (pickle protocol 5, DESIGN.md §6.7)
   travels as ``("reqb", correlation_id, frame_sans_buffers, expects_reply,
-  sizes)`` followed by one raw segment per buffer, written straight from
-  the buffer memory with no intermediate concatenation; the server reads
-  each announced size back as one ``bytes``;
+  sizes)`` followed by one raw segment per buffer.  Header and segments
+  leave in one vectored write straight from the buffer memory; the server
+  reads each announced size back as one ``bytes``, small ones a run at a
+  time;
 - a :class:`PooledConnection` owns the socket: senders serialize on a write
-  lock, a single reader thread demultiplexes replies to per-request waiters
-  by correlation id, so N threads can have N requests in flight at once;
+  lock, a single reader thread demultiplexes replies by correlation id to
+  per-request waiters, each parked on a bare lock, so N threads can have N
+  requests in flight at once;
 - the :class:`ConnectionPool` keeps at most one live connection per
   destination, transparently redials when a kept-alive peer went away, and
-  counts opens/reuses for the transport's telemetry.
+  reports opens/reuses/bytes to the transport's telemetry through callbacks.
 
 Retry semantics: a request that dies on a *reused* connection (stale
 keepalive — the peer restarted or idled us out) is retried once on a fresh
@@ -44,6 +46,8 @@ __all__ = ["ConnectionPool", "PooledConnection", "ConnectionClosedError"]
 
 _LEN_SIZE = 4
 MAX_FRAME = 64 * 1024 * 1024
+COALESCE_MAX = 64 * 1024  # a run of segments up to this is read in one recv
+_IOV_MAX = 1024  # most buffers one sendmsg takes (Linux UIO_MAXIOV)
 
 REQ = "req"
 REQB = "reqb"  # request with out-of-band buffer segments
@@ -55,10 +59,43 @@ class ConnectionClosedError(NapletCommunicationError):
     """The pooled connection died before (or while) a reply arrived."""
 
 
-def send_blob(sock: socket.socket, blob: bytes) -> None:
+def _nbytes(segment) -> int:
+    return segment.nbytes if isinstance(segment, memoryview) else len(segment)
+
+
+def send_blob_segments(sock: socket.socket, blob: bytes, segments: tuple = ()) -> int:
+    """Write ``blob`` (length-prefixed) and each raw segment in one
+    vectored ``sendmsg``: one syscall per frame however many segments.
+
+    The segments go to the socket straight from their backing memory —
+    memoryviews from ``PickleBuffer.raw()`` are never concatenated into a
+    userspace copy.  Returns the total bytes written past the prefix.
+    """
+    sizes = [_nbytes(segment) for segment in segments]
     if len(blob) > MAX_FRAME:
         raise NapletCommunicationError(f"frame too large: {len(blob)} bytes")
-    sock.sendall(len(blob).to_bytes(_LEN_SIZE, "big") + blob)
+    if sizes and max(sizes) > MAX_FRAME:
+        raise NapletCommunicationError(f"frame segment too large: {max(sizes)} bytes")
+    total = len(blob) + sum(sizes)
+    parts = [len(blob).to_bytes(_LEN_SIZE, "big") + blob, *segments]
+    left = total + _LEN_SIZE
+    while True:
+        sent = sock.sendmsg(parts[:_IOV_MAX])
+        left -= sent
+        if not left:
+            return total
+        # Short write (signal, socket timeout, more than IOV_MAX parts):
+        # drop what went out and send the rest.
+        first = 0
+        while sent >= _nbytes(parts[first]):
+            sent -= _nbytes(parts[first])
+            first += 1
+        parts = parts[first:]
+        if sent:
+            parts[0] = memoryview(parts[0]).cast("B")[sent:]
+
+
+send_blob = send_blob_segments  # a frame without segments is the same one write
 
 
 def _recv_exact(sock: socket.socket, count: int, allow_eof: bool = False) -> bytes | None:
@@ -88,46 +125,42 @@ def recv_blob(sock: socket.socket, allow_eof: bool = False) -> bytes | None:
     return _recv_exact(sock, length)
 
 
-def send_blob_segments(
-    sock: socket.socket, blob: bytes, segments: tuple
-) -> int:
-    """Write ``blob`` (length-prefixed) then each raw segment, in order.
-
-    The segments go to the socket straight from their backing memory —
-    memoryviews from ``PickleBuffer.raw()`` are never concatenated into a
-    userspace copy.  Returns the total bytes written past the prefix.
-    """
-    if len(blob) > MAX_FRAME:
-        raise NapletCommunicationError(f"frame too large: {len(blob)} bytes")
-    total = len(blob)
-    sock.sendall(len(blob).to_bytes(_LEN_SIZE, "big") + blob)
-    for segment in segments:
-        nbytes = segment.nbytes if isinstance(segment, memoryview) else len(segment)
-        if nbytes > MAX_FRAME:
-            raise NapletCommunicationError(f"frame segment too large: {nbytes} bytes")
-        sock.sendall(segment)
-        total += nbytes
-    return total
-
-
 def recv_segments(sock: socket.socket, sizes: list[int]) -> tuple:
-    """Read the announced out-of-band segments, each as the ``bytes`` it
-    arrived in — the serializer keeps a field segment as its cached image."""
-    segments = []
-    for size in sizes:
-        if size > MAX_FRAME:
-            raise NapletCommunicationError(f"frame segment too large: {size} bytes")
-        segments.append(_recv_exact(sock, size))
+    """Read the announced out-of-band segments, each as ``bytes``.
+
+    A run of small segments (``COALESCE_MAX`` in total) is read in one
+    recv and sliced; a larger segment is read alone, as the ``bytes`` it
+    arrived in — the serializer keeps a bulk field segment as its cached
+    image, so that one pays no copy past the kernel's.
+    """
+    if sizes and max(sizes) > MAX_FRAME:
+        raise NapletCommunicationError(f"frame segment too large: {max(sizes)} bytes")
+    segments: list[bytes] = []
+    start = 0
+    while start < len(sizes):
+        end, total = start + 1, sizes[start]
+        while end < len(sizes) and total + sizes[end] <= COALESCE_MAX:
+            total += sizes[end]
+            end += 1
+        run, offset = _recv_exact(sock, total), 0
+        for size in sizes[start:end]:
+            # A segment read alone: the full slice is ``run`` itself, no copy.
+            segments.append(run[offset:offset + size])
+            offset += size
+        start = end
     return tuple(segments)
 
 
 class _Waiter:
-    """Parking spot for one in-flight request's reply."""
+    """Parking spot for one in-flight request's reply: the requester parks
+    on ``latch``, a bare lock born held, and whoever takes the waiter out
+    of ``_pending`` (the reader thread, or ``close``) releases it once."""
 
-    __slots__ = ("event", "payload", "error", "nbytes")
+    __slots__ = ("latch", "payload", "error", "nbytes")
 
     def __init__(self) -> None:
-        self.event = threading.Event()
+        self.latch = threading.Lock()
+        self.latch.acquire()
         self.payload: bytes | None = None
         self.error: str | None = None
         self.nbytes = 0  # wire size of the reply blob (byte accounting)
@@ -150,15 +183,14 @@ class PooledConnection:
         self._pending: dict[int, _Waiter] = {}
         self._pending_lock = threading.Lock()
         self._ids = itertools.count(1)
-        self._dead = threading.Event()
-        self._reader = threading.Thread(
+        self._dead = False
+        threading.Thread(
             target=self._read_loop, name=f"tcp-pool-reader-{dest}", daemon=True
-        )
-        self._reader.start()
+        ).start()
 
     @property
     def alive(self) -> bool:
-        return not self._dead.is_set()
+        return not self._dead
 
     # -- reader: demultiplex replies by correlation id --------------------- #
 
@@ -178,7 +210,7 @@ class PooledConnection:
                     waiter.error = body
                 else:
                     waiter.payload = body
-                waiter.event.set()
+                waiter.latch.release()
         except Exception:
             pass  # any wire failure kills the connection below
         finally:
@@ -186,76 +218,54 @@ class PooledConnection:
 
     # -- wire operations ---------------------------------------------------- #
 
-    def _write_request(self, frame: Frame, expects_reply: bool, cid: int) -> int:
+    def _post(self, frame: Frame, expects_reply: bool, cid: int) -> int:
         """Serialize and write one request; returns its wire size in bytes.
 
         Frames with out-of-band buffers use the segmented ``REQB`` layout:
         only the buffer-less frame core is pickled, the buffers follow as
         raw segments written from their own memory (zero-copy).
         """
+        if self._dead:
+            raise ConnectionClosedError(f"pooled connection to {self.dest} is closed")
         frame.correlation_id = cid
-        if frame.buffers:
-            sizes = [
-                b.nbytes if isinstance(b, memoryview) else len(b)
-                for b in frame.buffers
-            ]
+        buffers = frame.buffers
+        if buffers:
+            sizes = [_nbytes(b) for b in buffers]
             core = replace(frame, buffers=())
             blob = pickle.dumps((REQB, cid, core, expects_reply, sizes))
-            with self._send_lock:
-                return send_blob_segments(self.sock, blob, frame.buffers)
-        blob = pickle.dumps((REQ, cid, frame, expects_reply))
-        with self._send_lock:
-            send_blob(self.sock, blob)
-        return len(blob)
-
-    def _post(self, frame: Frame, expects_reply: bool) -> int:
-        cid = next(self._ids)
+        else:
+            blob = pickle.dumps((REQ, cid, frame, expects_reply))
         try:
-            return self._write_request(frame, expects_reply, cid)
+            with self._send_lock:
+                return send_blob_segments(self.sock, blob, buffers)
         except OSError as exc:
             self.close()
-            raise ConnectionClosedError(
-                f"pooled connection to {self.dest} died: {exc}"
-            ) from exc
+            raise ConnectionClosedError(f"pooled connection to {self.dest} died: {exc}") from exc
 
     def send(self, frame: Frame) -> int:
         """Fire-and-forget delivery; returns the wire bytes written."""
-        if not self.alive:
-            raise ConnectionClosedError(f"pooled connection to {self.dest} is closed")
-        return self._post(frame, expects_reply=False)
-
-    def request(self, frame: Frame, timeout: float | None = None) -> bytes:
-        """Send *frame* and block until its correlated reply arrives."""
-        return self.request_with_cost(frame, timeout)[0]
+        return self._post(frame, False, next(self._ids))
 
     def request_with_cost(
         self, frame: Frame, timeout: float | None = None
     ) -> tuple[bytes, int, int]:
-        """Like :meth:`request`, also reporting (sent, received) wire bytes."""
-        if not self.alive:
-            raise ConnectionClosedError(f"pooled connection to {self.dest} is closed")
+        """Send *frame* and block until its correlated reply arrives;
+        returns the payload and the (sent, received) wire bytes."""
         waiter = _Waiter()
         cid = next(self._ids)
         with self._pending_lock:
             self._pending[cid] = waiter
         try:
-            sent = self._write_request(frame, True, cid)
-        except OSError as exc:
+            sent = self._post(frame, True, cid)
+            if not waiter.latch.acquire(timeout=-1 if timeout is None else max(timeout, 0)):
+                raise NapletCommunicationError(f"request to {frame.dest} timed out")
+        except BaseException:
             with self._pending_lock:
-                self._pending.pop(cid, None)
-            self.close()
-            raise ConnectionClosedError(
-                f"pooled connection to {self.dest} died: {exc}"
-            ) from exc
-        if not waiter.event.wait(timeout):
-            with self._pending_lock:
-                self._pending.pop(cid, None)
-            raise NapletCommunicationError(f"request to {frame.dest} timed out")
+                self._pending.pop(cid, None)  # a late reply is dropped by the reader
+            raise
         if waiter.error is not None:
             if waiter.error == "connection closed":
-                raise ConnectionClosedError(
-                    f"pooled connection to {self.dest} closed mid-request"
-                )
+                raise ConnectionClosedError(f"pooled connection to {self.dest} closed mid-request")
             raise NapletCommunicationError(
                 f"request to {frame.dest} failed remotely: {waiter.error}"
             )
@@ -263,7 +273,7 @@ class PooledConnection:
         return waiter.payload, sent, waiter.nbytes
 
     def close(self) -> None:
-        self._dead.set()
+        self._dead = True
         try:
             self.sock.close()
         except OSError:
@@ -273,7 +283,7 @@ class PooledConnection:
             self._pending.clear()
         for waiter in pending:
             waiter.error = "connection closed"
-            waiter.event.set()
+            waiter.latch.release()
 
 
 class ConnectionPool:
@@ -293,40 +303,34 @@ class ConnectionPool:
         self._conns: dict[str, PooledConnection] = {}
         self._lock = threading.Lock()
         self._dest_locks: dict[str, threading.Lock] = {}
-        self.opened = 0
-        self.reused = 0
 
     def _dest_lock(self, dest: str) -> threading.Lock:
         with self._lock:
-            lock = self._dest_locks.get(dest)
-            if lock is None:
-                lock = self._dest_locks[dest] = threading.Lock()
-            return lock
+            return self._dest_locks.setdefault(dest, threading.Lock())
+
+    def _live(self, dest: str) -> PooledConnection | None:
+        with self._lock:
+            conn = self._conns.get(dest)
+        if conn is None or not conn.alive:
+            return None
+        if self._on_reuse is not None:
+            self._on_reuse(dest)
+        return conn
 
     def _acquire(self, dest: str) -> tuple[PooledConnection, bool]:
         """Live connection for *dest*; second element is True when freshly dialed."""
-        with self._lock:
-            conn = self._conns.get(dest)
-        if conn is not None and conn.alive:
-            self.reused += 1
-            if self._on_reuse is not None:
-                self._on_reuse(dest)
+        conn = self._live(dest)
+        if conn is not None:
             return conn, False
         with self._dest_lock(dest):
             # Re-check under the per-destination lock: another thread may
             # have redialed while we waited.
-            with self._lock:
-                conn = self._conns.get(dest)
-            if conn is not None and conn.alive:
-                self.reused += 1
-                if self._on_reuse is not None:
-                    self._on_reuse(dest)
+            conn = self._live(dest)
+            if conn is not None:
                 return conn, False
-            sock = self._dialer(dest)
-            conn = PooledConnection(sock, dest)
+            conn = PooledConnection(self._dialer(dest), dest)
             with self._lock:
                 self._conns[dest] = conn
-            self.opened += 1
             if self._on_open is not None:
                 self._on_open(dest)
             return conn, True
@@ -337,45 +341,34 @@ class ConnectionPool:
             if self._conns.get(dest) is conn:
                 del self._conns[dest]
 
-    def _account(self, frame: Frame, sent: int, received: int) -> None:
-        if self._on_traffic is not None:
-            self._on_traffic(frame, sent, received)
+    def _exchange(self, frame: Frame, timeout: float | None, expects_reply: bool) -> bytes | None:
+        """One request or one-way send on the pooled connection to its dest.
+
+        Stale keepalive (the peer closed while we were idle): a failure on
+        a *reused* connection is retried once; a failure on a freshly
+        dialed connection, or a second failure, propagates.
+        """
+        for retried in (False, True):
+            conn, fresh = self._acquire(frame.dest)
+            try:
+                if expects_reply:
+                    payload, sent, received = conn.request_with_cost(frame, timeout)
+                else:
+                    payload, sent, received = None, conn.send(frame), 0
+            except ConnectionClosedError:
+                self._invalidate(frame.dest, conn)
+                if fresh or retried:
+                    raise
+                continue
+            if self._on_traffic is not None:
+                self._on_traffic(frame, sent, received)
+            return payload
 
     def request(self, frame: Frame, timeout: float | None = None) -> bytes:
-        conn, fresh = self._acquire(frame.dest)
-        try:
-            payload, sent, received = conn.request_with_cost(frame, timeout)
-            self._account(frame, sent, received)
-            return payload
-        except ConnectionClosedError:
-            self._invalidate(frame.dest, conn)
-            if fresh:
-                raise
-            # Stale keepalive: the peer closed while we were idle. Retry
-            # once on a fresh connection; a second failure propagates.
-            conn, _ = self._acquire(frame.dest)
-            try:
-                payload, sent, received = conn.request_with_cost(frame, timeout)
-                self._account(frame, sent, received)
-                return payload
-            except ConnectionClosedError:
-                self._invalidate(frame.dest, conn)
-                raise
+        return self._exchange(frame, timeout, True)
 
     def send(self, frame: Frame) -> None:
-        conn, fresh = self._acquire(frame.dest)
-        try:
-            self._account(frame, conn.send(frame), 0)
-        except ConnectionClosedError:
-            self._invalidate(frame.dest, conn)
-            if fresh:
-                raise
-            conn, _ = self._acquire(frame.dest)
-            try:
-                self._account(frame, conn.send(frame), 0)
-            except ConnectionClosedError:
-                self._invalidate(frame.dest, conn)
-                raise
+        self._exchange(frame, None, False)
 
     def connection_to(self, dest: str) -> PooledConnection | None:
         """The live pooled connection toward *dest*, if any (test helper)."""
@@ -385,14 +378,7 @@ class ConnectionPool:
     def live_destinations(self) -> list[str]:
         """Destination URNs with a live keepalive connection right now."""
         with self._lock:
-            return sorted(
-                dest for dest, conn in self._conns.items() if conn.alive
-            )
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            active = sum(1 for c in self._conns.values() if c.alive)
-        return {"opened": self.opened, "reused": self.reused, "active": active}
+            return sorted(dest for dest, conn in self._conns.items() if conn.alive)
 
     def close(self) -> None:
         with self._lock:

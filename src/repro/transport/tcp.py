@@ -5,18 +5,19 @@ endpoint gets a listening socket on 127.0.0.1; connections are persistent
 and multiplexed: a client-side :class:`~repro.transport.pool.ConnectionPool`
 keeps one keepalive socket per destination URN, frames carry correlation
 ids so many concurrent ``request()``s share that socket, and the server
-side serves many frames per connection, dispatching handler work to a
-bounded per-endpoint worker pool instead of spawning a thread per accept.
+side serves each connection with a bounded set of threads, leader/followers
+style: the thread that read a frame runs its handler and writes its reply,
+while another reads the next frame (see :meth:`_Endpoint._serve`).
 
 The legacy one-frame-per-connection envelope ``(frame, expects_reply)`` is
 still accepted (and produced with ``pooled=False``), so a pooled server
 interoperates with an unpooled client — the benchmark baseline.
 
-Caveat for reentrant handlers: handler work runs on a bounded pool
-(``server_workers`` per endpoint), so deeply nested request chains that
-revisit the *same* endpoint more times than it has workers can starve.
-Forwarding chains are hop-bounded well below the default, and distinct
-endpoints use distinct pools.
+Caveat for reentrant handlers: at most ``server_workers`` handlers run at
+once per *connection*, and frames behind them wait unread, so a nested
+request chain that comes back over the same connection more times than
+that starves.  Forwarding chains are hop-bounded well below the default,
+and distinct source transports use distinct connections.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ import pickle
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.errors import NapletCommunicationError
-from repro.transport import pool as _poolmod
 from repro.transport.base import Frame, FrameHandler, Transport
 from repro.transport.pool import (
+    MAX_FRAME as _MAX_FRAME,  # re-exported for tests predating pool.py
     ConnectionPool,
     ERR,
     REP,
@@ -42,8 +42,6 @@ from repro.transport.pool import (
 )
 
 __all__ = ["TcpTransport"]
-
-_MAX_FRAME = _poolmod.MAX_FRAME  # re-exported for tests predating pool.py
 
 
 def _hang_up(sock: socket.socket) -> None:
@@ -59,8 +57,21 @@ def _hang_up(sock: socket.socket) -> None:
         pass
 
 
+class _Served:
+    """One accepted connection and the threads that serve it."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.read_lock = threading.Lock()  # held by the leader: the thread in recv
+        self.write_lock = threading.Lock()
+        self.lock = threading.Lock()  # guards the two counts below
+        self.threads = 1  # serving this connection
+        self.busy = 0  # of those, inside a handler (or writing its reply)
+        self.closed = False
+
+
 class _Endpoint:
-    """Listening socket + accept loop + bounded worker pool for one URN."""
+    """Listening socket + accept loop + leader/followers serving for one URN."""
 
     def __init__(self, urn: str, handler: FrameHandler, transport: "TcpTransport") -> None:
         self.urn = urn
@@ -72,88 +83,98 @@ class _Endpoint:
         self.sock.listen(64)
         self.port = self.sock.getsockname()[1]
         self._closing = threading.Event()
-        self._conns: set[socket.socket] = set()
+        self._conns: set[_Served] = set()
         self._conns_lock = threading.Lock()
-        self._workers = ThreadPoolExecutor(
-            max_workers=transport.server_workers, thread_name_prefix=f"tcp-work-{urn}"
-        )
-        self._thread = threading.Thread(
+        threading.Thread(
             target=self._accept_loop, name=f"tcp-accept-{urn}", daemon=True
-        )
-        self._thread.start()
+        ).start()
 
     def _accept_loop(self) -> None:
         while not self._closing.is_set():
             try:
-                conn, _addr = self.sock.accept()
+                sock, _addr = self.sock.accept()
             except OSError:
                 return  # socket closed
             try:
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             except OSError:
                 pass
+            conn = _Served(sock)
             with self._conns_lock:
                 self._conns.add(conn)
-            threading.Thread(
-                target=self._serve, args=(conn,), name=f"tcp-conn-{self.urn}", daemon=True
-            ).start()
+            self._add_thread(conn)
 
-    def _serve(self, conn: socket.socket) -> None:
+    def _add_thread(self, conn: _Served) -> None:
+        threading.Thread(
+            target=self._serve, args=(conn,), name=f"tcp-conn-{self.urn}", daemon=True
+        ).start()
+
+    def _serve(self, conn: _Served) -> None:
         """Serve frames on one connection until the peer closes it.
 
-        Multiplexed requests are handed to the worker pool and replied to
-        out of order, tagged by correlation id; the legacy envelope serves
-        one frame and closes, as the old protocol did.
+        Leader/followers: the thread holding ``read_lock`` reads one frame,
+        lets a follower read the next, and runs the handler and writes the
+        correlated reply itself — so replies go out of order and a frame
+        costs no hand-off.  A thread is added, up to ``server_workers``,
+        only when a frame arrives while no follower is left to take over.
+        The legacy envelope serves one frame and closes, as the old
+        protocol did.
         """
-        write_lock = threading.Lock()
         try:
-            with conn:
-                while not self._closing.is_set():
-                    blob = recv_blob(conn, allow_eof=True)
-                    if blob is None:
-                        break  # clean close at a frame boundary
-                    self._transport._account_received(self.urn, len(blob))
-                    envelope = pickle.loads(blob)
-                    if len(envelope) == 5 and envelope[0] == REQB:
-                        # Segmented request: raw out-of-band buffers follow
-                        # the header blob on the same connection (the sender
-                        # holds its write lock across the whole message).
-                        _tag, cid, frame, expects_reply, sizes = envelope
-                        frame.buffers = recv_segments(conn, sizes)
-                        self._transport._account_received(self.urn, sum(sizes))
-                        self._workers.submit(
-                            self._handle_one, conn, write_lock, cid, frame, expects_reply
-                        )
-                    elif len(envelope) == 4 and envelope[0] == REQ:
-                        _tag, cid, frame, expects_reply = envelope
-                        self._workers.submit(
-                            self._handle_one, conn, write_lock, cid, frame, expects_reply
-                        )
-                    else:
-                        frame, expects_reply = envelope
-                        reply = self.handler(frame)
-                        if expects_reply:
-                            out = pickle.dumps(reply if reply is not None else b"")
-                            send_blob(conn, out)
-                            self._transport._account_sent(self.urn, len(out))
+            while True:
+                with conn.read_lock:
+                    request = None if conn.closed else self._read_request(conn.sock)
+                    if request is None:
+                        conn.closed = True  # followers wake up, see it and leave too
                         break
+                    with conn.lock:
+                        conn.busy += 1
+                        grow = conn.busy == conn.threads < self._transport.server_workers
+                        if grow:
+                            conn.threads += 1
+                if grow:
+                    self._add_thread(conn)
+                try:
+                    self._handle_one(conn, *request)
+                finally:
+                    with conn.lock:
+                        conn.busy -= 1
         except Exception as exc:
-            # Connection-scoped failure (bad frame, handler error, dead
-            # peer): the connection is dropped, but not silently — the
+            # Connection-scoped failure (bad frame, legacy handler error,
+            # dead peer): the connection is dropped, but not silently — the
             # transport counts it and records it in the bound EventLog.
+            conn.closed = True
             self._transport._record_connection_error(self.urn, exc)
-        finally:
-            with self._conns_lock:
-                self._conns.discard(conn)
+        _hang_up(conn.sock)
+        with self._conns_lock:
+            self._conns.discard(conn)
 
-    def _handle_one(
-        self,
-        conn: socket.socket,
-        write_lock: threading.Lock,
-        cid: int,
-        frame: Frame,
-        expects_reply: bool,
-    ) -> None:
+    def _read_request(self, sock: socket.socket) -> tuple[int, Frame, bool] | None:
+        """Next multiplexed request on *sock*: (correlation id, frame,
+        expects_reply); None once the connection is done."""
+        blob = None if self._closing.is_set() else recv_blob(sock, allow_eof=True)
+        if blob is None:
+            return None  # clean close at a frame boundary
+        self._transport._account_received(self.urn, len(blob))
+        envelope = pickle.loads(blob)
+        if len(envelope) == 5 and envelope[0] == REQB:
+            # Segmented request: raw out-of-band buffers follow the header
+            # blob on the same connection (the sender writes both at once).
+            _tag, cid, frame, expects_reply, sizes = envelope
+            frame.buffers = recv_segments(sock, sizes)
+            self._transport._account_received(self.urn, sum(sizes))
+            return cid, frame, expects_reply
+        if len(envelope) == 4 and envelope[0] == REQ:
+            return envelope[1:]
+        frame, expects_reply = envelope
+        reply = self.handler(frame)
+        if expects_reply:
+            out = pickle.dumps(reply if reply is not None else b"")
+            send_blob(sock, out)
+            self._transport._account_sent(self.urn, len(out))
+        return None
+
+    def _handle_one(self, conn: _Served, cid: int, frame: Frame, expects_reply: bool) -> None:
         try:
             reply = self.handler(frame)
         except Exception as exc:
@@ -168,8 +189,8 @@ class _Endpoint:
                 return
             blob = pickle.dumps((REP, cid, reply if reply is not None else b""))
         try:
-            with write_lock:
-                send_blob(conn, blob)
+            with conn.write_lock:
+                send_blob(conn.sock, blob)
             self._transport._account_sent(self.urn, len(blob))
         except OSError:
             pass  # requester already gone; it will time out on its side
@@ -179,13 +200,12 @@ class _Endpoint:
         with self._conns_lock:
             conns = list(self._conns)
         for conn in conns:
-            _hang_up(conn)
+            _hang_up(conn.sock)
 
     def close(self) -> None:
         self._closing.set()
         _hang_up(self.sock)  # or the accept thread pins handler and server
         self.drop_connections()
-        self._workers.shutdown(wait=False)
 
 
 class TcpTransport(Transport):
@@ -199,7 +219,6 @@ class TcpTransport(Transport):
     ) -> None:
         super().__init__()
         self._endpoints: dict[str, _Endpoint] = {}
-        self._ports: dict[str, int] = {}
         self._connect_timeout = connect_timeout
         self._eplock = threading.RLock()
         self.pooled = pooled
@@ -218,8 +237,7 @@ class TcpTransport(Transport):
     def _pool_traffic(self, frame: Frame, sent: int, received: int) -> None:
         """Attribute a pooled exchange's wire bytes to the sending endpoint."""
         self._account_sent(frame.source, sent)
-        if received:
-            self._account_received(frame.source, received)
+        self._account_received(frame.source, received)
 
     @property
     def pool(self) -> ConnectionPool | None:
@@ -230,42 +248,36 @@ class TcpTransport(Transport):
         endpoint = _Endpoint(urn, handler, self)
         with self._eplock:
             self._endpoints[urn] = endpoint
-            self._ports[urn] = endpoint.port
 
     def unregister(self, urn: str) -> None:
         super().unregister(urn)
         with self._eplock:
             endpoint = self._endpoints.pop(urn, None)
-            self._ports.pop(urn, None)
         if endpoint is not None:
             endpoint.close()
 
     def port_of(self, urn: str) -> int:
         with self._eplock:
-            try:
-                return self._ports[urn]
-            except KeyError:
-                raise NapletCommunicationError(f"no endpoint registered at {urn}") from None
+            endpoint = self._endpoints.get(urn)
+        if endpoint is None:
+            raise NapletCommunicationError(f"no endpoint registered at {urn}")
+        return endpoint.port
 
     def worker_backlog(self, urn: str | None = None) -> int:
-        """Frames queued behind the inbound worker pool(s), not yet served.
+        """Served connections whose ``server_workers`` threads are all
+        inside handlers, so the next frame on them waits unread.
 
         The health plane's wedged-server rule polls this: a sustained
-        non-zero backlog means every ``server_workers`` thread is busy and
-        requests are waiting.  ``urn`` restricts the count to one
-        endpoint; the default sums the whole transport.
+        non-zero backlog means a connection is saturated and requests
+        are waiting.  ``urn`` restricts the count to one endpoint; the
+        default sums the whole transport.
         """
         with self._eplock:
-            endpoints = (
-                [self._endpoints[urn]]
-                if urn is not None and urn in self._endpoints
-                else list(self._endpoints.values()) if urn is None else []
-            )
+            endpoints = [e for at, e in self._endpoints.items() if urn in (None, at)]
         backlog = 0
         for endpoint in endpoints:
-            queue = getattr(endpoint._workers, "_work_queue", None)
-            if queue is not None:
-                backlog += queue.qsize()
+            with endpoint._conns_lock:
+                backlog += sum(c.busy >= self.server_workers for c in endpoint._conns)
         return backlog
 
     def live_peers(self, source_urn: str) -> list[str]:
@@ -287,20 +299,34 @@ class TcpTransport(Transport):
             raise NapletCommunicationError(f"cannot reach {urn}: {exc}") from exc
         return sock
 
+    def _dial_exchange(self, frame: Frame, expects_reply: bool, timeout: float | None = None):
+        """Unpooled: a connection dialed for this one legacy envelope."""
+        sock = self._connect(frame.dest)
+        self._note_connection_opened(frame.dest)
+        try:
+            with sock:
+                if timeout is not None:
+                    sock.settimeout(timeout)
+                blob = pickle.dumps((frame.picklable(), expects_reply))
+                send_blob(sock, blob)
+                self._account_sent(frame.source, len(blob))
+                if not expects_reply:
+                    return None
+                raw = recv_blob(sock)
+                self._account_received(frame.source, len(raw))
+                return pickle.loads(raw)
+        except socket.timeout as exc:
+            raise NapletCommunicationError(f"request to {frame.dest} timed out") from exc
+        except OSError as exc:
+            verb = "request" if expects_reply else "send"
+            raise NapletCommunicationError(f"{verb} to {frame.dest} failed: {exc}") from exc
+
     def send(self, frame: Frame) -> None:
         started = time.monotonic()
         if self._pool is not None:
             self._pool.send(frame)
         else:
-            sock = self._connect(frame.dest)
-            self._note_connection_opened(frame.dest)
-            try:
-                with sock:
-                    blob = pickle.dumps((frame.picklable(), False))
-                    send_blob(sock, blob)
-                    self._account_sent(frame.source, len(blob))
-            except OSError as exc:
-                raise NapletCommunicationError(f"send to {frame.dest} failed: {exc}") from exc
+            self._dial_exchange(frame, False)
         self._observe_wire(frame, time.monotonic() - started)
 
     def request(self, frame: Frame, timeout: float | None = None) -> bytes:
@@ -308,22 +334,7 @@ class TcpTransport(Transport):
         if self._pool is not None:
             reply = self._pool.request(frame, timeout)
         else:
-            sock = self._connect(frame.dest)
-            self._note_connection_opened(frame.dest)
-            try:
-                with sock:
-                    if timeout is not None:
-                        sock.settimeout(timeout)
-                    blob = pickle.dumps((frame.picklable(), True))
-                    send_blob(sock, blob)
-                    self._account_sent(frame.source, len(blob))
-                    raw = recv_blob(sock)
-                    self._account_received(frame.source, len(raw))
-                    reply = pickle.loads(raw)
-            except socket.timeout as exc:
-                raise NapletCommunicationError(f"request to {frame.dest} timed out") from exc
-            except OSError as exc:
-                raise NapletCommunicationError(f"request to {frame.dest} failed: {exc}") from exc
+            reply = self._dial_exchange(frame, True, timeout)
         self._observe_wire(frame, time.monotonic() - started)
         return reply
 
@@ -333,6 +344,5 @@ class TcpTransport(Transport):
         with self._eplock:
             endpoints = list(self._endpoints.values())
             self._endpoints.clear()
-            self._ports.clear()
         for endpoint in endpoints:
             endpoint.close()

@@ -130,11 +130,16 @@ class TestPartitionedObserver:
         servers, _transport = chaos_space(plan, config=_observer_config())
         _warm_links(servers)
         _beat_until_fresh(servers, "c01", ("c00",))
+        # The last beat may still be in flight on the TCP wire: settle it,
+        # or it lands after ``before`` is read and looks like a leak.
+        view = servers["c01"].observatory.view
+        last_seq = servers["c00"].observatory.local_digest().seq
+        assert wait_until(lambda: view.digest("c00").seq == last_seq, timeout=10)
         plan.partition("c00")
         # The cut-off observer's own heartbeat must not raise; failed
         # sends either drop silently (injector) or count as failures
         # (virtual network) — in both cases nothing new merges at c01.
-        before = servers["c01"].observatory.view.digest("c00")
+        before = view.digest("c00")
         servers["c00"].observatory.beat_now()
         time.sleep(0.1)  # let any (wrongly) delivered frame land
-        assert servers["c01"].observatory.view.digest("c00") == before
+        assert view.digest("c00") == before

@@ -166,6 +166,30 @@ class TestRunContract:
             policy.run(denied, retry_on=(Retryable,), give_up_on=(GiveUp,))
         assert len(calls) == 1
 
+    def test_first_try_success_draws_no_jitter_schedule(self, monkeypatch):
+        from repro.faults import retry as retrymod
+
+        def no_rng(*_args):
+            raise AssertionError("a first-try success must not build a Random")
+
+        monkeypatch.setattr(retrymod.random, "Random", no_rng)
+        assert RetryPolicy(max_attempts=4).run(lambda: "ok", retry_on=(Retryable,)) == "ok"
+
+    def test_seeded_retry_waits_equal_the_schedule(self):
+        policy = RetryPolicy(max_attempts=5, jitter=0.5, seed=1234, sleep=lambda _w: None)
+        waits = []
+
+        def doomed():
+            raise Retryable("always down")
+
+        with pytest.raises(Retryable):
+            policy.run(
+                doomed,
+                retry_on=(Retryable,),
+                on_retry=lambda _attempt, wait, _exc: waits.append(wait),
+            )
+        assert tuple(waits) == policy.schedule()
+
     def test_no_retry_is_the_single_attempt_policy(self):
         assert no_retry().max_attempts == 1
         assert no_retry().schedule() == ()

@@ -115,7 +115,62 @@ class TestPerfHistograms:
         assert server.telemetry.serialize_seconds.value(op="dumps").count == 0
 
 
+_GOLDEN_TEXT = """\
+# HELP hops_total Hops, by route
+# TYPE hops_total counter
+hops_total{code="404"} 1
+hops_total{dest="s01",source="s00"} 3
+hops_total{dest="s02",source="s00"} 1
+# HELP queue_depth Mailbox depth
+# TYPE queue_depth gauge
+queue_depth 7
+# HELP residents Resident naplets
+# TYPE residents gauge
+residents{server="s01"} 5
+# HELP wire_frames_total Frames moved, by kind
+# TYPE wire_frames_total counter
+wire_frames_total 1
+wire_frames_total{kind="message"} 1
+wire_frames_total{kind="naplet-transfer"} 2
+# HELP wire_send_seconds Delivery latency
+# TYPE wire_send_seconds histogram
+wire_send_seconds_count 7
+wire_send_seconds_sum 0.6165
+wire_send_seconds_bucket{le="0.001"} 3
+wire_send_seconds_bucket{le="0.01"} 5
+wire_send_seconds_bucket{le="0.1"} 6
+wire_send_seconds_bucket{le="+Inf"} 7
+wire_send_seconds_count{kind="message"} 1
+wire_send_seconds_sum{kind="message"} 0.02
+wire_send_seconds_bucket{kind="message",le="0.001"} 0
+wire_send_seconds_bucket{kind="message",le="0.01"} 0
+wire_send_seconds_bucket{kind="message",le="0.1"} 1
+wire_send_seconds_bucket{kind="message",le="+Inf"} 1"""
+
+
 class TestRenderers:
+    def test_populated_registry_renders_the_recorded_text(self):
+        """Byte-for-byte what the registry rendered before the label-key
+        fast paths and the bisected bucket search (recorded at PR 12)."""
+        reg = MetricsRegistry()
+        frames = reg.counter("wire_frames_total", "Frames moved, by kind")
+        frames.inc(kind="message")
+        frames.inc(2, kind="naplet-transfer")
+        frames.inc()
+        hops = reg.counter("hops_total", "Hops, by route")
+        hops.inc(3, source="s00", dest="s01")
+        hops.inc(dest="s02", source="s00")
+        hops.inc(code=404)
+        reg.gauge("residents", "Resident naplets").set(5, server="s01")
+        lat = reg.histogram(
+            "wire_send_seconds", "Delivery latency", buckets=(0.001, 0.01, 0.1)
+        )
+        for value in (0.0005, 0.001, 0.005, 0.01, 0.1, 0.5, 0.0):
+            lat.observe(value)
+        lat.observe(0.02, kind="message")
+        reg.gauge_fn("queue_depth", "Mailbox depth", lambda: 7)
+        assert render_metrics_text(reg.snapshot()) == _GOLDEN_TEXT
+
     def test_counter_text_format(self):
         reg = MetricsRegistry()
         reg.counter("requests_total", "Requests served").inc(3, kind="a")

@@ -13,6 +13,7 @@ from repro.telemetry.metrics import (
     HistogramValue,
     MetricsRegistry,
     MetricsSnapshot,
+    _label_key,
     exponential_buckets,
 )
 
@@ -64,6 +65,33 @@ class TestCounter:
         assert c.value() == 8000
 
 
+class TestLabelKey:
+    """The no-label and one-label fast paths equal the sorted general form."""
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            {},
+            {"kind": "message"},
+            {"code": 404},
+            {"flag": None},
+            {"source": "s00", "dest": "s01"},
+            {"dest": 1, "source": 2.5},
+        ],
+    )
+    def test_fast_paths_equal_the_sorted_form(self, labels):
+        key = _label_key(labels)
+        assert key == tuple(sorted((k, str(v)) for k, v in labels.items()))
+        assert all(type(value) is str for _name, value in key)
+
+    def test_one_label_value_reads_back_under_any_spelling(self):
+        c = Counter("c", "")
+        c.inc(code=404)
+        c.inc(code="404")
+        assert c.value(code=404) == 2
+        assert c.labelsets() == [(("code", "404"),)]
+
+
 class TestGauge:
     def test_set_and_add(self):
         g = Gauge("g", "")
@@ -88,6 +116,18 @@ class TestHistogram:
         assert value.mean == pytest.approx(105.0 / 4)
         # non-cumulative buckets plus the overflow slot
         assert value.bucket_counts == (1, 1, 1, 1)
+
+    def test_values_on_between_and_beyond_the_bounds(self):
+        h = Histogram("h", "", buckets=(1.0, 2.0, 4.0))
+        for v in (-1.0, 0.0, 1.0, 1.0000001, 2.0, 3.0, 4.0, 4.0000001, float("inf")):
+            h.observe(v)
+        # a value on a bound belongs to that bound's bucket (le semantics)
+        assert h.value().bucket_counts == (3, 2, 2, 2)
+        default = Histogram("d", "")
+        for bound in default.bounds:
+            default.observe(bound)
+        default.observe(default.bounds[-1] * 2)
+        assert default.value().bucket_counts == (1,) * (len(default.bounds) + 1)
 
     def test_empty_value(self):
         h = Histogram("h", "", buckets=(1.0,))

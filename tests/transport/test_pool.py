@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import pickle
+import socket
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -12,6 +14,7 @@ from repro.core.errors import NapletCommunicationError
 from repro.transport import pool as poolmod
 from repro.transport.base import Frame, FrameKind
 from repro.transport.tcp import TcpTransport
+from repro.util.concurrency import wait_until
 
 
 @pytest.fixture
@@ -126,16 +129,28 @@ class TestPoolResilience:
         assert transport.connections_opened() == 1
 
     def test_timeout_leaves_connection_usable(self, transport):
+        release = threading.Event()
+        replied = threading.Event()
+
         def slow(frame):
             if frame.payload == b"slow":
-                time.sleep(0.5)
-            return pickle.dumps(b"ok")
+                release.wait(5)
+                replied.set()
+            return pickle.dumps(frame.payload)
 
         transport.register("naplet://slow", slow)
         with pytest.raises(NapletCommunicationError, match="timed out"):
             transport.request(_frame("naplet://slow", b"slow"), timeout=0.05)
-        reply = transport.request(_frame("naplet://slow", b"fast"), timeout=5)
-        assert pickle.loads(reply) == b"ok"
+        conn = transport.pool.connection_to("naplet://slow")
+        assert conn._pending == {}  # nobody waits for the late reply any more
+        release.set()
+        assert replied.wait(5)
+        # The late reply is dropped by the reader, not handed to the next
+        # requester, and the shared connection stays usable.
+        for i in range(3):
+            reply = transport.request(_frame("naplet://slow", b"fast%d" % i), timeout=5)
+            assert pickle.loads(reply) == b"fast%d" % i
+        assert conn.alive
         assert transport.connections_opened() == 1
 
 
@@ -204,15 +219,87 @@ class TestOutOfBandSegments:
         # serializer caches a field segment as it is, with no further copy.
         assert seen["types"] == {bytes}
 
-    def test_eof_mid_segment_raises(self):
-        import socket
-
+    @staticmethod
+    def _eof_after_104_bytes(sizes):
         near, far = socket.socketpair()
         with near, far:
             far.sendall(b"s" * 100 + b"half")
             far.shutdown(socket.SHUT_WR)
             with pytest.raises(NapletCommunicationError, match="mid-frame"):
-                poolmod.recv_segments(near, [100, 50])
+                poolmod.recv_segments(near, sizes)
+
+    def test_eof_mid_segment_raises(self):
+        self._eof_after_104_bytes([100, 50])  # one coalesced run, cut short
+
+    def test_eof_inside_a_segment_read_alone_raises(self):
+        self._eof_after_104_bytes([100, poolmod.COALESCE_MAX])
+
+    @pytest.mark.parametrize("accepts", [1, 3, 7, 64, 10_000])
+    def test_short_vectored_writes_deliver_the_identical_stream(self, accepts):
+        """However few bytes one sendmsg takes, the wire sees the length
+        prefix, the blob and every segment, in order and exactly once."""
+
+        class ShortWriter:
+            def __init__(self):
+                self.stream = bytearray()
+                self.calls = 0
+
+            def sendmsg(self, parts):
+                self.calls += 1
+                taken = b"".join(bytes(p) for p in parts)[:accepts]
+                self.stream += taken
+                return len(taken)
+
+        backing = bytearray(b"view-segment-" * 9)
+        segments = (b"alpha", memoryview(backing), b"", memoryview(b"tail")[1:], b"z" * 300)
+        blob = pickle.dumps(("reqb", 7, "core"))
+        fake = ShortWriter()
+        total = poolmod.send_blob_segments(fake, blob, segments)
+        expected = len(blob).to_bytes(4, "big") + blob + b"".join(bytes(s) for s in segments)
+        assert bytes(fake.stream) == expected
+        assert total == len(expected) - 4
+        assert fake.calls == -(-len(expected) // accepts)  # no empty or repeated write
+
+    def test_more_segments_than_one_sendmsg_takes(self):
+        near, far = socket.socketpair()
+        with near, far:
+            segments = tuple(bytes([i % 251]) for i in range(poolmod._IOV_MAX + 500))
+            poolmod.send_blob_segments(far, b"hdr", segments)
+            assert poolmod.recv_blob(near) == b"hdr"
+            assert poolmod.recv_segments(near, [1] * len(segments)) == segments
+
+    def test_small_fields_coalesce_and_the_bulk_field_is_read_uncopied(self):
+        """Twelve small segments and one 1 MiB segment arrive as thirteen
+        ``bytes``; the big one is the recv's own buffer, never re-copied."""
+        big = 1024 * 1024
+        segments = [bytes([i]) * (10 + i) for i in range(6)]
+        segments += [b"\xcc" * big]
+        segments += [bytes([i]) * (10 + i) for i in range(6, 12)]
+        sizes = [len(s) for s in segments]
+        near, far = socket.socketpair()
+        with near, far:
+            sender = threading.Thread(target=far.sendall, args=(b"".join(segments),))
+            recvs = []
+            real_recv = near.recv
+
+            class Counting:
+                def recv(self, n, flags=0):
+                    recvs.append(n)
+                    return real_recv(n, flags)
+
+            tracemalloc.start()
+            try:
+                sender.start()
+                got = poolmod.recv_segments(Counting(), sizes)
+                _now, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            sender.join(5)
+        assert list(got) == segments
+        assert {type(s) for s in got} == {bytes}
+        assert peak < 1.1 * big
+        # one read per run of small segments, one for the bulk segment
+        assert recvs == [sum(sizes[:6]), big, sum(sizes[7:])]
 
     def test_buffer_bytes_are_accounted_on_the_wire(self, transport):
         transport.register("naplet://meter", lambda f: pickle.dumps(f.size))

@@ -79,14 +79,23 @@ class TestEdges:
         frame = Frame(kind=FrameKind.PING, source="naplet://p", dest="naplet://q")
         assert pickle.loads(transport.request(frame, timeout=2)) == b"ok"
 
-        def server_threads() -> list[str]:
+        def server_threads(*kinds: str) -> list[str]:
+            kinds = kinds or ("accept", "conn", "pool-reader")
+            prefixes = tuple(f"tcp-{kind}-naplet://" for kind in kinds)
             return [
                 t.name
                 for t in threading.enumerate()
-                if t.name.startswith(("tcp-accept-naplet://", "tcp-conn-naplet://"))
-                and t.name.endswith(("://p", "://q"))
+                if t.name.startswith(prefixes) and t.name.endswith(("://p", "://q"))
             ]
 
-        assert len(server_threads()) >= 3  # two listeners, one served connection
+        # two listeners, one pooled connection: its reader and >= 1 serving thread
+        assert len(server_threads()) >= 4
+        # Dropping the served connections ends every thread on either end
+        # of them, followers parked on the read lock included ...
+        transport._endpoints["naplet://q"].drop_connections()
+        assert wait_until(lambda: not server_threads("conn", "pool-reader"), timeout=2)
+        # ... and so does close(), for the redialed connection too.
+        assert pickle.loads(transport.request(frame, timeout=2)) == b"ok"
+        assert len(server_threads("conn", "pool-reader")) >= 2
         transport.close()
         assert wait_until(lambda: not server_threads(), timeout=2), server_threads()
