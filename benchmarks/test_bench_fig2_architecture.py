@@ -2,14 +2,12 @@
 
 One full migration drives every component in the figure: NapletManager
 (launch), NapletSecurityManager (LAUNCH + LANDING checks), Navigator
-(handshake + transfer), NapletMonitor (NapletThread), Messenger (report
+(transfer), NapletMonitor (NapletThread), Messenger (report
 home), Locator/directory (ARRIVAL/DEPART events).  The benchmark times the
 whole launch→land→report round trip and the heavy stages separately.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 
@@ -17,7 +15,6 @@ import repro
 from repro.itinerary import Itinerary, ResultReport, SeqPattern
 from repro.server import deploy
 from repro.simnet import VirtualNetwork, line
-from repro.transport.base import Frame, FrameKind
 from tests.conftest import CollectorNaplet
 
 
@@ -78,14 +75,10 @@ class TestFigure2:
         servers["h00"].authority.register_owner("bench")
         nid = NapletID.create("bench", "h00")
         credential = servers["h00"].authority.issue(nid, "local")
-        frame = Frame(
-            kind=FrameKind.LANDING_REQUEST,
-            source=servers["h00"].urn,
-            dest=servers["h01"].urn,
-            payload=pickle.dumps(credential),
-        )
-        reply = benchmark(servers["h00"].transport.request, frame)
-        assert pickle.loads(reply)["granted"] is True
+        # The destination's admission check as the transfer handler runs
+        # it, ahead of deserialization: signature, policy, residency caps.
+        reason = benchmark(servers["h01"].navigator._landing_denial, credential)
+        assert reason is None
 
     def test_bench_monitor_admission_stage(self, benchmark, space2):
         """Thread creation + retirement for one naplet visit."""

@@ -15,7 +15,7 @@ The walkthrough shows the mechanism at three magnifications:
    left: its base cache knows the cargo didn't move, so a hop from there
    would ship a few hundred bytes and keep the cargo off the wire (the
    server it retired at dropped its record with it);
-3. the per-hop cost table (``+d`` path suffix, ``saved`` column) and the
+3. the per-hop cost table (``image`` and ``saved`` columns) and the
    ``naplet_delta_*`` counters tally what the journey actually saved.
 
 Run:  python examples/delta_hops.py
@@ -80,10 +80,10 @@ def main() -> None:
         print("\n=== delta view after the journey, from d01 ===")
         print(explain_delta(agent, servers["d01"].serializer).render())
 
-        # 3. What the hops actually cost: repeat hops show the ``+d``
-        #    path and a fat ``saved`` column.
+        # 3. What the hops actually cost: repeat hops read ``delta`` in
+        #    the ``image`` column and show a fat ``saved`` column.
         records = admin.harvest_journal(category="perf")
-        print("\n=== per-hop costs (delta hops marked +d) ===")
+        print("\n=== per-hop costs (repeat hops ship deltas) ===")
         print(render_hop_costs(records, naplet=str(nid)))
 
         delta_hops = sum(s.telemetry.delta_hops.total() for s in servers.values())

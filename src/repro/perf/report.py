@@ -53,7 +53,6 @@ def hop_cost_rows(
                 "header_bytes": int(detail.get("header_bytes", 0)),
                 "code_bytes": int(detail.get("code_bytes", 0)),
                 "total_bytes": int(detail.get("total_bytes", 0)),
-                "fast_path": bool(detail.get("fast_path", False)),
                 "delta": bool(detail.get("delta", False)),
                 "saved_bytes": int(detail.get("saved_bytes", 0)),
             }
@@ -73,7 +72,7 @@ def render_hop_costs(records: list[Any], naplet: str | None = None) -> str:
     lines = [
         f"  {len(rows)} hop(s){scope}",
         f"  {'route':<24} {'total-B':>9} {'payload':>9} {'header':>8} "
-        f"{'code':>7} {'saved':>8} {'ser-ms':>8} {'path':<5}",
+        f"{'code':>7} {'saved':>8} {'ser-ms':>8} {'image':<5}",
     ]
     totals = {
         "total_bytes": 0,
@@ -85,15 +84,13 @@ def render_hop_costs(records: list[Any], naplet: str | None = None) -> str:
     serialize = 0.0
     for row in rows:
         route = f"{row['source']} -> {row['dest']}"
-        path = "fast" if row["fast_path"] else "2ph"
-        if row["delta"]:
-            path += "+d"
+        image = "delta" if row["delta"] else "full"
         lines.append(
             f"  {route:<24} {row['total_bytes']:>9} {row['payload_bytes']:>9} "
             f"{row['header_bytes']:>8} {row['code_bytes']:>7} "
             f"{row['saved_bytes']:>8} "
             f"{row['serialize_s'] * 1e3:>8.2f} "
-            f"{path:<5}"
+            f"{image:<5}"
         )
         for key in totals:
             totals[key] += row[key]

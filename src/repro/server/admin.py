@@ -365,7 +365,7 @@ class SpaceAdmin:
         return count
 
     def _space_is_idle(self) -> bool:
-        # Residency alone is not enough: after a fast-path hop the source
+        # Residency alone is not enough: after a hop the source
         # worker thread is still unwinding (closing its hop span, retiring
         # the run) while the naplet is already resident — and possibly
         # already finished — at the destination.  Requiring every monitor's

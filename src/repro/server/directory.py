@@ -46,9 +46,8 @@ class DirectoryMode(enum.Enum):
 class DirectoryEvent:
     ARRIVAL = "arrival"
     DEPART = "depart"
-    # Combined depart-at-source + arrive-at-destination registration: the
-    # migration fast path reports both in ONE frame from the destination,
-    # halving directory round trips per hop.
+    # Combined depart-at-source + arrive-at-destination registration: a
+    # migration reports both in ONE frame from the destination.
     MIGRATION = "migration"
 
 
@@ -184,7 +183,7 @@ class DirectoryClient:
     def report_migration(self, nid: NapletID, from_urn: str, to_urn: str) -> None:
         """Register depart(*from_urn*) + arrival(*to_urn*) in one exchange.
 
-        Used by the migration fast path: the destination registers both
+        Used by every migration: the destination registers both
         legs of the hop on the source's behalf, so the hop costs at most
         one directory round trip (zero when this server is the authority).
         """

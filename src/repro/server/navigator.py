@@ -1,33 +1,36 @@
 """Navigator: launching and migration (paper §2.2, §4.1).
 
-Two-phase migration protocol, exactly the paper's sequence:
+One migration path, one exchange per hop:
 
 1. the source Navigator consults its NapletSecurityManager for **LAUNCH**
-   permission;
-2. it contacts the destination Navigator for **LANDING** permission (the
-   destination consults its own security manager and resource manager);
-3. on grant it reports DEPART to the directory, serializes the naplet
-   (transient context dropped) and transfers it;
-4. the destination registers ARRIVAL with the directory and *postpones
-   execution until the registration is acknowledged*, then records the
-   arrival with its NapletManager, creates the mailbox (draining the
-   special mailbox), binds a fresh context and hands control to the
-   NapletMonitor;
-5. success releases all resources the naplet held at the source.
+   permission, marks the naplet in transit (so messages arriving here are
+   forwarded toward the destination, the standard chase guarantee) and
+   serializes it (transient context dropped);
+2. it sends one ``NAPLET_TRANSFER`` request: the credential as the frame
+   payload, the image as frame segments;
+3. the destination Navigator recognises a retransmission by its
+   transfer-id and re-acks it; otherwise it runs the **LANDING** check
+   (security manager, then residency limits) on the credential *before* it
+   deserializes any image byte; a refusal acks ``{"denied": True}``;
+4. on grant it deserializes, registers depart+arrival with the directory
+   in one event on the source's behalf and *postpones execution until the
+   registration is acknowledged*, then records the arrival with its
+   NapletManager, creates the mailbox (draining the special mailbox),
+   binds a fresh context, hands control to the NapletMonitor and acks;
+5. the ack releases all resources the naplet held at the source.
 
-**Fast path** (``ServerConfig.migration_fast_path``, on by default): the
-credential is piggybacked on the NAPLET_TRANSFER frame, so the destination
-performs the landing check and the transfer ack in ONE exchange — no
-separate LANDING_REQUEST round trip — and registers depart+arrival with
-the directory in one combined event on the source's behalf.  The landing
-check still runs *before* the naplet image is deserialized; a denial acks
-``{"denied": True}`` and the source rolls back exactly as in the
-two-phase protocol.  A destination that does not speak the fast path acks
-``{"unsupported": True}`` and the source transparently falls back to the
-two-phase sequence.  During the single in-flight window the directory
-still shows the naplet at the source; that is safe because the source has
-already marked the departure locally, so messages arriving there are
-forwarded toward the destination (the standard chase guarantee).
+The paper's separate LANDING round trip is folded into the transfer
+exchange; the order of its steps is not changed.  During the single
+in-flight window the directory still shows the naplet at the source, which
+is safe because the source has already marked the departure locally.
+
+One recovery happens inside a hop: a destination that lacks the base image
+or the code a delta envelope leans on acks ``need_full`` and the source
+re-ships the full image once (DESIGN.md §6.7).  Every other rejection — a
+corrupt frame, a peer shutting down, a landing check that broke — rolls
+the departure back and raises :class:`NapletMigrationError`, which
+``config.migration_retry`` may retry; a denial raises
+:class:`LandingDeniedError`, which it never does.
 
 The per-naplet :class:`NavigatorOps` object implements the itinerary
 driver's :class:`~repro.itinerary.itinerary.TravelOps` protocol — dispatch,
@@ -39,7 +42,7 @@ from __future__ import annotations
 import itertools
 import pickle
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 from repro.core.context import NapletContext
@@ -51,6 +54,7 @@ from repro.core.errors import (
     NapletCommunicationError,
     NapletDeparted,
     NapletMigrationError,
+    NapletSecurityError,
     ShippedCodeMissingError,
 )
 from repro.core.naplet_id import NapletID
@@ -66,12 +70,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Navigator", "NavigatorOps"]
 
-# Hot control replies, serialized once instead of per-exchange.
-_GRANTED = pickle.dumps({"granted": True})
+# Hot control reply, serialized once instead of per-exchange.
 _ACK_OK = pickle.dumps({"ok": True})
-_FAST_PATH_UNSUPPORTED = pickle.dumps(
-    {"ok": False, "unsupported": True, "reason": "fast-path not supported here"}
-)
 
 # Remembered transfer-ids per destination navigator: enough to absorb any
 # realistic retry window, small enough to never matter for memory.
@@ -91,6 +91,11 @@ def _image_nbytes(payload: bytes, buffers: tuple | list = ()) -> int:
     return total
 
 
+def _rejection(reason: str) -> bytes:
+    """Negative transfer ack that is neither a denial nor ``need_full``."""
+    return pickle.dumps({"ok": False, "reason": reason})
+
+
 class Navigator:
     """Per-server migration endpoint."""
 
@@ -103,15 +108,13 @@ class Navigator:
         # without landing a second copy of the naplet.
         self._landed_transfers: OrderedDict[str, NapletID] = OrderedDict()
         self._transfer_seq = itertools.count(1)
-        # Delta-shipping negotiation state (DESIGN.md §6.7), all advisory:
-        # which base image hash each peer last acked holding per naplet,
-        # which module content hashes each peer's code cache holds, and
-        # which peers rejected v2 envelopes outright (v1-only).  Stale or
+        # Delta-shipping hints (DESIGN.md §6.7), all advisory: which base
+        # image hash each peer last acked holding per naplet, and which
+        # module content hashes each peer's code cache holds.  Stale or
         # lost entries never break a transfer — they only cost a full
-        # image or one extra in-attempt resend.
+        # image or one in-hop re-ship.
         self._peer_bases: OrderedDict[tuple[str, str], str] = OrderedDict()
         self._peer_code: dict[str, set[str]] = {}
-        self._v1_peers: set[str] = set()
 
     # ------------------------------------------------------------------ #
     # Outbound
@@ -158,7 +161,7 @@ class Navigator:
         raise NapletDeparted(dest_urn)
 
     def transfer(self, naplet: "Naplet", dest_urn: str) -> None:
-        """Run the LAUNCH/LANDING/transfer protocol toward *dest_urn*.
+        """Run the migration protocol toward *dest_urn*.
 
         The whole protocol is attempted under ``config.migration_retry``:
         each attempt marks the departure, ships, and rolls back cleanly on
@@ -201,74 +204,104 @@ class Navigator:
     def _transfer(
         self, naplet: "Naplet", dest_urn: str, hop, transfer_id: str
     ) -> None:
+        """One attempt: mark departure, dump, ship, and either book the
+        ack or roll everything back and raise."""
         nid = naplet.naplet_id
-        credential = naplet.credential
-        # 1. LAUNCH permission at the source (both paths).
-        self.server.security.check(credential, Permission.LAUNCH)
-        if self.server.config.migration_fast_path:
-            if self._transfer_fast(naplet, dest_urn, hop, credential, transfer_id):
-                return
-            # Destination predates (or disabled) the fast path: fall back.
-            self.server.telemetry.fast_path_fallbacks.inc()
+        self.server.security.check(naplet.credential, Permission.LAUNCH)
+        resident_record = self._mark_departure(naplet, nid, dest_urn)
+        if self.server.journal.enabled:
+            naplet._stamp_hlc(self.server.journal.clock.now())
+        observed_base = self._peer_bases.get((str(nid), dest_urn))
+        data, buffers, cost = dumped = self.server.serializer.dumps_with_cost(
+            naplet, base_hint=observed_base, known_code=self._peer_code.get(dest_urn)
+        )
+        # Journal the departure *before* the frame's HLC header is minted:
+        # the merged timeline must show this record ahead of the landing.
+        # (A re-ship mints a fresh header, still after this record.)
+        self.server.events.record(
+            "naplet-depart", naplet=str(nid), dest=dest_urn,
+            bytes=_image_nbytes(data, buffers), delta=bool(cost.delta),
+        )
+        try:
+            frame = self._transfer_frame(naplet, nid, dest_urn, hop, transfer_id, *dumped)
+            ack = pickle.loads(self.server.transport.request(frame))
+            if ack.get("need_full"):
+                # The one in-hop recovery: the peer lost the base image (or
+                # the code) this envelope leaned on.  Forget what we thought
+                # it held and ship everything, once.
+                self._peer_bases.pop((str(nid), dest_urn), None)
+                self.server.telemetry.delta_full_reships.inc()
+                self.server.events.record(
+                    "delta-full-reship", naplet=str(nid), dest=dest_urn,
+                    reason=ack.get("reason"),
+                )
+                *_, cost = dumped = self.server.serializer.dumps_with_cost(naplet)
+                frame = self._transfer_frame(naplet, nid, dest_urn, hop, transfer_id, *dumped)
+                ack = pickle.loads(self.server.transport.request(frame))
+        except NapletCommunicationError as exc:
+            self._rollback_departure(naplet, nid, resident_record)
+            raise NapletMigrationError(f"transfer to {dest_urn} failed: {exc}") from exc
+        if ack.get("ok") is True:
+            self._transfer_acked(naplet, nid, dest_urn, frame, cost, ack, observed_base)
+            return
+        self._rollback_departure(naplet, nid, resident_record)
+        if ack.get("denied"):
             self.server.events.record(
-                "fast-path-fallback", naplet=str(nid), dest=dest_urn
+                "landing-denied", naplet=str(nid), dest=dest_urn, reason=ack.get("reason")
             )
-        self._transfer_two_phase(naplet, dest_urn, hop, credential, transfer_id)
+            raise LandingDeniedError(
+                f"{dest_urn} denied landing for {nid}: {ack.get('reason', 'unknown')}"
+            )
+        # Anything else (corrupt frame, peer shutting down, a landing check
+        # that broke) says nothing lasting about the peer: retriable.
+        raise NapletMigrationError(
+            f"{dest_urn} rejected the transfer of {nid}: {ack.get('reason')}"
+        )
 
-    # -- departure bookkeeping shared by both protocols ------------------- #
-
-    def _mark_departure(
-        self, naplet: "Naplet", nid: NapletID, dest_urn: str, report: bool
-    ):
+    def _mark_departure(self, naplet: "Naplet", nid: NapletID, dest_urn: str):
         """Mark the naplet in transit *before* the wire transfer.
 
-        The directory's latest event must never run behind the synchronous
-        landing, and messages arriving here during the transfer must be
-        forwarded toward the destination, not deposited in a mailbox the
-        naplet will never read.  Everything here is undone by
-        :meth:`_rollback_departure` on failure.  ``report=False`` skips the
-        directory DEPART report (fast path: the destination registers the
-        combined depart+arrival instead).
+        Messages arriving here during the transfer must be forwarded toward
+        the destination, not deposited in a mailbox the naplet will never
+        read.  The directory is not told: the destination registers depart
+        and arrival in one event when it lands the naplet, and until then
+        the directory still (rightly) routes to this server, which forwards.
+        Everything here is undone by :meth:`_rollback_departure` on failure.
         """
-        was_resident = self.server.manager.is_resident(nid)
         resident_record = self.server.manager.begin_departure(nid, dest_urn)
-        if report:
-            self.server.directory_client.report_departure(nid, self.server.urn)
         if naplet.navigation_log.current_server() == self.server.urn:
             naplet.navigation_log.record_departure(self.server.urn)
-        return was_resident, resident_record
+        return resident_record
 
-    def _rollback_departure(
-        self,
-        naplet: "Naplet",
-        nid: NapletID,
-        was_resident: bool,
-        resident_record,
-        reported: bool,
-    ) -> None:
+    def _rollback_departure(self, naplet: "Naplet", nid: NapletID, resident_record) -> None:
         self.server.manager.abort_departure(nid, resident_record)
         if naplet.navigation_log.servers_visited() and not naplet.navigation_log.current_server():
             naplet.navigation_log.record_arrival(self.server.urn)
-        if reported and was_resident:
-            self.server.directory_client.report_arrival(nid, self.server.urn)
 
     def _transfer_frame(
-        self, naplet: "Naplet", nid: NapletID, dest_urn: str, hop, payload: bytes,
-        transfer_id: str, extra_headers: dict[str, str] | None = None,
-        cost=None, buffers: tuple = (),
+        self, naplet: "Naplet", nid: NapletID, dest_urn: str, hop,
+        transfer_id: str, data: bytes, buffers: list, cost,
     ) -> Frame:
-        image_bytes = _image_nbytes(payload, buffers)
+        """Build the transfer frame around a dumped image.
+
+        The credential alone is the payload, so the destination decides
+        admission before it touches the image; the image rides as frame
+        segments — envelope first, then its out-of-band field buffers,
+        none of them re-copied by the TCP wire.
+        """
+        hop.set("serialize_s", cost.seconds)
+        segments = (data, *buffers)
+        payload = pickle.dumps(naplet.credential)
+        image_bytes = _image_nbytes(payload, segments)
         hop.set("bytes", image_bytes)
         self.server.telemetry.frame_bytes.inc(image_bytes, kind="naplet-transfer")
         headers = {"naplet": str(nid), "transfer-id": transfer_id}
-        # The HLC stamp is minted *after* the depart event was journaled
-        # (callers record it before building the frame), so the receiver's
-        # clock update places every landing record causally after it.
+        # The HLC stamp is minted *after* the depart event was journaled,
+        # so the receiver's clock update places every landing record
+        # causally after it.
         hlc = self.server.journal.header_stamp()
         if hlc is not None:
             headers["hlc"] = hlc
-        if extra_headers:
-            headers.update(extra_headers)
         if hop.span_id:
             # The landing span at the destination nests under this hop.
             ctx = naplet.trace_context
@@ -281,7 +314,7 @@ class Navigator:
             dest=dest_urn,
             payload=payload,
             headers=headers,
-            buffers=tuple(buffers),
+            buffers=segments,
         )
         # Hop-cost attribution (perf plane): split this hop's wire size
         # into payload vs. header vs. shipped code, on the histogram and
@@ -292,10 +325,10 @@ class Navigator:
         telemetry.hop_bytes.observe(image_bytes, part="payload")
         telemetry.hop_bytes.observe(header_bytes, part="header")
         hop.set("header_bytes", header_bytes)
-        if cost is not None and cost.code_bytes:
+        if cost.code_bytes:
             telemetry.hop_bytes.observe(cost.code_bytes, part="code")
             hop.set("code_bytes", cost.code_bytes)
-        if cost is not None and cost.delta:
+        if cost.delta:
             hop.set("delta", True)
             if cost.saved_bytes:
                 telemetry.hop_bytes.observe(cost.saved_bytes, part="saved")
@@ -303,8 +336,7 @@ class Navigator:
         return frame
 
     def _journal_hop_cost(
-        self, nid: NapletID, naplet: "Naplet", dest_urn: str, frame: Frame,
-        cost, fast_path: bool,
+        self, nid: NapletID, naplet: "Naplet", dest_urn: str, frame: Frame, cost
     ) -> None:
         """Flight-record this hop's cost split (category ``perf``).
 
@@ -335,43 +367,12 @@ class Navigator:
                 "header_bytes": frame.size - image_bytes,
                 "code_bytes": cost.code_bytes,
                 "total_bytes": frame.size,
-                "fast_path": fast_path,
                 "delta": bool(cost.delta),
                 "saved_bytes": cost.saved_bytes,
             },
         )
 
-    # -- delta-shipping negotiation (DESIGN.md §6.7) ----------------------- #
-
-    def _dump_plans(self, nid: str, dest_urn: str) -> deque:
-        """Escalation ladder of serialization plans toward *dest_urn*.
-
-        Most-optimistic first: a delta against the base the peer was last
-        seen holding, then a full v2 image (bundling all code), then the
-        legacy v1 envelope.  Every negative image ack moves down the
-        ladder *within* the same transfer attempt — the migration retry
-        policy never sees a delta refusal.
-        """
-        plans: deque = deque()
-        serializer = self.server.serializer
-        if serializer.delta_shipping and dest_urn not in self._v1_peers:
-            base = self._peer_bases.get((nid, dest_urn))
-            code = self._peer_code.get(dest_urn)
-            if base is not None:
-                plans.append({"base": base, "code": code})
-            elif code:
-                plans.append({"code": code})
-            plans.append({})
-        plans.append({"force_v1": True})
-        return plans
-
-    def _dump_image(self, naplet: "Naplet", plan: dict):
-        """Serialize *naplet* under one plan: ``(data, buffers, cost)``."""
-        if plan.get("force_v1"):
-            return self.server.serializer.dumps_with_cost(naplet, force_v1=True)
-        return self.server.serializer.dumps_with_cost(
-            naplet, base_hint=plan.get("base"), known_code=plan.get("code")
-        )
+    # -- delta-shipping hints (DESIGN.md §6.7) ----------------------------- #
 
     def _note_peer_image(self, nid: str, peer_urn: str, img_hash: str) -> None:
         """Remember that *peer_urn* holds base *img_hash* for this naplet."""
@@ -380,9 +381,6 @@ class Navigator:
         self._peer_bases.move_to_end(key)
         while len(self._peer_bases) > _PEER_BASE_CAPACITY:
             self._peer_bases.popitem(last=False)
-
-    def _forget_peer_base(self, nid: str, dest_urn: str) -> None:
-        self._peer_bases.pop((nid, dest_urn), None)
 
     def _record_peer_ack(
         self, nid: NapletID, dest_urn: str, ack: dict, observed: str | None,
@@ -407,7 +405,7 @@ class Navigator:
 
     def _transfer_acked(
         self, naplet: "Naplet", nid: NapletID, dest_urn: str, frame: Frame,
-        cost, ack: dict, observed: str | None, fast_path: bool,
+        cost, ack: dict, observed: str | None,
     ) -> None:
         """Source-side bookkeeping once *dest_urn* acked the landing."""
         telemetry = self.server.telemetry
@@ -416,7 +414,7 @@ class Navigator:
             if cost.saved_bytes:
                 telemetry.delta_saved_bytes.inc(cost.saved_bytes)
         self._record_peer_ack(nid, dest_urn, ack, observed)
-        self._journal_hop_cost(nid, naplet, dest_urn, frame, cost, fast_path)
+        self._journal_hop_cost(nid, naplet, dest_urn, frame, cost)
         # Messages that were parked here waiting for this naplet chase it.
         self.server.messenger.forward_parked(nid, dest_urn)
         # Last, off the path of anything another server waits for: the
@@ -426,233 +424,19 @@ class Navigator:
         if isinstance(base, str):
             self.server.serializer.delta_cache.release(str(nid), base)
 
-    def _escalate_plan(
-        self, plans: deque, plan: dict, ack: dict, nid: NapletID, dest_urn: str,
-    ) -> dict | None:
-        """Pick the next plan after a negative *image* ack, or None.
-
-        ``need_full`` (base evicted / referenced code missing at the
-        destination) drops one rung; any other rejection of a v2 envelope
-        jumps straight to the v1 rung and pins the peer as v1-only for
-        this process.  Returns None when the ladder is exhausted (or the
-        failing envelope was already v1, where resending the same bytes
-        cannot help).
-        """
-        if plan.get("force_v1"):
-            return None
-        if ack.get("need_full"):
-            self._forget_peer_base(str(nid), dest_urn)
-            self.server.telemetry.delta_full_reships.inc()
-            self.server.events.record(
-                "delta-full-reship",
-                naplet=str(nid),
-                dest=dest_urn,
-                reason=ack.get("reason"),
-            )
-        else:
-            # Generic rejection of a v2 envelope: assume a v1-only peer.
-            self._v1_peers.add(dest_urn)
-            self.server.events.record(
-                "delta-v1-downgrade",
-                naplet=str(nid),
-                dest=dest_urn,
-                reason=ack.get("reason"),
-            )
-            while plans and not plans[0].get("force_v1"):
-                plans.popleft()
-        return plans.popleft() if plans else None
-
-    # -- fast path: landing check + transfer ack in one exchange ----------- #
-
-    def _fast_frame(
-        self, naplet: "Naplet", nid: NapletID, dest_urn: str, hop,
-        credential: Credential, transfer_id: str, plan: dict, dumped: tuple,
-    ) -> Frame:
-        """Build one fast-path transfer frame around a *dumped* image.
-
-        v1 keeps the legacy layout — ``(credential, image)`` pickled as
-        the payload — so pre-delta peers interoperate.  v2 rides the
-        credential alone in the payload and the image as out-of-band
-        frame segments (``xfer: 2``): envelope first, then the raw field
-        buffers, none of them re-copied by a protocol-5 transport.
-        """
-        data, buffers, cost = dumped
-        if plan.get("force_v1"):
-            return self._transfer_frame(
-                naplet, nid, dest_urn, hop,
-                payload=pickle.dumps((credential, data)),
-                transfer_id=transfer_id,
-                extra_headers={"fast-path": "1"},
-                cost=cost,
-            )
-        return self._transfer_frame(
-            naplet, nid, dest_urn, hop,
-            payload=pickle.dumps(credential),
-            transfer_id=transfer_id,
-            extra_headers={"fast-path": "1", "xfer": "2"},
-            cost=cost,
-            buffers=(data, *buffers),
-        )
-
-    def _transfer_fast(
-        self, naplet: "Naplet", dest_urn: str, hop, credential: Credential,
-        transfer_id: str,
-    ) -> bool:
-        """Single-round-trip migration; False when the destination lacks it."""
-        nid = naplet.naplet_id
-        was_resident, record = self._mark_departure(naplet, nid, dest_urn, report=False)
-        if self.server.journal.enabled:
-            naplet._stamp_hlc(self.server.journal.clock.now())
-        observed_base = self._peer_bases.get((str(nid), dest_urn))
-        plans = self._dump_plans(str(nid), dest_urn)
-        plan = plans.popleft()
-        data, buffers, cost = self._dump_image(naplet, plan)
-        hop.set("serialize_s", cost.seconds)
-        # Journal the departure *before* the frame's HLC header is minted:
-        # the merged timeline must show this record ahead of the landing.
-        # (Escalation resends mint fresh headers, still after this record.)
-        self.server.events.record(
-            "naplet-depart", naplet=str(nid), dest=dest_urn,
-            bytes=_image_nbytes(data, buffers),
-            fast_path=True, delta=bool(cost.delta),
-        )
-        frame = self._fast_frame(
-            naplet, nid, dest_urn, hop, credential, transfer_id, plan,
-            (data, buffers, cost),
-        )
-
-        def _rollback() -> None:
-            self._rollback_departure(naplet, nid, was_resident, record, reported=False)
-
-        while True:
-            try:
-                ack = pickle.loads(self.server.transport.request(frame))
-            except NapletCommunicationError as exc:
-                _rollback()
-                raise NapletMigrationError(
-                    f"transfer to {dest_urn} failed: {exc}"
-                ) from exc
-            if ack.get("ok") is True:
-                self.server.telemetry.fast_path_hops.inc()
-                hop.set("fast_path", True)
-                self._transfer_acked(
-                    naplet, nid, dest_urn, frame, cost, ack, observed_base,
-                    fast_path=True,
-                )
-                return True
-            if ack.get("unsupported"):
-                _rollback()
-                return False
-            if ack.get("denied"):
-                _rollback()
-                self.server.events.record(
-                    "landing-denied", naplet=str(nid), dest=dest_urn,
-                    reason=ack.get("reason"), fast_path=True,
-                )
-                raise LandingDeniedError(
-                    f"{dest_urn} denied landing for {nid}: {ack.get('reason', 'unknown')}"
-                )
-            plan = self._escalate_plan(plans, plan, ack, nid, dest_urn)
-            if plan is None:
-                _rollback()
-                raise NapletMigrationError(
-                    f"{dest_urn} rejected the transfer of {nid}: {ack.get('reason')}"
-                )
-            data, buffers, cost = self._dump_image(naplet, plan)
-            hop.set("serialize_s", cost.seconds)
-            frame = self._fast_frame(
-                naplet, nid, dest_urn, hop, credential, transfer_id, plan,
-                (data, buffers, cost),
-            )
-
-    # -- two-phase path: LANDING_REQUEST then NAPLET_TRANSFER -------------- #
-
-    def _transfer_two_phase(
-        self, naplet: "Naplet", dest_urn: str, hop, credential: Credential,
-        transfer_id: str,
-    ) -> None:
-        nid = naplet.naplet_id
-        # 2. LANDING permission at the destination.
-        headers = {"naplet": str(nid)}
-        hlc = self.server.journal.header_stamp()
-        if hlc is not None:
-            headers["hlc"] = hlc
-        request = Frame(
-            kind=FrameKind.LANDING_REQUEST,
-            source=self.server.urn,
-            dest=dest_urn,
-            payload=pickle.dumps(credential),
-            headers=headers,
-        )
-        try:
-            reply = pickle.loads(self.server.transport.request(request))
-        except NapletCommunicationError as exc:
-            raise NapletMigrationError(f"cannot reach {dest_urn}: {exc}") from exc
-        if not reply.get("granted", False):
-            self.server.events.record(
-                "landing-denied", naplet=str(nid), dest=dest_urn, reason=reply.get("reason")
-            )
-            raise LandingDeniedError(
-                f"{dest_urn} denied landing for {nid}: {reply.get('reason', 'unknown')}"
-            )
-        # 3. Mark in transit, report DEPART, then ship.
-        was_resident, record = self._mark_departure(naplet, nid, dest_urn, report=True)
-        if self.server.journal.enabled:
-            naplet._stamp_hlc(self.server.journal.clock.now())
-        observed_base = self._peer_bases.get((str(nid), dest_urn))
-        plans = self._dump_plans(str(nid), dest_urn)
-        plan = plans.popleft()
-        data, buffers, cost = self._dump_image(naplet, plan)
-        hop.set("serialize_s", cost.seconds)
-        # Depart is journaled before the frame's HLC header is minted, so
-        # the landing sorts after it in the merged timeline.
-        self.server.events.record(
-            "naplet-depart", naplet=str(nid), dest=dest_urn,
-            bytes=_image_nbytes(data, buffers), delta=bool(cost.delta),
-        )
-        frame = self._transfer_frame(
-            naplet, nid, dest_urn, hop, data, transfer_id, cost=cost,
-            buffers=tuple(buffers),
-        )
-
-        def _rollback() -> None:
-            self._rollback_departure(naplet, nid, was_resident, record, reported=True)
-
-        while True:
-            try:
-                ack = pickle.loads(self.server.transport.request(frame))
-            except NapletCommunicationError as exc:
-                _rollback()
-                raise NapletMigrationError(
-                    f"transfer to {dest_urn} failed: {exc}"
-                ) from exc
-            if ack.get("ok") is True:
-                break
-            plan = self._escalate_plan(plans, plan, ack, nid, dest_urn)
-            if plan is None:
-                _rollback()
-                raise NapletMigrationError(
-                    f"{dest_urn} rejected the transfer of {nid}: {ack.get('reason')}"
-                )
-            data, buffers, cost = self._dump_image(naplet, plan)
-            hop.set("serialize_s", cost.seconds)
-            frame = self._transfer_frame(
-                naplet, nid, dest_urn, hop, data, transfer_id, cost=cost,
-                buffers=tuple(buffers),
-            )
-        self._transfer_acked(
-            naplet, nid, dest_urn, frame, cost, ack, observed_base, fast_path=False
-        )
-
     # ------------------------------------------------------------------ #
-    # Inbound (frame handlers)
+    # Inbound (frame handler)
     # ------------------------------------------------------------------ #
 
     def _landing_denial(self, credential: Credential) -> str | None:
-        """Reason to refuse this landing, or None when it is admissible."""
+        """Reason to refuse this landing, or None when it is admissible.
+
+        Only a verdict is a denial: a check that *breaks* propagates, and
+        :meth:`handle_transfer` acks it as a plain, retriable rejection.
+        """
         try:
             self.server.security.check(credential, Permission.LANDING)
-        except Exception as exc:
+        except NapletSecurityError as exc:
             return str(exc)
         limit = self.server.config.max_residents
         if limit is not None and self.server.manager.resident_count >= limit:
@@ -663,20 +447,6 @@ class Navigator:
             if self.server.manager.resident_count_for_owner(owner) >= owner_limit:
                 return f"owner {owner!r} at capacity ({owner_limit})"
         return None
-
-    def _deny_landing(self, reason: str) -> bytes:
-        self.server.telemetry.landings_denied.inc()
-        return pickle.dumps({"granted": False, "reason": reason})
-
-    def handle_landing_request(self, frame: Frame) -> bytes:
-        credential: Credential = pickle.loads(frame.payload)
-        reason = self._landing_denial(credential)
-        if reason is not None:
-            return self._deny_landing(reason)
-        self.server.events.record(
-            "landing-granted", naplet=str(credential.naplet_id), source=frame.source
-        )
-        return _GRANTED
 
     def _duplicate_transfer_ack(self, frame: Frame) -> bytes | None:
         """Ack a retransmitted transfer without landing a second copy.
@@ -712,22 +482,8 @@ class Navigator:
         while len(self._landed_transfers) > _TRANSFER_DEDUP_CAPACITY:
             self._landed_transfers.popitem(last=False)
 
-    def _need_full_ack(self, frame: Frame, exc: Exception) -> bytes:
-        """Refuse a delta whose base (or referenced code) is missing here.
-
-        Recoverable by protocol: the sender forgets this peer's base and
-        transparently re-ships the full image within the same attempt.
-        """
-        self.server.events.record(
-            "delta-need-full",
-            naplet=frame.headers.get("naplet"),
-            source=frame.source,
-            reason=str(exc),
-        )
-        return pickle.dumps({"ok": False, "need_full": True, "reason": str(exc)})
-
     def _note_arrived_image(self, frame: Frame, info: dict) -> None:
-        """Note that the *sender* of a landed v2 image holds it as a base.
+        """Note that the *sender* of a landed per-field image holds it as a base.
 
         Its own delta cache retains what it just shipped, so a later hop
         straight back toward it (the ping-pong itinerary) can go delta
@@ -736,109 +492,77 @@ class Navigator:
         dump for its return hop on another thread immediately.
         """
         nid, img_hash = info.get("nid"), info.get("hash")
-        if (
-            info.get("v") == 2
-            and isinstance(nid, str)
-            and isinstance(img_hash, str)
-        ):
+        if isinstance(nid, str) and isinstance(img_hash, str):
             self._note_peer_image(nid, frame.source, img_hash)
 
     def _landing_ack(self, info: dict) -> bytes:
         """Ack a landed transfer, advertising delta state for next time.
 
-        A v2 landing acks the image hash now cached here (the sender
+        A per-field image acks the image hash now cached here (the sender
         deltas against it on its next hop this way) plus the content
         hashes of every module in the local code cache (so eager senders
-        skip re-shipping bundles).
+        skip re-shipping bundles).  A single-pickle image left nothing to
+        delta against: plain ok.
         """
-        if not self.server.serializer.delta_shipping or info.get("v") != 2:
-            return _ACK_OK
-        ack: dict = {"ok": True, "code": self.server.code_cache.known_hashes()}
         img_hash = info.get("hash")
-        if isinstance(img_hash, str):
-            ack["base"] = img_hash
-        return pickle.dumps(ack)
+        if not isinstance(img_hash, str):
+            return _ACK_OK
+        return pickle.dumps(
+            {"ok": True, "base": img_hash, "code": self.server.code_cache.known_hashes()}
+        )
 
     def handle_transfer(self, frame: Frame) -> bytes:
+        """Dedup, landing check, deserialize, land, ack — one exchange.
+
+        The credential is the frame payload and the image its segments,
+        so admission is decided *before* any image byte is unpickled.
+        """
         duplicate = self._duplicate_transfer_ack(frame)
         if duplicate is not None:
             return duplicate
-        if frame.headers.get("fast-path") == "1":
-            return self._handle_fast_transfer(frame)
-        deserialize_started = time.perf_counter()
+        if not frame.buffers:
+            return _rejection("bad transfer frame: no image segment")
         try:
-            naplet, info = self.server.serializer.loads_with_info(
-                frame.payload, self.server.code_cache,
-                buffers=frame.buffers or None,
-            )
-        except (DeltaBaseMissingError, ShippedCodeMissingError) as exc:
-            return self._need_full_ack(frame, exc)
+            credential = pickle.loads(frame.payload)
         except Exception as exc:
-            return pickle.dumps({"ok": False, "reason": f"deserialization failed: {exc}"})
-        self._note_arrived_image(frame, info)
-        self.receive(
-            naplet,
-            arrived_from=frame.source,
-            payload_bytes=_image_nbytes(frame.payload, frame.buffers),
-            trace_parent=frame.headers.get("trace-parent"),
-            deserialize_s=time.perf_counter() - deserialize_started,
-        )
-        # Remember only after the landing succeeded: a failed landing must
-        # NOT dedup the retry that follows it.
-        self._remember_transfer(frame, naplet.naplet_id)
-        return self._landing_ack(info)
-
-    def _handle_fast_transfer(self, frame: Frame) -> bytes:
-        """Landing check + land + ack, all in one exchange.
-
-        The credential rides ahead of the naplet image, so admission is
-        decided *before* the image is deserialized — same security posture
-        as the two-phase protocol, one round trip instead of two.  Layouts:
-        legacy (v1) packs ``(credential, image)`` into the payload; v2
-        (``xfer: 2`` header) packs only the credential there, with the
-        envelope and its out-of-band field buffers as frame segments.
-        """
-        if not self.server.config.migration_fast_path:
-            return _FAST_PATH_UNSUPPORTED
-        oob: tuple = ()
-        if frame.headers.get("xfer") == "2":
-            if not frame.buffers:
-                return pickle.dumps(
-                    {"ok": False, "reason": "bad fast-path payload: no image segment"}
-                )
-            try:
-                credential = pickle.loads(frame.payload)
-            except Exception as exc:
-                return pickle.dumps(
-                    {"ok": False, "reason": f"bad fast-path payload: {exc}"}
-                )
-            image, oob = frame.buffers[0], tuple(frame.buffers[1:])
-        else:
-            try:
-                credential, image = pickle.loads(frame.payload)
-            except Exception as exc:
-                return pickle.dumps(
-                    {"ok": False, "reason": f"bad fast-path payload: {exc}"}
-                )
-        reason = self._landing_denial(credential)
+            return _rejection(f"bad transfer frame: {exc}")
+        try:
+            reason = self._landing_denial(credential)
+        except Exception as exc:
+            # The check itself broke (a policy rule raised): not a verdict
+            # on the naplet, so not "denied" — the source rolls back and
+            # its retry policy decides.
+            self.server.events.record(
+                "landing-check-error",
+                naplet=frame.headers.get("naplet"),
+                source=frame.source,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+            return _rejection(f"landing check failed: {type(exc).__name__}: {exc}")
         if reason is not None:
             self.server.telemetry.landings_denied.inc()
             return pickle.dumps({"ok": False, "denied": True, "reason": reason})
         self.server.events.record(
-            "landing-granted",
-            naplet=str(credential.naplet_id),
-            source=frame.source,
-            fast_path=True,
+            "landing-granted", naplet=str(credential.naplet_id), source=frame.source
         )
+        image, oob = frame.buffers[0], tuple(frame.buffers[1:])
         deserialize_started = time.perf_counter()
         try:
             naplet, info = self.server.serializer.loads_with_info(
                 image, self.server.code_cache, buffers=oob or None
             )
         except (DeltaBaseMissingError, ShippedCodeMissingError) as exc:
-            return self._need_full_ack(frame, exc)
+            # Recoverable by protocol: the sender forgets this peer's base
+            # and re-ships the full image within the same attempt.
+            self.server.events.record(
+                "delta-need-full",
+                naplet=frame.headers.get("naplet"),
+                source=frame.source,
+                reason=str(exc),
+            )
+            return pickle.dumps({"ok": False, "need_full": True, "reason": str(exc)})
         except Exception as exc:
-            return pickle.dumps({"ok": False, "reason": f"deserialization failed: {exc}"})
+            return _rejection(f"deserialization failed: {exc}")
         self._note_arrived_image(frame, info)
         self.receive(
             naplet,
@@ -848,6 +572,8 @@ class Navigator:
             departed_from=frame.source,
             deserialize_s=time.perf_counter() - deserialize_started,
         )
+        # Remember only after the landing succeeded: a failed landing must
+        # NOT dedup the retry that follows it.
         self._remember_transfer(frame, naplet.naplet_id)
         return self._landing_ack(info)
 
@@ -866,9 +592,9 @@ class Navigator:
         ``trace_parent`` is the source hop's span id (from the transfer
         frame headers), so the landing span nests under the hop in the
         journey tree; without one (thaw) it parents to the journey root.
-        ``departed_from`` set means the fast path piggybacked the DEPART
-        registration onto the transfer: this server reports the combined
-        depart+arrival in one directory exchange on the source's behalf.
+        ``departed_from`` is the source of a wire transfer: this server
+        reports the combined depart+arrival in one directory exchange on
+        the source's behalf (a thaw has no source and reports an arrival).
         """
         nid = naplet.naplet_id
         telemetry = self.server.telemetry

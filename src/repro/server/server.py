@@ -71,17 +71,8 @@ class ServerConfig:
     locator_cache_capacity: int | None = 10_000  # LRU bound; None = unbounded
     codebase_host: str | None = None  # where lazy code fetches are billed from
     telemetry_enabled: bool = True  # False: no-op metrics/tracer (benchmarks)
-    # Single-round-trip migration: piggyback the credential on the transfer
-    # frame and register depart+arrival in one combined directory event.
-    # Controls both initiating the fast path and accepting it; a server
-    # with this off answers fast-path transfers with an "unsupported" ack
-    # and the source falls back to the two-phase protocol.
-    migration_fast_path: bool = True
-    # Delta state shipping (DESIGN.md §6.7): repeat hops ship only changed
-    # fields as a v2 envelope against a base image the destination acked.
-    # Off, the server emits and accepts only v1 full images — the v1-only
-    # peer posture; senders that see its rejection downgrade transparently.
-    delta_shipping: bool = True
+    # Delta state shipping (DESIGN.md §6.7): repeat hops ship only the
+    # fields changed since a base image the destination acked holding.
     delta_cache_capacity: int = 64  # base images kept per server (LRU)
     # Resilience policies (DESIGN.md §6.3).  The defaults are the
     # single-attempt policies — exactly the historical give-up behavior —
@@ -175,7 +166,6 @@ class NapletServer:
             registry=code_registry,
             eager_code=self.config.eager_code,
             observer=self.telemetry.serializer_observer(),
-            delta_shipping=self.config.delta_shipping,
             delta_cache_capacity=self.config.delta_cache_capacity,
         )
         self.code_cache = CodeCache(
@@ -295,8 +285,6 @@ class NapletServer:
         if hlc_header is not None:
             self.journal.receive(hlc_header)
         kind = frame.kind
-        if kind == FrameKind.LANDING_REQUEST:
-            return self.navigator.handle_landing_request(frame)
         if kind == FrameKind.NAPLET_TRANSFER:
             return self.navigator.handle_transfer(frame)
         if kind == FrameKind.MESSAGE:

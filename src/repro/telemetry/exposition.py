@@ -67,14 +67,6 @@ class ServerTelemetry:
         self.hops = reg.counter(
             "naplet_hops_total", "Migration hops initiated at this server"
         )
-        self.fast_path_hops = reg.counter(
-            "naplet_fast_path_hops_total",
-            "Hops completed by the single-round-trip migration fast path",
-        )
-        self.fast_path_fallbacks = reg.counter(
-            "naplet_fast_path_fallbacks_total",
-            "Fast-path transfers that fell back to the two-phase protocol",
-        )
         self.migration_retries = reg.counter(
             "naplet_migration_retries_total",
             "Migration attempts retried under the server's RetryPolicy",

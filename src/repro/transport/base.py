@@ -1,7 +1,7 @@
 """Transport abstraction: wire frames and the endpoint interface.
 
 Servers talk to each other in :class:`Frame` units — naplet transfers,
-inter-naplet messages, directory events, landing-permission requests.  A
+inter-naplet messages, directory events, load digests.  A
 :class:`Transport` routes frames between named endpoints (server URNs of the
 form ``naplet://<hostname>``).  Two implementations exist:
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.errors import NapletCommunicationError
@@ -41,7 +41,6 @@ __all__ = [
 class FrameKind:
     """Well-known frame kinds (plain strings for wire friendliness)."""
 
-    LANDING_REQUEST = "landing-request"
     NAPLET_TRANSFER = "naplet-transfer"
     MESSAGE = "message"
     MESSAGE_CONFIRM = "message-confirm"
@@ -87,10 +86,10 @@ class Frame:
     # frame travelled on a dedicated (or synchronous in-memory) channel.
     correlation_id: int | None = None
     # Out-of-band segments (pickle protocol 5): bytes-like blocks shipped
-    # beside the payload.  The pooled TCP wire writes them as separate
-    # frame segments with no re-copy; the in-memory transport hands them
-    # over by reference.  Items may be memoryviews — transports that must
-    # pickle the whole frame call :meth:`picklable` first.
+    # beside the payload.  The TCP wire writes them as separate frame
+    # segments with no re-copy; the in-memory transport hands them over
+    # by reference.  Items may be memoryviews, which do not pickle: a
+    # frame is never pickled with its buffers on.
     buffers: tuple = ()
 
     @property
@@ -104,17 +103,6 @@ class Frame:
             len(self.payload) + buffer_bytes + header_bytes
             + len(self.kind) + len(self.source) + len(self.dest)
         )
-
-    def picklable(self) -> "Frame":
-        """This frame with every buffer materialized to ``bytes``.
-
-        Memoryviews do not pickle; the legacy (unpooled) wire paths that
-        serialize the whole frame flatten them first — a copy, which is
-        exactly the baseline those paths represent.
-        """
-        if all(isinstance(b, bytes) for b in self.buffers):
-            return self
-        return replace(self, buffers=tuple(bytes(b) for b in self.buffers))
 
 
 FrameHandler = Callable[[Frame], bytes | None]

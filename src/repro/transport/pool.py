@@ -1,7 +1,7 @@
 """Pooled, multiplexed client connections for the TCP transport.
 
-The connection-per-frame wire layer pays a dial (SYN/ACK + thread spawn)
-for every hop, message, and directory report — the dominant agent-transfer
+A connection per frame would pay a dial (SYN/ACK + thread spawn) for
+every hop, message, and directory report — the dominant agent-transfer
 cost identified by the lightweight-MA literature.  This module keeps one
 keepalive socket per destination URN and multiplexes many concurrent
 request/reply exchanges over it:

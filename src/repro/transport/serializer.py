@@ -13,16 +13,20 @@ the paper's model) only the tuple travels and the destination's
 **eager** mode the referenced module sources are attached to the envelope so
 no fetch is ever needed — the E8 benchmark compares the two.
 
-Two envelope versions exist (DESIGN.md §6.7):
+Two envelopes exist, and the *input* selects between them — there is no
+option and no negotiation; every reader reads both (DESIGN.md §6.7):
 
-- **v1** — one opaque pickle plus eager code bundles.  Always
-  self-contained; produced by :meth:`NapletSerializer.dumps` and used for
-  messages, freeze/thaw images, and peers that predate v2.
-- **v2** — a *per-field* image of a tracked naplet: each ``__getstate__``
-  entry pickled separately, content-hashed, and shipped either whole
-  (``mode: full``) or as only the fields changed since a base image the
-  destination acked (``mode: delta``).  Field bytes are wrapped in
-  :class:`pickle.PickleBuffer` so protocol-5 transports move them as
+- **single-pickle** (``v: 1``) — one opaque pickle plus eager code
+  bundles.  Always self-contained; produced by
+  :meth:`NapletSerializer.dumps` for messages and freeze/thaw images, and
+  by :meth:`dumps_with_cost` for anything that is not a tracked naplet
+  with an id, or whose field graph reaches back to the naplet itself (one
+  shared memo keeps that cycle intact).
+- **per-field** (``v: 2``) — the image of a tracked naplet: each
+  ``__getstate__`` entry pickled separately, content-hashed, and shipped
+  either whole (``mode: full``) or as only the fields changed since a base
+  image the destination acked (``mode: delta``).  Field bytes are wrapped
+  in :class:`pickle.PickleBuffer` so protocol-5 transports move them as
   out-of-band frame segments.  A bulk field is copied once per side — the
   sender joins the pickler's writes, the receiver unpickles the segment it
   read off the wire, which itself becomes the cached field — and hashed
@@ -31,10 +35,10 @@ Two envelope versions exist (DESIGN.md §6.7):
   already holds the module.  Produced only by :meth:`dumps_with_cost`, the
   migration path.
 
-The v2 machinery is conservative by construction: a field is re-used from
-the cache (no re-pickle) only when it provably cannot have changed; a
-delta is emitted only when the destination acked the exact base hash; and
-every composed image is hash-verified on the receiving side.
+The per-field machinery is conservative by construction: a field is
+re-used from the cache (no re-pickle) only when it provably cannot have
+changed; a delta is emitted only when the destination acked the exact base
+hash; and every composed image is hash-verified on the receiving side.
 """
 
 from __future__ import annotations
@@ -110,8 +114,8 @@ class _ShippingPickler(pickle.Pickler):
 
     ``root`` guards per-field pickling: a field whose object graph reaches
     back to the naplet being decomposed would unpickle as a detached copy,
-    so such naplets bail out of the v2 path entirely (v1 pickles the whole
-    graph with one shared memo and keeps the cycle intact).
+    so such naplets travel as one single pickle instead (one shared memo
+    keeps the cycle intact).
     """
 
     def __init__(self, file: Any, protocol: int, root: Any = None) -> None:
@@ -140,11 +144,8 @@ def _buf_bytes(buffers: Iterable[Any]) -> int:
 class NapletSerializer:
     """Envelope-based serializer with optional eager code bundling.
 
-    With ``delta_shipping`` on (the default), migrating naplets go out as
-    v2 per-field images and repeat hops toward a destination that acked a
-    base hash ship deltas; off, every image is a v1 pickle and incoming v2
-    envelopes are rejected — the "v1-only peer" posture the negotiation
-    tests exercise.
+    Migrating naplets go out as per-field images, and repeat hops toward a
+    destination that acked a base hash ship deltas.
     """
 
     def __init__(
@@ -153,7 +154,6 @@ class NapletSerializer:
         eager_code: bool = False,
         protocol: int = pickle.HIGHEST_PROTOCOL,
         observer: SerializerObserver | None = None,
-        delta_shipping: bool = True,
         delta_cache_capacity: int = 64,
     ) -> None:
         if eager_code and registry is None:
@@ -162,16 +162,11 @@ class NapletSerializer:
         self._eager = eager_code
         self._protocol = protocol
         self._observer = observer
-        self._delta = delta_shipping
         self._delta_cache = DeltaCache(delta_cache_capacity)
 
     @property
     def eager_code(self) -> bool:
         return self._eager
-
-    @property
-    def delta_shipping(self) -> bool:
-        return self._delta
 
     @property
     def delta_cache(self) -> DeltaCache:
@@ -181,10 +176,9 @@ class NapletSerializer:
     # -- encode --------------------------------------------------------------- #
 
     def dumps(self, obj: Any) -> bytes:
-        """Serialize *obj* into a self-contained v1 envelope.
+        """Serialize *obj* into a self-contained single-pickle envelope.
 
-        Always v1 and always in-band: the result round-trips through any
-        reader and any storage (freeze/thaw images, message bodies) with
+        Always in-band: the result round-trips through any storage (freeze/thaw images, message bodies) with
         no delta cache or buffer plumbing involved.
         """
         data, cost = self._encode_v1(obj)
@@ -198,7 +192,6 @@ class NapletSerializer:
         *,
         base_hint: str | None = None,
         known_code: set[str] | None = None,
-        force_v1: bool = False,
     ) -> tuple[bytes, list[Any], SerializeCost]:
         """Serialize *obj* for migration: ``(data, buffers, cost)``.
 
@@ -209,10 +202,10 @@ class NapletSerializer:
         matches the sender's cache, only changed fields ship (``mode:
         delta``).  ``known_code`` holds content hashes of modules the
         destination's code cache was seen holding; matching eager bundles
-        are replaced by hash references.  ``force_v1`` drops to the legacy
-        envelope for peers that rejected v2.
+        are replaced by hash references.  Anything that cannot travel per
+        field comes back as one single-pickle envelope and no buffers.
         """
-        nid = self._trackable_id(obj) if self._delta and not force_v1 else None
+        nid = self._trackable_id(obj)
         if nid is not None:
             state = obj.__getstate__()
             if isinstance(state, dict):
@@ -229,7 +222,7 @@ class NapletSerializer:
 
     @staticmethod
     def _trackable_id(obj: Any) -> str | None:
-        """The naplet-id cache key, or None when *obj* can't travel as v2."""
+        """The naplet-id cache key, or None when *obj* can't travel per field."""
         if not isinstance(obj, TrackedState):
             return None
         if not getattr(obj, "has_id", False):
@@ -326,7 +319,7 @@ class NapletSerializer:
                     stamps=stamps,
                 )
         except _SelfReferential:
-            return None  # field graph reaches the naplet itself: v1 keeps the cycle
+            return None  # field graph reaches the naplet itself: one pickle keeps the cycle
         img_hash = image_hash({n: e.hash for n, e in new_fields.items()})
         prev_hashes = prev.field_hashes() if prev is not None else {}
         delta_mode = (
@@ -423,8 +416,8 @@ class NapletSerializer:
         """Deserialize an envelope; *cache* resolves shipped classes.
 
         ``buffers`` are the out-of-band segments that travelled beside the
-        envelope (``Frame.buffers``); v1 envelopes and in-band v2
-        envelopes need none.
+        envelope (the transfer frame's trailing segments); single-pickle
+        envelopes and in-band per-field envelopes need none.
         """
         return self.loads_with_info(data, cache, buffers=buffers)[0]
 
@@ -457,11 +450,6 @@ class NapletSerializer:
             obj = self._loads_v1(envelope, cache)
             return obj, {"v": _V1, "mode": "full", "nid": None, "hash": None}
         if version == _V2:
-            if not self._delta:
-                raise SerializationError(
-                    "v2 (delta-shipping) envelope, but this reader only "
-                    "accepts v1 — the sender must fall back to a full v1 image"
-                )
             return self._loads_v2(envelope, cache)
         raise SerializationError("unrecognised envelope format")
 

@@ -7,11 +7,9 @@ keeps one keepalive socket per destination URN, frames carry correlation
 ids so many concurrent ``request()``s share that socket, and the server
 side serves each connection with a bounded set of threads, leader/followers
 style: the thread that read a frame runs its handler and writes its reply,
-while another reads the next frame (see :meth:`_Endpoint._serve`).
-
-The legacy one-frame-per-connection envelope ``(frame, expects_reply)`` is
-still accepted (and produced with ``pooled=False``), so a pooled server
-interoperates with an unpooled client — the benchmark baseline.
+while another reads the next frame (see :meth:`_Endpoint._serve`).  The one
+wire envelope is the pool's ``REQ``/``REQB`` request; any other well-framed
+blob is counted, recorded, and costs its sender that connection.
 
 Caveat for reentrant handlers: at most ``server_workers`` handlers run at
 once per *connection*, and frames behind them wait unread, so a nested
@@ -30,7 +28,6 @@ import time
 from repro.core.errors import NapletCommunicationError
 from repro.transport.base import Frame, FrameHandler, Transport
 from repro.transport.pool import (
-    MAX_FRAME as _MAX_FRAME,  # re-exported for tests predating pool.py
     ConnectionPool,
     ERR,
     REP,
@@ -117,8 +114,6 @@ class _Endpoint:
         correlated reply itself — so replies go out of order and a frame
         costs no hand-off.  A thread is added, up to ``server_workers``,
         only when a frame arrives while no follower is left to take over.
-        The legacy envelope serves one frame and closes, as the old
-        protocol did.
         """
         try:
             while True:
@@ -140,8 +135,8 @@ class _Endpoint:
                     with conn.lock:
                         conn.busy -= 1
         except Exception as exc:
-            # Connection-scoped failure (bad frame, legacy handler error,
-            # dead peer): the connection is dropped, but not silently — the
+            # Connection-scoped failure (bad frame, unknown envelope, dead
+            # peer): the connection is dropped, but not silently — the
             # transport counts it and records it in the bound EventLog.
             conn.closed = True
             self._transport._record_connection_error(self.urn, exc)
@@ -157,22 +152,18 @@ class _Endpoint:
             return None  # clean close at a frame boundary
         self._transport._account_received(self.urn, len(blob))
         envelope = pickle.loads(blob)
-        if len(envelope) == 5 and envelope[0] == REQB:
+        tag = envelope[0] if isinstance(envelope, tuple) and envelope else None
+        if tag == REQB and len(envelope) == 5:
             # Segmented request: raw out-of-band buffers follow the header
             # blob on the same connection (the sender writes both at once).
             _tag, cid, frame, expects_reply, sizes = envelope
             frame.buffers = recv_segments(sock, sizes)
             self._transport._account_received(self.urn, sum(sizes))
             return cid, frame, expects_reply
-        if len(envelope) == 4 and envelope[0] == REQ:
+        if tag == REQ and len(envelope) == 4:
             return envelope[1:]
-        frame, expects_reply = envelope
-        reply = self.handler(frame)
-        if expects_reply:
-            out = pickle.dumps(reply if reply is not None else b"")
-            send_blob(sock, out)
-            self._transport._account_sent(self.urn, len(out))
-        return None
+        # Anything else never reaches the handler: _serve records it and hangs up.
+        raise NapletCommunicationError(f"not a request envelope: {type(envelope).__name__}")
 
     def _handle_one(self, conn: _Served, cid: int, frame: Frame, expects_reply: bool) -> None:
         try:
@@ -217,31 +208,24 @@ class TcpTransport(Transport):
         pooled: bool = True,
         server_workers: int = 8,
     ) -> None:
+        if not pooled:  # the keyword selects nothing; the frozen journey benchmark passes True
+            raise ValueError("TcpTransport is always pooled; pooled=False was removed")
         super().__init__()
         self._endpoints: dict[str, _Endpoint] = {}
         self._connect_timeout = connect_timeout
         self._eplock = threading.RLock()
-        self.pooled = pooled
         self.server_workers = server_workers
-        self._pool: ConnectionPool | None = (
-            ConnectionPool(
-                dialer=self._connect,
-                on_open=self._note_connection_opened,
-                on_reuse=self._note_connection_reused,
-                on_traffic=self._pool_traffic,
-            )
-            if pooled
-            else None
+        self.pool = ConnectionPool(
+            dialer=self._connect,
+            on_open=self._note_connection_opened,
+            on_reuse=self._note_connection_reused,
+            on_traffic=self._pool_traffic,
         )
 
     def _pool_traffic(self, frame: Frame, sent: int, received: int) -> None:
         """Attribute a pooled exchange's wire bytes to the sending endpoint."""
         self._account_sent(frame.source, sent)
         self._account_received(frame.source, received)
-
-    @property
-    def pool(self) -> ConnectionPool | None:
-        return self._pool
 
     def register(self, urn: str, handler: FrameHandler) -> None:
         super().register(urn, handler)
@@ -281,66 +265,34 @@ class TcpTransport(Transport):
         return backlog
 
     def live_peers(self, source_urn: str) -> list[str]:
-        """Destinations with a live pooled keepalive (unpooled: none).
+        """Destinations with a live pooled keepalive.
 
         The pool is shared by every endpoint of this transport object, so
         this is the opportunistic superset of peers *some* local endpoint
         has talked to — exactly the connections a heartbeat rides for free.
         """
-        if self._pool is None:
-            return []
-        return [d for d in self._pool.live_destinations() if d != source_urn]
+        return [d for d in self.pool.live_destinations() if d != source_urn]
 
     def _connect(self, urn: str) -> socket.socket:
         port = self.port_of(urn)
         try:
-            sock = socket.create_connection(("127.0.0.1", port), timeout=self._connect_timeout)
+            return socket.create_connection(("127.0.0.1", port), timeout=self._connect_timeout)
         except OSError as exc:
             raise NapletCommunicationError(f"cannot reach {urn}: {exc}") from exc
-        return sock
-
-    def _dial_exchange(self, frame: Frame, expects_reply: bool, timeout: float | None = None):
-        """Unpooled: a connection dialed for this one legacy envelope."""
-        sock = self._connect(frame.dest)
-        self._note_connection_opened(frame.dest)
-        try:
-            with sock:
-                if timeout is not None:
-                    sock.settimeout(timeout)
-                blob = pickle.dumps((frame.picklable(), expects_reply))
-                send_blob(sock, blob)
-                self._account_sent(frame.source, len(blob))
-                if not expects_reply:
-                    return None
-                raw = recv_blob(sock)
-                self._account_received(frame.source, len(raw))
-                return pickle.loads(raw)
-        except socket.timeout as exc:
-            raise NapletCommunicationError(f"request to {frame.dest} timed out") from exc
-        except OSError as exc:
-            verb = "request" if expects_reply else "send"
-            raise NapletCommunicationError(f"{verb} to {frame.dest} failed: {exc}") from exc
 
     def send(self, frame: Frame) -> None:
         started = time.monotonic()
-        if self._pool is not None:
-            self._pool.send(frame)
-        else:
-            self._dial_exchange(frame, False)
+        self.pool.send(frame)
         self._observe_wire(frame, time.monotonic() - started)
 
     def request(self, frame: Frame, timeout: float | None = None) -> bytes:
         started = time.monotonic()
-        if self._pool is not None:
-            reply = self._pool.request(frame, timeout)
-        else:
-            reply = self._dial_exchange(frame, True, timeout)
+        reply = self.pool.request(frame, timeout)
         self._observe_wire(frame, time.monotonic() - started)
         return reply
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
+        self.pool.close()
         with self._eplock:
             endpoints = list(self._endpoints.values())
             self._endpoints.clear()

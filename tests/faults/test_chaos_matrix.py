@@ -178,3 +178,33 @@ class TestChaosMatrix:
         mailbox = servers["c01"].messenger.mailbox_of(sitter_id)
         assert mailbox is not None and len(mailbox) == 1
         SpaceAdmin(servers).terminate(sitter_id)
+
+
+class TestFaultsLeaveNoLastingMark:
+    PING_PONG = ["c01", "c00"] * 4  # eight hops between one pair of servers
+
+    def _counters(self, chaos_space, plan) -> dict[str, int]:
+        servers, _ = chaos_space(plan)
+        nid, report = _run_route(servers, "courier", route=self.PING_PONG)
+        assert report.payload == self.PING_PONG
+        _assert_converged(servers, nid, self.PING_PONG)
+        # Source-side counters are booked after the ack, possibly after
+        # the report: drain the space before reading them.
+        assert SpaceAdmin(servers).wait_space_idle(timeout=10)
+        return {
+            name: int(sum(getattr(s.telemetry, name).total() for s in servers.values()))
+            for name in ("delta_hops", "migration_retries")
+        }
+
+    def test_one_corrupted_transfer_does_not_end_delta_shipping(self, chaos_space):
+        """A rejected frame is a retriable error, not a verdict on the
+        peer: once the retry lands, every later hop toward that
+        destination ships a delta, as in the fault-free run."""
+        fault_free = self._counters(chaos_space, FaultPlan(seed=5))
+        assert fault_free == {
+            "delta_hops": len(self.PING_PONG) - 1, "migration_retries": 0
+        }
+        plan = FaultPlan(seed=5).corrupt(kind=FrameKind.NAPLET_TRANSFER, nth=1)
+        assert self._counters(chaos_space, plan) == {
+            "delta_hops": fault_free["delta_hops"], "migration_retries": 1
+        }

@@ -1,20 +1,16 @@
-"""Delta state shipping end-to-end: negotiation, fallback, and chaos.
+"""Delta state shipping end-to-end: repeat hops and the need_full recovery.
 
 The unit suite (tests/transport/test_delta.py) proves the envelope
 machinery; this file proves the *space-level* contract over both
 transports:
 
 - repeat hops between the same pair of servers ship deltas;
-- a v1-only destination transparently downgrades the route to full v1
-  images — the journey never notices;
 - a destination that lost its base image mid-itinerary (cache eviction,
   restart...) acks ``need_full`` and the sender re-ships the full image
   within the same hop.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import pytest
 
@@ -47,8 +43,21 @@ class SaboteurCourier(CollectorNaplet):
         self.travel()
 
 
+class Ouroboros(CollectorNaplet):
+    """Holds a reference to itself, and checks at every landing that the
+    reference still closes the loop (a per-field image would detach it)."""
+
+    def __init__(self, name: str) -> None:
+        super().__init__(name)
+        self.ring = {"me": self}
+
+    def on_start(self) -> None:
+        assert self.ring["me"] is self
+        super().on_start()
+
+
 def _tcp_space(config_by_name: dict[str, ServerConfig]):
-    transport = TcpTransport(pooled=True)
+    transport = TcpTransport()
     authority = SigningAuthority()
     registry = CodeBaseRegistry()
     servers = {
@@ -64,12 +73,8 @@ def _tcp_space(config_by_name: dict[str, ServerConfig]):
     return transport, servers
 
 
-def _configs(delta_on_d01: bool = True) -> dict[str, ServerConfig]:
-    base = ServerConfig(migration_fast_path=True, delta_shipping=True)
-    return {
-        "d00": dataclasses.replace(base),
-        "d01": dataclasses.replace(base, delta_shipping=delta_on_d01),
-    }
+def _configs() -> dict[str, ServerConfig]:
+    return {"d00": ServerConfig(), "d01": ServerConfig()}
 
 
 def _journey(servers, agent=None) -> str:
@@ -146,17 +151,17 @@ class TestDeltaOverInMemory:
         assert _total(servers, "delta_full_reships") == 0
         _assert_cache_lifetime(servers, nid)
 
-    def test_v1_only_peer_downgrades_route_transparently(self, memory_space):
-        servers = self._attach(memory_space, _configs(delta_on_d01=False))
-        _journey(servers)
-        # d01 rejects v2, so d00 pinned it as v1-only; d01 itself never
-        # dumps v2 (delta shipping is off there).  No hop shipped a delta,
-        # yet the journey completed untouched.
-        assert _total(servers, "delta_hops") == 0
-        assert "naplet://d01" in servers["d00"].navigator._v1_peers
-
     def test_evicted_base_forces_transparent_full_reship(self, memory_space):
         _journey_with_evicted_base(self._attach(memory_space, _configs()))
+
+    def test_self_referential_naplet_travels_as_one_pickle(self, memory_space):
+        servers = self._attach(memory_space, _configs())
+        _journey(servers, Ouroboros("ouroboros"))
+        # The input selected the single-pickle envelope on every hop:
+        # nothing to delta against, nothing cached, the cycle kept.
+        assert _total(servers, "delta_hops") == 0
+        assert _total(servers, "delta_full_reships") == 0
+        assert all(len(s.serializer.delta_cache) == 0 for s in servers.values())
 
 
 class TestDeltaOverTcp:
@@ -172,21 +177,20 @@ class TestDeltaOverTcp:
                 server.shutdown()
             transport.close()
 
-    def test_evicted_base_forces_full_reship_over_sockets(self):
+    def test_self_referential_naplet_travels_over_sockets(self):
         transport, servers = _tcp_space(_configs())
         try:
-            _journey_with_evicted_base(servers)
+            _journey(servers, Ouroboros("ouroboros"))
+            assert _total(servers, "delta_hops") == 0
         finally:
             for server in servers.values():
                 server.shutdown()
             transport.close()
 
-    def test_v1_only_peer_falls_back_over_sockets(self):
-        transport, servers = _tcp_space(_configs(delta_on_d01=False))
+    def test_evicted_base_forces_full_reship_over_sockets(self):
+        transport, servers = _tcp_space(_configs())
         try:
-            _journey(servers)
-            assert _total(servers, "delta_hops") == 0
-            assert "naplet://d01" in servers["d00"].navigator._v1_peers
+            _journey_with_evicted_base(servers)
         finally:
             for server in servers.values():
                 server.shutdown()

@@ -1,20 +1,20 @@
-"""Fast-path migration vs two-phase: equivalence, wire accounting, rollback."""
+"""The one migration path: outcome, wire accounting, chase, rollback."""
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import time
-
-import pytest
 
 import repro
 from repro.core.errors import LandingDeniedError
+from repro.faults import RetryPolicy
 from repro.itinerary import Itinerary, ResultReport, SeqPattern, seq
-from repro.server import ServerConfig
+from repro.server import ServerConfig, SpaceAdmin
+from repro.server.security import Rule, SecurityPolicy
 from repro.simnet import line
 from repro.util.concurrency import wait_until
 from tests.conftest import CollectorNaplet, StallNaplet
-
-FAST_AND_SLOW = pytest.mark.parametrize("fast", [True, False], ids=["fast", "two-phase"])
 
 
 class DenialSurvivor(repro.Naplet):
@@ -31,6 +31,19 @@ class DenialSurvivor(repro.Naplet):
             time.sleep(0.005)
 
 
+class BrokenRule(Rule):
+    """Grants everything, once its backend is up: while ``outages`` lasts,
+    an evaluation raises."""
+
+    outages = [0]
+
+    def applies_to(self, features):
+        if self.outages[0]:
+            self.outages[0] -= 1
+            raise RuntimeError("rule backend down")
+        return super().applies_to(features)
+
+
 def _tour_agent(route):
     agent = CollectorNaplet("tour")
     agent.set_itinerary(
@@ -39,19 +52,14 @@ def _tour_agent(route):
     return agent
 
 
-def _landing_requests(network) -> int:
+def _wire_frames(network, kind: str) -> int:
     counter = network.transport.metrics.counter("wire_frames_total")
-    return int(counter.value(kind="landing-request"))
+    return int(counter.value(kind=kind))
 
 
-class TestEquivalence:
-    """Both protocols must leave identical observable state behind."""
-
-    @FAST_AND_SLOW
-    def test_tour_outcome_and_directory_state(self, space, fast):
-        network, servers = space(
-            line(4, prefix="s"), config=ServerConfig(migration_fast_path=fast)
-        )
+class TestOneExchangePerHop:
+    def test_tour_outcome_and_directory_state(self, space):
+        network, servers = space(line(4, prefix="s"))
         listener = repro.NapletListener()
         nid = servers["s00"].launch(_tour_agent(["s01", "s02", "s03"]), owner="alice",
                                     listener=listener)
@@ -62,30 +70,16 @@ class TestEquivalence:
         assert record.server_urn == "naplet://s03"
         assert wait_until(lambda: servers["s01"].manager.footprint(nid) is not None)
         assert servers["s01"].manager.footprint(nid).departed_to == "naplet://s02"
-        # Wire accounting is where the protocols differ: the fast path
-        # makes zero LANDING_REQUEST exchanges, two-phase makes one per hop.
+        # A hop is exactly one transfer request plus the one directory
+        # event in which the destination registers depart+arrival.
+        assert SpaceAdmin(servers).wait_space_idle(timeout=10)
         hops = 3
+        assert _wire_frames(network, "naplet-transfer") == hops
+        assert _wire_frames(network, "directory-event") == hops
+        assert sum(int(s.telemetry.hops.value()) for s in servers.values()) == hops
 
-        def fast_hops():
-            return sum(
-                int(servers[h].telemetry.fast_path_hops.value()) for h in servers
-            )
-
-        if fast:
-            assert _landing_requests(network) == 0
-            # The source increments its hop counter after the transfer ack,
-            # concurrently with the naplet already running at the
-            # destination — so the final report can beat the last increment.
-            assert wait_until(lambda: fast_hops() == hops)
-        else:
-            assert _landing_requests(network) == hops
-            assert fast_hops() == 0
-
-    @FAST_AND_SLOW
-    def test_message_chases_moved_naplet(self, space, fast):
-        network, servers = space(
-            line(5, prefix="s"), config=ServerConfig(migration_fast_path=fast)
-        )
+    def test_message_chases_moved_naplet(self, space):
+        network, servers = space(line(5, prefix="s"))
         agent = StallNaplet("mover", spin_seconds=2.0)
         agent.set_itinerary(Itinerary(seq("s01", "s02")))
         nid = servers["s00"].launch(agent, owner="alice")
@@ -104,9 +98,8 @@ class TestEquivalence:
 class TestDenialRollback:
     """A denied landing must leave the naplet fully functional at the source."""
 
-    @FAST_AND_SLOW
-    def test_denial_rolls_back_residency_directory_and_mailbox(self, space, fast):
-        config = ServerConfig(migration_fast_path=fast, max_residents=1)
+    def test_denial_rolls_back_residency_directory_and_mailbox(self, space):
+        config = ServerConfig(max_residents=1)
         network, servers = space(line(3, prefix="s"), config=config)
         # A blocker fills s02 so the mover's landing there is denied.
         blocker = StallNaplet("blocker", spin_seconds=30.0)
@@ -137,22 +130,92 @@ class TestDenialRollback:
         assert servers["s02"].wait_idle(10)
 
 
-class TestFallback:
-    def test_two_phase_fallback_when_destination_opts_out(self, space):
-        network, servers = space(line(3, prefix="s"))  # fast path on by default
-        servers["s02"].config.migration_fast_path = False
+class TestBrokenLandingCheck:
+    def test_a_check_that_raises_is_a_retriable_rejection_not_a_denial(self, space):
+        retry = RetryPolicy(max_attempts=3, base_delay=0.005, max_delay=0.05, jitter=0.0)
+        network, servers = space(
+            line(3, prefix="s"), config=ServerConfig(migration_retry=retry)
+        )
+        BrokenRule.outages[0] = 1
+        servers["s02"].security.policy = SecurityPolicy([BrokenRule.of({}, grants={"*"})])
         listener = repro.NapletListener()
-        servers["s00"].launch(
-            _tour_agent(["s01", "s02"]), owner="alice", listener=listener
+        servers["s00"].launch(_tour_agent(["s01", "s02"]), owner="alice", listener=listener)
+        # The broken check cost one attempt; the retry landed.
+        assert listener.next_report(timeout=10).payload == ["s01", "s02"]
+        admin = SpaceAdmin(servers)
+        assert admin.wait_space_idle(timeout=10)
+        assert int(servers["s01"].telemetry.migration_retries.total()) == 1
+        errors = [r for r in admin.harvest_journal() if r.kind == "landing-check-error"]
+        assert len(errors) == 1
+        assert "RuntimeError: rule backend down" in errors[0].detail["error"]
+        # Never booked or reported as a denial, at either end.
+        assert int(servers["s02"].telemetry.landings_denied.total()) == 0
+        assert servers["s01"].events.count("landing-denied") == 0
+
+
+_WENT_OFF: list[str] = []
+
+
+def _detonate() -> None:
+    _WENT_OFF.append("boom")
+
+
+class _Bomb:
+    """Unpickling one is observable: it calls :func:`_detonate`."""
+
+    def __reduce__(self):
+        return (_detonate, ())
+
+
+class TestTransferFrameChecks:
+    """What the destination refuses, and in which order it looks."""
+
+    @staticmethod
+    def _landed_frame(space):
+        """A space with a naplet resting at s01, and the frame that took it there."""
+        network, servers = space(line(2, prefix="s"))
+        captured = []
+        landing = servers["s01"].navigator.handle_transfer
+        servers["s01"].navigator.handle_transfer = (
+            lambda frame: captured.append(frame) or landing(frame)
         )
-        report = listener.next_report(timeout=10)
-        assert report.payload == ["s01", "s02"]
-        # s00 -> s01 went fast; s01 -> s02 was answered "unsupported" and
-        # re-ran as two-phase (one LANDING_REQUEST on the wire).  Source-side
-        # counters increment after each transfer ack, so wait them in.
-        assert wait_until(
-            lambda: int(servers["s00"].telemetry.fast_path_hops.value()) == 1
-        )
-        assert int(servers["s01"].telemetry.fast_path_fallbacks.value()) == 1
-        assert servers["s01"].events.count("fast-path-fallback") == 1
-        assert _landing_requests(network) == 1
+        agent = StallNaplet("sitter", spin_seconds=30.0)
+        agent.set_itinerary(Itinerary(seq("s01")))
+        nid = servers["s00"].launch(agent, owner="alice")
+        assert wait_until(lambda: servers["s01"].manager.is_resident(nid))
+        del servers["s01"].navigator.handle_transfer
+        return servers, nid, captured[0]
+
+    @staticmethod
+    def _offer(servers, frame, **changes):
+        """Hand s01 a doctored copy of *frame* under a fresh transfer-id."""
+        headers = {**frame.headers, "transfer-id": "naplet://s00#doctored"}
+        doctored = dataclasses.replace(frame, headers=headers, **changes)
+        return pickle.loads(servers["s01"].navigator.handle_transfer(doctored))
+
+    def test_landing_check_precedes_any_unpickling_of_the_image(self, space):
+        servers, nid, frame = self._landed_frame(space)
+        bomb = (pickle.dumps(_Bomb()),)
+        _WENT_OFF.clear()
+        servers["s01"].config.max_residents = 1  # the sitter fills it
+        ack = self._offer(servers, frame, buffers=bomb)
+        assert ack["denied"] and "server full" in ack["reason"]
+        assert _WENT_OFF == []
+        # Admitted, the same segment is unpickled (and refused as an image).
+        servers["s01"].config.max_residents = None
+        ack = self._offer(servers, frame, buffers=bomb)
+        assert ack == {"ok": False, "reason": ack["reason"]}
+        assert _WENT_OFF == ["boom"]
+        assert int(servers["s01"].telemetry.landings.total()) == 1
+        servers["s00"].terminate_naplet(nid)
+
+    def test_frame_without_image_or_with_undecodable_credential_is_rejected(self, space):
+        servers, nid, frame = self._landed_frame(space)
+        ack = self._offer(servers, frame, buffers=())
+        assert ack == {"ok": False, "reason": "bad transfer frame: no image segment"}
+        ack = self._offer(servers, frame, payload=b"\xde\xad" + frame.payload[2:])
+        assert ack["ok"] is False and ack["reason"].startswith("bad transfer frame: ")
+        assert "denied" not in ack and "need_full" not in ack
+        assert int(servers["s01"].telemetry.landings.total()) == 1
+        assert int(servers["s01"].telemetry.landings_denied.total()) == 0
+        servers["s00"].terminate_naplet(nid)

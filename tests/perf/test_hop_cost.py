@@ -95,19 +95,7 @@ class TestJournalRecords:
             detail["payload_bytes"] + detail["header_bytes"] + detail["code_bytes"]
             == detail["total_bytes"]
         )
-        assert detail["fast_path"] is True
         assert record.trace_id  # joinable against the journey's spans
-
-    def test_two_phase_hops_are_marked_as_such(self, space):
-        _network, servers = space(
-            line(4, prefix="s"), config=ServerConfig(migration_fast_path=False)
-        )
-        admin = SpaceAdmin(servers)
-        nid = _tour(servers)
-        assert admin.wait_space_idle()
-        records = admin.harvest_journal(category="perf", naplet=str(nid))
-        assert len(records) == len(ROUTE)
-        assert all(r.detail["fast_path"] is False for r in records)
 
     def test_disabled_journal_records_nothing_and_nothing_breaks(self, space):
         _network, servers = space(

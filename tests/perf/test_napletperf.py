@@ -31,7 +31,7 @@ def napletperf():
 def _snapshot(path: Path, p50_ms: float, frames: float = 1.0) -> Path:
     write_bench(
         path,
-        "transport fast path vs two-phase baseline",
+        "transport: one-exchange hops over pooled connections",
         {"fastpath": {"hop_latency_p50_ms": p50_ms, "rt_frames_per_hop": frames}},
     )
     return path
@@ -81,8 +81,8 @@ class TestDiffCommand:
         new = _snapshot(tmp_path / "new.json", 10.0)
         napletperf.main(["diff", str(old), str(new)])
         out = capsys.readouterr().out
-        assert "old: transport fast path" in out
-        assert "new: transport fast path" in out
+        assert "old: transport: one-exchange hops" in out
+        assert "new: transport: one-exchange hops" in out
 
 
 class TestHopsCommand:
@@ -103,7 +103,6 @@ class TestHopsCommand:
                                 "header_bytes": 200,
                                 "code_bytes": 0,
                                 "total_bytes": 2000,
-                                "fast_path": True,
                             },
                         },
                         {"kind": "naplet-depart", "naplet": "nap-1", "detail": {}},
@@ -114,7 +113,8 @@ class TestHopsCommand:
         assert napletperf.main(["hops", str(dump)]) == 0
         out = capsys.readouterr().out
         assert "s00 -> naplet://s01" in out
-        assert "2000" in out and "fast" in out
+        assert "2000" in out and "full" in out
+        assert "fast" not in out and "2ph" not in out
         assert "(all hops)" in out
 
     def test_naplet_filter_and_empty_message(self, napletperf, tmp_path, capsys):

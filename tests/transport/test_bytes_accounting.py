@@ -92,9 +92,9 @@ class TestInMemoryCrossCheck:
 
 
 class TestTcpSymmetry:
-    @pytest.fixture(params=[True, False], ids=["pooled", "unpooled"])
-    def transport(self, request):
-        t = TcpTransport(pooled=request.param)
+    @pytest.fixture
+    def transport(self):
+        t = TcpTransport()
         yield t
         t.close()
 

@@ -193,33 +193,6 @@ class TestV2Envelope:
         assert info3["mode"] == "full"
         assert copy.state.get("k") == 9
 
-    def test_v2_into_v1_only_reader_is_a_clean_error(self):
-        sender = NapletSerializer()
-        v1_only = NapletSerializer(delta_shipping=False)
-        agent = _identified("legacy-peer")
-        data, buffers, _ = sender.dumps_with_cost(agent)
-        with pytest.raises(SerializationError, match="only accepts v1"):
-            v1_only.loads_with_info(data, buffers=buffers or None)
-
-    def test_force_v1_round_trips_through_v1_only_reader(self):
-        sender = NapletSerializer()
-        v1_only = NapletSerializer(delta_shipping=False)
-        agent = _identified("forced")
-        agent.state.set("k", 7)
-        data, buffers, cost = sender.dumps_with_cost(agent, force_v1=True)
-        assert buffers == [] and not cost.delta
-        copy, info = v1_only.loads_with_info(data)
-        assert info["v"] == 1
-        assert copy.state.get("k") == 7
-
-    def test_delta_off_sender_always_ships_v1(self):
-        sender = NapletSerializer(delta_shipping=False)
-        agent = _identified("v1-sender")
-        data, buffers, _ = sender.dumps_with_cost(agent, base_hint="deadbeef")
-        assert buffers == []
-        _, info = NapletSerializer(delta_shipping=False).loads_with_info(data)
-        assert info["v"] == 1
-
     def test_corrupt_delta_fails_the_image_hash_check(self):
         import pickle as _pickle
 

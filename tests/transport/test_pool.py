@@ -75,16 +75,12 @@ class TestPooledReuse:
         assert len(set(seen)) == 5
         assert all(cid is not None for cid in seen)
 
-    def test_unpooled_transport_dials_per_frame(self):
-        transport = TcpTransport(pooled=False)
-        try:
-            transport.register("naplet://echo", lambda f: pickle.dumps(b"ok"))
-            for _ in range(5):
-                transport.request(_frame("naplet://echo"), timeout=5)
-            assert transport.connections_opened() == 5
-            assert transport.pool_reuse_count() == 0
-        finally:
-            transport.close()
+    def test_dial_per_frame_mode_is_gone(self):
+        """``pooled=True`` still constructs (the frozen journey benchmark
+        passes it); there is no unpooled wire left to select."""
+        TcpTransport(pooled=True).close()
+        with pytest.raises(ValueError, match="always pooled"):
+            TcpTransport(pooled=False)
 
     def test_one_way_send_rides_the_pool(self, transport):
         seen = threading.Event()
@@ -346,12 +342,3 @@ class TestLivePeers:
         transport.register("naplet://echo", lambda f: pickle.dumps(b"ok"))
         transport.request(_frame("naplet://echo"), timeout=5)
         assert transport.live_peers("naplet://echo") == []
-
-    def test_unpooled_transport_has_no_live_peers(self):
-        transport = TcpTransport(pooled=False)
-        try:
-            transport.register("naplet://echo", lambda f: pickle.dumps(b"ok"))
-            transport.request(_frame("naplet://echo"), timeout=5)
-            assert transport.live_peers("naplet://a") == []
-        finally:
-            transport.close()

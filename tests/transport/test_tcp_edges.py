@@ -11,7 +11,10 @@ import pytest
 
 from repro.core.errors import NapletCommunicationError
 from repro.transport.base import Frame, FrameKind
-from repro.transport.tcp import TcpTransport, _MAX_FRAME
+from repro.transport.pool import MAX_FRAME, send_blob
+from repro.transport.tcp import TcpTransport
+from repro.util.concurrency import wait_until
+from repro.util.eventlog import EventLog
 
 
 @pytest.fixture
@@ -48,10 +51,46 @@ class TestEdges:
         transport.register("naplet://sturdy", lambda f: pickle.dumps(b"ok"))
         port = transport.port_of("naplet://sturdy")
         raw = socket.create_connection(("127.0.0.1", port), timeout=1)
-        raw.sendall(struct.pack("!I", _MAX_FRAME + 1) + b"xxxx")
+        raw.sendall(struct.pack("!I", MAX_FRAME + 1) + b"xxxx")
         raw.close()
         frame = Frame(kind=FrameKind.PING, source="a", dest="naplet://sturdy")
         assert pickle.loads(transport.request(frame, timeout=2)) == b"ok"
+
+    @pytest.mark.parametrize(
+        "envelope",
+        [
+            (Frame(kind=FrameKind.PING, source="a", dest="naplet://strict"), True),
+            ("req", 1),
+            {"not": "a tuple"},
+        ],
+        ids=["dial-per-frame-2-tuple", "short-req", "dict"],
+    )
+    def test_unknown_envelope_never_reaches_the_handler(self, transport, envelope):
+        """A well-framed blob that is not a REQ/REQB envelope (the removed
+        ``(frame, expects_reply)`` wire, say) costs its sender that one
+        connection: counted, recorded, and the endpoint keeps serving."""
+        seen = []
+        transport.register(
+            "naplet://strict", lambda f: seen.append(f.source) or pickle.dumps(b"ok")
+        )
+        bound = EventLog()
+        transport.bind_event_log("naplet://strict", bound)
+        dropped = transport.metrics.counter("wire_dropped_connections_total")
+        port = transport.port_of("naplet://strict")
+        raw = socket.create_connection(("127.0.0.1", port), timeout=1)
+        send_blob(raw, pickle.dumps(envelope))
+        assert raw.recv(1) == b""  # hung up on, no reply
+        raw.close()
+        assert wait_until(
+            lambda: dropped.value(endpoint="naplet://strict") == 1, timeout=2
+        )
+        assert seen == []
+        events = bound.find("transport-connection-dropped")
+        assert len(events) == 1
+        assert "not a request envelope" in events[0].detail["error"]
+        frame = Frame(kind=FrameKind.PING, source="b", dest="naplet://strict")
+        assert pickle.loads(transport.request(frame, timeout=2)) == b"ok"
+        assert seen == ["b"]
 
     def test_half_frame_then_close_is_contained(self, transport):
         transport.register("naplet://sturdy2", lambda f: pickle.dumps(b"ok"))
@@ -71,8 +110,6 @@ class TestEdges:
         """The accept thread holds endpoint -> handler -> server: left
         blocked in accept() it would pin a closed space in memory."""
         import threading
-
-        from repro.util.concurrency import wait_until
 
         for name in ("p", "q"):
             transport.register(f"naplet://{name}", lambda f: pickle.dumps(b"ok"))
