@@ -14,10 +14,11 @@ Back home we show:
    depart precedes its landing despite the skew;
 2. the same records sorted by raw wall time, where the skew visibly
    *inverts* hops (the proof the HLC is doing the work);
-3. a napletlog-style journey query reconstructing the itinerary; and
-4. the probe-naplet harvest (`harvest_journal_via_probe`) reading the
-   ``"journal"`` service at every stop — the MAN pattern applied to the
-   platform's own black box.
+3. a journey query (``select``/``order``, what ``tools/naplet.py log``
+   runs) reconstructing the itinerary; and
+4. the probe harvest (``harvest_via_probe(..., kinds=("journal",))``)
+   reading the ``"harvest"`` service at every stop — the MAN pattern
+   applied to the platform's own black box.
 
 Run:  python examples/flight_recorder.py
 """
@@ -29,11 +30,11 @@ import time
 
 import repro
 from repro.faults import FaultPlan
-from repro.health import harvest_journal_via_probe
+from repro.health import harvest_via_probe, merged_journal
 from repro.itinerary import Itinerary, ResultReport, SeqPattern
 from repro.server import NapletServer, ServerConfig, SpaceAdmin
 from repro.simnet import VirtualNetwork, full_mesh
-from repro.telemetry.journal import causal_key, format_record
+from repro.telemetry.journal import causal_key, format_record, order
 
 ROUTE = ["h01", "h02", "h01"]
 SKEWS = {"h00": +5.0, "h01": -5.0, "h02": 0.0}
@@ -104,14 +105,18 @@ def main() -> None:
         print(f"\nwall order differs from causal order: {inverted}")
 
         # 3. Reconstruct the itinerary from arrivals alone.
-        arrivals = [r.server for r in causal_hops if r.kind == "naplet-arrive"]
+        arrived = admin.harvest_journal(journey=str(nid), kind="naplet-arrive")
+        arrivals = [r.server for r in order(arrived, causal=True)]
         print(f"itinerary reconstructed from the journal: {arrivals}")
         assert arrivals == ROUTE
 
         # 4. The over-the-wire harvest: a probe naplet tours the space
-        #    reading each server's "journal" service.
-        probed = harvest_journal_via_probe(
-            servers["h00"], list(SKEWS), repro.NapletListener()
+        #    reading the journal kind of each server's "harvest" service.
+        probed = merged_journal(
+            harvest_via_probe(
+                servers["h00"], list(SKEWS), repro.NapletListener(),
+                kinds=("journal",),
+            )
         )
         faults = [r for r in probed if r.category == "fault"]
         print(

@@ -7,10 +7,10 @@ A chaos space (seeded delays) runs three workloads:
    up in the per-naplet resource profiles;
 2. a **wedged** naplet that sleeps without checkpointing — the watchdog
    flags it as a ``stuck_naplet`` finding within one deadline;
-3. a **health probe** (:class:`repro.health.HealthProbeNaplet`) touring
-   the space and harvesting every server's health snapshot over the
-   ``telemetry`` open service, the way ``tools/napletstat.py`` polls a
-   space it cannot reach in-process.
+3. a **harvest probe** (:class:`repro.health.HarvestProbe`) touring the
+   space and carrying every server's ``health`` payload home from the
+   ``harvest`` open service — the rows ``tools/naplet.py stat`` renders,
+   collected the way one reaches a space that is not in-process.
 
 Then the worker's journey is stitched and analysed: ``critical_path()``
 attributes each hop's latency to serialize / wire / landing / execute
@@ -94,7 +94,9 @@ def main() -> None:
 
     print("\n— health harvest, carried home by a probe naplet —")
     probe_listener = repro.NapletListener()
-    rows = harvest_via_probe(servers[hosts[0]], hosts, probe_listener)
+    rows = harvest_via_probe(
+        servers[hosts[0]], hosts, probe_listener, kinds=("health",)
+    )
     for row in rows:
         health = row.get("health", {})
         print(

@@ -9,7 +9,7 @@ This walkthrough makes all three visible for one journey:
    flight recorder at every departure — serialize seconds plus the
    payload/header/code byte split of the transfer frame;
 2. ``render_hop_costs`` turns the harvested records into the same
-   per-hop table ``tools/napletperf.py hops`` prints;
+   per-hop table ``tools/naplet.py hops`` prints;
 3. ``explain_pickle`` X-rays the naplet's serialized form and attributes
    the payload bytes to individual attributes — which is how you learn
    that the 4 KB blob in ``state`` is what makes the agent heavy;

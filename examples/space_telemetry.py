@@ -2,17 +2,18 @@
 """Observing a naplet space from the inside.
 
 The paper's MAN agents itinerate a network harvesting SNMP variables; here
-observability itself is the network-centric workload.  A *monitoring
-naplet* tours every host, opens the ``telemetry`` service each server
-exposes, and carries the per-server metric snapshots home in its state.
-Back home we print:
+observability itself is the network-centric workload.  The platform's
+own :class:`~repro.health.HarvestProbe` tours every host, opens the one
+``harvest`` service each server exposes, and carries home a row per server:
+the metrics registry as a dict and, filtered on-site, the span records of
+the journal.  Back home we print:
 
-1. the table the monitoring naplet assembled host by host;
+1. a table read off the rows the probe assembled host by host;
 2. the space-wide merged metrics (``SpaceAdmin.space_metrics``), which
    also fold in the transport's wire counters;
-3. the monitoring naplet's **own journey tree** — every hop, landing and
-   post-action of the telemetry sweep, stitched from the per-server
-   tracers (``SpaceAdmin.journey``).
+3. the probe's **own journey tree** — every hop, landing and post-action
+   of the telemetry sweep, stitched from the per-server tracers
+   (``SpaceAdmin.journey``).
 
 Run:  python examples/space_telemetry.py
 """
@@ -20,31 +21,17 @@ Run:  python examples/space_telemetry.py
 from __future__ import annotations
 
 import repro
+from repro.health import HarvestProbe
 from repro.itinerary import Itinerary, ResultReport, SeqPattern
 from repro.server import SpaceAdmin, deploy
 from repro.simnet import VirtualNetwork, full_mesh
 from repro.util.concurrency import wait_until
 
 
-class TelemetryHarvester(repro.Naplet):
-    """Tours the space; at each stop harvests the local telemetry service."""
-
-    def on_start(self) -> None:
-        context = self.require_context()
-        service = context.open_service("telemetry")
-        snap = service.metrics()
-        harvested = self.state.get("harvested") or []
-        harvested.append(
-            {
-                "host": service.hostname,
-                "landings": snap.total("naplet_landings_total"),
-                "hops": snap.total("naplet_hops_total"),
-                "delivered": snap.total("naplet_messages_delivered_total"),
-                "spans": len(service.spans()),
-            }
-        )
-        self.state.set("harvested", harvested)
-        self.travel()
+def total(row: dict, name: str) -> float:
+    """Sum of one metric family's samples in a harvest row."""
+    family = row["metrics"]["families"].get(name, {"samples": []})
+    return sum(sample["value"] for sample in family["samples"])
 
 
 class Tourist(repro.Naplet):
@@ -78,12 +65,14 @@ def main() -> None:
     generate_traffic(servers)
 
     listener = repro.NapletListener()
-    harvester = TelemetryHarvester("harvester")
+    # What harvest_via_probe() does, spelled out to keep the probe's id.
+    harvester = HarvestProbe(
+        kinds=("metrics", "journal"), filters={"category": "span"}
+    )
     harvester.set_itinerary(
         Itinerary(
             SeqPattern.of_servers(
-                ["h00", "h01", "h02", "h03"],
-                post_action=ResultReport("harvested"),
+                ["h00", "h01", "h02", "h03"], post_action=ResultReport("rows")
             )
         )
     )
@@ -95,12 +84,14 @@ def main() -> None:
     # journey stitches to a single root.
     wait_until(lambda: len(admin.journey(nid).roots) == 1)
 
-    print("— per-host snapshot (harvested in-space by the naplet) —")
+    print("— per-host snapshot (harvested in-space by the probe) —")
     print(f"  {'host':<6}{'landings':>9}{'hops':>6}{'delivered':>11}{'spans':>7}")
     for row in rows:
         print(
-            f"  {row['host']:<6}{row['landings']:>9.0f}{row['hops']:>6.0f}"
-            f"{row['delivered']:>11.0f}{row['spans']:>7}"
+            f"  {row['server']:<6}{total(row, 'naplet_landings_total'):>9.0f}"
+            f"{total(row, 'naplet_hops_total'):>6.0f}"
+            f"{total(row, 'naplet_messages_delivered_total'):>11.0f}"
+            f"{len(row['journal']):>7}"
         )
 
     merged = admin.space_metrics()

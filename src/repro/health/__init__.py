@@ -7,25 +7,21 @@ observability (§6.4):
   series sampled from the NapletMonitor's control blocks;
 - :mod:`repro.health.findings` — typed, severity-ranked watchdog findings;
 - :mod:`repro.health.plane`    — the per-server sampler + watchdog;
-- :mod:`repro.health.harvest`  — an itinerant probe that harvests health
-  over any transport, the paper's MAN pattern applied to the platform;
+- :mod:`repro.health.harvest`  — the one ``"harvest"`` open service, the
+  one row builder and the one itinerant probe (§6.9): the paper's MAN
+  pattern applied to the platform;
 - :mod:`repro.health.observatory` — heartbeat load digests, the merged
   per-server space view, and load-aware Alt/Par ordering (§6.8).
 """
 
 from repro.health.findings import FindingKind, HealthFinding, Severity
 from repro.health.harvest import (
-    HealthProbeNaplet,
-    JournalProbeNaplet,
-    harvest_journal_via_probe,
+    HarvestProbe,
+    HarvestService,
     harvest_via_probe,
+    merged_journal,
 )
-from repro.health.observatory import (
-    LoadDigest,
-    LoadObservatory,
-    LoadService,
-    SpaceView,
-)
+from repro.health.observatory import LoadDigest, LoadObservatory, SpaceView
 from repro.health.plane import HealthPlane
 from repro.health.profile import ProfileTable, ResourceProfile, ResourceSample
 
@@ -34,13 +30,12 @@ __all__ = [
     "HealthFinding",
     "Severity",
     "HealthPlane",
-    "HealthProbeNaplet",
+    "HarvestProbe",
+    "HarvestService",
     "harvest_via_probe",
-    "JournalProbeNaplet",
-    "harvest_journal_via_probe",
+    "merged_journal",
     "LoadDigest",
     "LoadObservatory",
-    "LoadService",
     "SpaceView",
     "ProfileTable",
     "ResourceProfile",

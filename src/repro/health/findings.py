@@ -2,7 +2,7 @@
 
 A :class:`HealthFinding` is the watchdog's unit of output: one condition,
 on one subject (a naplet or the server itself), with a severity and enough
-structured context (``data``) for an operator — or ``tools/napletstat.py``
+structured context (``data``) for an operator — or ``tools/naplet.py stat``
 — to act on it without grepping logs.  Findings are *stateful*: the
 :class:`~repro.health.plane.HealthPlane` keeps one live finding per
 ``(kind, subject)`` pair, refreshes ``last_seen`` while the condition

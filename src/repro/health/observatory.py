@@ -33,6 +33,9 @@ Ties break on declaration index, so equal scores reproduce the static
 order exactly.  Every consulted decision is journaled (kind ``"load"``)
 with each candidate's digest, staleness and score, making the chosen
 order reconstructible from the flight recorder alone.
+
+An operator reads the merged view as the ``load`` payload of a harvest
+row (:meth:`LoadObservatory.describe`; DESIGN.md §6.9).
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.itinerary.pattern import ItineraryPattern
     from repro.server.server import NapletServer
 
-__all__ = ["LoadDigest", "SpaceView", "LoadObservatory", "LoadService"]
+__all__ = ["LoadDigest", "SpaceView", "LoadObservatory"]
 
 # CPU-rate contribution to the score is capped so one spinning naplet
 # cannot outweigh queue depths by an unbounded margin.
@@ -230,8 +233,8 @@ class LoadObservatory:
     Mirrors the :class:`~repro.health.plane.HealthPlane` lifecycle: dormant
     (no thread, empty answers) unless telemetry and the observatory are
     both enabled; :meth:`beat_now` is the thread's body and is public so
-    tests and ``napletstat`` get a deterministic beat without waiting out
-    the cadence.
+    tests and the ``naplet stat`` demo get a deterministic beat without
+    waiting out the cadence.
     """
 
     def __init__(self, server: "NapletServer") -> None:
@@ -589,7 +592,8 @@ class LoadObservatory:
         return int(self._reroutes.total())
 
     def describe(self) -> dict[str, Any]:
-        """JSON-serializable observatory snapshot (what the service exposes)."""
+        """JSON-serializable observatory snapshot: the ``load`` payload of
+        a harvest row (:mod:`repro.health.harvest`)."""
         info: dict[str, Any] = {
             "enabled": self.enabled,
             "server": self.server.hostname,
@@ -603,38 +607,3 @@ class LoadObservatory:
             info["local"] = self.local_digest().describe()
             info["reroutes"] = self.reroutes()
         return info
-
-
-class LoadService:
-    """Open-service handler exposing one server's observatory in-space.
-
-    Registered under ``"load"`` next to the ``"telemetry"`` and
-    ``"journal"`` services, so a probe naplet (or ``SpaceAdmin``) reads
-    the merged view the same way it harvests health and journals.
-    """
-
-    SERVICE_NAME = "load"
-
-    def __init__(self, server: "NapletServer") -> None:
-        self._server = server
-
-    @property
-    def hostname(self) -> str:
-        return self._server.hostname
-
-    def status(self) -> dict[str, Any]:
-        observatory = self._server.observatory
-        return {
-            "server": self._server.hostname,
-            "observatory": "enabled" if observatory.enabled else "disabled",
-            "beats": observatory.beats,
-            "peers": len(observatory.view.peers()),
-        }
-
-    def digest(self) -> dict[str, Any]:
-        """The local load digest, computed on demand."""
-        return self._server.observatory.local_digest().describe()
-
-    def view(self) -> dict[str, Any]:
-        """The merged space view as this server sees it."""
-        return self._server.observatory.describe()

@@ -27,10 +27,11 @@ off the hot path (its own daemon thread) and takes only the monitor's and
 profile table's short locks, so enabling it costs the migration and
 messaging paths nothing measurable (see the telemetry-overhead benchmark).
 
-Findings are exposed three ways, mirroring the telemetry layer: the
-``telemetry`` open service (`TelemetryService.health()`), space-wide
-aggregation (`SpaceAdmin.space_health()`), and two instruments on the
-server registry (``naplet_health_findings_total`` by kind and severity,
+Findings are exposed three ways: the ``health`` payload of a harvest row
+(:meth:`describe`, read on-site by a probe or in-process by
+``SpaceAdmin.space_health()`` — DESIGN.md §6.9), the typed
+``SpaceAdmin.space_findings()``, and two instruments on the server
+registry (``naplet_health_findings_total`` by kind and severity,
 ``naplet_health_active_findings``).
 """
 
@@ -127,8 +128,8 @@ class HealthPlane:
     def sample_now(self) -> None:
         """One synchronous sampling + watchdog pass (the thread's body).
 
-        Also callable directly — ``napletstat --once`` and the tests use
-        it to get a deterministic pass without waiting out the cadence.
+        Also callable directly — demos and the tests use it to get a
+        deterministic pass without waiting out the cadence.
         """
         if not self.enabled:
             return
@@ -336,10 +337,12 @@ class HealthPlane:
         return self.profiles.get(nid)
 
     def describe(self) -> dict[str, Any]:
-        """JSON-serializable health snapshot (what the service exposes)."""
+        """JSON-serializable health snapshot: the ``health`` payload of a
+        harvest row (:mod:`repro.health.harvest`)."""
         return {
             "enabled": self.enabled,
             "server": self.server.hostname,
+            "residents": self.server.manager.resident_count,
             "cadence": self.cadence,
             "samples_taken": self.samples_taken,
             "findings": [f.describe() for f in self.findings()],

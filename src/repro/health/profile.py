@@ -5,7 +5,7 @@ naplet thread group (§5.3); the control blocks already hold the point-in-
 time numbers.  A :class:`ResourceProfile` turns those into *history*: the
 health plane samples every resident control block on a fixed cadence and
 appends a :class:`ResourceSample` here, so consumers (the watchdog, the
-``napletstat`` dashboard, the Chrome trace exporter) can ask for rates —
+``naplet stat`` dashboard, the Chrome trace exporter) can ask for rates —
 CPU utilisation, message bandwidth — and for progress ("has this naplet
 done anything since sample N?") instead of instantaneous counters.
 

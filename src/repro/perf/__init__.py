@@ -16,7 +16,8 @@ honest over time:
   ``perf``-category records the navigator writes into the flight
   recorder on every migration.
 
-``tools/napletperf.py`` is the CLI over all three.
+``tools/napletperf.py`` runs and diffs the snapshots; ``tools/naplet.py hops``
+prints the per-hop table.
 """
 
 from repro.perf.bench import (

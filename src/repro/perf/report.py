@@ -3,49 +3,34 @@
 The navigator journals a ``hop-cost`` record (category ``perf``) on
 every successful migration, carrying the serialize time and the
 payload/header/code byte split of that hop.  This module turns a
-harvested record stream — live :class:`~repro.telemetry.journal`
-records or the dicts a ``napletlog`` dump file holds — into the table
-``napletperf hops`` renders.
+timeline of :class:`~repro.telemetry.journal.JournalRecord`\\ s — a live
+harvest, or a dump read back with ``load_records`` — into the table
+``tools/naplet.py hops`` renders.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable
+
+from repro.telemetry.journal import JournalRecord, select
 
 __all__ = ["hop_cost_rows", "render_hop_costs"]
 
 
-def _detail(record: Any) -> dict[str, Any]:
-    if isinstance(record, dict):
-        detail = record.get("detail")
-        return detail if isinstance(detail, dict) else {}
-    return dict(getattr(record, "detail", None) or {})
-
-
-def _field(record: Any, name: str, default: Any = None) -> Any:
-    if isinstance(record, dict):
-        return record.get(name, default)
-    return getattr(record, name, default)
-
-
 def hop_cost_rows(
-    records: list[Any], naplet: str | None = None
+    records: Iterable[JournalRecord], naplet: str | None = None
 ) -> list[dict[str, Any]]:
-    """Extract hop-cost rows from journal *records* (objects or dicts).
+    """Extract hop-cost rows from journal *records*.
 
     Only ``kind == "hop-cost"`` records survive; with *naplet* set, only
-    that naplet's hops.  Rows keep the records' causal order.
+    that naplet's hops.  Rows keep the records' order.
     """
     rows: list[dict[str, Any]] = []
-    for record in records:
-        if _field(record, "kind") != "hop-cost":
-            continue
-        if naplet is not None and _field(record, "naplet") != naplet:
-            continue
-        detail = _detail(record)
+    for record in select(records, kind="hop-cost", naplet=naplet):
+        detail = record.detail
         rows.append(
             {
-                "naplet": _field(record, "naplet"),
+                "naplet": record.naplet,
                 "source": detail.get("source", "?"),
                 "dest": detail.get("dest", "?"),
                 "serialize_s": float(detail.get("serialize_s", 0.0)),
@@ -60,7 +45,7 @@ def hop_cost_rows(
     return rows
 
 
-def render_hop_costs(records: list[Any], naplet: str | None = None) -> str:
+def render_hop_costs(records: Iterable[JournalRecord], naplet: str | None = None) -> str:
     """Aligned per-hop cost table (one row per migration, plus totals)."""
     rows = hop_cost_rows(records, naplet=naplet)
     scope = f" for {naplet}" if naplet else ""

@@ -8,25 +8,29 @@ aggregates the per-server naplet tables, footprints and monitors into
 space-wide queries — where is naplet X, what has it visited, what is it
 consuming — and routes control operations by location.
 
-This console is in-process (it holds the server objects); for a TCP-split
-deployment one would front it with frames, which the underlying queries
-already support per server.
+This console is in-process (it holds the server objects).  Its
+observation queries — :meth:`SpaceAdmin.harvest` and what reads from it
+(``harvest_journal``, ``space_health``, ``space_view``) — call the same
+:class:`~repro.health.harvest.HarvestService` method a touring
+:class:`~repro.health.harvest.HarvestProbe` calls on-site, so what it
+returns is what a probe carries home over any transport (DESIGN.md §6.9).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.core.errors import NapletError, NapletLocationError
 from repro.core.naplet_id import NapletID
 from repro.health.findings import HealthFinding, Severity
+from repro.health.harvest import ALL, HarvestService, merged_journal
 from repro.health.profile import ResourceProfile
 from repro.server.manager import Footprint
 from repro.server.messages import SystemControl
 from repro.server.monitor import ResourceUsage
-from repro.telemetry.journal import JournalRecord, merge_journals
+from repro.telemetry.journal import JournalRecord
 from repro.telemetry.journey import Journey, stitch
 from repro.telemetry.metrics import MetricsSnapshot
 from repro.telemetry.trace import Span
@@ -215,49 +219,54 @@ class SpaceAdmin:
             snapshots.append(transport.metrics.snapshot())
         return MetricsSnapshot.merged(snapshots)
 
+    # ------------------------------------------------------------------ #
+    # The harvest (space-wide observation rows)
+    # ------------------------------------------------------------------ #
+
+    def harvest(self, kinds: Iterable[str] = ALL, **filters: Any) -> list[dict]:
+        """One observation row per server, in hostname order.
+
+        Each row is what :meth:`HarvestService.harvest` builds — the very
+        method a probe naplet calls on-site — so these rows and
+        ``harvest_via_probe``'s are identical in shape by construction.
+        """
+        return [
+            HarvestService(self._servers[hostname]).harvest(kinds, **filters)
+            for hostname in self.hostnames
+        ]
+
     def harvest_journal(
-        self,
-        naplet: str | None = None,
-        kind: str | None = None,
-        category: str | None = None,
-        trace_id: str | None = None,
+        self, journey: str | None = None, **filters: Any
     ) -> list["JournalRecord"]:
         """Merge every server's flight-recorder journal into one timeline.
 
         Records are causally ordered by their hybrid-logical-clock stamps
         (DESIGN.md §6.5), so a hop's departure always precedes its landing
-        even when the servers' wall clocks disagree.  Filters pass through
-        to each server's journal before the merge.
+        even when the servers' wall clocks disagree.  *filters* (``naplet``,
+        ``kind``, ``category``, ``trace_id``, … — any ``select`` criterion)
+        apply at each server before the merge.  A *journey* (a trace id or
+        a naplet id) can only be resolved over the whole merged timeline,
+        so with one given nothing is filtered away on-site first.
         """
-        return merge_journals(
-            self._servers[hostname].journal.records(
-                naplet=naplet, kind=kind, category=category, trace_id=trace_id
-            )
-            for hostname in self.hostnames
-        )
-
-    # ------------------------------------------------------------------ #
-    # Health plane (space-wide)
-    # ------------------------------------------------------------------ #
+        if journey is None:
+            return merged_journal(self.harvest(("journal",), **filters))
+        return merged_journal(self.harvest(("journal",)), journey=journey, **filters)
 
     def space_health(self) -> dict[str, dict]:
         """Every server's health snapshot (findings + profiles), by host."""
-        return {
-            hostname: self._servers[hostname].health.describe()
-            for hostname in self.hostnames
-        }
+        return {row["server"]: row["health"] for row in self.harvest(("health",))}
 
     def space_view(self) -> dict[str, dict]:
         """Every server's merged load view (observatory snapshot), by host.
 
         Each snapshot carries the server's own on-demand digest plus the
-        peer digests it has merged, with staleness aging applied — the
-        same structure the ``load`` open service exposes in-space.
+        peer digests it has merged, with staleness aging applied.
         """
-        return {
-            hostname: self._servers[hostname].observatory.describe()
-            for hostname in self.hostnames
-        }
+        return {row["server"]: row["load"] for row in self.harvest(("load",))}
+
+    # ------------------------------------------------------------------ #
+    # Health plane (space-wide, typed)
+    # ------------------------------------------------------------------ #
 
     def space_findings(self) -> list["HealthFinding"]:
         """All active watchdog findings, most severe first."""

@@ -40,11 +40,11 @@ from repro.server.monitor import NapletMonitor, ResourceQuota
 from repro.server.navigator import Navigator
 from repro.server.resource_manager import ResourceManager
 from repro.server.security import NapletSecurityManager, SecurityPolicy
-from repro.telemetry.exposition import ServerTelemetry, TelemetryService
-from repro.telemetry.journal import JournalService, SpaceJournal
+from repro.telemetry.exposition import ServerTelemetry
+from repro.telemetry.journal import SpaceJournal
 from repro.transport.base import Frame, FrameKind, Transport, urn_of
 from repro.transport.serializer import NapletSerializer
-from repro.util.eventlog import EventLog
+from repro.util.eventlog import RING_BOUND, EventLog
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.naplet import Naplet
@@ -126,7 +126,7 @@ class NapletServer:
         self.code_registry = code_registry
         self.config = config or ServerConfig()
         self.network = network
-        self.events = EventLog()
+        self.events = EventLog(maxlen=RING_BOUND)
         self.telemetry = ServerTelemetry(hostname, enabled=self.config.telemetry_enabled)
 
         # Flight recorder: one causal journal fed by every event source.
@@ -211,17 +211,6 @@ class NapletServer:
             cache_capacity=self.config.locator_cache_capacity,
         )
 
-        # Every server exposes its own telemetry in-space (open service), so
-        # monitoring naplets harvest metrics like the paper's MAN agents
-        # harvest SNMP variables.
-        self.resource_manager.register_open_service(
-            TelemetryService.SERVICE_NAME, TelemetryService(self)
-        )
-        # ... and its flight-recorder journal, for the causal harvest.
-        self.resource_manager.register_open_service(
-            JournalService.SERVICE_NAME, JournalService(self)
-        )
-
         # Health plane: samples the monitor's control blocks on a cadence
         # and runs the watchdog.  Dormant (no thread) unless telemetry and
         # health are both enabled.
@@ -231,15 +220,20 @@ class NapletServer:
         self.health.start()
 
         # Load observatory: heartbeat digests over connections the space
-        # already holds open, the merged SpaceView the Navigator consults,
-        # and the ``load`` open service peers and probes read.
-        from repro.health.observatory import LoadObservatory, LoadService
+        # already holds open, and the merged SpaceView the Navigator consults.
+        from repro.health.observatory import LoadObservatory
 
         self.observatory = LoadObservatory(self)
-        self.resource_manager.register_open_service(
-            LoadService.SERVICE_NAME, LoadService(self)
-        )
         self.observatory.start()
+
+        # Every server exposes its own observation planes in-space through
+        # one open service, so a probe naplet harvests metrics, health, load
+        # and the journal like the paper's MAN agents harvest SNMP variables.
+        from repro.health.harvest import HarvestService
+
+        self.resource_manager.register_open_service(
+            HarvestService.SERVICE_NAME, HarvestService(self)
+        )
 
         self._shutdown = threading.Event()
         transport.register(self.urn, self._handle_frame)

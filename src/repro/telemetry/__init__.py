@@ -9,16 +9,17 @@ Three layers (see DESIGN.md §"Telemetry architecture"):
   :class:`Tracer`; :mod:`repro.telemetry.journey` stitches cross-server
   spans into one ordered :class:`Journey` tree;
 - :mod:`repro.telemetry.exposition` — :class:`ServerTelemetry` (the bundle
-  every server owns) and :class:`TelemetryService` (the open ``telemetry``
-  service a monitoring naplet harvests), plus text/JSON renderers.
+  every server owns) plus text/JSON metric renderers;
+- :mod:`repro.telemetry.journal` — the per-server flight recorder and the
+  one record pipeline over it (:func:`merge_journals`, :func:`select`,
+  :func:`order`, dump/load); read in-space through the one ``"harvest"``
+  open service (:mod:`repro.health.harvest`).
 """
 
 from repro.telemetry.exposition import (
     ServerTelemetry,
-    TelemetryService,
     metrics_to_dict,
     render_metrics_text,
-    span_to_dict,
 )
 from repro.telemetry.export import (
     INSTANT_EVENT_KINDS,
@@ -27,12 +28,16 @@ from repro.telemetry.export import (
     write_chrome_trace,
 )
 from repro.telemetry.journal import (
+    CATEGORIES,
     JournalRecord,
-    JournalService,
     SpaceJournal,
     causal_key,
+    dump_records,
     format_record,
+    load_records,
     merge_journals,
+    order,
+    select,
     span_from_record,
 )
 from repro.telemetry.journey import (
@@ -77,16 +82,18 @@ __all__ = [
     "write_chrome_trace",
     "journal_chrome_trace",
     "INSTANT_EVENT_KINDS",
+    "CATEGORIES",
     "JournalRecord",
-    "JournalService",
     "SpaceJournal",
     "causal_key",
+    "dump_records",
     "format_record",
+    "load_records",
     "merge_journals",
+    "order",
+    "select",
     "span_from_record",
     "ServerTelemetry",
-    "TelemetryService",
     "render_metrics_text",
     "metrics_to_dict",
-    "span_to_dict",
 ]

@@ -301,11 +301,11 @@ def journal_chrome_trace(records: Iterable[Any]) -> dict[str, Any]:
     """Render a harvested flight-recorder timeline as a Chrome trace.
 
     Accepts the :class:`~repro.telemetry.journal.JournalRecord` list a
-    harvest produces (``SpaceAdmin.harvest_journal`` or the journal
-    probe): span records are rebuilt into spans, fault records into
-    injector instants, and the dead-letter / failover event kinds into
-    per-server instants — one timeline from one artifact, which is how
-    ``tools/napletlog.py --chrome`` renders an offline journal dump.
+    harvest produces (``SpaceAdmin.harvest_journal``, or a probe's rows
+    through ``merged_journal``): span records are rebuilt into spans,
+    fault records into injector instants, and the dead-letter / failover
+    event kinds into per-server instants — one timeline from one artifact, which is how
+    ``tools/naplet.py log --chrome`` renders an offline journal dump.
     """
     from repro.faults.engine import FaultRecord
     from repro.telemetry.journal import span_from_record

@@ -1,23 +1,18 @@
-"""Telemetry wiring and in-space exposition.
+"""Telemetry wiring and metric renderers.
 
-Two classes bridge the telemetry primitives into the naplet space:
-
-- :class:`ServerTelemetry` bundles one server's :class:`MetricsRegistry`
-  and :class:`Tracer` and pre-creates the standard instruments every
-  component records into (launches, landings, hops, message counters,
-  locator cache hits, quota trips, …).  A server constructed with
-  ``ServerConfig.telemetry_enabled=False`` gets the same object with
-  no-op instruments.
-
-- :class:`TelemetryService` is the open ``telemetry`` service registered on
-  every server, so a *monitoring naplet* can itinerate the space and
-  harvest per-server metrics and spans exactly like the paper's MAN agents
-  harvest SNMP variables — observability as just another network-centric
-  workload.
+:class:`ServerTelemetry` bundles one server's :class:`MetricsRegistry`
+and :class:`Tracer` and pre-creates the standard instruments every
+component records into (launches, landings, hops, message counters,
+locator cache hits, quota trips, …).  A server constructed with
+``ServerConfig.telemetry_enabled=False`` gets the same object with
+no-op instruments.
 
 Renderers keep exposition decoupled from formatting: text output follows
 the Prometheus exposition idiom (``name{label="v"} value``); the dict form
-is JSON-serializable for programmatic harvesters.
+(:func:`metrics_to_dict`) is JSON-serializable and is what the ``metrics``
+kind of the ``"harvest"`` open service carries home
+(:mod:`repro.health.harvest`, DESIGN.md §6.9).  Spans and per-kind event
+counts reach an operator through the journal, not through here.
 """
 
 from __future__ import annotations
@@ -30,19 +25,12 @@ from repro.telemetry.metrics import (
     MetricsSnapshot,
     exponential_buckets,
 )
-from repro.telemetry.trace import Span, TraceContext, Tracer
+from repro.telemetry.trace import TraceContext, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.naplet import Naplet
-    from repro.server.server import NapletServer
 
-__all__ = [
-    "ServerTelemetry",
-    "TelemetryService",
-    "render_metrics_text",
-    "metrics_to_dict",
-    "span_to_dict",
-]
+__all__ = ["ServerTelemetry", "render_metrics_text", "metrics_to_dict"]
 
 
 class ServerTelemetry:
@@ -205,84 +193,6 @@ class _SerializerTelemetry:
         self._telemetry.serialize_seconds.observe(seconds, op="loads")
 
 
-class TelemetryService:
-    """Open-service handler exposing one server's telemetry in-space.
-
-    Registered under the service name ``"telemetry"`` on every server; a
-    visiting naplet obtains it with ``context.open_service("telemetry")``
-    and harvests snapshots, rendered text, or raw spans.
-    """
-
-    SERVICE_NAME = "telemetry"
-
-    def __init__(self, server: "NapletServer") -> None:
-        self._server = server
-
-    @property
-    def hostname(self) -> str:
-        return self._server.hostname
-
-    @property
-    def enabled(self) -> bool:
-        return self._server.telemetry.enabled
-
-    def status(self) -> dict[str, Any]:
-        """Harvester handshake: is there anything to collect here?
-
-        A server running with ``telemetry_enabled=False`` answers every
-        query with empty-but-valid payloads; this tells the harvester
-        *why* (``"disabled"``) instead of letting it misread silence as
-        a perfectly idle server.
-        """
-        return {
-            "server": self._server.hostname,
-            "telemetry": "enabled" if self.enabled else "disabled",
-            "health": "enabled" if self._server.health.enabled else "disabled",
-        }
-
-    def metrics(self) -> MetricsSnapshot:
-        return self._server.telemetry.registry.snapshot()
-
-    def metrics_text(self) -> str:
-        if not self.enabled:
-            return f"# telemetry disabled on {self._server.hostname}"
-        return render_metrics_text(self.metrics())
-
-    def health(self) -> dict[str, Any]:
-        """The health plane's findings + profiles (empty shell when dormant)."""
-        return self._server.health.describe()
-
-    def wire_bytes(self) -> dict[str, int]:
-        """This server's transport-level byte totals (perf plane).
-
-        Read from the transport's per-endpoint ``bytes_sent_total`` /
-        ``bytes_received_total`` counters, which account real wire bytes
-        on TCP and mirror the TrafficMeter on simnet — the ingress/egress
-        columns ``napletstat`` renders.
-        """
-        egress, ingress = self._server.transport.endpoint_bytes(
-            self._server.hostname
-        )
-        return {"egress_bytes": egress, "ingress_bytes": ingress}
-
-    def metrics_dict(self) -> dict[str, Any]:
-        return metrics_to_dict(self.metrics())
-
-    def spans(self, trace_id: str | None = None) -> list[Span]:
-        tracer = self._server.telemetry.tracer
-        return tracer.spans() if trace_id is None else tracer.spans_for(trace_id)
-
-    def span_dicts(self, trace_id: str | None = None) -> list[dict[str, Any]]:
-        return [span_to_dict(span) for span in self.spans(trace_id)]
-
-    def event_counts(self) -> dict[str, int]:
-        """EventLog kinds recorded here, for cross-checking with metrics."""
-        counts: dict[str, int] = {}
-        for record in self._server.events.snapshot():
-            counts[record.kind] = counts.get(record.kind, 0) + 1
-        return counts
-
-
 # ---------------------------------------------------------------------- #
 # Renderers
 # ---------------------------------------------------------------------- #
@@ -366,17 +276,3 @@ def metrics_to_dict(snapshot: MetricsSnapshot) -> dict[str, Any]:
             "samples": samples,
         }
     return out
-
-
-def span_to_dict(span: Span) -> dict[str, Any]:
-    return {
-        "trace_id": span.trace_id,
-        "span_id": span.span_id,
-        "parent_id": span.parent_id,
-        "name": span.name,
-        "server": span.server,
-        "start_wall": span.start_wall,
-        "duration": span.duration,
-        "status": span.status,
-        "attributes": dict(span.attributes),
-    }

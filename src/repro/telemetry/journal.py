@@ -17,14 +17,17 @@ clock is advanced by stamps piggybacked on transport frame headers (the
 ``"hlc"`` header) and inside migrating naplet pickles, mirroring how the
 :class:`~repro.telemetry.trace.TraceContext` travels.
 
-Harvesting mirrors the health plane: :class:`JournalService` is the open
-``"journal"`` service a probe naplet (or ``SpaceAdmin.harvest_journal``)
-reads, and :func:`merge_journals` produces the single timeline that
-``tools/napletlog.py`` filters and renders.
+Reading is one pipeline (DESIGN.md §6.9): the ``journal`` kind of the
+``"harvest"`` open service carries each ring home as record dicts,
+:func:`merge_journals` produces the single causal timeline, and
+:func:`select` is the only record filter (:meth:`SpaceJournal.records`,
+the harvest service on-site and every ``tools/naplet.py`` subcommand call
+it), beside :func:`order`, :func:`load_records` and :func:`dump_records`.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from dataclasses import dataclass, field
@@ -36,18 +39,24 @@ from repro.util.hlc import HLCStamp, HybridLogicalClock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.engine import FaultRecord
-    from repro.server.server import NapletServer
     from repro.telemetry.metrics import Counter
 
 __all__ = [
+    "CATEGORIES",
     "JournalRecord",
     "SpaceJournal",
-    "JournalService",
     "merge_journals",
     "causal_key",
+    "select",
+    "order",
+    "load_records",
+    "dump_records",
     "span_from_record",
     "format_record",
 ]
+
+# Every value ``JournalRecord.category`` takes.
+CATEGORIES = ("event", "span", "fault", "finding", "deadletter", "perf", "load")
 
 # EventLog kinds that deserve their own journal category so queries can
 # pull "everything the watchdog said" or "every dead-letter transition"
@@ -70,7 +79,7 @@ class JournalRecord:
     seq: int  # per-server append sequence (merge tie-break)
     hlc: HLCStamp
     kind: str
-    category: str  # "event" | "span" | "fault" | "finding" | "deadletter" | "perf" | "load"
+    category: str  # one of CATEGORIES
     server: str
     wall: float
     mono: float
@@ -126,6 +135,98 @@ def merge_journals(
     timeline = [record for journal in journals for record in journal]
     timeline.sort(key=causal_key)
     return timeline
+
+
+def _journey(records: list[JournalRecord], subject: str) -> list[JournalRecord]:
+    """Every record of the journey *subject* names: a trace id or naplet id.
+
+    A naplet id resolves to the trace id(s) its records carry, a trace id
+    to the naplets its records name (a clone family shares one trace), and
+    the whole of both is kept: records written under a clone's name and
+    event records that carry no trace id stay in the picture, and either
+    spelling of a journey selects the same records.  Only sound over the
+    merged timeline — one server's ring may hold the trace without the
+    record that ties it to the naplet id.
+    """
+    traces = {subject} | {
+        r.trace_id for r in records if r.trace_id is not None and r.mentions(subject)
+    }
+    family = {subject} | {
+        r.naplet for r in records if r.trace_id in traces and r.naplet is not None
+    }
+    return [
+        r for r in records if r.trace_id in traces or any(map(r.mentions, family))
+    ]
+
+
+def select(
+    records: Iterable[JournalRecord],
+    *,
+    journey: str | None = None,
+    naplet: str | None = None,
+    server: str | None = None,
+    kind: str | None = None,
+    category: str | None = None,
+    trace_id: str | None = None,
+    since: float | None = None,
+    until: float | None = None,
+    after_seq: int = 0,
+    limit: int | None = None,
+) -> list[JournalRecord]:
+    """The one record filter: every criterion given must hold (AND).
+
+    *journey* (see :func:`_journey`) is resolved first, over all of
+    *records*; *since*/*until* bound the wall stamp, *after_seq* the
+    per-server sequence number (a tail's watermark), and *limit* keeps the
+    last N of what survives.  Input order is preserved.
+    """
+    out = list(records)
+    if journey is not None:
+        out = _journey(out, journey)
+    out = [
+        r
+        for r in out
+        if (naplet is None or r.naplet == naplet)
+        and (server is None or r.server == server)
+        and (kind is None or r.kind == kind)
+        and (category is None or r.category == category)
+        and (trace_id is None or r.trace_id == trace_id)
+        and (since is None or r.wall >= since)
+        and (until is None or r.wall <= until)
+        and r.seq > after_seq
+    ]
+    return out if limit is None else out[-limit:]
+
+
+def order(
+    records: Iterable[JournalRecord], causal: bool = False
+) -> list[JournalRecord]:
+    """Wall-clock order by default; the HLC total order when *causal*.
+
+    With skewed server clocks the wall order can show a naplet landing
+    before it departed; the causal order never can.
+    """
+    if causal:
+        return sorted(records, key=causal_key)
+    return sorted(records, key=lambda r: (r.wall, r.seq))
+
+
+def load_records(path: str) -> list[JournalRecord]:
+    """Read a journal dump: ``{"records": [...]}`` or a bare list of dicts."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if isinstance(data, dict):
+        data = data.get("records")
+    try:
+        return [JournalRecord.from_dict(entry) for entry in data]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: not a journal dump ({exc!r})") from exc
+
+
+def dump_records(path: str, records: Iterable[JournalRecord]) -> None:
+    """Write *records* as a JSON dump :func:`load_records` reads back."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"records": [r.describe() for r in records]}, fh, indent=1)
 
 
 class SpaceJournal:
@@ -298,27 +399,9 @@ class SpaceJournal:
         with self._lock:
             return list(self._records)
 
-    def records(
-        self,
-        kind: str | None = None,
-        category: str | None = None,
-        naplet: str | None = None,
-        trace_id: str | None = None,
-        after_seq: int = 0,
-        limit: int | None = None,
-    ) -> list[JournalRecord]:
-        out = [
-            r
-            for r in self.snapshot()
-            if (kind is None or r.kind == kind)
-            and (category is None or r.category == category)
-            and (naplet is None or r.naplet == naplet)
-            and (trace_id is None or r.trace_id == trace_id)
-            and r.seq > after_seq
-        ]
-        if limit is not None:
-            out = out[-limit:]
-        return out
+    def records(self, **filters: Any) -> list[JournalRecord]:
+        """This ring's records passing :func:`select`'s *filters*."""
+        return select(self.snapshot(), **filters)
 
     def slice_for(self, subject: str, limit: int = 32) -> list[JournalRecord]:
         """The most recent records mentioning *subject* (watchdog evidence)."""
@@ -328,42 +411,8 @@ class SpaceJournal:
         return self.depth
 
 
-class JournalService:
-    """Open-service handler exposing one server's journal in-space.
-
-    Registered under ``"journal"`` on every server, next to the
-    ``"telemetry"`` service; a probe naplet (or an in-process harvester)
-    reads the ring and carries it home for the causal merge.
-    """
-
-    SERVICE_NAME = "journal"
-
-    def __init__(self, server: "NapletServer") -> None:
-        self._server = server
-
-    @property
-    def hostname(self) -> str:
-        return self._server.hostname
-
-    def status(self) -> dict[str, Any]:
-        journal = self._server.journal
-        return {
-            "server": self._server.hostname,
-            "journal": "enabled" if journal.enabled else "disabled",
-            "depth": journal.depth,
-            "dropped": journal.dropped,
-            "capacity": journal.capacity,
-        }
-
-    def records(self, **filters: Any) -> list[JournalRecord]:
-        return self._server.journal.records(**filters)
-
-    def record_dicts(self, **filters: Any) -> list[dict[str, Any]]:
-        return [r.describe() for r in self.records(**filters)]
-
-
 # ---------------------------------------------------------------------- #
-# Reconstruction + rendering helpers (napletlog, chrome export)
+# Reconstruction + rendering helpers (the naplet CLI, chrome export)
 # ---------------------------------------------------------------------- #
 
 
@@ -387,7 +436,7 @@ def span_from_record(record: JournalRecord) -> Span:
 
 
 def format_record(record: JournalRecord) -> str:
-    """One text line per record, shared by napletlog and napletstat."""
+    """One text line per record, shared by ``naplet log`` and ``naplet stat``."""
     hlc = record.hlc
     naplet = record.naplet or "-"
     summary = ", ".join(

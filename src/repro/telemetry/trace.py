@@ -23,6 +23,8 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+from repro.util.eventlog import RING_BOUND
+
 __all__ = ["TraceContext", "Span", "Tracer", "NULL_SPAN", "new_span_id", "new_trace_id"]
 
 
@@ -159,7 +161,7 @@ NULL_SPAN = _NULL_SPAN
 class Tracer:
     """Per-server span collector (bounded, thread-safe, append-only)."""
 
-    def __init__(self, server: str, enabled: bool = True, maxlen: int | None = 8192) -> None:
+    def __init__(self, server: str, enabled: bool = True, maxlen: int | None = RING_BOUND) -> None:
         self.server = server
         self.enabled = enabled
         self._spans: list[Span] = []

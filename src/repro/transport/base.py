@@ -26,7 +26,7 @@ from typing import Callable
 
 from repro.core.errors import NapletCommunicationError
 from repro.telemetry.metrics import MetricsRegistry
-from repro.util.eventlog import EventLog
+from repro.util.eventlog import RING_BOUND, EventLog
 
 __all__ = [
     "Frame",
@@ -120,7 +120,7 @@ class Transport(abc.ABC):
         self._handlers: dict[str, FrameHandler] = {}
         self._lock = threading.RLock()
         self.metrics = MetricsRegistry()
-        self.events = EventLog()
+        self.events = EventLog(maxlen=RING_BOUND)
         self._bound_events: dict[str, EventLog] = {}
         self._wire_frames = self.metrics.counter(
             "wire_frames_total", "Frames moved by this transport, by kind"

@@ -11,10 +11,17 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-__all__ = ["EventRecord", "EventLog"]
+__all__ = ["EventRecord", "EventLog", "RING_BOUND"]
+
+# Records a long-lived recorder keeps before the oldest fall off: the
+# bound of every server's and transport's EventLog and of the Tracer's
+# span ring.  Observers still see every record, so the journal and its
+# counters do not depend on it.
+RING_BOUND = 8192
 
 
 @dataclass(frozen=True)
@@ -48,13 +55,13 @@ class EventLog:
 
     A bounded ``maxlen`` discards the oldest entries, mirroring the paper's
     remark that footprints of *past and current* naplets are recorded for
-    management purposes without growing unboundedly.
+    management purposes without growing unboundedly.  The ring is a
+    ``deque``, so an append to a full log costs O(1).
     """
 
     def __init__(self, maxlen: int | None = None) -> None:
-        self._records: list[EventRecord] = []
+        self._records: deque[EventRecord] = deque(maxlen=maxlen)
         self._lock = threading.Lock()
-        self._maxlen = maxlen
         # Observer called with each appended record (outside the lock).
         # The flight recorder hooks here so every component writing to a
         # shared EventLog feeds the journal without knowing it exists.
@@ -64,8 +71,6 @@ class EventLog:
         rec = EventRecord(kind=kind, detail=detail)
         with self._lock:
             self._records.append(rec)
-            if self._maxlen is not None and len(self._records) > self._maxlen:
-                del self._records[: len(self._records) - self._maxlen]
         observer = self.on_record
         if observer is not None:
             try:

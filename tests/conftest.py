@@ -6,6 +6,9 @@ ship them by reference during in-process migrations.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
 from typing import Iterator
 
 import pytest
@@ -71,6 +74,21 @@ class EchoNaplet(repro.Naplet):
         self.travel()
 
 
+def synthetic_timeline():
+    """Five journal records over two servers: n1's journey (its clone's
+    span shares trace t1) and one unrelated dead letter."""
+    from repro.telemetry.journal import SpaceJournal
+
+    journal = SpaceJournal("s00", time_source=lambda: 100.0)
+    journal.append(kind="naplet-launch", naplet="n1", detail={"owner": "alice"})
+    journal.append(kind="naplet-depart", naplet="n1", detail={"dest": "naplet://s01"})
+    journal.append(kind="message-dead-lettered", category="deadletter", naplet="n2")
+    other = SpaceJournal("s01", time_source=lambda: 200.0)
+    other.append(kind="naplet-arrive", naplet="n1", trace_id="t1")
+    other.append(kind="hop", category="span", naplet="n1.1", trace_id="t1")
+    return journal.snapshot() + other.snapshot()
+
+
 @pytest.fixture
 def space():
     """Factory fixture: build (network, servers) spaces; auto-shutdown.
@@ -93,6 +111,23 @@ def space():
     yield _build
     for network in built:
         network.shutdown()
+
+
+def load_tool(name: str):
+    """``tools/<name>.py`` as a module (``tools/`` is not a package, so it
+    is loaded by file path; registered so its naplet classes pickle)."""
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"tools_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def naplet_cli():
+    """``tools/naplet.py``, for driving ``main([...])`` and its renderers."""
+    return load_tool("naplet")
 
 
 @pytest.fixture

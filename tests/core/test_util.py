@@ -9,7 +9,7 @@ import time
 import pytest
 
 from repro.util.concurrency import AtomicCounter, CountDownLatch, wait_until
-from repro.util.eventlog import EventLog, EventRecord
+from repro.util.eventlog import RING_BOUND, EventLog, EventRecord
 from repro.util.timeutil import (
     compact_timestamp,
     parse_compact_timestamp,
@@ -156,6 +156,27 @@ class TestEventLog:
             log.record("tick", i=i)
         assert len(log) == 3
         assert [r.detail["i"] for r in log] == [3, 4, 5]
+
+    def test_full_ring_keeps_the_newest_and_the_observer_sees_every_record(self):
+        """The bound every server and transport log runs with: the ring
+        drops the oldest, the journal's observer misses nothing."""
+        log = EventLog(maxlen=RING_BOUND)
+        seen = []
+        log.on_record = seen.append
+        for i in range(RING_BOUND + 10):
+            log.record("tick", i=i)
+        assert len(log) == RING_BOUND
+        kept = log.snapshot()
+        assert kept[0].detail["i"] == 10
+        assert kept[-1].detail["i"] == RING_BOUND + 9
+        assert len(seen) == RING_BOUND + 10
+        assert seen[-RING_BOUND:] == kept
+
+    def test_server_and_transport_logs_are_bounded(self, small_line):
+        _network, servers = small_line
+        server = servers["s00"]
+        assert server.events._records.maxlen == RING_BOUND
+        assert server.transport.events._records.maxlen == RING_BOUND
 
     def test_snapshot_is_isolated(self):
         log = EventLog()

@@ -66,7 +66,7 @@ def _dump_chaos_artifacts(nodeid: str, spaces, directory: str) -> list[str]:
     plus its Chrome-trace rendering.
     """
     from repro.server import SpaceAdmin
-    from repro.telemetry import journal_chrome_trace
+    from repro.telemetry import dump_records, journal_chrome_trace
 
     stem = re.sub(r"[^A-Za-z0-9_.-]+", "_", nodeid).strip("_")
     out = Path(directory)
@@ -79,10 +79,7 @@ def _dump_chaos_artifacts(nodeid: str, spaces, directory: str) -> list[str]:
         seen.add(id(servers))
         records = SpaceAdmin(servers).harvest_journal()
         journal_path = out / f"{stem}.space{index}.journal.json"
-        journal_path.write_text(
-            json.dumps({"records": [r.describe() for r in records]}, indent=1),
-            encoding="utf-8",
-        )
+        dump_records(str(journal_path), records)
         trace_path = out / f"{stem}.space{index}.trace.json"
         trace_path.write_text(
             json.dumps(journal_chrome_trace(records)), encoding="utf-8"

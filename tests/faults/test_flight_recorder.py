@@ -5,17 +5,14 @@ journey with a seeded fault plan injecting delays.  The harvested merge
 must be free of causal inversions — every hop's depart precedes its land
 — while the *wall-clock* order of the very same records demonstrably
 inverts, proving the hybrid logical clocks (not lucky timing) produce the
-causal order.  A napletlog-style journey query then reconstructs the
-exact itinerary order from the merged timeline.
+causal order.  A journey query (``select``/``order``, what ``naplet log``
+runs) then reconstructs the exact itinerary order from the merged timeline.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import importlib.util
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -24,26 +21,15 @@ from repro.faults import FaultPlan
 from repro.itinerary import Itinerary, ResultReport, SeqPattern
 from repro.server import NapletServer, ServerConfig, SpaceAdmin
 from repro.simnet import VirtualNetwork, full_mesh
-from repro.telemetry.journal import causal_key
+from repro.telemetry.journal import causal_key, format_record, order, select
 
 from tests.conftest import CollectorNaplet
 
 pytestmark = pytest.mark.chaos
 
-_NAPLETLOG = Path(__file__).resolve().parents[2] / "tools" / "napletlog.py"
-
 # Visits per stop along the tour (h00 is home); revisits make extra hops.
 ROUTE = ["h01", "h02", "h01", "h02"]
 SKEWS = {"h00": +5.0, "h01": -5.0, "h02": 0.0}
-
-
-@pytest.fixture(scope="module")
-def napletlog():
-    spec = importlib.util.spec_from_file_location("napletlog", _NAPLETLOG)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules.setdefault("napletlog", module)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture
@@ -122,33 +108,30 @@ class TestFlightRecorderAcceptance:
         ]
         assert inversions, "skew produced no wall-order inversion to correct"
 
-    def test_napletlog_journey_reconstructs_the_itinerary(
-        self, skewed_space, napletlog
-    ):
+    def test_journey_query_reconstructs_the_itinerary(self, skewed_space):
         _network, servers = skewed_space
         nid = _run_tour(servers)
         admin = SpaceAdmin(servers)
         assert admin.wait_space_idle()
         merged = admin.harvest_journal()
 
-        selected = napletlog.order_records(
-            napletlog.filter_records(merged, journey=str(nid), kind="naplet-arrive"),
-            causal=True,
+        selected = order(
+            select(merged, journey=str(nid), kind="naplet-arrive"), causal=True
         )
         assert [r.server for r in selected] == ROUTE
 
         # The text rendering stays one line per record, causally ordered.
-        lines = napletlog.render_lines(selected)
-        assert len(lines) == len(ROUTE) + 2  # header + records + count
-        assert all("naplet-arrive" in line for line in lines[1:-1])
+        lines = [format_record(record) for record in selected]
+        assert len(lines) == len(ROUTE)
+        assert all("naplet-arrive" in line for line in lines)
 
-    def test_journey_filter_keeps_the_whole_trace(self, skewed_space, napletlog):
+    def test_journey_filter_keeps_the_whole_trace(self, skewed_space):
         _network, servers = skewed_space
         nid = _run_tour(servers)
         admin = SpaceAdmin(servers)
         assert admin.wait_space_idle()
         merged = admin.harvest_journal()
-        journey = napletlog.journey_records(merged, str(nid))
+        journey = select(merged, journey=str(nid))
         kinds = {r.kind for r in journey}
         # Spans recorded under the naplet's trace id come along with the
         # event records naming the naplet directly.

@@ -1,16 +1,13 @@
-"""tools/napletlog.py: filters, ordering, rendering, dump round-trip, CLI.
+"""``tools/naplet.py log``: the query CLI end to end, over dump files
+written by a live space and over the demo space, plus its text renderer.
 
-``tools/`` is not a package, so the module is loaded by file path.  The
-pure halves (filter/order/render) run on synthetic records; the CLI runs
-end to end against a dump file written by a live space.
+The selection itself (``select``/``order``/dump round-trip) is library
+code and is tested in ``tests/telemetry/test_journal.py``.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -18,105 +15,42 @@ import repro
 from repro.itinerary import Itinerary, ResultReport, SeqPattern
 from repro.server import SpaceAdmin
 from repro.simnet import line
-from repro.telemetry.journal import SpaceJournal
+from repro.telemetry.journal import SpaceJournal, dump_records, load_records
 
-from tests.conftest import CollectorNaplet
+from tests.conftest import CollectorNaplet, synthetic_timeline
 
 pytestmark = pytest.mark.health
 
-_TOOL = Path(__file__).resolve().parents[2] / "tools" / "napletlog.py"
-
-
-@pytest.fixture(scope="module")
-def napletlog():
-    spec = importlib.util.spec_from_file_location("napletlog", _TOOL)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules.setdefault("napletlog", module)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _synthetic_records():
-    journal = SpaceJournal("s00", time_source=lambda: 100.0)
-    journal.append(kind="naplet-launch", naplet="n1", detail={"owner": "alice"})
-    journal.append(kind="naplet-depart", naplet="n1", detail={"dest": "naplet://s01"})
-    journal.append(kind="message-dead-lettered", category="deadletter", naplet="n2")
-    other = SpaceJournal("s01", time_source=lambda: 200.0)
-    other.append(kind="naplet-arrive", naplet="n1", trace_id="t1")
-    return journal.snapshot() + other.snapshot()
-
 
 class TestFilters:
-    def test_filters_compose_with_and_semantics(self, napletlog):
-        records = _synthetic_records()
-        assert len(napletlog.filter_records(records)) == 4
-        assert [
-            r.kind for r in napletlog.filter_records(records, naplet="n1")
-        ] == ["naplet-launch", "naplet-depart", "naplet-arrive"]
-        assert [
-            r.kind
-            for r in napletlog.filter_records(records, naplet="n1", server="s01")
-        ] == ["naplet-arrive"]
-        assert [
-            r.kind for r in napletlog.filter_records(records, category="deadletter")
-        ] == ["message-dead-lettered"]
-        assert [
-            r.kind for r in napletlog.filter_records(records, since=150.0)
-        ] == ["naplet-arrive"]
-        assert len(napletlog.filter_records(records, until=150.0)) == 3
+    def test_every_filter_flag_reaches_the_selection(
+        self, naplet_cli, tmp_path, capsys
+    ):
+        path = str(tmp_path / "synthetic.json")
+        dump_records(path, synthetic_timeline())
+        for flags, expected in (
+            ([], 5),
+            (["--naplet", "n1"], 3),
+            (["--naplet", "n1", "--server", "s01"], 1),
+            (["--category", "deadletter"], 1),
+            (["--kind", "naplet-depart"], 1),
+            (["--since", "150"], 2),
+            (["--until", "150"], 3),
+            (["--journey", "t1"], 4),  # the trace names n1: its whole journey
+        ):
+            assert naplet_cli.main(["log", path, *flags]) == 0
+            assert f"({expected} records)" in capsys.readouterr().out
 
-    def test_journey_filter_resolves_naplet_to_its_trace(self, napletlog):
-        records = _synthetic_records()
-        journey = napletlog.journey_records(records, "n1")
-        assert [r.kind for r in journey] == [
-            "naplet-launch",
-            "naplet-depart",
-            "naplet-arrive",
-        ]
-        # ...and a trace id picks up records stamped with it.
-        assert [r.kind for r in napletlog.journey_records(records, "t1")] == [
-            "naplet-arrive"
-        ]
-
-    def test_order_records_causal_vs_wall(self, napletlog):
-        records = _synthetic_records()
-        causal = napletlog.order_records(records, causal=True)
-        wall = napletlog.order_records(records, causal=False)
-        assert [r.kind for r in causal] == [
-            "naplet-launch",
-            "naplet-depart",
-            "message-dead-lettered",
-            "naplet-arrive",
-        ]
-        assert causal == wall  # no skew here: the two orders agree
-
-    def test_render_lines_has_header_and_count(self, napletlog):
-        lines = napletlog.render_lines(_synthetic_records())
+    def test_render_lines_has_header_and_count(self, naplet_cli):
+        lines = naplet_cli.render_lines(synthetic_timeline())
         assert lines[0].startswith("hlc")
-        assert lines[-1] == "(4 records)"
-        assert len(lines) == 6
-
-
-class TestDumpRoundTrip:
-    def test_dump_then_load_preserves_records(self, napletlog, tmp_path):
-        records = _synthetic_records()
-        path = tmp_path / "journal.json"
-        napletlog.dump_records(str(path), records)
-        loaded = napletlog.load_records(str(path))
-        assert loaded == records
-
-    def test_load_accepts_a_bare_list(self, napletlog, tmp_path):
-        records = _synthetic_records()
-        path = tmp_path / "bare.json"
-        path.write_text(
-            json.dumps([r.describe() for r in records]), encoding="utf-8"
-        )
-        assert napletlog.load_records(str(path)) == records
+        assert lines[-1] == "(5 records)"
+        assert len(lines) == 7
 
 
 class TestCli:
     @pytest.fixture()
-    def dumpfile(self, napletlog, space, tmp_path):
+    def dumpfile(self, space, tmp_path):
         """A dump of a live 3-server journey, plus the tour's naplet id."""
         _network, servers = space(line(3, prefix="s"))
         listener = repro.NapletListener()
@@ -133,15 +67,15 @@ class TestCli:
         admin = SpaceAdmin(servers)
         assert admin.wait_space_idle()
         path = tmp_path / "space.json"
-        napletlog.dump_records(str(path), admin.harvest_journal())
+        dump_records(str(path), admin.harvest_journal())
         return str(path), str(nid)
 
     def test_journey_query_reconstructs_the_route(
-        self, napletlog, dumpfile, capsys
+        self, naplet_cli, dumpfile, capsys
     ):
         path, nid = dumpfile
         assert (
-            napletlog.main([path, "--journey", nid, "--kind", "naplet-arrive",
+            naplet_cli.main(["log", path, "--journey", nid, "--kind", "naplet-arrive",
                             "--causal"])
             == 0
         )
@@ -149,19 +83,19 @@ class TestCli:
         lines = [l for l in out.splitlines() if "naplet-arrive" in l]
         assert [l.split()[1] for l in lines] == ["s01", "s02"]
 
-    def test_limit_keeps_the_tail(self, napletlog, dumpfile, capsys):
+    def test_limit_keeps_the_tail(self, naplet_cli, dumpfile, capsys):
         path, _nid = dumpfile
-        assert napletlog.main([path, "--limit", "2", "--causal"]) == 0
+        assert naplet_cli.main(["log", path, "--limit", "2", "--causal"]) == 0
         out = capsys.readouterr().out
         assert "(2 records)" in out
 
     def test_chrome_output_is_a_valid_trace(
-        self, napletlog, dumpfile, tmp_path, capsys
+        self, naplet_cli, dumpfile, tmp_path, capsys
     ):
         path, nid = dumpfile
         trace_path = tmp_path / "trace.json"
         assert (
-            napletlog.main([path, "--journey", nid, "--chrome", str(trace_path)])
+            naplet_cli.main(["log", path, "--journey", nid, "--chrome", str(trace_path)])
             == 0
         )
         trace = json.loads(trace_path.read_text(encoding="utf-8"))
@@ -170,15 +104,48 @@ class TestCli:
         }
         assert {"hop", "landing"} <= names
 
-    def test_no_input_is_an_error(self, napletlog):
+    def test_no_input_is_an_error(self, naplet_cli):
         with pytest.raises(SystemExit):
-            napletlog.main([])
+            naplet_cli.main(["log"])
+
+    def test_a_file_that_is_no_dump_is_a_usage_error(self, naplet_cli, tmp_path):
+        bogus = tmp_path / "x.json"
+        bogus.write_text('"just a string"')
+        for command in ("log", "hops"):
+            with pytest.raises(SystemExit) as exit_info:
+                naplet_cli.main([command, str(bogus)])
+            assert exit_info.value.code == 2
+
+    @pytest.mark.slow
+    def test_demo_dump_then_journey_query(
+        self, naplet_cli, tmp_path, capsys, monkeypatch
+    ):
+        """``log --demo``: the demo space's harvest, saved with --dump and
+        queried live with --journey (ids pinned so two demo runs agree)."""
+        stamps = iter(f"2601010000{i:02d}" for i in range(100))
+        monkeypatch.setattr(
+            "repro.server.manager.unique_compact_timestamp", lambda: next(stamps)
+        )
+        path = tmp_path / "demo.json"
+        assert naplet_cli.main(["log", "--demo", "--dump", str(path)]) == 0
+        assert "wrote" in capsys.readouterr().out
+        launched = [r for r in load_records(str(path)) if r.kind == "naplet-launch"]
+        assert [r.naplet for r in launched] == [
+            f"demo@d00:2601010000{i:02d}:0" for i in range(3)
+        ]
+
+        stamps = iter(f"2601010000{i:02d}" for i in range(100))
+        nid = launched[0].naplet
+        assert naplet_cli.main(["log", "--demo", "--journey", nid, "--causal"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:-1]
+        assert len([l for l in lines if "naplet-arrive" in l]) == 12
+        assert all(nid in l for l in lines)
 
 
 class TestLoadRecords:
     """Observatory records (DESIGN.md §6.8) flow through the same CLI."""
 
-    def _dump_with_load(self, napletlog, tmp_path):
+    def _dump_with_load(self, tmp_path):
         journal = SpaceJournal("s00", time_source=lambda: 100.0)
         journal.append(kind="naplet-launch", naplet="n1")
         journal.append(
@@ -193,30 +160,30 @@ class TestLoadRecords:
             detail={"peer": "s01", "score": 3.0},
         )
         path = tmp_path / "load.json"
-        napletlog.dump_records(str(path), journal.snapshot())
+        dump_records(str(path), journal.snapshot())
         return str(path)
 
     def test_kind_load_selects_only_ordering_decisions(
-        self, napletlog, tmp_path, capsys
+        self, naplet_cli, tmp_path, capsys
     ):
-        path = self._dump_with_load(napletlog, tmp_path)
-        assert napletlog.main([path, "--kind", "load"]) == 0
+        path = self._dump_with_load(tmp_path)
+        assert naplet_cli.main(["log", path, "--kind", "load"]) == 0
         out = capsys.readouterr().out
         assert "(1 records)" in out
         assert "order=[1, 0]" in out
 
     def test_category_load_selects_decisions_and_digests(
-        self, napletlog, tmp_path, capsys
+        self, naplet_cli, tmp_path, capsys
     ):
-        path = self._dump_with_load(napletlog, tmp_path)
-        assert napletlog.main([path, "--category", "load"]) == 0
+        path = self._dump_with_load(tmp_path)
+        assert naplet_cli.main(["log", path, "--category", "load"]) == 0
         out = capsys.readouterr().out
         assert "(2 records)" in out
 
     def test_journey_plus_kind_load_reconstructs_one_decision(
-        self, napletlog, tmp_path, capsys
+        self, naplet_cli, tmp_path, capsys
     ):
-        path = self._dump_with_load(napletlog, tmp_path)
-        assert napletlog.main([path, "--journey", "n1", "--kind", "load"]) == 0
+        path = self._dump_with_load(tmp_path)
+        assert naplet_cli.main(["log", path, "--journey", "n1", "--kind", "load"]) == 0
         out = capsys.readouterr().out
         assert "changed=True" in out

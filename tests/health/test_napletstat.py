@@ -1,13 +1,11 @@
-"""tools/napletstat.py: the renderer and the live --once acceptance path.
-
-``tools/`` is not a package, so the module is loaded by file path.
+"""``tools/naplet.py stat``: the renderers over harvest rows, the tail,
+and the live --once acceptance path (the module comes from the shared
+``naplet_cli`` fixture).
 """
 
 from __future__ import annotations
 
-import importlib.util
-import sys
-from pathlib import Path
+import json
 
 import pytest
 
@@ -21,26 +19,36 @@ from tests.health.conftest import WedgedNaplet
 
 pytestmark = pytest.mark.health
 
-_TOOL = Path(__file__).resolve().parents[2] / "tools" / "napletstat.py"
 
+def _assert_same_keys(mine, theirs, path="row"):
+    """Two harvest payloads have the same keys at every nesting level.
 
-@pytest.fixture(scope="module")
-def napletstat():
-    spec = importlib.util.spec_from_file_location("napletstat", _TOOL)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules.setdefault("napletstat", module)
-    spec.loader.exec_module(module)
-    return module
+    Lists are compared through their first items (the two collection paths
+    see different *numbers* of records, samples and profiles); a record's
+    detail, a metric's label set and the per-peer map are free-form.
+    """
+    if isinstance(mine, dict) and isinstance(theirs, dict):
+        if path.rsplit(".", 1)[-1] in ("detail", "labels", "peers"):
+            return
+        assert set(mine) == set(theirs), path
+        for key in mine:
+            _assert_same_keys(mine[key], theirs[key], f"{path}.{key}")
+    elif isinstance(mine, list) and isinstance(theirs, list):
+        if mine and theirs:
+            _assert_same_keys(mine[0], theirs[0], f"{path}[0]")
+    else:
+        assert not isinstance(mine, (dict, list)), path
+        assert not isinstance(theirs, (dict, list)), path
 
 
 class TestRender:
-    def test_synthetic_rows_render_all_sections(self, napletstat):
+    def test_synthetic_rows_render_all_sections(self, naplet_cli):
         rows = [
             {
                 "server": "s00",
                 "status": {"health": "enabled"},
-                "residents": 2,
                 "health": {
+                    "residents": 2,
                     "samples_taken": 10,
                     "dead_letter_depth": 3,
                     "findings": [
@@ -74,7 +82,7 @@ class TestRender:
                 },
             },
         ]
-        output = napletstat.render(rows, top=5)
+        output = naplet_cli.render(rows, top=5)
         assert "servers=1" in output
         assert "stuck_naplet" in output and "no progress for 2s" in output
         assert "dead letters space-wide: 3" in output
@@ -84,7 +92,7 @@ class TestRender:
         top_rows = [l for l in lines if l.strip().startswith("nap-")]
         assert top_rows[0].strip().startswith("nap-2")
 
-    def test_findings_sorted_most_severe_first(self, napletstat):
+    def test_findings_sorted_most_severe_first(self, naplet_cli):
         rows = [
             {
                 "server": "s00",
@@ -100,26 +108,26 @@ class TestRender:
                 },
             }
         ]
-        output = napletstat.render(rows)
+        output = naplet_cli.render(rows)
         assert output.index("critical") < output.index("warning")
 
-    def test_unreachable_server_row_is_shown_not_fatal(self, napletstat):
+    def test_unreachable_server_row_is_shown_not_fatal(self, naplet_cli):
         rows = [
             {"server": "s00", "error": "connection refused"},
             {"server": "s01", "status": {"health": "enabled"}, "health": {"profiles": []}},
         ]
-        output = napletstat.render(rows)
+        output = naplet_cli.render(rows)
         assert "unreachable: connection refused" in output
         assert "(space is healthy)" in output
 
-    def test_empty_space_renders_placeholders(self, napletstat):
-        output = napletstat.render([])
+    def test_empty_space_renders_placeholders(self, naplet_cli):
+        output = naplet_cli.render([])
         assert "(no resource profiles yet)" in output
         assert "(space is healthy)" in output
 
 
 class TestLiveDashboard:
-    def test_once_renders_a_wedged_naplet_finding(self, napletstat, space):
+    def test_once_renders_a_wedged_naplet_finding(self, naplet_cli, space):
         """ISSUE acceptance: the dashboard shows the stuck_naplet finding."""
         _network, servers = space(
             line(2, prefix="s"),
@@ -131,13 +139,13 @@ class TestLiveDashboard:
         admin = SpaceAdmin(servers)
         assert wait_until(lambda: admin.space_findings(), timeout=5.0)
 
-        rows = napletstat.rows_from_admin(admin)
-        output = napletstat.render(rows)
+        rows = admin.harvest(("metrics", "health"))
+        output = naplet_cli.render(rows)
         assert "stuck_naplet" in output
         assert "no CPU/message progress" in output
         assert "findings: 1" in output
 
-    def test_rows_carry_wire_bytes_and_render_shows_them(self, napletstat, space):
+    def test_rows_carry_wire_bytes_and_render_shows_them(self, naplet_cli, space):
         """Perf plane: the dashboard's in-B/out-B columns read the
         transport's per-endpoint byte counters."""
         import repro
@@ -157,47 +165,72 @@ class TestLiveDashboard:
         admin = SpaceAdmin(servers)
         assert admin.wait_space_idle()
 
-        rows = napletstat.rows_from_admin(admin)
+        rows = admin.harvest(("metrics", "health"))
         by_server = {row["server"]: row["metrics"] for row in rows}
         assert by_server["s00"]["egress_bytes"] > 0  # shipped the naplet out
         assert by_server["s01"]["ingress_bytes"] > 0  # and s01 took it in
-        output = napletstat.render(rows)
+        output = naplet_cli.render(rows)
         assert "in-B" in output and "out-B" in output
 
-    def test_render_tolerates_rows_without_wire_metrics(self, napletstat):
-        # Probe harvests from older servers may lack the byte counters.
+    def test_render_tolerates_rows_without_wire_metrics(self, naplet_cli):
+        # A harvest that did not ask for the metrics kind has no byte counters.
         rows = [{"server": "s00", "status": {}, "health": {"profiles": []}}]
-        output = napletstat.render(rows)
+        output = naplet_cli.render(rows)
         assert "s00" in output and "0.0" in output
 
-    def test_rows_match_the_probe_harvest_shape(self, napletstat, space):
-        """The renderer must accept harvest_via_probe rows unchanged."""
+    def test_in_process_and_probe_rows_are_the_same_rows(self, naplet_cli, space):
+        """One builder, two collection paths: the key sets match at every
+        nesting level for every kind, and the rows survive JSON into every
+        renderer unchanged."""
         import repro
         from repro.health import harvest_via_probe
+        from repro.health.harvest import ALL, merged_journal
+        from repro.perf import render_hop_costs
 
         _network, servers = space(line(2, prefix="s"))
+        admin = SpaceAdmin(servers)
         listener = repro.NapletListener()
-        rows = harvest_via_probe(
-            servers["s00"], ["s00", "s01"], listener, timeout=15.0
+        probed = harvest_via_probe(
+            servers["s00"], ["s00", "s01"], listener, kinds=ALL, timeout=15.0
         )
-        assert len(rows) == 2
-        # The probe carries the perf plane's wire-byte counters home too.
-        for row in rows:
-            assert "ingress_bytes" in row["metrics"]
-            assert "egress_bytes" in row["metrics"]
-        output = napletstat.render(rows)
-        assert "servers=2" in output
+        assert admin.wait_space_idle()
+        local = admin.harvest(ALL)
+        assert [row["server"] for row in probed] == ["s00", "s01"]
+        for mine, theirs in zip(local, probed):
+            assert set(mine) == {"server", "status", *ALL}
+            _assert_same_keys(mine, theirs)
 
-    def test_cli_requires_demo_mode(self, napletstat):
+        for rows in (local, probed):
+            rows = json.loads(json.dumps(rows))
+            assert "servers=2" in naplet_cli.render(rows)
+            view = {row["server"]: row["load"] for row in rows}
+            assert "2 observers" in naplet_cli.render_space_view(view)
+            records = merged_journal(rows)
+            assert len(naplet_cli.render_lines(records)) == len(records) + 2
+            assert "journey" in naplet_cli.render_journey(records, "any")
+            assert "hop" in render_hop_costs(records)
+
+    def test_cli_requires_demo_mode(self, naplet_cli):
         with pytest.raises(SystemExit):
-            napletstat.main(["--once"])
+            naplet_cli.main(["stat", "--once"])
 
     @pytest.mark.slow
-    def test_demo_once_prints_a_frame(self, napletstat, capsys):
-        assert napletstat.main(["--demo", "--once"]) == 0
+    def test_demo_once_prints_a_frame(self, naplet_cli, capsys):
+        assert naplet_cli.main(["stat", "--demo", "--once"]) == 0
         out = capsys.readouterr().out
-        assert "napletstat" in out
+        assert "naplet stat" in out
         assert "top naplets by CPU" in out
+        assert "space view" in out
+
+    @pytest.mark.slow
+    def test_demo_wedge_once_shows_the_finding(self, naplet_cli, capsys):
+        assert naplet_cli.main(["stat", "--demo", "--wedge", "--once"]) == 0
+        out = capsys.readouterr().out
+        assert "stuck_naplet" in out and "active findings: 1" in out
+        assert "4 observers x 4 peers" in out
+        # The in-B/out-B columns read real traffic, not zeros.
+        d01 = next(l for l in out.splitlines() if l.strip().startswith("d01"))
+        assert "0.0" not in d01.split()[5:7]
 
 
 class TestJourneyAndFollow:
@@ -217,49 +250,49 @@ class TestJourneyAndFollow:
         listener.next_report(timeout=15)
         return nid
 
-    def test_journal_tail_advances_watermarks(self, napletstat, space):
+    def test_tail_advances_watermarks(self, naplet_cli, space):
         _network, servers = space(line(2, prefix="s"))
         admin = SpaceAdmin(servers)
         nid = self._tour(servers)
         assert admin.wait_space_idle()
         watermarks: dict[str, int] = {}
-        first = napletstat.journal_tail(admin, watermarks)
+        first = naplet_cli.tail(admin.harvest(("journal",)), watermarks)
         assert first and watermarks
         # Nothing new: the same watermarks yield an empty tail...
-        assert napletstat.journal_tail(admin, watermarks) == []
+        assert naplet_cli.tail(admin.harvest(("journal",)), watermarks) == []
         # ...until fresh records are journaled.
         servers["s00"].events.record("poke", naplet=str(nid))
-        fresh = napletstat.journal_tail(admin, watermarks)
+        fresh = naplet_cli.tail(admin.harvest(("journal",)), watermarks)
         assert [r.kind for r in fresh] == ["poke"]
 
-    def test_journal_tail_journey_filter(self, napletstat, space):
+    def test_tail_follows_one_journey(self, naplet_cli, space):
         _network, servers = space(line(2, prefix="s"))
         admin = SpaceAdmin(servers)
         nid = self._tour(servers)
         assert admin.wait_space_idle()
-        records = napletstat.journal_tail(admin, {}, journey=str(nid))
-        assert records
-        assert all(
-            r.naplet == str(nid) or r.mentions(str(nid)) for r in records
-        )
-        unrelated = napletstat.journal_tail(admin, {}, journey="no-such-journey")
-        assert unrelated == []
+        rows = admin.harvest(("journal",))
+        records = naplet_cli.tail(rows, {}, journey=str(nid))
+        assert records == admin.harvest_journal(journey=str(nid))
+        assert {"naplet-depart", "hop", "landing", "hop-cost"} <= {
+            r.kind for r in records
+        }
+        assert naplet_cli.tail(rows, {}, journey="no-such-journey") == []
 
-    def test_render_journey_lists_records_or_a_hint(self, napletstat, space):
+    def test_render_journey_lists_records_or_a_hint(self, naplet_cli, space):
         _network, servers = space(line(2, prefix="s"))
         admin = SpaceAdmin(servers)
         nid = self._tour(servers)
         assert admin.wait_space_idle()
-        records = napletstat.journal_tail(admin, {}, journey=str(nid))
-        output = napletstat.render_journey(records, str(nid))
+        records = admin.harvest_journal(journey=str(nid))
+        output = naplet_cli.render_journey(records, str(nid))
         assert f"journey {nid}" in output
         assert "naplet-depart" in output
-        empty = napletstat.render_journey([], "ghost")
+        empty = naplet_cli.render_journey([], "ghost")
         assert "no records" in empty
 
     @pytest.mark.slow
-    def test_demo_follow_tails_records(self, napletstat, capsys):
-        assert napletstat.main(["--demo", "--follow", "--once"]) == 0
+    def test_demo_follow_tails_records(self, naplet_cli, capsys):
+        assert naplet_cli.main(["stat", "--demo", "--follow", "--once"]) == 0
         out = capsys.readouterr().out
         assert "naplet-launch" in out
         # Tail mode is append-only: no screen-clear escape codes.
@@ -269,7 +302,7 @@ class TestJourneyAndFollow:
 class TestSpaceViewPanel:
     """render_space_view: the observatory's who-sees-whom matrix."""
 
-    def test_synthetic_view_renders_scores_and_unknowns(self, napletstat):
+    def test_synthetic_view_renders_scores_and_unknowns(self, naplet_cli):
         view = {
             "s00": {
                 "enabled": True,
@@ -282,17 +315,17 @@ class TestSpaceViewPanel:
             },
             "s01": {"enabled": True, "load_aware": False, "peers": {}},
         }
-        output = napletstat.render_space_view(view)
+        output = naplet_cli.render_space_view(view)
         assert "space view" in output
         assert "3.0" in output          # fresh peer shows its score
         assert "?" in output            # stale peer decays to unknown
         assert "reroutes=2" in output
         assert "static order" in output  # load_aware off is called out
 
-    def test_empty_view_renders_placeholder(self, napletstat):
-        assert "no observatories" in napletstat.render_space_view({})
+    def test_empty_view_renders_placeholder(self, naplet_cli):
+        assert "no observatories" in naplet_cli.render_space_view({})
 
-    def test_live_space_view_matrix(self, napletstat, space):
+    def test_live_space_view_matrix(self, naplet_cli, space):
         from repro.simnet import line
         from repro.transport.base import Frame, FrameKind
 
@@ -306,7 +339,7 @@ class TestSpaceViewPanel:
         for server in servers.values():
             server.observatory.beat_now()
         admin = SpaceAdmin(servers)
-        output = napletstat.render_space_view(admin.space_view())
+        output = naplet_cli.render_space_view(admin.space_view())
         row = next(l for l in output.splitlines() if l.strip().startswith("s00"))
         # s00 heard s01's heartbeat: two numeric cells, no unknowns.
         assert "?" not in row

@@ -19,6 +19,7 @@ from repro.itinerary.pattern import alt, seq
 from repro.server import ServerConfig, SpaceAdmin
 from repro.simnet import full_mesh, line
 from repro.transport.base import Frame, FrameKind
+from repro.util.concurrency import wait_until
 from repro.util.hlc import HybridLogicalClock
 
 from tests.conftest import CollectorNaplet
@@ -289,13 +290,25 @@ class TestSurfaces:
         assert "s01" in view["s00"]["peers"]
 
     def test_load_service_is_registered_and_answers(self, space):
-        _net, servers = space(line(2, prefix="s"))
-        manager = servers["s00"].resource_manager
-        assert "load" in manager.open_service_names()
-        service = manager._open_services["load"]
-        assert service.status()["observatory"] == "enabled"
-        assert service.digest()["server"] == "s00"
-        assert "peers" in service.view()
+        """The load view is a kind of the one open ``harvest`` service; a
+        stale peer rides home as unknown (``score: None``), never idle."""
+        _net, servers = space(
+            line(2, prefix="s"), config=ServerConfig(load_stale_after=0.05)
+        )
+        _warm_links(servers)
+        servers["s01"].observatory.beat_now()
+        service = servers["s00"].resource_manager._open_services["harvest"]
+        row = service.harvest(("load",))
+        assert set(row) == {"server", "status", "load"}
+        assert row["status"]["observatory"] == "enabled"
+        assert row["load"]["local"]["server"] == "s00"
+        assert "s01" in row["load"]["peers"]
+
+        def s01_reads_unknown() -> bool:
+            entry = service.harvest(("load",))["load"]["peers"]["s01"]
+            return entry["score"] is None and entry["fresh"] is False
+
+        assert wait_until(s01_reads_unknown)
 
     def test_describe_reports_lifecycle_and_local_digest(self, space):
         _net, servers = space(line(2, prefix="s"))

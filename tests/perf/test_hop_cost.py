@@ -4,7 +4,8 @@ Every successful migration must leave (a) a ``perf`` hop-cost record in
 the flight recorder, (b) observations in the ``naplet_hop_bytes`` /
 ``naplet_serialize_seconds`` histograms, (c) a bytes column in the
 journey's critical path, and (d) counter tracks in the Chrome export —
-the four surfaces DESIGN.md §6.6 promises.
+the four surfaces DESIGN.md §6.6 promises — and ``naplet hops`` prints the
+table from a saved dump of (a).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from repro.itinerary import Itinerary, ResultReport, SeqPattern
 from repro.perf import hop_cost_rows, render_hop_costs
 from repro.server import ServerConfig, SpaceAdmin
 from repro.simnet import line
-from repro.telemetry import chrome_trace
+from repro.telemetry import chrome_trace, dump_records
 from tests.conftest import CollectorNaplet
 
 pytestmark = pytest.mark.perf
@@ -122,6 +123,28 @@ class TestHopCostTable:
         assert str(total) in text
 
 
+class TestHopsCommand:
+    def test_renders_table_from_a_journal_dump(
+        self, toured, naplet_cli, tmp_path, capsys
+    ):
+        _servers, admin, nid = toured
+        dump = tmp_path / "journal.json"
+        dump_records(str(dump), admin.harvest_journal())
+        assert naplet_cli.main(["hops", str(dump)]) == 0
+        out = capsys.readouterr().out
+        assert f"{len(ROUTE)} hop(s)" in out
+        assert "s00 -> naplet://s01" in out and "full" in out
+        assert "(all hops)" in out
+        assert naplet_cli.main(["hops", str(dump), "--naplet", str(nid)]) == 0
+        assert f"{len(ROUTE)} hop(s) for {nid}" in capsys.readouterr().out
+
+    def test_naplet_filter_and_empty_message(self, naplet_cli, tmp_path, capsys):
+        dump = tmp_path / "journal.json"
+        dump_records(str(dump), [])
+        assert naplet_cli.main(["hops", str(dump), "--naplet", "ghost"]) == 0
+        assert "no hop-cost records for ghost" in capsys.readouterr().out
+
+
 class TestHistograms:
     def test_hop_bytes_split_by_part(self, toured):
         servers, _admin, _nid = toured
@@ -175,9 +198,7 @@ class TestChromeCounterTracks:
 
 class TestWireBytes:
     def test_endpoint_bytes_visible_through_the_telemetry_service(self, toured):
-        servers, _admin, _nid = toured
-        from repro.telemetry.exposition import TelemetryService
-
-        wire = TelemetryService(servers["s00"]).wire_bytes()
+        _servers, admin, _nid = toured
+        wire = admin.harvest(("metrics",))[0]["metrics"]
         assert wire["egress_bytes"] > 0  # launched three departures
         assert wire["ingress_bytes"] > 0  # acks came back

@@ -1,31 +1,21 @@
-"""tools/napletperf.py: the regression gate CLI over the perf plane.
-
-``tools/`` is not a package, so the module is loaded by file path.
-"""
+"""tools/napletperf.py: the regression gate CLI over the perf plane."""
 
 from __future__ import annotations
 
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
 from repro.perf.bench import write_bench
+from tests.conftest import load_tool
 
 pytestmark = pytest.mark.perf
-
-_TOOL = Path(__file__).resolve().parents[2] / "tools" / "napletperf.py"
 
 
 @pytest.fixture(scope="module")
 def napletperf():
-    spec = importlib.util.spec_from_file_location("napletperf", _TOOL)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules.setdefault("napletperf", module)
-    spec.loader.exec_module(module)
-    return module
+    return load_tool("napletperf")
 
 
 def _snapshot(path: Path, p50_ms: float, frames: float = 1.0) -> Path:
@@ -85,56 +75,16 @@ class TestDiffCommand:
         assert "new: transport: one-exchange hops" in out
 
 
-class TestHopsCommand:
-    def test_renders_table_from_a_journal_dump(self, napletperf, tmp_path, capsys):
-        dump = tmp_path / "journal.json"
-        dump.write_text(
-            json.dumps(
-                {
-                    "records": [
-                        {
-                            "kind": "hop-cost",
-                            "naplet": "nap-1",
-                            "detail": {
-                                "source": "s00",
-                                "dest": "naplet://s01",
-                                "serialize_s": 0.001,
-                                "payload_bytes": 1800,
-                                "header_bytes": 200,
-                                "code_bytes": 0,
-                                "total_bytes": 2000,
-                            },
-                        },
-                        {"kind": "naplet-depart", "naplet": "nap-1", "detail": {}},
-                    ]
-                }
-            )
-        )
-        assert napletperf.main(["hops", str(dump)]) == 0
-        out = capsys.readouterr().out
-        assert "s00 -> naplet://s01" in out
-        assert "2000" in out and "full" in out
-        assert "fast" not in out and "2ph" not in out
-        assert "(all hops)" in out
-
-    def test_naplet_filter_and_empty_message(self, napletperf, tmp_path, capsys):
-        dump = tmp_path / "journal.json"
-        dump.write_text(json.dumps({"records": []}))
-        assert napletperf.main(["hops", str(dump), "--naplet", "ghost"]) == 0
-        assert "no hop-cost records for ghost" in capsys.readouterr().out
-
-    def test_non_dump_file_is_a_usage_error(self, napletperf, tmp_path):
-        bogus = tmp_path / "x.json"
-        bogus.write_text('"just a string"')
-        assert napletperf.main(["hops", str(bogus)]) == 2
-
-
 class TestListAndRun:
     def test_list_names_every_suite(self, napletperf, capsys):
         assert napletperf.main(["list"]) == 0
         out = capsys.readouterr().out
         assert "transport" in out
         assert "BENCH_transport.json" in out
+
+    def test_hop_tables_moved_to_the_naplet_cli(self, napletperf, tmp_path):
+        with pytest.raises(SystemExit):
+            napletperf.main(["hops", str(tmp_path / "dump.json")])
 
     def test_run_rejects_unknown_suites(self, napletperf, capsys):
         assert napletperf.main(["run", "no-such-suite"]) == 2

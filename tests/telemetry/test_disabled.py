@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import repro
 from repro.itinerary import Itinerary, ResultReport, SeqPattern
+from repro.health.harvest import ALL, HarvestService
 from repro.server import ServerConfig, SpaceAdmin
-from repro.telemetry.exposition import TelemetryService
 
 from tests.conftest import CollectorNaplet
 
@@ -71,15 +71,23 @@ class TestDisabledTelemetry:
         _network, servers = space(
             line(2, prefix="s"), config=ServerConfig(telemetry_enabled=False)
         )
-        service = TelemetryService(servers["s00"])
-        status = service.status()
-        assert status["telemetry"] == "disabled"
-        assert status["health"] == "disabled"
-        assert service.metrics_text() == "# telemetry disabled on s00"
-        assert service.spans() == []
-        assert service.metrics_dict() == {} or isinstance(service.metrics_dict(), dict)
-        health = service.health()
-        assert health["enabled"] is False
+        row = HarvestService(servers["s00"]).harvest()
+        # All four planes say *why* the row is empty...
+        assert {
+            plane: row["status"][plane]
+            for plane in ("telemetry", "health", "observatory", "journal")
+        } == dict.fromkeys(
+            ("telemetry", "health", "observatory", "journal"), "disabled"
+        )
+        assert row["status"]["journal_depth"] == 0
+        # ...and every kind still answers with an empty-but-valid payload.
+        assert set(row) == {"server", "status", *ALL}
+        assert all(f["samples"] == [] for f in row["metrics"]["families"].values())
+        assert row["health"]["enabled"] is False
+        assert row["health"]["findings"] == [] and row["health"]["profiles"] == []
+        assert row["load"]["enabled"] is False and row["load"]["peers"] == {}
+        assert row["journal"] == []
+        assert SpaceAdmin(servers).harvest_journal() == []
 
     def test_probe_harvest_works_and_carries_the_disabled_flag(self, space):
         """A monitoring naplet touring a dark space gets told *why* it is
@@ -94,8 +102,9 @@ class TestDisabledTelemetry:
         rows = harvest_via_probe(servers["s00"], ["s00", "s01"], listener, timeout=15.0)
         assert [row["server"] for row in rows] == ["s00", "s01"]
         for row in rows:
-            assert row["status"]["telemetry"] == "disabled"
+            assert set(row["status"].values()) == {"disabled", 0}
             assert row["health"]["enabled"] is False
+            assert row["journal"] == []
 
     def test_space_summary_still_reports_core_columns(self, space):
         from repro.simnet import line

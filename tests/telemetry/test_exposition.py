@@ -1,5 +1,5 @@
-"""The in-space exposition surface: the open ``telemetry`` service and the
-text/JSON renderers."""
+"""The metrics exposition surface: the ``metrics`` kind of the open
+``harvest`` service and the text/JSON renderers."""
 
 from __future__ import annotations
 
@@ -7,14 +7,8 @@ import json
 
 import repro
 from repro.itinerary import Itinerary, ResultReport, SeqPattern
-from repro.telemetry.exposition import (
-    TelemetryService,
-    metrics_to_dict,
-    render_metrics_text,
-    span_to_dict,
-)
+from repro.telemetry.exposition import metrics_to_dict, render_metrics_text
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.trace import TraceContext, Tracer
 from tests.conftest import CollectorNaplet
 
 
@@ -34,41 +28,57 @@ def _run_tour(servers):
     return nid
 
 
-class TestTelemetryService:
-    def test_registered_as_open_service_on_every_server(self, small_line):
+def _metrics_text(server) -> str:
+    return render_metrics_text(server.telemetry.registry.snapshot())
+
+
+class TestHarvestedMetrics:
+    def test_harvest_is_the_only_open_service_on_every_server(self, small_line):
         _network, servers = small_line
         for server in servers.values():
-            assert "telemetry" in server.resource_manager.open_service_names()
+            assert server.resource_manager.open_service_names() == ["harvest"]
 
-    def test_service_exposes_metrics_and_spans(self, small_line):
+    def test_metrics_kind_carries_the_registry_and_the_wire_bytes(self, small_line):
         _network, servers = small_line
-        nid = _run_tour(servers)
-        service = TelemetryService(servers["s01"])
-        assert service.hostname == "s01"
+        _run_tour(servers)
+        service = servers["s01"].resource_manager._open_services["harvest"]
+        row = service.harvest(("metrics",))
+        assert set(row) == {"server", "status", "metrics"}
+        assert row["server"] == "s01" and row["status"]["telemetry"] == "enabled"
 
-        snap = service.metrics()
-        assert snap.total("naplet_landings_total") == 1
+        families = row["metrics"]["families"]
+        assert families == metrics_to_dict(servers["s01"].telemetry.registry.snapshot())
+        assert families["naplet_landings_total"]["samples"][0]["value"] == 1
+        egress, ingress = servers["s01"].transport.endpoint_bytes("s01")
+        assert (row["metrics"]["egress_bytes"], row["metrics"]["ingress_bytes"]) == (
+            egress,
+            ingress,
+        )
+        assert ingress > 0 and egress > 0
 
-        text = service.metrics_text()
+        text = _metrics_text(servers["s01"])
         assert "# TYPE naplet_landings_total counter" in text
         assert "naplet_landings_total 1" in text
 
-        spans = service.spans()
-        assert any(s.name == "landing" for s in spans)
-        trace_id = spans[0].trace_id
-        assert all(s.trace_id == trace_id for s in service.spans(trace_id))
-
-        dicts = service.span_dicts(trace_id)
-        assert dicts and all(d["trace_id"] == trace_id for d in dicts)
-        json.dumps(dicts)  # JSON-serializable
-
-        counts = service.event_counts()
-        assert counts.get("naplet-arrive", 0) >= 1
-
-    def test_metrics_dict_is_json_serializable(self, small_line):
+    def test_spans_and_event_counts_ride_the_journal(self, small_line):
+        """What the old per-span / per-kind service calls answered is a
+        ``journal`` harvest with an on-site filter."""
         _network, servers = small_line
         _run_tour(servers)
-        payload = TelemetryService(servers["s00"]).metrics_dict()
+        service = servers["s01"].resource_manager._open_services["harvest"]
+        spans = service.harvest(("journal",), category="span")["journal"]
+        assert any(d["kind"] == "landing" for d in spans)
+        trace_id = spans[0]["trace_id"]
+        same = service.harvest(("journal",), trace_id=trace_id)["journal"]
+        assert same and all(d["trace_id"] == trace_id for d in same)
+        arrivals = service.harvest(("journal",), kind="naplet-arrive")["journal"]
+        assert len(arrivals) == servers["s01"].events.count("naplet-arrive") >= 1
+
+    def test_metrics_payload_is_json_serializable(self, small_line):
+        _network, servers = small_line
+        _run_tour(servers)
+        service = servers["s00"].resource_manager._open_services["harvest"]
+        payload = service.harvest(("metrics",))["metrics"]["families"]
         encoded = json.loads(json.dumps(payload))
         assert encoded["naplet_launches_total"]["type"] == "counter"
         assert encoded["naplet_launches_total"]["samples"][0]["value"] == 1
@@ -80,7 +90,7 @@ class TestPerfHistograms:
     def test_hop_bytes_exposed_with_part_labels_and_inf_bucket(self, small_line):
         _network, servers = small_line
         _run_tour(servers)
-        text = TelemetryService(servers["s00"]).metrics_text()
+        text = _metrics_text(servers["s00"])
         assert "# TYPE naplet_hop_bytes histogram" in text
         assert 'naplet_hop_bytes_bucket{part="payload",le="+Inf"} 1' in text
         assert 'naplet_hop_bytes_bucket{part="header",le="+Inf"} 1' in text
@@ -97,7 +107,7 @@ class TestPerfHistograms:
         _network, servers = small_line
         _run_tour(servers)
         # s01 both received (loads) and forwarded (dumps) the naplet.
-        text = TelemetryService(servers["s01"]).metrics_text()
+        text = _metrics_text(servers["s01"])
         assert "# TYPE naplet_serialize_seconds histogram" in text
         assert 'naplet_serialize_seconds_count{op="dumps"}' in text
         assert 'naplet_serialize_seconds_count{op="loads"}' in text
@@ -240,14 +250,3 @@ class TestRenderers:
         assert sample["value"]["count"] == 1
         assert sample["value"]["overflow"] == 1
         assert sample["value"]["buckets"] == [{"le": 1.0, "count": 0}]
-
-    def test_span_to_dict_roundtrips_through_json(self):
-        tracer = Tracer("host")
-        ctx = TraceContext.mint()
-        with tracer.span("hop", ctx, dest="naplet://b"):
-            pass
-        encoded = json.loads(json.dumps(span_to_dict(tracer.spans()[0])))
-        assert encoded["name"] == "hop"
-        assert encoded["server"] == "host"
-        assert encoded["attributes"]["dest"] == "naplet://b"
-        assert encoded["status"] == "ok"

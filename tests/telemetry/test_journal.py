@@ -1,13 +1,17 @@
-"""Flight-recorder journal: ring mechanics, observers, harvest, metrics.
+"""Flight-recorder journal: ring mechanics, observers, the one record
+selection, harvest, metrics.
 
-Unit half: a bare :class:`SpaceJournal` fed synthetic events/spans/faults.
+Unit half: a bare :class:`SpaceJournal` fed synthetic events/spans/faults,
+and ``select``/``order``/dump round-trip over synthetic timelines.
 Integration half: a live 3-server space whose journals fill through the
 observer wiring alone, harvested both in-process
-(:meth:`SpaceAdmin.harvest_journal`) and over the wire (journal probe),
+(:meth:`SpaceAdmin.harvest_journal`) and over the wire (the harvest probe),
 with the journal's own gauges and per-kind counter on the metrics page.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -20,15 +24,19 @@ from repro.telemetry.journal import (
     JournalRecord,
     SpaceJournal,
     causal_key,
+    dump_records,
     format_record,
+    load_records,
     merge_journals,
+    order,
+    select,
     span_from_record,
 )
 from repro.telemetry.trace import Span
 from repro.util.eventlog import EventRecord
 from repro.util.hlc import HLCStamp
 
-from tests.conftest import CollectorNaplet
+from tests.conftest import CollectorNaplet, synthetic_timeline
 
 pytestmark = pytest.mark.health
 
@@ -165,6 +173,77 @@ class TestSpaceJournal:
         assert "naplet-depart" in line_out and "dest=d" in line_out
 
 
+class TestSelect:
+    def test_criteria_compose_with_and_semantics(self):
+        records = synthetic_timeline()
+        assert select(records) == records
+        assert [r.kind for r in select(records, naplet="n1")] == [
+            "naplet-launch",
+            "naplet-depart",
+            "naplet-arrive",
+        ]
+        assert [r.kind for r in select(records, naplet="n1", server="s01")] == [
+            "naplet-arrive"
+        ]
+        assert [r.kind for r in select(records, category="deadletter")] == [
+            "message-dead-lettered"
+        ]
+        assert [r.kind for r in select(records, since=150.0)] == [
+            "naplet-arrive",
+            "hop",
+        ]
+        assert len(select(records, until=150.0)) == 3
+        assert [r.kind for r in select(records, trace_id="t1", limit=1)] == ["hop"]
+        assert [r.seq for r in select(records, server="s00", after_seq=2)] == [3]
+
+    def test_journey_is_the_whole_trace_under_either_spelling(self):
+        """A naplet id resolves to its trace, a trace id to the naplets it
+        names (clones included); both spellings select the same records."""
+        records = synthetic_timeline()
+        by_naplet = select(records, journey="n1")
+        assert [r.kind for r in by_naplet] == [
+            "naplet-launch",
+            "naplet-depart",
+            "naplet-arrive",
+            "hop",  # written under the clone's name, kept by the shared trace
+        ]
+        assert select(records, journey="t1") == by_naplet
+        assert select(records, journey="n1", kind="hop") == by_naplet[-1:]
+        assert select(records, journey="nobody") == []
+
+    def test_order_causal_vs_wall(self):
+        records = synthetic_timeline()
+        causal = order(records, causal=True)
+        assert [r.kind for r in causal] == [
+            "naplet-launch",
+            "naplet-depart",
+            "message-dead-lettered",
+            "naplet-arrive",
+            "hop",
+        ]
+        assert causal == order(records)  # no skew here: the two orders agree
+
+
+class TestDumpRoundTrip:
+    def test_dump_then_load_preserves_records(self, tmp_path):
+        records = synthetic_timeline()
+        path = tmp_path / "journal.json"
+        dump_records(str(path), records)
+        assert load_records(str(path)) == records
+
+    def test_load_accepts_a_bare_list_and_rejects_anything_else(self, tmp_path):
+        records = synthetic_timeline()
+        path = tmp_path / "bare.json"
+        path.write_text(
+            json.dumps([r.describe() for r in records]), encoding="utf-8"
+        )
+        assert load_records(str(path)) == records
+        for bogus in ('"just a string"', '{"records": [{"kind": "x"}]}', "[1]"):
+            path.write_text(bogus, encoding="utf-8")
+            with pytest.raises(ValueError, match="not a journal dump"):
+                load_records(str(path))
+
+
 class TestJournalInSpace:
     def test_observers_feed_the_journal_without_new_call_sites(self, space):
         _net, servers = space(line(3, prefix="s"))
@@ -182,28 +261,50 @@ class TestJournalInSpace:
         assert mine and all(r.naplet == str(nid) for r in mine)
 
     def test_journal_service_is_an_open_service(self, space):
+        """The journal is a kind of the one open ``harvest`` service."""
         _net, servers = space(line(2, prefix="s"))
         _tour(servers, ["s01"])
         manager = servers["s01"].resource_manager
-        assert "journal" in manager.open_service_names()
-        service = manager._open_services["journal"]
-        status = service.status()
-        assert status["journal"] == "enabled"
-        assert status["depth"] > 0
-        assert status["dropped"] == 0
-        dicts = service.record_dicts(category="span")
+        assert manager.open_service_names() == ["harvest"]
+        service = manager._open_services["harvest"]
+        row = service.harvest(("journal",), category="span")
+        assert row["status"]["journal"] == "enabled"
+        assert row["status"]["journal_depth"] > 0
+        assert row["status"]["journal_dropped"] == 0
+        dicts = row["journal"]
         assert dicts and all(d["category"] == "span" for d in dicts)
+        with pytest.raises(ValueError, match="unknown harvest kind"):
+            service.harvest(("spans",))
+
+    def test_on_site_filter_carries_only_what_was_asked_for(self, space):
+        from repro.health import harvest_via_probe
+
+        _net, servers = space(line(3, prefix="s"))
+        _tour(servers, ["s01", "s02"])
+        assert SpaceAdmin(servers).wait_space_idle()
+        rows = harvest_via_probe(
+            servers["s00"],
+            ["s00", "s01", "s02"],
+            repro.NapletListener(),
+            kinds=("journal",),
+            category="perf",
+        )
+        kinds = [d["kind"] for row in rows for d in row["journal"]]
+        assert kinds and set(kinds) == {"hop-cost"}
+        assert all(set(row) == {"server", "status", "journal"} for row in rows)
 
     def test_probe_harvest_matches_in_process_harvest(self, space):
-        from repro.health import harvest_journal_via_probe
+        from repro.health import harvest_via_probe, merged_journal
 
         _net, servers = space(line(3, prefix="s"))
         nid, _ = _tour(servers, ["s01", "s02"])
         admin = SpaceAdmin(servers)
         assert admin.wait_space_idle()
         listener = repro.NapletListener()
-        over_wire = harvest_journal_via_probe(
-            servers["s00"], ["s00", "s01", "s02"], listener
+        over_wire = merged_journal(
+            harvest_via_probe(
+                servers["s00"], ["s00", "s01", "s02"], listener, kinds=("journal",)
+            )
         )
         assert over_wire == sorted(over_wire, key=causal_key)
         # The tour settled before the probe launched, so both collection
@@ -246,5 +347,6 @@ class TestJournalInSpace:
         admin = SpaceAdmin(servers)
         assert admin.wait_space_idle()
         assert admin.harvest_journal() == []
-        status = servers["s00"].resource_manager._open_services["journal"].status()
-        assert status["journal"] == "disabled"
+        (row, _) = admin.harvest(("journal",))
+        assert row["status"]["journal"] == "disabled"
+        assert row["status"]["telemetry"] == "enabled"

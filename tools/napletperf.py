@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""napletperf: run, diff, and explain naplet benchmarks.
+"""napletperf: run and diff naplet benchmarks.
 
-The CLI over the perf plane (DESIGN.md §6.6).  Three jobs:
+The bench CLI of the perf plane (DESIGN.md §6.6).  Two jobs:
 
 - ``run`` — execute a registered bench suite (pytest-benchmark tests under
   ``benchmarks/``); each suite writes its ``BENCH_*.json`` snapshot in
@@ -11,16 +11,15 @@ The CLI over the perf plane (DESIGN.md §6.6).  Three jobs:
   regression (the CI bench-smoke gate).  ``--structural`` restricts the
   comparison to timing-independent metrics (frame counts, connections,
   bytes), which is what CI gates on: wall-clock varies across machines,
-  protocol structure must not;
-- ``hops`` — render the per-hop cost table from a harvested journal dump
-  (the ``{"records": [...]}`` files ``tools/napletlog.py`` writes).
+  protocol structure must not.
+
+The per-hop cost table over a journal dump is ``tools/naplet.py hops``.
 
 Examples:
 
     python tools/napletperf.py list
     python tools/napletperf.py run transport --history bench_history
     python tools/napletperf.py diff BENCH_transport.json new.json --structural
-    python tools/napletperf.py hops journal_dump.json --naplet <nid>
 """
 
 from __future__ import annotations
@@ -36,11 +35,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.perf import (  # noqa: E402  (sys.path fixed above)
-    diff_bench,
-    load_bench,
-    render_hop_costs,
-)
+from repro.perf import diff_bench, load_bench  # noqa: E402  (sys.path fixed above)
 
 # Registered bench suites: name -> (pytest target, snapshot it writes).
 # ``fast`` is the subset CI's bench-smoke job runs.
@@ -136,19 +131,9 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 0 if diff.ok else 1
 
 
-def _cmd_hops(args: argparse.Namespace) -> int:
-    data = json.loads(Path(args.dump).read_text())
-    records = data.get("records", data) if isinstance(data, dict) else data
-    if not isinstance(records, list):
-        print(f"{args.dump}: not a journal dump", file=sys.stderr)
-        return 2
-    print(render_hop_costs(records, naplet=args.naplet))
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Run, diff, and explain naplet benchmarks."
+        description="Run and diff naplet benchmarks."
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -179,13 +164,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_diff.add_argument("--json", action="store_true", help="machine-readable output")
     p_diff.set_defaults(fn=_cmd_diff)
-
-    p_hops = sub.add_parser(
-        "hops", help="per-hop cost table from a napletlog journal dump"
-    )
-    p_hops.add_argument("dump", help="journal dump file (napletlog format)")
-    p_hops.add_argument("--naplet", help="restrict to one naplet id")
-    p_hops.set_defaults(fn=_cmd_hops)
 
     args = parser.parse_args(argv)
     return args.fn(args)
