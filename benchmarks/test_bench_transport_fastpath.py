@@ -17,7 +17,9 @@ a tiny mutating visit log ping-pongs between the two servers: the first
 hop ships the full image, every repeat hop only the changed fields.  The
 wire counters prove the byte win against the cargo it did not re-ship
 (``bytes_per_hop`` ≤ 40% of ``cargo_bytes``) — a structural metric CI
-gates on.
+gates on.  The same courier then tours a ring of three servers for 12
+hops: the cargo crosses each of the three links once and every later hop
+omits it (``ring_bytes_per_hop``, structural as well).
 
 **Frame leg** (``frame``).  One pooled request/reply in isolation (a
 128-byte frame, and a transfer-shaped frame with 13 out-of-band segments)
@@ -66,9 +68,11 @@ _HOP_KINDS = ("naplet-transfer", "directory-event")
 FRAME_BYTES = 128
 FRAME_SEGMENTS = 13
 
-# Delta leg: ping-pong itinerary length and the immutable cargo size.
+# Delta leg: itinerary length (ping-pong and ring) and the immutable cargo size.
 DELTA_HOPS = 12
 CARGO_BYTES = 2 * 1024 * 1024
+PING_PONG = ["b01", "b00"] * (DELTA_HOPS // 2)
+RING = ["b01", "b02", "b00"] * (DELTA_HOPS // 3)
 
 
 class CourierNaplet(CollectorNaplet):
@@ -83,7 +87,7 @@ class CourierNaplet(CollectorNaplet):
         self.cargo = cargo
 
 
-def _space():
+def _space(names=("b00", "b01")):
     transport = TcpTransport()
     authority = SigningAuthority()
     registry = CodeBaseRegistry()
@@ -99,7 +103,7 @@ def _space():
             code_registry=registry,
             config=dataclasses.replace(base),
         )
-        for name in ("b00", "b01")
+        for name in names
     }
     return transport, servers
 
@@ -166,11 +170,11 @@ def _measure_hops() -> dict:
         _shutdown(transport, servers)
 
 
-def _measure_delta() -> dict:
-    """One ping-pong journey of the heavy courier."""
-    transport, servers = _space()
+def _measure_delta(route: list[str], full_hops: int) -> dict:
+    """One journey of the heavy courier over *route*, of which the first
+    *full_hops* hops — one per link — pay for the cargo."""
+    transport, servers = _space(sorted(set(route)))
     try:
-        route = ["b01", "b00"] * (DELTA_HOPS // 2)
         agent = CourierNaplet("courier", cargo=b"\xc3" * CARGO_BYTES)
         agent.set_itinerary(
             Itinerary(SeqPattern.of_servers(route, post_action=ResultReport("visited")))
@@ -191,7 +195,7 @@ def _measure_delta() -> dict:
         frames = transport.metrics.counter("wire_frames_total")
         assert wait_until(
             lambda: frames.value(kind="naplet-transfer") == DELTA_HOPS
-            and counted("delta_hops") == DELTA_HOPS - 1,
+            and counted("delta_hops") == DELTA_HOPS - full_hops,
             timeout=10,
         )
         wire = transport.metrics.counter("wire_bytes_total")
@@ -294,7 +298,7 @@ class TestTransportFastPath:
         )
 
         # Delta leg: a 12-hop ping-pong with ~2 MB of unchanging cargo.
-        delta = _measure_delta()
+        delta = _measure_delta(PING_PONG, full_hops=1)
 
         # Every repeat hop went delta (the first hop is always full) ...
         assert delta["delta_hops"] == DELTA_HOPS - 1
@@ -310,6 +314,25 @@ class TestTransportFastPath:
                 f"{delta['hops_per_sec']:.1f}",
                 delta["delta_hops"],
                 delta["delta_saved_bytes"],
+            ]],
+        )
+
+        # The same courier round a three-server ring: the cargo crosses
+        # each link once, then travels by omission like the ping-pong's.
+        ring = _measure_delta(RING, full_hops=3)
+        assert ring["delta_hops"] == DELTA_HOPS - 3
+        assert ring["bytes_per_hop"] <= 0.3 * ring["cargo_bytes"]
+        delta["ring_bytes_per_hop"] = ring["bytes_per_hop"]
+        delta["ring_delta_hops"] = ring["delta_hops"]
+
+        table(
+            "E8b': the same courier on a three-server ring (12 hops)",
+            ["bytes/hop", "hops/s", "delta hops", "saved B"],
+            [[
+                f"{ring['bytes_per_hop']:.0f}",
+                f"{ring['hops_per_sec']:.1f}",
+                ring["delta_hops"],
+                ring["delta_saved_bytes"],
             ]],
         )
 

@@ -141,7 +141,9 @@ class SerializationError(NapletError):
 
 
 class DeltaBaseMissingError(SerializationError):
-    """A delta envelope arrived but its base image is not cached here.
+    """A delta envelope arrived that this server cannot compose: a record
+    or a blob it leans on is not cached here, or what is cached does not
+    hash to the announced image.
 
     Recoverable by protocol: the receiver acks ``need_full`` and the
     sender transparently re-ships the full image (DESIGN.md §6.7).

@@ -57,7 +57,8 @@ _TIMING_MARKERS = ("_ms", "_s", "_seconds", "_us", "latency", "per_sec", "speedu
 # Byte-count metrics that read like rates but are pure protocol facts:
 # wire bytes per migration hop do not depend on machine speed, so CI's
 # structural gate must compare them (lower is better — the delta-shipping
-# benchmark regresses through exactly this key).
+# benchmark regresses through exactly these keys, the ping-pong's
+# ``bytes_per_hop`` and the three-server ring's ``ring_bytes_per_hop``).
 _STRUCTURAL_BYTES_SUBSTR = ("bytes_per_hop",)
 
 

@@ -21,10 +21,15 @@ from __future__ import annotations
 import io
 import pickle
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Container
 
-from repro.transport.delta import content_hash, image_hash
-from repro.transport.serializer import NapletSerializer, _ShippingPickler
+from repro.core.errors import SerializationError
+from repro.transport.delta import content_hash, field_fate, image_hash
+from repro.transport.serializer import (
+    NapletSerializer,
+    _SelfReferential,
+    _ShippingPickler,
+)
 
 __all__ = ["DeltaXray", "PickleXray", "explain_delta", "explain_pickle"]
 
@@ -170,16 +175,18 @@ def explain_pickle(
 class DeltaXray:
     """What the delta fast path would ship on this naplet's next hop.
 
-    Compares the naplet's *current* per-field pickle against the base
-    image in *serializer*'s delta cache (the last image dumped or landed
-    here).  ``shipped`` maps changed fields to the bytes they would put
-    on the wire; ``skipped`` maps unchanged fields to the bytes the delta
-    keeps off it.  Without a cached base every field ships
-    (``base_hash`` is None — the first hop is always a full image).
-    ``base_live`` is False when the base holds no live values — the
-    departure it was dumped for was acked and they were released — so a
-    dump here would re-pickle every field; what ships is decided by the
-    bytes' hashes either way.
+    Decided field by field with the serializer's own rule
+    (:func:`~repro.transport.delta.field_fate`) from the naplet's
+    *current* per-field pickle, its previous image in *serializer*'s
+    delta cache (the last one dumped or landed here) and what the peer is
+    known to hold.  ``shipped`` maps the fields whose bytes would go on
+    the wire to their sizes; ``skipped`` maps the fields kept off it —
+    omitted, or sent as a hash if named in ``referenced``.  Without a
+    previous image every field ships (``base_hash`` is None — a launch is
+    always a full image).  ``base_live`` is False when that image holds no
+    live values — the departure it was dumped for was acked and they were
+    released — so a dump here would re-pickle every field; what ships is
+    decided by the bytes' hashes either way.
     """
 
     base_hash: str | None
@@ -187,6 +194,7 @@ class DeltaXray:
     shipped: dict[str, int]
     skipped: dict[str, int]
     base_live: bool = False
+    referenced: frozenset[str] = frozenset()
 
     @property
     def shipped_bytes(self) -> int:
@@ -210,16 +218,17 @@ class DeltaXray:
             "saved_bytes": self.saved_bytes,
             "shipped": dict(self.shipped),
             "skipped": dict(self.skipped),
+            "referenced": sorted(self.referenced),
         }
 
     def render(self) -> str:
-        """Aligned text table: what ships, what the base cache saves."""
+        """Aligned text table: what ships, what the peer's cache saves."""
         names = list(self.shipped) + list(self.skipped) + ["(total)"]
         width = max(len(name) for name in names)
         if not self.base_hash:
-            what = "full image (no cached base)"
+            what = "full image (no previous image here)"
         else:
-            what = "delta against base " + self.base_hash[:12]
+            what = "delta against image " + self.base_hash[:12]
             if not self.base_live:
                 what += " (values released)"
         lines = [
@@ -229,7 +238,8 @@ class DeltaXray:
         for name, nbytes in sorted(self.shipped.items(), key=lambda kv: -kv[1]):
             lines.append(f"  {name:<{width}} {nbytes:>10}  ships")
         for name, nbytes in sorted(self.skipped.items(), key=lambda kv: -kv[1]):
-            lines.append(f"  {name:<{width}} {nbytes:>10}  cached (saved)")
+            fate = "referenced" if name in self.referenced else "omitted"
+            lines.append(f"  {name:<{width}} {nbytes:>10}  {fate} (saved)")
         lines.append(
             f"  {'(total)':<{width}} {self.shipped_bytes:>10}  "
             f"on the wire, {self.saved_bytes} saved "
@@ -238,15 +248,19 @@ class DeltaXray:
         return "\n".join(lines)
 
 
-def explain_delta(naplet: Any, serializer: NapletSerializer) -> DeltaXray:
+def explain_delta(
+    naplet: Any, serializer: NapletSerializer, held: Container[str] | None = None
+) -> DeltaXray:
     """Preview *naplet*'s next hop under delta shipping — a pure probe.
 
-    Pickles each ``__getstate__`` field independently (same technique as
-    :func:`explain_pickle`, but through the serializer's own per-field
-    pickler, so the view cannot drift from the v2 envelope) and splits
-    them into shipped-vs-skipped against the base image
-    ``serializer.delta_cache`` holds.  Nothing is mutated: the cache is
-    peeked, not promoted, and dirty flags stay as they are.
+    Pickles each ``__getstate__`` field through the serializer's own
+    per-field pickler and asks the serializer's own rule what the hop
+    would do with it, so the view cannot drift from the envelope.  *held*
+    is what the destination is known to hold
+    (``server.navigator.held_by(peer)``); by default it is the naplet's
+    previous image here — the view of a hop back to the peer that image
+    came from or went to.  Nothing is mutated: the cache is peeked, not
+    promoted, and dirty flags stay as they are.
     """
     getstate = getattr(naplet, "__getstate__", None)
     state = getstate() if callable(getstate) else dict(naplet.__dict__)
@@ -254,23 +268,26 @@ def explain_delta(naplet: Any, serializer: NapletSerializer) -> DeltaXray:
         state = {"(state)": state}
     nid = str(naplet.naplet_id) if getattr(naplet, "has_id", False) else ""
     prev = serializer.delta_cache.peek(nid) if nid else None
-    prev_hashes = prev.field_hashes() if prev is not None else {}
+    if held is None:  # a hop back to the peer the previous image came from or went to
+        held = {nid, *prev.field_hashes().values()} if prev is not None else ()
 
     shipped: dict[str, int] = {}
     skipped: dict[str, int] = {}
+    referenced: set[str] = set()
     field_hashes: dict[str, str] = {}
     for attr, value in state.items():
         try:
             data, _stamps = serializer._pickle_field(naplet, attr, value)
-        except Exception:
-            shipped[_friendly(attr)] = 0  # v2 would bail to v1 here anyway
+        except (SerializationError, _SelfReferential):
+            # Unpicklable (the three pickling errors, wrapped) or reaching
+            # back to the naplet: the real dump fails or goes as one pickle.
+            shipped[_friendly(attr)] = 0
             continue
-        digest = content_hash(data)
-        field_hashes[attr] = digest
-        if prev_hashes.get(attr) == digest:
-            skipped[_friendly(attr)] = len(data)
-        else:
-            shipped[_friendly(attr)] = len(data)
+        digest = field_hashes[attr] = content_hash(data)
+        fate = field_fate(prev, attr, digest, len(data), nid, held)
+        (shipped if fate == "ships" else skipped)[_friendly(attr)] = len(data)
+        if fate == "referenced":
+            referenced.add(_friendly(attr))
     return DeltaXray(
         base_hash=prev.hash if prev is not None else None,
         image_hash=image_hash(field_hashes),
@@ -278,4 +295,5 @@ def explain_delta(naplet: Any, serializer: NapletSerializer) -> DeltaXray:
         skipped=skipped,
         base_live=prev is not None
         and all(entry.live for entry in prev.fields.values()),
+        referenced=frozenset(referenced),
     )

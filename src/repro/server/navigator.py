@@ -24,13 +24,13 @@ exchange; the order of its steps is not changed.  During the single
 in-flight window the directory still shows the naplet at the source, which
 is safe because the source has already marked the departure locally.
 
-One recovery happens inside a hop: a destination that lacks the base image
-or the code a delta envelope leans on acks ``need_full`` and the source
-re-ships the full image once (DESIGN.md §6.7).  Every other rejection — a
-corrupt frame, a peer shutting down, a landing check that broke — rolls
-the departure back and raises :class:`NapletMigrationError`, which
-``config.migration_retry`` may retry; a denial raises
-:class:`LandingDeniedError`, which it never does.
+One recovery happens inside a hop: a destination that cannot compose a
+delta envelope (a record, a blob or the code it leans on is gone) acks
+``need_full`` and the source re-ships the full image once (DESIGN.md §6.7).
+Every other rejection — a corrupt frame, a peer shutting down, a landing
+check that broke — rolls the departure back and raises
+:class:`NapletMigrationError`, which ``config.migration_retry`` may retry;
+a denial raises :class:`LandingDeniedError`, which it never does.
 
 The per-naplet :class:`NavigatorOps` object implements the itinerary
 driver's :class:`~repro.itinerary.itinerary.TravelOps` protocol — dispatch,
@@ -77,10 +77,9 @@ _ACK_OK = pickle.dumps({"ok": True})
 # realistic retry window, small enough to never matter for memory.
 _TRANSFER_DEDUP_CAPACITY = 4096
 
-# Remembered (naplet, destination) base-image hashes — what each peer last
-# acked holding.  Bounded like the dedup table; a dropped entry only costs
-# one full-image hop.
-_PEER_BASE_CAPACITY = 4096
+# Remembered (peer, field hash or naplet id) pairs — what each peer is known
+# to hold.  A dropped entry only costs shipping a field the peer had.
+_PEER_HELD_CAPACITY = 1024
 
 
 def _image_nbytes(payload: bytes, buffers: tuple | list = ()) -> int:
@@ -96,6 +95,17 @@ def _rejection(reason: str) -> bytes:
     return pickle.dumps({"ok": False, "reason": reason})
 
 
+class _HeldBy:
+    """One peer's share of the held table: ``key in`` it, for a field
+    content hash or the id of a naplet the peer has a record of."""
+
+    def __init__(self, table: OrderedDict, peer_urn: str) -> None:
+        self._table, self._peer = table, peer_urn
+
+    def __contains__(self, key: str) -> bool:
+        return (self._peer, key) in self._table
+
+
 class Navigator:
     """Per-server migration endpoint."""
 
@@ -108,12 +118,12 @@ class Navigator:
         # without landing a second copy of the naplet.
         self._landed_transfers: OrderedDict[str, NapletID] = OrderedDict()
         self._transfer_seq = itertools.count(1)
-        # Delta-shipping hints (DESIGN.md §6.7), all advisory: which base
-        # image hash each peer last acked holding per naplet, and which
-        # module content hashes each peer's code cache holds.  Stale or
-        # lost entries never break a transfer — they only cost a full
-        # image or one in-hop re-ship.
-        self._peer_bases: OrderedDict[tuple[str, str], str] = OrderedDict()
+        # Delta-shipping hints (DESIGN.md §6.7), all advisory: what each
+        # peer's delta cache is known to hold — field hashes and naplet ids
+        # of every image it acked or shipped here, an LRU that only ever
+        # learns — and which module content hashes its code cache holds.
+        # Stale or lost entries cost shipped bytes or one in-hop re-ship.
+        self._peer_holds: OrderedDict[tuple[str, str], None] = OrderedDict()
         self._peer_code: dict[str, set[str]] = {}
 
     # ------------------------------------------------------------------ #
@@ -211,10 +221,11 @@ class Navigator:
         resident_record = self._mark_departure(naplet, nid, dest_urn)
         if self.server.journal.enabled:
             naplet._stamp_hlc(self.server.journal.clock.now())
-        observed_base = self._peer_bases.get((str(nid), dest_urn))
         data, buffers, cost = dumped = self.server.serializer.dumps_with_cost(
-            naplet, base_hint=observed_base, known_code=self._peer_code.get(dest_urn)
+            naplet, held=self.held_by(dest_urn), known_code=self._peer_code.get(dest_urn)
         )
+        # What the peer holds once it acks (a re-ship is the same image).
+        image = self.server.serializer.delta_cache.peek(str(nid))
         # Journal the departure *before* the frame's HLC header is minted:
         # the merged timeline must show this record ahead of the landing.
         # (A re-ship mints a fresh header, still after this record.)
@@ -226,10 +237,12 @@ class Navigator:
             frame = self._transfer_frame(naplet, nid, dest_urn, hop, transfer_id, *dumped)
             ack = pickle.loads(self.server.transport.request(frame))
             if ack.get("need_full"):
-                # The one in-hop recovery: the peer lost the base image (or
-                # the code) this envelope leaned on.  Forget what we thought
-                # it held and ship everything, once.
-                self._peer_bases.pop((str(nid), dest_urn), None)
+                # The one in-hop recovery: the peer lost a record, a blob
+                # or the code this envelope leaned on.  Forget what we
+                # thought it held and ship everything, once.
+                for key in list(self._peer_holds):
+                    if key[0] == dest_urn:
+                        self._peer_holds.pop(key, None)
                 self.server.telemetry.delta_full_reships.inc()
                 self.server.events.record(
                     "delta-full-reship", naplet=str(nid), dest=dest_urn,
@@ -242,7 +255,7 @@ class Navigator:
             self._rollback_departure(naplet, nid, resident_record)
             raise NapletMigrationError(f"transfer to {dest_urn} failed: {exc}") from exc
         if ack.get("ok") is True:
-            self._transfer_acked(naplet, nid, dest_urn, frame, cost, ack, observed_base)
+            self._transfer_acked(naplet, nid, dest_urn, frame, cost, ack, image)
             return
         self._rollback_departure(naplet, nid, resident_record)
         if ack.get("denied"):
@@ -374,38 +387,24 @@ class Navigator:
 
     # -- delta-shipping hints (DESIGN.md §6.7) ----------------------------- #
 
-    def _note_peer_image(self, nid: str, peer_urn: str, img_hash: str) -> None:
-        """Remember that *peer_urn* holds base *img_hash* for this naplet."""
-        key = (nid, peer_urn)
-        self._peer_bases[key] = img_hash
-        self._peer_bases.move_to_end(key)
-        while len(self._peer_bases) > _PEER_BASE_CAPACITY:
-            self._peer_bases.popitem(last=False)
+    def held_by(self, peer_urn: str) -> _HeldBy:
+        """What *peer_urn* is known to hold, for ``dumps_with_cost(held=)``."""
+        return _HeldBy(self._peer_holds, urn_of(peer_urn))
 
-    def _record_peer_ack(
-        self, nid: NapletID, dest_urn: str, ack: dict, observed: str | None,
-    ) -> None:
-        """Fold a positive transfer ack into the per-peer delta state.
-
-        *observed* is the base entry read when the transfer was planned.
-        The naplet can land back here (writing a fresher base for this
-        very peer) before this — older — ack is processed, so the base is
-        only written if the entry still reads as observed (or is gone):
-        a lost compare-and-swap means fresher information won the race.
-        """
-        base = ack.get("base")
-        if isinstance(base, str):
-            key = (str(nid), dest_urn)
-            current = self._peer_bases.get(key)
-            if current is None or current == observed:
-                self._note_peer_image(str(nid), dest_urn, base)
-        code = ack.get("code")
-        if isinstance(code, list):
-            self._peer_code[dest_urn] = set(code)
+    def _note_held(self, peer_urn: str, nid: str, image) -> None:
+        """Remember that *peer_urn* holds *image* — this server's delta-cache
+        record of a per-field image just acked by, or landed from, that
+        peer: a record of naplet *nid*, and every field hash in it."""
+        table = self._peer_holds
+        for key in (nid, *(entry.hash for entry in image.fields.values())):
+            table[peer_urn, key] = None
+            table.move_to_end((peer_urn, key))
+        while len(table) > _PEER_HELD_CAPACITY:
+            table.popitem(last=False)
 
     def _transfer_acked(
         self, naplet: "Naplet", nid: NapletID, dest_urn: str, frame: Frame,
-        cost, ack: dict, observed: str | None,
+        cost, ack: dict, image,
     ) -> None:
         """Source-side bookkeeping once *dest_urn* acked the landing."""
         telemetry = self.server.telemetry
@@ -413,16 +412,19 @@ class Navigator:
             telemetry.delta_hops.inc()
             if cost.saved_bytes:
                 telemetry.delta_saved_bytes.inc(cost.saved_bytes)
-        self._record_peer_ack(nid, dest_urn, ack, observed)
+        code = ack.get("code")
+        if isinstance(code, list):
+            self._peer_code[dest_urn] = set(code)
         self._journal_hop_cost(nid, naplet, dest_urn, frame, cost)
         # Messages that were parked here waiting for this naplet chase it.
         self.server.messenger.forward_parked(nid, dest_urn)
         # Last, off the path of anything another server waits for: the
-        # image the peer acked stays cached here as a delta base, but the
-        # live objects it was pickled from left with the naplet.
-        base = ack.get("base")
-        if isinstance(base, str):
-            self.server.serializer.delta_cache.release(str(nid), base)
+        # peer holds the image it acked (a single pickle left none), which
+        # stays cached here without the live objects it was pickled from —
+        # they left with the naplet.
+        if image is not None:
+            self._note_held(dest_urn, str(nid), image)
+            self.server.serializer.delta_cache.release(str(nid), image.hash)
 
     # ------------------------------------------------------------------ #
     # Inbound (frame handler)
@@ -482,35 +484,6 @@ class Navigator:
         while len(self._landed_transfers) > _TRANSFER_DEDUP_CAPACITY:
             self._landed_transfers.popitem(last=False)
 
-    def _note_arrived_image(self, frame: Frame, info: dict) -> None:
-        """Note that the *sender* of a landed per-field image holds it as a base.
-
-        Its own delta cache retains what it just shipped, so a later hop
-        straight back toward it (the ping-pong itinerary) can go delta
-        without waiting for an ack from that side.  Must run *before*
-        :meth:`receive` hands the naplet to the monitor — the naplet may
-        dump for its return hop on another thread immediately.
-        """
-        nid, img_hash = info.get("nid"), info.get("hash")
-        if isinstance(nid, str) and isinstance(img_hash, str):
-            self._note_peer_image(nid, frame.source, img_hash)
-
-    def _landing_ack(self, info: dict) -> bytes:
-        """Ack a landed transfer, advertising delta state for next time.
-
-        A per-field image acks the image hash now cached here (the sender
-        deltas against it on its next hop this way) plus the content
-        hashes of every module in the local code cache (so eager senders
-        skip re-shipping bundles).  A single-pickle image left nothing to
-        delta against: plain ok.
-        """
-        img_hash = info.get("hash")
-        if not isinstance(img_hash, str):
-            return _ACK_OK
-        return pickle.dumps(
-            {"ok": True, "base": img_hash, "code": self.server.code_cache.known_hashes()}
-        )
-
     def handle_transfer(self, frame: Frame) -> bytes:
         """Dedup, landing check, deserialize, land, ack — one exchange.
 
@@ -552,8 +525,8 @@ class Navigator:
                 image, self.server.code_cache, buffers=oob or None
             )
         except (DeltaBaseMissingError, ShippedCodeMissingError) as exc:
-            # Recoverable by protocol: the sender forgets this peer's base
-            # and re-ships the full image within the same attempt.
+            # Recoverable by protocol: the sender forgets what this peer
+            # held and re-ships the full image within the same attempt.
             self.server.events.record(
                 "delta-need-full",
                 naplet=frame.headers.get("naplet"),
@@ -563,7 +536,16 @@ class Navigator:
             return pickle.dumps({"ok": False, "need_full": True, "reason": str(exc)})
         except Exception as exc:
             return _rejection(f"deserialization failed: {exc}")
-        self._note_arrived_image(frame, info)
+        # A per-field image left a record here, and its sender keeps what it
+        # just shipped: a hop toward it can lean on that at once.  Noted
+        # *before* the naplet is handed to the monitor — it may dump for its
+        # next hop on another thread immediately.  The ack advertises the
+        # modules cached here, so eager senders skip re-shipping bundles.
+        ack = _ACK_OK
+        if isinstance(info.get("hash"), str):
+            record = self.server.serializer.delta_cache.peek(info["nid"])
+            self._note_held(frame.source, info["nid"], record)
+            ack = pickle.dumps({"ok": True, "code": self.server.code_cache.known_hashes()})
         self.receive(
             naplet,
             arrived_from=frame.source,
@@ -575,7 +557,7 @@ class Navigator:
         # Remember only after the landing succeeded: a failed landing must
         # NOT dedup the retry that follows it.
         self._remember_transfer(frame, naplet.naplet_id)
-        return self._landing_ack(info)
+        return ack
 
     def receive(
         self,

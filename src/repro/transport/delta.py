@@ -1,27 +1,28 @@
-"""Delta shipping support: content hashes and per-naplet base caches.
+"""Delta shipping support: content hashes, image records, the field index.
 
-The v2 envelope (DESIGN.md §6.7) ships a naplet as a *per-field* image —
-``{field name: pickled bytes}`` — instead of one opaque pickle.  That makes
-two caches possible:
-
-- the **sender** keeps the last image it dumped per naplet
-  (:class:`DeltaCache`), so an unchanged field's bytes and hash are reused
-  without re-pickling, and a changed hop ships only the changed fields;
-- the **receiver** keeps the last image it accepted per naplet (also a
-  :class:`DeltaCache`), so an incoming delta can be patched onto the base.
-
-Cache entries are keyed by naplet id and carry the image's content hash;
-both ends agree a delta applies only when the receiver acks the exact base
-hash the sender remembers.  Every hash on this path — field, image, shipped
-module source — is :func:`content_hash`, SHA-256 truncated to 128 bits: a
-content address, not a security boundary (the credential signature guards
+A migrating naplet ships as a *per-field* image (DESIGN.md §6.7) —
+``{field name: pickled bytes}`` — and every field, image and shipped module
+source is addressed by :func:`content_hash`, SHA-256 truncated to 128 bits:
+an address, not a security boundary (the credential signature guards
 integrity).  The buffer goes to hashlib as it is, read once, never copied.
 
-Lifetime: a record's bytes stay until the naplet retires at this server
-(:meth:`DeltaCache.drop`) or the LRU evicts it; its live values, kept only
-so the next dump *here* can skip an unchanged field by identity, go as soon
-as the destination acks the departure (:meth:`DeltaCache.release`) — the
-naplet cannot dump here again before landing here writes a fresh record.
+:class:`DeltaCache` holds what one server leans on, as sender and receiver:
+
+- per naplet, the last image dumped or landed here (:class:`ImageRecord`):
+  the next dump reuses an unchanged field's bytes without re-pickling and
+  ships only what :func:`field_fate` says it must; a landing takes the
+  fields the sender *omitted* from it by name;
+- per content hash, the one ``bytes`` object that backs that field in every
+  record naming it, reference-counted: equal fields of any number of
+  naplets cost one copy, and :meth:`DeltaCache.blob` resolves a field the
+  sender *referenced* by hash no matter which naplet brought it here.
+
+Lifetime: a record stays until the naplet retires at this server
+(:meth:`DeltaCache.drop`) or the LRU evicts it, a blob exactly as long as
+some record names it; a record's live values, kept only so the next dump
+*here* can skip an unchanged field by identity, go as soon as the
+destination acks the departure (:meth:`DeltaCache.release`) — the naplet
+cannot dump here again before landing here writes a fresh record.
 """
 
 from __future__ import annotations
@@ -30,13 +31,14 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Container
 
 __all__ = [
     "DeltaCache",
     "FieldEntry",
     "ImageRecord",
     "content_hash",
+    "field_fate",
     "image_hash",
 ]
 
@@ -101,13 +103,37 @@ class ImageRecord:
         return {name: entry.hash for name, entry in self.fields.items()}
 
 
+def field_fate(
+    prev: ImageRecord | None, name: str, digest: str, nbytes: int,
+    nid: str, held: Container[str],
+) -> str:
+    """What a dump toward a peer does with one field: ``ships``, ``omitted``
+    or ``referenced``.
+
+    *prev* is this naplet's previous image at this server, *held* what the
+    peer is known to hold (field hashes, ids of naplets it has a record of).
+    Only a field unchanged since *prev* whose hash the peer holds stays off
+    the wire: the peer takes it by name from its own record of the naplet
+    when it has one, and is otherwise sent the hash — when that is shorter
+    than the bytes.  Unchanged-here is what makes a remembered hash worth
+    trusting: values that change every hop recur across naplets long after
+    the peer overwrote them.
+    """
+    before = prev.fields.get(name) if prev is not None else None
+    if before is None or before.hash != digest or digest not in held:
+        return "ships"
+    if nid in held:
+        return "omitted"
+    return "referenced" if nbytes > len(digest) else "ships"
+
+
 class DeltaCache:
-    """Thread-safe LRU of :class:`ImageRecord` keyed by naplet id string.
+    """Thread-safe LRU of :class:`ImageRecord` keyed by naplet id string,
+    with a reference-counted index of their fields by content hash.
 
     Bounded because a long-lived server sees many one-shot naplets; the
-    protocol tolerates eviction — a sender that lost its record ships a
-    full image, a receiver that lost its base acks ``need_full`` and the
-    sender re-ships.
+    protocol tolerates eviction — a sender that lost its record ships in
+    full, a receiver that lost a record or a blob acks ``need_full``.
     """
 
     def __init__(self, capacity: int = 64) -> None:
@@ -115,16 +141,17 @@ class DeltaCache:
             raise ValueError("delta cache capacity must be >= 1")
         self._capacity = capacity
         self._records: OrderedDict[str, ImageRecord] = OrderedDict()
+        self._blobs: dict[str, list] = {}  # content hash -> [bytes, records' fields naming it]
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    def get(self, nid: str, base_hash: str | None = None) -> ImageRecord | None:
-        """The cached image for *nid*, optionally requiring an exact hash."""
+    def get(self, nid: str) -> ImageRecord | None:
+        """The cached image for *nid*."""
         with self._lock:
             record = self._records.get(nid)
-            if record is None or (base_hash is not None and record.hash != base_hash):
+            if record is None:
                 self.misses += 1
                 return None
             self._records.move_to_end(nid)
@@ -140,12 +167,35 @@ class DeltaCache:
         with self._lock:
             return self._records.get(nid)
 
+    def blob(self, digest: str) -> bytes | None:
+        """The bytes some record here holds under content hash *digest*."""
+        with self._lock:
+            slot = self._blobs.get(digest)
+            return slot[0] if slot is not None else None
+
+    def _unindex(self, record: ImageRecord | None) -> None:
+        if record is None:
+            return
+        for entry in record.fields.values():
+            slot = self._blobs.get(entry.hash)
+            if slot is not None:
+                slot[1] -= 1
+                if not slot[1]:
+                    del self._blobs[entry.hash]
+
     def put(self, nid: str, record: ImageRecord) -> None:
         with self._lock:
+            # Index the new record before letting the old one go, so a
+            # field both name keeps its one bytes object throughout.
+            for entry in record.fields.values():
+                slot = self._blobs.setdefault(entry.hash, [entry.data, 0])
+                slot[1] += 1
+                entry.data = slot[0]
+            self._unindex(self._records.get(nid))
             self._records[nid] = record
             self._records.move_to_end(nid)
             while len(self._records) > self._capacity:
-                self._records.popitem(last=False)
+                self._unindex(self._records.popitem(last=False)[1])
                 self.evictions += 1
 
     def release(self, nid: str, img_hash: str) -> None:
@@ -160,11 +210,12 @@ class DeltaCache:
 
     def drop(self, nid: str) -> None:
         with self._lock:
-            self._records.pop(nid, None)
+            self._unindex(self._records.pop(nid, None))
 
     def clear(self) -> None:
         with self._lock:
             self._records.clear()
+            self._blobs.clear()
 
     def __len__(self) -> int:
         with self._lock:

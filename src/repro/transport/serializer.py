@@ -23,10 +23,14 @@ option and no negotiation; every reader reads both (DESIGN.md §6.7):
   with an id, or whose field graph reaches back to the naplet itself (one
   shared memo keeps that cycle intact).
 - **per-field** (``v: 2``) — the image of a tracked naplet: each
-  ``__getstate__`` entry pickled separately, content-hashed, and shipped
-  either whole (``mode: full``) or as only the fields changed since a base
-  image the destination acked (``mode: delta``).  Field bytes are wrapped
-  in :class:`pickle.PickleBuffer` so protocol-5 transports move them as
+  ``__getstate__`` entry pickled separately and content-hashed.  Per field
+  (:func:`~repro.transport.delta.field_fate`) the bytes **ship**
+  (``fields``), or are **referenced** by hash (``refs``) and resolved from
+  whichever record at the destination holds them, or are **omitted** and
+  taken by name from the destination's own record of this naplet
+  (``omitted``, plus the names ``removed`` since); ``mode`` reads ``delta``
+  when any field stayed off the wire.  Field bytes are wrapped in
+  :class:`pickle.PickleBuffer` so protocol-5 transports move them as
   out-of-band frame segments.  A bulk field is copied once per side — the
   sender joins the pickler's writes, the receiver unpickles the segment it
   read off the wire, which itself becomes the cached field — and hashed
@@ -37,8 +41,12 @@ option and no negotiation; every reader reads both (DESIGN.md §6.7):
 
 The per-field machinery is conservative by construction: a field is
 re-used from the cache (no re-pickle) only when it provably cannot have
-changed; a delta is emitted only when the destination acked the exact base
-hash; and every composed image is hash-verified on the receiving side.
+changed; it stays off the wire only when unchanged since this naplet's
+previous image here *and* the destination is known to hold its hash; the
+receiver re-hashes every blob that arrives, resolves the rest only from
+bytes it hashed itself, and verifies the composed image hash on every
+landing — a delta that does not compose raises
+:class:`~repro.core.errors.DeltaBaseMissingError` (one full re-ship).
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ import pickle
 import time
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Any, Iterable, Protocol
+from typing import Any, Container, Iterable, Protocol
 
 from repro.codeshipping.codebase import CodeBaseRegistry, CodeCache
 from repro.codeshipping.shipping import (
@@ -67,6 +75,7 @@ from repro.transport.delta import (
     FieldEntry,
     ImageRecord,
     content_hash,
+    field_fate,
     image_hash,
 )
 
@@ -85,8 +94,8 @@ class SerializeCost:
     delta, only the changed fields); ``code_bytes`` counts eager code
     bundles riding in the envelope (zero in lazy mode, where code travels
     on a later fetch instead).  ``delta``/``saved_bytes`` report the delta
-    fast path: bytes of unchanged fields the destination's base cache made
-    unnecessary to ship.
+    fast path: bytes of the fields omitted or referenced, which the
+    destination's own cache made unnecessary to ship.
     """
 
     seconds: float
@@ -137,6 +146,11 @@ class _ShippingPickler(pickle.Pickler):
         return (_reconstruct_shipped, stamp, state)
 
 
+def _miss(nid: str, what: str) -> DeltaBaseMissingError:
+    """A delta that cannot be composed here: recoverable, by one re-ship."""
+    return DeltaBaseMissingError(f"delta for naplet {nid} {what} — sender must re-ship the full image")
+
+
 def _buf_bytes(buffers: Iterable[Any]) -> int:
     return sum(b.nbytes if isinstance(b, memoryview) else len(b) for b in buffers)
 
@@ -144,8 +158,8 @@ def _buf_bytes(buffers: Iterable[Any]) -> int:
 class NapletSerializer:
     """Envelope-based serializer with optional eager code bundling.
 
-    Migrating naplets go out as per-field images, and repeat hops toward a
-    destination that acked a base hash ship deltas.
+    Migrating naplets go out as per-field images, less the unchanged
+    fields the destination is known to hold.
     """
 
     def __init__(
@@ -170,7 +184,7 @@ class NapletSerializer:
 
     @property
     def delta_cache(self) -> DeltaCache:
-        """Per-naplet base-image cache (sender and receiver roles share it)."""
+        """Image records and their field index (sender and receiver share it)."""
         return self._delta_cache
 
     # -- encode --------------------------------------------------------------- #
@@ -190,17 +204,18 @@ class NapletSerializer:
         self,
         obj: Any,
         *,
-        base_hint: str | None = None,
+        held: Container[str] = (),
         known_code: set[str] | None = None,
     ) -> tuple[bytes, list[Any], SerializeCost]:
         """Serialize *obj* for migration: ``(data, buffers, cost)``.
 
         ``buffers`` are protocol-5 out-of-band segments (memoryviews over
         the field pickles) a capable transport ships without re-copying;
-        pass them back to :meth:`loads` unchanged.  ``base_hint`` is the
-        image hash the destination acked holding for this naplet — when it
-        matches the sender's cache, only changed fields ship (``mode:
-        delta``).  ``known_code`` holds content hashes of modules the
+        pass them back to :meth:`loads` unchanged.  ``held`` is what the
+        destination is known to hold — field content hashes, ids of naplets
+        it has a record of; a field in it, unchanged since this naplet's
+        previous image here, stays off the wire (``mode: delta``).
+        ``known_code`` holds content hashes of modules the
         destination's code cache was seen holding; matching eager bundles
         are replaced by hash references.  Anything that cannot travel per
         field comes back as one single-pickle envelope and no buffers.
@@ -209,7 +224,7 @@ class NapletSerializer:
         if nid is not None:
             state = obj.__getstate__()
             if isinstance(state, dict):
-                encoded = self._encode_v2(obj, nid, state, base_hint, known_code)
+                encoded = self._encode_v2(obj, nid, state, held, known_code)
                 if encoded is not None:
                     data, buffers, cost = encoded
                     if self._observer is not None:
@@ -279,7 +294,7 @@ class NapletSerializer:
         obj: Any,
         nid: str,
         state: dict[str, Any],
-        base_hint: str | None,
+        held: Container[str],
         known_code: set[str] | None,
     ) -> tuple[bytes, list[Any], SerializeCost] | None:
         started = time.perf_counter()
@@ -305,34 +320,18 @@ class NapletSerializer:
                     new_fields[name] = entry
                     continue
                 data, stamps = self._pickle_field(obj, name, value)
-                digest = content_hash(data)
-                if entry is not None and entry.hash == digest:
-                    # Re-pickled to the same content (e.g. rebound to an
-                    # equal value): keep the old bytes object, refresh the
-                    # identity and fingerprint for the next hop's skip.
-                    data = entry.data
                 new_fields[name] = FieldEntry(
                     data=data,
-                    hash=digest,
+                    hash=content_hash(data),
                     value=value,
                     fingerprint=delta_fingerprint(value),
                     stamps=stamps,
                 )
         except _SelfReferential:
-            return None  # field graph reaches the naplet itself: one pickle keeps the cycle
-        img_hash = image_hash({n: e.hash for n, e in new_fields.items()})
-        prev_hashes = prev.field_hashes() if prev is not None else {}
-        delta_mode = (
-            base_hint is not None and prev is not None and prev.hash == base_hint
-        )
-        if delta_mode:
-            shipped = {
-                n: e for n, e in new_fields.items() if prev_hashes.get(n) != e.hash
-            }
-            removed = [n for n in prev_hashes if n not in new_fields]
-        else:
-            shipped = new_fields
-            removed = []
+            # The field graph reaches the naplet itself: one pickle keeps
+            # the cycle, and no per-field record describes this naplet.
+            self._delta_cache.drop(nid)
+            return None
 
         stamp = shipping_stamp_of(obj)
         if stamp is not None:
@@ -340,10 +339,21 @@ class NapletSerializer:
         else:
             try:
                 cls_ref = ("pickle", pickle.dumps(type(obj), self._protocol))
-            except Exception as exc:
+            except (TypeError, AttributeError, pickle.PicklingError) as exc:
                 raise SerializationError(
                     f"cannot serialize {type(obj).__name__}: {exc}"
                 ) from exc
+
+        img_hash = image_hash({n: e.hash for n, e in new_fields.items()})
+        # Into the cache first: a field re-pickled to content some record
+        # already holds ships (and stays) as that record's bytes object.
+        self._delta_cache.put(nid, ImageRecord(img_hash, cls_ref, new_fields))
+        fates = {
+            n: field_fate(prev, n, e.hash, len(e.data), nid, held)
+            for n, e in new_fields.items()
+        }
+        shipped = {n: e for n, e in new_fields.items() if fates[n] == "ships"}
+        delta_mode = len(shipped) < len(new_fields)
 
         stamps: set[tuple[str, str, str]] = set() if stamp is None else {stamp}
         for entry in shipped.values():
@@ -374,8 +384,14 @@ class NapletSerializer:
             "code_refs": code_refs,
         }
         if delta_mode:
-            envelope["base"] = base_hint
-            envelope["removed"] = removed
+            envelope["refs"] = {
+                n: new_fields[n].hash for n, f in fates.items() if f == "referenced"
+            }
+            if "omitted" in fates.values():
+                # The destination patches these fields onto its own record
+                # of this naplet: everything there it is not told otherwise.
+                envelope["omitted"] = True
+                envelope["removed"] = [n for n in prev.fields if n not in new_fields]
         data, buffers = self._pack(envelope)
         payload_bytes = sum(len(e.data) for e in shipped.values())
         image_bytes = sum(len(e.data) for e in new_fields.values())
@@ -385,10 +401,7 @@ class NapletSerializer:
             payload_bytes=payload_bytes,
             code_bytes=sum(len(s.encode("utf-8")) for s in bundles.values()),
             delta=delta_mode,
-            saved_bytes=image_bytes - payload_bytes if delta_mode else 0,
-        )
-        self._delta_cache.put(
-            nid, ImageRecord(hash=img_hash, cls_ref=cls_ref, fields=new_fields)
+            saved_bytes=image_bytes - payload_bytes,
         )
         obj.clear_dirty()
         return data, buffers, cost
@@ -426,8 +439,8 @@ class NapletSerializer:
     ) -> tuple[Any, dict[str, Any]]:
         """Like :meth:`loads`, also reporting ``{v, mode, nid, hash}``.
 
-        The navigator's landing handler uses the info to ack the base hash
-        it now caches, closing the delta negotiation loop.
+        The navigator's landing handler learns from it whether the image
+        left a record in the delta cache (``hash`` is None when it did not).
         """
         started = time.perf_counter()
         result, info = self._loads(data, cache, buffers)
@@ -505,36 +518,31 @@ class NapletSerializer:
                     "server does not hold — sender must re-ship the bundle"
                 )
 
-        # Compose the per-field byte image: delta patches onto the base.
+        # Compose the per-field byte image: the destination's own record
+        # for the omitted fields, its hash index for the referenced ones.
         field_bytes: dict[str, Any] = {}
         field_hashes: dict[str, str] = {}
-        if mode == "delta":
-            base_hash = envelope.get("base")
-            base = (
-                self._delta_cache.get(nid, base_hash)
-                if isinstance(base_hash, str)
-                else None
-            )
-            if base is None:
-                raise DeltaBaseMissingError(
-                    f"delta for naplet {nid} needs base image "
-                    f"{str(base_hash)[:12]} which is not cached here — "
-                    "sender must re-ship the full image"
-                )
+        if mode == "delta" and envelope.get("omitted"):
+            record = self._delta_cache.get(nid)
+            if record is None:
+                raise _miss(nid, "omits fields but no record of it is cached here")
             removed = set(envelope.get("removed") or ())
-            for name, entry in base.fields.items():
-                if name in removed:
-                    continue
-                field_bytes[name] = entry.data
-                field_hashes[name] = entry.hash
+            for name, entry in record.fields.items():
+                if name not in removed:
+                    field_bytes[name] = entry.data
+                    field_hashes[name] = entry.hash
+        for name, digest in (envelope.get("refs") or {}).items():
+            blob = field_bytes[name] = self._delta_cache.blob(digest)
+            field_hashes[name] = digest
+            if blob is None:
+                raise _miss(nid, f"references {name!r} by hash {digest[:12]} which no record here holds")
         for name, blob in shipped.items():
             field_bytes[name] = blob
             field_hashes[name] = content_hash(blob)
         if image_hash(field_hashes) != img_hash:
-            raise SerializationError(
-                f"composed image for naplet {nid} does not match the "
-                "announced content hash (base drift or corrupt delta)"
-            )
+            if mode == "delta":  # what is held here is not what the sender believed
+                raise _miss(nid, "does not compose to the announced content hash")
+            raise SerializationError(f"image for naplet {nid} does not match the announced content hash")
 
         kind, ref = cls_ref
         if kind == "stamp":
@@ -584,12 +592,10 @@ class NapletSerializer:
             setstate(state)
         else:
             obj.__dict__.update(state)
-        # Seed the base cache with the composed image: the field values in
-        # the entries ARE the objects now installed on the naplet, so a
-        # return hop from this server gets the identity-based pickle skip.
-        self._delta_cache.put(
-            nid, ImageRecord(hash=img_hash, cls_ref=cls_ref, fields=new_fields)
-        )
+        # Seed the cache with the composed image: the field values in the
+        # entries ARE the objects now installed on the naplet, so the next
+        # hop from this server gets the identity-based pickle skip.
+        self._delta_cache.put(nid, ImageRecord(img_hash, cls_ref, new_fields))
         return obj, {"v": _V2, "mode": mode, "nid": nid, "hash": img_hash}
 
     # -- sizing ----------------------------------------------------------------- #

@@ -208,3 +208,47 @@ class TestFaultsLeaveNoLastingMark:
         assert self._counters(chaos_space, plan) == {
             "delta_hops": fault_free["delta_hops"], "migration_retries": 1
         }
+
+
+class CargoCollector(CollectorNaplet):
+    """Collector with bulk cargo in an attribute of its own."""
+
+    def __init__(self, name: str, cargo: bytes) -> None:
+        super().__init__(name)
+        self.cargo = cargo
+
+
+class TestLostAckOnADeltaHop:
+    RING = ROUTE * 3  # launch, then three laps of c01 -> c02 -> c03 -> c01
+
+    def test_retransmitted_delta_is_reacked_not_relanded(self, chaos_space):
+        """The ack of a second-lap hop — an envelope that omits the cargo —
+        is lost; the retransmit (a fresh dump, omissions and all) is
+        recognized by its transfer-id, and delta shipping carries on."""
+        cargo = b"\xa7" * 200_000
+        plan = FaultPlan(seed=13).crash_during_transfer(when="after", nth=6)
+        servers, _ = chaos_space(plan)
+        listener = repro.NapletListener()
+        agent = CargoCollector("ring-courier", cargo)
+        agent.set_itinerary(
+            Itinerary(SeqPattern.of_servers(self.RING, post_action=ResultReport("visited")))
+        )
+        nid = servers["c00"].launch(agent, owner="ops", listener=listener)
+        assert listener.next_report(timeout=20).payload == self.RING
+        _assert_converged(servers, nid, self.RING)
+        admin = SpaceAdmin(servers)
+        assert admin.wait_space_idle(timeout=10)
+
+        def total(name: str) -> int:
+            return int(sum(getattr(s.telemetry, name).total() for s in servers.values()))
+
+        assert total("duplicate_transfers") == 1 and total("migration_retries") == 1
+        assert total("delta_full_reships") == 0
+        # Launch plus the first lap over the three ring links ship in full.
+        assert total("delta_hops") == len(self.RING) - 4
+        costs = [
+            r.detail for r in admin.harvest_journal(category="perf")
+            if r.kind == "hop-cost" and r.naplet == str(nid)
+        ]
+        assert len(costs) == len(self.RING)
+        assert all(c["saved_bytes"] >= len(cargo) for c in costs[4:])

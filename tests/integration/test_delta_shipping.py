@@ -4,13 +4,17 @@ The unit suite (tests/transport/test_delta.py) proves the envelope
 machinery; this file proves the *space-level* contract over both
 transports:
 
-- repeat hops between the same pair of servers ship deltas;
-- a destination that lost its base image mid-itinerary (cache eviction,
-  restart...) acks ``need_full`` and the sender re-ships the full image
-  within the same hop.
+- repeat hops between the same pair of servers ship deltas, and so do ring
+  laps, the hop home and another naplet's first visit with the same cargo:
+  a field crosses a link once;
+- a destination that lost what a delta leans on mid-itinerary (cache
+  eviction, restart, a record that is not what the sender believes) acks
+  ``need_full`` and the sender re-ships the full image within the same hop.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import pytest
 
@@ -19,8 +23,9 @@ from repro.codeshipping.codebase import CodeBaseRegistry
 from repro.core.credential import SigningAuthority
 from repro.itinerary import Itinerary, ResultReport, SeqPattern
 from repro.server import NapletServer, ServerConfig, SpaceAdmin
-from repro.simnet import VirtualNetwork, line
+from repro.simnet import VirtualNetwork, full_mesh, line
 from repro.transport.tcp import TcpTransport
+from repro.util.concurrency import wait_until
 from tests.conftest import CollectorNaplet
 
 ROUTE = ["d01", "d00"] * 3  # six hops, ping-pong
@@ -77,14 +82,14 @@ def _configs() -> dict[str, ServerConfig]:
     return {"d00": ServerConfig(), "d01": ServerConfig()}
 
 
-def _journey(servers, agent=None) -> str:
+def _journey(servers, agent=None, route=ROUTE) -> str:
     listener = repro.NapletListener()
     agent = agent or CollectorNaplet("courier")
     agent.set_itinerary(
-        Itinerary(SeqPattern.of_servers(ROUTE, post_action=ResultReport("visited")))
+        Itinerary(SeqPattern.of_servers(route, post_action=ResultReport("visited")))
     )
     nid = servers["d00"].launch(agent, owner="alice", listener=listener)
-    assert listener.next_report(timeout=30).payload == ROUTE
+    assert listener.next_report(timeout=30).payload == route
     # The report fires from the landing server before the *sender* of the
     # final hop finishes its ack bookkeeping (delta counters included):
     # drain the space before reading telemetry.
@@ -122,11 +127,10 @@ def _journey_with_evicted_base(servers) -> None:
     # The sender still believed in its base, the receiver had lost it:
     # exactly one need_full round trip, then delta shipping resumed.
     assert _total(servers, "delta_full_reships") == 1
-    # Hops #1 (first image) and #4 (the need_full reship) are full;
-    # the reship re-seeds both ends, so later hops return to deltas.
-    # Hop #5 may go either way — the eviction also hit d00's sender
-    # cache, but hop #4's landing re-seeds it in time on most runs.
-    assert len(ROUTE) - 3 <= _total(servers, "delta_hops") <= len(ROUTE) - 2
+    # Hops #1 (first image) and #4 (the need_full reship) are full; the
+    # reship's landing re-seeds both ends before the naplet runs again,
+    # so every later hop is a delta.
+    assert _total(servers, "delta_hops") == len(ROUTE) - 2
 
 
 class TestDeltaOverInMemory:
@@ -195,3 +199,166 @@ class TestDeltaOverTcp:
             for server in servers.values():
                 server.shutdown()
             transport.close()
+
+
+# --------------------------------------------------------------------- #
+# A field crosses a link once: rings, the hop home, the next naplet
+# --------------------------------------------------------------------- #
+
+CARGO = bytes(range(256)) * 4096  # 1 MiB
+RING = ["d01", "d02", "d03"] * 3
+
+
+class Courier(CollectorNaplet):
+    def __init__(self, name: str, cargo: bytes = CARGO) -> None:
+        super().__init__(name)
+        self.cargo = cargo
+
+
+@pytest.fixture(params=["inmemory", "tcp"])
+def ring_space(request):
+    """Factory ``(configs=None) -> servers`` d00..d03, every pair linked."""
+    cleanups = []
+
+    def _build(configs: dict[str, ServerConfig] | None = None):
+        names = [f"d{i:02d}" for i in range(4)]
+        by_name = {name: (configs or {}).get(name, ServerConfig()) for name in names}
+        if request.param == "inmemory":
+            network = VirtualNetwork(full_mesh(4, prefix="d"))
+            cleanups.append(network.shutdown)
+            return {
+                name: NapletServer.attach(network.host(name), config)
+                for name, config in by_name.items()
+            }
+        transport, servers = _tcp_space(by_name)
+        cleanups.extend([transport.close, *(s.shutdown for s in servers.values())])
+        return servers
+
+    yield _build
+    for cleanup in reversed(cleanups):
+        cleanup()
+
+
+def _hop_costs(servers, nid: str) -> list[dict]:
+    """The journey's hop-cost records, in hop order."""
+    records = SpaceAdmin(servers).harvest_journal(category="perf")
+    return [r.detail for r in records if r.kind == "hop-cost" and r.naplet == nid]
+
+
+def _transfer_envelopes(server) -> list[dict]:
+    """Record the image envelope of every transfer *server* is offered,
+    with the ack it answered under key ``"ack"``."""
+    envelopes: list[dict] = []
+    landing = server.navigator.handle_transfer
+
+    def spy(frame):
+        envelope = pickle.loads(frame.buffers[0], buffers=frame.buffers[1:])
+        envelopes.append(envelope)
+        reply = landing(frame)
+        envelope["ack"] = pickle.loads(reply)
+        return reply
+
+    server.navigator.handle_transfer = spy
+    return envelopes
+
+
+class TestAFieldCrossesALinkOnce:
+    def test_ring_laps_ship_references_not_bulk(self, ring_space):
+        servers = ring_space()
+        nid = _journey(servers, Courier("ring-courier"), route=RING)
+        hops = _hop_costs(servers, nid)
+        assert len(hops) == len(RING)
+        # The launch and the first lap over the ring's three links pay for
+        # the cargo; from the second lap on no hop does.
+        first_lap, later = hops[:4], hops[4:]
+        assert all(not h["delta"] and h["total_bytes"] > len(CARGO) for h in first_lap)
+        assert all(h["delta"] and h["saved_bytes"] >= len(CARGO) for h in later)
+        assert all(h["total_bytes"] < len(CARGO) / 10 for h in later)
+        assert _total(servers, "delta_hops") == len(later)
+        assert _total(servers, "delta_full_reships") == 0
+
+    def test_the_hop_home_omits_the_cargo(self, ring_space):
+        servers = ring_space()
+        home = _transfer_envelopes(servers["d00"])
+        nid = _journey(servers, Courier("homing"), route=["d01", "d02", "d01", "d00"])
+        hops = _hop_costs(servers, nid)
+        # d01 learnt what d00 holds from the launch image d00 shipped it.
+        assert hops[3]["delta"] and hops[3]["saved_bytes"] >= len(CARGO)
+        (envelope,) = home
+        assert envelope["omitted"] is True and "cargo" not in envelope["fields"]
+        assert "cargo" not in envelope["refs"] and "base" not in envelope
+        # The ack says it landed (and which code is cached): what the peer
+        # now holds is what the sender shipped, which the sender knows.
+        assert set(envelope["ack"]) == {"ok", "code"}
+        assert _total(servers, "delta_full_reships") == 0
+
+    def test_next_naplet_references_cargo_a_server_holds_under_another_record(
+        self, ring_space
+    ):
+        servers = ring_space()
+        # Home retires the naplet (and drops its record); the servers it
+        # merely passed through keep theirs.
+        route = ["d01", "d02", "d03", "d00"]
+        first = _journey(servers, Courier("first"), route=route)
+        offered = _transfer_envelopes(servers["d02"])
+        second = _journey(servers, Courier("second"), route=route)
+        hops = _hop_costs(servers, second)
+        # No previous image at the launcher: the launch ships in full.
+        assert not hops[0]["delta"] and hops[0]["total_bytes"] > len(CARGO)
+        # d02 never saw this naplet, but d01 knows it holds these bytes.
+        assert hops[1]["delta"] and hops[1]["saved_bytes"] >= len(CARGO)
+        (envelope,) = offered
+        assert "omitted" not in envelope and "cargo" not in envelope["fields"]
+        cache = servers["d02"].serializer.delta_cache
+        assert envelope["refs"]["cargo"] == cache.peek(first).fields["cargo"].hash
+        assert cache.peek(second).fields["cargo"].data is cache.peek(first).fields["cargo"].data
+        assert _total(servers, "delta_full_reships") == 0
+
+
+def _sabotaged_ping_pong(servers, sabotage, other_landings: int = 0) -> None:
+    """Ping-pong d00<->d01; while the naplet sits on d00 after hop 2,
+    *sabotage* what d01 holds.  Hop 3 must land through one full re-ship."""
+    agent = SaboteurCourier("victim")
+    agent.cargo = b"\x5a" * 50_000
+    # Launching gave the original its id before the first hop left.
+    _SABOTAGE.update(hook=lambda _host: sabotage(servers, str(agent.naplet_id)), at=2)
+    try:
+        _journey(servers, agent)
+    finally:
+        _SABOTAGE.clear()
+    # Landed exactly once per hop, through exactly one in-hop re-ship.
+    assert _total(servers, "delta_full_reships") == 1
+    assert _total(servers, "landings") == len(ROUTE) + other_landings
+    assert _total(servers, "duplicate_transfers") == 0
+    assert _total(servers, "migration_retries") == 0
+    assert _total(servers, "delta_hops") == len(ROUTE) - 2
+
+
+def _corrupt_a_cached_hash(servers, nid: str) -> None:
+    servers["d01"].serializer.delta_cache.peek(nid).fields["cargo"].hash = "0" * 32
+
+
+def _drop_the_record(servers, nid: str) -> None:
+    servers["d01"].serializer.delta_cache.drop(nid)
+
+
+def _evict_through_a_capacity_one_cache(servers, nid: str) -> None:
+    filler = CollectorNaplet("filler")
+    filler.set_itinerary(Itinerary(SeqPattern.of_servers(["d01"])))
+    servers["d00"].launch(filler, owner="bob")
+    assert wait_until(lambda: nid not in servers["d01"].serializer.delta_cache, timeout=10)
+
+
+class TestAWrongHintCostsOneFullReship:
+    """What the destination holds is not what the sender believes: the hop
+    still lands, once, through ``need_full`` — never a rejection to retry."""
+
+    @pytest.mark.parametrize(
+        "sabotage", [_corrupt_a_cached_hash, _drop_the_record], ids=["hash", "record"]
+    )
+    def test_record_that_does_not_compose_or_is_gone(self, ring_space, sabotage):
+        _sabotaged_ping_pong(ring_space(), sabotage)
+
+    def test_capacity_one_cache_at_the_destination(self, ring_space):
+        servers = ring_space({"d01": ServerConfig(delta_cache_capacity=1)})
+        _sabotaged_ping_pong(servers, _evict_through_a_capacity_one_cache, other_landings=1)

@@ -219,3 +219,17 @@ class TestTransferFrameChecks:
         assert int(servers["s01"].telemetry.landings.total()) == 1
         assert int(servers["s01"].telemetry.landings_denied.total()) == 0
         servers["s00"].terminate_naplet(nid)
+
+    def test_full_image_with_a_wrong_hash_is_corrupt_not_a_miss_to_recover(self, space):
+        """Only a delta may ask for the full image: a full one that does not
+        hash to what it announces has nothing left to re-ship."""
+        servers, nid, frame = self._landed_frame(space)
+        envelope = pickle.loads(frame.buffers[0], buffers=frame.buffers[1:])
+        assert envelope["mode"] == "full" and "base" not in envelope
+        envelope["fields"] = {n: bytes(b) for n, b in envelope["fields"].items()}
+        envelope["hash"] = "0" * 32
+        ack = self._offer(servers, frame, buffers=(pickle.dumps(envelope),))
+        assert ack["ok"] is False and "content hash" in ack["reason"]
+        assert "need_full" not in ack and "denied" not in ack
+        assert int(servers["s01"].telemetry.landings.total()) == 1
+        servers["s00"].terminate_naplet(nid)

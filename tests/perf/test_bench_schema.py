@@ -91,6 +91,7 @@ class TestFlattenAndDirections:
             ("hops", "neutral"),
             ("rt_frames_per_hop", "lower"),
             ("delta_on.bytes_per_hop", "lower"),
+            ("delta_on.ring_bytes_per_hop", "lower"),
             ("delta_on.hops_per_sec", "higher"),
         ],
     )
@@ -108,6 +109,7 @@ class TestFlattenAndDirections:
         # Wire bytes per migration hop are a protocol fact, not machine
         # speed: CI's structural gate must compare them (lower is better).
         assert not is_timing_metric("bytes_per_hop")
+        assert not is_timing_metric("delta_on.ring_bytes_per_hop")
         assert metric_direction("delta_full.bytes_per_hop") == "lower"
 
 
@@ -172,15 +174,18 @@ class TestDiff:
         assert [e.key for e in structural.regressions] == ["rt_frames_per_hop"]
 
     def test_structural_gate_catches_bytes_per_hop_growth(self):
-        old = bench_snapshot(
-            "e8", {"delta_on": {"bytes_per_hop": 100_000.0, "hops_per_sec": 50.0}}
-        )
-        new = bench_snapshot(
-            "e8", {"delta_on": {"bytes_per_hop": 180_000.0, "hops_per_sec": 12.0}}
-        )
+        old = bench_snapshot("e8", {"delta_on": {
+            "bytes_per_hop": 100_000.0, "ring_bytes_per_hop": 527_000.0, "hops_per_sec": 50.0,
+        }})
+        new = bench_snapshot("e8", {"delta_on": {
+            "bytes_per_hop": 180_000.0, "ring_bytes_per_hop": 2_100_000.0, "hops_per_sec": 12.0,
+        }})
         structural = diff_bench(old, new, tolerance=0.2, structural_only=True)
-        # hops_per_sec noise is excluded; the byte growth is not.
-        assert [e.key for e in structural.regressions] == ["delta_on.bytes_per_hop"]
+        # hops_per_sec noise is excluded; the byte growth — the ping-pong's
+        # and the ring's, where every hop ships in full again — is not.
+        assert sorted(e.key for e in structural.regressions) == [
+            "delta_on.bytes_per_hop", "delta_on.ring_bytes_per_hop",
+        ]
 
     def test_zero_baseline_does_not_divide(self):
         old = bench_snapshot("e8", {"dials": 0.0})

@@ -120,3 +120,53 @@ class TestDeltaView:
         )
         assert cache.stats() == before  # still a pure probe
         assert not explain_delta(_identified("never-dumped"), serializer).base_live
+
+    def test_preview_is_the_envelope_the_serializer_then_builds(self):
+        """Shipped / omitted / referenced per field, for any peer table."""
+        import pickle
+
+        from repro.perf.xray import _friendly
+
+        serializer = NapletSerializer()
+        agent = _identified("xray-fates")
+        agent.cargo = b"\xcd" * 10_000
+        nid = str(agent.naplet_id)
+        assert not explain_delta(agent, serializer, held={nid}).skipped  # a launch
+        serializer.dumps_with_cost(agent)
+        hashes = set(serializer.delta_cache.peek(nid).field_hashes().values())
+        agent.state.set("k", 1)
+        for held in (set(), hashes, hashes | {nid}, {nid}):
+            view = explain_delta(agent, serializer, held=held)
+            data, buffers, cost = serializer.dumps_with_cost(agent, held=held)
+            envelope = pickle.loads(data, buffers=buffers or None)
+            refs = envelope.get("refs", {})
+            assert set(view.shipped) == {_friendly(n) for n in envelope["fields"]}
+            assert view.referenced == {_friendly(n) for n in refs}
+            assert bool(set(view.skipped) - view.referenced) == bool(envelope.get("omitted"))
+            assert (view.shipped_bytes, view.saved_bytes) == (
+                cost.payload_bytes, cost.saved_bytes,
+            )
+            assert view.image_hash == envelope["hash"]
+        # With a record at the peer the cargo is omitted; without, referenced.
+        assert "cargo" in explain_delta(agent, serializer, held=hashes).referenced
+        text = explain_delta(agent, serializer, held=hashes).render()
+        assert "referenced (saved)" in text and "omitted" not in text
+        default = explain_delta(agent, serializer)  # a hop back where it came from
+        assert "cargo" in default.skipped and not default.referenced
+        assert "omitted (saved)" in default.render()
+        assert json.loads(json.dumps(default.describe()))["referenced"] == []
+
+    def test_only_what_the_real_dump_tolerates_reads_as_zero_bytes(self):
+        class Exploding:
+            def __reduce__(self):
+                raise RuntimeError("not a pickling error")
+
+        serializer = NapletSerializer()
+        agent = _identified("xray-errors")
+        agent.handle = lambda: None  # the real dump: "cannot serialize field"
+        agent.ring = {"me": agent}  # the real dump: one pickle instead
+        view = explain_delta(agent, serializer)
+        assert view.shipped["handle"] == 0 and view.shipped["ring"] == 0
+        agent.bomb = Exploding()
+        with pytest.raises(RuntimeError, match="not a pickling error"):
+            explain_delta(agent, serializer)

@@ -1,4 +1,4 @@
-"""Delta shipping: base caches, v2 envelopes, and the fallback contract."""
+"""Delta shipping: image records, the field index, v2 envelopes, the fallback contract."""
 
 from __future__ import annotations
 
@@ -11,15 +11,17 @@ from repro.core.errors import (
     SerializationError,
     ShippedCodeMissingError,
 )
+from repro.core.naplet_id import NapletID
 from repro.transport.delta import (
     DeltaCache,
     FieldEntry,
     ImageRecord,
     content_hash,
+    field_fate,
     image_hash,
 )
 from repro.transport.serializer import NapletSerializer
-from tests.core.test_naplet import _identified
+from tests.core.test_naplet import ProbeNaplet, _identified
 from tests.transport.shipped_fixture import StampedPayload
 
 
@@ -61,14 +63,19 @@ class TestHashes:
         assert image_hash({"a": "2" * 32}) != base
 
 
-class TestDeltaCache:
-    def test_get_requires_matching_hash(self):
-        cache = DeltaCache()
-        cache.put("n1", _record("H1", f=b"x"))
-        assert cache.get("n1", "H1") is not None
-        assert cache.get("n1", "H2") is None
-        assert cache.get("n1") is not None  # hash optional
+def _held(serializer: NapletSerializer, agent) -> set[str]:
+    """What a peer that acked *serializer*'s current image of *agent* holds."""
+    nid = str(agent.naplet_id)
+    return {nid, *serializer.delta_cache.peek(nid).field_hashes().values()}
 
+
+def _envelope(data: bytes, buffers) -> dict:
+    import pickle as _pickle
+
+    return _pickle.loads(data, buffers=buffers or None)
+
+
+class TestDeltaCache:
     def test_lru_eviction_at_capacity(self):
         cache = DeltaCache(capacity=2)
         cache.put("n1", _record("H1"))
@@ -77,6 +84,7 @@ class TestDeltaCache:
         cache.put("n3", _record("H3"))
         assert "n1" in cache and "n3" in cache and "n2" not in cache
         assert cache.stats()["evictions"] == 1
+        assert cache.get("n2") is None and cache.stats()["misses"] == 1
 
     def test_peek_is_a_pure_probe(self):
         cache = DeltaCache(capacity=2)
@@ -99,23 +107,109 @@ class TestDeltaCache:
         cache.release("n1", "H2")
         record = cache.peek("n1")
         assert not any(e.live for e in record.fields.values())
-        # Bytes and hashes stay: the record is still a delta base.
+        # Bytes and hashes stay: the record still backs omitted fields.
         assert record.fields["f"].data == b"x"
         assert record.field_hashes() == _record("H2", f=b"x", g=b"y").field_hashes()
         assert cache.stats() == before  # no hit/miss/LRU movement
 
     def test_drop_and_clear(self):
         cache = DeltaCache()
-        cache.put("n1", _record("H1"))
+        cache.put("n1", _record("H1", f=b"x"))
         cache.drop("n1")
-        assert len(cache) == 0
-        cache.put("n2", _record("H2"))
+        assert len(cache) == 0 and cache.blob(content_hash(b"x")) is None
+        cache.put("n2", _record("H2", f=b"x"))
         cache.clear()
-        assert "n2" not in cache
+        assert "n2" not in cache and cache.blob(content_hash(b"x")) is None
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             DeltaCache(capacity=0)
+
+
+class TestFieldIndex:
+    """One ``bytes`` per content, present exactly while a record names it."""
+
+    def test_equal_fields_of_two_records_share_one_bytes_object(self):
+        cache = DeltaCache()
+        first, second = bytes(b"cargo" * 100), bytes(bytearray(b"cargo" * 100))
+        assert first is not second
+        cache.put("n1", _record("H1", cargo=first, own=b"1"))
+        cache.put("n2", _record("H2", cargo=second, other=b"2"))
+        held = cache.blob(content_hash(first))
+        assert held is first
+        assert cache.peek("n1").fields["cargo"].data is held
+        assert cache.peek("n2").fields["cargo"].data is held
+
+    def test_a_blob_lives_exactly_as_long_as_some_record_names_it(self):
+        cache = DeltaCache(capacity=2)
+        shared, own1, own2 = (content_hash(b) for b in (b"shared", b"one", b"two"))
+        cache.put("n1", _record("H1", s=b"shared", f=b"one"))
+        cache.put("n2", _record("H2", s=b"shared", f=b"two"))
+        assert cache.blob(shared) == b"shared" and cache.blob(own1) == b"one"
+        # release lets values go, never bytes.
+        cache.release("n1", "H1")
+        assert cache.blob(own1) == b"one"
+        # put over an existing record: what only the old image named goes.
+        cache.put("n1", _record("H1b", s=b"shared", f=b"one-b"))
+        assert cache.blob(own1) is None and cache.blob(shared) == b"shared"
+        # LRU eviction (n2 is the eldest) and drop: the last namer counts.
+        cache.put("n3", _record("H3", f=b"three"))
+        assert "n2" not in cache and cache.blob(own2) is None
+        assert cache.blob(shared) == b"shared"
+        cache.drop("n1")
+        assert cache.blob(shared) is None and cache.blob(content_hash(b"one-b")) is None
+        assert cache.blob(content_hash(b"three")) == b"three"
+
+    def test_one_record_naming_a_blob_twice_counts_twice(self):
+        cache = DeltaCache()
+        cache.put("n1", _record("H1", a=b"same", b=b"same"))
+        cache.put("n2", _record("H2", a=b"same"))
+        cache.drop("n1")
+        assert cache.blob(content_hash(b"same")) == b"same"
+        cache.drop("n2")
+        assert cache.blob(content_hash(b"same")) is None
+
+    def test_entries_carried_over_from_the_previous_image_keep_their_blob(self):
+        cache = DeltaCache()
+        old = _record("H1", keep=b"kept", go=b"gone")
+        cache.put("n1", old)
+        # The next dump reuses the unchanged field's very FieldEntry.
+        cache.put("n1", ImageRecord("H2", ("pickle", b""), {"keep": old.fields["keep"]}))
+        assert cache.blob(content_hash(b"kept")) == b"kept"
+        assert cache.blob(content_hash(b"gone")) is None
+
+
+class TestFieldFate:
+    PREV = _record("H", cargo=b"c" * 100, tiny=b"t")
+    CARGO, TINY = content_hash(b"c" * 100), content_hash(b"t")
+
+    def fate(self, name, digest, nbytes, held, prev=PREV):
+        return field_fate(prev, name, digest, nbytes, "n1", held)
+
+    def test_ships_without_a_previous_image_whatever_the_peer_holds(self):
+        held = {"n1", self.CARGO}
+        assert self.fate("cargo", self.CARGO, 100, held, prev=None) == "ships"
+
+    def test_ships_when_changed_here_even_if_the_peer_once_held_the_new_hash(self):
+        other = content_hash(b"recurring value")
+        assert self.fate("cargo", other, 100, {"n1", other}) == "ships"
+        assert self.fate("new", other, 100, {"n1", other}) == "ships"
+
+    def test_ships_when_the_peer_is_not_known_to_hold_it(self):
+        assert self.fate("cargo", self.CARGO, 100, {"n1"}) == "ships"
+        assert self.fate("cargo", self.CARGO, 100, ()) == "ships"
+
+    def test_omitted_when_the_peer_has_a_record_of_this_naplet(self):
+        held = {"n1", self.CARGO, self.TINY}
+        assert self.fate("cargo", self.CARGO, 100, held) == "omitted"
+        assert self.fate("tiny", self.TINY, 1, held) == "omitted"
+
+    def test_referenced_otherwise_and_only_when_the_hash_is_the_shorter(self):
+        held = {self.CARGO, self.TINY}
+        assert self.fate("cargo", self.CARGO, 100, held) == "referenced"
+        assert self.fate("tiny", self.TINY, 1, held) == "ships"
+        assert self.fate("edge", self.CARGO, len(self.CARGO), held,
+                         prev=_record("H", edge=b"c" * 100)) == "ships"
 
 
 class TestV2Envelope:
@@ -126,7 +220,8 @@ class TestV2Envelope:
         sender, receiver = self._pair()
         agent = _identified("full")
         agent.state.set("k", 1)
-        data, buffers, cost = sender.dumps_with_cost(agent)
+        # No previous image here: full, even toward a peer holding it all.
+        data, buffers, cost = sender.dumps_with_cost(agent, held=_AnyKey())
         assert not cost.delta and cost.saved_bytes == 0
         copy, info = receiver.loads_with_info(data, buffers=buffers or None)
         assert info["v"] == 2 and info["mode"] == "full"
@@ -134,18 +229,24 @@ class TestV2Envelope:
         assert copy.state.get("k") == 1
 
     def test_acked_base_turns_repeat_hop_into_delta(self):
+        """What the peer acked holding is omitted: it has it, under this
+        naplet's own record."""
         sender, receiver = self._pair()
         agent = _identified("delta")
         agent.state.set("k", 1)
         agent.cargo = b"\xee" * 50_000
         data, buffers, full_cost = sender.dumps_with_cost(agent)
-        _, info = receiver.loads_with_info(data, buffers=buffers or None)
+        receiver.loads_with_info(data, buffers=buffers or None)
 
         agent.state.set("k", 2)  # tiny mutation; cargo untouched
-        data2, buffers2, cost = sender.dumps_with_cost(agent, base_hint=info["hash"])
+        data2, buffers2, cost = sender.dumps_with_cost(agent, held=_held(sender, agent))
         assert cost.delta
-        assert cost.saved_bytes > 0
+        assert cost.saved_bytes > 50_000
         assert cost.payload_bytes < full_cost.payload_bytes / 10
+        envelope = _envelope(data2, buffers2)
+        assert envelope["omitted"] is True and envelope["refs"] == {}
+        assert "cargo" not in envelope["fields"] and "_state" in envelope["fields"]
+        assert not {"base"} & set(envelope)
         copy, info2 = receiver.loads_with_info(data2, buffers=buffers2 or None)
         assert info2["mode"] == "delta"
         assert copy.state.get("k") == 2
@@ -155,36 +256,72 @@ class TestV2Envelope:
         sender, receiver = self._pair()
         agent = _identified("no-ack")
         sender.dumps_with_cost(agent)
-        # base_hint None (destination never acked): full image again.
         data, buffers, cost = sender.dumps_with_cost(agent)
         assert not cost.delta
         copy, info = receiver.loads_with_info(data, buffers=buffers or None)
         assert info["mode"] == "full"
+
+    def test_blob_held_under_another_naplets_record_travels_as_a_reference(self):
+        sender, receiver = self._pair()
+        first, second = _identified("first"), _identified("second")
+        second._nid = NapletID.create("alice", "home", stamp="240101120009")
+        first.cargo = second.cargo = b"\xab" * 50_000
+        data, buffers, _ = sender.dumps_with_cost(first)
+        receiver.loads_with_info(data, buffers=buffers or None)
+        held = _held(sender, first)  # hashes and the *first* naplet's id
+
+        sender.dumps_with_cost(second)  # its previous image here
+        data2, buffers2, cost = sender.dumps_with_cost(second, held=held)
+        envelope = _envelope(data2, buffers2)
+        cargo_hash = sender.delta_cache.peek(str(second.naplet_id)).fields["cargo"].hash
+        assert cost.delta and cost.saved_bytes >= 50_000
+        assert envelope["refs"]["cargo"] == cargo_hash
+        assert "omitted" not in envelope and "cargo" not in envelope["fields"]
+        # Small fields both naplets share go inline: a hash would be longer.
+        assert all(
+            len(sender.delta_cache.blob(h)) > len(h) for h in envelope["refs"].values()
+        )
+        assert str(second.naplet_id) not in receiver.delta_cache
+        copy, info = receiver.loads_with_info(data2, buffers=buffers2 or None)
+        assert info["mode"] == "delta" and copy.cargo == second.cargo
+        # Resolved, not copied: both records lean on one bytes object.
+        assert (
+            receiver.delta_cache.peek(str(second.naplet_id)).fields["cargo"].data
+            is receiver.delta_cache.peek(str(first.naplet_id)).fields["cargo"].data
+        )
 
     def test_deleted_field_travels_in_removed_list(self):
         sender, receiver = self._pair()
         agent = _identified("shrink")
         agent.extra = "short-lived"
         data, buffers, _ = sender.dumps_with_cost(agent)
-        _, info = receiver.loads_with_info(data, buffers=buffers or None)
+        receiver.loads_with_info(data, buffers=buffers or None)
 
         del agent.extra
-        data2, buffers2, cost = sender.dumps_with_cost(agent, base_hint=info["hash"])
-        assert cost.delta
+        data2, buffers2, cost = sender.dumps_with_cost(agent, held=_held(sender, agent))
+        assert cost.delta and _envelope(data2, buffers2)["removed"] == ["extra"]
         copy, _ = receiver.loads_with_info(data2, buffers=buffers2 or None)
         assert not hasattr(copy, "extra")
 
-    def test_evicted_base_raises_delta_base_missing(self):
+    def _evicted(self, held_nid: bool):
+        """A delta dumped toward a receiver that has since lost its cache."""
         sender, receiver = self._pair()
         agent = _identified("evicted")
+        agent.cargo = b"\xcd" * 1000
         data, buffers, _ = sender.dumps_with_cost(agent)
-        _, info = receiver.loads_with_info(data, buffers=buffers or None)
-
-        receiver.delta_cache.clear()  # the receiver lost the base image
+        receiver.loads_with_info(data, buffers=buffers or None)
+        held = _held(sender, agent)
+        if not held_nid:
+            held.discard(str(agent.naplet_id))  # references, not omissions
+        receiver.delta_cache.clear()
         agent.state.set("k", 9)
-        data2, buffers2, cost = sender.dumps_with_cost(agent, base_hint=info["hash"])
+        data2, buffers2, cost = sender.dumps_with_cost(agent, held=held)
         assert cost.delta
-        with pytest.raises(DeltaBaseMissingError):
+        return sender, receiver, agent, data2, buffers2
+
+    def test_evicted_base_raises_delta_base_missing(self):
+        sender, receiver, agent, data2, buffers2 = self._evicted(held_nid=True)
+        with pytest.raises(DeltaBaseMissingError, match="no record"):
             receiver.loads_with_info(data2, buffers=buffers2 or None)
         # The sender's escalation re-ships full; the receiver recovers.
         data3, buffers3, cost3 = sender.dumps_with_cost(agent)
@@ -193,23 +330,40 @@ class TestV2Envelope:
         assert info3["mode"] == "full"
         assert copy.state.get("k") == 9
 
+    def test_evicted_blob_raises_delta_base_missing(self):
+        _, receiver, _, data2, buffers2 = self._evicted(held_nid=False)
+        assert _envelope(data2, buffers2)["refs"]
+        with pytest.raises(DeltaBaseMissingError, match="references .* which no record here holds"):
+            receiver.loads_with_info(data2, buffers=buffers2 or None)
+
     def test_corrupt_delta_fails_the_image_hash_check(self):
+        """A delta that does not compose is a recoverable miss (the bytes
+        held here are not what the sender believed), never a landing."""
+        sender, receiver = self._pair()
+        agent = _identified("drift")
+        agent.cargo = b"\x01" * 1000
+        data, buffers, _ = sender.dumps_with_cost(agent)
+        receiver.loads_with_info(data, buffers=buffers or None)
+        nid = str(agent.naplet_id)
+        receiver.delta_cache.peek(nid).fields["cargo"].hash = "0" * 32
+        agent.state.set("k", 1)
+        data2, buffers2, cost = sender.dumps_with_cost(agent, held=_held(sender, agent))
+        assert cost.delta
+        with pytest.raises(DeltaBaseMissingError, match="content hash"):
+            receiver.loads_with_info(data2, buffers=buffers2 or None)
+
+    def test_tampered_full_image_fails_the_image_hash_check(self):
         import pickle as _pickle
 
         sender, receiver = self._pair()
         agent = _identified("tamper")
         data, buffers, _ = sender.dumps_with_cost(agent)
-        _, info = receiver.loads_with_info(data, buffers=buffers or None)
-        agent.state.set("k", 1)
-        data2, buffers2, _ = sender.dumps_with_cost(agent, base_hint=info["hash"])
-        envelope = _pickle.loads(data2, buffers=buffers2 or None)
-        envelope["fields"] = {
-            n: bytes(b) for n, b in envelope["fields"].items()
-        }
+        envelope = _envelope(data, buffers)
+        envelope["fields"] = {n: bytes(b) for n, b in envelope["fields"].items()}
         envelope["fields"]["_state"] = _pickle.dumps("tampered")
-        with pytest.raises(SerializationError, match="content hash"):
+        with pytest.raises(SerializationError, match="content hash") as caught:
             receiver.loads(_pickle.dumps(envelope))
-
+        assert not isinstance(caught.value, DeltaBaseMissingError)
 
     @pytest.mark.parametrize("mode", ["full", "delta"])
     def test_one_flipped_byte_in_a_shipped_field_is_rejected(self, mode):
@@ -218,17 +372,78 @@ class TestV2Envelope:
         agent.cargo = b"\xc4" * 4096
         data, buffers, cost = sender.dumps_with_cost(agent)
         if mode == "delta":
-            _, info = receiver.loads_with_info(data, buffers=buffers or None)
+            receiver.loads_with_info(data, buffers=buffers or None)
+            held = _held(sender, agent)
             agent.cargo = b"\xc5" * 4096
-            data, buffers, cost = sender.dumps_with_cost(agent, base_hint=info["hash"])
+            data, buffers, cost = sender.dumps_with_cost(agent, held=held)
         assert cost.delta == (mode == "delta")
         segments = [bytearray(b) for b in buffers]
         cargo = max(segments, key=len)
         cargo[len(cargo) // 2] ^= 0x01
-        with pytest.raises(
-            SerializationError, match="does not match the announced content hash"
-        ):
+        # Never landed; a delta may be asked for again in full, a full
+        # image is simply corrupt.
+        with pytest.raises(SerializationError, match="the announced content hash") as caught:
             receiver.loads_with_info(data, buffers=[bytes(b) for b in segments])
+        assert isinstance(caught.value, DeltaBaseMissingError) == (mode == "delta")
+
+    def test_self_referential_naplet_leaves_no_record_behind(self):
+        sender = NapletSerializer()
+        agent = _identified("ouroboros")
+        sender.dumps_with_cost(agent)
+        assert str(agent.naplet_id) in sender.delta_cache
+        agent.ring = {"me": agent}
+        data, buffers, cost = sender.dumps_with_cost(agent, held=_held(sender, agent))
+        assert buffers == [] and not cost.delta
+        assert str(agent.naplet_id) not in sender.delta_cache
+
+
+class _AnyKey:
+    """A peer believed to hold every hash and every naplet's record."""
+
+    def __contains__(self, key: str) -> bool:
+        return True
+
+
+class _OddMeta(type(ProbeNaplet)):
+    """A metaclass pickle can be told to reduce through ``copyreg``."""
+
+
+class _OddNaplet(ProbeNaplet, metaclass=_OddMeta):
+    pass
+
+
+class _Exploding:
+    def __reduce__(self):
+        raise RuntimeError("not a pickling error")
+
+
+class TestOnlyPicklingErrorsAreSerializationErrors:
+    def test_unrelated_error_from_a_fields_reduce_propagates(self):
+        agent = _identified("exploding")
+        agent.bomb = _Exploding()
+        with pytest.raises(RuntimeError, match="not a pickling error"):
+            NapletSerializer().dumps_with_cost(agent)
+
+    def test_unrelated_error_from_the_class_reference_pickle_propagates(self, monkeypatch):
+        import copyreg
+
+        def reducer(error):
+            def reduce_class(cls):
+                raise error
+
+            return reduce_class
+
+        agent, source = _OddNaplet("odd"), _identified()
+        agent._assign_identity(source.naplet_id, source.credential)
+        monkeypatch.setitem(
+            copyreg.dispatch_table, _OddMeta, reducer(RuntimeError("class reducer broke"))
+        )
+        with pytest.raises(RuntimeError, match="class reducer broke"):
+            NapletSerializer().dumps_with_cost(agent)
+        # The three pickling errors still read as "cannot serialize".
+        monkeypatch.setitem(copyreg.dispatch_table, _OddMeta, reducer(TypeError("no")))
+        with pytest.raises(SerializationError, match="cannot serialize _OddNaplet"):
+            NapletSerializer().dumps_with_cost(agent)
 
 
 class TestRelease:
@@ -273,7 +488,8 @@ class TestRelease:
         here.delta_cache.release(nid, info["hash"])  # the departure was acked
 
         away.state.set("k", 5)
-        data2, buffers2, cost = there.dumps_with_cost(away, base_hint=info["hash"])
+        # The sender of a landed image holds all of it, by the landing itself.
+        data2, buffers2, cost = there.dumps_with_cost(away, held=_held(there, away))
         assert cost.delta and cost.saved_bytes >= 20_000
         back, info2 = here.loads_with_info(data2, buffers=buffers2 or None)
         assert info2["mode"] == "delta"
