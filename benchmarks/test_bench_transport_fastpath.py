@@ -21,6 +21,13 @@ gates on.  The same courier then tours a ring of three servers for 12
 hops: the cargo crosses each of the three links once and every later hop
 omits it (``ring_bytes_per_hop``, structural as well).
 
+**Tour leg** (``tour``).  The journey benchmark's ``tour_small`` shape: a
+counter-only naplet tours a ring of three servers for 11 hops and hops
+home, after one warm-up tour with the same plan.  ``bytes_per_hop`` counts
+the transfer and directory-event frames of a hop — a structural metric:
+each thing a small hop carries crosses once (the plan by reference after
+the launch, the credential only as the transfer payload) and compactly.
+
 **Frame leg** (``frame``).  One pooled request/reply in isolation (a
 128-byte frame, and a transfer-shaped frame with 13 out-of-band segments)
 next to its floor on the same machine: a bare two-thread socket ping-pong
@@ -57,6 +64,7 @@ from repro.transport.base import Frame, FrameKind
 from repro.transport.pool import REP, REQ
 from repro.transport.tcp import TcpTransport
 from repro.util.concurrency import wait_until
+from benchmarks.journey.agents import TourNaplet
 from tests.conftest import CollectorNaplet, StallNaplet
 
 HOPS = 12
@@ -73,6 +81,9 @@ DELTA_HOPS = 12
 CARGO_BYTES = 2 * 1024 * 1024
 PING_PONG = ["b01", "b00"] * (DELTA_HOPS // 2)
 RING = ["b01", "b02", "b00"] * (DELTA_HOPS // 3)
+
+# Tour leg: tour_small's route, 11 hops round three peers and the hop home.
+TOUR = [("b01", "b02", "b03")[i % 3] for i in range(HOPS - 1)] + ["b00"]
 
 
 class CourierNaplet(CollectorNaplet):
@@ -214,6 +225,32 @@ def _measure_delta(route: list[str], full_hops: int) -> dict:
         _shutdown(transport, servers)
 
 
+def _measure_tour() -> dict:
+    """Hop frame bytes of a counter-only tour, after one warm-up tour."""
+    transport, servers = _space(("b00", *sorted(set(TOUR) - {"b00"})))
+    try:
+        wire = transport.metrics.counter("wire_bytes_total")
+        for lap in range(2):
+            before = sum(wire.value(kind=kind) for kind in _HOP_KINDS)
+            agent = TourNaplet("tour")
+            agent.set_itinerary(
+                Itinerary(SeqPattern.of_servers(TOUR, post_action=ResultReport("result")))
+            )
+            listener = repro.NapletListener()
+            servers["b00"].launch(agent, owner="bench", listener=listener)
+            assert listener.next_report(timeout=20).payload == len(TOUR)
+            # The last hop's sender books it after the report is home.
+            assert wait_until(
+                lambda: int(sum(s.telemetry.hops.total() for s in servers.values()))
+                == len(TOUR) * (lap + 1),
+                timeout=10,
+            )
+        hop_bytes = sum(wire.value(kind=kind) for kind in _HOP_KINDS) - before
+        return {"hops": len(TOUR), "bytes_per_hop": hop_bytes / len(TOUR)}
+    finally:
+        _shutdown(transport, servers)
+
+
 def _best_us(fn, rounds: int = 5, calls: int = 4000) -> float:
     """Fastest per-call mean over *rounds* (µs): the least-disturbed one."""
     for _ in range(calls // 4):
@@ -336,6 +373,16 @@ class TestTransportFastPath:
             ]],
         )
 
+        # Tour leg: what one small hop of a counter-only naplet puts on the
+        # wire, once the plan's peers hold it.
+        tour = _measure_tour()
+        assert tour["bytes_per_hop"] <= 1700
+        table(
+            "E8d: a counter-only tour round three peers (12 hops, after a warm-up tour)",
+            ["bytes/hop"],
+            [[f"{tour['bytes_per_hop']:.0f}"]],
+        )
+
         frame = _measure_frame()
         table(
             "E8c: one pooled frame, round trip vs floor (one CPU, best of 5 x 4000)",
@@ -357,6 +404,6 @@ class TestTransportFastPath:
         write_bench(
             path,
             "transport: one-exchange hops over pooled connections",
-            {"fastpath": fastpath, "delta_on": delta, "frame": frame},
+            {"fastpath": fastpath, "delta_on": delta, "tour": tour, "frame": frame},
             history_dir=history,
         )

@@ -74,7 +74,6 @@ class Naplet(TrackedState, abc.ABC):
         self._nav_log = NavigationLog()
         self._listener = listener
         self._trace_ctx: TraceContext | None = None  # minted at launch, travels
-        self._hlc: Any | None = None  # HLC stamp of the last freeze/departure
 
     # ------------------------------------------------------------------ #
     # Lifecycle hooks (paper: onStart / onInterrupt / onStop / onDestroy)
@@ -178,16 +177,10 @@ class Naplet(TrackedState, abc.ABC):
 
     @property
     def hlc_stamp(self) -> Any | None:
-        """Hybrid-logical-clock stamp the sender applied before serializing.
-
-        Travels in the pickle like the trace context; the landing server
-        feeds it to its flight-recorder clock, so causality survives even
-        paths with no frame headers (thaw of a persisted image).
-        """
+        """Hybrid-logical-clock stamp ``freeze_naplet`` put in the image: a
+        thaw feeds it to the reviving server's clock (a migration's causal
+        stamp is the transfer frame's header)."""
         return getattr(self, "_hlc", None)
-
-    def _stamp_hlc(self, stamp: Any) -> None:
-        self._hlc = stamp
 
     @property
     def listener(self) -> ListenerRef | None:
@@ -272,12 +265,29 @@ class Naplet(TrackedState, abc.ABC):
 
     def __getstate__(self) -> dict[str, Any]:
         state = TrackedState.strip_tracking(dict(self.__dict__))
-        state["_context"] = None
+        del state["_context"]
+        itinerary = state.get("_itinerary")
+        if itinerary is not None:
+            # The plan is fixed once travel starts, the cursor moves every
+            # hop: as separate fields, a hop can reference the plan by hash.
+            state["_plan"], state["_itinerary"] = itinerary._split()
         return state
 
     def __setstate__(self, state: dict[str, Any]) -> None:
+        plan = state.pop("_plan", None)
         self.__dict__.update(state)
+        self.__dict__.setdefault("_cred", None)
         self._context = None
+        if plan is not None:
+            self._itinerary._pattern = plan
+
+    def image_state(self) -> dict[str, Any]:
+        """The per-field image leaves the credential out: a migration ships
+        it once, as the transfer frame's payload the LANDING check verifies,
+        and the destination installs that verified credential."""
+        state = self.__getstate__()
+        del state["_cred"]
+        return state
 
     def __repr__(self) -> str:
         nid = str(self._nid) if self._nid is not None else "<unlaunched>"

@@ -8,6 +8,7 @@ application code.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -24,6 +25,14 @@ class NavigationRecord:
     arrival: float
     departure: float | None = None
     notes: dict[str, object] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.server_urn = sys.intern(self.server_urn)  # a log pickles a server's name once
+
+    def __reduce__(self) -> tuple:
+        # The log rides, and grows on, every hop: pickle arguments, not a dict.
+        args = (self.server_urn, self.arrival, self.departure)
+        return (NavigationRecord, (*args, self.notes) if self.notes else args)
 
     @property
     def complete(self) -> bool:
@@ -94,10 +103,10 @@ class NavigationLog:
 
     # -- pickling -------------------------------------------------------- #
 
-    def __getstate__(self) -> dict[str, object]:
+    def __getstate__(self) -> list[NavigationRecord]:
         with self._lock:
-            return {"records": list(self._records)}
+            return list(self._records)
 
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self._records = list(state["records"])  # type: ignore[arg-type]
+    def __setstate__(self, state: list[NavigationRecord]) -> None:
+        self._records = list(state)
         self._lock = threading.RLock()

@@ -115,6 +115,10 @@ class TrackedState:
         dirty = self.__dict__.get(_DIRTY_SLOT)
         return frozenset(dirty) if dirty else frozenset()
 
+    def image_state(self) -> dict[str, Any]:
+        """The fields a per-field image carries (``__setstate__`` takes them)."""
+        return self.__getstate__()
+
     def clear_dirty(self) -> None:
         """Reset the ledger — called by the serializer after a dump."""
         dirty = self.__dict__.get(_DIRTY_SLOT)

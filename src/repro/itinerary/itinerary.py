@@ -1,7 +1,8 @@
 """Itinerary driver (paper §3).
 
-An :class:`Itinerary` owns a pattern tree and an execution cursor (a stack of
-frames), fully serializable so it travels with the naplet.  The driver
+An :class:`Itinerary` owns a *plan* (the pattern tree, fixed once travel
+starts) and a *cursor* (a stack of frames naming their patterns by path).  A
+naplet ships the two as separate fields (DESIGN.md §6.7).  The driver
 separates *what to do next* (:meth:`step`, a pure-ish cursor advance that may
 fork clones) from *doing it* (:meth:`travel`, called by agent code at the end
 of ``on_start``; it runs the current visit's post-action, advances, and
@@ -16,7 +17,7 @@ server's Navigator provides the live implementation via the naplet context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Protocol, runtime_checkable
 
 from repro.core.errors import (
@@ -73,38 +74,37 @@ class TravelOps(Protocol):
 
 
 # ---------------------------------------------------------------------- #
-# Cursor frames (serializable)
+# Cursor frames (serializable); ``path`` locates a frame's pattern in the
+# plan: child indices from the root (a Repeat's one child is index 0).
 # ---------------------------------------------------------------------- #
 
 
 @dataclass
 class _SingleFrame:
-    pattern: SingletonPattern
+    path: tuple[int, ...]
     done: bool = False
 
 
 @dataclass
 class _SeqFrame:
-    pattern: SeqPattern
+    path: tuple[int, ...]
     index: int = 0
 
 
 @dataclass
 class _AltFrame:
-    pattern: AltPattern
+    path: tuple[int, ...]
     entered: bool = False
     tried_from: int = 0
     # Load-ranked branch permutation from a duck-typed ops hook; None
-    # means static declaration order (the historical behavior, and the
-    # wire-compatible default for frames pickled by older servers).  With
-    # an order set, ``tried_from`` indexes positions in it rather than
-    # branch indices.
+    # means static declaration order.  With an order set, ``tried_from``
+    # indexes positions in it rather than branch indices.
     order: tuple[int, ...] | None = None
 
 
 @dataclass
 class _ParFrame:
-    pattern: ParPattern
+    path: tuple[int, ...]
     forked: bool = False
     expected_tokens: tuple[str, ...] = ()
     post_pending: bool = False
@@ -112,24 +112,24 @@ class _ParFrame:
 
 @dataclass
 class _RepeatFrame:
-    pattern: RepeatPattern
+    path: tuple[int, ...]
     iteration: int = 0
 
 
 _Frame = _SingleFrame | _SeqFrame | _AltFrame | _ParFrame | _RepeatFrame
+# A pickled frame is the tuple ``(kind, path, *counters)``: *kind* is its
+# position here, the frame for a pattern of the type at the same position.
+_FRAMES = (_SingleFrame, _SeqFrame, _AltFrame, _ParFrame, _RepeatFrame)
+_PATTERNS = (SingletonPattern, SeqPattern, AltPattern, ParPattern, RepeatPattern)
+# The cursor attributes, in the order an itinerary's pickled state lists them.
+_CURSOR = ("_stack", "_started", "_completed", "_current", "_alt_pending",
+           "_terminal_notice", "_failures", "alt_failovers", "on_failure", "join_timeout")
 
 
-def _frame_for(pattern: ItineraryPattern) -> _Frame:
-    if isinstance(pattern, SingletonPattern):
-        return _SingleFrame(pattern)
-    if isinstance(pattern, SeqPattern):
-        return _SeqFrame(pattern)
-    if isinstance(pattern, AltPattern):
-        return _AltFrame(pattern)
-    if isinstance(pattern, ParPattern):
-        return _ParFrame(pattern)
-    if isinstance(pattern, RepeatPattern):
-        return _RepeatFrame(pattern)
+def _frame_for(pattern: ItineraryPattern, path: tuple[int, ...]) -> _Frame:
+    for pattern_type, frame_type in zip(_PATTERNS, _FRAMES):
+        if isinstance(pattern, pattern_type):
+            return frame_type(path)
     raise ItineraryError(f"unknown pattern type: {type(pattern).__name__}")
 
 
@@ -170,7 +170,7 @@ class Itinerary:
         self._stack: list[_Frame] = []
         self._started = False
         self._completed = False
-        self._current_visit: Visit | None = None
+        self._current: tuple[int, ...] | None = None  # path of the current visit
         self._alt_pending: int | None = None  # stack index of a backtrackable Alt
         self._terminal_notice: tuple["NapletID", str] | None = None
         self._failures: list[_FailureRecord] = []
@@ -207,7 +207,7 @@ class Itinerary:
 
     @property
     def current_visit(self) -> Visit | None:
-        return self._current_visit
+        return None if self._current is None else self._node(self._current).visit
 
     @property
     def failures(self) -> list[_FailureRecord]:
@@ -230,77 +230,85 @@ class Itinerary:
         self._alt_pending = None
         if not self._started:
             self._started = True
-            self._stack.append(_frame_for(self.pattern))
+            self._push(())
         while self._stack:
             frame = self._stack[-1]
+            node = self._node(frame.path)
             if isinstance(frame, _SingleFrame):
                 if frame.done:
                     self._stack.pop()
                     continue
                 frame.done = True
-                visit = frame.pattern.visit
-                if visit.admits(naplet):
-                    self._current_visit = visit
-                    return visit.server
+                if node.visit.admits(naplet):
+                    self._current = frame.path
+                    return node.visit.server
                 continue
             if isinstance(frame, _SeqFrame):
-                children = frame.pattern.children
-                if frame.index >= len(children):
+                if frame.index >= len(node.children):
                     self._stack.pop()
                     continue
-                child = children[frame.index]
                 frame.index += 1
-                self._stack.append(_frame_for(child))
+                self._push(frame.path + (frame.index - 1,))
                 continue
             if isinstance(frame, _AltFrame):
                 if frame.entered:
                     self._stack.pop()
                     continue
-                chosen = self._select_alt(naplet, ops, frame)
+                chosen = self._select_alt(naplet, ops, frame, node)
                 if chosen is None:
                     self._stack.pop()
                     continue
                 frame.entered = True
                 self._alt_pending = len(self._stack) - 1
-                self._stack.append(_frame_for(frame.pattern.children[chosen]))
+                self._push(frame.path + (chosen,))
                 continue
             if isinstance(frame, _ParFrame):
                 if not frame.forked:
                     frame.forked = True
-                    frame.expected_tokens = self._fork(naplet, frame.pattern, ops)
-                    frame.post_pending = frame.pattern.post_action is not None
-                    if frame.pattern.join is not JoinPolicy.JOIN and frame.post_pending:
-                        frame.pattern.post_action.operate(naplet)  # type: ignore[union-attr]
+                    frame.expected_tokens = self._fork(naplet, node, ops)
+                    frame.post_pending = node.post_action is not None
+                    if node.join is not JoinPolicy.JOIN and frame.post_pending:
+                        node.post_action.operate(naplet)
                         frame.post_pending = False
-                    self._stack.append(_frame_for(frame.pattern.children[0]))
+                    self._push(frame.path + (0,))
                     continue
                 # original finished its own branch: join, then continue past Par
-                if frame.pattern.join is JoinPolicy.JOIN and frame.expected_tokens:
+                if node.join is JoinPolicy.JOIN and frame.expected_tokens:
                     ops.await_join(naplet, set(frame.expected_tokens), self.join_timeout)
                     frame.expected_tokens = ()
                 if frame.post_pending:
-                    frame.pattern.post_action.operate(naplet)  # type: ignore[union-attr]
+                    node.post_action.operate(naplet)
                     frame.post_pending = False
                 self._stack.pop()
                 continue
             if isinstance(frame, _RepeatFrame):
-                if frame.iteration >= frame.pattern.times:
+                if frame.iteration >= node.times:
                     self._stack.pop()
                     continue
                 frame.iteration += 1
-                self._stack.append(_frame_for(frame.pattern.child))
+                self._push(frame.path + (0,))
                 continue
             raise ItineraryError(f"corrupt cursor frame: {frame!r}")
         self._completed = True
-        self._current_visit = None
+        self._current = None
         if self._terminal_notice is not None:
             target, token = self._terminal_notice
             self._terminal_notice = None
             ops.notify_join(naplet, target, token)
         return None
 
+    def _node(self, path: tuple[int, ...]) -> ItineraryPattern:
+        """The pattern at child-index *path* in the plan."""
+        node = self.pattern
+        for index in path:
+            node = node.child if isinstance(node, RepeatPattern) else node.children[index]
+        return node
+
+    def _push(self, path: tuple[int, ...]) -> None:
+        self._stack.append(_frame_for(self._node(path), path))
+
     def _select_alt(
-        self, naplet: "Naplet", ops: TravelOps, frame: _AltFrame
+        self, naplet: "Naplet", ops: TravelOps, frame: _AltFrame, pattern: AltPattern
     ) -> int | None:
         """Pick the next Alt branch to try; advances ``frame.tried_from``.
 
@@ -317,22 +325,21 @@ class Itinerary:
             hook = getattr(ops, "order_alt_branches", None)
             if hook is not None:
                 try:
-                    order = hook(naplet, frame.pattern)
+                    order = hook(naplet, pattern)
                 except Exception:
                     order = None
                 if order is not None:
                     frame.order = tuple(order)
         if frame.order is None:
-            chosen = frame.pattern.select(naplet, start=frame.tried_from)
+            chosen = pattern.select(naplet, start=frame.tried_from)
             if chosen is None:
                 return None
             frame.tried_from = chosen + 1
             return chosen
         for position in range(frame.tried_from, len(frame.order)):
             branch = frame.order[position]
-            if 0 <= branch < len(frame.pattern.children) and (
-                frame.pattern.children[branch].first_admitting_visit(naplet)
-                is not None
+            if 0 <= branch < len(pattern.children) and (
+                pattern.children[branch].first_admitting_visit(naplet) is not None
             ):
                 frame.tried_from = position + 1
                 return branch
@@ -412,17 +419,16 @@ class Itinerary:
         """
         if join is JoinPolicy.CONTINUE_ALL:
             # clone.itinerary is already a deep copy of self (clone() copies
-            # the whole naplet); swap its top Par frame for the clone's copy
-            # of the branch, located by position in the copied Par node.
+            # the whole naplet), plan included; swap its top Par frame for
+            # the branch's, one index further down the same path.
             grafted = clone.itinerary
             if not isinstance(grafted, Itinerary) or not grafted._stack:
                 raise ItineraryError("clone cursor out of sync during CONTINUE_ALL fork")
-            top = grafted._stack[-1]
+            top = grafted._stack.pop()
             if not isinstance(top, _ParFrame):
                 raise ItineraryError("expected a Par frame on top of the clone cursor")
-            branch_copy = top.pattern.children[branch_index]
-            grafted._stack[-1] = _frame_for(branch_copy)
-            grafted._current_visit = None
+            grafted._push(top.path + (branch_index,))
+            grafted._current = None
             return grafted
         fresh = Itinerary(
             pattern=branch,
@@ -442,8 +448,8 @@ class Itinerary:
         """
         context = naplet.require_context()
         ops: TravelOps = context.dispatcher  # type: ignore[assignment]
-        if self._current_visit is not None and self._current_visit.post_action is not None:
-            visit = self._current_visit
+        visit = self.current_visit
+        if visit is not None and visit.post_action is not None:
             # Duck-typed tracer from the context extras: the itinerary layer
             # stays free of telemetry imports, and untraced naplets skip it.
             tracer = context.extra("tracer")
@@ -455,24 +461,10 @@ class Itinerary:
                     visit.post_action.operate(naplet)
             else:
                 visit.post_action.operate(naplet)
-        self._current_visit = None
-        while True:
-            destination = self.step(naplet, ops)
-            if destination is None:
-                raise NapletCompleted()
-            try:
-                ops.dispatch(naplet, destination)
-                raise ItineraryError(
-                    "TravelOps.dispatch returned without raising NapletDeparted"
-                )
-            except NapletMigrationError as exc:
-                self._failures.append(_FailureRecord(server=destination, error=str(exc)))
-                if self._try_alt_backtrack():
-                    self._note_failover(naplet, ops, destination, exc)
-                    continue
-                if self.on_failure == "skip":
-                    continue
-                raise
+        self._current = None
+        if not self.launch_with(naplet, ops, lambda server: ops.dispatch(naplet, server)):
+            raise NapletCompleted()
+        raise ItineraryError("TravelOps.dispatch returned without raising NapletDeparted")
 
     def first_destination(self, naplet: "Naplet", ops: TravelOps) -> str | None:
         """Launch-time entry: advance to the first visit (forking if needed)."""
@@ -486,9 +478,9 @@ class Itinerary:
         ops: TravelOps,
         transfer: Callable[[str], None],
     ) -> bool:
-        """Launch-time travel loop: same Alt-backtrack / skip semantics as
-        :meth:`travel`, but *transfer* sends the naplet without unwinding a
-        thread (there is no naplet thread yet at the home side).
+        """The travel loop with Alt-backtrack / skip semantics; at launch
+        *transfer* sends the naplet without unwinding a thread (there is no
+        naplet thread yet at the home side), :meth:`travel` dispatches.
 
         Returns True once a transfer succeeded, False when the journey
         completed without any dispatch (degenerate itinerary).
@@ -521,10 +513,7 @@ class Itinerary:
         events = getattr(ops, "event_log", None)
         if events is None:
             return
-        try:
-            naplet_key = str(naplet.naplet_id) if naplet.has_id else naplet.name
-        except Exception:  # pragma: no cover - defensive
-            naplet_key = naplet.name
+        naplet_key = str(naplet.naplet_id) if naplet.has_id else naplet.name
         events.record(
             "alt-failover",
             naplet=naplet_key,
@@ -543,18 +532,39 @@ class Itinerary:
         del self._stack[self._alt_pending + 1 :]
         frame.entered = False
         self._alt_pending = None
-        self._current_visit = None
+        self._current = None
         self.alt_failovers += 1
         return True
+
+    # -- pickling ---------------------------------------------------------------- #
+
+    def __getstate__(self) -> tuple:
+        """``(plan, cursor)``: the cursor a flat tuple of :data:`_CURSOR`,
+        its frames tuples — plus a dict of any attributes a subclass added."""
+        state = dict(self.__dict__)
+        state["_stack"] = tuple(
+            (_FRAMES.index(type(frame)), *vars(frame).values()) for frame in self._stack
+        )
+        cursor = tuple(state.pop(name) for name in _CURSOR)
+        plan = state.pop("_pattern")
+        return (plan, cursor, state) if state else (plan, cursor)
+
+    def __setstate__(self, state: tuple) -> None:
+        plan, cursor, *extra = state
+        self.__dict__.update(*extra, _pattern=plan)
+        self.__dict__.update(zip(_CURSOR, cursor))
+        self._stack = [_FRAMES[kind](*fields) for kind, *fields in self._stack]
+
+    def _split(self) -> tuple[ItineraryPattern | None, "Itinerary"]:
+        """``(plan, cursor)`` as a naplet's two fields: this, less its plan."""
+        cursor = object.__new__(type(self))
+        cursor.__dict__.update(self.__dict__, _pattern=None)
+        return self._pattern, cursor
 
     # -- misc -------------------------------------------------------------------- #
 
     def __repr__(self) -> str:
         status = "completed" if self._completed else ("started" if self._started else "fresh")
-        try:
-            pat = repr(self._pattern)
-        except Exception:  # pragma: no cover - defensive
-            pat = "<?>"
-        return f"<Itinerary {status} {pat}>"
+        return f"<Itinerary {status} {self._pattern!r}>"
 
 

@@ -40,13 +40,14 @@ _FRIENDLY = {
     "_codebase": "codebase_ref",
     "_cred": "credential",
     "_state": "state",
+    "_plan": "itinerary_plan",
     "_itinerary": "itinerary",
     "_address_book": "address_book",
     "_nav_log": "navigation_log",
     "_listener": "listener",
     "_trace_ctx": "trace_context",
     "_hlc": "hlc",
-    "_context": "context",
+    "_inherit_attributes": "inherited_attributes",
 }
 
 
@@ -253,16 +254,17 @@ def explain_delta(
 ) -> DeltaXray:
     """Preview *naplet*'s next hop under delta shipping — a pure probe.
 
-    Pickles each ``__getstate__`` field through the serializer's own
-    per-field pickler and asks the serializer's own rule what the hop
-    would do with it, so the view cannot drift from the envelope.  *held*
+    Pickles each ``image_state()`` field (the itinerary's plan and cursor
+    apart, no credential) through the serializer's own per-field pickler
+    and asks the serializer's own rule what the hop would do with it, so
+    the view cannot drift from the envelope.  *held*
     is what the destination is known to hold
     (``server.navigator.held_by(peer)``); by default it is the naplet's
     previous image here — the view of a hop back to the peer that image
     came from or went to.  Nothing is mutated: the cache is peeked, not
     promoted, and dirty flags stay as they are.
     """
-    getstate = getattr(naplet, "__getstate__", None)
+    getstate = getattr(naplet, "image_state", None) or getattr(naplet, "__getstate__", None)
     state = getstate() if callable(getstate) else dict(naplet.__dict__)
     if not isinstance(state, dict):
         state = {"(state)": state}

@@ -12,7 +12,9 @@ One migration path, one exchange per hop:
    transfer-id and re-acks it; otherwise it runs the **LANDING** check
    (security manager, then residency limits) on the credential *before* it
    deserializes any image byte; a refusal acks ``{"denied": True}``;
-4. on grant it deserializes, registers depart+arrival with the directory
+4. on grant it deserializes, refuses an image that is not the naplet the
+   credential names, installs that verified credential (the image carries
+   none), registers depart+arrival with the directory
    in one event on the source's behalf and *postpones execution until the
    registration is acknowledged*, then records the arrival with its
    NapletManager, creates the mailbox (draining the special mailbox),
@@ -57,6 +59,7 @@ from repro.core.errors import (
     NapletSecurityError,
     ShippedCodeMissingError,
 )
+from repro.core.naplet import Naplet
 from repro.core.naplet_id import NapletID
 from repro.server.messenger import NapletMessengerProxy
 from repro.server.monitor import NapletOutcome, _ControlBlock
@@ -65,7 +68,6 @@ from repro.transport.base import Frame, FrameKind, urn_of
 from repro.util.hlc import HLCStamp
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.naplet import Naplet
     from repro.server.server import NapletServer
 
 __all__ = ["Navigator", "NavigatorOps"]
@@ -219,13 +221,15 @@ class Navigator:
         nid = naplet.naplet_id
         self.server.security.check(naplet.credential, Permission.LAUNCH)
         resident_record = self._mark_departure(naplet, nid, dest_urn)
-        if self.server.journal.enabled:
-            naplet._stamp_hlc(self.server.journal.clock.now())
         data, buffers, cost = dumped = self.server.serializer.dumps_with_cost(
             naplet, held=self.held_by(dest_urn), known_code=self._peer_code.get(dest_urn)
         )
-        # What the peer holds once it acks (a re-ship is the same image).
+        # What the peer holds once it acks (a re-ship is the same image),
+        # booked before it can ack: the naplet may run there and be back
+        # here before this thread sees the ack.  A failed attempt takes
+        # back what it added.
         image = self.server.serializer.delta_cache.peek(str(nid))
+        noted = self._note_held(dest_urn, str(nid), image)
         # Journal the departure *before* the frame's HLC header is minted:
         # the merged timeline must show this record ahead of the landing.
         # (A re-ship mints a fresh header, still after this record.)
@@ -234,7 +238,7 @@ class Navigator:
             bytes=_image_nbytes(data, buffers), delta=bool(cost.delta),
         )
         try:
-            frame = self._transfer_frame(naplet, nid, dest_urn, hop, transfer_id, *dumped)
+            frame = self._transfer_frame(naplet, dest_urn, hop, transfer_id, *dumped)
             ack = pickle.loads(self.server.transport.request(frame))
             if ack.get("need_full"):
                 # The one in-hop recovery: the peer lost a record, a blob
@@ -249,15 +253,16 @@ class Navigator:
                     reason=ack.get("reason"),
                 )
                 *_, cost = dumped = self.server.serializer.dumps_with_cost(naplet)
-                frame = self._transfer_frame(naplet, nid, dest_urn, hop, transfer_id, *dumped)
+                noted = self._note_held(dest_urn, str(nid), image)
+                frame = self._transfer_frame(naplet, dest_urn, hop, transfer_id, *dumped)
                 ack = pickle.loads(self.server.transport.request(frame))
         except NapletCommunicationError as exc:
-            self._rollback_departure(naplet, nid, resident_record)
+            self._rollback_departure(naplet, nid, resident_record, noted)
             raise NapletMigrationError(f"transfer to {dest_urn} failed: {exc}") from exc
         if ack.get("ok") is True:
             self._transfer_acked(naplet, nid, dest_urn, frame, cost, ack, image)
             return
-        self._rollback_departure(naplet, nid, resident_record)
+        self._rollback_departure(naplet, nid, resident_record, noted)
         if ack.get("denied"):
             self.server.events.record(
                 "landing-denied", naplet=str(nid), dest=dest_urn, reason=ack.get("reason")
@@ -286,13 +291,17 @@ class Navigator:
             naplet.navigation_log.record_departure(self.server.urn)
         return resident_record
 
-    def _rollback_departure(self, naplet: "Naplet", nid: NapletID, resident_record) -> None:
+    def _rollback_departure(
+        self, naplet: "Naplet", nid: NapletID, resident_record, noted: list
+    ) -> None:
+        for key in noted:  # the peer does not hold what it never acked
+            self._peer_holds.pop(key, None)
         self.server.manager.abort_departure(nid, resident_record)
         if naplet.navigation_log.servers_visited() and not naplet.navigation_log.current_server():
             naplet.navigation_log.record_arrival(self.server.urn)
 
     def _transfer_frame(
-        self, naplet: "Naplet", nid: NapletID, dest_urn: str, hop,
+        self, naplet: "Naplet", dest_urn: str, hop,
         transfer_id: str, data: bytes, buffers: list, cost,
     ) -> Frame:
         """Build the transfer frame around a dumped image.
@@ -308,7 +317,7 @@ class Navigator:
         image_bytes = _image_nbytes(payload, segments)
         hop.set("bytes", image_bytes)
         self.server.telemetry.frame_bytes.inc(image_bytes, kind="naplet-transfer")
-        headers = {"naplet": str(nid), "transfer-id": transfer_id}
+        headers = {"transfer-id": transfer_id}
         # The HLC stamp is minted *after* the depart event was journaled,
         # so the receiver's clock update places every landing record
         # causally after it.
@@ -391,16 +400,22 @@ class Navigator:
         """What *peer_urn* is known to hold, for ``dumps_with_cost(held=)``."""
         return _HeldBy(self._peer_holds, urn_of(peer_urn))
 
-    def _note_held(self, peer_urn: str, nid: str, image) -> None:
+    def _note_held(self, peer_urn: str, nid: str, image) -> list:
         """Remember that *peer_urn* holds *image* — this server's delta-cache
-        record of a per-field image just acked by, or landed from, that
-        peer: a record of naplet *nid*, and every field hash in it."""
+        record of a per-field image shipped to, or landed from, that peer
+        (a single pickle left none): a record of naplet *nid*, and every
+        field hash in it.  Returns the entries that are new."""
+        if image is None:
+            return []
         table = self._peer_holds
-        for key in (nid, *(entry.hash for entry in image.fields.values())):
-            table[peer_urn, key] = None
-            table.move_to_end((peer_urn, key))
+        keys = [(peer_urn, key) for key in (nid, *(e.hash for e in image.fields.values()))]
+        added = [key for key in keys if key not in table]
+        for key in keys:  # re-inserted last: the most recently learnt
+            table.pop(key, None)
+            table[key] = None
         while len(table) > _PEER_HELD_CAPACITY:
             table.popitem(last=False)
+        return added
 
     def _transfer_acked(
         self, naplet: "Naplet", nid: NapletID, dest_urn: str, frame: Frame,
@@ -418,12 +433,9 @@ class Navigator:
         self._journal_hop_cost(nid, naplet, dest_urn, frame, cost)
         # Messages that were parked here waiting for this naplet chase it.
         self.server.messenger.forward_parked(nid, dest_urn)
-        # Last, off the path of anything another server waits for: the
-        # peer holds the image it acked (a single pickle left none), which
-        # stays cached here without the live objects it was pickled from —
-        # they left with the naplet.
+        # The image stays cached here without the live objects it was
+        # pickled from: they left with the naplet.
         if image is not None:
-            self._note_held(dest_urn, str(nid), image)
             self.server.serializer.delta_cache.release(str(nid), image.hash)
 
     # ------------------------------------------------------------------ #
@@ -488,7 +500,8 @@ class Navigator:
         """Dedup, landing check, deserialize, land, ack — one exchange.
 
         The credential is the frame payload and the image its segments,
-        so admission is decided *before* any image byte is unpickled.
+        so admission is decided *before* any image byte is unpickled; the
+        naplet that lands is the one that credential names, carrying it.
         """
         duplicate = self._duplicate_transfer_ack(frame)
         if duplicate is not None:
@@ -507,7 +520,7 @@ class Navigator:
             # its retry policy decides.
             self.server.events.record(
                 "landing-check-error",
-                naplet=frame.headers.get("naplet"),
+                naplet=str(getattr(credential, "naplet_id", None)),
                 source=frame.source,
                 error=f"{type(exc).__name__}: {exc}",
             )
@@ -529,13 +542,26 @@ class Navigator:
             # held and re-ships the full image within the same attempt.
             self.server.events.record(
                 "delta-need-full",
-                naplet=frame.headers.get("naplet"),
+                naplet=str(credential.naplet_id),
                 source=frame.source,
                 reason=str(exc),
             )
             return pickle.dumps({"ok": False, "need_full": True, "reason": str(exc)})
         except Exception as exc:
             return _rejection(f"deserialization failed: {exc}")
+        if not isinstance(naplet, Naplet) or naplet._nid != credential.naplet_id:
+            # Admission was decided on the credential: an image of any other
+            # naplet must not land under it, nor leave a record to lean on.
+            if isinstance(info.get("hash"), str):
+                self.server.serializer.delta_cache.drop(info["nid"])
+            self.server.events.record(
+                "landing-identity-mismatch",
+                naplet=str(credential.naplet_id),
+                image=str(getattr(naplet, "_nid", None)),
+                source=frame.source,
+            )
+            return _rejection("image is not the naplet its credential names")
+        naplet._cred = credential
         # A per-field image left a record here, and its sender keeps what it
         # just shipped: a hop toward it can lean on that at once.  Noted
         # *before* the naplet is handed to the monitor — it may dump for its

@@ -358,7 +358,7 @@ class NapletServer:
         if self.journal.enabled:
             # The stamp travels in the image so a later thaw — possibly at
             # a server with a skewed clock — still lands after the freeze.
-            naplet._stamp_hlc(self.journal.clock.now())
+            naplet._hlc = self.journal.clock.now()
         image = self.serializer.dumps(naplet)
         self.events.record("naplet-frozen", naplet=str(nid), bytes=len(image))
         return image

@@ -23,7 +23,7 @@ option and no negotiation; every reader reads both (DESIGN.md §6.7):
   with an id, or whose field graph reaches back to the naplet itself (one
   shared memo keeps that cycle intact).
 - **per-field** (``v: 2``) — the image of a tracked naplet: each
-  ``__getstate__`` entry pickled separately and content-hashed.  Per field
+  ``image_state()`` entry pickled separately and content-hashed.  Per field
   (:func:`~repro.transport.delta.field_fate`) the bytes **ship**
   (``fields``), or are **referenced** by hash (``refs``) and resolved from
   whichever record at the destination holds them, or are **omitted** and
@@ -177,6 +177,7 @@ class NapletSerializer:
         self._protocol = protocol
         self._observer = observer
         self._delta_cache = DeltaCache(delta_cache_capacity)
+        self._cls_refs: dict[type, tuple[str, bytes]] = {}  # pickled once per class
 
     @property
     def eager_code(self) -> bool:
@@ -222,7 +223,7 @@ class NapletSerializer:
         """
         nid = self._trackable_id(obj)
         if nid is not None:
-            state = obj.__getstate__()
+            state = obj.image_state()
             if isinstance(state, dict):
                 encoded = self._encode_v2(obj, nid, state, held, known_code)
                 if encoded is not None:
@@ -281,8 +282,6 @@ class NapletSerializer:
         )
         try:
             pickler.dump(value)
-        except _SelfReferential:
-            raise
         except (TypeError, AttributeError, pickle.PicklingError) as exc:
             raise SerializationError(
                 f"cannot serialize field {name!r} of {type(root).__name__}: {exc}"
@@ -334,15 +333,15 @@ class NapletSerializer:
             return None
 
         stamp = shipping_stamp_of(obj)
-        if stamp is not None:
-            cls_ref: tuple[str, Any] = ("stamp", stamp)
-        else:
+        cls_ref = ("stamp", stamp) if stamp is not None else self._cls_refs.get(type(obj))
+        if cls_ref is None:
             try:
                 cls_ref = ("pickle", pickle.dumps(type(obj), self._protocol))
             except (TypeError, AttributeError, pickle.PicklingError) as exc:
                 raise SerializationError(
                     f"cannot serialize {type(obj).__name__}: {exc}"
                 ) from exc
+            self._cls_refs[type(obj)] = cls_ref
 
         img_hash = image_hash({n: e.hash for n, e in new_fields.items()})
         # Into the cache first: a field re-pickled to content some record

@@ -1,0 +1,117 @@
+"""The naplet that lands is the one its LANDING check verified.
+
+A transfer frame carries the credential as its payload and the image as its
+segments, and admission is decided on the credential alone.  An image of any
+other naplet — whatever credential it carries inside — gets a plain
+rejection and a journaled event, and never lands; an image of the admitted
+naplet lands carrying the verified credential, not one of its own.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import pytest
+
+from repro.codeshipping.codebase import CodeBaseRegistry
+from repro.core.credential import Credential, SigningAuthority
+from repro.core.naplet_id import NapletID
+from repro.itinerary import Itinerary, seq
+from repro.server import NapletServer, ServerConfig, SpaceAdmin
+from repro.simnet import VirtualNetwork, line
+from repro.transport.base import Frame, FrameKind
+from repro.transport.tcp import TcpTransport
+from tests.conftest import StallNaplet
+
+
+class ForgedImage(StallNaplet):
+    """A naplet whose per-field image keeps the credential it carries."""
+
+    def image_state(self):
+        return self.__getstate__()
+
+
+@pytest.fixture(params=["inmemory", "tcp"])
+def pair(request):
+    """Servers ``s00`` and ``s01`` over the parametrized transport."""
+    if request.param == "inmemory":
+        network = VirtualNetwork(line(2, prefix="s"))
+        servers = {
+            name: NapletServer.attach(network.host(name), ServerConfig())
+            for name in ("s00", "s01")
+        }
+        yield servers
+        network.shutdown()
+        return
+    transport, authority, registry = TcpTransport(), SigningAuthority(), CodeBaseRegistry()
+    servers = {
+        name: NapletServer(
+            hostname=name, transport=transport, authority=authority,
+            code_registry=registry, config=ServerConfig(),
+        )
+        for name in ("s00", "s01")
+    }
+    yield servers
+    for server in servers.values():
+        server.shutdown()
+    transport.close()
+
+
+def _alice(servers) -> Credential:
+    """A valid credential, as the owner's home would issue it."""
+    authority = servers["s00"].authority
+    authority.register_owner("alice")
+    return authority.issue(NapletID.create("alice", "s00"), "local")
+
+
+def _forged_naplet(nid: NapletID, self_referential: bool) -> ForgedImage:
+    """A naplet under *nid* carrying an unsigned ``role=admin`` credential."""
+    agent = ForgedImage("forged", spin_seconds=30.0)
+    agent._assign_identity(nid, Credential(nid, "local", (("role", "admin"),)))
+    agent.set_itinerary(Itinerary(seq("s01")))
+    if self_referential:
+        agent.ring = {"me": agent}  # the image goes as one single pickle
+    return agent
+
+
+def _offer(servers, credential: Credential, image_of: ForgedImage) -> dict:
+    """Send one transfer of *image_of* under *credential* from s00 to s01."""
+    data, buffers, _cost = servers["s00"].serializer.dumps_with_cost(image_of)
+    frame = Frame(
+        kind=FrameKind.NAPLET_TRANSFER,
+        source=servers["s00"].urn,
+        dest=servers["s01"].urn,
+        payload=pickle.dumps(credential),
+        headers={"transfer-id": f"{servers['s00'].urn}#forged"},
+        buffers=(data, *buffers),
+    )
+    return pickle.loads(servers["s00"].transport.request(frame))
+
+
+@pytest.mark.parametrize("self_referential", [False, True], ids=["per-field", "single-pickle"])
+class TestLandingIdentity:
+    def test_image_of_another_naplet_never_lands(self, pair, self_referential):
+        credential = _alice(pair)
+        mallory = NapletID.create("mallory", "s00")
+        ack = _offer(pair, credential, _forged_naplet(mallory, self_referential))
+        # A plain rejection: not a denial, not a request for the full image.
+        assert ack == {"ok": False, "reason": "image is not the naplet its credential names"}
+        landed = pair["s01"]
+        assert not landed.manager.is_resident(mallory)
+        assert not landed.manager.is_resident(credential.naplet_id)
+        assert int(landed.telemetry.landings.total()) == 0
+        assert str(mallory) not in landed.serializer.delta_cache
+        (event,) = [
+            r for r in SpaceAdmin(pair).harvest_journal()
+            if r.kind == "landing-identity-mismatch"
+        ]
+        assert event.naplet == str(credential.naplet_id)
+        assert event.detail["image"] == str(mallory)
+
+    def test_the_admitted_naplet_carries_the_verified_credential(self, pair, self_referential):
+        credential = _alice(pair)
+        nid = credential.naplet_id
+        assert _offer(pair, credential, _forged_naplet(nid, self_referential))["ok"] is True
+        resident = pair["s01"].manager.resident(nid)
+        assert resident.credential == credential
+        assert resident.credential.feature("role") is None

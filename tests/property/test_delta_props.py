@@ -2,9 +2,10 @@
 
 Whatever the naplet did to its fields between dumps, whatever the receiver
 still holds and whatever the sender *believes* it holds — right, stale or
-plain wrong — ``loads(dumps(...))`` reproduces ``__getstate__`` exactly or
-raises :class:`DeltaBaseMissingError` (one full re-ship).  Never a
-different state.
+plain wrong — ``loads(dumps(...))`` reproduces ``image_state()`` (the
+naplet's state less the credential, which travels as the transfer frame's
+payload) exactly or raises :class:`DeltaBaseMissingError` (one full
+re-ship).  Never a different state.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def _apply(agent, op: str, name: str, value) -> None:
 
 
 def _state_bytes(naplet) -> dict[str, bytes]:
-    """``__getstate__`` field by field, as bytes two equal states share.
+    """``image_state()`` field by field, as bytes two equal states share.
 
     Core fields have no ``__eq__``; their pickles compare instead, taken
     after one round trip because unpickling interns attribute names, which
@@ -58,7 +59,7 @@ def _state_bytes(naplet) -> dict[str, bytes]:
     """
     return {
         name: pickle.dumps(pickle.loads(pickle.dumps(value)))
-        for name, value in naplet.__getstate__().items()
+        for name, value in naplet.image_state().items()
     }
 
 
