@@ -66,7 +66,7 @@ def _run(name: str, itinerary: Itinerary, expected: int) -> dict[str, object]:
     servers["station"].launch(agent, owner="bench", listener=listener)
     reports = listener.reports(expected, timeout=30)
     visited = sorted({host for r in reports for host in r.payload})
-    clones = sum(s.events.count("clone-spawned") for s in servers.values())
+    clones = sum(s.journal.count("clone-spawned") for s in servers.values())
     stats = {
         "visited": visited,
         "clones": clones,

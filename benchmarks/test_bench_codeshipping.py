@@ -33,7 +33,7 @@ def _run_tour(eager: bool):
     assert listener.next_report(timeout=20).payload == TOUR
     transfer = network.meter.kind_stats("naplet-transfer")
     fetch = network.meter.kind_stats("codebase-fetch")
-    fetch_events = sum(s.events.count("codebase-fetch") for s in servers.values())
+    fetch_events = sum(s.journal.count("codebase-fetch") for s in servers.values())
     total = network.meter.total_bytes
     network.shutdown()
     return {

@@ -44,9 +44,9 @@ class TestFigure2:
         network, servers = space2
         benchmark.pedantic(_one_round_trip, args=(servers,), rounds=20, iterations=1)
         rows = [
-            ["launch events (h00)", servers["h00"].events.count("naplet-launch")],
-            ["landings granted (h01)", servers["h01"].events.count("landing-granted")],
-            ["arrivals (h01)", servers["h01"].events.count("naplet-arrive")],
+            ["launch events (h00)", servers["h00"].journal.count("naplet-launch")],
+            ["landings granted (h01)", servers["h01"].journal.count("landing-granted")],
+            ["arrivals (h01)", servers["h01"].journal.count("naplet-arrive")],
             ["naplets admitted (h01)", servers["h01"].monitor.admitted],
             ["bytes on the wire", network.meter.total_bytes],
         ]

@@ -53,7 +53,7 @@ def _run(mode: str, n: int) -> tuple[float, int]:
     servers["station"].launch(agent, owner="bench", listener=listener)
     listener.reports(expected, timeout=60)
     elapsed = time.perf_counter() - start
-    clones = sum(s.events.count("clone-spawned") for s in servers.values())
+    clones = sum(s.journal.count("clone-spawned") for s in servers.values())
     network.shutdown()
     return elapsed, clones
 

@@ -1,9 +1,9 @@
 """E11 (ablation): what do telemetry and the health plane cost a naplet?
 
 Runs the same line tour through three otherwise-identical spaces —
-telemetry off (no-op instruments, null spans), telemetry on with the
-health plane dormant, and telemetry on with the health plane sampling at
-its default cadence — and compares wall-clock per journey.  The
+telemetry off (no-op instruments, null spans, no journal), telemetry on
+with the health plane dormant, and telemetry on with the health plane
+sampling at its default cadence — and compares wall-clock per journey.  The
 instrumentation sits on the migration control path and the health sampler
 runs on its own thread, so this is the honest end-to-end number for both.
 """
@@ -38,37 +38,34 @@ def _run_tours(servers, count: int) -> float:
     return time.perf_counter() - start
 
 
-def _space(telemetry: bool, health: bool = False, journal: bool = True):
+def _space(telemetry: bool, health: bool = False):
     network = VirtualNetwork(line(4, prefix="s"))
     servers = repro.deploy(
         network,
-        config=ServerConfig(
-            telemetry_enabled=telemetry,
-            health_enabled=health,
-            journal_enabled=journal,
-        ),
+        config=ServerConfig(telemetry_enabled=telemetry, health_enabled=health),
     )
     return network, servers
+
+
+def _spans_kept(servers) -> int:
+    return sum(len(s.journal.records(category="span")) for s in servers.values())
 
 
 class TestTelemetryOverhead:
     def test_bench_tour_with_and_without_telemetry(self, benchmark, table):
         net_on, on = _space(telemetry=True, health=False)
         net_health, with_health = _space(telemetry=True, health=True)
-        net_nj, no_journal = _space(telemetry=True, health=False, journal=False)
         net_off, off = _space(telemetry=False)
         try:
             # warm all spaces (code paths, caches) before timing
             _run_tours(on, 2)
             _run_tours(with_health, 2)
-            _run_tours(no_journal, 2)
             _run_tours(off, 2)
             instrumented = _run_tours(on, TOURS)
             health_on = _run_tours(with_health, TOURS)
-            journal_off = _run_tours(no_journal, TOURS)
             bare = _run_tours(off, TOURS)
 
-            spans = sum(len(s.telemetry.tracer) for s in on.values())
+            spans = _spans_kept(on)
             table(
                 "E11 — telemetry/health overhead per 3-hop journey",
                 ["configuration", "total (s)", "ms/journey", "spans kept"],
@@ -83,29 +80,24 @@ class TestTelemetryOverhead:
                         "telemetry + health plane",
                         f"{health_on:.3f}",
                         f"{health_on / TOURS * 1e3:.1f}",
-                        sum(len(s.telemetry.tracer) for s in with_health.values()),
-                    ],
-                    [
-                        "telemetry, journal off",
-                        f"{journal_off:.3f}",
-                        f"{journal_off / TOURS * 1e3:.1f}",
-                        sum(len(s.telemetry.tracer) for s in no_journal.values()),
+                        _spans_kept(with_health),
                     ],
                     [
                         "telemetry off",
                         f"{bare:.3f}",
                         f"{bare / TOURS * 1e3:.1f}",
-                        sum(len(s.telemetry.tracer) for s in off.values()),
+                        _spans_kept(off),
                     ],
                 ],
             )
+            print(f"telemetry on/off ratio: {instrumented / bare:.3f}")
             benchmark.extra_info["instrumented_s"] = instrumented
             benchmark.extra_info["health_on_s"] = health_on
-            benchmark.extra_info["journal_off_s"] = journal_off
             benchmark.extra_info["bare_s"] = bare
+            benchmark.extra_info["on_off_ratio"] = instrumented / bare
 
-            # telemetry-off really records nothing
-            assert all(len(s.telemetry.tracer) == 0 for s in off.values())
+            # telemetry-off really records nothing, journal included
+            assert all(s.journal.total_appended == 0 for s in off.values())
             assert off["s00"].telemetry.launches.value() == 0
             assert spans > 0
             # the layer must stay far below the migration cost itself;
@@ -115,13 +107,6 @@ class TestTelemetryOverhead:
             # default cadence must cost the tours under 5% (plus a small
             # absolute cushion for scheduler jitter on loaded CI boxes)
             assert health_on <= instrumented * 1.05 + 0.25
-            # ISSUE acceptance: the flight-recorder journal costs the tours
-            # under 5% — it is one observer call per event/span plus a ring
-            # append, never a lock on the migration path itself
-            assert instrumented <= journal_off * 1.05 + 0.25
-            # journal-off really journals nothing (observers short-circuit)
-            assert all(s.journal.depth == 0 for s in no_journal.values())
-            assert sum(s.journal.depth for s in on.values()) > 0
             # hop-cost attribution rode along for free: every tour hop left
             # a perf record and fed the byte/serialize histograms, and the
             # overhead bounds above were met with attribution enabled
@@ -146,5 +131,4 @@ class TestTelemetryOverhead:
         finally:
             net_on.shutdown()
             net_health.shutdown()
-            net_nj.shutdown()
             net_off.shutdown()

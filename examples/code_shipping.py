@@ -67,7 +67,7 @@ def main(eager: bool = False) -> None:
     print("\nper-server lazy-loading stats:")
     for hostname in sorted(servers):
         cache = servers[hostname].code_cache
-        fetches = servers[hostname].events.count("codebase-fetch")
+        fetches = servers[hostname].journal.count("codebase-fetch")
         print(
             f"  {hostname}: cache hits={cache.hits} misses={cache.misses} "
             f"fetch events={fetches}"

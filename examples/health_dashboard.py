@@ -112,9 +112,8 @@ def main() -> None:
     trace_path = Path(tempfile.gettempdir()) / "naplet_health_trace.json"
     trace = write_chrome_trace(
         str(trace_path),
-        journey,
+        admin.harvest_journal(journey=str(worker_nid)),
         profiles=admin.top_naplets_by_cpu(10),
-        fault_records=network.fault_records(),
     )
     print(
         f"\nChrome trace: {len(trace['traceEvents'])} events -> {trace_path}\n"

@@ -25,7 +25,7 @@ from typing import Any, Callable
 
 from repro.codeshipping.loader import RestrictedLoader
 from repro.core.errors import CodeShippingError
-from repro.util.eventlog import EventLog
+from repro.telemetry.journal import SpaceJournal
 
 __all__ = [
     "CodeBase",
@@ -206,7 +206,7 @@ class CodeCache:
         registry: CodeBaseRegistry,
         loader: RestrictedLoader | None = None,
         fetch_observer: FetchObserver | None = None,
-        event_log: EventLog | None = None,
+        journal: SpaceJournal | None = None,
     ) -> None:
         self._registry = registry
         self._loader = loader or RestrictedLoader()
@@ -214,7 +214,7 @@ class CodeCache:
         self._hashes: dict[tuple[str, str], str] = {}  # hash of each installed source
         self._lock = threading.RLock()
         self._fetch_observer = fetch_observer
-        self.events = event_log if event_log is not None else EventLog()
+        self.journal = journal if journal is not None else SpaceJournal("code-cache")
         self.hits = 0
         self.misses = 0
 
@@ -234,7 +234,7 @@ class CodeCache:
             module = self._modules.get(key)
             if module is not None:
                 self.hits += 1
-                self.events.record(
+                self.journal.record(
                     "codeshipping-cache-hit", codebase=codebase_name, module=module_key
                 )
             else:
@@ -242,7 +242,7 @@ class CodeCache:
                 codebase = self._registry.get(codebase_name)
                 source = codebase.source_of(module_key)
                 nbytes = len(source.encode())
-                self.events.record(
+                self.journal.record(
                     "codeshipping-cache-miss",
                     codebase=codebase_name,
                     module=module_key,

@@ -16,7 +16,7 @@ See DESIGN.md section 6.3 for the full fault model and semantics.
 """
 
 from repro.faults.deadletter import DeadLetter, DeadLetterQueue
-from repro.faults.engine import FaultInjector, FaultRecord, InjectedFault
+from repro.faults.engine import FaultInjector, InjectedFault
 from repro.faults.plan import FaultAction, FaultDecision, FaultPlan, FaultRule
 from repro.faults.retry import RetryPolicy, no_retry
 
@@ -26,7 +26,6 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "FaultInjector",
-    "FaultRecord",
     "InjectedFault",
     "RetryPolicy",
     "no_retry",

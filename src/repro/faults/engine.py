@@ -5,7 +5,7 @@ Transport` surface the rest of the framework uses — ``send``, ``request``,
 and attribute fall-through to the wrapped transport for everything else
 (``register``, ``unregister``, ``metrics``, ``clock``, ``close`` …).  It is
 deliberately *not* a ``Transport`` subclass: subclassing would mint a second
-metrics registry and event-log plumbing, whereas the whole point is that
+metrics registry and journal plumbing, whereas the whole point is that
 servers bound to the injector are indistinguishable from servers bound to
 the raw transport.
 
@@ -26,51 +26,23 @@ Per-frame behavior, applied in order:
 
 Every fired fault increments ``fault_injected_total{fault=...}`` on the
 *inner* transport's registry, so :meth:`SpaceAdmin.space_metrics` and the
-exposition endpoint pick the counters up with no extra wiring.
+exposition endpoint pick the counters up with no extra wiring, and is
+journaled as a ``fault-injected`` record at the frame's source server —
+the counter answers *how many*, the record *when and to whom*.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.errors import NapletCommunicationError
 from repro.faults.plan import FaultDecision, FaultPlan
 from repro.transport.base import Frame
 
-__all__ = ["FaultInjector", "FaultRecord", "InjectedFault"]
+__all__ = ["FaultInjector", "InjectedFault"]
 
 _CORRUPT_MARK = b"\xde\xad"
-_RECORD_CAPACITY = 1024
-
-
-@dataclass(frozen=True)
-class FaultRecord:
-    """One fired fault, annotated for trace timelines.
-
-    The metrics counter answers *how many*; records answer *when and to
-    whom*, which is what the Chrome trace exporter needs to pin injected
-    faults onto the same monotonic timeline as the spans they disturbed.
-    """
-
-    labels: tuple[str, ...]
-    kind: str  # frame kind the fault hit
-    source: str
-    dest: str
-    wall: float
-    mono: float
-
-    def describe(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "kind": self.kind,
-            "source": self.source,
-            "dest": self.dest,
-            "wall": self.wall,
-            "mono": self.mono,
-        }
 
 
 class InjectedFault(NapletCommunicationError):
@@ -92,15 +64,14 @@ class FaultInjector:
         self._fault_counter = inner.metrics.counter(
             "fault_injected_total", "Faults injected into the wire, by fault label."
         )
-        self._records: deque[FaultRecord] = deque(maxlen=_RECORD_CAPACITY)
-        # Flight-recorder journals by endpoint URN; each fired fault is
-        # journaled at the *source* endpoint only, so a space-wide causal
-        # merge sees it exactly once.
+        # Journals by endpoint URN; each fired fault is journaled at the
+        # *source* endpoint only, so a space-wide causal merge sees it
+        # exactly once.
         self._journals: dict[str, Any] = {}
 
     # Everything the framework asks of a transport that we do not
-    # intercept — register, unregister, bind_event_log, metrics, clock,
-    # fail_link, close, … — falls through to the wrapped instance.
+    # intercept — register, unregister, metrics, clock, fail_link,
+    # close, … — falls through to the wrapped instance.
     def __getattr__(self, name: str):
         return getattr(self.inner, name)
 
@@ -118,29 +89,33 @@ class FaultInjector:
         else:
             time.sleep(seconds)
 
-    def bind_journal(self, urn: str, journal: Any) -> None:
-        """Journal faults fired on frames *from* this endpoint into *journal*."""
+    def bind_event_log(self, urn: str, journal: Any) -> None:
+        """Journal faults fired on frames *from* this endpoint into
+        *journal*, and bind it on the wrapped transport too."""
         self._journals[urn] = journal
+        self.inner.bind_event_log(urn, journal)
+
+    def _journal(
+        self, kind: str, decision: FaultDecision, frame: Frame, **detail: Any
+    ) -> None:
+        journal = self._journals.get(frame.source)
+        if journal is not None:
+            journal.append(
+                kind,
+                category="fault",
+                detail={
+                    "labels": list(decision.labels),
+                    "kind": str(frame.kind),
+                    "source": frame.source,
+                    "dest": frame.dest,
+                    **detail,
+                },
+            )
 
     def _count(self, decision: FaultDecision, frame: Frame) -> None:
         for label in decision.labels:
             self._fault_counter.inc(fault=label)
-        record = FaultRecord(
-            labels=tuple(decision.labels),
-            kind=str(frame.kind),
-            source=frame.source,
-            dest=frame.dest,
-            wall=time.time(),
-            mono=time.monotonic(),
-        )
-        self._records.append(record)
-        journal = self._journals.get(frame.source)
-        if journal is not None:
-            journal.observe_fault(record)
-
-    def records(self) -> list[FaultRecord]:
-        """Fired faults in firing order (bounded to the most recent 1024)."""
-        return list(self._records)
+        self._journal("fault-injected", decision, frame)
 
     @staticmethod
     def _corrupted(frame: Frame) -> Frame:
@@ -181,8 +156,8 @@ class FaultInjector:
         if decision.duplicate:
             try:
                 self.inner.send(wire)
-            except Exception:
-                pass
+            except Exception as exc:
+                self._journal("fault-duplicate-error", decision, frame, error=repr(exc))
         try:
             self.inner.send(wire)
         except NapletCommunicationError:
@@ -208,8 +183,8 @@ class FaultInjector:
             # receiver's dedup machinery must make this invisible.
             try:
                 self.inner.request(wire, timeout)
-            except Exception:
-                pass
+            except Exception as exc:
+                self._journal("fault-duplicate-error", decision, frame, error=repr(exc))
         try:
             reply = self.inner.request(wire, timeout)
         except NapletCommunicationError:

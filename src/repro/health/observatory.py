@@ -296,9 +296,9 @@ class LoadObservatory:
         while not self._stop.wait(self.cadence):
             try:
                 self.beat_now()
-            except Exception:
+            except Exception as exc:
                 # A heartbeat must never take the server down with it.
-                self.server.events.record("load-beat-error")
+                self.server.journal.record("load-beat-error", error=repr(exc))
 
     # ------------------------------------------------------------------ #
     # Digests

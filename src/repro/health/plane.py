@@ -114,9 +114,9 @@ class HealthPlane:
         while not self._stop.wait(self.cadence):
             try:
                 self.sample_now()
-            except Exception:
+            except Exception as exc:
                 # The watchdog must never take the server down with it.
-                self.server.events.record("health-sample-error")
+                self.server.journal.record("health-sample-error", error=repr(exc))
 
     # ------------------------------------------------------------------ #
     # Sampling
@@ -265,17 +265,15 @@ class HealthPlane:
                 carried = (
                     None if existing is None else existing.data.get("journal_slice")
                 )
-            journal = getattr(self.server, "journal", None)
-            if journal is not None and journal.enabled:
-                data = dict(data)
-                if fresh_critical:
-                    data["journal_slice"] = [
-                        r.describe() for r in journal.slice_for(subject)
-                    ]
-                elif carried is not None:
-                    # Still CRITICAL: keep the slice captured at escalation
-                    # (the evidence of *how it got here*, not the aftermath).
-                    data["journal_slice"] = carried
+            data = dict(data)
+            if fresh_critical:
+                data["journal_slice"] = [
+                    r.describe() for r in self.server.journal.slice_for(subject)
+                ]
+            elif carried is not None:
+                # Still CRITICAL: keep the slice captured at escalation
+                # (the evidence of *how it got here*, not the aftermath).
+                data["journal_slice"] = carried
         with self._lock:
             finding = self._findings.get((kind, subject))
             if finding is not None:
@@ -291,7 +289,7 @@ class HealthPlane:
             )
             self._findings[finding.key] = finding
         self._findings_total.inc(kind=kind, severity=severity)
-        self.server.events.record(
+        self.server.journal.record(
             "health-finding",
             finding=kind,
             severity=severity,
@@ -306,7 +304,7 @@ class HealthPlane:
                 self._resolved.append(finding)
                 del self._resolved[:-64]
         if finding is not None:
-            self.server.events.record(
+            self.server.journal.record(
                 "health-finding-resolved", finding=kind, subject=subject
             )
 

@@ -504,17 +504,17 @@ class Itinerary:
     def _note_failover(
         self, naplet: "Naplet", ops: TravelOps, destination: str, exc: BaseException
     ) -> None:
-        """Record a burned Alt mirror on the hosting server's event log.
+        """Record a burned Alt mirror in the hosting server's journal.
 
         Duck-typed like the tracer in :meth:`travel`: the itinerary layer
-        stays free of telemetry imports, and ops doubles without an
-        ``event_log`` simply record nothing.
+        stays free of telemetry imports, and ops doubles without a
+        ``journal`` simply record nothing.
         """
-        events = getattr(ops, "event_log", None)
-        if events is None:
+        journal = getattr(ops, "journal", None)
+        if journal is None:
             return
         naplet_key = str(naplet.naplet_id) if naplet.has_id else naplet.name
-        events.record(
+        journal.record(
             "alt-failover",
             naplet=naplet_key,
             failed=destination,

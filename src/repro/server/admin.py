@@ -30,10 +30,9 @@ from repro.health.profile import ResourceProfile
 from repro.server.manager import Footprint
 from repro.server.messages import SystemControl
 from repro.server.monitor import ResourceUsage
-from repro.telemetry.journal import JournalRecord
+from repro.telemetry.journal import JournalRecord, span_from_record
 from repro.telemetry.journey import Journey, stitch
 from repro.telemetry.metrics import MetricsSnapshot
-from repro.telemetry.trace import Span
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.server.server import NapletServer
@@ -178,26 +177,13 @@ class SpaceAdmin:
     def journey(self, nid: NapletID) -> Journey:
         """Stitch the cross-server spans of *nid*'s journey into one tree.
 
-        Scans every server's tracer for spans tagged with the naplet id to
-        learn its trace id(s) — a clone family shares one trace — then
-        collects *all* spans of those traces (including message-forward
-        spans recorded at servers the naplet never visited) and stitches
-        them by parent reference.
+        The span records of the harvested journey — every span of the
+        trace(s) the naplet id resolves to, a clone family's included, and
+        message-forward spans recorded at servers the naplet never
+        visited — stitched by parent reference.
         """
-        key = str(nid)
-        trace_ids = {
-            span.trace_id
-            for server in self._servers.values()
-            for span in server.telemetry.tracer.spans()
-            if span.attr("naplet") == key
-        }
-        spans: list[Span] = [
-            span
-            for server in self._servers.values()
-            for span in server.telemetry.tracer.spans()
-            if span.trace_id in trace_ids
-        ]
-        return stitch(spans)
+        records = self.harvest_journal(journey=str(nid), category="span")
+        return stitch([span_from_record(record) for record in records])
 
     def space_metrics(self) -> MetricsSnapshot:
         """One merged snapshot over every server registry and transport.

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.core.naplet_id import NapletID
 from repro.server.directory import DirectoryClient, DirectoryRecord
-from repro.util.eventlog import EventLog
+from repro.telemetry.journal import SpaceJournal
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.telemetry.exposition import ServerTelemetry
@@ -42,7 +42,7 @@ class Locator:
         self,
         directory: DirectoryClient,
         cache_ttl: float = 5.0,
-        events: EventLog | None = None,
+        journal: SpaceJournal | None = None,
         telemetry: "ServerTelemetry | None" = None,
         cache_capacity: int | None = None,
         time_source: "Callable[[], float]" = time.monotonic,
@@ -51,7 +51,7 @@ class Locator:
         self.cache_ttl = cache_ttl
         self.cache_capacity = cache_capacity
         self._now = time_source
-        self.events = events if events is not None else EventLog()
+        self.journal = journal if journal is not None else SpaceJournal("locator")
         self.telemetry = telemetry
         self._cache: OrderedDict[NapletID, tuple[str, float]] = OrderedDict()
         self._lock = threading.Lock()
@@ -101,12 +101,12 @@ class Locator:
                 self.cache_hits += 1
                 if self.telemetry is not None:
                     self.telemetry.locator_hits.inc()
-                self.events.record("locator-cache-hit", naplet=str(nid), urn=cached)
+                self.journal.record("locator-cache-hit", naplet=str(nid), urn=cached)
                 return cached
         self.cache_misses += 1
         if self.telemetry is not None:
             self.telemetry.locator_misses.inc()
-        self.events.record("locator-cache-miss", naplet=str(nid))
+        self.journal.record("locator-cache-miss", naplet=str(nid))
         record = self.directory.lookup(nid)
         if record is None:
             return None

@@ -103,7 +103,7 @@ class NapletManager:
             naplet.set_listener(ListenerRef(home_urn=self.server.urn, listener_key=key))
         with self._lock:
             self._launched.append(nid)
-        self.server.events.record("naplet-launch", naplet=str(nid), owner=owner)
+        self.server.journal.record("naplet-launch", naplet=str(nid), owner=owner)
         telemetry = self.server.telemetry
         telemetry.launches.inc()
         # Root span of the journey tree: hop/message spans parent to it via

@@ -183,7 +183,7 @@ class Messenger:
             except Exception:
                 pass  # an observer must never break delivery error handling
         self.server.telemetry.dead_letters.inc()
-        self.server.events.record(
+        self.server.journal.record(
             "message-dead-lettered",
             target=str(message.target),
             dest=dest_urn,
@@ -214,7 +214,7 @@ class Messenger:
         if delivered:
             self.server.telemetry.dead_letters_requeued.inc(delivered)
         if delivered or requeued:
-            self.server.events.record(
+            self.server.journal.record(
                 "dead-letters-requeued", delivered=delivered, requeued=requeued
             )
         return delivered, requeued
@@ -248,7 +248,7 @@ class Messenger:
 
         def _on_retry(attempt: int, wait: float, exc: BaseException) -> None:
             self.server.telemetry.message_retries.inc()
-            self.server.events.record(
+            self.server.journal.record(
                 "message-retry",
                 target=str(message.target),
                 dest=dest_urn,
@@ -360,7 +360,7 @@ class Messenger:
 
         def _on_retry(attempt: int, wait: float, exc: BaseException) -> None:
             self.server.telemetry.message_retries.inc()
-            self.server.events.record(
+            self.server.journal.record(
                 "control-retry",
                 target=str(target),
                 control=control,

@@ -35,7 +35,7 @@ from repro.core.errors import (
     ResourceLimitExceeded,
 )
 from repro.server.messages import SystemControl
-from repro.util.eventlog import EventLog
+from repro.telemetry.journal import SpaceJournal
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.naplet import Naplet
@@ -172,14 +172,14 @@ class NapletMonitor:
         self,
         hostname: str,
         default_quota: ResourceQuota | None = None,
-        event_log: EventLog | None = None,
+        journal: SpaceJournal | None = None,
         telemetry: "ServerTelemetry | None" = None,
     ) -> None:
         self.hostname = hostname
         self.default_quota = default_quota if default_quota is not None else ResourceQuota()
-        # Explicit None-check: an empty EventLog is falsy (it has __len__),
-        # so `or` would silently drop the server's shared log.
-        self.events = event_log if event_log is not None else EventLog()
+        # Explicit None-check: an empty journal is falsy (it has __len__),
+        # so `or` would silently drop the server's own.
+        self.journal = journal if journal is not None else SpaceJournal(hostname)
         self.telemetry = telemetry
         self._runs: dict["NapletID", _ControlBlock] = {}
         # Runs displaced from the table by a re-landing of the same naplet
@@ -247,7 +247,7 @@ class NapletMonitor:
                 outcome, error = NapletOutcome.TERMINATED, exc
             except Exception as exc:  # the paper's "traps for execution exceptions"
                 outcome, error = NapletOutcome.FAILED, exc
-                self.events.record(
+                self.journal.record(
                     "naplet-exception",
                     naplet=str(nid),
                     error=repr(exc),
@@ -260,7 +260,7 @@ class NapletMonitor:
             target=_thread_main, name=f"naplet-{nid}@{self.hostname}", daemon=True
         )
         block.thread = thread
-        self.events.record("naplet-admitted", naplet=str(nid))
+        self.journal.record("naplet-admitted", naplet=str(nid))
         thread.start()
         return block
 
@@ -284,14 +284,14 @@ class NapletMonitor:
                 except ValueError:
                     pass
             self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
-        self.events.record("naplet-finished", naplet=str(nid), outcome=outcome)
+        self.journal.record("naplet-finished", naplet=str(nid), outcome=outcome)
         if self.telemetry is not None:
             self.telemetry.outcomes.inc(outcome=outcome)
             self.telemetry.cpu_seconds.inc(block.usage.cpu_seconds)
             if outcome == NapletOutcome.QUOTA:
                 resource = getattr(error, "resource", "unknown")
                 self.telemetry.quota_trips.inc(resource=resource)
-                self.events.record(
+                self.journal.record(
                     "quota-trip", naplet=str(nid), resource=resource
                 )
         try:
@@ -314,7 +314,7 @@ class NapletMonitor:
         if block is None:
             return False
         block.post_interrupt(control, payload)
-        self.events.record("naplet-interrupt", naplet=str(nid), control=control)
+        self.journal.record("naplet-interrupt", naplet=str(nid), control=control)
         return True
 
     def control_block(self, nid: "NapletID") -> _ControlBlock | None:

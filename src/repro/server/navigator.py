@@ -154,7 +154,7 @@ class Navigator:
         if not travelled:
             # Degenerate journey: nothing admitted. Retire without travel.
             self.server.manager.record_retirement(nid, "completed")
-            self.server.events.record("naplet-degenerate-launch", naplet=str(nid))
+            self.server.journal.record("naplet-degenerate-launch", naplet=str(nid))
             naplet.on_destroy()
             return
         self.server.messenger.remove_mailbox(nid, forward_to=sent["dest"])
@@ -197,7 +197,7 @@ class Navigator:
 
         def _on_retry(attempt: int, wait: float, exc: BaseException) -> None:
             telemetry.migration_retries.inc()
-            self.server.events.record(
+            self.server.journal.record(
                 "migration-retry",
                 naplet=str(nid),
                 dest=dest_urn,
@@ -233,7 +233,7 @@ class Navigator:
         # Journal the departure *before* the frame's HLC header is minted:
         # the merged timeline must show this record ahead of the landing.
         # (A re-ship mints a fresh header, still after this record.)
-        self.server.events.record(
+        self.server.journal.record(
             "naplet-depart", naplet=str(nid), dest=dest_urn,
             bytes=_image_nbytes(data, buffers), delta=bool(cost.delta),
         )
@@ -248,7 +248,7 @@ class Navigator:
                     if key[0] == dest_urn:
                         self._peer_holds.pop(key, None)
                 self.server.telemetry.delta_full_reships.inc()
-                self.server.events.record(
+                self.server.journal.record(
                     "delta-full-reship", naplet=str(nid), dest=dest_urn,
                     reason=ack.get("reason"),
                 )
@@ -264,7 +264,7 @@ class Navigator:
             return
         self._rollback_departure(naplet, nid, resident_record, noted)
         if ack.get("denied"):
-            self.server.events.record(
+            self.server.journal.record(
                 "landing-denied", naplet=str(nid), dest=dest_urn, reason=ack.get("reason")
             )
             raise LandingDeniedError(
@@ -478,7 +478,7 @@ class Navigator:
         if nid is None:
             return None
         self.server.telemetry.duplicate_transfers.inc()
-        self.server.events.record(
+        self.server.journal.record(
             "duplicate-transfer",
             naplet=str(nid),
             transfer_id=transfer_id,
@@ -518,7 +518,7 @@ class Navigator:
             # The check itself broke (a policy rule raised): not a verdict
             # on the naplet, so not "denied" — the source rolls back and
             # its retry policy decides.
-            self.server.events.record(
+            self.server.journal.record(
                 "landing-check-error",
                 naplet=str(getattr(credential, "naplet_id", None)),
                 source=frame.source,
@@ -528,7 +528,7 @@ class Navigator:
         if reason is not None:
             self.server.telemetry.landings_denied.inc()
             return pickle.dumps({"ok": False, "denied": True, "reason": reason})
-        self.server.events.record(
+        self.server.journal.record(
             "landing-granted", naplet=str(credential.naplet_id), source=frame.source
         )
         image, oob = frame.buffers[0], tuple(frame.buffers[1:])
@@ -540,7 +540,7 @@ class Navigator:
         except (DeltaBaseMissingError, ShippedCodeMissingError) as exc:
             # Recoverable by protocol: the sender forgets what this peer
             # held and re-ships the full image within the same attempt.
-            self.server.events.record(
+            self.server.journal.record(
                 "delta-need-full",
                 naplet=str(credential.naplet_id),
                 source=frame.source,
@@ -554,7 +554,7 @@ class Navigator:
             # naplet must not land under it, nor leave a record to lean on.
             if isinstance(info.get("hash"), str):
                 self.server.serializer.delta_cache.drop(info["nid"])
-            self.server.events.record(
+            self.server.journal.record(
                 "landing-identity-mismatch",
                 naplet=str(credential.naplet_id),
                 image=str(getattr(naplet, "_nid", None)),
@@ -635,7 +635,7 @@ class Navigator:
         telemetry.landings.inc()
         telemetry.itinerary_depth.observe(len(naplet.navigation_log.servers_visited()))
         self.migrations_in += 1
-        self.server.events.record(
+        self.server.journal.record(
             "naplet-arrive",
             naplet=str(nid),
             source=arrived_from,
@@ -676,7 +676,7 @@ class Navigator:
             if agent.navigation_log.current_server() == server.urn:
                 agent.navigation_log.record_departure(server.urn)
             agent._bind_context(None)
-            server.events.record(
+            server.journal.record(
                 "naplet-retired",
                 naplet=str(nid),
                 outcome=outcome,
@@ -701,15 +701,15 @@ class NavigatorOps:
         return self._navigator.server.urn
 
     @property
-    def event_log(self):
-        """Server EventLog, duck-typed for the itinerary driver's
+    def journal(self):
+        """Server journal, duck-typed for the itinerary driver's
         failover notes (a test double without one simply records nothing)."""
-        return self._navigator.server.events
+        return self._navigator.server.journal
 
     def order_alt_branches(self, naplet: "Naplet", pattern) -> tuple[int, ...] | None:
         """Load-ranked Alt branch order from the server's observatory.
 
-        Duck-typed by the itinerary driver like ``event_log``; returns
+        Duck-typed by the itinerary driver like ``journal``; returns
         None (static declaration order) whenever the observatory is
         dormant, load-aware navigation is off, or the space view cannot
         vouch fresh digests for every admitting candidate.
@@ -737,7 +737,7 @@ class NavigatorOps:
         # (and rolls it back if the spawn fails).
         server.manager.record_arrival(clone, arrived_from=None)
         self._navigator.transfer(clone, urn_of(destination))
-        server.events.record(
+        server.journal.record(
             "clone-spawned",
             parent=str(parent.naplet_id),
             clone=str(clone.naplet_id),

@@ -89,11 +89,11 @@ class ResourceManager:
         try:
             self.server.security.check(naplet.credential, Permission.service(name))
         except Exception as exc:
-            self.server.events.record(
+            self.server.journal.record(
                 "service-denied", naplet=who, service=name, reason=str(exc)
             )
             raise
-        self.server.events.record("service-granted", naplet=who, service=name)
+        self.server.journal.record("service-granted", naplet=who, service=name)
         return handler
 
     def request_channel(self, naplet: "Naplet", name: str) -> ServiceChannel:
@@ -112,7 +112,7 @@ class ResourceManager:
         try:
             self.server.security.check(naplet.credential, Permission.channel(name))
         except Exception as exc:
-            self.server.events.record(
+            self.server.journal.record(
                 "channel-denied", naplet=who, service=name, reason=str(exc)
             )
             raise
@@ -124,7 +124,7 @@ class ResourceManager:
         with self._lock:
             self._channels.setdefault(nid, {})[name] = channel
             self.channels_created += 1
-        self.server.events.record(
+        self.server.journal.record(
             "channel-created", naplet=str(nid), service=name
         )
         return channel

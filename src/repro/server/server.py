@@ -44,7 +44,6 @@ from repro.telemetry.exposition import ServerTelemetry
 from repro.telemetry.journal import SpaceJournal
 from repro.transport.base import Frame, FrameKind, Transport, urn_of
 from repro.transport.serializer import NapletSerializer
-from repro.util.eventlog import RING_BOUND, EventLog
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.naplet import Naplet
@@ -88,12 +87,10 @@ class ServerConfig:
     health_stuck_deadline: float = 30.0  # no-progress watchdog deadline
     health_profile_window: int = 240  # samples kept per naplet profile
     health_profile_capacity: int = 512  # naplet profiles kept (LRU)
-    # Flight recorder (DESIGN.md §6.5): the per-server causal event journal.
-    # Dormant whenever telemetry is disabled.  ``journal_time_source`` lets
-    # tests run servers with deliberately skewed wall clocks to prove the
-    # hybrid logical clock keeps the merged timeline causally consistent.
-    journal_enabled: bool = True
-    journal_capacity: int = 4096
+    # Flight recorder (DESIGN.md §6.5): the per-server causal journal, on
+    # exactly when telemetry is.  ``journal_time_source`` lets tests run
+    # servers with deliberately skewed wall clocks to prove the hybrid
+    # logical clock keeps the merged timeline causally consistent.
     journal_time_source: Callable[[], float] | None = None
     # Load observatory (DESIGN.md §6.8): heartbeat LoadDigests ride
     # already-open connections, merge into a per-server SpaceView, and —
@@ -126,24 +123,24 @@ class NapletServer:
         self.code_registry = code_registry
         self.config = config or ServerConfig()
         self.network = network
-        self.events = EventLog(maxlen=RING_BOUND)
         self.telemetry = ServerTelemetry(hostname, enabled=self.config.telemetry_enabled)
 
-        # Flight recorder: one causal journal fed by every event source.
-        # The shared EventLog (Locator, Monitor, CodeCache, transport drops,
-        # Messenger and Navigator all write to it) and the tracer feed it
-        # through observers, so components never know the journal exists.
+        # Flight recorder: the server's one record store.  Every component
+        # (Locator, Monitor, CodeCache, Messenger, Navigator, the health
+        # plane, the transport's drops and injected faults) writes to it,
+        # and the tracer hands it each completed span.
         self.journal = SpaceJournal(
             hostname,
-            capacity=self.config.journal_capacity,
-            enabled=self.config.telemetry_enabled and self.config.journal_enabled,
+            enabled=self.config.telemetry_enabled,
             time_source=self.config.journal_time_source,
             records_counter=self.telemetry.registry.counter(
                 "naplet_journal_records_total",
                 "Flight-recorder records appended, by event kind",
             ),
         )
-        self.events.on_record = self.journal.observe_event
+        # The same object under its older name, read by the frozen
+        # journey harness.
+        self.events = self.journal
         self.telemetry.tracer.on_span = self.journal.observe_span
         self.telemetry.registry.gauge_fn(
             "naplet_journal_depth",
@@ -169,7 +166,7 @@ class NapletServer:
             delta_cache_capacity=self.config.delta_cache_capacity,
         )
         self.code_cache = CodeCache(
-            code_registry, fetch_observer=self._on_code_fetch, event_log=self.events
+            code_registry, fetch_observer=self._on_code_fetch, journal=self.journal
         )
 
         # -- the seven components -------------------------------------- #
@@ -179,7 +176,7 @@ class NapletServer:
             require_signature=self.config.require_signature,
         )
         self.monitor = NapletMonitor(
-            hostname, self.config.default_quota, self.events, telemetry=self.telemetry
+            hostname, self.config.default_quota, self.journal, telemetry=self.telemetry
         )
         self.manager = NapletManager(self)
         self.resource_manager = ResourceManager(self)
@@ -206,7 +203,7 @@ class NapletServer:
         self.locator = Locator(
             self.directory_client,
             self.config.locator_cache_ttl,
-            events=self.events,
+            journal=self.journal,
             telemetry=self.telemetry,
             cache_capacity=self.config.locator_cache_capacity,
         )
@@ -237,14 +234,10 @@ class NapletServer:
 
         self._shutdown = threading.Event()
         transport.register(self.urn, self._handle_frame)
-        # Wire-level connection failures at our endpoint land in our
-        # EventLog instead of vanishing inside the transport.
-        transport.bind_event_log(self.urn, self.events)
-        # A fault-injecting transport journals each fault it fires on our
-        # outbound frames, pinning it onto the causal timeline exactly once.
-        bind_journal = getattr(transport, "bind_journal", None)
-        if callable(bind_journal):
-            bind_journal(self.urn, self.journal)
+        # Wire-level connection failures at our endpoint — and, through a
+        # fault-injecting transport, each fault fired on our outbound
+        # frames — land in our journal instead of vanishing in the wire.
+        transport.bind_event_log(self.urn, self.journal)
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -360,7 +353,7 @@ class NapletServer:
             # a server with a skewed clock — still lands after the freeze.
             naplet._hlc = self.journal.clock.now()
         image = self.serializer.dumps(naplet)
-        self.events.record("naplet-frozen", naplet=str(nid), bytes=len(image))
+        self.journal.record("naplet-frozen", naplet=str(nid), bytes=len(image))
         return image
 
     def thaw_naplet(self, image: bytes) -> NapletID:
@@ -369,7 +362,7 @@ class NapletServer:
         nid = naplet.naplet_id
         if self.manager.is_resident(nid):
             raise NapletError(f"{nid} is already resident at {self.hostname}")
-        self.events.record("naplet-thawed", naplet=str(nid), bytes=len(image))
+        self.journal.record("naplet-thawed", naplet=str(nid), bytes=len(image))
         self.navigator.receive(naplet, arrived_from=None, payload_bytes=len(image))
         return nid
 
@@ -392,7 +385,7 @@ class NapletServer:
 
     def _on_code_fetch(self, codebase_name: str, module_key: str, nbytes: int) -> None:
         """Account a lazy codebase fetch as network traffic."""
-        self.events.record(
+        self.journal.record(
             "codebase-fetch", codebase=codebase_name, module=module_key, bytes=nbytes
         )
         # Lazy shipping moves code on the fetch, not in the hop payload;

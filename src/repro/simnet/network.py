@@ -177,11 +177,6 @@ class VirtualNetwork:
         if self.fault_plan is not None:
             self.fault_plan.heal()
 
-    def fault_records(self) -> list:
-        """Fired-fault annotations, when the transport is a FaultInjector."""
-        records = getattr(self.transport, "records", None)
-        return records() if callable(records) else []
-
     def _requeue_dead_letters(self) -> None:
         for host in self.hosts():
             server = host.server

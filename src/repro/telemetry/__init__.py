@@ -6,14 +6,17 @@ Three layers (see DESIGN.md §"Telemetry architecture"):
   primitives with labels, and the per-server :class:`MetricsRegistry`;
 - :mod:`repro.telemetry.trace` — :class:`TraceContext` minted at launch and
   carried by the naplet, timed :class:`Span` records, the per-server
-  :class:`Tracer`; :mod:`repro.telemetry.journey` stitches cross-server
-  spans into one ordered :class:`Journey` tree;
+  :class:`Tracer` that hands each finished span to the journal;
+  :mod:`repro.telemetry.journey` stitches cross-server spans into one
+  ordered :class:`Journey` tree;
 - :mod:`repro.telemetry.exposition` — :class:`ServerTelemetry` (the bundle
   every server owns) plus text/JSON metric renderers;
-- :mod:`repro.telemetry.journal` — the per-server flight recorder and the
-  one record pipeline over it (:func:`merge_journals`, :func:`select`,
-  :func:`order`, dump/load); read in-space through the one ``"harvest"``
-  open service (:mod:`repro.health.harvest`).
+- :mod:`repro.telemetry.journal` — the per-server flight recorder, each
+  server's only record store, and the one record pipeline over it
+  (:func:`merge_journals`, :func:`select`, :func:`order`, dump/load);
+  read in-space through the one ``"harvest"`` open service
+  (:mod:`repro.health.harvest`); :mod:`repro.telemetry.export` renders
+  its records as a Chrome trace.
 """
 
 from repro.telemetry.exposition import (
@@ -24,11 +27,11 @@ from repro.telemetry.exposition import (
 from repro.telemetry.export import (
     INSTANT_EVENT_KINDS,
     chrome_trace,
-    journal_chrome_trace,
     write_chrome_trace,
 )
 from repro.telemetry.journal import (
     CATEGORIES,
+    RING_BOUND,
     JournalRecord,
     SpaceJournal,
     causal_key,
@@ -80,9 +83,9 @@ __all__ = [
     "HopBreakdown",
     "chrome_trace",
     "write_chrome_trace",
-    "journal_chrome_trace",
     "INSTANT_EVENT_KINDS",
     "CATEGORIES",
+    "RING_BOUND",
     "JournalRecord",
     "SpaceJournal",
     "causal_key",

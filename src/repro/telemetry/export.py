@@ -1,26 +1,28 @@
 """Chrome trace-event export: one timeline for spans, resources, faults.
 
 ``chrome://tracing`` / Perfetto load a JSON object with a ``traceEvents``
-list; this module renders a naplet space's telemetry into that format so
-a whole chaos experiment can be scrubbed on one timeline:
+list; this module renders a naplet space's journal records into that
+format so a whole chaos experiment can be scrubbed on one timeline:
 
-- every :class:`~repro.telemetry.trace.Span` becomes a complete (``"X"``)
-  event — hops, landings, message sends, locator lookups — grouped into
-  one *process* row per server and one *thread* row per naplet (spans
-  with no naplet attribute group under their trace id);
-- every :class:`~repro.health.profile.ResourceProfile` sample becomes a
-  counter (``"C"``) event, so CPU and message-byte consumption render as
-  area charts under the spans they explain;
-- every fired :class:`~repro.faults.engine.FaultRecord` becomes an
-  instant (``"i"``) event, pinning "the injector dropped this frame
-  here" onto the exact moment the surrounding spans stretched;
+- every span record becomes a complete (``"X"``) event — hops, landings,
+  message sends, locator lookups — grouped into one *process* row per
+  server and one *thread* row per naplet (spans naming no naplet group
+  under their trace id);
+- every ``fault`` record (an injected fault) becomes an instant (``"i"``)
+  event, pinning "the injector dropped this frame here" onto the exact
+  moment the surrounding spans stretched;
+- the event kinds in :data:`INSTANT_EVENT_KINDS` become instants on their
+  server's row;
 - every hop span carrying byte attribution (the perf plane) additionally
   emits counter (``"C"``) tracks — per-hop payload/header/code bytes and
   serialize milliseconds — so migration cost renders as an area chart
-  alongside the hops that paid it.
+  alongside the hops that paid it;
+- every :class:`~repro.health.profile.ResourceProfile` sample passed as
+  ``profiles`` becomes a counter (``"C"``) event, so CPU and message-byte
+  consumption render as area charts under the spans they explain.
 
 All timestamps derive from the *same* process-wide monotonic clock the
-tracers and the health plane sample (``time.monotonic()``), rebased to
+journals and the health plane stamp (``time.monotonic()``), rebased to
 the earliest event and scaled to microseconds, so ordering across
 servers, profiles and faults is consistent by construction.
 """
@@ -30,22 +32,15 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.telemetry.trace import Span
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.health.profile import ResourceProfile
-    from repro.telemetry.journey import Journey
+    from repro.telemetry.journal import JournalRecord
 
-__all__ = [
-    "chrome_trace",
-    "write_chrome_trace",
-    "journal_chrome_trace",
-    "INSTANT_EVENT_KINDS",
-]
+__all__ = ["chrome_trace", "write_chrome_trace", "INSTANT_EVENT_KINDS"]
 
 _FAULT_PROCESS = "fault-injector"
 
-# EventLog kinds rendered as instant events: state transitions that have
+# Event kinds rendered as instant events: state transitions that have
 # no duration but explain why the surrounding spans stretched or vanished
 # (a message died, a backlog drained, an Alt mirror burned).
 INSTANT_EVENT_KINDS = (
@@ -95,13 +90,6 @@ class _IdAllocator:
         return pid, tid
 
 
-def _thread_label(span: Span) -> str:
-    naplet = span.attributes.get("naplet")
-    if naplet:
-        return str(naplet)
-    return f"trace {span.trace_id[:8]}"
-
-
 def _flatten_profiles(profiles: Iterable[Any]) -> "list[tuple[str, ResourceProfile]]":
     """Accept bare profiles or ``(hostname, profile)`` pairs."""
     out: list[tuple[str, Any]] = []
@@ -114,56 +102,85 @@ def _flatten_profiles(profiles: Iterable[Any]) -> "list[tuple[str, ResourceProfi
     return out
 
 
-def _flatten_events(events: Iterable[Any]) -> list[tuple[str, Any]]:
-    """Accept bare EventRecords or ``(hostname, record)`` pairs."""
-    out: list[tuple[str, Any]] = []
-    for entry in events:
-        if isinstance(entry, tuple) and len(entry) == 2:
-            host, record = entry
-            out.append((str(host), record))
-        else:
-            out.append(("space", entry))
-    return out
+def _span_events(
+    record: "JournalRecord", ids: _IdAllocator, ts: float
+) -> list[dict[str, Any]]:
+    """A span record's complete event, plus its hop-cost counter tracks."""
+    detail = record.detail
+    attributes = detail.get("attributes") or {}
+    status = str(detail.get("status", "ok"))
+    thread = record.naplet or f"trace {(record.trace_id or '')[:8]}"
+    pid, tid = ids.tid(record.server, thread)
+    args: dict[str, Any] = dict(attributes)
+    if status != "ok":
+        args["status"] = status
+    events = [
+        {
+            "ph": "X",
+            "name": record.kind,
+            "cat": "span" if status == "ok" else "span,error",
+            "ts": ts,
+            "dur": float(detail.get("duration", 0.0)) * 1e6,
+            "pid": pid,
+            "tid": tid,
+            "args": args,
+        }
+    ]
+    # Perf-plane counter tracks: a hop carrying byte attribution
+    # renders its cost as an area chart on the source server's row.
+    if record.kind == "hop" and attributes.get("bytes"):
+        events.append(
+            {
+                "ph": "C",
+                "name": "hop bytes",
+                "ts": ts,
+                "pid": pid,
+                "args": {
+                    "payload": int(attributes.get("bytes", 0) or 0),
+                    "header": int(attributes.get("header_bytes", 0) or 0),
+                    "code": int(attributes.get("code_bytes", 0) or 0),
+                },
+            }
+        )
+        serialize_s = attributes.get("serialize_s")
+        if serialize_s is not None:
+            events.append(
+                {
+                    "ph": "C",
+                    "name": "hop serialize ms",
+                    "ts": ts,
+                    "pid": pid,
+                    "args": {"ms": float(serialize_s) * 1e3},
+                }
+            )
+    return events
 
 
 def chrome_trace(
-    spans: "Iterable[Span] | Journey" = (),
-    *,
-    profiles: Iterable[Any] = (),
-    fault_records: Iterable[Any] = (),
-    events: Iterable[Any] = (),
-    instant_kinds: tuple[str, ...] = INSTANT_EVENT_KINDS,
+    records: "Iterable[JournalRecord]", *, profiles: Iterable[Any] = ()
 ) -> dict[str, Any]:
-    """Render telemetry into a Chrome trace-event JSON object.
+    """Render journal records into a Chrome trace-event JSON object.
 
-    ``spans`` is any span iterable or a stitched :class:`Journey`;
+    ``records`` is any :class:`~repro.telemetry.journal.JournalRecord`
+    iterable — a harvest (``SpaceAdmin.harvest_journal``, a probe's rows
+    through ``merged_journal``) or a loaded dump; records that are neither
+    spans, faults nor :data:`INSTANT_EVENT_KINDS` are skipped.
     ``profiles`` takes :class:`ResourceProfile` objects or
     ``(hostname, profile)`` pairs (as :meth:`SpaceAdmin.top_naplets_by_cpu`
-    returns); ``fault_records`` takes :class:`FaultRecord` objects (from
-    :meth:`FaultInjector.records` / :meth:`VirtualNetwork.fault_records`);
-    ``events`` takes :class:`~repro.util.eventlog.EventRecord` objects or
-    ``(hostname, record)`` pairs, of which the kinds listed in
-    ``instant_kinds`` (dead-letter transitions, Alt failovers) are drawn
-    as instant events on their server's row.
+    returns).
     """
-    span_list: list[Span] = (
-        list(spans.spans) if hasattr(spans, "spans") else list(spans)
-    )
-    profile_list = _flatten_profiles(profiles)
-    record_list = list(fault_records)
-    event_list = [
-        (host, record)
-        for host, record in _flatten_events(events)
-        if record.kind in instant_kinds
+    drawn = [
+        r
+        for r in records
+        if r.category in ("span", "fault") or r.kind in INSTANT_EVENT_KINDS
     ]
+    profile_list = _flatten_profiles(profiles)
 
     # One shared monotonic origin so every event lands on the same axis.
-    candidates: list[float] = [span.start_mono for span in span_list]
+    candidates: list[float] = [record.mono for record in drawn]
     candidates.extend(
         sample.mono for _host, profile in profile_list for sample in profile.samples
     )
-    candidates.extend(record.mono for record in record_list)
-    candidates.extend(record.mono for _host, record in event_list)
     base = min(candidates) if candidates else 0.0
 
     def micros(mono: float) -> float:
@@ -172,51 +189,44 @@ def chrome_trace(
     ids = _IdAllocator()
     out_events: list[dict[str, Any]] = []
 
-    for span in span_list:
-        pid, tid = ids.tid(span.server, _thread_label(span))
-        args: dict[str, Any] = dict(span.attributes)
-        if span.status != "ok":
-            args["status"] = span.status
-        out_events.append(
-            {
-                "ph": "X",
-                "name": span.name,
-                "cat": "span" if span.status == "ok" else "span,error",
-                "ts": micros(span.start_mono),
-                "dur": span.duration * 1e6,
-                "pid": pid,
-                "tid": tid,
-                "args": args,
-            }
-        )
-        # Perf-plane counter tracks: a hop carrying byte attribution
-        # renders its cost as an area chart on the source server's row.
-        if span.name == "hop" and span.attributes.get("bytes"):
-            payload = int(span.attributes.get("bytes", 0) or 0)
+    for record in drawn:
+        if record.category == "span":
+            out_events.extend(_span_events(record, ids, micros(record.mono)))
+        elif record.category == "fault":
+            detail = record.detail
+            pid, tid = ids.tid(
+                _FAULT_PROCESS, f"{detail.get('source', '?')} -> {detail.get('dest', '?')}"
+            )
             out_events.append(
                 {
-                    "ph": "C",
-                    "name": "hop bytes",
-                    "ts": micros(span.start_mono),
+                    "ph": "i",
+                    "name": f"fault {'+'.join(detail.get('labels') or ())}",
+                    "cat": "fault",
+                    "ts": micros(record.mono),
                     "pid": pid,
+                    "tid": tid,
+                    "s": "g",  # global scope: draw the line across all rows
+                    "args": dict(detail),
+                }
+            )
+        else:
+            pid, tid = ids.tid(record.server, record.kind)
+            out_events.append(
+                {
+                    "ph": "i",
+                    "name": record.kind,
+                    "cat": "event",
+                    "ts": micros(record.mono),
+                    "pid": pid,
+                    "tid": tid,
+                    "s": "t",  # thread scope: pin to the server row it happened on
                     "args": {
-                        "payload": payload,
-                        "header": int(span.attributes.get("header_bytes", 0) or 0),
-                        "code": int(span.attributes.get("code_bytes", 0) or 0),
+                        key: value
+                        for key, value in record.detail.items()
+                        if value is not None
                     },
                 }
             )
-            serialize_s = span.attributes.get("serialize_s")
-            if serialize_s is not None:
-                out_events.append(
-                    {
-                        "ph": "C",
-                        "name": "hop serialize ms",
-                        "ts": micros(span.start_mono),
-                        "pid": pid,
-                        "args": {"ms": float(serialize_s) * 1e3},
-                    }
-                )
 
     for host, profile in profile_list:
         pid = ids.pid(host)
@@ -235,39 +245,6 @@ def chrome_trace(
                 }
             )
 
-    for host, record in event_list:
-        pid, tid = ids.tid(host, record.kind)
-        args = {
-            key: value for key, value in record.detail.items() if value is not None
-        }
-        out_events.append(
-            {
-                "ph": "i",
-                "name": record.kind,
-                "cat": "event",
-                "ts": micros(record.mono),
-                "pid": pid,
-                "tid": tid,
-                "s": "t",  # thread scope: pin to the server row it happened on
-                "args": args,
-            }
-        )
-
-    for record in record_list:
-        pid, tid = ids.tid(_FAULT_PROCESS, f"{record.source} -> {record.dest}")
-        out_events.append(
-            {
-                "ph": "i",
-                "name": f"fault {'+'.join(record.labels)}",
-                "cat": "fault",
-                "ts": micros(record.mono),
-                "pid": pid,
-                "tid": tid,
-                "s": "g",  # global scope: draw the line across all rows
-                "args": record.describe(),
-            }
-        )
-
     out_events.sort(key=lambda e: (e.get("ts", 0.0), e.get("pid", 0), e.get("tid", 0)))
     return {
         "traceEvents": ids.metadata + out_events,
@@ -276,69 +253,10 @@ def chrome_trace(
 
 
 def write_chrome_trace(
-    path: str,
-    spans: "Iterable[Span] | Journey" = (),
-    *,
-    profiles: Iterable[Any] = (),
-    fault_records: Iterable[Any] = (),
-    events: Iterable[Any] = (),
-    instant_kinds: tuple[str, ...] = INSTANT_EVENT_KINDS,
+    path: str, records: "Iterable[JournalRecord]", *, profiles: Iterable[Any] = ()
 ) -> dict[str, Any]:
     """Write :func:`chrome_trace` output to *path*; returns the trace dict."""
-    trace = chrome_trace(
-        spans,
-        profiles=profiles,
-        fault_records=fault_records,
-        events=events,
-        instant_kinds=instant_kinds,
-    )
+    trace = chrome_trace(records, profiles=profiles)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(trace, fh, indent=1)
     return trace
-
-
-def journal_chrome_trace(records: Iterable[Any]) -> dict[str, Any]:
-    """Render a harvested flight-recorder timeline as a Chrome trace.
-
-    Accepts the :class:`~repro.telemetry.journal.JournalRecord` list a
-    harvest produces (``SpaceAdmin.harvest_journal``, or a probe's rows
-    through ``merged_journal``): span records are rebuilt into spans,
-    fault records into injector instants, and the dead-letter / failover
-    event kinds into per-server instants — one timeline from one artifact, which is how
-    ``tools/naplet.py log --chrome`` renders an offline journal dump.
-    """
-    from repro.faults.engine import FaultRecord
-    from repro.telemetry.journal import span_from_record
-    from repro.util.eventlog import EventRecord
-
-    spans: list[Span] = []
-    faults: list[Any] = []
-    instants: list[tuple[str, Any]] = []
-    for record in records:
-        if record.category == "span":
-            spans.append(span_from_record(record))
-        elif record.category == "fault":
-            detail = record.detail
-            faults.append(
-                FaultRecord(
-                    labels=tuple(detail.get("labels") or ()),
-                    kind=str(detail.get("kind", "?")),
-                    source=str(detail.get("source", "?")),
-                    dest=str(detail.get("dest", "?")),
-                    wall=record.wall,
-                    mono=record.mono,
-                )
-            )
-        elif record.kind in INSTANT_EVENT_KINDS:
-            instants.append(
-                (
-                    record.server,
-                    EventRecord(
-                        kind=record.kind,
-                        detail=dict(record.detail),
-                        wall=record.wall,
-                        mono=record.mono,
-                    ),
-                )
-            )
-    return chrome_trace(spans, fault_records=faults, events=instants)

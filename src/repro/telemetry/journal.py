@@ -1,20 +1,20 @@
 """The space-wide flight recorder (DESIGN.md §6.5).
 
-Every server keeps one bounded, append-only :class:`SpaceJournal`: a ring
-of typed :class:`JournalRecord` entries unifying what previously lived in
-scattered places — the server :class:`~repro.util.eventlog.EventLog`
-(shared by Navigator, Messenger, Locator, Monitor, code shipping and the
-transport), completed :class:`~repro.telemetry.trace.Span` records, health
-findings, dead-letter transitions, and injected
-:class:`~repro.faults.engine.FaultRecord`\\ s.  Each record carries a
-hybrid-logical-clock stamp (:mod:`repro.util.hlc`), so journals harvested
-from N servers merge into one causally consistent timeline even when the
-servers' wall clocks disagree.
+Every server keeps one bounded, append-only :class:`SpaceJournal`: the
+only ring its records live in.  Navigator, Messenger, Locator, Monitor,
+code shipping, the health plane and the transport write protocol events
+with :meth:`SpaceJournal.record`; the tracer hands each completed
+:class:`~repro.telemetry.trace.Span` to :meth:`SpaceJournal.observe_span`;
+the fault injector, the perf plane and the load observatory append typed
+records directly.  Each record carries a hybrid-logical-clock stamp
+(:mod:`repro.util.hlc`), so journals harvested from N servers merge into
+one causally consistent timeline even when the servers' wall clocks
+disagree.
 
-Feeding the journal costs the hot path one observer call per event/span;
-when the journal is disabled every observer returns immediately.  The
-clock is advanced by stamps piggybacked on transport frame headers (the
-``"hlc"`` header) and inside migrating naplet pickles, mirroring how the
+The journal is on exactly when the server's telemetry is; a disabled
+journal records nothing and costs one boolean check.  The clock is
+advanced by stamps piggybacked on transport frame headers (the ``"hlc"``
+header) and inside frozen naplet images, mirroring how the
 :class:`~repro.telemetry.trace.TraceContext` travels.
 
 Reading is one pipeline (DESIGN.md §6.9): the ``journal`` kind of the
@@ -30,18 +30,18 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.telemetry.trace import Span
-from repro.util.eventlog import EventRecord
 from repro.util.hlc import HLCStamp, HybridLogicalClock
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.faults.engine import FaultRecord
     from repro.telemetry.metrics import Counter
 
 __all__ = [
+    "RING_BOUND",
     "CATEGORIES",
     "JournalRecord",
     "SpaceJournal",
@@ -55,10 +55,13 @@ __all__ = [
     "format_record",
 ]
 
+# Records a server's journal keeps before the oldest fall off.
+RING_BOUND = 8192
+
 # Every value ``JournalRecord.category`` takes.
 CATEGORIES = ("event", "span", "fault", "finding", "deadletter", "perf", "load")
 
-# EventLog kinds that deserve their own journal category so queries can
+# Event kinds that deserve their own journal category so queries can
 # pull "everything the watchdog said" or "every dead-letter transition"
 # without enumerating kinds.
 _CATEGORY_BY_KIND = {
@@ -115,6 +118,12 @@ class JournalRecord:
             trace_id=data.get("trace_id"),
             detail=dict(data.get("detail") or {}),
         )
+
+    def matches(self, kind: str, **detail: Any) -> bool:
+        """True when this record has *kind* and every given detail item."""
+        if self.kind != kind:
+            return False
+        return all(self.detail.get(k) == v for k, v in detail.items())
 
     def mentions(self, subject: str) -> bool:
         """True when this record is about *subject* (naplet id or host)."""
@@ -232,26 +241,25 @@ def dump_records(path: str, records: Iterable[JournalRecord]) -> None:
 class SpaceJournal:
     """Bounded per-server ring of :class:`JournalRecord` (thread-safe).
 
-    Observers (:meth:`observe_event`, :meth:`observe_span`,
-    :meth:`observe_fault`) adapt the existing telemetry objects into
-    records; :meth:`receive` advances the clock from a piggybacked stamp.
-    A disabled journal appends nothing and costs one boolean check.
+    :meth:`record` writes a protocol event, :meth:`observe_span` a
+    completed span, :meth:`append` any typed record; :meth:`receive`
+    advances the clock from a piggybacked stamp.  The ring keeps the
+    newest :data:`RING_BOUND` records.  A disabled journal appends nothing
+    and costs one boolean check.
     """
 
     def __init__(
         self,
         server: str,
-        capacity: int = 4096,
         enabled: bool = True,
         time_source: Any | None = None,
         records_counter: "Counter | None" = None,
     ) -> None:
         self.server = server
-        self.capacity = capacity
         self.enabled = enabled
         self.clock = HybridLogicalClock(server, time_source=time_source)
         self._time = time_source or time.time
-        self._records: list[JournalRecord] = []
+        self._records: deque[JournalRecord] = deque(maxlen=RING_BOUND)
         self._seq = 0
         self._total = 0
         self._lock = threading.Lock()
@@ -299,33 +307,29 @@ class SpaceJournal:
             )
             self._records.append(record)
             self._total += 1
-            if len(self._records) > self.capacity:
-                del self._records[: len(self._records) - self.capacity]
         if self._records_counter is not None:
             self._records_counter.inc(kind=kind)
         return record
 
-    def observe_event(self, record: EventRecord) -> None:
-        """EventLog observer: every structured event becomes a record."""
+    def record(self, kind: str, **detail: Any) -> JournalRecord | None:
+        """Journal one protocol event: the naplet it is about is the first
+        of ``naplet``/``target``/``clone`` in *detail*, its category comes
+        from *kind*."""
         if not self.enabled:
-            return
-        naplet = None
-        for key in _NAPLET_KEYS:
-            value = record.detail.get(key)
-            if value is not None:
-                naplet = str(value)
-                break
-        self.append(
-            kind=record.kind,
-            category=_CATEGORY_BY_KIND.get(record.kind, "event"),
-            naplet=naplet,
-            detail=dict(record.detail),
-            wall=record.wall,
-            mono=record.mono,
+            return None
+        naplet = next(
+            (str(detail[key]) for key in _NAPLET_KEYS if detail.get(key) is not None),
+            None,
+        )
+        return self.append(
+            kind, _CATEGORY_BY_KIND.get(kind, "event"), naplet, detail=detail
         )
 
+    # Read by the frozen journey harness.
+    observe_event = record
+
     def observe_span(self, span: Span) -> None:
-        """Tracer observer: completed spans enter the journal as records."""
+        """The tracer's ``on_span`` sink: a completed span becomes a record."""
         if not self.enabled:
             return
         naplet = span.attributes.get("naplet")
@@ -343,18 +347,6 @@ class SpaceJournal:
             },
             wall=span.start_wall,
             mono=span.start_mono,
-        )
-
-    def observe_fault(self, record: "FaultRecord") -> None:
-        """FaultInjector observer: injected faults pin onto the timeline."""
-        if not self.enabled:
-            return
-        self.append(
-            kind="fault-injected",
-            category="fault",
-            detail=record.describe(),
-            wall=record.wall,
-            mono=record.mono,
         )
 
     def receive(self, encoded: str | HLCStamp) -> None:
@@ -402,6 +394,13 @@ class SpaceJournal:
     def records(self, **filters: Any) -> list[JournalRecord]:
         """This ring's records passing :func:`select`'s *filters*."""
         return select(self.snapshot(), **filters)
+
+    def find(self, kind: str, **detail: Any) -> list[JournalRecord]:
+        """This ring's records of *kind* carrying every given detail item."""
+        return [r for r in self.snapshot() if r.matches(kind, **detail)]
+
+    def count(self, kind: str, **detail: Any) -> int:
+        return len(self.find(kind, **detail))
 
     def slice_for(self, subject: str, limit: int = 32) -> list[JournalRecord]:
         """The most recent records mentioning *subject* (watchdog evidence)."""

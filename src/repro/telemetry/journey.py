@@ -1,10 +1,10 @@
-"""Journey stitching: per-server span logs → one ordered journey tree.
+"""Journey stitching: per-server span records → one ordered journey tree.
 
-Each server's :class:`~repro.telemetry.trace.Tracer` only sees the spans
-recorded locally; a naplet's journey is scattered across every server it
-visited.  :func:`stitch` reassembles the pieces: spans are linked to their
-parents by id, orphans (parent recorded on a server we cannot see, or
-trimmed from a bounded tracer) become roots, and siblings are ordered by
+Each server's journal only holds the spans recorded locally; a naplet's
+journey is scattered across every server it visited.  :func:`stitch`
+reassembles the pieces: spans are linked to their parents by id, orphans
+(parent recorded on a server we cannot see, or trimmed from a bounded
+journal) become roots, and siblings are ordered by
 start time.  The result mirrors the paper's NavigationLog but with wall
 timings and nested sub-steps (landings under hops, locator lookups under
 message sends).

@@ -5,25 +5,24 @@ A :class:`TraceContext` is minted when a naplet launches and travels with it
 images, and clones all carry it).  Every interesting step of the journey —
 a migration hop, a landing, a post-action, a message send, a forwarding hop,
 a locator lookup — is recorded as a timed :class:`Span` on the local
-server's :class:`Tracer`.  Spans reference their parent by id, so
-``SpaceAdmin.journey(nid)`` can stitch the per-server span logs back into
-one ordered tree (see :mod:`repro.telemetry.journey`).
+server's :class:`Tracer`, which keeps none of them: each completed span
+goes to the tracer's ``on_span`` sink — on a server, the journal
+(:meth:`~repro.telemetry.journal.SpaceJournal.observe_span`).  Spans
+reference their parent by id, so ``SpaceAdmin.journey(nid)`` can stitch
+the harvested span records back into one ordered tree (see
+:mod:`repro.telemetry.journey`).
 
-Span ids are random 16-hex-digit strings; trace ids 32.  The tracer is
-append-only and bounded like the :class:`~repro.util.eventlog.EventLog`,
-and a disabled tracer (``enabled=False``) hands out no-op spans so the hot
-path costs one attribute check.
+Span ids are random 16-hex-digit strings; trace ids 32.  A disabled tracer
+(``enabled=False``) hands out no-op spans so the hot path costs one
+attribute check.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Iterator
-
-from repro.util.eventlog import RING_BOUND
+from typing import Any, Callable
 
 __all__ = ["TraceContext", "Span", "Tracer", "NULL_SPAN", "new_span_id", "new_trace_id"]
 
@@ -117,7 +116,7 @@ class _LiveSpan:
         if exc_type is not None:
             self.status = "error"
             self.attributes.setdefault("error", repr(exc))
-        self.tracer._append(
+        self.tracer._emit(
             Span(
                 trace_id=self.trace_id,
                 span_id=self.span_id,
@@ -159,17 +158,14 @@ NULL_SPAN = _NULL_SPAN
 
 
 class Tracer:
-    """Per-server span collector (bounded, thread-safe, append-only)."""
+    """Per-server span factory; completed spans go to :attr:`on_span`."""
 
-    def __init__(self, server: str, enabled: bool = True, maxlen: int | None = RING_BOUND) -> None:
+    def __init__(self, server: str, enabled: bool = True) -> None:
         self.server = server
         self.enabled = enabled
-        self._spans: list[Span] = []
-        self._maxlen = maxlen
-        self._lock = threading.Lock()
-        # Observer called with each completed span (outside the lock); the
-        # flight recorder hooks here to journal spans as they finish.
-        self.on_span: Any | None = None
+        # The sink each completed span is handed to; spans finishing while
+        # it is unset are discarded.  A server points it at its journal.
+        self.on_span: Callable[[Span], None] | None = None
 
     # -- recording -------------------------------------------------------- #
 
@@ -206,7 +202,7 @@ class Tracer:
         span_id: str | None = None,
         **attributes: Any,
     ) -> Span | None:
-        """Append an already-timed span (for events with external timing)."""
+        """Emit an already-timed span (for events with external timing)."""
         if not self.enabled:
             return None
         span = Span(
@@ -220,45 +216,10 @@ class Tracer:
             duration=duration,
             attributes=dict(attributes),
         )
-        self._append(span)
+        self._emit(span)
         return span
 
-    def _append(self, span: Span) -> None:
-        with self._lock:
-            self._spans.append(span)
-            if self._maxlen is not None and len(self._spans) > self._maxlen:
-                del self._spans[: len(self._spans) - self._maxlen]
-        observer = self.on_span
-        if observer is not None:
-            try:
-                observer(span)
-            except Exception:
-                pass  # an observer failure must never break tracing
-
-    # -- inspection -------------------------------------------------------- #
-
-    def spans(self) -> list[Span]:
-        with self._lock:
-            return list(self._spans)
-
-    def spans_for(self, trace_id: str) -> list[Span]:
-        return [s for s in self.spans() if s.trace_id == trace_id]
-
-    def find(self, name: str, **attributes: Any) -> list[Span]:
-        return [
-            s
-            for s in self.spans()
-            if s.name == name
-            and all(s.attributes.get(k) == v for k, v in attributes.items())
-        ]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._spans.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._spans)
-
-    def __iter__(self) -> Iterator[Span]:
-        return iter(self.spans())
+    def _emit(self, span: Span) -> None:
+        sink = self.on_span
+        if sink is not None:
+            sink(span)

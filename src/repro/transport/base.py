@@ -22,11 +22,13 @@ from __future__ import annotations
 import abc
 import threading
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.errors import NapletCommunicationError
 from repro.telemetry.metrics import MetricsRegistry
-from repro.util.eventlog import RING_BOUND, EventLog
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.telemetry.journal import SpaceJournal
 
 __all__ = [
     "Frame",
@@ -120,8 +122,7 @@ class Transport(abc.ABC):
         self._handlers: dict[str, FrameHandler] = {}
         self._lock = threading.RLock()
         self.metrics = MetricsRegistry()
-        self.events = EventLog(maxlen=RING_BOUND)
-        self._bound_events: dict[str, EventLog] = {}
+        self._journals: dict[str, "SpaceJournal"] = {}
         self._wire_frames = self.metrics.counter(
             "wire_frames_total", "Frames moved by this transport, by kind"
         )
@@ -208,22 +209,24 @@ class Transport(abc.ABC):
     def _record_connection_error(self, urn: str, error: BaseException) -> None:
         """Account a server-side connection failure instead of losing it.
 
-        The drop is counted on the transport metrics and recorded both in
-        the transport's own :class:`EventLog` and in any log bound to the
-        endpoint via :meth:`bind_event_log` (the owning server's log).
+        The drop is counted on the transport metrics and recorded in the
+        journal bound to the endpoint via :meth:`bind_event_log` (the
+        owning server's journal).
         """
         self._wire_dropped_connections.inc(endpoint=urn)
-        detail = {"endpoint": urn, "error": f"{type(error).__name__}: {error}"}
-        self.events.record("transport-connection-dropped", **detail)
         with self._lock:
-            bound = self._bound_events.get(urn)
-        if bound is not None:
-            bound.record("transport-connection-dropped", **detail)
+            journal = self._journals.get(urn)
+        if journal is not None:
+            journal.record(
+                "transport-connection-dropped",
+                endpoint=urn,
+                error=f"{type(error).__name__}: {error}",
+            )
 
-    def bind_event_log(self, urn: str, events: EventLog) -> None:
-        """Route connection-level failures at *urn* into *events* too."""
+    def bind_event_log(self, urn: str, journal: "SpaceJournal") -> None:
+        """Record connection-level failures at *urn* into *journal*."""
         with self._lock:
-            self._bound_events[urn] = events
+            self._journals[urn] = journal
 
     # -- endpoint management --------------------------------------------- #
 
@@ -236,7 +239,7 @@ class Transport(abc.ABC):
     def unregister(self, urn: str) -> None:
         with self._lock:
             self._handlers.pop(urn, None)
-            self._bound_events.pop(urn, None)
+            self._journals.pop(urn, None)
 
     def endpoints(self) -> list[str]:
         with self._lock:

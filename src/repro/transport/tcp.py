@@ -137,7 +137,7 @@ class _Endpoint:
         except Exception as exc:
             # Connection-scoped failure (bad frame, unknown envelope, dead
             # peer): the connection is dropped, but not silently — the
-            # transport counts it and records it in the bound EventLog.
+            # transport counts it and records it in the bound journal.
             conn.closed = True
             self._transport._record_connection_error(self.urn, exc)
         _hang_up(conn.sock)

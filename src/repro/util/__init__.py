@@ -2,8 +2,8 @@
 
 This package deliberately contains only dependency-free helpers that every
 other subpackage may import: concurrency primitives, time formatting that
-matches the paper's timestamp encoding, and a lightweight structured event
-log used by servers and benchmarks.
+matches the paper's timestamp encoding, and the hybrid logical clock the
+journals stamp records with.
 """
 
 from repro.util.concurrency import (
@@ -12,7 +12,6 @@ from repro.util.concurrency import (
     StoppableThread,
     wait_until,
 )
-from repro.util.eventlog import EventLog, EventRecord
 from repro.util.hlc import HLCStamp, HybridLogicalClock, merged
 from repro.util.timeutil import compact_timestamp, parse_compact_timestamp
 
@@ -21,8 +20,6 @@ __all__ = [
     "CountDownLatch",
     "StoppableThread",
     "wait_until",
-    "EventLog",
-    "EventRecord",
     "HLCStamp",
     "HybridLogicalClock",
     "merged",

@@ -1,4 +1,4 @@
-"""Utilities: timestamps, concurrency primitives, event log."""
+"""Utilities: timestamps, concurrency primitives."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import time
 import pytest
 
 from repro.util.concurrency import AtomicCounter, CountDownLatch, wait_until
-from repro.util.eventlog import RING_BOUND, EventLog, EventRecord
 from repro.util.timeutil import (
     compact_timestamp,
     parse_compact_timestamp,
@@ -132,61 +131,3 @@ class TestWaitUntil:
     def test_times_out(self):
         assert not wait_until(lambda: False, timeout=0.05)
 
-
-class TestEventLog:
-    def test_record_and_find(self):
-        log = EventLog()
-        log.record("arrive", naplet="a", server="s1")
-        log.record("arrive", naplet="b", server="s1")
-        log.record("depart", naplet="a", server="s1")
-        assert log.count("arrive") == 2
-        assert log.count("arrive", naplet="a") == 1
-        assert log.count("depart", server="s1") == 1
-        assert len(log) == 3
-
-    def test_matches_requires_all_details(self):
-        record = EventRecord(kind="x", detail={"a": 1, "b": 2})
-        assert record.matches("x", a=1)
-        assert not record.matches("x", a=1, c=3)
-        assert not record.matches("y")
-
-    def test_bounded_log_discards_oldest(self):
-        log = EventLog(maxlen=3)
-        for i in range(6):
-            log.record("tick", i=i)
-        assert len(log) == 3
-        assert [r.detail["i"] for r in log] == [3, 4, 5]
-
-    def test_full_ring_keeps_the_newest_and_the_observer_sees_every_record(self):
-        """The bound every server and transport log runs with: the ring
-        drops the oldest, the journal's observer misses nothing."""
-        log = EventLog(maxlen=RING_BOUND)
-        seen = []
-        log.on_record = seen.append
-        for i in range(RING_BOUND + 10):
-            log.record("tick", i=i)
-        assert len(log) == RING_BOUND
-        kept = log.snapshot()
-        assert kept[0].detail["i"] == 10
-        assert kept[-1].detail["i"] == RING_BOUND + 9
-        assert len(seen) == RING_BOUND + 10
-        assert seen[-RING_BOUND:] == kept
-
-    def test_server_and_transport_logs_are_bounded(self, small_line):
-        _network, servers = small_line
-        server = servers["s00"]
-        assert server.events._records.maxlen == RING_BOUND
-        assert server.transport.events._records.maxlen == RING_BOUND
-
-    def test_snapshot_is_isolated(self):
-        log = EventLog()
-        log.record("x")
-        snap = log.snapshot()
-        log.record("y")
-        assert len(snap) == 1
-
-    def test_clear(self):
-        log = EventLog()
-        log.record("x")
-        log.clear()
-        assert len(log) == 0

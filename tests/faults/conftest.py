@@ -66,7 +66,7 @@ def _dump_chaos_artifacts(nodeid: str, spaces, directory: str) -> list[str]:
     plus its Chrome-trace rendering.
     """
     from repro.server import SpaceAdmin
-    from repro.telemetry import dump_records, journal_chrome_trace
+    from repro.telemetry import chrome_trace, dump_records
 
     stem = re.sub(r"[^A-Za-z0-9_.-]+", "_", nodeid).strip("_")
     out = Path(directory)
@@ -82,7 +82,7 @@ def _dump_chaos_artifacts(nodeid: str, spaces, directory: str) -> list[str]:
         dump_records(str(journal_path), records)
         trace_path = out / f"{stem}.space{index}.trace.json"
         trace_path.write_text(
-            json.dumps(journal_chrome_trace(records)), encoding="utf-8"
+            json.dumps(chrome_trace(records)), encoding="utf-8"
         )
         written.extend([str(journal_path), str(trace_path)])
     return written

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.errors import NapletCommunicationError
 from repro.faults import FaultInjector, FaultPlan, FaultRule
+from repro.telemetry.journal import SpaceJournal
 from repro.telemetry.metrics import MetricsRegistry
 from repro.transport.base import Frame, FrameKind, urn_of
 
@@ -22,6 +23,7 @@ class FakeTransport:
         self.sent: list[Frame] = []
         self.requested: list[Frame] = []
         self.registered: dict[str, object] = {}
+        self.bound: dict[str, object] = {}
 
     def send(self, f: Frame) -> None:
         self.sent.append(f)
@@ -32,6 +34,9 @@ class FakeTransport:
 
     def register(self, urn, handler):
         self.registered[urn] = handler
+
+    def bind_event_log(self, urn, journal):
+        self.bound[urn] = journal
 
 
 class TestFaultPlan:
@@ -187,3 +192,42 @@ class TestFaultInjector:
         injector.register("naplet://x", handler)
         assert inner.registered["naplet://x"] is handler
         assert injector.metrics is inner.metrics
+
+    def test_faults_are_journaled_at_the_source_and_the_bind_reaches_inner(self):
+        inner = FakeTransport()
+        injector = FaultInjector(inner, FaultPlan().drop(times=1))
+        journal = SpaceJournal("a")
+        injector.bind_event_log(urn_of("a"), journal)
+        assert inner.bound[urn_of("a")] is journal
+        injector.send(frame())
+        (record,) = journal.records(category="fault")
+        assert record.kind == "fault-injected"
+        assert record.detail == {
+            "labels": ["drop"],
+            "kind": FrameKind.MESSAGE,
+            "source": urn_of("a"),
+            "dest": urn_of("b"),
+        }
+
+    @pytest.mark.parametrize("op", ["send", "request"])
+    def test_a_failing_duplicate_copy_is_journaled_not_swallowed(self, op):
+        inner = FakeTransport()
+        deliver = getattr(inner, op)
+        calls = []
+
+        def first_copy_raises(f, *args):
+            calls.append(f)
+            if len(calls) == 1:
+                raise RuntimeError("duplicate copy blew up")
+            return deliver(f, *args)
+
+        setattr(inner, op, first_copy_raises)
+        injector = FaultInjector(inner, FaultPlan().duplicate(times=1))
+        journal = SpaceJournal("a")
+        injector.bind_event_log(urn_of("a"), journal)
+        getattr(injector, op)(frame())  # the real exchange still goes through
+        assert len(calls) == 2
+        (error,) = journal.find("fault-duplicate-error")
+        assert error.category == "fault"
+        assert error.detail["labels"] == ["duplicate"]
+        assert error.detail["error"] == repr(RuntimeError("duplicate copy blew up"))

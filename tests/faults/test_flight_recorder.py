@@ -82,13 +82,12 @@ def _hop_pairs(records, nid):
 
 class TestFlightRecorderAcceptance:
     def test_skewed_merge_has_zero_causal_inversions(self, skewed_space):
-        network, servers = skewed_space
+        _network, servers = skewed_space
         nid = _run_tour(servers)
         admin = SpaceAdmin(servers)
         assert admin.wait_space_idle()
 
         # The fault plan really fired, and the injections were journaled.
-        assert network.fault_records()
         merged = admin.harvest_journal()
         assert any(r.kind == "fault-injected" for r in merged)
         assert merged == sorted(merged, key=causal_key)

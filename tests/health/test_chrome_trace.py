@@ -1,8 +1,8 @@
 """Chrome trace export: valid JSON, one consistent timeline, fault pins.
 
-Covers the ISSUE acceptance: an exported trace for a 3-hop journey in a
-chaos space must be valid JSON with monotonically consistent timestamps
-and contain the injected-fault annotation events.
+The exporter reads journal records only: an exported trace for a 3-hop
+journey in a chaos space must be valid JSON with monotonically consistent
+timestamps and contain the injected-fault annotation events.
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ from repro.itinerary import Itinerary, ResultReport, SeqPattern
 from repro.server import ServerConfig, SpaceAdmin, deploy
 from repro.simnet import VirtualNetwork, line
 from repro.telemetry import chrome_trace, write_chrome_trace
+from repro.telemetry.journal import JournalRecord, SpaceJournal
 from repro.telemetry.trace import Span
+from repro.util.hlc import HLCStamp
 
 from tests.conftest import CollectorNaplet
 
@@ -26,7 +28,10 @@ pytestmark = [pytest.mark.health, pytest.mark.chaos]
 
 @pytest.fixture
 def chaos_journey(space):
-    """3-hop tour under injected delays: (admin, journey, fault_records)."""
+    """3-hop tour under injected delays: (admin, the space's merged journal).
+
+    The tour naplet is the space's only one, so the journal holds its
+    journey's spans and every fault the plan injected."""
     plan = FaultPlan(seed=13).delay(0.002)
     network, servers = space(
         VirtualNetwork(line(4, prefix="s"), fault_plan=plan),
@@ -45,22 +50,41 @@ def chaos_journey(space):
     nid = servers["s00"].launch(agent, owner="alice", listener=listener)
     listener.next_report(timeout=15)
     assert admin.wait_space_idle()
-    return admin, admin.journey(nid), network.fault_records()
+    return admin, admin.harvest_journal()
 
 
 def _non_meta(trace: dict) -> list[dict]:
     return [e for e in trace["traceEvents"] if e["ph"] != "M"]
 
 
+def _span_record(span: Span) -> JournalRecord:
+    """*span* as the journal of its server records it."""
+    journal = SpaceJournal(span.server)
+    journal.observe_span(span)
+    (record,) = journal.snapshot()
+    return record
+
+
+def _record(server: str, kind: str, mono: float, **detail) -> JournalRecord:
+    return JournalRecord(
+        seq=1,
+        hlc=HLCStamp(wall=1000.0 + mono, logical=0, node=server),
+        kind=kind,
+        category="event",
+        server=server,
+        wall=1000.0 + mono,
+        mono=mono,
+        detail=detail,
+    )
+
+
 class TestChromeTrace:
     def test_three_hop_chaos_trace_is_valid_and_consistent(self, chaos_journey):
-        admin, journey, records = chaos_journey
-        assert records, "the fault plan injected nothing?"
-        trace = chrome_trace(
-            journey,
-            profiles=admin.top_naplets_by_cpu(),
-            fault_records=records,
-        )
+        admin, records = chaos_journey
+        assert any(
+            r.category == "fault" for r in records
+        ), "the fault plan injected nothing?"
+        trace = chrome_trace(records, profiles=admin.top_naplets_by_cpu())
         # Valid JSON end to end.
         decoded = json.loads(json.dumps(trace))
         assert decoded["displayTimeUnit"] == "ms"
@@ -79,8 +103,8 @@ class TestChromeTrace:
         assert all(e["args"]["labels"] == ["delay"] for e in faults)
 
     def test_metadata_names_every_process_and_thread(self, chaos_journey):
-        _admin, journey, records = chaos_journey
-        trace = chrome_trace(journey, fault_records=records)
+        _admin, records = chaos_journey
+        trace = chrome_trace(records)
         metadata = [e for e in trace["traceEvents"] if e["ph"] == "M"]
         named_pids = {
             e["pid"] for e in metadata if e["name"] == "process_name"
@@ -93,9 +117,9 @@ class TestChromeTrace:
         assert {"s00", "s01", "fault-injector"} <= process_names
 
     def test_write_chrome_trace_round_trips_through_disk(self, chaos_journey, tmp_path):
-        _admin, journey, records = chaos_journey
+        _admin, records = chaos_journey
         path = tmp_path / "journey.json"
-        written = write_chrome_trace(str(path), journey, fault_records=records)
+        written = write_chrome_trace(str(path), records)
         loaded = json.loads(path.read_text(encoding="utf-8"))
         assert loaded == json.loads(json.dumps(written))
         assert loaded["traceEvents"]
@@ -115,7 +139,7 @@ class TestChromeTrace:
                     message_bytes=100 * i,
                 )
             )
-        trace = chrome_trace(profiles=[("s01", profile)])
+        trace = chrome_trace([], profiles=[("s01", profile)])
         counters = [e for e in trace["traceEvents"] if e["ph"] == "C"]
         assert len(counters) == 3
         assert counters[0]["name"] == "resources nap-1"
@@ -133,7 +157,7 @@ class TestChromeTrace:
             duration=0.1,
             status="error",
         )
-        trace = chrome_trace([span])
+        trace = chrome_trace([_span_record(span)])
         event = _non_meta(trace)[0]
         assert event["cat"] == "span,error"
         assert event["args"]["status"] == "error"
@@ -148,20 +172,14 @@ class TestInstantEvents:
     """Regression: dead-letter transitions and Alt failovers render as
     instant (``"i"``) events pinned to their server's row."""
 
-    @staticmethod
-    def _event(kind: str, mono: float = 1.0, **detail):
-        from repro.util.eventlog import EventRecord
-
-        return EventRecord(kind=kind, detail=detail, wall=1000.0 + mono, mono=mono)
-
     def test_instant_kinds_become_pinned_instants(self):
-        events = [
-            ("s00", self._event("message-dead-lettered", 1.0, target="n1")),
-            ("s00", self._event("dead-letters-requeued", 2.0, delivered=3)),
-            ("s01", self._event("alt-failover", 3.0, failed="s02", error="down")),
-            ("s01", self._event("naplet-launch", 4.0, naplet="n1")),  # not instant
+        records = [
+            _record("s00", "message-dead-lettered", 1.0, target="n1"),
+            _record("s00", "dead-letters-requeued", 2.0, delivered=3),
+            _record("s01", "alt-failover", 3.0, failed="s02", error="down"),
+            _record("s01", "naplet-launch", 4.0, naplet="n1"),  # not instant
         ]
-        trace = chrome_trace(events=events)
+        trace = chrome_trace(records)
         instants = [e for e in trace["traceEvents"] if e["ph"] == "i"]
         assert [e["name"] for e in instants] == [
             "message-dead-lettered",
@@ -187,21 +205,18 @@ class TestInstantEvents:
             start_wall=1001.0, start_mono=1.0, duration=0.5,
         )
         trace = chrome_trace(
-            [span], events=[("s00", self._event("alt-failover", 1.25))]
+            [_span_record(span), _record("s00", "alt-failover", 1.25)]
         )
         by_ph = {e["ph"]: e for e in _non_meta(trace)}
         assert by_ph["X"]["ts"] == 0.0
         assert by_ph["i"]["ts"] == pytest.approx(0.25e6)
 
     def test_journal_records_render_as_instants(self):
-        from repro.telemetry import journal_chrome_trace
-        from repro.telemetry.journal import SpaceJournal
-
         journal = SpaceJournal("s00")
-        journal.observe_event(self._event("message-dead-lettered", 1.0, target="n1"))
-        journal.observe_event(self._event("dead-letters-requeued", 2.0, requeued=1))
-        journal.observe_event(self._event("naplet-arrive", 3.0, naplet="n1"))
-        trace = journal_chrome_trace(journal.snapshot())
+        journal.record("message-dead-lettered", target="n1")
+        journal.record("dead-letters-requeued", requeued=1)
+        journal.record("naplet-arrive", naplet="n1")
+        trace = chrome_trace(journal.snapshot())
         instants = [e for e in trace["traceEvents"] if e["ph"] == "i"]
         assert [e["name"] for e in instants] == [
             "message-dead-lettered",
@@ -216,7 +231,6 @@ class TestInstantEvents:
         from repro.itinerary import Itinerary
         from repro.itinerary.pattern import alt, seq, singleton
         from repro.simnet import full_mesh
-        from repro.telemetry import journal_chrome_trace
 
         plan = FaultPlan(seed=11).partition("s02")
         network, servers = space(
@@ -245,6 +259,6 @@ class TestInstantEvents:
         assert admin.wait_space_idle()
         burns = admin.harvest_journal(kind="alt-failover")
         assert burns and burns[0].detail["failed"] == "s02"
-        trace = journal_chrome_trace(admin.harvest_journal())
+        trace = chrome_trace(admin.harvest_journal())
         instants = [e for e in _non_meta(trace) if e["ph"] == "i"]
         assert any(e["name"] == "alt-failover" for e in instants)

@@ -82,9 +82,9 @@ class TestDenyingHost:
         for row in (rows[0], rows[2]):
             assert set(row) == {"server", "status", *ALL}
         # The policy check guards the harvest and is journaled either way.
-        assert servers["s01"].events.count("service-denied", service="harvest") == 1
-        assert servers["s01"].events.count("service-granted") == 0
-        assert servers["s02"].events.count("service-granted", service="harvest") == 1
+        assert servers["s01"].journal.count("service-denied", service="harvest") == 1
+        assert servers["s01"].journal.count("service-granted") == 0
+        assert servers["s02"].journal.count("service-granted", service="harvest") == 1
 
         output = naplet_cli.render(rows)
         denied = next(l for l in output.splitlines() if l.strip().startswith("s01"))
@@ -113,8 +113,8 @@ class TestDenyingHost:
             )
         )
         servers["s00"].launch(probe, owner="ops", listener=listener)
-        assert wait_until(lambda: servers["s01"].events.count("naplet-exception") == 1)
-        (event,) = servers["s01"].events.find("naplet-exception")
+        assert wait_until(lambda: servers["s01"].journal.count("naplet-exception") == 1)
+        (event,) = servers["s01"].journal.find("naplet-exception")
         assert "handler defect" in event.detail["error"]
         assert SpaceAdmin(servers).wait_space_idle()
         assert listener.try_next() is None  # no row claims s01 was unreachable

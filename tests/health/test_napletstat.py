@@ -261,7 +261,7 @@ class TestJourneyAndFollow:
         # Nothing new: the same watermarks yield an empty tail...
         assert naplet_cli.tail(admin.harvest(("journal",)), watermarks) == []
         # ...until fresh records are journaled.
-        servers["s00"].events.record("poke", naplet=str(nid))
+        servers["s00"].journal.record("poke", naplet=str(nid))
         fresh = naplet_cli.tail(admin.harvest(("journal",)), watermarks)
         assert [r.kind for r in fresh] == ["poke"]
 

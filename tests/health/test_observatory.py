@@ -131,6 +131,21 @@ class TestHeartbeat:
         family = snapshot.family("naplet_peer_load")
         assert any("s00" in str(labels) for labels in family.samples)
 
+    def test_a_failing_beat_is_journaled_with_its_error(self, space):
+        """The heartbeat thread survives a broken beat, and says what broke."""
+        _net, servers = space(line(2, prefix="s"), config=ServerConfig(load_cadence=0.02))
+        server = servers["s00"]
+
+        def broken_beat():
+            raise RuntimeError("beat broke")
+
+        server.observatory.beat_now = broken_beat
+        assert wait_until(
+            lambda: server.journal.count("load-beat-error") >= 2, timeout=5
+        )
+        (first, *_rest) = server.journal.find("load-beat-error")
+        assert first.detail == {"error": repr(RuntimeError("beat broke"))}
+
     def test_malformed_frame_is_rejected_politely(self, space):
         _net, servers = space(line(2, prefix="s"))
         reply = servers["s01"].observatory.handle_load_frame(

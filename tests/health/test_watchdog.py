@@ -293,7 +293,7 @@ class TestCriticalEvidence:
         frozen = backlog.data["journal_slice"]
         assert frozen
         # New journal traffic after escalation must not dilute the evidence.
-        server.events.record("poke", naplet="nap-after")
+        server.journal.record("poke", naplet="nap-after")
         self._bury(server, 1)
         plane.sample_now()  # still CRITICAL: a refresh, not a fresh raise
         refreshed = next(
@@ -305,25 +305,23 @@ class TestCriticalEvidence:
             d["kind"] == "poke" for d in refreshed.data["journal_slice"]
         )
 
-    def test_disabled_journal_means_no_slice_key(self, space):
+
+class TestSwallowedErrors:
+    def test_a_failing_sample_is_journaled_with_its_error(self, space):
+        """The sampler thread survives a broken pass, and says what broke."""
         from repro.simnet import line
 
         _network, servers = space(
-            line(2, prefix="s"),
-            config=ServerConfig(
-                health_cadence=60.0,
-                health_stuck_deadline=0.1,
-                journal_enabled=False,
-            ),
+            line(2, prefix="s"), config=ServerConfig(health_cadence=0.02)
         )
         server = servers["s00"]
-        for _ in range(3):
-            self._bury(server, 1)
-            server.health.sample_now()
-        backlog = next(
-            f
-            for f in server.health.findings()
-            if f.kind == FindingKind.DEAD_LETTER_BACKLOG
+
+        def broken_pass():
+            raise RuntimeError("sampler broke")
+
+        server.health.sample_now = broken_pass
+        assert wait_until(
+            lambda: server.journal.count("health-sample-error") >= 2, timeout=5
         )
-        assert backlog.severity == Severity.CRITICAL
-        assert "journal_slice" not in backlog.data
+        (first, *_rest) = server.journal.find("health-sample-error")
+        assert first.detail == {"error": repr(RuntimeError("sampler broke"))}

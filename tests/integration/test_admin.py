@@ -109,7 +109,7 @@ class TestControl:
         assert wait_until(lambda: admin.locate(nid) == "s01")
         admin.suspend(nid)
         assert wait_until(
-            lambda: servers["s01"].events.count("naplet-interrupt", control="suspend") == 1
+            lambda: servers["s01"].journal.count("naplet-interrupt", control="suspend") == 1
         )
         admin.resume(nid)
         admin.terminate(nid)

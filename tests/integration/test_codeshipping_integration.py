@@ -44,7 +44,7 @@ class TestLazyShipping:
             assert servers["srv01"].code_cache.misses == 1
             assert servers["srv01"].code_cache.hits >= 1  # the revisit
             assert servers["srv02"].code_cache.misses == 1
-            assert servers["srv01"].events.count("codebase-fetch") == 1
+            assert servers["srv01"].journal.count("codebase-fetch") == 1
         finally:
             network.shutdown()
 
@@ -86,10 +86,10 @@ class TestEagerShipping:
                 assert listener.next_report(timeout=15).payload == ["srv01", "srv02"]
             # eager: no fetch events anywhere
             assert all(
-                s.events.count("codebase-fetch") == 0 for s in eager_servers.values()
+                s.journal.count("codebase-fetch") == 0 for s in eager_servers.values()
             )
             assert any(
-                s.events.count("codebase-fetch") > 0 for s in lazy_servers.values()
+                s.journal.count("codebase-fetch") > 0 for s in lazy_servers.values()
             )
             # eager transfers carry the code: more naplet-transfer bytes
             lazy_bytes = lazy_net.meter.kind_stats("naplet-transfer").bytes

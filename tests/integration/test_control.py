@@ -38,7 +38,7 @@ class TestTerminate:
         assert wait_until(lambda: servers["s01"].monitor.active_count == 0, timeout=10)
         # The travelled copy recorded the control; we can check via footprints
         # (state travelled with the copy, so look at the monitor's event log).
-        assert servers["s01"].events.count("naplet-interrupt", control="terminate") == 1
+        assert servers["s01"].journal.count("naplet-interrupt", control="terminate") == 1
 
 
 class TestSuspendResume:
@@ -55,7 +55,7 @@ class TestSuspendResume:
         assert wait_until(lambda: servers["s01"].manager.is_resident(nid))
         servers["s00"].suspend_naplet(nid)
         assert wait_until(
-            lambda: servers["s01"].events.count("naplet-interrupt", control="suspend") == 1
+            lambda: servers["s01"].journal.count("naplet-interrupt", control="suspend") == 1
         )
         servers["s00"].resume_naplet(nid)
         report = listener.next_report(timeout=20)

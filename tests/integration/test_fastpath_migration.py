@@ -150,7 +150,7 @@ class TestBrokenLandingCheck:
         assert "RuntimeError: rule backend down" in errors[0].detail["error"]
         # Never booked or reported as a denial, at either end.
         assert int(servers["s02"].telemetry.landings_denied.total()) == 0
-        assert servers["s01"].events.count("landing-denied") == 0
+        assert servers["s01"].journal.count("landing-denied") == 0
 
 
 _WENT_OFF: list[str] = []

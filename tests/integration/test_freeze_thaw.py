@@ -56,7 +56,7 @@ class TestFreeze:
         assert not servers["s01"].manager.is_resident(nid)
         footprint = servers["s01"].manager.footprint(nid)
         assert footprint.outcome == NapletOutcome.FROZEN
-        assert servers["s01"].events.count("naplet-frozen") == 1
+        assert servers["s01"].journal.count("naplet-frozen") == 1
 
     def test_freeze_runs_on_stop_not_on_destroy(self, small_line):
         _network, servers = small_line
@@ -67,7 +67,7 @@ class TestFreeze:
         servers["s01"].freeze_naplet(nid)
         assert servers["s01"].monitor.outcomes.get(NapletOutcome.FROZEN) == 1
         # the freeze interrupt reached on_interrupt before unwinding
-        assert servers["s01"].events.count("naplet-interrupt", control="freeze") == 1
+        assert servers["s01"].journal.count("naplet-interrupt", control="freeze") == 1
 
     def test_freeze_non_resident_raises(self, small_line):
         _network, servers = small_line

@@ -98,9 +98,9 @@ class TestTourSideEffects:
         agent = _tour_agent(["s01"])
         nid = servers["s00"].launch(agent, owner="alice", listener=listener)
         listener.next_report(timeout=10)
-        assert servers["s00"].events.count("naplet-launch") == 1
-        assert servers["s01"].events.count("naplet-arrive") == 1
-        assert servers["s01"].events.count("landing-granted") == 1
+        assert servers["s00"].journal.count("naplet-launch") == 1
+        assert servers["s01"].journal.count("naplet-arrive") == 1
+        assert servers["s01"].journal.count("landing-granted") == 1
 
     def test_revisit_same_server(self, small_line):
         network, servers = small_line
@@ -119,7 +119,7 @@ class TestDenials:
         agent = _tour_agent(["s01", "s02"])
         with pytest.raises(NapletMigrationError):
             servers["s00"].launch(agent, owner="alice")
-        assert servers["s00"].events.count("landing-denied") == 1
+        assert servers["s00"].journal.count("landing-denied") == 1
 
     def test_landing_denied_mid_route_fails_agent(self, space):
         network, servers = space(line(3, prefix="s"))
@@ -129,7 +129,7 @@ class TestDenials:
         assert wait_until(
             lambda: servers["s01"].monitor.outcomes.get(NapletOutcome.FAILED, 0) == 1
         )
-        assert servers["s01"].events.count("landing-denied") >= 0
+        assert servers["s01"].journal.count("landing-denied") >= 0
         assert servers["s02"].manager.footprint(nid) is None
 
     def test_skip_policy_routes_around_denial(self, space):

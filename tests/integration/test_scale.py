@@ -18,7 +18,7 @@ class TestManAtScale:
             framework.wait_idle(30)
             # exactly 63 clones were spawned from the station
             clones = sum(
-                s.events.count("clone-spawned") for s in framework.servers.values()
+                s.journal.count("clone-spawned") for s in framework.servers.values()
             )
             assert clones == 63
         finally:

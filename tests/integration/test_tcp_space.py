@@ -73,3 +73,41 @@ class TestTcpSpace:
         receipt = tcp_space["t00"].messenger.post(None, nid, {"over": "tcp"})
         assert receipt.status == "delivered"
         assert listener.next_report(timeout=20).payload == {"over": "tcp"}
+
+    def test_a_journey_harvested_over_the_wire_is_the_admin_journey(self, tcp_space):
+        """One harvest protocol reconstructs a journey: a probe's rows,
+        merged and stitched, give the span tree SpaceAdmin.journey builds."""
+        from repro.health import harvest_via_probe, merged_journal
+        from repro.server import SpaceAdmin
+        from repro.telemetry import span_from_record, stitch
+        from repro.util.concurrency import wait_until
+
+        listener = repro.NapletListener()
+        agent = CollectorNaplet("tcp-journey")
+        agent.set_itinerary(
+            Itinerary(
+                SeqPattern.of_servers(["t01", "t02"], post_action=ResultReport("visited"))
+            )
+        )
+        nid = tcp_space["t00"].launch(agent, owner="alice", listener=listener)
+        assert listener.next_report(timeout=20).payload == ["t01", "t02"]
+        admin = SpaceAdmin(tcp_space)
+        assert admin.wait_space_idle()
+        assert wait_until(lambda: len(admin.journey(nid).roots) == 1, timeout=10)
+        local = admin.journey(nid)
+
+        rows = harvest_via_probe(
+            tcp_space["t00"], sorted(tcp_space), repro.NapletListener(), kinds=("journal",)
+        )
+        wire = stitch(
+            span_from_record(record)
+            for record in merged_journal(rows, journey=str(nid), category="span")
+        )
+
+        assert {s.span_id for s in wire.spans} == {s.span_id for s in local.spans}
+
+        def hops(journey):
+            return [(h.source, h.dest, h.bytes) for h in journey.critical_path().hops]
+
+        assert len(hops(local)) == 2
+        assert hops(wire) == hops(local)

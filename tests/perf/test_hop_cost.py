@@ -100,7 +100,7 @@ class TestJournalRecords:
 
     def test_disabled_journal_records_nothing_and_nothing_breaks(self, space):
         _network, servers = space(
-            line(4, prefix="s"), config=ServerConfig(journal_enabled=False)
+            line(4, prefix="s"), config=ServerConfig(telemetry_enabled=False)
         )
         admin = SpaceAdmin(servers)
         _tour(servers)
@@ -182,7 +182,7 @@ class TestCriticalPathBytes:
 class TestChromeCounterTracks:
     def test_hop_spans_emit_byte_and_serialize_counters(self, toured):
         _servers, admin, nid = toured
-        trace = chrome_trace(admin.journey(nid))
+        trace = chrome_trace(admin.harvest_journal(journey=str(nid)))
         counters = [e for e in trace["traceEvents"] if e["ph"] == "C"]
         byte_tracks = [e for e in counters if e["name"] == "hop bytes"]
         ser_tracks = [e for e in counters if e["name"] == "hop serialize ms"]

@@ -65,7 +65,7 @@ class TestOutcomes:
         outcome, error = retire.wait()
         assert outcome == NapletOutcome.FAILED
         assert isinstance(error, RuntimeError)
-        assert monitor.events.count("naplet-exception") == 1
+        assert monitor.journal.count("naplet-exception") == 1
 
     def test_on_destroy_called_for_terminal_outcomes(self, monitor):
         agent = _identified()

@@ -72,7 +72,7 @@ class TestHarvestedMetrics:
         same = service.harvest(("journal",), trace_id=trace_id)["journal"]
         assert same and all(d["trace_id"] == trace_id for d in same)
         arrivals = service.harvest(("journal",), kind="naplet-arrive")["journal"]
-        assert len(arrivals) == servers["s01"].events.count("naplet-arrive") >= 1
+        assert len(arrivals) == servers["s01"].journal.count("naplet-arrive") >= 1
 
     def test_metrics_payload_is_json_serializable(self, small_line):
         _network, servers = small_line

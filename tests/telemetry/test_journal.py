@@ -1,10 +1,10 @@
-"""Flight-recorder journal: ring mechanics, observers, the one record
-selection, harvest, metrics.
+"""Flight-recorder journal: ring mechanics, writing and reading, the one
+record selection, harvest, metrics.
 
-Unit half: a bare :class:`SpaceJournal` fed synthetic events/spans/faults,
+Unit half: a bare :class:`SpaceJournal` fed synthetic events and spans,
 and ``select``/``order``/dump round-trip over synthetic timelines.
-Integration half: a live 3-server space whose journals fill through the
-observer wiring alone, harvested both in-process
+Integration half: a live 3-server space whose journals fill as its
+components run, harvested both in-process
 (:meth:`SpaceAdmin.harvest_journal`) and over the wire (the harvest probe),
 with the journal's own gauges and per-kind counter on the metrics page.
 """
@@ -21,6 +21,7 @@ from repro.server import SpaceAdmin
 from repro.simnet import line
 from repro.telemetry import render_metrics_text
 from repro.telemetry.journal import (
+    RING_BOUND,
     JournalRecord,
     SpaceJournal,
     causal_key,
@@ -33,7 +34,6 @@ from repro.telemetry.journal import (
     span_from_record,
 )
 from repro.telemetry.trace import Span
-from repro.util.eventlog import EventRecord
 from repro.util.hlc import HLCStamp
 
 from tests.conftest import CollectorNaplet, synthetic_timeline
@@ -54,48 +54,55 @@ def _tour(servers, hosts, name="journal-tour"):
 
 class TestSpaceJournal:
     def test_append_stamps_and_bounds_the_ring(self):
-        journal = SpaceJournal("s00", capacity=3)
-        for i in range(5):
+        """Past RING_BOUND the ring keeps the newest records, in seq order,
+        and counts exactly what it let go."""
+        journal = SpaceJournal("s00")
+        extra = 5
+        for i in range(RING_BOUND + extra):
             journal.append(kind=f"k{i}")
-        assert journal.depth == 3
-        assert journal.total_appended == 5
-        assert journal.dropped == 2
+        assert journal.depth == RING_BOUND
+        assert journal.total_appended == RING_BOUND + extra
+        assert journal.dropped == journal.total_appended - journal.depth == extra
         kept = journal.snapshot()
-        assert [r.kind for r in kept] == ["k2", "k3", "k4"]
+        assert kept[0].kind == f"k{extra}"
+        assert kept[-1].kind == f"k{RING_BOUND + extra - 1}"
         # Stamps and sequence numbers strictly increase.
+        assert [r.seq for r in kept] == list(range(extra + 1, RING_BOUND + extra + 1))
         assert kept == sorted(kept, key=causal_key)
-        assert [r.seq for r in kept] == [3, 4, 5]
 
     def test_disabled_journal_records_nothing(self):
         journal = SpaceJournal("s00", enabled=False)
         journal.append(kind="k")
-        journal.observe_event(EventRecord(kind="e", detail={}, wall=1.0, mono=1.0))
+        assert journal.record("e", naplet="n1") is None
         assert journal.depth == 0
         assert journal.header_stamp() is None
 
-    def test_observe_event_extracts_naplet_and_category(self):
+    def test_record_extracts_naplet_and_category(self):
         journal = SpaceJournal("s00")
-        journal.observe_event(
-            EventRecord(
-                kind="naplet-depart",
-                detail={"naplet": "alice@s00:1:0", "dest": "naplet://s01"},
-                wall=1.0,
-                mono=1.0,
-            )
-        )
-        journal.observe_event(
-            EventRecord(
-                kind="message-dead-lettered",
-                detail={"target": "bob@s00:2:0"},
-                wall=2.0,
-                mono=2.0,
-            )
-        )
-        depart, dead = journal.snapshot()
+        journal.record("naplet-depart", naplet="alice@s00:1:0", dest="naplet://s01")
+        journal.record("message-dead-lettered", target="bob@s00:2:0")
+        journal.record("clone-spawned", parent="alice@s00:1:0", clone="alice@s00:1:1")
+        depart, dead, spawned = journal.snapshot()
         assert depart.naplet == "alice@s00:1:0"
         assert depart.category == "event"
+        assert depart.detail == {"naplet": "alice@s00:1:0", "dest": "naplet://s01"}
         assert dead.naplet == "bob@s00:2:0"
         assert dead.category == "deadletter"
+        assert spawned.naplet == "alice@s00:1:1"
+
+    def test_find_and_count_match_kind_and_every_detail(self):
+        journal = SpaceJournal("s00")
+        journal.record("arrive", naplet="a", server="s1")
+        journal.record("arrive", naplet="b", server="s1")
+        journal.record("depart", naplet="a", server="s1")
+        assert journal.count("arrive") == 2
+        assert journal.count("arrive", naplet="a") == 1
+        assert journal.count("depart", server="s1") == 1
+        assert journal.count("arrive", naplet="a", server="s2") == 0
+        (found,) = journal.find("depart")
+        assert found.matches("depart", naplet="a")
+        assert not found.matches("depart", naplet="a", missing=3)
+        assert not found.matches("arrive")
 
     def test_observe_span_round_trips_through_span_from_record(self):
         journal = SpaceJournal("s00")
@@ -252,7 +259,7 @@ class TestJournalInSpace:
         assert admin.wait_space_idle()
         timeline = admin.harvest_journal()
         kinds = {r.kind for r in timeline}
-        # Event-log records and tracer spans both arrive via observers.
+        # Component events and tracer spans both land in the one ring.
         assert {"naplet-launch", "naplet-depart", "naplet-arrive"} <= kinds
         assert {"hop", "landing"} <= kinds
         assert timeline == sorted(timeline, key=causal_key)
@@ -325,28 +332,48 @@ class TestJournalInSpace:
         assert "naplet_journal_depth" in text
         assert "naplet_journal_dropped_records 0" in text
         assert 'naplet_journal_records_total{kind="naplet-launch"} 1' in text
+        # Past the ring bound the gauges follow the ring (background
+        # planes stopped so nothing else appends between the reads).
+        for each in servers.values():
+            each.health.stop()
+            each.observatory.stop()
+        for _ in range(RING_BOUND):
+            server.journal.record("tick")
+        snap = server.telemetry.registry.snapshot()
+        journal = server.journal
+        assert snap.total("naplet_journal_depth") == journal.depth == RING_BOUND
+        assert (
+            snap.total("naplet_journal_dropped_records")
+            == journal.dropped
+            == journal.total_appended - RING_BOUND
+            > 0
+        )
+        assert snap.total("naplet_journal_records_total") == journal.total_appended
 
     def test_kind_label_is_escaped_on_the_metrics_page(self, space):
         """An event kind with exposition-reserved characters must not
         corrupt the page: one sample per line, reserved chars escaped."""
         _net, servers = space(line(2, prefix="s"))
         server = servers["s00"]
-        server.events.record('odd"kind\nwith\\chars', naplet="n1")
+        server.journal.record('odd"kind\nwith\\chars', naplet="n1")
         text = render_metrics_text(server.telemetry.registry.snapshot())
         assert 'kind="odd\\"kind\\nwith\\\\chars"' in text
         samples = [l for l in text.splitlines() if "naplet_journal_records" in l]
         assert all(l.startswith("#") or l.count("} ") == 1 for l in samples)
 
     def test_journal_disabled_space_still_works(self, space):
+        """The journal is on exactly when telemetry is: a dark space tours
+        as usual and records nothing at all."""
         from repro.server import ServerConfig
 
         _net, servers = space(
-            line(2, prefix="s"), config=ServerConfig(journal_enabled=False)
+            line(2, prefix="s"), config=ServerConfig(telemetry_enabled=False)
         )
         _tour(servers, ["s01"])
         admin = SpaceAdmin(servers)
         assert admin.wait_space_idle()
         assert admin.harvest_journal() == []
+        assert all(s.journal.total_appended == 0 for s in servers.values())
         (row, _) = admin.harvest(("journal",))
         assert row["status"]["journal"] == "disabled"
-        assert row["status"]["telemetry"] == "enabled"
+        assert row["status"]["telemetry"] == "disabled"

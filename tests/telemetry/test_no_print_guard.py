@@ -1,4 +1,4 @@
-"""Lint guard: production code must report through the EventLog, metrics, or
+"""Lint guard: production code must report through the journal, metrics, or
 spans — never ``print``.  Examples and benchmarks may print; ``src/repro``
 may not."""
 
@@ -24,7 +24,7 @@ def test_src_tree_is_print_free():
             if _PRINT_CALL.search(code):
                 offenders.append(f"{path.relative_to(SRC.parent)}:{lineno}: {line.strip()}")
     assert not offenders, (
-        "print() calls found in src/repro — use the EventLog or telemetry "
+        "print() calls found in src/repro — use the journal or telemetry "
         "instead:\n" + "\n".join(offenders)
     )
 

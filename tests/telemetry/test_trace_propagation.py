@@ -8,6 +8,7 @@ import pickle
 import repro
 from repro.itinerary import Itinerary, ResultReport, SeqPattern
 from repro.server import SpaceAdmin
+from repro.telemetry.journal import span_from_record
 from repro.util.concurrency import wait_until
 from tests.conftest import CollectorNaplet
 from tests.integration.test_freeze_thaw import FreezableCollector
@@ -60,7 +61,12 @@ class TestFreezeThaw:
         # The frozen image carries the trace context minted at launch.
         frozen = servers["s01"].serializer.loads(image, servers["s01"].code_cache)
         assert frozen.trace_context is not None
-        launch = servers["s00"].telemetry.tracer.find("launch", naplet=str(nid))[0]
+        (launch,) = [
+            span_from_record(record)
+            for record in servers["s00"].journal.records(
+                kind="launch", category="span", naplet=str(nid)
+            )
+        ]
         assert frozen.trace_context.trace_id == launch.trace_id
 
         servers["s03"].thaw_naplet(image)

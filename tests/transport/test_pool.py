@@ -11,6 +11,7 @@ import tracemalloc
 import pytest
 
 from repro.core.errors import NapletCommunicationError
+from repro.telemetry.journal import SpaceJournal
 from repro.transport import pool as poolmod
 from repro.transport.base import Frame, FrameKind
 from repro.transport.tcp import TcpTransport
@@ -169,6 +170,8 @@ class TestFrameSizeBoundary:
         import struct
 
         transport.register("naplet://sturdy", lambda f: pickle.dumps(b"ok"))
+        journal = SpaceJournal("sturdy")
+        transport.bind_event_log("naplet://sturdy", journal)
         before = int(transport.metrics.counter("wire_dropped_connections_total").total())
         raw = socket.create_connection(("127.0.0.1", transport.port_of("naplet://sturdy")))
         raw.sendall(struct.pack("!I", poolmod.MAX_FRAME + 1) + b"xxxx")
@@ -182,7 +185,7 @@ class TestFrameSizeBoundary:
                 break
             time.sleep(0.01)
         assert dropped == before + 1
-        assert transport.events.count("transport-connection-dropped") == 1
+        assert journal.count("transport-connection-dropped", endpoint="naplet://sturdy") == 1
         # Valid traffic still flows.
         assert pickle.loads(transport.request(_frame("naplet://sturdy"), timeout=5)) == b"ok"
 

@@ -10,11 +10,11 @@ import time
 import pytest
 
 from repro.core.errors import NapletCommunicationError
+from repro.telemetry.journal import SpaceJournal
 from repro.transport.base import Frame, FrameKind
 from repro.transport.pool import MAX_FRAME, send_blob
 from repro.transport.tcp import TcpTransport
 from repro.util.concurrency import wait_until
-from repro.util.eventlog import EventLog
 
 
 @pytest.fixture
@@ -73,7 +73,7 @@ class TestEdges:
         transport.register(
             "naplet://strict", lambda f: seen.append(f.source) or pickle.dumps(b"ok")
         )
-        bound = EventLog()
+        bound = SpaceJournal("strict")
         transport.bind_event_log("naplet://strict", bound)
         dropped = transport.metrics.counter("wire_dropped_connections_total")
         port = transport.port_of("naplet://strict")

@@ -32,7 +32,6 @@ Run:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -45,7 +44,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 import repro  # noqa: E402  (sys.path fixed above)
 from repro.health.harvest import ALL, merged_journal  # noqa: E402
 from repro.perf import render_hop_costs  # noqa: E402
-from repro.telemetry.export import journal_chrome_trace  # noqa: E402
+from repro.telemetry.export import write_chrome_trace  # noqa: E402
 from repro.telemetry.journal import (  # noqa: E402
     CATEGORIES,
     JournalRecord,
@@ -393,9 +392,7 @@ def _cmd_log(args: argparse.Namespace) -> int:
     selected = select(order(selected, causal=args.causal), limit=args.limit or None)
 
     if args.chrome:
-        trace = journal_chrome_trace(selected)
-        with open(args.chrome, "w", encoding="utf-8") as fh:
-            json.dump(trace, fh, indent=1)
+        trace = write_chrome_trace(args.chrome, selected)
         print(
             f"wrote {len(trace['traceEvents'])} trace events "
             f"({len(selected)} records) to {args.chrome}"
