@@ -5,7 +5,9 @@ parked resident naplets and sits behind congested (20 ms) links, while
 ``b02`` idles one fast (1 ms) hop away.  Journeys expand
 ``alt(b01, b02)`` — the paper's failover idiom — declared busy-first, so
 static order always burns the congested mirror and load-aware order
-(DESIGN.md §6.8) reads the heartbeat digests and goes idle-first.
+(DESIGN.md §6.4) reads the heartbeat digests and goes idle-first.  The
+static leg simply never beats: with no digest for either mirror the
+fallback ladder keeps declaration order.
 
 Structure carries the assertions (where each journey landed, the reroute
 counter, zero extra dials for the heartbeat plane); journeys/sec and
@@ -13,9 +15,9 @@ per-hop latency land in ``BENCH_loadaware.json`` for the CI structural
 gate and the curious.
 
 The overhead leg is E11-shaped: the same ping-pong journey with the
-observatory beating at a hot cadence vs disabled entirely must cost
-under 5% (plus scheduler slack), and the heartbeats must not have opened
-a single connection of their own.
+health plane ticking at a hot cadence vs idle (a 60 s cadence, so no
+tick falls inside the window) must cost under 5% (plus scheduler slack),
+and the heartbeats must not have opened a single connection of their own.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def _mirror_pattern():
     )
 
 
-def _space(load_aware: bool, observatory: bool = True, cadence: float = 60.0):
+def _space(cadence: float = 60.0):
     graph = full_mesh(3, prefix="b")
     # Congest every path into the busy mirror so the latency model cannot
     # route around it; the idle mirror stays one fast hop away.
@@ -59,15 +61,7 @@ def _space(load_aware: bool, observatory: bool = True, cadence: float = 60.0):
         graph[a][b]["latency"] = SLOW_S if "b01" in (a, b) else FAST_S
         graph[a][b]["bandwidth"] = 0.0
     network = VirtualNetwork(graph, sleep_scale=1.0)
-    servers = deploy(
-        network,
-        config=ServerConfig(
-            load_aware_navigation=load_aware,
-            observatory_enabled=observatory,
-            load_cadence=cadence,
-            load_stale_after=30.0,
-        ),
-    )
+    servers = deploy(network, config=ServerConfig(health_cadence=cadence))
     return network, servers
 
 
@@ -97,7 +91,7 @@ def _dials(network) -> int:
     """Directed host-to-host links the transport has opened so far.
 
     Self-delivery (a report landing at its own home) is not a dial, so
-    (h, h) pairs are excluded — the observatory's no-dial guarantee is
+    (h, h) pairs are excluded — the heartbeat's no-dial guarantee is
     about real peer connections.
     """
     transport = network.transport
@@ -111,13 +105,14 @@ def _percentile(samples: list[float], fraction: float) -> float:
 
 
 def _measure(load_aware: bool) -> dict:
-    network, servers = _space(load_aware)
+    network, servers = _space()
     try:
         _warm_links(servers)
         nids = _pin_busy(servers)
         dials_before = _dials(network)
-        for server in servers.values():
-            server.observatory.beat_now()
+        if load_aware:
+            for server in servers.values():
+                server.health.tick()
         extra_dials = _dials(network) - dials_before
 
         landings = {"b01": 0, "b02": 0}
@@ -142,7 +137,7 @@ def _measure(load_aware: bool) -> dict:
             "pinned_residents": PINNED,
             "busy_landings": landings["b01"],
             "idle_landings": landings["b02"],
-            "reroutes": servers["b00"].observatory.reroutes(),
+            "reroutes": servers["b00"].health.reroutes(),
             "observatory_extra_dials": extra_dials,
             "journeys_per_sec": JOURNEYS / elapsed,
             "hop_latency_p50_ms": _percentile(latencies, 0.50) * 1e3,
@@ -153,12 +148,10 @@ def _measure(load_aware: bool) -> dict:
         network.shutdown()
 
 
-def _measure_overhead(observatory: bool) -> dict:
-    """E11-shaped ping-pong between the two fast mirrors, observatory
-    beating hot (20 ms cadence) or fully disabled."""
-    network, servers = _space(
-        load_aware=observatory, observatory=observatory, cadence=0.02
-    )
+def _measure_overhead(hot: bool) -> dict:
+    """E11-shaped ping-pong between the two fast mirrors, the health plane
+    ticking hot (20 ms cadence) or idle (60 s, no tick in the window)."""
+    network, servers = _space(cadence=0.02 if hot else 60.0)
     try:
         _warm_links(servers)
         dials_before = _dials(network)
@@ -175,9 +168,9 @@ def _measure_overhead(observatory: bool) -> dict:
         digests = sum(
             s.telemetry.registry.snapshot().total("naplet_load_digests_sent_total")
             for s in servers.values()
-        ) if observatory else 0.0
+        )
         return {
-            "observatory": observatory,
+            "observatory": hot,
             "hops": PING_PONG,
             "elapsed_s": elapsed,
             "digests_sent": int(digests),
@@ -224,17 +217,17 @@ class TestLoadAwareNavigation:
 
         # E11-shaped overhead leg: hot heartbeats on the ping-pong path
         # must cost under 5% plus scheduler slack, with zero extra dials.
-        without = _measure_overhead(observatory=False)
-        with_obs = _measure_overhead(observatory=True)
+        without = _measure_overhead(hot=False)
+        with_obs = _measure_overhead(hot=True)
         assert with_obs["observatory_extra_dials"] == 0
         assert with_obs["elapsed_s"] <= without["elapsed_s"] * 1.05 + 0.25
 
         table(
-            f"E12b: observatory overhead ({PING_PONG}-hop ping-pong, 20 ms cadence)",
-            ["observatory", "elapsed s", "digests", "extra dials"],
+            f"E12b: heartbeat overhead ({PING_PONG}-hop ping-pong, 20 ms cadence)",
+            ["plane", "elapsed s", "digests", "extra dials"],
             [
                 [
-                    "off" if not run["observatory"] else "on",
+                    "idle" if not run["observatory"] else "hot",
                     f"{run['elapsed_s']:.3f}",
                     run["digests_sent"],
                     run["observatory_extra_dials"],

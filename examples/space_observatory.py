@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Watching the space: load digests, the merged view, load-aware routing.
 
-The observatory (DESIGN.md §6.8) gives every server a live picture of
-the whole space without a single extra connection: each heartbeat rides
-the channels earlier traffic already opened.  This walkthrough shows the
+The health plane (DESIGN.md §6.4) gives every server a live picture of
+the whole space without a single extra connection: each tick's heartbeat
+rides the channels earlier traffic already opened.  This walkthrough shows the
 loop closing:
 
 1. a warm-up tour opens the links, and one heartbeat later every server
@@ -26,11 +26,13 @@ import time
 
 import repro
 from repro.itinerary import Itinerary, ResultReport, SeqPattern, alt, seq, singleton
+from repro.health.plane import STALE_BEATS
 from repro.server import ServerConfig, SpaceAdmin, deploy
 from repro.simnet import VirtualNetwork, full_mesh
 from repro.telemetry import format_record
 
-STALE_AFTER = 0.5
+CADENCE = 0.05
+STALE_AFTER = STALE_BEATS * CADENCE
 
 
 class Tourist(repro.Naplet):
@@ -64,7 +66,7 @@ def main() -> None:
     network = VirtualNetwork(full_mesh(3, prefix="s"))
     servers = deploy(
         network,
-        config=ServerConfig(load_cadence=0.1, load_stale_after=STALE_AFTER),
+        config=ServerConfig(health_cadence=CADENCE),
     )
     admin = SpaceAdmin(servers)
     try:
@@ -82,7 +84,7 @@ def main() -> None:
         servers["s00"].launch(warmup, owner="demo", listener=listener)
         listener.next_report(timeout=10)
         for server in servers.values():
-            server.observatory.beat_now()
+            server.health.tick()
         print("=== 1. the merged space view after one heartbeat ===")
         show_view(admin, "s00")
 
@@ -97,7 +99,7 @@ def main() -> None:
                 break
             time.sleep(0.05)
         for server in servers.values():
-            server.observatory.beat_now()
+            server.health.tick()
         print("\n=== 2. the view after pinning 5 residents at s01 ===")
         show_view(admin, "s00")
 
@@ -119,7 +121,7 @@ def main() -> None:
         report = listener.next_report(timeout=10)
         print("\n=== 3. alt(s01, s02) with s01 busy ===")
         print(f"  journey landed at: {report.payload[0]}")
-        print(f"  reroutes at s00:   {servers['s00'].observatory.reroutes()}")
+        print(f"  reroutes at s00:   {servers['s00'].health.reroutes()}")
         print("  the decision, from the flight recorder alone:")
         for record in servers["s00"].journal.records(kind="load"):
             print("   ", format_record(record))

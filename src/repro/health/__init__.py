@@ -6,12 +6,13 @@ observability (§6.4):
 - :mod:`repro.health.profile`  — per-naplet CPU/message/bandwidth time
   series sampled from the NapletMonitor's control blocks;
 - :mod:`repro.health.findings` — typed, severity-ranked watchdog findings;
-- :mod:`repro.health.plane`    — the per-server sampler + watchdog;
+- :mod:`repro.health.load`     — load digests and the merged per-server
+  space view;
+- :mod:`repro.health.plane`    — each server's one background loop:
+  sampler, watchdog, load heartbeat and load-aware Alt/Par ordering;
 - :mod:`repro.health.harvest`  — the one ``"harvest"`` open service, the
   one row builder and the one itinerant probe (§6.9): the paper's MAN
-  pattern applied to the platform;
-- :mod:`repro.health.observatory` — heartbeat load digests, the merged
-  per-server space view, and load-aware Alt/Par ordering (§6.8).
+  pattern applied to the platform.
 """
 
 from repro.health.findings import FindingKind, HealthFinding, Severity
@@ -21,7 +22,7 @@ from repro.health.harvest import (
     harvest_via_probe,
     merged_journal,
 )
-from repro.health.observatory import LoadDigest, LoadObservatory, SpaceView
+from repro.health.load import LoadDigest, SpaceView
 from repro.health.plane import HealthPlane
 from repro.health.profile import ProfileTable, ResourceProfile, ResourceSample
 
@@ -35,7 +36,6 @@ __all__ = [
     "harvest_via_probe",
     "merged_journal",
     "LoadDigest",
-    "LoadObservatory",
     "SpaceView",
     "ProfileTable",
     "ResourceProfile",

@@ -71,7 +71,6 @@ class HarvestService:
             "status": {
                 "telemetry": _flag(server.telemetry.enabled),
                 "health": _flag(server.health.enabled),
-                "observatory": _flag(server.observatory.enabled),
                 "journal": _flag(journal.enabled),
                 "journal_depth": journal.depth,
                 "journal_dropped": journal.dropped,
@@ -89,7 +88,7 @@ class HarvestService:
         if "health" in kinds:
             row["health"] = server.health.describe()
         if "load" in kinds:
-            row["load"] = server.observatory.describe()
+            row["load"] = server.health.describe_load()
         if "journal" in kinds:
             row["journal"] = [r.describe() for r in journal.records(**filters)]
         return row

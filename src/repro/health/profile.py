@@ -30,6 +30,11 @@ __all__ = ["ResourceSample", "ResourceProfile", "ProfileTable"]
 # CPU deltas below this are clock jitter, not progress.
 _CPU_EPSILON = 1e-7
 
+# The health plane's bounds: samples kept per naplet profile, and naplet
+# profiles kept per server (LRU).
+WINDOW = 240
+CAPACITY = 512
+
 
 @dataclass(frozen=True)
 class ResourceSample:
@@ -55,7 +60,7 @@ class ResourceSample:
 class ResourceProfile:
     """Bounded CPU/message/bandwidth time series for one naplet."""
 
-    def __init__(self, nid: "NapletID", window: int = 240) -> None:
+    def __init__(self, nid: "NapletID", window: int = WINDOW) -> None:
         self.naplet_id = nid
         self.samples: deque[ResourceSample] = deque(maxlen=window)
         self.resident = True
@@ -148,7 +153,7 @@ class ResourceProfile:
 class ProfileTable:
     """LRU-bounded map of naplet id → :class:`ResourceProfile`."""
 
-    def __init__(self, capacity: int = 512, window: int = 240) -> None:
+    def __init__(self, capacity: int = CAPACITY, window: int = WINDOW) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity

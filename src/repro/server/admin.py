@@ -243,7 +243,7 @@ class SpaceAdmin:
         return {row["server"]: row["health"] for row in self.harvest(("health",))}
 
     def space_view(self) -> dict[str, dict]:
-        """Every server's merged load view (observatory snapshot), by host.
+        """Every server's merged load view (its health plane's), by host.
 
         Each snapshot carries the server's own on-demand digest plus the
         peer digests it has merged, with staleness aging applied.

@@ -63,9 +63,6 @@ class Messenger:
         # Messages that exhausted their delivery budget wait here for a
         # requeue once the network heals, instead of vanishing.
         self.dead_letters = DeadLetterQueue(server.config.dead_letter_capacity)
-        # Health-plane hook: called with each freshly dead-lettered message
-        # so backlog growth is detected the moment it starts.
-        self.on_dead_letter: Callable[[DeadLetter], None] | None = None
         # Queue depths are sampled lazily at snapshot time, not on every put.
         registry = server.telemetry.registry
         registry.gauge_fn(
@@ -177,11 +174,6 @@ class Messenger:
             source=self.server.urn,
         )
         self.dead_letters.put(letter)
-        if self.on_dead_letter is not None:
-            try:
-                self.on_dead_letter(letter)
-            except Exception:
-                pass  # an observer must never break delivery error handling
         self.server.telemetry.dead_letters.inc()
         self.server.journal.record(
             "message-dead-lettered",

@@ -707,24 +707,18 @@ class NavigatorOps:
         return self._navigator.server.journal
 
     def order_alt_branches(self, naplet: "Naplet", pattern) -> tuple[int, ...] | None:
-        """Load-ranked Alt branch order from the server's observatory.
+        """Load-ranked Alt branch order from the server's health plane.
 
         Duck-typed by the itinerary driver like ``journal``; returns
-        None (static declaration order) whenever the observatory is
-        dormant, load-aware navigation is off, or the space view cannot
-        vouch fresh digests for every admitting candidate.
+        None (static declaration order) whenever the plane is dormant or
+        its space view cannot vouch fresh digests for every admitting
+        candidate.
         """
-        observatory = getattr(self._navigator.server, "observatory", None)
-        if observatory is None:
-            return None
-        return observatory.order_branches(naplet, pattern, kind="alt")
+        return self._navigator.server.health.order_branches(naplet, pattern, kind="alt")
 
     def order_par_branches(self, naplet: "Naplet", pattern) -> tuple[int, ...] | None:
         """Load-ranked Par spawn order, same ladder as the Alt hook."""
-        observatory = getattr(self._navigator.server, "observatory", None)
-        if observatory is None:
-            return None
-        return observatory.order_branches(naplet, pattern, kind="par")
+        return self._navigator.server.health.order_branches(naplet, pattern, kind="par")
 
     def dispatch(self, naplet: "Naplet", destination: str) -> None:
         self._navigator.dispatch(naplet, urn_of(destination))

@@ -79,29 +79,17 @@ class ServerConfig:
     migration_retry: RetryPolicy = field(default_factory=no_retry)
     message_retry: RetryPolicy = field(default_factory=no_retry)
     dead_letter_capacity: int = 256
-    # Health plane (DESIGN.md §6.4): background sampler + watchdog.  It is
-    # dormant whenever telemetry is disabled; all work happens off the hot
-    # path on its own thread at ``health_cadence`` seconds per pass.
-    health_enabled: bool = True
-    health_cadence: float = 0.25
+    # Health plane (DESIGN.md §6.4): each server's one background loop —
+    # sampler, watchdog and load heartbeat — on exactly when telemetry is.
+    # A peer silent for ``health.plane.STALE_BEATS`` beats decays to
+    # unknown and navigation keeps declaration order.
+    health_cadence: float = 0.5
     health_stuck_deadline: float = 30.0  # no-progress watchdog deadline
-    health_profile_window: int = 240  # samples kept per naplet profile
-    health_profile_capacity: int = 512  # naplet profiles kept (LRU)
     # Flight recorder (DESIGN.md §6.5): the per-server causal journal, on
     # exactly when telemetry is.  ``journal_time_source`` lets tests run
     # servers with deliberately skewed wall clocks to prove the hybrid
     # logical clock keeps the merged timeline causally consistent.
     journal_time_source: Callable[[], float] | None = None
-    # Load observatory (DESIGN.md §6.8): heartbeat LoadDigests ride
-    # already-open connections, merge into a per-server SpaceView, and —
-    # with ``load_aware_navigation`` on — reorder Alt/Par expansion toward
-    # the least-loaded eligible server.  Dormant whenever telemetry is
-    # disabled; a peer whose digest outlives ``load_stale_after`` decays
-    # to unknown and navigation falls back to declaration order.
-    observatory_enabled: bool = True
-    load_cadence: float = 0.5
-    load_stale_after: float = 5.0
-    load_aware_navigation: bool = True
 
 
 class NapletServer:
@@ -208,20 +196,18 @@ class NapletServer:
             cache_capacity=self.config.locator_cache_capacity,
         )
 
-        # Health plane: samples the monitor's control blocks on a cadence
-        # and runs the watchdog.  Dormant (no thread) unless telemetry and
-        # health are both enabled.
+        # Health plane: the server's one background loop.  It samples the
+        # monitor's control blocks, runs the watchdog and heartbeats load
+        # digests over connections the space already holds open; the
+        # Navigator orders Alt/Par by its merged view.  Dormant (no thread)
+        # when telemetry is off.
         from repro.health.plane import HealthPlane
 
         self.health = HealthPlane(self)
+        # Kept only for the frozen journey harness, which wraps
+        # ``server.observatory.order_branches``; drop it with that harness.
+        self.observatory = self.health
         self.health.start()
-
-        # Load observatory: heartbeat digests over connections the space
-        # already holds open, and the merged SpaceView the Navigator consults.
-        from repro.health.observatory import LoadObservatory
-
-        self.observatory = LoadObservatory(self)
-        self.observatory.start()
 
         # Every server exposes its own observation planes in-space through
         # one open service, so a probe naplet harvests metrics, health, load
@@ -291,7 +277,7 @@ class NapletServer:
         if kind == FrameKind.PING:
             return pickle.dumps({"pong": self.urn})
         if kind == FrameKind.LOAD:
-            return self.observatory.handle_load_frame(frame)
+            return self.health.handle_load_frame(frame)
         raise NapletError(f"{self.urn}: unknown frame kind {kind!r}")
 
     # ------------------------------------------------------------------ #
@@ -409,7 +395,6 @@ class NapletServer:
             return
         self._shutdown.set()
         self.health.stop()
-        self.observatory.stop()
         for nid in self.monitor.resident_ids():
             self.monitor.interrupt(nid, SystemControl.TERMINATE, "server shutdown")
         self.transport.unregister(self.urn)

@@ -5,7 +5,7 @@ only ring its records live in.  Navigator, Messenger, Locator, Monitor,
 code shipping, the health plane and the transport write protocol events
 with :meth:`SpaceJournal.record`; the tracer hands each completed
 :class:`~repro.telemetry.trace.Span` to :meth:`SpaceJournal.observe_span`;
-the fault injector, the perf plane and the load observatory append typed
+the fault injector, the perf plane and the health plane's load view append typed
 records directly.  Each record carries a hybrid-logical-clock stamp
 (:mod:`repro.util.hlc`), so journals harvested from N servers merge into
 one causally consistent timeline even when the servers' wall clocks

@@ -193,12 +193,19 @@ class Transport(abc.ABC):
     def live_peers(self, source_urn: str) -> list[str]:
         """Endpoint URNs reachable from *source_urn* without dialing.
 
-        The load observatory emits heartbeats only toward these peers, so
+        The health plane sends load digests only toward these peers, so
         a digest by construction rides channels an earlier exchange opened
         and never pays a dial of its own.  The base transport keeps no
         connections; pool- and link-aware implementations override this.
         """
         return []
+
+    def worker_backlog(self, urn: str | None = None) -> int:
+        """Inbound connections at *urn* (default: every endpoint) whose
+        next frame waits for a free serving thread.  A transport that
+        serves every frame on the caller's thread never has one; the
+        health plane's wedged-server rule reads this."""
+        return 0
 
     def _note_connection_opened(self, dest: str) -> None:
         self._wire_connections.inc(dest=dest)

@@ -89,7 +89,7 @@ class InMemoryTransport(Transport):
         a ``(src, dst)`` link is the logical dial, so a heartbeat toward a
         listed peer is always accounted as a reuse, never an open.
         Partitions do not unlist a peer — the send fails instead, which is
-        the signal the observatory counts.
+        the signal the health plane counts.
         """
         src = host_of(source_urn)
         with self._links_lock:

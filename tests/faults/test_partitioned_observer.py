@@ -1,10 +1,11 @@
 """Chaos: a partitioned observer must decay to unknown, never to idle.
 
-The observatory scenario from DESIGN.md §6.8 end to end, on both
+The load-view scenario from DESIGN.md §6.4 end to end, on both
 transports: a server cut off from the space keeps ordering on its held
 digests while they are younger than ``stale_after``, then decays every
 peer to *unknown* and falls back to static declaration order, and
 recovers — fresh digests, load order restored — after ``heal()``.
+Time passes on the observer's plane clock, not in a sleep.
 """
 
 from __future__ import annotations
@@ -25,15 +26,12 @@ from tests.faults.conftest import resilient_config
 
 pytestmark = pytest.mark.chaos
 
-_STALE_AFTER = 0.4
-
 
 def _observer_config():
     return dataclasses.replace(
         resilient_config(),
-        # Manual beats only: the test drives every heartbeat itself.
-        load_cadence=60.0,
-        load_stale_after=_STALE_AFTER,
+        # Manual ticks only: the test drives every heartbeat itself.
+        health_cadence=60.0,
     )
 
 
@@ -52,11 +50,11 @@ def _beat_until_fresh(servers, observer_host: str, peers: tuple[str, ...]) -> No
     Delivery is asynchronous on the TCP wire, so one beat may not have
     landed by the time the beat call returns; repeat until merged.
     """
-    view = servers[observer_host].observatory.view
+    view = servers[observer_host].health.view
 
     def _fresh() -> bool:
         for peer in peers:
-            servers[peer].observatory.beat_now()
+            servers[peer].health.tick()
         return all(view.fresh_digest(p) is not None for p in peers)
 
     assert wait_until(_fresh, timeout=10)
@@ -72,7 +70,7 @@ class TestPartitionedObserver:
     def test_decay_to_static_order_then_recovery_after_heal(self, chaos_space):
         plan = FaultPlan(seed=7)
         servers, _transport = chaos_space(plan, config=_observer_config())
-        observer = servers["c00"].observatory
+        observer = servers["c00"].health
         _warm_links(servers)
         _beat_until_fresh(servers, "c00", ("c01", "c02"))
 
@@ -91,7 +89,7 @@ class TestPartitionedObserver:
 
         # Past stale_after every peer decays to unknown — the digests are
         # still held (queryable, aged) but never treated as idle scores.
-        time.sleep(_STALE_AFTER + 0.1)
+        observer.clock = lambda: time.monotonic() + observer.view.stale_after + 0.1
         assert observer.view.digest("c01") is not None
         assert observer.view.fresh_digest("c01") is None
         assert observer.order_branches(_probe("stale"), alt("c01", "c02")) is None
@@ -132,14 +130,14 @@ class TestPartitionedObserver:
         _beat_until_fresh(servers, "c01", ("c00",))
         # The last beat may still be in flight on the TCP wire: settle it,
         # or it lands after ``before`` is read and looks like a leak.
-        view = servers["c01"].observatory.view
-        last_seq = servers["c00"].observatory.local_digest().seq
+        view = servers["c01"].health.view
+        last_seq = servers["c00"].health.local_digest().seq
         assert wait_until(lambda: view.digest("c00").seq == last_seq, timeout=10)
         plan.partition("c00")
         # The cut-off observer's own heartbeat must not raise; failed
         # sends either drop silently (injector) or count as failures
         # (virtual network) — in both cases nothing new merges at c01.
         before = view.digest("c00")
-        servers["c00"].observatory.beat_now()
+        servers["c00"].health.tick()
         time.sleep(0.1)  # let any (wrongly) delivered frame land
         assert view.digest("c00") == before

@@ -143,7 +143,7 @@ class TestCli:
 
 
 class TestLoadRecords:
-    """Observatory records (DESIGN.md §6.8) flow through the same CLI."""
+    """Load records (DESIGN.md §6.4) flow through the same CLI."""
 
     def _dump_with_load(self, tmp_path):
         journal = SpaceJournal("s00", time_source=lambda: 100.0)

@@ -300,30 +300,29 @@ class TestJourneyAndFollow:
 
 
 class TestSpaceViewPanel:
-    """render_space_view: the observatory's who-sees-whom matrix."""
+    """render_space_view: the health planes' who-sees-whom matrix."""
 
     def test_synthetic_view_renders_scores_and_unknowns(self, naplet_cli):
         view = {
             "s00": {
                 "enabled": True,
-                "load_aware": True,
                 "reroutes": 2,
                 "peers": {
                     "s01": {"fresh": True, "score": 3.0, "age_s": 0.1},
                     "s02": {"fresh": False, "score": None, "age_s": 9.0},
                 },
             },
-            "s01": {"enabled": True, "load_aware": False, "peers": {}},
+            "s01": {"enabled": False, "peers": {}},
         }
         output = naplet_cli.render_space_view(view)
         assert "space view" in output
         assert "3.0" in output          # fresh peer shows its score
         assert "?" in output            # stale peer decays to unknown
         assert "reroutes=2" in output
-        assert "static order" in output  # load_aware off is called out
+        assert "health off" in output  # a dark server is called out
 
     def test_empty_view_renders_placeholder(self, naplet_cli):
-        assert "no observatories" in naplet_cli.render_space_view({})
+        assert "no load views" in naplet_cli.render_space_view({})
 
     def test_live_space_view_matrix(self, naplet_cli, space):
         from repro.simnet import line
@@ -337,7 +336,7 @@ class TestSpaceViewPanel:
                         Frame(kind=FrameKind.PING, source=a.urn, dest=b.urn)
                     )
         for server in servers.values():
-            server.observatory.beat_now()
+            server.health.tick()
         admin = SpaceAdmin(servers)
         output = naplet_cli.render_space_view(admin.space_view())
         row = next(l for l in output.splitlines() if l.strip().startswith("s00"))

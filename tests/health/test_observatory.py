@@ -1,6 +1,6 @@
-"""The space load observatory: digests, the merged view, load-aware order.
+"""The health plane's load half: digests, the merged view, load-aware order.
 
-Covers DESIGN.md §6.8 bottom-up: LoadDigest scoring and round-trips,
+Covers DESIGN.md §6.4 bottom-up: LoadDigest scoring and round-trips,
 SpaceView HLC merging and staleness decay (stale → unknown, never idle),
 the heartbeat's no-dial guarantee over already-open channels, and the
 three-rung ordering fallback ladder with its journal evidence.
@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
+import threading
+import time
 
 import pytest
 
-from repro.health.observatory import LoadDigest, SpaceView
+from repro.health.load import LoadDigest, SpaceView
 from repro.itinerary import Itinerary
 from repro.itinerary.pattern import alt, seq
 from repro.server import ServerConfig, SpaceAdmin
@@ -107,22 +109,30 @@ class TestSpaceView:
 
 
 class TestHeartbeat:
+    def test_the_beat_rides_the_one_health_loop(self, space):
+        """Sampler, watchdog and heartbeat share one thread per server."""
+        _net, servers = space(line(2, prefix="s"))
+        names = [t.name for t in threading.enumerate()]
+        for host in servers:
+            assert names.count(f"health-{host}") == 1
+        assert not [n for n in names if n.startswith("observatory-")]
+
     def test_beat_reaches_only_already_open_channels(self, space):
         _net, servers = space(line(3, prefix="s"))
         # No traffic yet: no live links, so a beat sends nothing — the
-        # observatory never dials.
-        assert servers["s00"].observatory.beat_now() == 0
+        # plane never dials.
+        assert servers["s00"].health.tick() == 0
         _warm_links(servers)
         opened_before = servers["s00"].transport.connections_opened()
-        assert servers["s00"].observatory.beat_now() == 2
+        assert servers["s00"].health.tick() == 2
         assert servers["s00"].transport.connections_opened() == opened_before
         for peer in ("s01", "s02"):
-            assert servers[peer].observatory.view.digest("s00") is not None
+            assert servers[peer].health.view.digest("s00") is not None
 
     def test_receipt_is_journaled_and_gauged(self, space):
         _net, servers = space(line(2, prefix="s"))
         _warm_links(servers)
-        servers["s00"].observatory.beat_now()
+        servers["s00"].health.tick()
         records = servers["s01"].journal.records(kind="load-digest")
         assert records and records[-1].category == "load"
         assert records[-1].detail["peer"] == "s00"
@@ -132,23 +142,23 @@ class TestHeartbeat:
         assert any("s00" in str(labels) for labels in family.samples)
 
     def test_a_failing_beat_is_journaled_with_its_error(self, space):
-        """The heartbeat thread survives a broken beat, and says what broke."""
-        _net, servers = space(line(2, prefix="s"), config=ServerConfig(load_cadence=0.02))
+        """The loop survives a tick whose digest breaks, and says what broke."""
+        _net, servers = space(line(2, prefix="s"), config=ServerConfig(health_cadence=0.02))
         server = servers["s00"]
 
-        def broken_beat():
+        def broken_digest():
             raise RuntimeError("beat broke")
 
-        server.observatory.beat_now = broken_beat
+        server.health.local_digest = broken_digest
         assert wait_until(
-            lambda: server.journal.count("load-beat-error") >= 2, timeout=5
+            lambda: server.journal.count("health-tick-error") >= 2, timeout=5
         )
-        (first, *_rest) = server.journal.find("load-beat-error")
+        (first, *_rest) = server.journal.find("health-tick-error")
         assert first.detail == {"error": repr(RuntimeError("beat broke"))}
 
     def test_malformed_frame_is_rejected_politely(self, space):
         _net, servers = space(line(2, prefix="s"))
-        reply = servers["s01"].observatory.handle_load_frame(
+        reply = servers["s01"].health.handle_load_frame(
             Frame(
                 kind=FrameKind.LOAD,
                 source=servers["s00"].urn,
@@ -162,12 +172,12 @@ class TestHeartbeat:
 
     def test_dormant_observatory_acks_but_never_merges(self, space):
         _net, servers = space(
-            line(2, prefix="s"), config=ServerConfig(observatory_enabled=False)
+            line(2, prefix="s"), config=ServerConfig(telemetry_enabled=False)
         )
-        obs = servers["s01"].observatory
+        obs = servers["s01"].health
         assert not obs.enabled and obs._thread is None
-        assert obs.beat_now() == 0
-        digest = servers["s00"].observatory.local_digest()
+        assert obs.tick() == 0
+        digest = servers["s00"].health.local_digest()
         reply = obs.handle_load_frame(
             Frame(
                 kind=FrameKind.LOAD,
@@ -181,7 +191,7 @@ class TestHeartbeat:
 
     def test_local_digest_counts_residency_and_dead_letters(self, space):
         _net, servers = space(line(2, prefix="s"))
-        digest = servers["s00"].observatory.local_digest()
+        digest = servers["s00"].health.local_digest()
         assert digest.server == "s00"
         assert digest.residents == 0
         assert digest.dead_letter_depth == 0
@@ -203,16 +213,16 @@ class TestOrderingLadder:
     def test_rung1_dormant_or_static_config_returns_none(self, space):
         _net, servers = space(
             line(3, prefix="s"),
-            config=ServerConfig(load_aware_navigation=False),
+            config=ServerConfig(telemetry_enabled=False),
         )
-        obs = servers["s00"].observatory
+        obs = servers["s00"].health
         agent = CollectorNaplet("r1")
         agent.set_itinerary(Itinerary(seq(self._alt_pattern())))
         assert obs.order_branches(agent, self._alt_pattern()) is None
         assert servers["s00"].journal.records(kind="load") == []
 
     def test_rung2_unknown_candidate_falls_back_and_journals_why(self, mesh):
-        obs = mesh["s00"].observatory
+        obs = mesh["s00"].health
         clock = mesh["s00"].journal.clock
         # s01 has a digest, s02 was never heard: static order, explained.
         obs.view.observe(_digest("s01", clock, residents=9))
@@ -225,7 +235,7 @@ class TestOrderingLadder:
         assert obs.reroutes() == 0
 
     def test_rung2_stale_candidate_is_unknown_not_idle(self, mesh):
-        obs = mesh["s00"].observatory
+        obs = mesh["s00"].health
         clock = mesh["s00"].journal.clock
         obs.view.observe(_digest("s01", clock, residents=9))
         # s02 idle but heard long ago: must NOT win on its stale zero.
@@ -237,7 +247,7 @@ class TestOrderingLadder:
         assert "stale" in record.detail["fallback"]
 
     def test_rung3_skew_reorders_and_counts_a_reroute(self, mesh):
-        obs = mesh["s00"].observatory
+        obs = mesh["s00"].health
         clock = mesh["s00"].journal.clock
         obs.view.observe(_digest("s01", clock, residents=5, active=3))
         obs.view.observe(_digest("s02", clock))
@@ -253,7 +263,7 @@ class TestOrderingLadder:
         assert scores["s02"] == pytest.approx(0.0)
 
     def test_rung3_equal_scores_reproduce_declaration_order(self, mesh):
-        obs = mesh["s00"].observatory
+        obs = mesh["s00"].health
         clock = mesh["s00"].journal.clock
         obs.view.observe(_digest("s01", clock, residents=2))
         obs.view.observe(_digest("s02", clock, residents=2))
@@ -264,7 +274,7 @@ class TestOrderingLadder:
         assert mesh["s00"].journal.records(kind="load")[-1].detail["changed"] is False
 
     def test_local_server_is_always_fresh(self, mesh):
-        obs = mesh["s00"].observatory
+        obs = mesh["s00"].health
         clock = mesh["s00"].journal.clock
         obs.view.observe(_digest("s01", clock, residents=9))
         pattern = alt("s01", "s00")
@@ -275,7 +285,7 @@ class TestOrderingLadder:
         assert obs.order_branches(agent, pattern) == (1, 0)
 
     def test_live_alt_prefers_the_less_loaded_mirror(self, mesh):
-        obs = mesh["s00"].observatory
+        obs = mesh["s00"].health
         clock = mesh["s00"].journal.clock
         obs.view.observe(_digest("s01", clock, residents=5, active=3))
         obs.view.observe(_digest("s02", clock))
@@ -298,7 +308,7 @@ class TestSurfaces:
     def test_space_admin_exposes_every_observatory(self, space):
         _net, servers = space(line(2, prefix="s"))
         _warm_links(servers)
-        servers["s01"].observatory.beat_now()
+        servers["s01"].health.tick()
         view = SpaceAdmin(servers).space_view()
         assert sorted(view) == ["s00", "s01"]
         assert view["s00"]["enabled"] is True
@@ -307,27 +317,25 @@ class TestSurfaces:
     def test_load_service_is_registered_and_answers(self, space):
         """The load view is a kind of the one open ``harvest`` service; a
         stale peer rides home as unknown (``score: None``), never idle."""
-        _net, servers = space(
-            line(2, prefix="s"), config=ServerConfig(load_stale_after=0.05)
-        )
+        # Manual ticks only, so no background beat refreshes s01 at s00.
+        _net, servers = space(line(2, prefix="s"), config=ServerConfig(health_cadence=60.0))
         _warm_links(servers)
-        servers["s01"].observatory.beat_now()
+        servers["s01"].health.tick()
         service = servers["s00"].resource_manager._open_services["harvest"]
         row = service.harvest(("load",))
         assert set(row) == {"server", "status", "load"}
-        assert row["status"]["observatory"] == "enabled"
+        assert row["status"]["health"] == "enabled"
         assert row["load"]["local"]["server"] == "s00"
         assert "s01" in row["load"]["peers"]
 
-        def s01_reads_unknown() -> bool:
-            entry = service.harvest(("load",))["load"]["peers"]["s01"]
-            return entry["score"] is None and entry["fresh"] is False
-
-        assert wait_until(s01_reads_unknown)
+        plane = servers["s00"].health
+        plane.clock = lambda: time.monotonic() + plane.view.stale_after + 1.0
+        entry = service.harvest(("load",))["load"]["peers"]["s01"]
+        assert entry["score"] is None and entry["fresh"] is False
 
     def test_describe_reports_lifecycle_and_local_digest(self, space):
         _net, servers = space(line(2, prefix="s"))
-        info = servers["s00"].observatory.describe()
+        info = servers["s00"].health.describe_load()
         assert info["enabled"] and info["server"] == "s00"
         assert info["local"]["server"] == "s00"
         assert info["reroutes"] == 0

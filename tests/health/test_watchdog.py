@@ -2,7 +2,7 @@
 
 The live tests drive a real space (background sampler thread); the
 deterministic rule tests build a quiet space (huge cadence, so the
-thread never fires) and call ``sample_now()`` by hand.
+thread never fires) and call ``tick()`` by hand.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ class TestDeadLetterBacklog:
         plane = servers["s00"].health
         for _ in range(3):
             self._bury(servers["s00"], 1)
-            plane.sample_now()
+            plane.tick()
         kinds = {f.kind for f in plane.findings()}
         assert FindingKind.DEAD_LETTER_BACKLOG in kinds
         backlog = next(
@@ -134,14 +134,28 @@ class TestDeadLetterBacklog:
         assert backlog.severity == Severity.CRITICAL  # grew 3 samples running
         assert backlog.data["depth"] == 3
 
+    def test_flat_backlog_clears_the_finding(self, quiet_space):
+        """A queue that grew once and then sits still is not "growing"."""
+        _network, servers = quiet_space
+        plane = servers["s00"].health
+        self._bury(servers["s00"], 1)
+        plane.tick()
+        assert any(
+            f.kind == FindingKind.DEAD_LETTER_BACKLOG for f in plane.findings()
+        )
+        plane.tick()  # no new letter
+        assert not any(
+            f.kind == FindingKind.DEAD_LETTER_BACKLOG for f in plane.findings()
+        )
+
     def test_drained_backlog_clears_the_finding(self, quiet_space):
         _network, servers = quiet_space
         plane = servers["s00"].health
         self._bury(servers["s00"], 2)
-        plane.sample_now()
+        plane.tick()
         assert plane.findings()
         servers["s00"].messenger.dead_letters.drain()
-        plane.sample_now()
+        plane.tick()
         assert not plane.findings()
 
 
@@ -167,11 +181,11 @@ class TestWedgedServer:
             server, "transport", _BackloggedTransport(server.transport, 7)
         )
         plane = server.health
-        plane.sample_now()  # streak 1: not yet
+        plane.tick()  # streak 1: not yet
         assert not any(
             f.kind == FindingKind.WEDGED_SERVER for f in plane.findings()
         )
-        plane.sample_now()  # streak 2: wedged
+        plane.tick()  # streak 2: wedged
         wedged = next(
             f for f in plane.findings() if f.kind == FindingKind.WEDGED_SERVER
         )
@@ -184,11 +198,11 @@ class TestWedgedServer:
         wrapper = _BackloggedTransport(server.transport, 5)
         monkeypatch.setattr(server, "transport", wrapper)
         plane = server.health
-        plane.sample_now()
-        plane.sample_now()
+        plane.tick()
+        plane.tick()
         assert any(f.kind == FindingKind.WEDGED_SERVER for f in plane.findings())
         wrapper.backlog = 0
-        plane.sample_now()
+        plane.tick()
         assert not any(f.kind == FindingKind.WEDGED_SERVER for f in plane.findings())
 
 
@@ -199,7 +213,7 @@ class TestInstruments:
         server.messenger.dead_letters.put(
             DeadLetter(message="m", dest_urn="naplet://gone", reason="test")
         )
-        server.health.sample_now()
+        server.health.tick()
         snap = server.telemetry.registry.snapshot()
         assert snap.total("naplet_health_findings_total") >= 1
         assert snap.total("naplet_health_active_findings") == len(
@@ -211,7 +225,7 @@ class TestInstruments:
 
         _network, servers = quiet_space
         plane = servers["s00"].health
-        plane.sample_now()
+        plane.tick()
         described = json.loads(json.dumps(plane.describe()))
         assert described["enabled"] is True
         assert described["server"] == "s00"
@@ -223,12 +237,12 @@ class TestDormantPlane:
         from repro.simnet import line
 
         _network, servers = space(
-            line(2, prefix="s"), config=ServerConfig(health_enabled=False)
+            line(2, prefix="s"), config=ServerConfig(telemetry_enabled=False)
         )
         plane = servers["s00"].health
         assert plane.enabled is False
         assert plane._thread is None
-        plane.sample_now()  # no-op, not an error
+        plane.tick()  # no-op, not an error
         assert plane.samples_taken == 0
         assert plane.findings() == []
         assert plane.describe()["enabled"] is False
@@ -253,7 +267,7 @@ class TestCriticalEvidence:
         plane = server.health
         for _ in range(3):
             self._bury(server, 1)
-            plane.sample_now()
+            plane.tick()
         backlog = next(
             f for f in plane.findings() if f.kind == FindingKind.DEAD_LETTER_BACKLOG
         )
@@ -271,7 +285,7 @@ class TestCriticalEvidence:
         _network, servers = quiet_space
         server = servers["s00"]
         self._bury(server, 1)
-        server.health.sample_now()
+        server.health.tick()
         backlog = next(
             f
             for f in server.health.findings()
@@ -286,7 +300,7 @@ class TestCriticalEvidence:
         plane = server.health
         for _ in range(3):
             self._bury(server, 1)
-            plane.sample_now()
+            plane.tick()
         backlog = next(
             f for f in plane.findings() if f.kind == FindingKind.DEAD_LETTER_BACKLOG
         )
@@ -295,7 +309,7 @@ class TestCriticalEvidence:
         # New journal traffic after escalation must not dilute the evidence.
         server.journal.record("poke", naplet="nap-after")
         self._bury(server, 1)
-        plane.sample_now()  # still CRITICAL: a refresh, not a fresh raise
+        plane.tick()  # still CRITICAL: a refresh, not a fresh raise
         refreshed = next(
             f for f in plane.findings() if f.kind == FindingKind.DEAD_LETTER_BACKLOG
         )
@@ -319,9 +333,9 @@ class TestSwallowedErrors:
         def broken_pass():
             raise RuntimeError("sampler broke")
 
-        server.health.sample_now = broken_pass
+        server.health.tick = broken_pass
         assert wait_until(
-            lambda: server.journal.count("health-sample-error") >= 2, timeout=5
+            lambda: server.journal.count("health-tick-error") >= 2, timeout=5
         )
-        (first, *_rest) = server.journal.find("health-sample-error")
+        (first, *_rest) = server.journal.find("health-tick-error")
         assert first.detail == {"error": repr(RuntimeError("sampler broke"))}

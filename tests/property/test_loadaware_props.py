@@ -1,6 +1,6 @@
-"""Property tests: load-aware Alt/Par ordering (DESIGN.md §6.8).
+"""Property tests: load-aware Alt/Par ordering (DESIGN.md §6.4).
 
-Two layers.  The observatory half pins :meth:`LoadObservatory.order_branches`
+Two layers.  The plane half pins :meth:`HealthPlane.order_branches`
 over random mirror sets and fabricated digests: equal (or absent) load
 scores must reproduce static declaration order byte-for-byte, and any
 seeded skew must put the least-loaded candidate first.  The driver half
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.health.observatory import LoadDigest
+from repro.health.load import LoadDigest
 from repro.itinerary.pattern import alt
 from repro.server import ServerConfig, deploy
 from repro.simnet import VirtualNetwork, line
@@ -32,15 +32,15 @@ _mirror_sets = st.lists(
 
 
 # --------------------------------------------------------------------- #
-# Observatory ordering
+# Load-aware ordering
 # --------------------------------------------------------------------- #
 
 
 @pytest.fixture(scope="module")
 def observer():
-    """One real server whose observatory we feed fabricated digests."""
+    """One real server whose health plane we feed fabricated digests."""
     network = VirtualNetwork(line(1, prefix="s"))
-    servers = deploy(network, config=ServerConfig(load_cadence=60.0))
+    servers = deploy(network, config=ServerConfig(health_cadence=60.0))
     try:
         yield servers["s00"]
     finally:
@@ -48,7 +48,7 @@ def observer():
 
 
 def _seed_view(server, loads: dict[str, int]) -> None:
-    obs = server.observatory
+    obs = server.health
     for peer in obs.view.peers():
         obs.view.forget(peer)
     clock = server.journal.clock
@@ -62,7 +62,7 @@ def _seed_view(server, loads: dict[str, int]) -> None:
 
 def _order(server, mirrors: list[str]):
     agent = make_agent(alt(*mirrors))
-    return server.observatory.order_branches(agent, alt(*mirrors))
+    return server.health.order_branches(agent, alt(*mirrors))
 
 
 class TestObservatoryOrdering:
@@ -72,9 +72,9 @@ class TestObservatoryOrdering:
         self, observer, mirrors, residents
     ):
         _seed_view(observer, {m: residents for m in mirrors})
-        before = observer.observatory.reroutes()
+        before = observer.health.reroutes()
         assert _order(observer, mirrors) == tuple(range(len(mirrors)))
-        assert observer.observatory.reroutes() == before  # not a reroute
+        assert observer.health.reroutes() == before  # not a reroute
         record = observer.journal.records(kind="load")[-1]
         assert record.detail["changed"] is False
 

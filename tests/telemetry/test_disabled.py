@@ -59,7 +59,7 @@ class TestDisabledTelemetry:
             plane = server.health
             assert plane.enabled is False
             assert plane._thread is None
-            plane.sample_now()
+            plane.tick()
             assert plane.samples_taken == 0
             assert len(plane.profiles) == 0
             described = plane.describe()
@@ -73,13 +73,11 @@ class TestDisabledTelemetry:
             line(2, prefix="s"), config=ServerConfig(telemetry_enabled=False)
         )
         row = HarvestService(servers["s00"]).harvest()
-        # All four planes say *why* the row is empty...
+        # All three planes say *why* the row is empty...
         assert {
             plane: row["status"][plane]
-            for plane in ("telemetry", "health", "observatory", "journal")
-        } == dict.fromkeys(
-            ("telemetry", "health", "observatory", "journal"), "disabled"
-        )
+            for plane in ("telemetry", "health", "journal")
+        } == dict.fromkeys(("telemetry", "health", "journal"), "disabled")
         assert row["status"]["journal_depth"] == 0
         # ...and every kind still answers with an empty-but-valid payload.
         assert set(row) == {"server", "status", *ALL}

@@ -333,10 +333,9 @@ class TestJournalInSpace:
         assert "naplet_journal_dropped_records 0" in text
         assert 'naplet_journal_records_total{kind="naplet-launch"} 1' in text
         # Past the ring bound the gauges follow the ring (background
-        # planes stopped so nothing else appends between the reads).
+        # loops stopped so nothing else appends between the reads).
         for each in servers.values():
             each.health.stop()
-            each.observatory.stop()
         for _ in range(RING_BOUND):
             server.journal.record("tick")
         snap = server.telemetry.registry.snapshot()

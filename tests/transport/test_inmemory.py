@@ -161,7 +161,7 @@ class TestMeterQueries:
 
 
 class TestLivePeers:
-    """live_peers: the observatory's no-dial guarantee (DESIGN.md §6.8)."""
+    """live_peers: the heartbeat's no-dial guarantee (DESIGN.md §6.4)."""
 
     def test_no_traffic_means_no_live_peers(self, transport):
         assert transport.live_peers("naplet://a") == []

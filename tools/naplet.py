@@ -182,14 +182,14 @@ def render(rows: list[dict[str, Any]], top: int = 5) -> str:
 
 
 def render_space_view(space_view: dict[str, Any]) -> str:
-    """The observatory panel: who sees whom, and how loaded.
+    """The load panel: who sees whom, and how loaded.
 
     *space_view* maps each observing server to the ``load`` payload of its
     harvest row (``SpaceAdmin.space_view()``) — the merged
     :class:`~repro.health.SpaceView` it navigates by.  Cells show the
     peer's load score as the observer currently believes it; ``?`` marks a
     peer whose digest is stale or was never heard (decayed to *unknown*,
-    never to idle — see DESIGN.md §6.8).
+    never to idle — see DESIGN.md §6.4).
     """
     observers = sorted(space_view)
     peers = sorted(
@@ -213,16 +213,14 @@ def render_space_view(space_view: dict[str, Any]) -> str:
                 cells.append(f"{float(entry['score']):>9.1f}")
         notes = []
         if not view.get("enabled", True):
-            notes.append("observatory off")
-        elif not view.get("load_aware", True):
-            notes.append("static order")
+            notes.append("health off")
         reroutes = int(view.get("reroutes", 0))
         if reroutes:
             notes.append(f"reroutes={reroutes}")
         suffix = f"  ({', '.join(notes)})" if notes else ""
         lines.append(f"  {observer:<10}" + "".join(cells) + suffix)
     if not observers:
-        lines.append("  (no observatories reporting)")
+        lines.append("  (no load views reporting)")
     return "\n".join(lines)
 
 
@@ -304,10 +302,10 @@ class DemoSpace:
                 time.sleep(0.05)
 
     def beat(self) -> None:
-        """Force one observatory beat so a frame shows a populated space
+        """Force one health-plane tick so a frame shows a populated space
         view even before the cadence thread fires."""
         for server in self.servers.values():
-            server.observatory.beat_now()
+            server.health.tick()
 
 
 # --------------------------------------------------------------------- #
