@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.core.naplet_id import NapletID
@@ -74,21 +74,13 @@ class UserMessage:
 
     def hopped(self) -> "UserMessage":
         """Copy with the forwarding hop count incremented."""
-        return UserMessage(
-            sender=self.sender,
-            target=self.target,
-            body=self.body,
-            message_id=self.message_id,
-            sent_at=self.sent_at,
-            hops=self.hops + 1,
-            trace_id=self.trace_id,
-            trace_parent=self.trace_parent,
-        )
+        return replace(self, hops=self.hops + 1)
 
 
 @dataclass
 class SystemMessage:
-    """Control message for a naplet."""
+    """Control message for a naplet; counts its forwarding hops like
+    :class:`UserMessage`, so both obey the same chase bound."""
 
     control: str
     target: NapletID
@@ -96,15 +88,21 @@ class SystemMessage:
     sender: NapletID | str = "system"
     message_id: int = field(default_factory=_next_seq)
     sent_at: float = field(default_factory=time.time)
+    hops: int = 0
+
+    def hopped(self) -> "SystemMessage":
+        """Copy with the forwarding hop count incremented."""
+        return replace(self, hops=self.hops + 1)
 
 
 @dataclass(frozen=True)
 class DeliveryReceipt:
     """Confirmation kept by the sending Messenger for later inquiry.
 
-    ``status`` is one of ``delivered`` (mailbox insertion at the first
-    server), ``forwarded`` (caught up after ``hops`` forwarding steps),
-    ``parked`` (target not yet arrived; waiting in a special mailbox).
+    ``status`` is ``delivered`` (handed to the resident target) or
+    ``parked`` (target not yet arrived; waiting in a special mailbox) at
+    ``final_server``; ``hops > 0`` says the message was forwarded that
+    many times along the target's trace to get there.
     """
 
     message_id: int

@@ -6,20 +6,23 @@ Implements the three-case post-office protocol verbatim:
    confirmation is kept by the sending Messenger for later inquiry;
 2. target already left → consult the NapletManager's trace and forward the
    message to the server it departed for; forwarding repeats until the
-   message catches up (*forwarded*, with hop count);
+   message catches up (the receipt's ``hops`` counts the forwards);
 3. target not arrived yet (naplet temporarily blocked in the network) →
    park the message in the **special mailbox**; when the naplet lands, its
    fresh mailbox is seeded from the parked messages (*parked*).
 
-System messages ride the same chase logic but are delivered as monitor
-interrupts instead of mailbox entries.  Message bodies are serialized with
-the server's NapletSerializer so they may carry shipped-class instances.
+User and system messages share one path: one frame kind, one send, one
+forward and one departure chase.  They differ only at the hand-over, where
+a system message becomes a monitor interrupt instead of a mailbox entry.
+Message bodies are serialized with the server's NapletSerializer so they
+may carry shipped-class instances.
 """
 
 from __future__ import annotations
 
 import pickle
 import threading
+from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.errors import (
@@ -28,6 +31,7 @@ from repro.core.errors import (
 )
 from repro.core.naplet_id import NapletID
 from repro.faults.deadletter import DeadLetter, DeadLetterQueue
+from repro.faults.retry import RetryPolicy, no_retry
 from repro.server.mailbox import Mailbox
 from repro.server.messages import (
     DeliveryReceipt,
@@ -48,6 +52,15 @@ __all__ = ["Messenger", "NapletMessengerProxy"]
 
 _MAX_HOPS = 16
 
+# Receipts kept for inquiry, oldest forgotten first: enough for any
+# realistic inquiry window, small enough to never matter for memory.
+_RECEIPT_CAPACITY = 4096
+
+# The departure chase sends once; only the origin retries a message.
+_ONCE = no_retry()
+
+Message = UserMessage | SystemMessage
+
 
 class Messenger:
     """Per-server post office."""
@@ -55,11 +68,9 @@ class Messenger:
     def __init__(self, server: "NapletServer") -> None:
         self.server = server
         self._mailboxes: dict[NapletID, Mailbox] = {}
-        self._special: dict[NapletID, list[UserMessage | SystemMessage]] = {}
-        self._receipts: dict[int, DeliveryReceipt] = {}
+        self._special: dict[NapletID, list[Message]] = {}
+        self._receipts: OrderedDict[int, DeliveryReceipt] = OrderedDict()
         self._lock = threading.RLock()
-        self.parked_count = 0
-        self.forwarded_count = 0
         # Messages that exhausted their delivery budget wait here for a
         # requeue once the network heals, instead of vanishing.
         self.dead_letters = DeadLetterQueue(server.config.dead_letter_capacity)
@@ -88,6 +99,16 @@ class Messenger:
             headers["hlc"] = stamp
         return headers
 
+    def _frame(self, message: Message, dest_urn: str, **headers: str) -> Frame:
+        """The one message frame, user or system."""
+        return Frame(
+            kind=FrameKind.MESSAGE,
+            source=self.server.urn,
+            dest=dest_urn,
+            payload=self.server.serializer.dumps(message),
+            headers=self._wire_headers(target=str(message.target), **headers),
+        )
+
     # ------------------------------------------------------------------ #
     # Mailbox lifecycle (driven by Navigator arrivals/departures)
     # ------------------------------------------------------------------ #
@@ -100,59 +121,54 @@ class Messenger:
                 mailbox = Mailbox()
                 self._mailboxes[nid] = mailbox
             parked = self._special.pop(nid, [])
+            for message in parked:
+                self._hand_over(message, mailbox)
         if parked:
             self.server.telemetry.special_mailbox_hits.inc(len(parked))
-        for message in parked:
-            if isinstance(message, SystemMessage):
-                self.server.monitor.interrupt(nid, message.control, message.payload)
-            else:
-                mailbox.put(message)
         return mailbox
 
-    def remove_mailbox(self, nid: NapletID, forward_to: str | None = None) -> None:
-        """Drop the mailbox; leftover messages chase the naplet if possible."""
+    def _hand_over(self, message: Message, mailbox: Mailbox) -> None:
+        """Give a message to its resident target: a user message goes in
+        *mailbox*, a system message becomes a monitor interrupt."""
+        if isinstance(message, SystemMessage):
+            self.server.monitor.interrupt(message.target, message.control, message.payload)
+        else:
+            mailbox.put(message)
+
+    def remove_mailbox(self, nid: NapletID) -> None:
+        """Drop a retiring naplet's mailbox with whatever it never read."""
         with self._lock:
             mailbox = self._mailboxes.pop(nid, None)
-        if mailbox is None:
-            return
-        leftovers = mailbox.drain()
-        mailbox.close()
-        if forward_to is None:
-            return
-        for message in leftovers:
-            try:
-                self._send_user_message(message.hopped(), forward_to)
-            except NapletCommunicationError:
-                continue
+        if mailbox is not None:
+            mailbox.close()
 
     def mailbox_of(self, nid: NapletID) -> Mailbox | None:
         with self._lock:
             return self._mailboxes.get(nid)
 
-    def forward_parked(self, nid: NapletID, dest_urn: str) -> None:
-        """Send parked special-mailbox messages after a departing naplet.
+    def chase(self, nid: NapletID, dest_urn: str) -> None:
+        """Send what waits here for *nid* after it, once its departure
+        toward *dest_urn* is acked.
 
-        Covers messages that arrived for a naplet *before it ever landed
-        here* (e.g. addressed to a clone at its fork server before the
-        spawn): once the naplet's transfer toward *dest_urn* succeeds, the
-        parked messages chase it there instead of waiting forever.
+        That is its drained mailbox — including messages handed over while
+        a clone was marked resident at its fork server, before the spawn's
+        transfer — and the special-mailbox entries that arrived before it
+        ever landed here.  Each goes once through the one send, which
+        dead-letters a failure.  A naplet already back here keeps its
+        mailbox: what waits in it is its own.
         """
         with self._lock:
-            parked = self._special.pop(nid, [])
-        for message in parked:
-            kind = FrameKind.CONTROL if isinstance(message, SystemMessage) else FrameKind.MESSAGE
-            forwarded = message.hopped() if isinstance(message, UserMessage) else message
-            frame = Frame(
-                kind=kind,
-                source=self.server.urn,
-                dest=dest_urn,
-                payload=self.server.serializer.dumps(forwarded),
-                headers=self._wire_headers(target=str(nid)),
-            )
+            if self.server.manager.is_resident(nid):
+                return
+            mailbox = self._mailboxes.pop(nid, None)
+            pending = mailbox.drain() if mailbox is not None else []
+            pending += self._special.pop(nid, [])
+        if mailbox is not None:
+            mailbox.close()
+        for message in pending:
             try:
-                self.server.transport.request(frame)
-            except NapletCommunicationError as exc:
-                self._dead_letter(forwarded, dest_urn, str(exc))
+                self._send(message.hopped(), dest_urn, _ONCE)
+            except NapletCommunicationError:
                 continue
 
     # ------------------------------------------------------------------ #
@@ -161,7 +177,7 @@ class Messenger:
 
     def _dead_letter(
         self,
-        message: UserMessage | SystemMessage,
+        message: Message,
         dest_urn: str,
         reason: str,
         attempts: int = 1,
@@ -197,10 +213,7 @@ class Messenger:
                 destination = self._resolve_destination(None, message.target, None)
             except NapletLocationError:
                 destination = letter.dest_urn
-            if isinstance(message, SystemMessage):
-                self._send_control_once(message, destination)
-            else:
-                self._send_user_message_once(message, destination)
+            self._send_once(message, destination)
 
         delivered, requeued = self.dead_letters.redeliver(_deliver)
         if delivered:
@@ -229,28 +242,34 @@ class Messenger:
                 return entry.server_urn
         raise NapletLocationError(f"cannot locate naplet {target} from {self.server.urn}")
 
-    def _send_user_message(self, message: UserMessage, dest_urn: str) -> DeliveryReceipt:
-        """Send under ``config.message_retry``; dead-letter when it gives up.
+    def _send(
+        self, message: Message, dest_urn: str, policy: RetryPolicy | None = None
+    ) -> DeliveryReceipt:
+        """Send under *policy* (``config.message_retry`` by default);
+        dead-letter when it gives up.
 
-        Retries happen only here, at the origin — the forwarding path in
-        :meth:`_deliver_local` never retries, so a chase across N servers
-        cannot amplify into N retry storms.
+        Only the origin retries: the forwarding path in
+        :meth:`_deliver_local` never does and the departure chase sends
+        once, so a chase across N servers cannot amplify into N retry
+        storms.
         """
-        policy = self.server.config.message_retry
+        policy = self.server.config.message_retry if policy is None else policy
 
         def _on_retry(attempt: int, wait: float, exc: BaseException) -> None:
             self.server.telemetry.message_retries.inc()
+            detail = {"control": message.control} if isinstance(message, SystemMessage) else {}
             self.server.journal.record(
                 "message-retry",
                 target=str(message.target),
                 dest=dest_urn,
                 attempt=attempt,
                 error=str(exc),
+                **detail,
             )
 
         try:
             return policy.run(
-                lambda: self._send_user_message_once(message, dest_urn),
+                lambda: self._send_once(message, dest_urn),
                 retry_on=(NapletCommunicationError,),
                 on_retry=_on_retry,
             )
@@ -258,20 +277,11 @@ class Messenger:
             self._dead_letter(message, dest_urn, str(exc), attempts=policy.max_attempts)
             raise
 
-    def _send_user_message_once(
-        self, message: UserMessage, dest_urn: str
-    ) -> DeliveryReceipt:
-        payload = self.server.serializer.dumps(message)
-        self.server.telemetry.frame_bytes.inc(len(payload), kind="message")
-        frame = Frame(
-            kind=FrameKind.MESSAGE,
-            source=self.server.urn,
-            dest=dest_urn,
-            payload=payload,
-            headers=self._wire_headers(target=str(message.target)),
-        )
-        reply = self.server.transport.request(frame)
-        result = pickle.loads(reply)
+    def _send_once(self, message: Message, dest_urn: str) -> DeliveryReceipt:
+        """One attempt: frame, request, keep the receipt, note the location."""
+        frame = self._frame(message, dest_urn)
+        self.server.telemetry.frame_bytes.inc(len(frame.payload), kind="message")
+        result = pickle.loads(self.server.transport.request(frame))
         receipt = DeliveryReceipt(
             message_id=message.message_id,
             target=message.target,
@@ -286,8 +296,10 @@ class Messenger:
             )
         with self._lock:
             self._receipts[receipt.message_id] = receipt
+            while len(self._receipts) > _RECEIPT_CAPACITY:
+                self._receipts.popitem(last=False)
         # A delivery confirms a current location — update the cache.
-        if receipt.status in ("delivered", "forwarded"):
+        if receipt.status == "delivered":
             self.server.locator.note_location(message.target, receipt.final_server)
         return receipt
 
@@ -329,7 +341,7 @@ class Messenger:
                 # hang their forward spans under this message-send span.
                 message.trace_id = ctx.trace_id
                 message.trace_parent = send_span.span_id
-            receipt = self._send_user_message(message, destination)
+            receipt = self._send(message, destination)
             send_span.set("status", receipt.status)
             send_span.set("hops", receipt.hops)
         if sender is not None:
@@ -347,55 +359,7 @@ class Messenger:
     ) -> DeliveryReceipt:
         """Send a system message (terminate/suspend/resume/callback/...)."""
         message = SystemMessage(control=control, target=target, payload=payload)
-        destination = self._resolve_destination(None, target, dest_urn)
-        policy = self.server.config.message_retry
-
-        def _on_retry(attempt: int, wait: float, exc: BaseException) -> None:
-            self.server.telemetry.message_retries.inc()
-            self.server.journal.record(
-                "control-retry",
-                target=str(target),
-                control=control,
-                attempt=attempt,
-                error=str(exc),
-            )
-
-        try:
-            return policy.run(
-                lambda: self._send_control_once(message, destination),
-                retry_on=(NapletCommunicationError,),
-                on_retry=_on_retry,
-            )
-        except NapletCommunicationError as exc:
-            self._dead_letter(message, destination, str(exc), attempts=policy.max_attempts)
-            raise
-
-    def _send_control_once(
-        self, message: SystemMessage, destination: str
-    ) -> DeliveryReceipt:
-        target = message.target
-        control = message.control
-        frame = Frame(
-            kind=FrameKind.CONTROL,
-            source=self.server.urn,
-            dest=destination,
-            payload=self.server.serializer.dumps(message),
-            headers=self._wire_headers(target=str(target), control=control),
-        )
-        reply = self.server.transport.request(frame)
-        result = pickle.loads(reply)
-        receipt = DeliveryReceipt(
-            message_id=message.message_id,
-            target=target,
-            status=result["status"],
-            final_server=result["server"],
-            hops=result["hops"],
-        )
-        if receipt.status == "undeliverable":
-            raise NapletCommunicationError(
-                f"control {control!r} for {target} undeliverable"
-            )
-        return receipt
+        return self._send(message, self._resolve_destination(None, target, dest_urn))
 
     def receipt_for(self, message_id: int) -> DeliveryReceipt | None:
         """The kept confirmation 'for further possible inquiry' (paper §4.2)."""
@@ -403,95 +367,64 @@ class Messenger:
             return self._receipts.get(message_id)
 
     # ------------------------------------------------------------------ #
-    # Receiving (frame handlers; run on delivering threads)
+    # Receiving (frame handler; runs on delivering threads)
     # ------------------------------------------------------------------ #
 
     def handle_message_frame(self, frame: Frame) -> bytes:
-        message: UserMessage = self.server.serializer.loads(
+        message: Message = self.server.serializer.loads(
             frame.payload, self.server.code_cache
         )
-        return pickle.dumps(self._deliver_local(message, is_control=False))
+        return pickle.dumps(self._deliver_local(message))
 
-    def handle_control_frame(self, frame: Frame) -> bytes:
-        message: SystemMessage = self.server.serializer.loads(
-            frame.payload, self.server.code_cache
-        )
-        return pickle.dumps(self._deliver_local(message, is_control=True))
-
-    def _deliver_local(
-        self, message: UserMessage | SystemMessage, is_control: bool
-    ) -> dict[str, Any]:
+    def _deliver_local(self, message: Message) -> dict[str, Any]:
         target = message.target
-        hops = getattr(message, "hops", 0)
+        hops = message.hops
+        manager = self.server.manager
         telemetry = self.server.telemetry
-        # Case 1: resident here.
-        if self.server.manager.is_resident(target):
-            if is_control:
-                assert isinstance(message, SystemMessage)
-                self.server.monitor.interrupt(target, message.control, message.payload)
-            else:
-                assert isinstance(message, UserMessage)
-                mailbox = self.mailbox_of(target)
-                if mailbox is None:
-                    mailbox = self.create_mailbox(target)
-                mailbox.put(message)
-            telemetry.messages_delivered.inc()
-            return {"status": "delivered", "server": self.server.urn, "hops": hops}
-        # Case 2: it left — forward along the trace.
-        next_hop = self.server.manager.trace_next_hop(target)
-        if next_hop is not None:
-            if hops >= _MAX_HOPS:
-                return {"status": "undeliverable", "server": self.server.urn, "hops": hops}
-            forwarded = message.hopped() if isinstance(message, UserMessage) else message
-            kind = FrameKind.CONTROL if is_control else FrameKind.MESSAGE
-            frame = Frame(
-                kind=kind,
-                source=self.server.urn,
-                dest=next_hop,
-                payload=self.server.serializer.dumps(forwarded),
-                headers=self._wire_headers(target=str(target), hops=str(hops + 1)),
-            )
-            self.forwarded_count += 1
-            telemetry.messages_forwarded.inc()
-            trace_id = getattr(message, "trace_id", None)
-            trace_parent = getattr(message, "trace_parent", None)
-            forward_span = (
-                telemetry.span(
-                    "message-forward",
-                    TraceContext(trace_id=trace_id, span_id=trace_parent or ""),
-                    parent_id=trace_parent,
-                    target=str(target),
-                    next_hop=next_hop,
-                    hops=hops + 1,
-                )
-                if trace_id
-                else NULL_SPAN
-            )
-            with forward_span:
-                try:
-                    reply = self.server.transport.request(frame)
-                except NapletCommunicationError:
-                    forward_span.set("undeliverable", True)
-                    return {"status": "undeliverable", "server": self.server.urn, "hops": hops}
-            result = pickle.loads(reply)
-            if is_control:
-                return result
-            result["hops"] = max(result["hops"], hops + 1)
-            return result
-        # Case 3: never seen here — park in the special mailbox.
+        here = {"server": self.server.urn, "hops": hops}
+        # Decided under the lock the landing's special-mailbox drain and the
+        # departure chase also take, so whichever runs second sees this
+        # message: it is handed over, parked for a landing still to come,
+        # or forwarded after a naplet that already left — never left in a
+        # mailbox or a special mailbox that nobody drains.
         with self._lock:
-            self._special.setdefault(target, []).append(message)
-            self.parked_count += 1
-        telemetry.messages_parked.inc()
-        # The naplet may have landed between the residency check above and
-        # the park — after the landing's own special-mailbox drain ran.
-        # Re-check and hand over now, or the message is stranded until the
-        # naplet departs (and a clone that retires here never departs).
-        if self.server.manager.is_resident(target):
-            self.create_mailbox(target)
-            telemetry.messages_delivered.inc()
-            return {"status": "delivered", "server": self.server.urn, "hops": hops}
-        return {"status": "parked", "server": self.server.urn, "hops": hops}
+            # Case 1: resident here.
+            if manager.is_resident(target):
+                self._hand_over(message, self.create_mailbox(target))
+                telemetry.messages_delivered.inc()
+                return {"status": "delivered", **here}
+            next_hop = manager.trace_next_hop(target)
+            # Case 3: never seen here — park in the special mailbox.
+            if next_hop is None:
+                self._special.setdefault(target, []).append(message)
+                telemetry.messages_parked.inc()
+                return {"status": "parked", **here}
+        # Case 2: it left — forward along the trace.
+        if hops >= _MAX_HOPS:
+            return {"status": "undeliverable", **here}
+        telemetry.messages_forwarded.inc()
+        trace_id = getattr(message, "trace_id", None)
+        trace_parent = getattr(message, "trace_parent", None)
+        forward_span = (
+            telemetry.span(
+                "message-forward",
+                TraceContext(trace_id=trace_id, span_id=trace_parent or ""),
+                parent_id=trace_parent,
+                target=str(target),
+                next_hop=next_hop,
+                hops=hops + 1,
+            )
+            if trace_id
+            else NULL_SPAN
+        )
+        with forward_span:
+            try:
+                frame = self._frame(message.hopped(), next_hop, hops=str(hops + 1))
+                reply = self.server.transport.request(frame)
+            except NapletCommunicationError:
+                forward_span.set("undeliverable", True)
+                return {"status": "undeliverable", **here}
+        return pickle.loads(reply)
 
     def handle_report_frame(self, frame: Frame) -> bytes:
         data = self.server.serializer.loads(frame.payload, self.server.code_cache)

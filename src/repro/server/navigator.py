@@ -140,14 +140,10 @@ class Navigator:
         # Footprint at home so early messages seeded with the home URN can
         # chase the naplet by trace forwarding.
         self.server.manager.record_arrival(naplet, arrived_from=None)
-        sent = {"dest": None}
-
-        def _transfer(destination: str) -> None:
-            self.transfer(naplet, urn_of(destination))
-            sent["dest"] = urn_of(destination)
-
         try:
-            travelled = naplet.itinerary.launch_with(naplet, ops, _transfer)
+            travelled = naplet.itinerary.launch_with(
+                naplet, ops, lambda destination: self.transfer(naplet, urn_of(destination))
+            )
         except NapletMigrationError:
             self.server.manager.record_retirement(nid, "launch-failed")
             raise
@@ -157,7 +153,6 @@ class Navigator:
             self.server.journal.record("naplet-degenerate-launch", naplet=str(nid))
             naplet.on_destroy()
             return
-        self.server.messenger.remove_mailbox(nid, forward_to=sent["dest"])
         self.migrations_out += 1
 
     def dispatch(self, naplet: "Naplet", dest_urn: str) -> None:
@@ -167,7 +162,6 @@ class Navigator:
         self.transfer(naplet, dest_urn)  # marks the departure itself
         # Success: release everything the naplet held here (paper §2.2).
         self.server.resource_manager.release(nid)
-        self.server.messenger.remove_mailbox(nid, forward_to=dest_urn)
         naplet._bind_context(None)
         self.migrations_out += 1
         raise NapletDeparted(dest_urn)
@@ -431,8 +425,10 @@ class Navigator:
         if isinstance(code, list):
             self._peer_code[dest_urn] = set(code)
         self._journal_hop_cost(nid, naplet, dest_urn, frame, cost)
-        # Messages that were parked here waiting for this naplet chase it.
-        self.server.messenger.forward_parked(nid, dest_urn)
+        # Messages waiting here for this naplet — in its mailbox or parked
+        # before it ever landed — chase it.  Every departure (launch,
+        # dispatch, spawn) passes here, so none leaves a message behind.
+        self.server.messenger.chase(nid, dest_urn)
         # The image stays cached here without the live objects it was
         # pickled from: they left with the naplet.
         if image is not None:

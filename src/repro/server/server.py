@@ -262,8 +262,6 @@ class NapletServer:
             return self.navigator.handle_transfer(frame)
         if kind == FrameKind.MESSAGE:
             return self.messenger.handle_message_frame(frame)
-        if kind == FrameKind.CONTROL:
-            return self.messenger.handle_control_frame(frame)
         if kind == FrameKind.REPORT:
             return self.messenger.handle_report_frame(frame)
         if kind == FrameKind.DIRECTORY_EVENT:

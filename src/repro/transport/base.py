@@ -45,12 +45,10 @@ class FrameKind:
 
     NAPLET_TRANSFER = "naplet-transfer"
     MESSAGE = "message"
-    MESSAGE_CONFIRM = "message-confirm"
     DIRECTORY_EVENT = "directory-event"
     DIRECTORY_QUERY = "directory-query"
     LOCATE_QUERY = "locate-query"
     REPORT = "report"
-    CONTROL = "control"
     CODEBASE_FETCH = "codebase-fetch"
     PING = "ping"
     LOAD = "load"

@@ -43,7 +43,7 @@ class TestFaultPlan:
     def test_rule_matches_kind_src_dst(self):
         rule = FaultRule("drop", kind=FrameKind.MESSAGE, src="a", dst="b")
         assert rule.matches(frame())
-        assert not rule.matches(frame(kind=FrameKind.CONTROL))
+        assert not rule.matches(frame(kind=FrameKind.REPORT))
         assert not rule.matches(frame(src="x"))
         assert not rule.matches(frame(dst="x"))
 

@@ -100,3 +100,17 @@ class TestControlChasesMovedNaplet:
             lambda: servers["s02"].monitor.outcomes.get(NapletOutcome.TERMINATED, 0) == 1,
             timeout=10,
         )
+
+
+class TestControlChase:
+    def test_forwarded_control_counts_its_hop(self, small_line):
+        network, servers = small_line
+        agent, nid = _stalled(servers)
+        # s00 launched it: its footprint there points one server on.
+        receipt = servers["s02"].messenger.send_control(
+            nid, "callback", dest_urn="naplet://s00"
+        )
+        assert receipt.status == "delivered"
+        assert receipt.final_server == "naplet://s01"
+        assert receipt.hops == 1
+        servers["s00"].terminate_naplet(nid)

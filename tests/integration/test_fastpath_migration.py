@@ -90,7 +90,7 @@ class TestOneExchangePerHop:
         )
         assert receipt.status == "delivered"
         assert receipt.final_server == "naplet://s02"
-        assert servers["s01"].messenger.forwarded_count >= 1
+        assert servers["s01"].telemetry.messages_forwarded.value() >= 1
         servers["s00"].terminate_naplet(nid)
         assert servers["s02"].wait_idle(10)
 

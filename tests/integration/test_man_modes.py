@@ -50,7 +50,30 @@ class TestForwardingHopLimit:
             servers["s00"].messenger.post(None, nid, "x", dest_urn="naplet://s01")
         # the chase was bounded: forwarding counts stayed finite
         total_forwards = (
-            servers["s01"].messenger.forwarded_count
-            + servers["s02"].messenger.forwarded_count
+            servers["s01"].telemetry.messages_forwarded.value()
+            + servers["s02"].telemetry.messages_forwarded.value()
+        )
+        assert total_forwards <= 20
+
+    def test_trace_loop_bounds_controls_too(self, space):
+        """System messages count hops, so the same bound stops their chase."""
+        from repro.core.errors import NapletCommunicationError
+        from repro.core.naplet_id import NapletID
+        from repro.simnet import line
+        from tests.conftest import CollectorNaplet
+
+        network, servers = space(line(3, prefix="s"))
+        nid = NapletID.create("loopy", "s00", stamp="240101120000")
+        agent = CollectorNaplet("ghost")
+        network.authority.register_owner("loopy")
+        agent._assign_identity(nid, network.authority.issue(nid, "local", {}))
+        for here, there in (("s01", "s02"), ("s02", "s01")):
+            servers[here].manager.record_arrival(agent, None)
+            servers[here].manager.record_departure(nid, f"naplet://{there}")
+        with pytest.raises(NapletCommunicationError, match="undeliverable"):
+            servers["s00"].messenger.send_control(nid, "callback", dest_urn="naplet://s01")
+        total_forwards = (
+            servers["s01"].telemetry.messages_forwarded.value()
+            + servers["s02"].telemetry.messages_forwarded.value()
         )
         assert total_forwards <= 20

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import threading
 
 import pytest
@@ -18,7 +19,9 @@ from repro.itinerary import (
     SingletonPattern,
     seq,
 )
+from repro.server.messages import UserMessage
 from repro.simnet import line, star
+from repro.transport.base import Frame, FrameKind
 from repro.util.concurrency import wait_until
 from tests.conftest import CollectorNaplet, EchoNaplet, StallNaplet
 
@@ -89,12 +92,12 @@ class TestForwarding:
         receipt = servers["s00"].messenger.post(
             None, nid, {"chase": True}, dest_urn="naplet://s01"
         )
-        # The chase may find the mover resident ("delivered"), still be
-        # relaying ("forwarded"), or BEAT the in-flight mover to the next
-        # server ("parked") — parked mail is handed over when it lands.
-        assert receipt.status in ("delivered", "forwarded", "parked")
+        # The chase may find the mover resident ("delivered") or BEAT the
+        # in-flight mover to the next server ("parked") — parked mail is
+        # handed over when it lands.
+        assert receipt.status in ("delivered", "parked")
         assert receipt.final_server != "naplet://s01"
-        assert servers["s01"].messenger.forwarded_count >= 1
+        assert servers["s01"].telemetry.messages_forwarded.value() >= 1
         # Whatever raced, the park-then-deliver guarantee holds: the
         # message ends up in the mover's mailbox on some server.
         assert wait_until(
@@ -145,6 +148,45 @@ class TestSpecialMailbox:
         report = listener.next_report(timeout=10)
         assert report.payload == {"early": True}
         assert servers["s02"].messenger.special_mailbox_size(nid) == 0
+
+    def test_message_in_spawn_window_chases_the_clone(self, small_line):
+        """A clone is marked resident at its fork server before its
+        transfer; a message handed in there in that window must follow it."""
+        network, servers = small_line
+        fork = servers["s00"]
+        real_transfer = fork.navigator.transfer
+        injected = []
+
+        def transfer(naplet, dest_urn):
+            nid = naplet.naplet_id
+            if nid not in injected and fork.manager.is_resident(nid):
+                injected.append(nid)
+                message = UserMessage(sender="peer", target=nid, body=f"early-{nid}")
+                frame = Frame(
+                    kind=FrameKind.MESSAGE,
+                    source="naplet://s01",
+                    dest=fork.urn,
+                    payload=fork.serializer.dumps(message),
+                    headers={"target": str(nid)},
+                )
+                reply = pickle.loads(fork.messenger.handle_message_frame(frame))
+                assert reply["status"] == "delivered"
+            real_transfer(naplet, dest_urn)
+
+        fork.navigator.transfer = transfer
+        agent = EchoNaplet("forked")
+        agent.set_itinerary(
+            Itinerary(
+                ParPattern.of_servers(["s01", "s02"], per_branch_action=ResultReport("echo"))
+            )
+        )
+        listener = repro.NapletListener()
+        parent = fork.launch(agent, owner="alice", listener=listener)
+        reports = listener.reports(2, timeout=20)
+        (clone,) = [nid for nid in injected if nid != parent]
+        assert sorted(r.payload for r in reports) == sorted(f"early-{n}" for n in injected)
+        assert fork.messenger.mailbox_of(clone) is None
+        assert fork.messenger.special_mailbox_size() == 0
 
 
 class TestUndeliverable:

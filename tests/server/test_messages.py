@@ -69,8 +69,8 @@ class TestJoinBodies:
 class TestReceipt:
     def test_fields(self):
         receipt = DeliveryReceipt(
-            message_id=7, target=TARGET, status="forwarded",
+            message_id=7, target=TARGET, status="delivered",
             final_server="naplet://s2", hops=3,
         )
         assert receipt.hops == 3
-        assert receipt.status == "forwarded"
+        assert receipt.status == "delivered"

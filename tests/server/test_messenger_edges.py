@@ -26,6 +26,23 @@ class TestEdges:
         _network, servers = trio
         assert servers["s00"].messenger.receipt_for(999_999) is None
 
+    def test_kept_receipts_forget_the_oldest_past_the_cap(self, trio, monkeypatch):
+        from repro.core.naplet_id import NapletID
+        from repro.server import messenger as messenger_module
+        from repro.server.messenger import NapletMessengerProxy
+
+        monkeypatch.setattr(messenger_module, "_RECEIPT_CAPACITY", 3)
+        _network, servers = trio
+        messenger = servers["s00"].messenger
+        nid = NapletID.create("ghost", "s00", stamp="240101120000")
+        receipts = [
+            messenger.post(None, nid, i, dest_urn="naplet://s01") for i in range(4)
+        ]
+        assert messenger.receipt_for(receipts[0].message_id) is None
+        assert messenger.receipt_for(receipts[-1].message_id) == receipts[-1]
+        proxy = NapletMessengerProxy(messenger, StallNaplet("asker"))
+        assert proxy.inquire(receipts[1].message_id) == receipts[1]
+
     def test_report_to_unknown_listener_raises(self, trio):
         _network, servers = trio
         with pytest.raises(NapletCommunicationError, match="no listener"):
@@ -33,7 +50,7 @@ class TestEdges:
                 "naplet://s00", "no-such-key", "reporter", {"x": 1}
             )
 
-    def test_forward_parked_swallows_unreachable_destination(self, trio):
+    def test_chase_swallows_unreachable_destination_for_parked(self, trio):
         network, servers = trio
         from repro.core.naplet_id import NapletID
 
@@ -44,24 +61,26 @@ class TestEdges:
         )
         assert receipt.status == "parked"
         network.partition_host("s02")
-        # forwarding toward a partitioned destination must not raise
-        servers["s01"].messenger.forward_parked(nid, "naplet://s02")
+        # chasing toward a partitioned destination must not raise
+        servers["s01"].messenger.chase(nid, "naplet://s02")
         assert servers["s01"].messenger.special_mailbox_size(nid) == 0
 
-    def test_remove_mailbox_forward_swallows_unreachable(self, trio):
+    def test_chase_swallows_unreachable_for_mailbox(self, trio):
         network, servers = trio
         agent = StallNaplet("sitting", spin_seconds=30.0)
         agent.set_itinerary(Itinerary(seq("s01")))
         nid = servers["s00"].launch(agent, owner="ops")
         assert wait_until(lambda: servers["s01"].manager.is_resident(nid))
-        # park a message in the resident's mailbox, then simulate a forced
-        # removal toward an unreachable host — must not raise
+        # queue a message in the resident's mailbox, then simulate a
+        # departure acked toward an unreachable host — must not raise
         mailbox = servers["s01"].messenger.mailbox_of(nid)
         assert mailbox is not None
         servers["s00"].messenger.post(None, nid, "queued")
         network.partition_host("s02")
-        servers["s01"].messenger.remove_mailbox(nid, forward_to="naplet://s02")
+        record = servers["s01"].manager.begin_departure(nid, "naplet://s02")
+        servers["s01"].messenger.chase(nid, "naplet://s02")
         assert servers["s01"].messenger.mailbox_of(nid) is None
+        servers["s01"].manager.abort_departure(nid, record)
         servers["s00"].terminate_naplet(nid)
 
     def test_remove_mailbox_without_forward_drops_quietly(self, trio):
