@@ -101,7 +101,7 @@ class TestTelemetryOverhead:
 
             # telemetry-off really records nothing, journal included
             assert all(s.journal.total_appended == 0 for s in off.values())
-            assert off["s00"].telemetry.launches.value() == 0
+            assert off["s00"].journal.count("naplet-launch") == 0
             assert spans > 0
             # the layer must stay far below the migration cost itself;
             # generous bound to keep CI timing noise out of the signal

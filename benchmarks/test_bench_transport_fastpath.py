@@ -241,7 +241,7 @@ def _measure_tour() -> dict:
             assert listener.next_report(timeout=20).payload == len(TOUR)
             # The last hop's sender books it after the report is home.
             assert wait_until(
-                lambda: int(sum(s.telemetry.hops.total() for s in servers.values()))
+                lambda: sum(s.journal.count("hop-cost") for s in servers.values())
                 == len(TOUR) * (lap + 1),
                 timeout=10,
             )

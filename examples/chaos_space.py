@@ -87,8 +87,8 @@ def main() -> None:
     print("— journey under fire —")
     print("  itinerary : seq(alt(h02, h01), h03)   [h02 partitioned]")
     print(f"  visited   : {visited}")
-    retries = servers["h00"].telemetry.migration_retries.value()
-    print(f"  transfer retries burned at home: {retries:.0f}")
+    retries = servers["h00"].journal.count("migration-retry")
+    print(f"  transfer retries burned at home: {retries}")
 
     # -- 3. a message into the partition dead-letters ---------------------- #
     sitter = Sitter("sitter")

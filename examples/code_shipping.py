@@ -66,12 +66,11 @@ def main(eager: bool = False) -> None:
 
     print("\nper-server lazy-loading stats:")
     for hostname in sorted(servers):
-        cache = servers[hostname].code_cache
-        fetches = servers[hostname].journal.count("codebase-fetch")
-        print(
-            f"  {hostname}: cache hits={cache.hits} misses={cache.misses} "
-            f"fetch events={fetches}"
-        )
+        journal = servers[hostname].journal
+        hits = journal.count("codeshipping-cache-hit")
+        misses = journal.count("codeshipping-cache-miss")
+        fetches = journal.count("codebase-fetch")
+        print(f"  {hostname}: cache hits={hits} misses={misses} fetch events={fetches}")
     network.shutdown()
 
 

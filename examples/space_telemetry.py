@@ -28,10 +28,18 @@ from repro.simnet import VirtualNetwork, full_mesh
 from repro.util.concurrency import wait_until
 
 
-def total(row: dict, name: str) -> float:
-    """Sum of one metric family's samples in a harvest row."""
+# The journal's per-kind tally: the one count of launches, hops, landings.
+RECORDS = "naplet_journal_records_total"
+
+
+def total(row: dict, name: str, **labels: str) -> float:
+    """Sum of one metric family's samples carrying *labels* in a harvest row."""
     family = row["metrics"]["families"].get(name, {"samples": []})
-    return sum(sample["value"] for sample in family["samples"])
+    return sum(
+        sample["value"]
+        for sample in family["samples"]
+        if labels.items() <= sample["labels"].items()
+    )
 
 
 class Tourist(repro.Naplet):
@@ -88,22 +96,17 @@ def main() -> None:
     print(f"  {'host':<6}{'landings':>9}{'hops':>6}{'delivered':>11}{'spans':>7}")
     for row in rows:
         print(
-            f"  {row['server']:<6}{total(row, 'naplet_landings_total'):>9.0f}"
-            f"{total(row, 'naplet_hops_total'):>6.0f}"
+            f"  {row['server']:<6}{total(row, RECORDS, kind='naplet-arrive'):>9.0f}"
+            f"{total(row, RECORDS, kind='hop-cost'):>6.0f}"
             f"{total(row, 'naplet_messages_delivered_total'):>11.0f}"
             f"{len(row['journal']):>7}"
         )
 
     merged = admin.space_metrics()
     print("\n— space-wide merged counters —")
-    for name in (
-        "naplet_launches_total",
-        "naplet_hops_total",
-        "naplet_landings_total",
-        "naplet_frame_bytes_total",
-        "wire_frames_total",
-        "wire_bytes_total",
-    ):
+    for kind in ("naplet-launch", "hop-cost", "naplet-arrive"):
+        print(f"  {kind + ' records':<28} {merged.value(RECORDS, kind=kind):,.0f}")
+    for name in ("naplet_frame_bytes_total", "wire_frames_total", "wire_bytes_total"):
         print(f"  {name:<28} {merged.total(name):,.0f}")
     latency = merged.value("naplet_hop_latency_seconds")
     print(

@@ -215,8 +215,6 @@ class CodeCache:
         self._lock = threading.RLock()
         self._fetch_observer = fetch_observer
         self.journal = journal if journal is not None else SpaceJournal("code-cache")
-        self.hits = 0
-        self.misses = 0
 
     def install_source(self, codebase_name: str, module_key: str, source: str) -> None:
         """Pre-install a module (eager shipping: code arrived with the naplet)."""
@@ -233,12 +231,10 @@ class CodeCache:
         with self._lock:
             module = self._modules.get(key)
             if module is not None:
-                self.hits += 1
                 self.journal.record(
                     "codeshipping-cache-hit", codebase=codebase_name, module=module_key
                 )
             else:
-                self.misses += 1
                 codebase = self._registry.get(codebase_name)
                 source = codebase.source_of(module_key)
                 nbytes = len(source.encode())

@@ -18,7 +18,6 @@ returns is what a probe carries home over any transport (DESIGN.md §6.9).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
 
@@ -33,6 +32,7 @@ from repro.server.monitor import ResourceUsage
 from repro.telemetry.journal import JournalRecord, span_from_record
 from repro.telemetry.journey import Journey, stitch
 from repro.telemetry.metrics import MetricsSnapshot
+from repro.util.concurrency import wait_until
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.server.server import NapletServer
@@ -374,12 +374,7 @@ class SpaceAdmin:
 
     def wait_space_idle(self, timeout: float = 10.0) -> bool:
         """Block until no naplet runs anywhere in the space."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self._space_is_idle():
-                return True
-            time.sleep(0.01)
-        return self._space_is_idle()
+        return wait_until(self._space_is_idle, timeout, interval=0.01)
 
 
 def _host_of_fp(footprint: Footprint, servers: dict) -> str | None:

@@ -34,6 +34,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Locator"]
 
+# Seconds a cached location is trusted, and the cache's LRU bound.
+_CACHE_TTL = 5.0
+_CACHE_CAPACITY = 10_000
+
 
 class Locator:
     """Location service with a bounded (LRU + TTL) cache before the directory."""
@@ -41,10 +45,10 @@ class Locator:
     def __init__(
         self,
         directory: DirectoryClient,
-        cache_ttl: float = 5.0,
+        cache_ttl: float = _CACHE_TTL,
         journal: SpaceJournal | None = None,
         telemetry: "ServerTelemetry | None" = None,
-        cache_capacity: int | None = None,
+        cache_capacity: int | None = _CACHE_CAPACITY,
         time_source: "Callable[[], float]" = time.monotonic,
     ) -> None:
         self.directory = directory
@@ -55,9 +59,16 @@ class Locator:
         self.telemetry = telemetry
         self._cache: OrderedDict[NapletID, tuple[str, float]] = OrderedDict()
         self._lock = threading.Lock()
-        self.cache_hits = 0
-        self.cache_misses = 0
         self.cache_evictions = 0
+
+    # Read by the frozen journey harness: views over the journal's tally.
+    @property
+    def cache_hits(self) -> int:
+        return self.journal.count("locator-cache-hit")
+
+    @property
+    def cache_misses(self) -> int:
+        return self.journal.count("locator-cache-miss")
 
     # -- cache maintenance ----------------------------------------------- #
 
@@ -98,14 +109,8 @@ class Locator:
         if use_cache:
             cached = self._cached(nid)
             if cached is not None:
-                self.cache_hits += 1
-                if self.telemetry is not None:
-                    self.telemetry.locator_hits.inc()
                 self.journal.record("locator-cache-hit", naplet=str(nid), urn=cached)
                 return cached
-        self.cache_misses += 1
-        if self.telemetry is not None:
-            self.telemetry.locator_misses.inc()
         self.journal.record("locator-cache-miss", naplet=str(nid))
         record = self.directory.lookup(nid)
         if record is None:

@@ -105,7 +105,6 @@ class NapletManager:
             self._launched.append(nid)
         self.server.journal.record("naplet-launch", naplet=str(nid), owner=owner)
         telemetry = self.server.telemetry
-        telemetry.launches.inc()
         # Root span of the journey tree: hop/message spans parent to it via
         # the context minted here, which travels inside migration frames.
         ctx = naplet._ensure_trace()

@@ -56,6 +56,9 @@ _MAX_HOPS = 16
 # realistic inquiry window, small enough to never matter for memory.
 _RECEIPT_CAPACITY = 4096
 
+# Undeliverable messages kept for a requeue, oldest evicted first.
+_DEAD_LETTER_CAPACITY = 256
+
 # The departure chase sends once; only the origin retries a message.
 _ONCE = no_retry()
 
@@ -73,7 +76,7 @@ class Messenger:
         self._lock = threading.RLock()
         # Messages that exhausted their delivery budget wait here for a
         # requeue once the network heals, instead of vanishing.
-        self.dead_letters = DeadLetterQueue(server.config.dead_letter_capacity)
+        self.dead_letters = DeadLetterQueue(_DEAD_LETTER_CAPACITY)
         # Queue depths are sampled lazily at snapshot time, not on every put.
         registry = server.telemetry.registry
         registry.gauge_fn(
@@ -190,7 +193,6 @@ class Messenger:
             source=self.server.urn,
         )
         self.dead_letters.put(letter)
-        self.server.telemetry.dead_letters.inc()
         self.server.journal.record(
             "message-dead-lettered",
             target=str(message.target),
@@ -256,7 +258,6 @@ class Messenger:
         policy = self.server.config.message_retry if policy is None else policy
 
         def _on_retry(attempt: int, wait: float, exc: BaseException) -> None:
-            self.server.telemetry.message_retries.inc()
             detail = {"control": message.control} if isinstance(message, SystemMessage) else {}
             self.server.journal.record(
                 "message-retry",

@@ -188,6 +188,8 @@ class NapletMonitor:
         # of a live thread.
         self._draining: list[_ControlBlock] = []
         self._lock = threading.RLock()
+        # Kept beside the journal's "naplet-admitted" tally: the space
+        # summary reports it with telemetry off, when the journal is dark.
         self.admitted = 0
         self.outcomes: dict[str, int] = {}
 
@@ -222,8 +224,6 @@ class NapletMonitor:
                 self._draining.append(previous)
             self._runs[nid] = block
             self.admitted += 1
-        if self.telemetry is not None:
-            self.telemetry.admitted.inc()
         if prepare is not None:
             prepare(block)
 

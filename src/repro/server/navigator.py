@@ -113,8 +113,6 @@ class Navigator:
 
     def __init__(self, server: "NapletServer") -> None:
         self.server = server
-        self.migrations_out = 0
-        self.migrations_in = 0
         # Exactly-once landing: retransmitted transfers (the source never
         # saw our ack) are recognized by their transfer-id and re-acked
         # without landing a second copy of the naplet.
@@ -127,6 +125,12 @@ class Navigator:
         # Stale or lost entries cost shipped bytes or one in-hop re-ship.
         self._peer_holds: OrderedDict[tuple[str, str], None] = OrderedDict()
         self._peer_code: dict[str, set[str]] = {}
+
+    @property
+    def migrations_in(self) -> int:
+        """Landings at this server: a view over the journal's tally, read
+        by the frozen journey harness."""
+        return self.server.journal.count("naplet-arrive")
 
     # ------------------------------------------------------------------ #
     # Outbound
@@ -152,8 +156,6 @@ class Navigator:
             self.server.manager.record_retirement(nid, "completed")
             self.server.journal.record("naplet-degenerate-launch", naplet=str(nid))
             naplet.on_destroy()
-            return
-        self.migrations_out += 1
 
     def dispatch(self, naplet: "Naplet", dest_urn: str) -> None:
         """Migrate a *resident* naplet; raises NapletDeparted on success."""
@@ -163,7 +165,6 @@ class Navigator:
         # Success: release everything the naplet held here (paper §2.2).
         self.server.resource_manager.release(nid)
         naplet._bind_context(None)
-        self.migrations_out += 1
         raise NapletDeparted(dest_urn)
 
     def transfer(self, naplet: "Naplet", dest_urn: str) -> None:
@@ -186,11 +187,9 @@ class Navigator:
                 naplet, "hop", source=self.server.hostname, dest=dest_urn
             ) as hop:
                 self._transfer(naplet, dest_urn, hop, transfer_id)
-            telemetry.hops.inc()
             telemetry.hop_latency.observe(hop.duration)
 
         def _on_retry(attempt: int, wait: float, exc: BaseException) -> None:
-            telemetry.migration_retries.inc()
             self.server.journal.record(
                 "migration-retry",
                 naplet=str(nid),
@@ -241,7 +240,6 @@ class Navigator:
                 for key in list(self._peer_holds):
                     if key[0] == dest_urn:
                         self._peer_holds.pop(key, None)
-                self.server.telemetry.delta_full_reships.inc()
                 self.server.journal.record(
                     "delta-full-reship", naplet=str(nid), dest=dest_urn,
                     reason=ack.get("reason"),
@@ -473,7 +471,6 @@ class Navigator:
         nid = self._landed_transfers.get(transfer_id)
         if nid is None:
             return None
-        self.server.telemetry.duplicate_transfers.inc()
         self.server.journal.record(
             "duplicate-transfer",
             naplet=str(nid),
@@ -628,9 +625,7 @@ class Navigator:
             naplet.navigation_log.record_arrival(self.server.urn)
             self.server.messenger.create_mailbox(nid)
             self.server.locator.note_location(nid, self.server.urn)
-        telemetry.landings.inc()
         telemetry.itinerary_depth.observe(len(naplet.navigation_log.servers_visited()))
-        self.migrations_in += 1
         self.server.journal.record(
             "naplet-arrive",
             naplet=str(nid),

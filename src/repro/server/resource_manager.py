@@ -47,7 +47,6 @@ class ResourceManager:
         self._privileged: dict[str, ServiceFactory] = {}
         self._channels: dict[NapletID, dict[str, ServiceChannel]] = {}
         self._lock = threading.RLock()
-        self.channels_created = 0
 
     # ------------------------------------------------------------------ #
     # Configuration (dynamic, per the paper: services can be installed
@@ -123,7 +122,6 @@ class ResourceManager:
         nid = naplet.naplet_id
         with self._lock:
             self._channels.setdefault(nid, {})[name] = channel
-            self.channels_created += 1
         self.server.journal.record(
             "channel-created", naplet=str(nid), service=name
         )

@@ -41,9 +41,9 @@ from repro.server.navigator import Navigator
 from repro.server.resource_manager import ResourceManager
 from repro.server.security import NapletSecurityManager, SecurityPolicy
 from repro.telemetry.exposition import ServerTelemetry
-from repro.telemetry.journal import SpaceJournal
 from repro.transport.base import Frame, FrameKind, Transport, urn_of
 from repro.transport.serializer import NapletSerializer
+from repro.util.concurrency import wait_until
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.naplet import Naplet
@@ -66,8 +66,6 @@ class ServerConfig:
     quota_policy: Callable[[Credential], ResourceQuota | None] | None = None
     policy: SecurityPolicy = field(default_factory=SecurityPolicy.permissive)
     require_signature: bool = True
-    locator_cache_ttl: float = 5.0
-    locator_cache_capacity: int | None = 10_000  # LRU bound; None = unbounded
     codebase_host: str | None = None  # where lazy code fetches are billed from
     telemetry_enabled: bool = True  # False: no-op metrics/tracer (benchmarks)
     # Delta state shipping (DESIGN.md §6.7): repeat hops ship only the
@@ -78,7 +76,6 @@ class ServerConfig:
     # so existing spaces are unaffected until a config opts in.
     migration_retry: RetryPolicy = field(default_factory=no_retry)
     message_retry: RetryPolicy = field(default_factory=no_retry)
-    dead_letter_capacity: int = 256
     # Health plane (DESIGN.md §6.4): each server's one background loop —
     # sampler, watchdog and load heartbeat — on exactly when telemetry is.
     # A peer silent for ``health.plane.STALE_BEATS`` beats decays to
@@ -111,35 +108,20 @@ class NapletServer:
         self.code_registry = code_registry
         self.config = config or ServerConfig()
         self.network = network
-        self.telemetry = ServerTelemetry(hostname, enabled=self.config.telemetry_enabled)
+        self.telemetry = ServerTelemetry(
+            hostname,
+            enabled=self.config.telemetry_enabled,
+            journal_time_source=self.config.journal_time_source,
+        )
 
         # Flight recorder: the server's one record store.  Every component
         # (Locator, Monitor, CodeCache, Messenger, Navigator, the health
         # plane, the transport's drops and injected faults) writes to it,
         # and the tracer hands it each completed span.
-        self.journal = SpaceJournal(
-            hostname,
-            enabled=self.config.telemetry_enabled,
-            time_source=self.config.journal_time_source,
-            records_counter=self.telemetry.registry.counter(
-                "naplet_journal_records_total",
-                "Flight-recorder records appended, by event kind",
-            ),
-        )
+        self.journal = self.telemetry.journal
         # The same object under its older name, read by the frozen
         # journey harness.
         self.events = self.journal
-        self.telemetry.tracer.on_span = self.journal.observe_span
-        self.telemetry.registry.gauge_fn(
-            "naplet_journal_depth",
-            "Records currently held in the flight-recorder ring",
-            lambda: float(self.journal.depth),
-        )
-        self.telemetry.registry.gauge_fn(
-            "naplet_journal_dropped_records",
-            "Flight-recorder records discarded by the ring bound",
-            lambda: float(self.journal.dropped),
-        )
 
         if (
             self.config.directory_mode is DirectoryMode.CENTRAL
@@ -189,11 +171,7 @@ class NapletServer:
             local_directory=self.local_directory,
         )
         self.locator = Locator(
-            self.directory_client,
-            self.config.locator_cache_ttl,
-            journal=self.journal,
-            telemetry=self.telemetry,
-            cache_capacity=self.config.locator_cache_capacity,
+            self.directory_client, journal=self.journal, telemetry=self.telemetry
         )
 
         # Health plane: the server's one background loop.  It samples the
@@ -317,20 +295,17 @@ class NapletServer:
         server — its ``on_start`` re-runs there, the same per-visit restart
         semantics as ordinary migration.
         """
-        import time as _time
-
         naplet = self.manager.resident(nid)
         if naplet is None:
             raise NapletError(f"{nid} is not resident at {self.hostname}")
         if not self.monitor.interrupt(nid, SystemControl.FREEZE):
             raise NapletError(f"{nid} has no running thread at {self.hostname}")
-        deadline = _time.monotonic() + timeout
-        while _time.monotonic() < deadline:
+
+        def frozen() -> bool:
             footprint = self.manager.footprint(nid)
-            if footprint is not None and footprint.outcome == "frozen":
-                break
-            _time.sleep(0.005)
-        else:
+            return footprint is not None and footprint.outcome == "frozen"
+
+        if not wait_until(frozen, timeout, interval=0.005):
             raise NapletError(f"freeze of {nid} did not complete within {timeout}s")
         if self.journal.enabled:
             # The stamp travels in the image so a later thaw — possibly at

@@ -1,11 +1,13 @@
 """Telemetry wiring and metric renderers.
 
-:class:`ServerTelemetry` bundles one server's :class:`MetricsRegistry`
-and :class:`Tracer` and pre-creates the standard instruments every
-component records into (launches, landings, hops, message counters,
-locator cache hits, quota trips, …).  A server constructed with
-``ServerConfig.telemetry_enabled=False`` gets the same object with
-no-op instruments.
+:class:`ServerTelemetry` bundles one server's :class:`MetricsRegistry`,
+:class:`Tracer` and :class:`SpaceJournal` and pre-creates the standard
+instruments: byte sums, histograms and labelled counters (hop bytes,
+message counters, quota trips, outcomes, …).  An event the journal records
+(a launch, landing, hop, retry, cache hit, …) is counted once, by the
+journal's per-kind tally, exported as ``naplet_journal_records_total{kind}``.
+A server constructed with ``ServerConfig.telemetry_enabled=False`` gets the
+same object with no-op instruments and a journal that records nothing.
 
 Renderers keep exposition decoupled from formatting: text output follows
 the Prometheus exposition idiom (``name{label="v"} value``); the dict form
@@ -17,8 +19,9 @@ counts reach an operator through the journal, not through here.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
+from repro.telemetry.journal import SpaceJournal
 from repro.telemetry.metrics import (
     HistogramValue,
     MetricsRegistry,
@@ -34,34 +37,46 @@ __all__ = ["ServerTelemetry", "render_metrics_text", "metrics_to_dict"]
 
 
 class ServerTelemetry:
-    """One server's metrics registry + tracer + standard instruments."""
+    """One server's metrics registry + tracer + journal + standard instruments."""
 
-    def __init__(self, hostname: str, enabled: bool = True) -> None:
+    def __init__(
+        self,
+        hostname: str,
+        enabled: bool = True,
+        journal_time_source: Callable[[], float] | None = None,
+    ) -> None:
         self.hostname = hostname
         self.enabled = enabled
         self.registry = MetricsRegistry(enabled=enabled)
         self.tracer = Tracer(hostname, enabled=enabled)
         reg = self.registry
+        # Flight recorder: the server's one record store, fed every
+        # completed span.  Its per-kind tally is the one count of any
+        # event it records (launches, landings, hops, retries, …).
+        self.journal = SpaceJournal(hostname, enabled, journal_time_source)
+        self.tracer.on_span = self.journal.observe_span
+        reg.counter_fn(
+            "naplet_journal_records_total",
+            "Flight-recorder records appended, by event kind",
+            "kind",
+            self.journal.tally,
+        )
+        reg.gauge_fn(
+            "naplet_journal_depth",
+            "Records currently held in the flight-recorder ring",
+            lambda: float(self.journal.depth),
+        )
+        reg.gauge_fn(
+            "naplet_journal_dropped_records",
+            "Flight-recorder records discarded by the ring bound",
+            lambda: float(self.journal.dropped),
+        )
+        # Read by the frozen journey harness as counters.
+        self.delta_full_reships = _TallyView(self.journal, "delta-full-reship")
+        self.migration_retries = _TallyView(self.journal, "migration-retry")
         # NapletManager / Navigator
-        self.launches = reg.counter(
-            "naplet_launches_total", "Naplets launched from this server"
-        )
-        self.landings = reg.counter(
-            "naplet_landings_total", "Naplet landings accepted at this server"
-        )
         self.landings_denied = reg.counter(
             "naplet_landings_denied_total", "Landing requests this server denied"
-        )
-        self.hops = reg.counter(
-            "naplet_hops_total", "Migration hops initiated at this server"
-        )
-        self.migration_retries = reg.counter(
-            "naplet_migration_retries_total",
-            "Migration attempts retried under the server's RetryPolicy",
-        )
-        self.duplicate_transfers = reg.counter(
-            "naplet_duplicate_transfers_total",
-            "Retransmitted transfers re-acked without landing a second copy",
         )
         self.delta_hops = reg.counter(
             "naplet_delta_hops_total",
@@ -70,11 +85,6 @@ class ServerTelemetry:
         self.delta_saved_bytes = reg.counter(
             "naplet_delta_saved_bytes_total",
             "Bytes delta shipping kept off the wire (unchanged cached fields)",
-        )
-        self.delta_full_reships = reg.counter(
-            "naplet_delta_full_reships_total",
-            "Deltas refused by the destination (base evicted / code missing) "
-            "that were transparently re-shipped as full images",
         )
         self.hop_latency = reg.histogram(
             "naplet_hop_latency_seconds",
@@ -113,33 +123,16 @@ class ServerTelemetry:
             "naplet_special_mailbox_hits_total",
             "Parked messages claimed by a landing naplet",
         )
-        self.message_retries = reg.counter(
-            "naplet_message_retries_total",
-            "Message sends retried under the server's RetryPolicy",
-        )
-        self.dead_letters = reg.counter(
-            "naplet_dead_letters_total",
-            "Messages dead-lettered after delivery gave up",
-        )
         self.dead_letters_requeued = reg.counter(
             "naplet_dead_letters_requeued_total",
             "Dead letters successfully redelivered after a heal",
         )
         # Locator
-        self.locator_hits = reg.counter(
-            "naplet_locator_cache_hits_total", "Locator answers served from cache"
-        )
-        self.locator_misses = reg.counter(
-            "naplet_locator_cache_misses_total", "Locator answers needing the directory"
-        )
         self.locator_evictions = reg.counter(
             "naplet_locator_cache_evictions_total",
             "Locator cache entries evicted by the LRU capacity bound",
         )
         # NapletMonitor
-        self.admitted = reg.counter(
-            "naplet_admitted_total", "Naplet threads admitted by the monitor"
-        )
         self.quota_trips = reg.counter(
             "naplet_quota_trips_total", "Quota violations raised, by resource"
         )
@@ -173,6 +166,16 @@ class ServerTelemetry:
 
     def span(self, name: str, ctx: TraceContext, parent_id: str | None = None, **attributes: Any):
         return self.tracer.span(name, ctx, parent_id=parent_id, **attributes)
+
+
+class _TallyView:
+    """One journal kind's tally behind a counter's ``total()``."""
+
+    def __init__(self, journal: SpaceJournal, kind: str) -> None:
+        self._journal, self._kind = journal, kind
+
+    def total(self) -> float:
+        return float(self._journal.count(self._kind))
 
 
 class _SerializerTelemetry:

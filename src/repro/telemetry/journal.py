@@ -32,13 +32,10 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import Any, Iterable
 
 from repro.telemetry.trace import Span
 from repro.util.hlc import HLCStamp, HybridLogicalClock
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.telemetry.metrics import Counter
 
 __all__ = [
     "RING_BOUND",
@@ -244,8 +241,10 @@ class SpaceJournal:
     :meth:`record` writes a protocol event, :meth:`observe_span` a
     completed span, :meth:`append` any typed record; :meth:`receive`
     advances the clock from a piggybacked stamp.  The ring keeps the
-    newest :data:`RING_BOUND` records.  A disabled journal appends nothing
-    and costs one boolean check.
+    newest :data:`RING_BOUND` records; the per-kind tally counts every
+    record ever appended, so :meth:`count` stays exact past the ring and
+    is the one count of any event the journal records.  A disabled
+    journal appends nothing and costs one boolean check.
     """
 
     def __init__(
@@ -253,17 +252,15 @@ class SpaceJournal:
         server: str,
         enabled: bool = True,
         time_source: Any | None = None,
-        records_counter: "Counter | None" = None,
     ) -> None:
         self.server = server
         self.enabled = enabled
         self.clock = HybridLogicalClock(server, time_source=time_source)
         self._time = time_source or time.time
         self._records: deque[JournalRecord] = deque(maxlen=RING_BOUND)
+        self._tally: dict[str, int] = {}
         self._seq = 0
-        self._total = 0
         self._lock = threading.Lock()
-        self._records_counter = records_counter
 
     # -- recording -------------------------------------------------------- #
 
@@ -306,9 +303,7 @@ class SpaceJournal:
                 detail=detail or {},
             )
             self._records.append(record)
-            self._total += 1
-        if self._records_counter is not None:
-            self._records_counter.inc(kind=kind)
+            self._tally[kind] = self._tally.get(kind, 0) + 1
         return record
 
     def record(self, kind: str, **detail: Any) -> JournalRecord | None:
@@ -379,13 +374,18 @@ class SpaceJournal:
     @property
     def total_appended(self) -> int:
         with self._lock:
-            return self._total
+            return self._seq
 
     @property
     def dropped(self) -> int:
         """Records discarded by the ring bound since construction."""
         with self._lock:
-            return max(0, self._total - len(self._records))
+            return self._seq - len(self._records)
+
+    def tally(self) -> dict[str, int]:
+        """Records appended since construction, by kind (ring-independent)."""
+        with self._lock:
+            return dict(self._tally)
 
     def snapshot(self) -> list[JournalRecord]:
         with self._lock:
@@ -400,7 +400,13 @@ class SpaceJournal:
         return [r for r in self.snapshot() if r.matches(kind, **detail)]
 
     def count(self, kind: str, **detail: Any) -> int:
-        return len(self.find(kind, **detail))
+        """Records of *kind* ever appended, read from the tally.  With
+        *detail* filters it counts only the matching records still in the
+        ring, so past :data:`RING_BOUND` that count can fall short."""
+        if detail:
+            return len(self.find(kind, **detail))
+        with self._lock:
+            return self._tally.get(kind, 0)
 
     def slice_for(self, subject: str, limit: int = 32) -> list[JournalRecord]:
         """The most recent records mentioning *subject* (watchdog evidence)."""

@@ -5,7 +5,7 @@ current naplets for management purposes"; this module is the quantitative
 half of that mandate.  A :class:`MetricsRegistry` holds named, label-aware
 instruments:
 
-- :class:`Counter`   — monotone totals (launches, hops, delivered messages);
+- :class:`Counter`   — monotone totals (frame bytes, delivered messages);
 - :class:`Gauge`     — point-in-time values, settable or computed lazily from
   a callback at snapshot time (mailbox queue depth, cache size);
 - :class:`Histogram` — bucketed distributions with exponential latency
@@ -313,7 +313,9 @@ class MetricsRegistry:
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._instruments: dict[str, _Instrument] = {}
-        self._gauge_fns: dict[str, tuple[str, Callable[[], float]]] = {}
+        # Families whose samples are read at snapshot time from a value
+        # kept elsewhere: name -> (kind, help, samples function).
+        self._fns: dict[str, tuple[str, str, Callable[[], dict[LabelKey, float]]]] = {}
         self._lock = threading.Lock()
 
     # -- get-or-create --------------------------------------------------- #
@@ -354,7 +356,19 @@ class MetricsRegistry:
     def gauge_fn(self, name: str, help_text: str, fn: Callable[[], float]) -> None:
         """Register a gauge computed lazily at snapshot time (queue depths)."""
         with self._lock:
-            self._gauge_fns[name] = (help_text, fn)
+            self._fns[name] = ("gauge", help_text, lambda: {(): float(fn())})
+
+    def counter_fn(
+        self, name: str, help_text: str, label: str, fn: Callable[[], dict[str, int]]
+    ) -> None:
+        """Register a counter kept elsewhere and read at snapshot time, one
+        sample per value of *label* (the journal's per-kind tally)."""
+        with self._lock:
+            self._fns[name] = (
+                "counter",
+                help_text,
+                lambda: {((label, key),): float(n) for key, n in fn().items()},
+            )
 
     # -- export ----------------------------------------------------------- #
 
@@ -362,7 +376,7 @@ class MetricsRegistry:
         families: dict[str, MetricFamily] = {}
         with self._lock:
             instruments = list(self._instruments.values())
-            gauge_fns = dict(self._gauge_fns)
+            fns = dict(self._fns)
         for instrument in instruments:
             with instrument._lock:
                 if isinstance(instrument, Histogram):
@@ -381,14 +395,14 @@ class MetricsRegistry:
                 instrument.name, instrument.kind, instrument.help, samples
             )
         if self.enabled:
-            for name, (help_text, fn) in gauge_fns.items():
+            for name, (kind, help_text, fn) in fns.items():
                 try:
-                    value = float(fn())
+                    samples = fn()
                 except Exception:
                     continue  # a dying component must not break exposition
-                families[name] = MetricFamily(name, "gauge", help_text, {(): value})
+                families[name] = MetricFamily(name, kind, help_text, samples)
         return MetricsSnapshot(families)
 
     def names(self) -> list[str]:
         with self._lock:
-            return sorted(set(self._instruments) | set(self._gauge_fns))
+            return sorted(set(self._instruments) | set(self._fns))

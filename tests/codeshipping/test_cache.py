@@ -30,15 +30,21 @@ def registry():
     return reg
 
 
+def _hits_misses(cache):
+    """The cache's hit and miss counts: its journal's tally of each kind."""
+    journal = cache.journal
+    return journal.count("codeshipping-cache-hit"), journal.count("codeshipping-cache-miss")
+
+
 class TestResolution:
     def test_miss_then_hit(self, registry):
         cache = CodeCache(registry)
         widget_cls = cache.resolve("cb://widgets", "widgets", "Widget")
         assert widget_cls.kind == "shipped"
-        assert (cache.hits, cache.misses) == (0, 1)
+        assert _hits_misses(cache) == (0, 1)
         again = cache.resolve("cb://widgets", "widgets", "Widget")
         assert again is widget_cls
-        assert (cache.hits, cache.misses) == (1, 1)
+        assert _hits_misses(cache) == (1, 1)
 
     def test_nested_qualname(self, registry):
         cache = CodeCache(registry)
@@ -73,7 +79,7 @@ class TestResolution:
         cls_a = a.resolve("cb://widgets", "widgets", "Widget")
         cls_b = b.resolve("cb://widgets", "widgets", "Widget")
         assert cls_a is not cls_b
-        assert a.misses == b.misses == 1
+        assert _hits_misses(a)[1] == _hits_misses(b)[1] == 1
 
 
 class TestFetchObserver:
@@ -95,7 +101,7 @@ class TestEagerInstall:
         cache.install_source("cb://widgets", "widgets", SOURCE)
         cls = cache.resolve("cb://widgets", "widgets", "Widget")
         assert cls.kind == "shipped"
-        assert cache.misses == 0
+        assert _hits_misses(cache)[1] == 0
 
     def test_install_is_idempotent(self, registry):
         cache = CodeCache(CodeBaseRegistry())

@@ -89,8 +89,8 @@ class TestDeadLetterIntegration:
                 None, sitter_id, {"n": 1}, dest_urn=urn_of("c02")
             )
         # Retried once (budget 2), then dead-lettered.
-        assert servers["c00"].telemetry.message_retries.value() == 1
-        assert servers["c00"].telemetry.dead_letters.value() == 1
+        assert servers["c00"].journal.count("message-retry") == 1
+        assert servers["c00"].journal.count("message-dead-lettered") == 1
 
     def test_admin_surfaces_and_requeues_the_backlog(self, dlq_space):
         network, servers, _ = dlq_space

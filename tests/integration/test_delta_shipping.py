@@ -101,6 +101,10 @@ def _total(servers, counter: str) -> int:
     return int(sum(getattr(s.telemetry, counter).total() for s in servers.values()))
 
 
+def _tally(servers, kind: str) -> int:
+    return sum(s.journal.count(kind) for s in servers.values())
+
+
 def _assert_cache_lifetime(servers, nid: str) -> None:
     """Retired at d00: no record there.  Departed from d01 and acked: the
     image stays as a delta base, none of the objects it was pickled from."""
@@ -126,7 +130,7 @@ def _journey_with_evicted_base(servers) -> None:
         _SABOTAGE.clear()
     # The sender still believed in its base, the receiver had lost it:
     # exactly one need_full round trip, then delta shipping resumed.
-    assert _total(servers, "delta_full_reships") == 1
+    assert _tally(servers, "delta-full-reship") == 1
     # Hops #1 (first image) and #4 (the need_full reship) are full; the
     # reship's landing re-seeds both ends before the naplet runs again,
     # so every later hop is a delta.
@@ -152,7 +156,7 @@ class TestDeltaOverInMemory:
         # Hop 1 is always a full image; every later hop had an acked base.
         assert _total(servers, "delta_hops") == len(ROUTE) - 1
         assert _total(servers, "delta_saved_bytes") > 0
-        assert _total(servers, "delta_full_reships") == 0
+        assert _tally(servers, "delta-full-reship") == 0
         _assert_cache_lifetime(servers, nid)
 
     def test_evicted_base_forces_transparent_full_reship(self, memory_space):
@@ -164,7 +168,7 @@ class TestDeltaOverInMemory:
         # The input selected the single-pickle envelope on every hop:
         # nothing to delta against, nothing cached, the cycle kept.
         assert _total(servers, "delta_hops") == 0
-        assert _total(servers, "delta_full_reships") == 0
+        assert _tally(servers, "delta-full-reship") == 0
         assert all(len(s.serializer.delta_cache) == 0 for s in servers.values())
 
 
@@ -174,7 +178,7 @@ class TestDeltaOverTcp:
         try:
             nid = _journey(servers)
             assert _total(servers, "delta_hops") == len(ROUTE) - 1
-            assert _total(servers, "delta_full_reships") == 0
+            assert _tally(servers, "delta-full-reship") == 0
             _assert_cache_lifetime(servers, nid)
         finally:
             for server in servers.values():
@@ -275,7 +279,7 @@ class TestAFieldCrossesALinkOnce:
         assert all(h["delta"] and h["saved_bytes"] >= len(CARGO) for h in later)
         assert all(h["total_bytes"] < len(CARGO) / 10 for h in later)
         assert _total(servers, "delta_hops") == len(later)
-        assert _total(servers, "delta_full_reships") == 0
+        assert _tally(servers, "delta-full-reship") == 0
 
     def test_the_hop_home_omits_the_cargo(self, ring_space):
         servers = ring_space()
@@ -290,7 +294,7 @@ class TestAFieldCrossesALinkOnce:
         # The ack says it landed (and which code is cached): what the peer
         # now holds is what the sender shipped, which the sender knows.
         assert set(envelope["ack"]) == {"ok", "code"}
-        assert _total(servers, "delta_full_reships") == 0
+        assert _tally(servers, "delta-full-reship") == 0
 
     def test_next_naplet_references_cargo_a_server_holds_under_another_record(
         self, ring_space
@@ -312,7 +316,7 @@ class TestAFieldCrossesALinkOnce:
         cache = servers["d02"].serializer.delta_cache
         assert envelope["refs"]["cargo"] == cache.peek(first).fields["cargo"].hash
         assert cache.peek(second).fields["cargo"].data is cache.peek(first).fields["cargo"].data
-        assert _total(servers, "delta_full_reships") == 0
+        assert _tally(servers, "delta-full-reship") == 0
 
 
 def _sabotaged_ping_pong(servers, sabotage, other_landings: int = 0) -> None:
@@ -327,10 +331,10 @@ def _sabotaged_ping_pong(servers, sabotage, other_landings: int = 0) -> None:
     finally:
         _SABOTAGE.clear()
     # Landed exactly once per hop, through exactly one in-hop re-ship.
-    assert _total(servers, "delta_full_reships") == 1
-    assert _total(servers, "landings") == len(ROUTE) + other_landings
-    assert _total(servers, "duplicate_transfers") == 0
-    assert _total(servers, "migration_retries") == 0
+    assert _tally(servers, "delta-full-reship") == 1
+    assert _tally(servers, "naplet-arrive") == len(ROUTE) + other_landings
+    assert _tally(servers, "duplicate-transfer") == 0
+    assert _tally(servers, "migration-retry") == 0
     assert _total(servers, "delta_hops") == len(ROUTE) - 2
 
 

@@ -48,7 +48,12 @@ class TestHarvestedMetrics:
 
         families = row["metrics"]["families"]
         assert families == metrics_to_dict(servers["s01"].telemetry.registry.snapshot())
-        assert families["naplet_landings_total"]["samples"][0]["value"] == 1
+        arrivals = [
+            sample["value"]
+            for sample in families["naplet_journal_records_total"]["samples"]
+            if sample["labels"] == {"kind": "naplet-arrive"}
+        ]
+        assert arrivals == [1]
         egress, ingress = servers["s01"].transport.endpoint_bytes("s01")
         assert (row["metrics"]["egress_bytes"], row["metrics"]["ingress_bytes"]) == (
             egress,
@@ -57,8 +62,8 @@ class TestHarvestedMetrics:
         assert ingress > 0 and egress > 0
 
         text = _metrics_text(servers["s01"])
-        assert "# TYPE naplet_landings_total counter" in text
-        assert "naplet_landings_total 1" in text
+        assert "# TYPE naplet_journal_records_total counter" in text
+        assert 'naplet_journal_records_total{kind="naplet-arrive"} 1' in text
 
     def test_spans_and_event_counts_ride_the_journal(self, small_line):
         """What the old per-span / per-kind service calls answered is a
@@ -80,8 +85,9 @@ class TestHarvestedMetrics:
         service = servers["s00"].resource_manager._open_services["harvest"]
         payload = service.harvest(("metrics",))["metrics"]["families"]
         encoded = json.loads(json.dumps(payload))
-        assert encoded["naplet_launches_total"]["type"] == "counter"
-        assert encoded["naplet_launches_total"]["samples"][0]["value"] == 1
+        records = encoded["naplet_journal_records_total"]
+        assert records["type"] == "counter"
+        assert {"labels": {"kind": "naplet-launch"}, "value": 1} in records["samples"]
 
 
 class TestPerfHistograms:

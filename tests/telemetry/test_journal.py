@@ -349,6 +349,21 @@ class TestJournalInSpace:
         )
         assert snap.total("naplet_journal_records_total") == journal.total_appended
 
+    def test_count_is_exact_past_the_ring_bound(self, space):
+        """The per-kind tally outlives the ring: ``count`` and the metrics
+        page agree on every record ever appended, not only those held."""
+        _net, servers = space(line(2, prefix="s"))
+        for each in servers.values():
+            each.health.stop()
+        journal = servers["s00"].journal
+        for _ in range(RING_BOUND + 5):
+            journal.record("tick", beat=True)
+        snap = servers["s00"].telemetry.registry.snapshot()
+        assert journal.count("tick") == RING_BOUND + 5
+        assert snap.value("naplet_journal_records_total", kind="tick") == RING_BOUND + 5
+        # A detail filter reads the ring instead, which holds RING_BOUND.
+        assert journal.count("tick", beat=True) == RING_BOUND
+
     def test_kind_label_is_escaped_on_the_metrics_page(self, space):
         """An event kind with exposition-reserved characters must not
         corrupt the page: one sample per line, reserved chars escaped."""

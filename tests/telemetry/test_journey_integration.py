@@ -10,6 +10,9 @@ from repro.server import SpaceAdmin
 from repro.util.concurrency import wait_until
 from tests.conftest import CollectorNaplet
 
+# The journal's per-kind tally: the one count of launches, hops, landings.
+RECORDS = "naplet_journal_records_total"
+
 
 class WaitAtLastStop(repro.Naplet):
     """Hops s01 -> s02 quickly, then waits for one message at s02."""
@@ -147,15 +150,15 @@ class TestSpaceMetrics:
         listener.next_report(timeout=10)
         target_listener.next_report(timeout=10)
         admin.wait_space_idle()
-        # Source-side hop counters flush after the destination goes idle.
+        # Source-side hop records flush after the destination goes idle.
         assert wait_until(
-            lambda: admin.space_metrics().total("naplet_hops_total") >= 4
+            lambda: admin.space_metrics().value(RECORDS, kind="hop-cost") >= 4
         )
 
         merged = admin.space_metrics()
-        assert merged.total("naplet_launches_total") == 2
-        assert merged.total("naplet_hops_total") >= 4
-        assert merged.total("naplet_landings_total") >= 4
+        assert merged.value(RECORDS, kind="naplet-launch") == 2
+        assert merged.value(RECORDS, kind="hop-cost") >= 4
+        assert merged.value(RECORDS, kind="naplet-arrive") >= 4
         assert merged.total("naplet_messages_delivered_total") >= 1
         assert merged.total("naplet_messages_forwarded_total") >= 1
         assert merged.total("naplet_frame_bytes_total") > 0
@@ -171,13 +174,13 @@ class TestSpaceMetrics:
         servers["s00"].launch(agent, owner="alice", listener=listener)
         listener.next_report(timeout=10)
         assert servers["s03"].wait_idle()
-        assert wait_until(lambda: servers["s02"].telemetry.hops.value() == 1)
+        assert wait_until(lambda: servers["s02"].journal.count("hop-cost") == 1)
 
-        assert servers["s00"].telemetry.launches.value() == 1
-        assert servers["s00"].telemetry.hops.value() == 1  # home -> s01 only
-        assert servers["s01"].telemetry.landings.value() == 1
-        assert servers["s02"].telemetry.hops.value() == 1
-        assert servers["s03"].telemetry.landings.value() == 1
+        assert servers["s00"].journal.count("naplet-launch") == 1
+        assert servers["s00"].journal.count("hop-cost") == 1  # home -> s01 only
+        assert servers["s01"].journal.count("naplet-arrive") == 1
+        assert servers["s02"].journal.count("hop-cost") == 1
+        assert servers["s03"].journal.count("naplet-arrive") == 1
         # Landing depth observed at the last server covers the whole tour.
         depth = servers["s03"].telemetry.itinerary_depth.value()
         assert depth.count == 1
