@@ -40,12 +40,14 @@ class AddressBook:
     def __init__(self, entries: list[AddressEntry] | None = None) -> None:
         self._entries: dict[NapletID, AddressEntry] = {}
         self._lock = threading.RLock()
+        self._mutations = 0  # backs ``__delta_fingerprint__``
         for entry in entries or []:
             self.add(entry)
 
     def add(self, entry: AddressEntry) -> None:
         with self._lock:
             self._entries[entry.naplet_id] = entry
+            self._mutations += 1
 
     def add_contact(self, naplet_id: NapletID, server_urn: str) -> None:
         self.add(AddressEntry(naplet_id=naplet_id, server_urn=server_urn))
@@ -53,6 +55,7 @@ class AddressBook:
     def remove(self, naplet_id: NapletID) -> None:
         with self._lock:
             self._entries.pop(naplet_id, None)
+            self._mutations += 1
 
     def lookup(self, naplet_id: NapletID) -> AddressEntry | None:
         with self._lock:
@@ -69,6 +72,7 @@ class AddressBook:
             if entry is None:
                 return False
             self._entries[naplet_id] = entry.with_location(server_urn)
+            self._mutations += 1
             return True
 
     def naplet_ids(self) -> list[NapletID]:
@@ -100,6 +104,13 @@ class AddressBook:
             return False
         return self.knows(naplet_id)
 
+    # -- delta shipping -------------------------------------------------- #
+
+    def __delta_fingerprint__(self) -> tuple[int, ...]:
+        """Mutation counter, plus the clone counters its ids pickle with."""
+        with self._lock:
+            return (self._mutations, *(e.naplet_id.__delta_fingerprint__() for e in self._entries.values()))
+
     # -- pickling -------------------------------------------------------- #
 
     def __getstate__(self) -> dict[str, object]:
@@ -109,5 +120,6 @@ class AddressBook:
     def __setstate__(self, state: dict[str, object]) -> None:
         self._entries = {}
         self._lock = threading.RLock()
+        self._mutations = 0
         for entry in state["entries"]:  # type: ignore[union-attr]
             self._entries[entry.naplet_id] = entry

@@ -275,6 +275,13 @@ class Naplet(TrackedState, abc.ABC):
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         plan = state.pop("_plan", None)
+        tail = state.get("_nav_log")
+        if isinstance(tail, tuple):  # a per-field image: segment fields, then the tail
+            segments = []
+            while (segment := state.pop(f"_nav_log{len(segments)}", None)) is not None:
+                segments.append(segment)
+            state["_nav_log"] = log = NavigationLog.__new__(NavigationLog)
+            log.__setstate__((*segments, tail))
         self.__dict__.update(state)
         self.__dict__.setdefault("_cred", None)
         self._context = None
@@ -284,9 +291,12 @@ class Naplet(TrackedState, abc.ABC):
     def image_state(self) -> dict[str, Any]:
         """The per-field image leaves the credential out: a migration ships
         it once, as the transfer frame's payload the LANDING check verifies,
-        and the destination installs that verified credential."""
+        and the destination installs that verified credential.  The log's
+        closed segments are fields ``_nav_log0``, … and its tail ``_nav_log``."""
         state = self.__getstate__()
         del state["_cred"]
+        *segments, state["_nav_log"] = self._nav_log.__getstate__()
+        state.update((f"_nav_log{i}", segment) for i, segment in enumerate(segments))
         return state
 
     def __repr__(self) -> str:

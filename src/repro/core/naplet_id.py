@@ -176,6 +176,10 @@ class NapletID:
     def __reduce__(self) -> tuple:
         return (_revive, (str(self), self._clone_counter[0]))
 
+    def __delta_fingerprint__(self) -> int:
+        """The clone counter: the one part of the pickle that can change."""
+        return self._clone_counter[0]
+
     # ------------------------------------------------------------------ #
     # Identity & rendering
     # ------------------------------------------------------------------ #

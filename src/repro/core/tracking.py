@@ -13,9 +13,9 @@ The contract is deliberately conservative — dirtiness is advisory for
 - rebinding an attribute (``self.count = 3``) marks it dirty;
 - mutating a nested object **in place** (``self.results.append(x)``) does
   NOT mark anything — such fields are re-pickled every dump unless their
-  value is immutable (:func:`is_delta_stable`) or exposes a mutation
-  fingerprint (``__delta_fingerprint__``, as :class:`~repro.core.state.
-  NapletState` does);
+  value is immutable all the way down (:func:`is_delta_stable`) or exposes
+  a mutation fingerprint (``__delta_fingerprint__``, as :class:`~repro.core.
+  state.NapletState`, the address book and the naplet id do);
 - ``mark_dirty`` lets application code volunteer a field after an
   in-place mutation, which only ever widens the shipped set.
 
@@ -27,6 +27,7 @@ re-pickled and hash-compared, trading CPU for guaranteed correctness.
 
 from __future__ import annotations
 
+import enum
 from typing import Any
 
 __all__ = ["TrackedState", "delta_fingerprint", "is_delta_stable"]
@@ -35,28 +36,48 @@ __all__ = ["TrackedState", "delta_fingerprint", "is_delta_stable"]
 # bookkeeping, not agent state) and must never mark itself dirty.
 _DIRTY_SLOT = "_tracked_dirty__"
 
-_IMMUTABLE_TYPES = (type(None), bool, int, float, complex, str, bytes)
+_IMMUTABLE_TYPES = (type(None), bool, int, float, complex, str, bytes, enum.Enum)
+_SCALARS = frozenset(_IMMUTABLE_TYPES[:-1])  # exact types: a set lookup, not an isinstance
 # Containers that are immutable iff their members are.
 _IMMUTABLE_CONTAINERS = (tuple, frozenset)
 _STABLE_CHECK_LIMIT = 64  # members inspected before giving up on a container
+_STABLE_WALK_LIMIT = 1024  # ... and on a whole value (shared members count each time)
 
 
-def is_delta_stable(value: Any, _depth: int = 3) -> bool:
+def _frozen_dataclass(cls: type) -> bool:
+    """A frozen dataclass pickled by default: its bytes are its fields."""
+    params = getattr(cls, "__dataclass_params__", None)
+    return (
+        params is not None and params.frozen
+        and cls.__reduce_ex__ is object.__reduce_ex__ and cls.__reduce__ is object.__reduce__
+        and getattr(cls, "__getstate__", None) is getattr(object, "__getstate__", None)
+    )
+
+
+def is_delta_stable(value: Any, _depth: int = 8) -> bool:
     """True when *value* provably cannot mutate in place.
 
-    Immutable scalars are stable; tuples/frozensets are stable when every
-    member is (checked to a small depth and width — a huge tuple is just
-    re-pickled, which is always safe).  Everything else is unstable.
+    Immutable scalars and enum members are stable; tuples, frozensets and
+    frozen dataclasses (pickled by default) are stable when every member
+    is — checked to a bounded depth, width and total: a huge or deep value
+    is just re-pickled, which is always safe.  Everything else is unstable.
     """
-    if isinstance(value, _IMMUTABLE_TYPES):
-        return True
-    if _depth <= 0:
-        return False
-    if isinstance(value, _IMMUTABLE_CONTAINERS):
-        if len(value) > _STABLE_CHECK_LIMIT:
+    budget, pending = _STABLE_WALK_LIMIT, [(value, _depth)]
+    while pending:
+        value, depth = pending.pop()
+        if isinstance(value, _IMMUTABLE_TYPES):
+            continue
+        if isinstance(value, _IMMUTABLE_CONTAINERS):
+            members = value
+        elif _frozen_dataclass(type(value)) and hasattr(value, "__dict__"):
+            members = vars(value).values()
+        else:
             return False
-        return all(is_delta_stable(item, _depth - 1) for item in value)
-    return False
+        budget -= len(members)
+        if depth <= 0 or len(members) > _STABLE_CHECK_LIMIT or budget < 0:
+            return False
+        pending += [(member, depth - 1) for member in members if type(member) not in _SCALARS]
+    return True
 
 
 def delta_fingerprint(value: Any) -> Any | None:

@@ -35,13 +35,17 @@ freedom):
   of the pattern (Example 1 reports "after the last visit"); on Par it runs
   on the original at the join point (or right after forking when there is
   no join).
+
+Patterns, like :class:`~repro.itinerary.visit.Visit`, are frozen: a plan
+of stock nodes cannot change once built, so a hop skips re-pickling it
+(:func:`~repro.core.tracking.is_delta_stable`, DESIGN.md §6.7).
 """
 
 from __future__ import annotations
 
 import abc
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.core.errors import ItineraryError
@@ -98,7 +102,7 @@ class ItineraryPattern(abc.ABC):
         return sum(1 for _ in self.visits())
 
 
-@dataclass
+@dataclass(frozen=True)
 class SingletonPattern(ItineraryPattern):
     """Base case: a single (conditional) visit."""
 
@@ -124,17 +128,25 @@ class SingletonPattern(ItineraryPattern):
         return f"Singleton({self.visit!r})"
 
 
-@dataclass
-class SeqPattern(ItineraryPattern):
-    """Visit sub-patterns in order."""
+@dataclass(frozen=True)
+class _Branching(ItineraryPattern):
+    """Seq, Alt and Par: a non-empty tuple of sub-patterns."""
 
     children: tuple[ItineraryPattern, ...]
 
-    def __init__(self, children: Sequence[ItineraryPattern]) -> None:
-        children = tuple(children)
-        if not children:
-            raise ItineraryError("SeqPattern needs at least one child")
-        self.children = children
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "children", tuple(self.children))
+        if not self.children:
+            raise ItineraryError(f"{type(self).__name__} needs at least one child")
+
+    def visits(self) -> Iterator[Visit]:
+        for child in self.children:
+            yield from child.visits()
+
+
+@dataclass(frozen=True)
+class SeqPattern(_Branching):
+    """Visit sub-patterns in order."""
 
     @classmethod
     def of_servers(
@@ -165,10 +177,6 @@ class SeqPattern(ItineraryPattern):
             singles.append(SingletonPattern.to(server, post_action=action, guard=use_guard))
         return cls(singles)
 
-    def visits(self) -> Iterator[Visit]:
-        for child in self.children:
-            yield from child.visits()
-
     def first_admitting_visit(self, naplet: "Naplet") -> Visit | None:
         for child in self.children:
             found = child.first_admitting_visit(naplet)
@@ -180,17 +188,9 @@ class SeqPattern(ItineraryPattern):
         return f"Seq({', '.join(map(repr, self.children))})"
 
 
-@dataclass
-class AltPattern(ItineraryPattern):
+@dataclass(frozen=True)
+class AltPattern(_Branching):
     """Carry out exactly one of the alternative sub-patterns."""
-
-    children: tuple[ItineraryPattern, ...]
-
-    def __init__(self, children: Sequence[ItineraryPattern]) -> None:
-        children = tuple(children)
-        if not children:
-            raise ItineraryError("AltPattern needs at least one child")
-        self.children = children
 
     def select(self, naplet: "Naplet", start: int = 0) -> int | None:
         """Index of the first branch (from *start*) admitting *naplet*."""
@@ -198,10 +198,6 @@ class AltPattern(ItineraryPattern):
             if self.children[i].first_admitting_visit(naplet) is not None:
                 return i
         return None
-
-    def visits(self) -> Iterator[Visit]:
-        for child in self.children:
-            yield from child.visits()
 
     def first_admitting_visit(self, naplet: "Naplet") -> Visit | None:
         chosen = self.select(naplet)
@@ -213,26 +209,12 @@ class AltPattern(ItineraryPattern):
         return f"Alt({', '.join(map(repr, self.children))})"
 
 
-@dataclass
-class ParPattern(ItineraryPattern):
+@dataclass(frozen=True)
+class ParPattern(_Branching):
     """Carry out all sub-patterns in parallel: original + clones."""
 
-    children: tuple[ItineraryPattern, ...]
     post_action: "Operable | None" = None
     join: JoinPolicy = JoinPolicy.TERMINATE
-
-    def __init__(
-        self,
-        children: Sequence[ItineraryPattern],
-        post_action: "Operable | None" = None,
-        join: JoinPolicy = JoinPolicy.TERMINATE,
-    ) -> None:
-        children = tuple(children)
-        if not children:
-            raise ItineraryError("ParPattern needs at least one child")
-        self.children = children
-        self.post_action = post_action
-        self.join = join
 
     @classmethod
     def of_servers(
@@ -246,10 +228,6 @@ class ParPattern(ItineraryPattern):
         branches = [SingletonPattern.to(server, post_action=per_branch_action) for server in servers]
         return cls(branches, post_action=post_action, join=join)
 
-    def visits(self) -> Iterator[Visit]:
-        for child in self.children:
-            yield from child.visits()
-
     def first_admitting_visit(self, naplet: "Naplet") -> Visit | None:
         return self.children[0].first_admitting_visit(naplet)
 
@@ -257,7 +235,7 @@ class ParPattern(ItineraryPattern):
         return f"Par({', '.join(map(repr, self.children))}, join={self.join.value})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RepeatPattern(ItineraryPattern):
     """Carry out the sub-pattern *times* times in sequence.
 
@@ -271,11 +249,9 @@ class RepeatPattern(ItineraryPattern):
     child: ItineraryPattern
     times: int
 
-    def __init__(self, child: ItineraryPattern, times: int) -> None:
-        if times < 1:
-            raise ItineraryError(f"RepeatPattern needs times >= 1, got {times}")
-        self.child = child
-        self.times = times
+    def __post_init__(self) -> None:
+        if self.times < 1:
+            raise ItineraryError(f"RepeatPattern needs times >= 1, got {self.times}")
 
     def visits(self) -> Iterator[Visit]:
         for _round in range(self.times):

@@ -106,7 +106,7 @@ class NotVisited(Guard):
         return self.server not in naplet.navigation_log.servers_visited()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Visit:
     """One (possibly conditional) stop: server, guard *C*, post-action *T*.
 

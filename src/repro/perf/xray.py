@@ -135,11 +135,8 @@ def explain_pickle(
     """
     serializer = serializer or NapletSerializer()
     data = serializer.dumps(naplet)
-    envelope = pickle.loads(data)
-    payload: bytes = envelope["payload"]
-    code = sum(
-        len(source.encode("utf-8")) for source in envelope["bundles"].values()
-    )
+    payload, *bundles = pickle.loads(data)  # (payload,) or (payload, bundles)
+    code = sum(len(source.encode("utf-8")) for b in bundles for source in b.values())
     envelope_overhead = max(0, len(data) - len(payload) - code)
 
     getstate = getattr(naplet, "__getstate__", None)

@@ -262,15 +262,6 @@ class SpaceAdmin:
         findings.sort(key=lambda f: (-Severity.rank(f.severity), f.first_seen))
         return findings
 
-    def resource_profiles(self, nid: NapletID) -> dict[str, "ResourceProfile"]:
-        """Per-server resource profiles recorded for *nid* (host → profile)."""
-        profiles: dict[str, ResourceProfile] = {}
-        for hostname in self.hostnames:
-            profile = self._servers[hostname].health.profile(nid)
-            if profile is not None:
-                profiles[hostname] = profile
-        return profiles
-
     def top_naplets_by_cpu(self, count: int = 5) -> list[tuple[str, "ResourceProfile"]]:
         """The space's busiest naplets: (hostname, profile), hottest first."""
         candidates: list[tuple[str, ResourceProfile]] = []

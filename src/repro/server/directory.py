@@ -102,10 +102,6 @@ class NapletDirectory:
         with self._lock:
             self._records.pop(nid, None)
 
-    def known_ids(self) -> list[NapletID]:
-        with self._lock:
-            return list(self._records)
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._records)

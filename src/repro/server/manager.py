@@ -52,10 +52,6 @@ class Footprint:
     departed_at: float | None = None
     outcome: str | None = None
 
-    @property
-    def still_here(self) -> bool:
-        return self.departed_to is None and self.outcome is None
-
 
 class NapletManager:
     """Naplet table, footprints, launching, and home listeners."""
@@ -65,7 +61,6 @@ class NapletManager:
         self._residents: dict[NapletID, ResidentRecord] = {}
         self._footprints: dict[NapletID, Footprint] = {}
         self._listeners: dict[str, NapletListener] = {}
-        self._launched: list[NapletID] = []
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------ #
@@ -101,8 +96,6 @@ class NapletManager:
         if listener is not None:
             key = self.register_listener(listener)
             naplet.set_listener(ListenerRef(home_urn=self.server.urn, listener_key=key))
-        with self._lock:
-            self._launched.append(nid)
         self.server.journal.record("naplet-launch", naplet=str(nid), owner=owner)
         telemetry = self.server.telemetry
         # Root span of the journey tree: hop/message spans parent to it via
@@ -119,10 +112,6 @@ class NapletManager:
         ):
             self.server.navigator.launch(naplet)
         return nid
-
-    def launched_ids(self) -> list[NapletID]:
-        with self._lock:
-            return list(self._launched)
 
     # ------------------------------------------------------------------ #
     # Naplet table & footprints

@@ -102,7 +102,7 @@ class DeliveryReceipt:
     ``status`` is ``delivered`` (handed to the resident target) or
     ``parked`` (target not yet arrived; waiting in a special mailbox) at
     ``final_server``; ``hops > 0`` says the message was forwarded that
-    many times along the target's trace to get there.
+    many times along the target's trace to get there, in ``nbytes`` bytes.
     """
 
     message_id: int
@@ -110,6 +110,7 @@ class DeliveryReceipt:
     status: str
     final_server: str
     hops: int = 0
+    nbytes: int = 0
 
 
 _JOIN_KEY = "__naplet_join__"

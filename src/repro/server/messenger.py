@@ -289,6 +289,7 @@ class Messenger:
             status=result["status"],
             final_server=result["server"],
             hops=result["hops"],
+            nbytes=len(frame.payload),
         )
         if receipt.status == "undeliverable":
             raise NapletCommunicationError(
@@ -348,7 +349,7 @@ class Messenger:
         if sender is not None:
             block = self.server.monitor.control_block(sender.naplet_id)
             if block is not None:
-                block.account_message(len(self.server.serializer.dumps(body)))
+                block.account_message(receipt.nbytes)  # what the send serialized
         return receipt
 
     def send_control(

@@ -47,7 +47,8 @@ __all__ = ["ResourceQuota", "ResourceUsage", "NapletOutcome", "NapletMonitor"]
 
 @dataclass(frozen=True)
 class ResourceQuota:
-    """Per-naplet consumption limits (None = unlimited)."""
+    """Per-naplet consumption limits (None = unlimited); message bytes are
+    counted as sent: body, addressing and trace fields together."""
 
     cpu_seconds: float | None = None
     wall_seconds: float | None = None

@@ -625,7 +625,7 @@ class Navigator:
             naplet.navigation_log.record_arrival(self.server.urn)
             self.server.messenger.create_mailbox(nid)
             self.server.locator.note_location(nid, self.server.urn)
-        telemetry.itinerary_depth.observe(len(naplet.navigation_log.servers_visited()))
+        telemetry.itinerary_depth.observe(len(naplet.navigation_log))
         self.server.journal.record(
             "naplet-arrive",
             naplet=str(nid),
@@ -646,7 +646,7 @@ class Navigator:
                 messenger=NapletMessengerProxy(server.messenger, naplet),
                 services=server.resource_manager.proxy_for(naplet),
                 monitor_hook=block,
-                extras={"network": server.network, "tracer": server.telemetry.tracer},
+                extras={"tracer": server.telemetry.tracer},
             )
             naplet._bind_context(context)
 

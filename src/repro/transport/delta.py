@@ -15,7 +15,9 @@ integrity).  The buffer goes to hashlib as it is, read once, never copied.
 - per content hash, the one ``bytes`` object that backs that field in every
   record naming it, reference-counted: equal fields of any number of
   naplets cost one copy, and :meth:`DeltaCache.blob` resolves a field the
-  sender *referenced* by hash no matter which naplet brought it here.
+  sender *referenced* by hash no matter which naplet brought it here,
+  and whether a value of those bytes was proved immutable
+  (:meth:`DeltaCache.stable`).
 
 Lifetime: a record stays until the naplet retires at this server
 (:meth:`DeltaCache.drop`) or the LRU evicts it, a blob exactly as long as
@@ -32,6 +34,8 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Container
+
+from repro.core.tracking import is_delta_stable
 
 __all__ = [
     "DeltaCache",
@@ -74,7 +78,8 @@ class FieldEntry:
     the object cannot have been garbage collected and its ``id`` reused;
     once released (:attr:`live` False) no value compares identical to it.
     ``fingerprint`` is the value's ``__delta_fingerprint__`` at pickle
-    time (None when the protocol is absent); ``stamps`` are the shipping
+    time (None when the protocol is absent); ``stable`` whether the value
+    provably cannot mutate (None: not asked yet); ``stamps`` are the shipping
     stamps encountered while pickling this field, kept so eager code
     bundles survive even when the field's bytes are later reused.
     """
@@ -83,6 +88,7 @@ class FieldEntry:
     hash: str
     value: Any
     fingerprint: Any | None = None
+    stable: bool | None = None
     stamps: frozenset[tuple[str, str, str]] = frozenset()
 
     @property
@@ -141,7 +147,7 @@ class DeltaCache:
             raise ValueError("delta cache capacity must be >= 1")
         self._capacity = capacity
         self._records: OrderedDict[str, ImageRecord] = OrderedDict()
-        self._blobs: dict[str, list] = {}  # content hash -> [bytes, records' fields naming it]
+        self._blobs: dict[str, list] = {}  # hash -> [bytes, fields naming it, proved stable]
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -173,6 +179,18 @@ class DeltaCache:
             slot = self._blobs.get(digest)
             return slot[0] if slot is not None else None
 
+    def stable(self, entry: FieldEntry) -> bool:
+        """Whether *entry*'s live value provably cannot mutate, walked once
+        (:func:`~repro.core.tracking.is_delta_stable`).  The proof holds for
+        values decoded from the same bytes (:meth:`landed`) and no other: a
+        custom reducer can make any object pickle to a frozen value's bytes."""
+        if entry.stable is None:
+            entry.stable = is_delta_stable(entry.value)
+            with self._lock:
+                if entry.stable and entry.hash in self._blobs:
+                    self._blobs[entry.hash][2] = True
+        return entry.stable
+
     def _unindex(self, record: ImageRecord | None) -> None:
         if record is None:
             return
@@ -188,7 +206,7 @@ class DeltaCache:
             # Index the new record before letting the old one go, so a
             # field both name keeps its one bytes object throughout.
             for entry in record.fields.values():
-                slot = self._blobs.setdefault(entry.hash, [entry.data, 0])
+                slot = self._blobs.setdefault(entry.hash, [entry.data, 0, False])
                 slot[1] += 1
                 entry.data = slot[0]
             self._unindex(self._records.get(nid))
@@ -197,6 +215,15 @@ class DeltaCache:
             while len(self._records) > self._capacity:
                 self._unindex(self._records.popitem(last=False)[1])
                 self.evictions += 1
+
+    def landed(self, nid: str, record: ImageRecord) -> None:
+        """:meth:`put` for an image decoded here: fields of proved bytes are stable."""
+        self.put(nid, record)
+        with self._lock:
+            for entry in record.fields.values():
+                slot = self._blobs.get(entry.hash)  # gone if cleared meanwhile
+                if slot is not None and slot[2]:
+                    entry.stable = True
 
     def release(self, nid: str, img_hash: str) -> None:
         """Let go of the live values of *nid*'s record if it still is the

@@ -28,10 +28,6 @@ class LatencyModel(abc.ABC):
     def delay(self, src: str, dst: str, nbytes: int) -> float:
         """Seconds for *nbytes* from *src* to *dst* (hosts, not URNs)."""
 
-    def loopback_free(self) -> bool:
-        """Whether src == dst transfers are free (default yes)."""
-        return True
-
 
 @dataclass(frozen=True)
 class ZeroLatency(LatencyModel):

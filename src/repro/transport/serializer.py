@@ -13,47 +13,42 @@ the paper's model) only the tuple travels and the destination's
 **eager** mode the referenced module sources are attached to the envelope so
 no fetch is ever needed — the E8 benchmark compares the two.
 
-Two envelopes exist, and the *input* selects between them — there is no
-option and no negotiation; every reader reads both (DESIGN.md §6.7):
+Two envelopes exist, both flat tuples; the *input* selects between them —
+no option, no negotiation — and every reader reads both (DESIGN.md §6.7):
 
-- **single-pickle** (``v: 1``) — one opaque pickle plus eager code
-  bundles.  Always self-contained; produced by
-  :meth:`NapletSerializer.dumps` for messages and freeze/thaw images, and
-  by :meth:`dumps_with_cost` for anything that is not a tracked naplet
-  with an id, or whose field graph reaches back to the naplet itself (one
-  shared memo keeps that cycle intact).
-- **per-field** (``v: 2``) — the image of a tracked naplet: each
-  ``image_state()`` entry pickled separately and content-hashed.  Per field
-  (:func:`~repro.transport.delta.field_fate`) the bytes **ship**
-  (``fields``), or are **referenced** by hash (``refs``) and resolved from
-  whichever record at the destination holds them, or are **omitted** and
-  taken by name from the destination's own record of this naplet
-  (``omitted``, plus the names ``removed`` since); ``mode`` reads ``delta``
-  when any field stayed off the wire.  Field bytes are wrapped in
-  :class:`pickle.PickleBuffer` so protocol-5 transports move them as
-  out-of-band frame segments.  A bulk field is copied once per side — the
-  sender joins the pickler's writes, the receiver unpickles the segment it
-  read off the wire, which itself becomes the cached field — and hashed
-  once per side (:func:`~repro.transport.delta.content_hash`).  Eager code
-  bundles are replaced by ``code_refs`` content hashes when the destination
-  already holds the module.  Produced only by :meth:`dumps_with_cost`, the
-  migration path.
+- **single-pickle** ``(payload,)``, or ``(payload, bundles)`` with eager
+  code: self-contained; :meth:`NapletSerializer.dumps` writes it, and so
+  does :meth:`dumps_with_cost` for anything but a tracked naplet with an id
+  whose fields do not reach back to itself.
+- **per-field** ``(nid, digest, shipped, removed, refs, cls, bundles,
+  code_refs)``, the migration image (:meth:`dumps_with_cost`): absent
+  slots ``None``, trailing ones dropped, every hash 16 raw bytes.  Per
+  ``image_state()`` field (:func:`~repro.transport.delta.field_fate`) the
+  bytes **ship** (``shipped``: name, buffer, …; out-of-band
+  :class:`pickle.PickleBuffer` segments under protocol 5), are
+  **referenced** by hash (``refs``: name, hash, …) or are **omitted**,
+  taken by name from the destination's own record of this naplet:
+  ``removed`` (names dropped since) is present, and ``cls`` (a shipping
+  stamp or the pickled class) absent, exactly then.  Eager bundles the
+  destination holds travel as ``code_refs`` hashes.
 
-The per-field machinery is conservative by construction: a field is
-re-used from the cache (no re-pickle) only when it provably cannot have
-changed; it stays off the wire only when unchanged since this naplet's
-previous image here *and* the destination is known to hold its hash; the
-receiver re-hashes every blob that arrives, resolves the rest only from
-bytes it hashed itself, and verifies the composed image hash on every
-landing — a delta that does not compose raises
-:class:`~repro.core.errors.DeltaBaseMissingError` (one full re-ship).
+A field is re-used without a re-pickle or re-hash only when it provably
+cannot have changed: the same object, not rebound, and either immutable
+all the way down (:meth:`~repro.transport.delta.DeltaCache.stable`: walked
+once, or inherited by a value that landed from bytes already proved) or
+with an unchanged mutation fingerprint.  It stays off the wire only when unchanged
+since this naplet's previous image here *and* held by the destination.
+The receiver re-hashes what arrives and verifies the composed image hash:
+a delta that does not compose raises
+:class:`~repro.core.errors.DeltaBaseMissingError` (one full re-ship), a
+malformed envelope :class:`~repro.core.errors.SerializationError`.
 """
 
 from __future__ import annotations
 
-import io
 import pickle
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Any, Container, Iterable, Protocol
@@ -69,7 +64,7 @@ from repro.core.errors import (
     SerializationError,
     ShippedCodeMissingError,
 )
-from repro.core.tracking import TrackedState, delta_fingerprint, is_delta_stable
+from repro.core.tracking import TrackedState, delta_fingerprint
 from repro.transport.delta import (
     DeltaCache,
     FieldEntry,
@@ -81,8 +76,7 @@ from repro.transport.delta import (
 
 __all__ = ["NapletSerializer", "SerializeCost", "SerializerObserver"]
 
-_V1 = 1
-_V2 = 2
+_MALFORMED = (TypeError, ValueError, AttributeError)  # what a garbled envelope raises
 
 
 @dataclass(frozen=True)
@@ -155,6 +149,33 @@ def _buf_bytes(buffers: Iterable[Any]) -> int:
     return sum(b.nbytes if isinstance(b, memoryview) else len(b) for b in buffers)
 
 
+def _unframed(data: bytes) -> bytes:
+    """A one-frame pickle less its 9-byte FRAME header, which restates a length
+    its carrier knows (readers need no frames); a larger pickle stays whole."""
+    if data[2:3] == pickle.FRAME and int.from_bytes(data[3:11], "little") == len(data) - 11:
+        return data[:2] + data[11:]
+    return data
+
+
+def _flat(pairs: Iterable[tuple[Any, Any]]) -> tuple | None:
+    """``((a, 1), (b, 2))`` as ``(a, 1, b, 2)``; nothing as ``None``."""
+    return tuple(item for pair in pairs for item in pair) or None
+
+
+def _pairs(flat: tuple | None) -> Iterable[tuple[Any, Any]]:
+    return zip(flat[::2], flat[1::2], strict=True) if flat is not None else ()
+
+
+def _unpickled(data: Any, what: str) -> Any:
+    """``pickle.loads``; any failure is a :class:`SerializationError`."""
+    try:
+        return pickle.loads(data)
+    except SerializationError:
+        raise
+    except Exception as exc:
+        raise SerializationError(f"cannot deserialize {what}: {exc}") from exc
+
+
 class NapletSerializer:
     """Envelope-based serializer with optional eager code bundling.
 
@@ -177,7 +198,7 @@ class NapletSerializer:
         self._protocol = protocol
         self._observer = observer
         self._delta_cache = DeltaCache(delta_cache_capacity)
-        self._cls_refs: dict[type, tuple[str, bytes]] = {}  # pickled once per class
+        self._cls_refs: dict[type, bytes] = {}  # pickled once per class
 
     @property
     def eager_code(self) -> bool:
@@ -221,57 +242,53 @@ class NapletSerializer:
         are replaced by hash references.  Anything that cannot travel per
         field comes back as one single-pickle envelope and no buffers.
         """
-        nid = self._trackable_id(obj)
-        if nid is not None:
+        encoded = None
+        if isinstance(obj, TrackedState) and getattr(obj, "has_id", False):
             state = obj.image_state()
             if isinstance(state, dict):
-                encoded = self._encode_v2(obj, nid, state, held, known_code)
-                if encoded is not None:
-                    data, buffers, cost = encoded
-                    if self._observer is not None:
-                        self._observer.serialized(cost)
-                    return data, buffers, cost
-        data, cost = self._encode_v1(obj)
+                encoded = self._encode_v2(obj, str(obj.naplet_id), state, held, known_code)
+        if encoded is None:
+            data, cost = self._encode_v1(obj)
+            encoded = (data, [], cost)
         if self._observer is not None:
-            self._observer.serialized(cost)
-        return data, [], cost
-
-    @staticmethod
-    def _trackable_id(obj: Any) -> str | None:
-        """The naplet-id cache key, or None when *obj* can't travel per field."""
-        if not isinstance(obj, TrackedState):
-            return None
-        if not getattr(obj, "has_id", False):
-            return None
-        return str(obj.naplet_id)
+            self._observer.serialized(encoded[2])
+        return encoded
 
     def _encode_v1(self, obj: Any) -> tuple[bytes, SerializeCost]:
         started = time.perf_counter()
-        buffer = io.BytesIO()
-        pickler = _ShippingPickler(buffer, self._protocol)
+        chunks: list[bytes] = []
+        pickler = _ShippingPickler(SimpleNamespace(write=chunks.append), self._protocol)
         try:
             pickler.dump(obj)
         except (TypeError, AttributeError, pickle.PicklingError) as exc:
             raise SerializationError(f"cannot serialize {type(obj).__name__}: {exc}") from exc
-        bundles: dict[tuple[str, str], str] = {}
-        if self._eager and pickler.stamps_seen:
-            assert self._registry is not None
-            for codebase_name, module_key, _qualname in pickler.stamps_seen:
-                codebase = self._registry.get(codebase_name)
-                bundles[(codebase_name, module_key)] = codebase.source_of(module_key)
-        envelope = {
-            "v": _V1,
-            "payload": buffer.getvalue(),
-            "bundles": bundles,
-        }
-        data = pickle.dumps(envelope, self._protocol)
+        payload = _unframed(b"".join(chunks))
+        bundles = self._bundles(pickler.stamps_seen)[0]
+        data = _unframed(pickle.dumps((payload, bundles) if bundles else (payload,), self._protocol))
         cost = SerializeCost(
             seconds=time.perf_counter() - started,
             total_bytes=len(data),
-            payload_bytes=len(envelope["payload"]),
+            payload_bytes=len(payload),
             code_bytes=sum(len(source.encode("utf-8")) for source in bundles.values()),
         )
         return data, cost
+
+    def _bundles(
+        self, stamps: Iterable[tuple[str, str, str]], known_code: set[str] | None = None
+    ) -> tuple[dict[tuple[str, str], str], dict[tuple[str, str], bytes]]:
+        """Eager mode: ``(bundles, code_refs)`` for the modules *stamps*
+        name — one the destination holds travels as its raw hash."""
+        bundles: dict[tuple[str, str], str] = {}
+        code_refs: dict[tuple[str, str], bytes] = {}
+        for codebase_name, module_key, _qualname in stamps if self._eager else ():
+            assert self._registry is not None
+            codebase = self._registry.get(codebase_name)
+            module_hash = codebase.hash_of(module_key)
+            if known_code and module_hash in known_code:
+                code_refs[(codebase_name, module_key)] = bytes.fromhex(module_hash)
+            else:
+                bundles[(codebase_name, module_key)] = codebase.source_of(module_key)
+        return bundles, code_refs
 
     def _pickle_field(self, root: Any, name: str, value: Any) -> tuple[bytes, frozenset]:
         # A protocol-5 pickler hands a large bytes payload to ``write``
@@ -286,7 +303,7 @@ class NapletSerializer:
             raise SerializationError(
                 f"cannot serialize field {name!r} of {type(root).__name__}: {exc}"
             ) from exc
-        return b"".join(chunks), frozenset(pickler.stamps_seen)
+        return _unframed(b"".join(chunks)), frozenset(pickler.stamps_seen)
 
     def _encode_v2(
         self,
@@ -298,17 +315,18 @@ class NapletSerializer:
     ) -> tuple[bytes, list[Any], SerializeCost] | None:
         started = time.perf_counter()
         dirty = obj.dirty_fields()
-        prev = self._delta_cache.get(nid)
+        cache = self._delta_cache
+        prev = cache.get(nid)
         new_fields: dict[str, FieldEntry] = {}
         try:
             for name, value in state.items():
                 entry = prev.fields.get(name) if prev is not None else None
                 if (
                     entry is not None
-                    and name not in dirty
                     and entry.value is value
+                    and name not in dirty
                     and (
-                        is_delta_stable(value)
+                        cache.stable(entry)
                         or (
                             entry.fingerprint is not None
                             and entry.fingerprint == delta_fingerprint(value)
@@ -329,68 +347,47 @@ class NapletSerializer:
         except _SelfReferential:
             # The field graph reaches the naplet itself: one pickle keeps
             # the cycle, and no per-field record describes this naplet.
-            self._delta_cache.drop(nid)
+            cache.drop(nid)
             return None
 
         stamp = shipping_stamp_of(obj)
-        cls_ref = ("stamp", stamp) if stamp is not None else self._cls_refs.get(type(obj))
+        cls_ref = stamp if stamp is not None else self._cls_refs.get(type(obj))
         if cls_ref is None:
             try:
-                cls_ref = ("pickle", pickle.dumps(type(obj), self._protocol))
+                cls_ref = self._cls_refs[type(obj)] = _unframed(pickle.dumps(type(obj), self._protocol))
             except (TypeError, AttributeError, pickle.PicklingError) as exc:
                 raise SerializationError(
                     f"cannot serialize {type(obj).__name__}: {exc}"
                 ) from exc
-            self._cls_refs[type(obj)] = cls_ref
 
         img_hash = image_hash({n: e.hash for n, e in new_fields.items()})
         # Into the cache first: a field re-pickled to content some record
         # already holds ships (and stays) as that record's bytes object.
-        self._delta_cache.put(nid, ImageRecord(img_hash, cls_ref, new_fields))
+        cache.put(nid, ImageRecord(img_hash, cls_ref, new_fields))
         fates = {
             n: field_fate(prev, n, e.hash, len(e.data), nid, held)
             for n, e in new_fields.items()
         }
         shipped = {n: e for n, e in new_fields.items() if fates[n] == "ships"}
-        delta_mode = len(shipped) < len(new_fields)
-
+        omitted = "omitted" in fates.values()
         stamps: set[tuple[str, str, str]] = set() if stamp is None else {stamp}
         for entry in shipped.values():
             stamps.update(entry.stamps)
-        bundles: dict[tuple[str, str], str] = {}
-        code_refs: dict[tuple[str, str], str] = {}
-        if self._eager and stamps:
-            assert self._registry is not None
-            for codebase_name, module_key, _qualname in stamps:
-                key = (codebase_name, module_key)
-                if key in bundles or key in code_refs:
-                    continue
-                codebase = self._registry.get(codebase_name)
-                module_hash = codebase.hash_of(module_key)
-                if known_code and module_hash in known_code:
-                    code_refs[key] = module_hash
-                else:
-                    bundles[key] = codebase.source_of(module_key)
-
-        envelope: dict[str, Any] = {
-            "v": _V2,
-            "mode": "delta" if delta_mode else "full",
-            "nid": nid,
-            "cls": cls_ref,
-            "hash": img_hash,
-            "fields": {n: self._wrap(e.data) for n, e in shipped.items()},
-            "bundles": bundles,
-            "code_refs": code_refs,
-        }
-        if delta_mode:
-            envelope["refs"] = {
-                n: new_fields[n].hash for n, f in fates.items() if f == "referenced"
-            }
-            if "omitted" in fates.values():
-                # The destination patches these fields onto its own record
-                # of this naplet: everything there it is not told otherwise.
-                envelope["omitted"] = True
-                envelope["removed"] = [n for n in prev.fields if n not in new_fields]
+        bundles, code_refs = self._bundles(stamps, known_code)
+        envelope = (
+            nid,
+            bytes.fromhex(img_hash),
+            _flat((n, self._wrap(e.data)) for n, e in shipped.items()),
+            # The destination patches omitted fields onto its own record of
+            # this naplet: everything there it is not told otherwise.
+            tuple(n for n in prev.fields if n not in new_fields) if omitted else None,
+            _flat((n, bytes.fromhex(new_fields[n].hash)) for n, f in fates.items() if f == "referenced"),
+            None if omitted else cls_ref,
+            bundles or None,
+            code_refs or None,
+        )
+        while envelope[-1] is None:
+            envelope = envelope[:-1]
         data, buffers = self._pack(envelope)
         payload_bytes = sum(len(e.data) for e in shipped.values())
         image_bytes = sum(len(e.data) for e in new_fields.values())
@@ -399,7 +396,7 @@ class NapletSerializer:
             total_bytes=len(data) + _buf_bytes(buffers),
             payload_bytes=payload_bytes,
             code_bytes=sum(len(s.encode("utf-8")) for s in bundles.values()),
-            delta=delta_mode,
+            delta=len(shipped) < len(new_fields),
             saved_bytes=image_bytes - payload_bytes,
         )
         obj.clear_dirty()
@@ -413,12 +410,12 @@ class NapletSerializer:
             return pickle.PickleBuffer(data)
         return data
 
-    def _pack(self, envelope: dict[str, Any]) -> tuple[bytes, list[Any]]:
+    def _pack(self, envelope: tuple) -> tuple[bytes, list[Any]]:
         if self._protocol >= 5:
             raw: list[pickle.PickleBuffer] = []
             data = pickle.dumps(envelope, self._protocol, buffer_callback=raw.append)
-            return data, [pb.raw() for pb in raw]
-        return pickle.dumps(envelope, self._protocol), []
+            return _unframed(data), [pb.raw() for pb in raw]
+        return _unframed(pickle.dumps(envelope, self._protocol)), []
 
     # -- decode --------------------------------------------------------------- #
 
@@ -442,74 +439,53 @@ class NapletSerializer:
         left a record in the delta cache (``hash`` is None when it did not).
         """
         started = time.perf_counter()
-        result, info = self._loads(data, cache, buffers)
-        if self._observer is not None:
-            nbytes = len(data) + _buf_bytes(buffers or ())
-            self._observer.deserialized(time.perf_counter() - started, nbytes)
-        return result, info
-
-    def _loads(
-        self, data: bytes, cache: CodeCache | None, buffers: Any
-    ) -> tuple[Any, dict[str, Any]]:
         try:
             envelope = pickle.loads(data, buffers=buffers)
         except Exception as exc:
             raise SerializationError(f"corrupt envelope: {exc}") from exc
-        if not isinstance(envelope, dict):
+        if not isinstance(envelope, tuple) or not envelope:
             raise SerializationError("unrecognised envelope format")
-        version = envelope.get("v")
-        if version == _V1:
-            obj = self._loads_v1(envelope, cache)
-            return obj, {"v": _V1, "mode": "full", "nid": None, "hash": None}
-        if version == _V2:
-            return self._loads_v2(envelope, cache)
-        raise SerializationError("unrecognised envelope format")
+        if isinstance(envelope[0], str):
+            result = self._loads_v2(envelope, cache)
+        elif len(envelope) <= 2 and isinstance(envelope[0], bytes):
+            self._install_bundles(envelope[1] if len(envelope) == 2 else None, cache)
+            with resolver_installed(cache) if cache is not None else nullcontext():
+                obj = _unpickled(envelope[0], "payload")
+            result = obj, {"v": 1, "mode": "full", "nid": None, "hash": None}
+        else:
+            raise SerializationError("unrecognised envelope format")
+        if self._observer is not None:
+            nbytes = len(data) + _buf_bytes(buffers or ())
+            self._observer.deserialized(time.perf_counter() - started, nbytes)
+        return result
 
-    def _install_bundles(
-        self, envelope: dict[str, Any], cache: CodeCache | None
-    ) -> None:
-        bundles: dict[tuple[str, str], str] = envelope.get("bundles") or {}
-        if bundles:
-            if cache is None:
-                raise SerializationError(
-                    "envelope carries code bundles but no code cache was provided"
-                )
-            for (codebase_name, module_key), source in bundles.items():
-                cache.install_source(codebase_name, module_key, source)
-
-    def _loads_v1(self, envelope: dict[str, Any], cache: CodeCache | None) -> Any:
-        self._install_bundles(envelope, cache)
-        payload: bytes = envelope["payload"]
+    def _install_bundles(self, bundles: Any, cache: CodeCache | None) -> None:
+        if not bundles:
+            return
+        if cache is None:
+            raise SerializationError("envelope carries code bundles but no code cache was provided")
         try:
-            if cache is not None:
-                with resolver_installed(cache):
-                    return pickle.loads(payload)
-            return pickle.loads(payload)
-        except SerializationError:
-            raise
-        except Exception as exc:
-            raise SerializationError(f"cannot deserialize payload: {exc}") from exc
+            for (codebase_name, module_key), source in dict(bundles).items():
+                cache.install_source(codebase_name, module_key, source)
+        except _MALFORMED as exc:
+            raise SerializationError(f"malformed code bundles: {exc}") from exc
 
     def _loads_v2(
-        self, envelope: dict[str, Any], cache: CodeCache | None
+        self, envelope: tuple, cache: CodeCache | None
     ) -> tuple[Any, dict[str, Any]]:
-        mode = envelope.get("mode")
-        nid = envelope.get("nid")
-        img_hash = envelope.get("hash")
-        shipped = envelope.get("fields")
-        cls_ref = envelope.get("cls")
-        if (
-            mode not in ("full", "delta")
-            or not isinstance(nid, str)
-            or not isinstance(img_hash, str)
-            or not isinstance(shipped, dict)
-            or not isinstance(cls_ref, tuple)
-        ):
-            raise SerializationError("malformed v2 envelope")
-        self._install_bundles(envelope, cache)
-        for (codebase_name, module_key), module_hash in (
-            envelope.get("code_refs") or {}
-        ).items():
+        try:
+            nid, digest, shipped, removed, refs, cls_ref, bundles, code_refs = (
+                *envelope, *(None,) * (8 - len(envelope))
+            )
+            img_hash = digest.hex()
+            shipped = dict(_pairs(shipped))
+            refs = {name: ref.hex() for name, ref in _pairs(refs)}
+            code_refs = {key: ref.hex() for key, ref in (code_refs or {}).items()}
+            removed = None if removed is None else set(removed)
+        except _MALFORMED as exc:
+            raise SerializationError(f"malformed per-field envelope: {exc}") from exc
+        self._install_bundles(bundles, cache)
+        for (codebase_name, module_key), module_hash in code_refs.items():
             if cache is None or not cache.holds(codebase_name, module_key, module_hash):
                 raise ShippedCodeMissingError(
                     f"envelope references module {module_key!r} of codebase "
@@ -521,81 +497,66 @@ class NapletSerializer:
         # for the omitted fields, its hash index for the referenced ones.
         field_bytes: dict[str, Any] = {}
         field_hashes: dict[str, str] = {}
-        if mode == "delta" and envelope.get("omitted"):
+        if removed is not None:
             record = self._delta_cache.get(nid)
             if record is None:
                 raise _miss(nid, "omits fields but no record of it is cached here")
-            removed = set(envelope.get("removed") or ())
+            cls_ref = record.cls_ref
             for name, entry in record.fields.items():
                 if name not in removed:
                     field_bytes[name] = entry.data
                     field_hashes[name] = entry.hash
-        for name, digest in (envelope.get("refs") or {}).items():
-            blob = field_bytes[name] = self._delta_cache.blob(digest)
-            field_hashes[name] = digest
+        for name, ref in refs.items():
+            blob = field_bytes[name] = self._delta_cache.blob(ref)
+            field_hashes[name] = ref
             if blob is None:
-                raise _miss(nid, f"references {name!r} by hash {digest[:12]} which no record here holds")
-        for name, blob in shipped.items():
-            field_bytes[name] = blob
-            field_hashes[name] = content_hash(blob)
-        if image_hash(field_hashes) != img_hash:
-            if mode == "delta":  # what is held here is not what the sender believed
+                raise _miss(nid, f"references {name!r} by hash {ref[:12]} which no record here holds")
+        try:
+            for name, blob in shipped.items():
+                field_bytes[name] = blob
+                field_hashes[name] = content_hash(blob)
+            composed = image_hash(field_hashes)
+        except _MALFORMED as exc:
+            raise SerializationError(f"malformed per-field envelope: {exc}") from exc
+        delta = removed is not None or bool(refs)
+        if composed != img_hash:
+            if delta:  # what is held here is not what the sender believed
                 raise _miss(nid, "does not compose to the announced content hash")
             raise SerializationError(f"image for naplet {nid} does not match the announced content hash")
 
-        kind, ref = cls_ref
-        if kind == "stamp":
+        if isinstance(cls_ref, tuple):
             if cache is None:
                 raise SerializationError(
-                    "v2 envelope ships a stamped class but no code cache was provided"
+                    "envelope ships a stamped class but no code cache was provided"
                 )
-            cls = cache.resolve(*ref)
-        elif kind == "pickle":
-            try:
-                cls = pickle.loads(ref)
-            except Exception as exc:
-                raise SerializationError(f"cannot resolve naplet class: {exc}") from exc
+            cls = cache.resolve(*cls_ref)
         else:
-            raise SerializationError(f"unknown class reference kind {kind!r}")
-
-        state: dict[str, Any] = {}
-        new_fields: dict[str, FieldEntry] = {}
-
-        def _unpickle_all() -> None:
-            for name, blob in field_bytes.items():
-                try:
-                    value = pickle.loads(blob)
-                except SerializationError:
-                    raise
-                except Exception as exc:
-                    raise SerializationError(
-                        f"cannot deserialize field {name!r}: {exc}"
-                    ) from exc
-                state[name] = value
-                new_fields[name] = FieldEntry(
-                    data=blob if isinstance(blob, bytes) else bytes(blob),
-                    hash=field_hashes[name],
-                    value=value,
-                    fingerprint=delta_fingerprint(value),
-                )
-
-        if cache is not None:
-            with resolver_installed(cache):
-                _unpickle_all()
-        else:
-            _unpickle_all()
-
-        obj = cls.__new__(cls)
-        setstate = getattr(obj, "__setstate__", None)
-        if callable(setstate):
-            setstate(state)
-        else:
-            obj.__dict__.update(state)
+            cls = _unpickled(cls_ref, "naplet class")
+        with resolver_installed(cache) if cache is not None else nullcontext():
+            state = {name: _unpickled(blob, f"field {name!r}") for name, blob in field_bytes.items()}
+        try:
+            obj = cls.__new__(cls)
+            setstate = getattr(obj, "__setstate__", None)
+            if callable(setstate):
+                setstate(dict(state))
+            else:
+                obj.__dict__.update(state)
+        except Exception as exc:
+            raise SerializationError(f"cannot restore naplet {nid}: {exc}") from exc
         # Seed the cache with the composed image: the field values in the
         # entries ARE the objects now installed on the naplet, so the next
         # hop from this server gets the identity-based pickle skip.
-        self._delta_cache.put(nid, ImageRecord(img_hash, cls_ref, new_fields))
-        return obj, {"v": _V2, "mode": mode, "nid": nid, "hash": img_hash}
+        record = ImageRecord(img_hash, cls_ref, {
+            name: FieldEntry(
+                data=blob if isinstance(blob, bytes) else bytes(blob),
+                hash=field_hashes[name],
+                value=state[name],
+                fingerprint=delta_fingerprint(state[name]),
+            )
+            for name, blob in field_bytes.items()
+        })
+        self._delta_cache.landed(nid, record)
+        return obj, {"v": 2, "mode": "delta" if delta else "full", "nid": nid, "hash": img_hash}
 
     # -- sizing ----------------------------------------------------------------- #
 

@@ -93,10 +93,6 @@ class StoppableThread(threading.Thread):
         if join_timeout is not None and self.is_alive():
             self.join(join_timeout)
 
-    @property
-    def stopping(self) -> bool:
-        return self._stop_event.is_set()
-
 
 def wait_until(
     predicate: Callable[[], bool],

@@ -78,3 +78,22 @@ class TestPickling:
         assert copy.current_server() == "b"
         copy.record_departure("b", when=4.0)  # usable after restore
         assert copy.total_dwell() == pytest.approx(3.0)
+
+    def test_closed_visits_fold_into_segments_that_round_trip(self):
+        from repro.core.navigation_log import SEGMENT
+
+        log = NavigationLog()
+        for i in range(2 * SEGMENT + 1):
+            log.record_arrival(f"s{i}", when=float(i))
+            log.record_departure(f"s{i}", when=i + 0.5)
+        log.record_arrival("open", when=99.0)
+        *segments, tail = log.__getstate__()
+        assert len(segments) == 2 and all(len(seg) == 3 * SEGMENT for seg in segments)
+        assert segments[1][:3] == ("s4", 4.0, 4.5)  # one flat run of records
+        assert tail == ("s8", 8.0, 8.5, "open", 99.0, None)
+        assert all(a is b for a, b in zip(segments, log.__getstate__()))  # built once, kept
+        copy = pickle.loads(pickle.dumps(log))
+        assert len(copy) == len(log) == 2 * SEGMENT + 2
+        assert [r.args for r in copy] == [r.args for r in log]
+        assert copy.current_server() == "open"
+        assert copy.total_dwell() == pytest.approx(0.5 * (2 * SEGMENT + 1))

@@ -95,6 +95,39 @@ class TestStability:
         nested = ((((1,),),),)
         assert not is_delta_stable(nested, _depth=2)
 
+    def test_frozen_dataclasses_of_stable_members_are_stable(self):
+        from repro.core.listener import ListenerRef
+        from repro.itinerary import JoinPolicy, ResultReport, SeqPattern, par
+        from repro.telemetry.trace import TraceContext
+
+        assert is_delta_stable(ListenerRef("naplet://home", "key"))
+        assert is_delta_stable(TraceContext.mint())
+        assert is_delta_stable(JoinPolicy.JOIN)
+        plan = SeqPattern.of_servers(["a", "b"], post_action=ResultReport("r"))
+        assert is_delta_stable(plan) and is_delta_stable(par("a", "b", join=JoinPolicy.JOIN))
+
+    def test_a_mutable_member_or_custom_pickling_is_not_proof(self):
+        from dataclasses import dataclass
+
+        from repro.core.naplet_id import NapletID
+        from repro.itinerary import SetStateFlag, singleton
+
+        @dataclass(frozen=True)
+        class Reduced:
+            value: int
+
+            def __reduce__(self):
+                return (Reduced, (self.value,))
+
+        assert not is_delta_stable(singleton("a", post_action=SetStateFlag("k", [1])))
+        assert not is_delta_stable(Reduced(1))
+        # The id pickles its clone counter, which moves: a fingerprint, not stability.
+        nid = NapletID.create("alice", "home", stamp="240101120000")
+        assert not is_delta_stable(nid)
+        before = delta_fingerprint(nid)
+        nid.next_clone()
+        assert delta_fingerprint(nid) != before
+
 
 class TestFingerprint:
     def test_absent_protocol_is_none(self):
@@ -108,6 +141,22 @@ class TestFingerprint:
         assert before is not None
         state.set("k", 2)
         assert delta_fingerprint(state) != before
+
+    def test_address_book_fingerprint_moves_on_every_change(self):
+        from repro.core.address_book import AddressBook
+        from repro.core.naplet_id import NapletID
+
+        book, friend = AddressBook(), NapletID.create("bob", "home", stamp="240101120000")
+        seen = [delta_fingerprint(book)]
+        book.add_contact(friend, "naplet://a")
+        seen.append(delta_fingerprint(book))
+        book.update_location(friend, "naplet://b")
+        seen.append(delta_fingerprint(book))
+        book.lookup(friend).naplet_id.next_clone()  # the id in the book pickles its counter
+        seen.append(delta_fingerprint(book))
+        book.remove(friend)
+        seen.append(delta_fingerprint(book))
+        assert len(set(seen)) == len(seen)
 
     def test_raising_probe_degrades_to_none(self):
         class Hostile:

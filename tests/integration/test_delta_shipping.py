@@ -27,6 +27,7 @@ from repro.simnet import VirtualNetwork, full_mesh, line
 from repro.transport.tcp import TcpTransport
 from repro.util.concurrency import wait_until
 from tests.conftest import CollectorNaplet
+from tests.transport.envelopes import read_envelope
 
 ROUTE = ["d01", "d00"] * 3  # six hops, ping-pong
 
@@ -256,7 +257,7 @@ def _transfer_envelopes(server) -> list[dict]:
     landing = server.navigator.handle_transfer
 
     def spy(frame):
-        envelope = pickle.loads(frame.buffers[0], buffers=frame.buffers[1:])
+        envelope = read_envelope(frame.buffers[0], frame.buffers[1:])
         envelopes.append(envelope)
         reply = landing(frame)
         envelope["ack"] = pickle.loads(reply)

@@ -15,6 +15,7 @@ from repro.server.security import Rule, SecurityPolicy
 from repro.simnet import line
 from repro.util.concurrency import wait_until
 from tests.conftest import CollectorNaplet, StallNaplet
+from tests.transport.envelopes import read_envelope, write_envelope
 
 
 class DenialSurvivor(repro.Naplet):
@@ -224,11 +225,11 @@ class TestTransferFrameChecks:
         """Only a delta may ask for the full image: a full one that does not
         hash to what it announces has nothing left to re-ship."""
         servers, nid, frame = self._landed_frame(space)
-        envelope = pickle.loads(frame.buffers[0], buffers=frame.buffers[1:])
+        envelope = read_envelope(frame.buffers[0], frame.buffers[1:])
         assert envelope["mode"] == "full" and "base" not in envelope
         envelope["fields"] = {n: bytes(b) for n, b in envelope["fields"].items()}
         envelope["hash"] = "0" * 32
-        ack = self._offer(servers, frame, buffers=(pickle.dumps(envelope),))
+        ack = self._offer(servers, frame, buffers=(write_envelope(envelope),))
         assert ack["ok"] is False and "content hash" in ack["reason"]
         assert "need_full" not in ack and "denied" not in ack
         assert servers["s01"].journal.count("naplet-arrive") == 1

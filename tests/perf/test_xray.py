@@ -11,6 +11,7 @@ from repro.perf import explain_delta, explain_pickle
 from repro.transport.serializer import NapletSerializer
 from tests.conftest import CollectorNaplet
 from tests.core.test_naplet import _identified
+from tests.transport.envelopes import read_envelope
 from tests.transport.shipped_fixture import StampedPayload
 
 pytestmark = pytest.mark.perf
@@ -123,8 +124,6 @@ class TestDeltaView:
 
     def test_preview_is_the_envelope_the_serializer_then_builds(self):
         """Shipped / omitted / referenced per field, for any peer table."""
-        import pickle
-
         from repro.perf.xray import _friendly
 
         serializer = NapletSerializer()
@@ -138,7 +137,7 @@ class TestDeltaView:
         for held in (set(), hashes, hashes | {nid}, {nid}):
             view = explain_delta(agent, serializer, held=held)
             data, buffers, cost = serializer.dumps_with_cost(agent, held=held)
-            envelope = pickle.loads(data, buffers=buffers or None)
+            envelope = read_envelope(data, buffers)
             refs = envelope.get("refs", {})
             assert set(view.shipped) == {_friendly(n) for n in envelope["fields"]}
             assert view.referenced == {_friendly(n) for n in refs}

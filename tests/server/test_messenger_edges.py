@@ -13,6 +13,18 @@ from repro.util.concurrency import wait_until
 from tests.conftest import StallNaplet
 
 
+class PosterNaplet(repro.Naplet):
+    """Posts one message to a naplet parked-for at the next server, then
+    retires here, noting what its control block was billed."""
+
+    def on_start(self) -> None:
+        from repro.core.naplet_id import NapletID
+
+        ghost = NapletID.create("ghost", "s00", stamp="240101120000")
+        receipt = self.require_context().messenger.post_message("naplet://s02", ghost, "hi")
+        self.state.set("receipt", receipt)
+
+
 @pytest.fixture
 def trio():
     network = VirtualNetwork(line(3, prefix="s"))
@@ -91,3 +103,17 @@ class TestEdges:
         servers["s01"].messenger.remove_mailbox(
             NapletID.create("nobody", "s00", stamp="240101120000")
         )
+
+    def test_a_naplet_sent_message_is_serialized_once(self, trio):
+        """The sender's control block is billed the bytes the send built:
+        one ``dumps`` per message, no second pickle just to size it."""
+        _network, servers = trio
+        dumps = servers["s01"].telemetry.serialize_seconds
+        agent = PosterNaplet("poster")
+        agent.set_itinerary(Itinerary(seq("s01")))
+        nid = servers["s00"].launch(agent, owner="ops")
+        assert wait_until(lambda: servers["s01"].journal.count("naplet-retired") == 1)
+        assert dumps.value(op="dumps").count == 1
+        (record,) = servers["s01"].journal.find("naplet-retired", naplet=str(nid))
+        assert record.detail["outcome"] == "completed"
+        assert servers["s02"].messenger.special_mailbox_size() == 1

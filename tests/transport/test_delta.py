@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.codeshipping.codebase import CodeBaseRegistry, CodeCache
@@ -11,6 +13,7 @@ from repro.core.errors import (
     SerializationError,
     ShippedCodeMissingError,
 )
+from repro.core.credential import SigningAuthority
 from repro.core.naplet_id import NapletID
 from repro.transport.delta import (
     DeltaCache,
@@ -22,6 +25,7 @@ from repro.transport.delta import (
 )
 from repro.transport.serializer import NapletSerializer
 from tests.core.test_naplet import ProbeNaplet, _identified
+from tests.transport.envelopes import read_envelope, write_envelope
 from tests.transport.shipped_fixture import StampedPayload
 
 
@@ -67,12 +71,6 @@ def _held(serializer: NapletSerializer, agent) -> set[str]:
     """What a peer that acked *serializer*'s current image of *agent* holds."""
     nid = str(agent.naplet_id)
     return {nid, *serializer.delta_cache.peek(nid).field_hashes().values()}
-
-
-def _envelope(data: bytes, buffers) -> dict:
-    import pickle as _pickle
-
-    return _pickle.loads(data, buffers=buffers or None)
 
 
 class TestDeltaCache:
@@ -243,7 +241,7 @@ class TestV2Envelope:
         assert cost.delta
         assert cost.saved_bytes > 50_000
         assert cost.payload_bytes < full_cost.payload_bytes / 10
-        envelope = _envelope(data2, buffers2)
+        envelope = read_envelope(data2, buffers2)
         assert envelope["omitted"] is True and envelope["refs"] == {}
         assert "cargo" not in envelope["fields"] and "_state" in envelope["fields"]
         assert not {"base"} & set(envelope)
@@ -272,7 +270,7 @@ class TestV2Envelope:
 
         sender.dumps_with_cost(second)  # its previous image here
         data2, buffers2, cost = sender.dumps_with_cost(second, held=held)
-        envelope = _envelope(data2, buffers2)
+        envelope = read_envelope(data2, buffers2)
         cargo_hash = sender.delta_cache.peek(str(second.naplet_id)).fields["cargo"].hash
         assert cost.delta and cost.saved_bytes >= 50_000
         assert envelope["refs"]["cargo"] == cargo_hash
@@ -299,7 +297,7 @@ class TestV2Envelope:
 
         del agent.extra
         data2, buffers2, cost = sender.dumps_with_cost(agent, held=_held(sender, agent))
-        assert cost.delta and _envelope(data2, buffers2)["removed"] == ["extra"]
+        assert cost.delta and read_envelope(data2, buffers2)["removed"] == ["extra"]
         copy, _ = receiver.loads_with_info(data2, buffers=buffers2 or None)
         assert not hasattr(copy, "extra")
 
@@ -332,7 +330,7 @@ class TestV2Envelope:
 
     def test_evicted_blob_raises_delta_base_missing(self):
         _, receiver, _, data2, buffers2 = self._evicted(held_nid=False)
-        assert _envelope(data2, buffers2)["refs"]
+        assert read_envelope(data2, buffers2)["refs"]
         with pytest.raises(DeltaBaseMissingError, match="references .* which no record here holds"):
             receiver.loads_with_info(data2, buffers=buffers2 or None)
 
@@ -358,11 +356,11 @@ class TestV2Envelope:
         sender, receiver = self._pair()
         agent = _identified("tamper")
         data, buffers, _ = sender.dumps_with_cost(agent)
-        envelope = _envelope(data, buffers)
+        envelope = read_envelope(data, buffers)
         envelope["fields"] = {n: bytes(b) for n, b in envelope["fields"].items()}
         envelope["fields"]["_state"] = _pickle.dumps("tampered")
         with pytest.raises(SerializationError, match="content hash") as caught:
-            receiver.loads(_pickle.dumps(envelope))
+            receiver.loads(write_envelope(envelope))
         assert not isinstance(caught.value, DeltaBaseMissingError)
 
     @pytest.mark.parametrize("mode", ["full", "delta"])
@@ -444,6 +442,107 @@ class TestOnlyPicklingErrorsAreSerializationErrors:
         monkeypatch.setitem(copyreg.dispatch_table, _OddMeta, reducer(TypeError("no")))
         with pytest.raises(SerializationError, match="cannot serialize _OddNaplet"):
             NapletSerializer().dumps_with_cost(agent)
+
+
+@dataclass(frozen=True)
+class _Frozen:
+    value: int
+
+
+class _Impostor:
+    """Mutable, yet pickles to exactly the bytes of a :class:`_Frozen`."""
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    @property
+    def __class__(self):  # what pickle's NEWOBJ check reads
+        return _Frozen
+
+    def __reduce_ex__(self, protocol):
+        return _Frozen(self.value).__reduce_ex__(protocol)
+
+
+class TestStableFields:
+    """A hop re-pickles a field exactly when it may have changed."""
+
+    @staticmethod
+    def _hop(sender, receiver, agent):
+        """Dump *agent* toward *receiver* (which acked the last image) and
+        land it: ``(names pickled, names shipped, the landed copy)``."""
+        names: list[str] = []
+        real = sender._pickle_field
+        sender._pickle_field = lambda root, name, value: names.append(name) or real(root, name, value)
+        held = _held(sender, agent) if sender.delta_cache.peek(str(agent.naplet_id)) else set()
+        data, buffers, _ = sender.dumps_with_cost(agent, held=held)
+        del sender._pickle_field
+        copy, _ = receiver.loads_with_info(data, buffers=buffers or None)
+        return set(names), set(read_envelope(data, buffers)["fields"]), copy
+
+    def _landed(self):
+        """A naplet with a plan, listener and trace, landed at B from A."""
+        from repro.core.listener import ListenerRef
+        from repro.itinerary import Itinerary, ResultReport, SeqPattern
+
+        a, b = NapletSerializer(), NapletSerializer()
+        agent = _identified("stable")
+        agent.set_itinerary(Itinerary(SeqPattern.of_servers(["s1", "s2"], post_action=ResultReport())))
+        agent.set_listener(ListenerRef("naplet://home", "key"))
+        agent._ensure_trace()
+        _, _, copy = self._hop(a, b, agent)
+        return b, a, copy
+
+    def test_fields_that_cannot_change_are_not_repickled(self):
+        here, there, agent = self._landed()
+        pickled, _, copy = self._hop(here, there, agent)
+        assert not pickled & {"_plan", "_listener", "_trace_ctx", "_nid", "_address_book"}
+        assert copy.itinerary.pattern == agent.itinerary.pattern
+
+    def test_add_contact_between_hops_reships_the_book(self):
+        here, there, agent = self._landed()
+        friend = NapletID.create("bob", "home", stamp="240101120001")
+        agent.address_book.add_contact(friend, "naplet://s2")
+        pickled, shipped, copy = self._hop(here, there, agent)
+        assert "_address_book" in pickled and "_address_book" in shipped
+        assert copy.address_book.lookup(friend).server_urn == "naplet://s2"
+
+    def test_only_a_landed_value_proves_its_bytes_stable(self):
+        here, there = NapletSerializer(), NapletSerializer()
+        first = _identified("first")
+        first.payload = _Frozen(1)
+        _, _, landed = self._hop(there, here, first)
+        self._hop(here, there, landed)  # its bytes proved stable here
+        assert here.delta_cache.peek(str(first.naplet_id)).fields["payload"].stable
+        second = ProbeNaplet("second")
+        nid = NapletID.create("alice", "home", stamp="240101120001")
+        authority = SigningAuthority()
+        authority.register_owner("alice")
+        second._assign_identity(nid, authority.issue(nid, second.codebase, {}))
+        second.payload = impostor = _Impostor(1)
+        elsewhere = NapletSerializer()
+        self._hop(here, elsewhere, second)
+        sent = here.delta_cache.peek(str(nid)).fields["payload"]
+        assert sent.hash == here.delta_cache.peek(str(first.naplet_id)).fields["payload"].hash
+        impostor.value = 2  # in place: only a re-pickle can see it
+        pickled, _, copy = self._hop(here, elsewhere, second)
+        assert "payload" in pickled and copy.payload == _Frozen(2)
+
+    def test_a_landed_value_inherits_the_proof_of_its_bytes(self):
+        here, there, agent = self._landed()
+        nid = str(agent.naplet_id)
+        assert here.delta_cache.peek(nid).fields["_plan"].stable is None  # not walked on landing
+        _, _, back = self._hop(here, there, agent)
+        assert here.delta_cache.peek(nid).fields["_plan"].stable  # walked once, when asked
+        self._hop(there, here, back)
+        assert here.delta_cache.peek(nid).fields["_plan"].stable  # landed proved: no walk
+
+    def test_clone_spawn_between_hops_reships_the_id(self):
+        here, there, agent = self._landed()
+        child = agent.clone()
+        pickled, shipped, copy = self._hop(here, there, agent)
+        assert {"_nid"} <= pickled & shipped
+        # The clone counter travelled: the next clone gets a fresh id.
+        assert copy.clone().naplet_id != child.naplet_id
 
 
 class TestRelease:
@@ -532,17 +631,15 @@ class TestCodeNegotiation:
         agent = _identified("codeful")
         agent.payload = StampedPayload(11)
 
-        import pickle as _pickle
-
         data, buffers, cost = sender.dumps_with_cost(agent)
-        envelope = _pickle.loads(data, buffers=buffers or None)
+        envelope = read_envelope(data, buffers)
         assert envelope["bundles"] and not envelope["code_refs"]
         assert cost.code_bytes > 0
 
         known = {self._module_hash(registry)}
         sender2 = NapletSerializer(registry, eager_code=True)
         data2, buffers2, cost2 = sender2.dumps_with_cost(agent, known_code=known)
-        envelope2 = _pickle.loads(data2, buffers=buffers2 or None)
+        envelope2 = read_envelope(data2, buffers2)
         assert envelope2["code_refs"] and not envelope2["bundles"]
         assert cost2.code_bytes == 0
 
