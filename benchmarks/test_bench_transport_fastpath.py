@@ -6,7 +6,8 @@ Three legs over real localhost sockets.
 at the destination, so the per-hop wire cost is fully visible in the
 transport's frame counters: a hop is ONE request/reply exchange — the
 ``NAPLET_TRANSFER`` carrying the credential, with the landing check, the
-transfer ack and the combined depart+arrival registration folded in — and
+transfer ack and the arrival registration (a local call at the directory's
+host) folded in — and
 all hops share the pooled keepalive connections.  Assertions ride on the
 frame/connection counters — not timing — so the benchmark is stable;
 latencies and throughput are recorded in ``BENCH_transport.json`` for the
@@ -24,7 +25,7 @@ omits it (``ring_bytes_per_hop``, structural as well).
 **Tour leg** (``tour``).  The journey benchmark's ``tour_small`` shape: a
 counter-only naplet tours a ring of three servers for 11 hops and hops
 home, after one warm-up tour with the same plan.  ``bytes_per_hop`` counts
-the transfer and directory-event frames of a hop — a structural metric:
+the transfer and one-way directory-event frames of a hop — a structural metric:
 each thing a small hop carries crosses once (the plan by reference after
 the launch, the credential only as the transfer payload) and compactly.
 

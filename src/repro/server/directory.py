@@ -2,25 +2,36 @@
 
 The naplet space operates in one of three tracing modes:
 
-- ``CENTRAL`` — one server hosts a :class:`NapletDirectory`; Navigators
-  register ARRIVAL and DEPART events there.  Naplet execution is postponed
-  until the arrival registration is acknowledged, which guarantees the
-  directory is never behind: "latest = departure" means in transit,
-  "latest = arrival" means running at (or just leaving) that server.
+- ``CENTRAL`` — one server hosts a :class:`NapletDirectory`; every landing
+  registers the naplet there.
 - ``HOME``   — the directory is distributed over NapletManagers: each
   naplet's location is maintained by its *home* manager (the home is encoded
   in the naplet id), and tracing requests are directed there.
 - ``NONE``   — no registrations at all; location queries fail and the
   Messenger falls back to trace-based message forwarding.
 
-:class:`DirectoryClient` gives Navigators/Locators a mode-independent API;
-event and query frames travel over the ordinary transport.
+A registration is one-way and ordered by the naplet's landing count (the
+length of its navigation log once the arrival is recorded): the directory
+keeps the highest count it has seen, so one-way frames handled out of
+order never move it backwards, and it only ever names a server the naplet
+reached.  This deviates from §4.1, which postpones execution until the
+arrival registration is acknowledged.  Here the naplet starts at once, and
+the directory may lag one landing behind — for the width of a frame's
+flight, or for good if that frame is lost.  That is safe because a lagging
+answer is an older server on the naplet's trace, and the post office
+(§4.2) forwards a message from there along the footprints to wherever the
+naplet went.  A hop from the authority's own server sends nothing: the
+source books the landing on its ack (see :meth:`report_migration`).
+
+:class:`DirectoryClient` gives Navigators/Locators a mode-independent API.
+Its frames carry no pickle: a registration is ``"<id> <count>"`` (the
+frame's source is the server it names), a query is the id's text, and a
+query's reply is ``"<event> <urn> <count>"`` or empty.
 """
 
 from __future__ import annotations
 
 import enum
-import pickle
 import threading
 from dataclasses import dataclass
 
@@ -46,13 +57,6 @@ class DirectoryMode(enum.Enum):
 class DirectoryEvent:
     ARRIVAL = "arrival"
     DEPART = "depart"
-    # Combined depart-at-source + arrive-at-destination registration: a
-    # migration reports both in ONE frame from the destination.
-    MIGRATION = "migration"
-
-
-# Hot control replies, serialized once (the ack for every registration).
-_ACK = pickle.dumps(True)
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,7 @@ class DirectoryRecord:
     naplet_id: NapletID
     event: str
     server_urn: str
-    sequence: int
+    count: int = 0  # the naplet's landing count when it was registered
 
     @property
     def in_transit(self) -> bool:
@@ -76,22 +80,27 @@ class NapletDirectory:
     def __init__(self) -> None:
         self._records: dict[NapletID, DirectoryRecord] = {}
         self._lock = threading.RLock()
-        self._sequence = 0
 
-    def _register(self, nid: NapletID, event: str, urn: str) -> DirectoryRecord:
+    def register(self, nid: NapletID, event: str, urn: str, count: int = 0) -> DirectoryRecord:
+        """Record *event* at *urn*, unless a later landing is already held.
+
+        A registration whose *count* is lower than the held one arrived
+        out of order and is ignored; an equal count replaces the record, so
+        a repeat is idempotent.  Returns the record held afterwards.
+        """
         with self._lock:
-            self._sequence += 1
-            record = DirectoryRecord(
-                naplet_id=nid, event=event, server_urn=urn, sequence=self._sequence
-            )
+            held = self._records.get(nid)
+            if held is not None and count < held.count:
+                return held
+            record = DirectoryRecord(nid, event, urn, count)
             self._records[nid] = record
             return record
 
-    def register_arrival(self, nid: NapletID, urn: str) -> DirectoryRecord:
-        return self._register(nid, DirectoryEvent.ARRIVAL, urn)
+    def register_arrival(self, nid: NapletID, urn: str, count: int = 0) -> DirectoryRecord:
+        return self.register(nid, DirectoryEvent.ARRIVAL, urn, count)
 
-    def register_departure(self, nid: NapletID, urn: str) -> DirectoryRecord:
-        return self._register(nid, DirectoryEvent.DEPART, urn)
+    def register_departure(self, nid: NapletID, urn: str, count: int = 0) -> DirectoryRecord:
+        return self.register(nid, DirectoryEvent.DEPART, urn, count)
 
     def lookup(self, nid: NapletID) -> DirectoryRecord | None:
         with self._lock:
@@ -139,73 +148,54 @@ class DirectoryClient:
             return urn_of(nid.home)
         return None
 
-    def _is_local_authority(self, nid: NapletID) -> bool:
+    def hosts(self, nid: NapletID) -> bool:
+        """True when this server holds *nid*'s authoritative record."""
         return self._authority_urn(nid) == self.self_urn and self.local is not None
 
-    # -- event registration (synchronous: ack required) ----------------------- #
+    # -- event registration (one-way, ordered by landing count) ---------------- #
 
-    def _report(self, nid: NapletID, event: str, at_urn: str) -> None:
+    def _report(self, nid: NapletID, event: str, at_urn: str, count: int) -> None:
         if self.mode is DirectoryMode.NONE:
             return
-        if self._is_local_authority(nid):
+        if self.hosts(nid):
             assert self.local is not None
-            if event == DirectoryEvent.ARRIVAL:
-                self.local.register_arrival(nid, at_urn)
-            else:
-                self.local.register_departure(nid, at_urn)
+            self.local.register(nid, event, at_urn, count)
             return
-        authority = self._authority_urn(nid)
-        assert authority is not None
-        payload = pickle.dumps({"nid": nid, "event": event, "urn": at_urn})
-        frame = Frame(
-            kind=FrameKind.DIRECTORY_EVENT,
-            source=self.self_urn,
-            dest=authority,
-            payload=payload,
-        )
-        reply = self.transport.request(frame)
-        if pickle.loads(reply) is not True:
-            raise NapletCommunicationError(
-                f"directory at {authority} did not acknowledge {event} of {nid}"
+        if at_urn != self.self_urn:
+            raise ValueError(f"{self.self_urn} cannot register {nid} at {at_urn}")
+        payload = f"{nid} {count}" if event == DirectoryEvent.ARRIVAL else f"{nid} {count} {event}"
+        self.transport.send(
+            Frame(
+                kind=FrameKind.DIRECTORY_EVENT,
+                source=self.self_urn,
+                dest=self._authority_urn(nid),
+                payload=payload.encode(),
             )
+        )
 
-    def report_arrival(self, nid: NapletID, at_urn: str) -> None:
-        """Register an arrival; returns only after the ack (paper §4.1)."""
-        self._report(nid, DirectoryEvent.ARRIVAL, at_urn)
+    def report_arrival(self, nid: NapletID, at_urn: str, count: int = 0) -> None:
+        """Register *nid*'s landing number *count* at *at_urn*.
 
-    def report_departure(self, nid: NapletID, at_urn: str) -> None:
-        self._report(nid, DirectoryEvent.DEPART, at_urn)
-
-    def report_migration(self, nid: NapletID, from_urn: str, to_urn: str) -> None:
-        """Register depart(*from_urn*) + arrival(*to_urn*) in one exchange.
-
-        Used by every migration: the destination registers both
-        legs of the hop on the source's behalf, so the hop costs at most
-        one directory round trip (zero when this server is the authority).
+        Returns once the frame is sent, not once it is handled; raises
+        :class:`NapletCommunicationError` when the authority is unreachable.
         """
-        if self.mode is DirectoryMode.NONE:
-            return
-        if self._is_local_authority(nid):
-            assert self.local is not None
-            self.local.register_departure(nid, from_urn)
-            self.local.register_arrival(nid, to_urn)
-            return
-        authority = self._authority_urn(nid)
-        assert authority is not None
-        payload = pickle.dumps(
-            {"nid": nid, "event": DirectoryEvent.MIGRATION, "from": from_urn, "urn": to_urn}
-        )
-        frame = Frame(
-            kind=FrameKind.DIRECTORY_EVENT,
-            source=self.self_urn,
-            dest=authority,
-            payload=payload,
-        )
-        reply = self.transport.request(frame)
-        if pickle.loads(reply) is not True:
-            raise NapletCommunicationError(
-                f"directory at {authority} did not acknowledge migration of {nid}"
-            )
+        self._report(nid, DirectoryEvent.ARRIVAL, at_urn, count)
+
+    def report_departure(self, nid: NapletID, at_urn: str, count: int = 0) -> None:
+        self._report(nid, DirectoryEvent.DEPART, at_urn, count)
+
+    def report_migration(
+        self, nid: NapletID, from_urn: str | None, to_urn: str, count: int
+    ) -> None:
+        """Register the landing of a hop from *from_urn* (None for a thaw)
+        at *to_urn*.
+
+        Called by the destination.  When the source hosts the authority
+        (every HOME-mode launch and Par spawn) it books the landing itself
+        once the transfer is acked, and nothing is sent from here.
+        """
+        if self._authority_urn(nid) != from_urn:
+            self._report(nid, DirectoryEvent.ARRIVAL, to_urn, count)
 
     # -- lookup ------------------------------------------------------------------ #
 
@@ -213,40 +203,37 @@ class DirectoryClient:
         """Latest record for *nid*, or None (unknown or mode NONE)."""
         if self.mode is DirectoryMode.NONE:
             return None
-        if self._is_local_authority(nid):
+        if self.hosts(nid):
             assert self.local is not None
             return self.local.lookup(nid)
-        authority = self._authority_urn(nid)
-        assert authority is not None
         frame = Frame(
             kind=FrameKind.DIRECTORY_QUERY,
             source=self.self_urn,
-            dest=authority,
-            payload=pickle.dumps({"nid": nid}),
+            dest=self._authority_urn(nid),
+            payload=str(nid).encode(),
         )
         try:
             reply = self.transport.request(frame)
         except NapletCommunicationError:
             return None
-        record = pickle.loads(reply)
-        return record  # DirectoryRecord or None
+        if not reply:
+            return None
+        event, urn, count = reply.decode().split(" ")
+        return DirectoryRecord(nid, event, urn, int(count))
 
     # -- frame handling on the authority side --------------------------------- #
 
     @staticmethod
-    def handle_event_frame(directory: NapletDirectory, frame: Frame) -> bytes:
-        data = pickle.loads(frame.payload)
-        event = data["event"]
-        if event == DirectoryEvent.MIGRATION:
-            directory.register_departure(data["nid"], data["from"])
-            directory.register_arrival(data["nid"], data["urn"])
-        elif event == DirectoryEvent.ARRIVAL:
-            directory.register_arrival(data["nid"], data["urn"])
-        else:
-            directory.register_departure(data["nid"], data["urn"])
-        return _ACK
+    def handle_event_frame(directory: NapletDirectory, frame: Frame) -> None:
+        nid, count, *rest = frame.payload.decode().split(" ")
+        (event,) = rest or (DirectoryEvent.ARRIVAL,)
+        if event not in (DirectoryEvent.ARRIVAL, DirectoryEvent.DEPART):
+            raise ValueError(f"not a directory event: {event!r}")
+        directory.register(NapletID.parse(nid), event, frame.source, int(count))
 
     @staticmethod
     def handle_query_frame(directory: NapletDirectory, frame: Frame) -> bytes:
-        data = pickle.loads(frame.payload)
-        return pickle.dumps(directory.lookup(data["nid"]))
+        record = directory.lookup(NapletID.parse(frame.payload.decode()))
+        if record is None:
+            return b""
+        return f"{record.event} {record.server_urn} {record.count}".encode()

@@ -8,23 +8,28 @@ One migration path, one exchange per hop:
    serializes it (transient context dropped);
 2. it sends one ``NAPLET_TRANSFER`` request: the credential as the frame
    payload, the image as frame segments;
-3. the destination Navigator recognises a retransmission by its
-   transfer-id and re-acks it; otherwise it runs the **LANDING** check
+3. the destination Navigator recognises a retransmission by its source
+   and transfer-id and re-acks it; otherwise it runs the **LANDING** check
    (security manager, then residency limits) on the credential *before* it
    deserializes any image byte; a refusal acks ``{"denied": True}``;
 4. on grant it deserializes, refuses an image that is not the naplet the
    credential names, installs that verified credential (the image carries
-   none), registers depart+arrival with the directory
-   in one event on the source's behalf and *postpones execution until the
-   registration is acknowledged*, then records the arrival with its
-   NapletManager, creates the mailbox (draining the special mailbox),
-   binds a fresh context, hands control to the NapletMonitor and acks;
-5. the ack releases all resources the naplet held at the source.
+   none), sends the directory a one-way registration of this landing,
+   records the arrival with its NapletManager, creates the mailbox
+   (draining the special mailbox), binds a fresh context, hands control to
+   the NapletMonitor and acks;
+5. the ack releases all resources the naplet held at the source; a source
+   that hosts the naplet's directory books the landing there itself, and
+   the destination sent nothing.
 
 The paper's separate LANDING round trip is folded into the transfer
-exchange; the order of its steps is not changed.  During the single
-in-flight window the directory still shows the naplet at the source, which
-is safe because the source has already marked the departure locally.
+exchange, so a hop is one round trip.  Unlike §4.1, execution does not wait
+for the directory to acknowledge the registration: until the registration
+is handled (or for good, if its frame is lost) the directory names a server
+the naplet left.  That is safe because every such server has marked the
+departure locally and the post office (§4.2) forwards along the footprints
+from there; the directory orders registrations by landing count, so a late
+one never moves it backwards.
 
 One recovery happens inside a hop: a destination that cannot compose a
 delta envelope (a record, a blob or the code it leans on is gone) acks
@@ -75,8 +80,8 @@ __all__ = ["Navigator", "NavigatorOps"]
 # Hot control reply, serialized once instead of per-exchange.
 _ACK_OK = pickle.dumps({"ok": True})
 
-# Remembered transfer-ids per destination navigator: enough to absorb any
-# realistic retry window, small enough to never matter for memory.
+# Remembered (source, transfer-id) pairs per destination navigator: enough
+# to absorb any realistic retry window, small enough to never matter.
 _TRANSFER_DEDUP_CAPACITY = 4096
 
 # Remembered (peer, field hash or naplet id) pairs — what each peer is known
@@ -114,9 +119,9 @@ class Navigator:
     def __init__(self, server: "NapletServer") -> None:
         self.server = server
         # Exactly-once landing: retransmitted transfers (the source never
-        # saw our ack) are recognized by their transfer-id and re-acked
-        # without landing a second copy of the naplet.
-        self._landed_transfers: OrderedDict[str, NapletID] = OrderedDict()
+        # saw our ack) are recognized by their source and transfer-id and
+        # re-acked without landing a second copy of the naplet.
+        self._landed_transfers: OrderedDict[tuple[str, str], NapletID] = OrderedDict()
         self._transfer_seq = itertools.count(1)
         # Delta-shipping hints (DESIGN.md §6.7), all advisory: what each
         # peer's delta cache is known to hold — field hashes and naplet ids
@@ -173,20 +178,25 @@ class Navigator:
         The whole protocol is attempted under ``config.migration_retry``:
         each attempt marks the departure, ships, and rolls back cleanly on
         failure, so a retry starts from the same resident state.  All
-        attempts share one transfer-id, letting the destination recognize
-        a retransmission whose ack was lost and re-ack instead of landing
-        a second copy.  Deterministic denials (landing/launch refused) are
-        never retried — the destination already said no.
+        attempts share one transfer-id, a sequence number unique per
+        source, letting the destination recognize a retransmission whose
+        ack was lost and re-ack instead of landing a second copy.
+        Deterministic denials (landing/launch refused) are never retried —
+        the destination already said no.
         """
         telemetry = self.server.telemetry
         nid = naplet.naplet_id
-        transfer_id = f"{self.server.urn}#{next(self._transfer_seq)}"
+        transfer_id = str(next(self._transfer_seq))
+        # The landing count this hop gives the naplet, taken before any
+        # attempt: a rolled-back attempt reopens the visit here, which
+        # lengthens the log, and a count booked here must never run ahead.
+        count = len(naplet.navigation_log) + 1
 
         def _attempt() -> None:
             with telemetry.naplet_span(
                 naplet, "hop", source=self.server.hostname, dest=dest_urn
             ) as hop:
-                self._transfer(naplet, dest_urn, hop, transfer_id)
+                self._transfer(naplet, dest_urn, hop, transfer_id, count)
             telemetry.hop_latency.observe(hop.duration)
 
         def _on_retry(attempt: int, wait: float, exc: BaseException) -> None:
@@ -207,7 +217,7 @@ class Navigator:
         )
 
     def _transfer(
-        self, naplet: "Naplet", dest_urn: str, hop, transfer_id: str
+        self, naplet: "Naplet", dest_urn: str, hop, transfer_id: str, count: int
     ) -> None:
         """One attempt: mark departure, dump, ship, and either book the
         ack or roll everything back and raise."""
@@ -252,7 +262,7 @@ class Navigator:
             self._rollback_departure(naplet, nid, resident_record, noted)
             raise NapletMigrationError(f"transfer to {dest_urn} failed: {exc}") from exc
         if ack.get("ok") is True:
-            self._transfer_acked(naplet, nid, dest_urn, frame, cost, ack, image)
+            self._transfer_acked(naplet, nid, dest_urn, frame, cost, ack, image, count)
             return
         self._rollback_departure(naplet, nid, resident_record, noted)
         if ack.get("denied"):
@@ -273,9 +283,9 @@ class Navigator:
 
         Messages arriving here during the transfer must be forwarded toward
         the destination, not deposited in a mailbox the naplet will never
-        read.  The directory is not told: the destination registers depart
-        and arrival in one event when it lands the naplet, and until then
-        the directory still (rightly) routes to this server, which forwards.
+        read.  The directory is not told: the landing registers the
+        naplet's new server, and until then the directory still (rightly)
+        routes to this server, which forwards.
         Everything here is undone by :meth:`_rollback_departure` on failure.
         """
         resident_record = self.server.manager.begin_departure(nid, dest_urn)
@@ -316,12 +326,10 @@ class Navigator:
         hlc = self.server.journal.header_stamp()
         if hlc is not None:
             headers["hlc"] = hlc
-        if hop.span_id:
-            # The landing span at the destination nests under this hop.
-            ctx = naplet.trace_context
-            if ctx is not None:
-                headers["trace-id"] = ctx.trace_id
-                headers["trace-parent"] = hop.span_id
+        if hop.span_id and naplet.trace_context is not None:
+            # The landing span at the destination nests under this hop (the
+            # trace id itself rides in the image).
+            headers["trace-parent"] = hop.span_id
         frame = Frame(
             kind=FrameKind.NAPLET_TRANSFER,
             source=self.server.urn,
@@ -411,9 +419,14 @@ class Navigator:
 
     def _transfer_acked(
         self, naplet: "Naplet", nid: NapletID, dest_urn: str, frame: Frame,
-        cost, ack: dict, image,
+        cost, ack: dict, image, count: int,
     ) -> None:
         """Source-side bookkeeping once *dest_urn* acked the landing."""
+        directory = self.server.directory_client
+        if directory.hosts(nid):
+            # The destination sent no registration (report_migration): a
+            # hop from the directory's own server is booked here, on the ack.
+            directory.report_arrival(nid, dest_urn, count)
         telemetry = self.server.telemetry
         if cost.delta:
             telemetry.delta_hops.inc()
@@ -461,14 +474,12 @@ class Navigator:
 
         A retry whose previous attempt landed but whose ack was lost (the
         two-generals window) arrives with a transfer-id we have already
-        landed.  Re-acking makes the retransmit idempotent; if the naplet
-        still lives here we also re-report the arrival, repairing any
-        directory record the source's rollback overwrote.
+        landed from that source.  Re-acking makes the retransmit idempotent.
         """
         transfer_id = frame.headers.get("transfer-id")
         if not transfer_id:
             return None
-        nid = self._landed_transfers.get(transfer_id)
+        nid = self._landed_transfers.get((frame.source, transfer_id))
         if nid is None:
             return None
         self.server.journal.record(
@@ -477,15 +488,13 @@ class Navigator:
             transfer_id=transfer_id,
             source=frame.source,
         )
-        if self.server.manager.is_resident(nid):
-            self.server.directory_client.report_arrival(nid, self.server.urn)
         return _ACK_OK
 
     def _remember_transfer(self, frame: Frame, nid: NapletID) -> None:
         transfer_id = frame.headers.get("transfer-id")
         if not transfer_id:
             return
-        self._landed_transfers[transfer_id] = nid
+        self._landed_transfers[frame.source, transfer_id] = nid
         while len(self._landed_transfers) > _TRANSFER_DEDUP_CAPACITY:
             self._landed_transfers.popitem(last=False)
 
@@ -570,7 +579,6 @@ class Navigator:
             arrived_from=frame.source,
             payload_bytes=_image_nbytes(image, oob),
             trace_parent=frame.headers.get("trace-parent"),
-            departed_from=frame.source,
             deserialize_s=time.perf_counter() - deserialize_started,
         )
         # Remember only after the landing succeeded: a failed landing must
@@ -584,18 +592,15 @@ class Navigator:
         arrived_from: str | None,
         payload_bytes: int = 0,
         trace_parent: str | None = None,
-        departed_from: str | None = None,
         deserialize_s: float | None = None,
     ) -> None:
         """Land *naplet* at this server: register, bind, and start it.
 
-        Shared by the wire transfer path and local revival (thaw).
-        ``trace_parent`` is the source hop's span id (from the transfer
-        frame headers), so the landing span nests under the hop in the
-        journey tree; without one (thaw) it parents to the journey root.
-        ``departed_from`` is the source of a wire transfer: this server
-        reports the combined depart+arrival in one directory exchange on
-        the source's behalf (a thaw has no source and reports an arrival).
+        Shared by the wire transfer path (``arrived_from`` is the source)
+        and local revival (thaw, no source).  ``trace_parent`` is the
+        source hop's span id (from the transfer frame headers), so the
+        landing span nests under the hop in the journey tree; without one
+        (thaw) it parents to the journey root.
         """
         nid = naplet.naplet_id
         telemetry = self.server.telemetry
@@ -614,13 +619,12 @@ class Navigator:
             parent_id=trace_parent,
             **landing_attrs,
         ):
-            # Postpone execution until the arrival registration is acknowledged.
-            if departed_from is not None:
-                self.server.directory_client.report_migration(
-                    nid, departed_from, self.server.urn
-                )
-            else:
-                self.server.directory_client.report_arrival(nid, self.server.urn)
+            # Register the landing, one-way: the naplet starts without
+            # waiting for the directory.  Sent before anything here changes,
+            # so an unreachable authority still refuses the landing cleanly.
+            self.server.directory_client.report_migration(
+                nid, arrived_from, self.server.urn, len(naplet.navigation_log) + 1
+            )
             self.server.manager.record_arrival(naplet, arrived_from=arrived_from)
             naplet.navigation_log.record_arrival(self.server.urn)
             self.server.messenger.create_mailbox(nid)

@@ -242,13 +242,11 @@ class NapletServer:
             return self.messenger.handle_message_frame(frame)
         if kind == FrameKind.REPORT:
             return self.messenger.handle_report_frame(frame)
-        if kind == FrameKind.DIRECTORY_EVENT:
+        if kind in (FrameKind.DIRECTORY_EVENT, FrameKind.DIRECTORY_QUERY):
             if self.local_directory is None:
                 raise NapletError(f"{self.urn} hosts no directory")
-            return DirectoryClient.handle_event_frame(self.local_directory, frame)
-        if kind in (FrameKind.DIRECTORY_QUERY, FrameKind.LOCATE_QUERY):
-            if self.local_directory is None:
-                raise NapletError(f"{self.urn} hosts no directory")
+            if kind == FrameKind.DIRECTORY_EVENT:  # one-way: no reply
+                return DirectoryClient.handle_event_frame(self.local_directory, frame)
             return DirectoryClient.handle_query_frame(self.local_directory, frame)
         if kind == FrameKind.PING:
             return pickle.dumps({"pong": self.urn})

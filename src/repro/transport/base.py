@@ -47,7 +47,6 @@ class FrameKind:
     MESSAGE = "message"
     DIRECTORY_EVENT = "directory-event"
     DIRECTORY_QUERY = "directory-query"
-    LOCATE_QUERY = "locate-query"
     REPORT = "report"
     CODEBASE_FETCH = "codebase-fetch"
     PING = "ping"

@@ -18,6 +18,7 @@ import repro
 from repro.itinerary import Itinerary, ResultReport, SeqPattern
 from repro.server import SpaceAdmin, deploy
 from repro.simnet import VirtualNetwork, ring
+from repro.transport.base import FrameKind
 from repro.transport.serializer import NapletSerializer
 from tests.transport.envelopes import read_envelope
 
@@ -141,5 +142,39 @@ def test_a_lap_hop_pickles_only_what_changed(monkeypatch):
         assert {n: c for n, c in pickled.items() if n.startswith("_nav_log") and n != "_nav_log"} == {
             "_nav_log0": 1, "_nav_log1": 1,
         }
+    finally:
+        network.shutdown()
+
+
+def test_a_hop_is_one_round_trip_and_names_its_source_once(monkeypatch):
+    """The directory adds no round trip to a hop: a landing registers
+    one-way, and only where neither end of the hop hosts the naplet's home
+    directory; the transfer frame does not repeat its source."""
+    network = VirtualNetwork(ring(3, prefix="s"))
+    servers = deploy(network)
+    try:
+        frames = _offered(servers)
+        sent = []
+        send = network.transport.send
+        monkeypatch.setattr(
+            network.transport, "send", lambda frame: sent.append(frame) or send(frame)
+        )
+        listener = repro.NapletListener()
+        _tour(servers, listener)
+
+        home = "naplet://s00"
+        hops = list(zip(["s00", *ROUTE], ROUTE))
+        neither = [hop for hop in hops if "s00" not in hop]
+        registrations = [f for f in sent if f.kind == FrameKind.DIRECTORY_EVENT]
+        assert len(registrations) == len(neither) == network.meter.kind_stats(
+            FrameKind.DIRECTORY_EVENT
+        ).frames
+        assert network.meter.kind_stats(FrameKind.DIRECTORY_EVENT + "-reply").frames == 0
+        for frame in registrations:
+            assert frame.dest == home and frame.size <= 70 and not frame.headers
+        assert len(frames) == len(hops)
+        for frame in frames:
+            assert "trace-id" not in frame.headers
+            assert "://" not in frame.headers["transfer-id"]
     finally:
         network.shutdown()

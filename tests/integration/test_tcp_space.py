@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 import repro
@@ -9,7 +11,9 @@ from repro.codeshipping.codebase import CodeBaseRegistry
 from repro.core.credential import SigningAuthority
 from repro.itinerary import Itinerary, ParPattern, ResultReport, SeqPattern
 from repro.server import NapletServer, ServerConfig
+from repro.transport.base import FrameKind, urn_of
 from repro.transport.tcp import TcpTransport
+from repro.util.concurrency import wait_until
 from tests.conftest import CollectorNaplet
 
 
@@ -111,3 +115,79 @@ class TestTcpSpace:
 
         assert len(hops(local)) == 2
         assert hops(wire) == hops(local)
+
+
+ROUND = ["t01", "t02", "t01"]  # launched from t00, the HOME-mode authority
+
+
+def _serve_registrations(tcp_space, serve):
+    """Route the home server's directory registrations through
+    ``serve(frame, handle)``; every other frame is handled as usual."""
+    home = tcp_space["t00"]
+    transport, handle = home.transport, home._handle_frame
+
+    def handler(frame):
+        if frame.kind == FrameKind.DIRECTORY_EVENT:
+            return serve(frame, handle)
+        return handle(frame)
+
+    transport.unregister(home.urn)
+    transport.register(home.urn, handler)
+    transport.bind_event_log(home.urn, home.journal)
+    return home.local_directory
+
+
+def _tour_round(tcp_space, listener):
+    agent = CollectorNaplet("round")
+    agent.set_itinerary(Itinerary(SeqPattern.of_servers(ROUND, post_action=ResultReport("visited"))))
+    return tcp_space["t00"].launch(agent, owner="alice", listener=listener)
+
+
+def _where(directory, nid):
+    record = directory.lookup(nid)
+    return record and (record.server_urn, record.count)
+
+
+class TestOneWayDirectory:
+    """A landing registers with the directory one-way (DESIGN.md §6.2)."""
+
+    def test_a_tour_reports_home_while_the_directory_is_held(self, tcp_space):
+        release, held = threading.Event(), []
+
+        def hold(frame, handle):
+            held.append(frame)
+            release.wait(timeout=30)
+            return handle(frame)
+
+        directory = _serve_registrations(tcp_space, hold)
+        listener = repro.NapletListener()
+        try:
+            nid = _tour_round(tcp_space, listener)
+            assert listener.next_report(timeout=10).payload == ROUND
+            # Only the launch, booked at home on its ack, is registered yet.
+            assert _where(directory, nid) == (urn_of("t01"), 1)
+            assert wait_until(lambda: len(held) == 2, timeout=10)
+        finally:
+            release.set()
+        assert wait_until(lambda: _where(directory, nid) == (urn_of("t01"), 3), timeout=10)
+
+    def test_a_late_registration_does_not_move_the_directory_back(self, tcp_space):
+        later_handled, order = threading.Event(), []
+
+        def reorder(frame, handle):
+            count = int(frame.payload.split()[1])
+            if count == 2:  # the t02 landing waits until t01's later one is in
+                later_handled.wait(timeout=10)
+            handle(frame)
+            order.append(count)
+            if count == 3:
+                later_handled.set()
+
+        directory = _serve_registrations(tcp_space, reorder)
+        listener = repro.NapletListener()
+        nid = _tour_round(tcp_space, listener)
+        assert listener.next_report(timeout=10).payload == ROUND
+        assert wait_until(lambda: len(order) == 2, timeout=10)
+        assert order == [3, 2]
+        assert _where(directory, nid) == (urn_of("t01"), 3)
+        assert tcp_space["t02"].locator.locate(nid, use_cache=False) == urn_of("t01")

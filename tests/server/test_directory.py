@@ -9,6 +9,7 @@ from repro.server.directory import (
     DirectoryClient,
     DirectoryEvent,
     DirectoryMode,
+    DirectoryRecord,
     NapletDirectory,
 )
 from repro.transport.base import Frame, FrameKind, urn_of
@@ -36,12 +37,17 @@ class TestNapletDirectory:
         directory.register_departure(nid, "naplet://s1")
         assert directory.lookup(nid).in_transit
 
-    def test_sequence_increases(self):
+    def test_a_lower_count_never_moves_the_record_back(self):
+        """One-way registrations may be handled out of order: the landing
+        with the higher count wins, and a repeat changes nothing."""
         directory = NapletDirectory()
         nid = _nid()
-        first = directory.register_arrival(nid, "naplet://s1")
-        second = directory.register_departure(nid, "naplet://s1")
-        assert second.sequence > first.sequence
+        directory.register_arrival(nid, "naplet://s5", count=5)
+        held = directory.register_arrival(nid, "naplet://s4", count=4)
+        assert held == directory.lookup(nid)
+        assert (held.server_urn, held.count) == ("naplet://s5", 5)
+        assert directory.register_arrival(nid, "naplet://s5", count=5) == held
+        assert directory.register_arrival(nid, "naplet://s6", count=6).server_urn == "naplet://s6"
 
     def test_unknown_lookup_none(self):
         assert NapletDirectory().lookup(_nid()) is None
@@ -108,6 +114,86 @@ class TestCentralMode:
                 transport=InMemoryTransport(),
                 self_urn="naplet://x",
             )
+
+
+class _Recorder(InMemoryTransport):
+    """Keeps every frame it moves."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.frames: list[Frame] = []
+
+    def _observe_wire(self, frame: Frame, duration: float) -> None:
+        self.frames.append(frame)
+        super()._observe_wire(frame, duration)
+
+
+class TestWire:
+    """Registrations and queries carry text, not pickles."""
+
+    @pytest.fixture
+    def wired(self):
+        transport = _Recorder()
+        store = _remote_directory_host(transport, "homeserver")
+        client = DirectoryClient(
+            mode=DirectoryMode.HOME, transport=transport, self_urn="naplet://s03"
+        )
+        return transport, store, client
+
+    @pytest.mark.parametrize("clone", [False, True], ids=["original", "clone"])
+    def test_registration_and_query_round_trip(self, wired, clone):
+        transport, store, client = wired
+        nid = NapletID.parse("a@homeserver:240101120000:0.2") if clone else _nid()
+        client.report_arrival(nid, "naplet://s03", count=7)
+        assert store.lookup(nid) == client.lookup(nid) == DirectoryRecord(
+            nid, DirectoryEvent.ARRIVAL, "naplet://s03", 7
+        )
+        event, query = transport.frames
+        assert event.payload == f"{nid} 7".encode()
+        assert query.payload == str(nid).encode()
+        assert not event.headers
+
+    def test_departure_round_trips(self, wired):
+        _transport, store, client = wired
+        nid = _nid()
+        client.report_departure(nid, "naplet://s03", count=3)
+        assert store.lookup(nid).in_transit
+        assert client.lookup(nid) == store.lookup(nid)
+
+    def test_unknown_naplet_is_an_empty_reply(self, wired):
+        _transport, store, client = wired
+        frame = Frame(
+            kind=FrameKind.DIRECTORY_QUERY, source="naplet://s03",
+            dest="naplet://homeserver", payload=str(_nid()).encode(),
+        )
+        assert DirectoryClient.handle_query_frame(store, frame) == b""
+        assert client.lookup(_nid()) is None
+
+    @pytest.mark.parametrize(
+        "payload", ["not-an-id 1", "{nid} one", "{nid} 1 bogus", "{nid} 1 depart extra"]
+    )
+    def test_a_malformed_registration_is_refused(self, payload):
+        directory = NapletDirectory()
+        frame = Frame(
+            kind=FrameKind.DIRECTORY_EVENT, source="naplet://s03", dest="naplet://homeserver",
+            payload=payload.format(nid=_nid()).encode(),
+        )
+        with pytest.raises(ValueError):
+            DirectoryClient.handle_event_frame(directory, frame)
+        assert len(directory) == 0
+
+    def test_a_server_registers_only_itself(self, wired):
+        _transport, _store, client = wired
+        with pytest.raises(ValueError):
+            client.report_arrival(_nid(), "naplet://elsewhere", count=1)
+
+    def test_a_hop_from_the_authority_sends_nothing(self, wired):
+        transport, store, client = wired
+        nid = _nid()
+        client.report_migration(nid, "naplet://homeserver", "naplet://s03", 1)
+        assert transport.frames == [] and store.lookup(nid) is None
+        client.report_migration(nid, "naplet://s02", "naplet://s03", 2)
+        assert store.lookup(nid).server_urn == "naplet://s03"
 
 
 class TestHomeMode:
