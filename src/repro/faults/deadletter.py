@@ -34,6 +34,7 @@ class DeadLetter:
         return {
             "message": str(summary),
             "message_id": getattr(self.message, "message_id", None),
+            "origin": getattr(self.message, "origin", None),  # ids are per origin
             "dest": self.dest_urn,
             "reason": self.reason,
             "attempts": self.attempts,

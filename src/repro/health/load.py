@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 from repro.util.hlc import HLCStamp
@@ -73,35 +73,24 @@ class LoadDigest:
         )
 
     def describe(self) -> dict[str, Any]:
-        return {
-            "server": self.server,
-            "seq": self.seq,
-            "hlc": self.hlc,
-            "residents": self.residents,
-            "active": self.active,
-            "worker_backlog": self.worker_backlog,
-            "dead_letter_depth": self.dead_letter_depth,
-            "cpu_rate": self.cpu_rate,
-            "bandwidth": self.bandwidth,
-            "egress_bytes": self.egress_bytes,
-            "ingress_bytes": self.ingress_bytes,
-            "score": self.score(),
-        }
+        return {**asdict(self), "score": self.score()}
+
+    def to_text(self) -> str:
+        """The LOAD frame's payload: the numbers.  The server and the stamp
+        ride the frame, as its source and its ``hlc`` header."""
+        return (
+            f"{self.seq} {self.residents} {self.active} {self.worker_backlog} "
+            f"{self.dead_letter_depth} {self.cpu_rate!r} {self.bandwidth!r} "
+            f"{self.egress_bytes} {self.ingress_bytes}"
+        )
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "LoadDigest":
+    def from_text(cls, server: str, hlc: str, text: str) -> "LoadDigest":
+        """Inverse of :meth:`to_text`; raises ``ValueError`` on anything else."""
+        seq, residents, active, backlog, dead, cpu, bandwidth, egress, ingress = text.split(" ")
         return cls(
-            server=str(data["server"]),
-            seq=int(data["seq"]),
-            hlc=str(data["hlc"]),
-            residents=int(data.get("residents", 0)),
-            active=int(data.get("active", 0)),
-            worker_backlog=int(data.get("worker_backlog", 0)),
-            dead_letter_depth=int(data.get("dead_letter_depth", 0)),
-            cpu_rate=float(data.get("cpu_rate", 0.0)),
-            bandwidth=float(data.get("bandwidth", 0.0)),
-            egress_bytes=int(data.get("egress_bytes", 0)),
-            ingress_bytes=int(data.get("ingress_bytes", 0)),
+            server, int(seq), hlc, int(residents), int(active), int(backlog), int(dead),
+            float(cpu), float(bandwidth), int(egress), int(ingress),
         )
 
 
@@ -163,14 +152,8 @@ class SpaceView:
         A stale digest returns None — the peer decays to *unknown*, it
         is never treated as idle.
         """
-        with self._lock:
-            held = self._held.get(server)
-        if held is None:
-            return None
-        now = self.clock() if now_mono is None else now_mono
-        if now - held[2] > self.stale_after:
-            return None
-        return held[0]
+        age = self.staleness(server, now_mono)
+        return None if age is None or age > self.stale_after else self.digest(server)
 
     def peers(self) -> list[str]:
         with self._lock:

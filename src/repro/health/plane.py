@@ -46,7 +46,6 @@ the server registry (``naplet_health_findings_total``,
 
 from __future__ import annotations
 
-import pickle
 import threading
 import time
 from typing import TYPE_CHECKING, Any, Callable
@@ -400,21 +399,16 @@ class HealthPlane:
         counted and skipped — a heartbeat is best-effort by design.
         """
         server = self.server
-        payload = pickle.dumps(digest.describe())
+        payload = digest.to_text().encode()
         sent = 0
         for urn in server.transport.live_peers(server.urn):
             dest = host_of(urn)
             if dest == server.hostname:
                 continue
-            frame = Frame(
-                kind=FrameKind.LOAD,
-                source=server.urn,
-                dest=urn,
-                payload=payload,
-                headers={"hlc": server.journal.clock.now().encode()},
-            )
             try:
-                server.transport.send(frame)
+                server.transport.send(
+                    Frame(FrameKind.LOAD, server.urn, urn, payload, {"hlc": digest.hlc})
+                )
             except NapletError:
                 self._send_failures.inc(dest=dest)
                 continue
@@ -422,16 +416,18 @@ class HealthPlane:
             self._digests_sent.inc(dest=dest)
         return sent
 
-    def handle_load_frame(self, frame: Frame) -> bytes:
-        """Inbound ``"load"`` frame: merge, gauge, journal the receipt."""
-        try:
-            digest = LoadDigest.from_dict(pickle.loads(frame.payload))
-        except Exception:
-            return pickle.dumps({"ok": False, "reason": "malformed load digest"})
+    def handle_load_frame(self, frame: Frame) -> None:
+        """Inbound one-way ``"load"`` frame: merge, gauge, journal the receipt.
+        The digest's server is the frame's source, its stamp the ``hlc``
+        header; a dormant plane or an undecodable frame changes nothing."""
         if not self.enabled:
-            # A dormant plane still acks politely so a mixed space
-            # (observing and dark servers) stays quiet on the wire.
-            return pickle.dumps({"ok": True, "merged": False})
+            return
+        try:
+            digest = LoadDigest.from_text(
+                host_of(frame.source), frame.headers["hlc"], frame.payload.decode()
+            )
+        except (KeyError, ValueError):
+            return
         merged = self.view.observe(digest, self.clock())
         if merged:
             self._digests_received.inc(source=digest.server)
@@ -450,7 +446,6 @@ class HealthPlane:
                     "cpu_rate": round(digest.cpu_rate, 4),
                 },
             )
-        return pickle.dumps({"ok": True, "merged": merged})
 
     def _set_peer_gauges(self, digest: LoadDigest) -> None:
         for dimension in _GAUGE_DIMENSIONS:

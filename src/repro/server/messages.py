@@ -15,10 +15,7 @@ separate channel.
 
 from __future__ import annotations
 
-import itertools
-import threading
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.core.naplet_id import NapletID
@@ -31,15 +28,6 @@ __all__ = [
     "make_join_body",
     "join_token_of",
 ]
-
-_seq = itertools.count(1)
-_seq_lock = threading.Lock()
-
-
-def _next_seq() -> int:
-    with _seq_lock:
-        return next(_seq)
-
 
 class SystemControl:
     """Well-known system-message controls."""
@@ -58,6 +46,8 @@ class SystemControl:
 class UserMessage:
     """Data message between naplets.
 
+    ``(origin, message_id)`` is the message's space-unique id: the server
+    that first sent it and that server's sequence number for it.
     ``trace_id``/``trace_parent`` carry the sender's journey trace across
     forwarding hops, so every intermediate Messenger can record its
     forward step as a span under the sender's ``message-send`` span.
@@ -66,8 +56,8 @@ class UserMessage:
     sender: NapletID | str
     target: NapletID
     body: Any
-    message_id: int = field(default_factory=_next_seq)
-    sent_at: float = field(default_factory=time.time)
+    message_id: int = 0
+    origin: str = ""
     hops: int = 0
     trace_id: str | None = None
     trace_parent: str | None = None
@@ -86,8 +76,8 @@ class SystemMessage:
     target: NapletID
     payload: Any = None
     sender: NapletID | str = "system"
-    message_id: int = field(default_factory=_next_seq)
-    sent_at: float = field(default_factory=time.time)
+    message_id: int = 0
+    origin: str = ""
     hops: int = 0
 
     def hopped(self) -> "SystemMessage":

@@ -14,13 +14,17 @@ Implements the three-case post-office protocol verbatim:
 User and system messages share one path: one frame kind, one send, one
 forward and one departure chase.  They differ only at the hand-over, where
 a system message becomes a monitor interrupt instead of a mailbox entry.
-Message bodies are serialized with the server's NapletSerializer so they
-may carry shipped-class instances.
+
+On the wire a message is its body, pickled by the server's NapletSerializer
+(so it may carry shipped-class instances), under text headers (DESIGN.md
+§6.2); a forward relays the body's bytes.  The reply is the text
+``"<status> <server-urn> <hops>"``: one the origin cannot read is a failed
+exchange, retried and then dead-lettered.
 """
 
 from __future__ import annotations
 
-import pickle
+import itertools
 import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Callable
@@ -65,6 +69,26 @@ _ONCE = no_retry()
 Message = UserMessage | SystemMessage
 
 
+def _naplet_or_text(text: str) -> NapletID | str:
+    """A sender or reporter from its header: a naplet id when it reads as one."""
+    try:
+        return NapletID.parse(text)
+    except ValueError:
+        return text
+
+
+def _read_reply(reply: bytes) -> tuple[str, str, int]:
+    """``(status, server, hops)`` from a post-office reply; anything else —
+    a shut-down server's refusal included — is a failed exchange."""
+    try:
+        status, server, hops = reply.decode().split(" ")
+        if status in ("delivered", "parked", "undeliverable"):
+            return status, server, int(hops)
+    except ValueError:
+        pass
+    raise NapletCommunicationError(f"unreadable post-office reply {reply[:40]!r}")
+
+
 class Messenger:
     """Per-server post office."""
 
@@ -73,6 +97,7 @@ class Messenger:
         self._mailboxes: dict[NapletID, Mailbox] = {}
         self._special: dict[NapletID, list[Message]] = {}
         self._receipts: OrderedDict[int, DeliveryReceipt] = OrderedDict()
+        self._seq = itertools.count(1)  # ids of the messages that start here
         self._lock = threading.RLock()
         # Messages that exhausted their delivery budget wait here for a
         # requeue once the network heals, instead of vanishing.
@@ -102,15 +127,53 @@ class Messenger:
             headers["hlc"] = stamp
         return headers
 
-    def _frame(self, message: Message, dest_urn: str, **headers: str) -> Frame:
-        """The one message frame, user or system."""
-        return Frame(
-            kind=FrameKind.MESSAGE,
-            source=self.server.urn,
-            dest=dest_urn,
-            payload=self.server.serializer.dumps(message),
-            headers=self._wire_headers(target=str(message.target), **headers),
+    def _frame(self, message: Message, dest_urn: str, body: bytes | None = None) -> Frame:
+        """The one message frame, user or system.  A header rides only where
+        the receiver's default is wrong (origin: the frame's source; sender:
+        the origin; hops: 0); a forward passes the *body* bytes it was sent."""
+        urn = self.server.urn
+        headers = {"target": str(message.target), "id": str(message.message_id)}
+        if message.origin != urn:
+            headers["origin"] = message.origin
+        if message.sender != message.origin:
+            headers["from"] = str(message.sender)
+        if message.hops:
+            headers["hops"] = str(message.hops)
+        if isinstance(message, SystemMessage):
+            headers["control"] = message.control
+        elif message.trace_id:
+            headers["trace"] = f"{message.trace_id}/{message.trace_parent or ''}"
+        if body is None:
+            content = message.payload if isinstance(message, SystemMessage) else message.body
+            body = self.server.serializer.dumps(content)
+        return Frame(FrameKind.MESSAGE, urn, dest_urn, body, self._wire_headers(**headers))
+
+    def _read(self, frame: Frame) -> Message:
+        """The message *frame* carries, its body not yet decoded (see :meth:`_open`)."""
+        headers = frame.headers
+        origin = headers.get("origin", frame.source)
+        envelope = dict(
+            sender=_naplet_or_text(headers["from"]) if "from" in headers else origin,
+            target=NapletID.parse(headers["target"]),
+            message_id=int(headers["id"]),
+            origin=origin,
+            hops=int(headers.get("hops", 0)),
         )
+        if "control" in headers:
+            return SystemMessage(control=headers["control"], **envelope)
+        trace_id, _, parent = headers.get("trace", "").partition("/")
+        return UserMessage(
+            body=None, trace_id=trace_id or None, trace_parent=parent or None, **envelope
+        )
+
+    def _open(self, message: Message, body: bytes) -> Message:
+        """*message* with its *body* bytes decoded into it."""
+        content = self.server.serializer.loads(body, self.server.code_cache)
+        if isinstance(message, SystemMessage):
+            message.payload = content
+        else:
+            message.body = content
+        return message
 
     # ------------------------------------------------------------------ #
     # Mailbox lifecycle (driven by Navigator arrivals/departures)
@@ -178,28 +241,6 @@ class Messenger:
     # Dead-letter queue
     # ------------------------------------------------------------------ #
 
-    def _dead_letter(
-        self,
-        message: Message,
-        dest_urn: str,
-        reason: str,
-        attempts: int = 1,
-    ) -> None:
-        letter = DeadLetter(
-            message=message,
-            dest_urn=dest_urn,
-            reason=reason,
-            attempts=attempts,
-            source=self.server.urn,
-        )
-        self.dead_letters.put(letter)
-        self.server.journal.record(
-            "message-dead-lettered",
-            target=str(message.target),
-            dest=dest_urn,
-            reason=reason,
-        )
-
     def requeue_dead_letters(self) -> tuple[int, int]:
         """Retry every dead letter now that the network (maybe) healed.
 
@@ -251,7 +292,7 @@ class Messenger:
         dead-letter when it gives up.
 
         Only the origin retries: the forwarding path in
-        :meth:`_deliver_local` never does and the departure chase sends
+        :meth:`handle_message_frame` never does and the departure chase sends
         once, so a chase across N servers cannot amplify into N retry
         storms.
         """
@@ -275,31 +316,33 @@ class Messenger:
                 on_retry=_on_retry,
             )
         except NapletCommunicationError as exc:
-            self._dead_letter(message, dest_urn, str(exc), attempts=policy.max_attempts)
+            reason = str(exc)
+            self.dead_letters.put(
+                DeadLetter(message, dest_urn, reason, policy.max_attempts, source=self.server.urn)
+            )
+            self.server.journal.record(
+                "message-dead-lettered", target=str(message.target), dest=dest_urn, reason=reason
+            )
             raise
 
     def _send_once(self, message: Message, dest_urn: str) -> DeliveryReceipt:
         """One attempt: frame, request, keep the receipt, note the location."""
         frame = self._frame(message, dest_urn)
         self.server.telemetry.frame_bytes.inc(len(frame.payload), kind="message")
-        result = pickle.loads(self.server.transport.request(frame))
+        status, final_server, hops = _read_reply(self.server.transport.request(frame))
         receipt = DeliveryReceipt(
-            message_id=message.message_id,
-            target=message.target,
-            status=result["status"],
-            final_server=result["server"],
-            hops=result["hops"],
-            nbytes=len(frame.payload),
+            message.message_id, message.target, status, final_server, hops, len(frame.payload)
         )
         if receipt.status == "undeliverable":
             raise NapletCommunicationError(
                 f"message {message.message_id} to {message.target} undeliverable "
                 f"after {receipt.hops} hops"
             )
-        with self._lock:
-            self._receipts[receipt.message_id] = receipt
-            while len(self._receipts) > _RECEIPT_CAPACITY:
-                self._receipts.popitem(last=False)
+        if message.origin == self.server.urn:  # a chased message's receipt is its origin's
+            with self._lock:
+                self._receipts[receipt.message_id] = receipt
+                while len(self._receipts) > _RECEIPT_CAPACITY:
+                    self._receipts.popitem(last=False)
         # A delivery confirms a current location — update the cache.
         if receipt.status == "delivered":
             self.server.locator.note_location(message.target, receipt.final_server)
@@ -315,11 +358,9 @@ class Messenger:
         """Post a user message toward *target* (sender may be the server itself)."""
         if sender is not None:
             self.server.security.check(sender.credential, Permission.MESSAGE)
-        message = UserMessage(
-            sender=sender.naplet_id if sender is not None else self.server.urn,
-            target=target,
-            body=body,
-        )
+        urn = self.server.urn
+        sender_id = sender.naplet_id if sender is not None else urn
+        message = UserMessage(sender_id, target, body, message_id=next(self._seq), origin=urn)
         telemetry = self.server.telemetry
         send_span = (
             telemetry.naplet_span(sender, "message-send", target=str(target))
@@ -360,7 +401,9 @@ class Messenger:
         dest_urn: str | None = None,
     ) -> DeliveryReceipt:
         """Send a system message (terminate/suspend/resume/callback/...)."""
-        message = SystemMessage(control=control, target=target, payload=payload)
+        message = SystemMessage(
+            control, target, payload, message_id=next(self._seq), origin=self.server.urn
+        )
         return self._send(message, self._resolve_destination(None, target, dest_urn))
 
     def receipt_for(self, message_id: int) -> DeliveryReceipt | None:
@@ -372,18 +415,15 @@ class Messenger:
     # Receiving (frame handler; runs on delivering threads)
     # ------------------------------------------------------------------ #
 
-    def handle_message_frame(self, frame: Frame) -> bytes:
-        message: Message = self.server.serializer.loads(
-            frame.payload, self.server.code_cache
-        )
-        return pickle.dumps(self._deliver_local(message))
+    def _reply(self, status: str, hops: int) -> bytes:
+        return f"{status} {self.server.urn} {hops}".encode()
 
-    def _deliver_local(self, message: Message) -> dict[str, Any]:
+    def handle_message_frame(self, frame: Frame) -> bytes:
+        message, body = self._read(frame), frame.payload
         target = message.target
         hops = message.hops
         manager = self.server.manager
         telemetry = self.server.telemetry
-        here = {"server": self.server.urn, "hops": hops}
         # Decided under the lock the landing's special-mailbox drain and the
         # departure chase also take, so whichever runs second sees this
         # message: it is handed over, parked for a landing still to come,
@@ -392,18 +432,18 @@ class Messenger:
         with self._lock:
             # Case 1: resident here.
             if manager.is_resident(target):
-                self._hand_over(message, self.create_mailbox(target))
+                self._hand_over(self._open(message, body), self.create_mailbox(target))
                 telemetry.messages_delivered.inc()
-                return {"status": "delivered", **here}
+                return self._reply("delivered", hops)
             next_hop = manager.trace_next_hop(target)
             # Case 3: never seen here — park in the special mailbox.
             if next_hop is None:
-                self._special.setdefault(target, []).append(message)
+                self._special.setdefault(target, []).append(self._open(message, body))
                 telemetry.messages_parked.inc()
-                return {"status": "parked", **here}
-        # Case 2: it left — forward along the trace.
+                return self._reply("parked", hops)
+        # Case 2: it left — forward the body bytes along the trace.
         if hops >= _MAX_HOPS:
-            return {"status": "undeliverable", **here}
+            return self._reply("undeliverable", hops)
         telemetry.messages_forwarded.inc()
         trace_id = getattr(message, "trace_id", None)
         trace_parent = getattr(message, "trace_parent", None)
@@ -421,34 +461,31 @@ class Messenger:
         )
         with forward_span:
             try:
-                frame = self._frame(message.hopped(), next_hop, hops=str(hops + 1))
-                reply = self.server.transport.request(frame)
+                reply = self.server.transport.request(
+                    self._frame(message.hopped(), next_hop, body)
+                )
+                _read_reply(reply)
             except NapletCommunicationError:
                 forward_span.set("undeliverable", True)
-                return {"status": "undeliverable", **here}
-        return pickle.loads(reply)
+                return self._reply("undeliverable", hops)
+        return reply
 
     def handle_report_frame(self, frame: Frame) -> bytes:
-        data = self.server.serializer.loads(frame.payload, self.server.code_cache)
         delivered = self.server.manager.deliver_report(
-            data["listener_key"], data["reporter"], data["payload"]
+            frame.headers["listener"],
+            _naplet_or_text(frame.headers["reporter"]),
+            self.server.serializer.loads(frame.payload, self.server.code_cache),
         )
-        return pickle.dumps(delivered)
+        return b"ok" if delivered else b"no listener"
 
     def post_report(self, home_urn: str, listener_key: str, reporter: Any, payload: Any) -> None:
-        frame = Frame(
-            kind=FrameKind.REPORT,
-            source=self.server.urn,
-            dest=home_urn,
-            payload=self.server.serializer.dumps(
-                {"listener_key": listener_key, "reporter": reporter, "payload": payload}
-            ),
-            headers=self._wire_headers(),
-        )
+        headers = self._wire_headers(listener=listener_key, reporter=str(reporter))
+        body = self.server.serializer.dumps(payload)
+        frame = Frame(FrameKind.REPORT, self.server.urn, home_urn, body, headers)
         reply = self.server.transport.request(frame)
-        if pickle.loads(reply) is not True:
+        if reply != b"ok":
             raise NapletCommunicationError(
-                f"home {home_urn} has no listener {listener_key!r}"
+                f"home {home_urn} refused the report for {listener_key!r}: {reply[:40]!r}"
             )
 
     def special_mailbox_size(self, nid: NapletID | None = None) -> int:

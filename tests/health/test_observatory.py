@@ -9,7 +9,6 @@ three-rung ordering fallback ladder with its journal evidence.
 from __future__ import annotations
 
 import dataclasses
-import pickle
 import threading
 import time
 
@@ -54,15 +53,14 @@ class TestLoadDigest:
         spinning = dataclasses.replace(digest, cpu_rate=500.0)
         assert spinning.score() == pytest.approx(2 + 1 + 3 + 1 + 8.0)
 
-    def test_describe_from_dict_round_trip(self):
-        digest = _digest("s01", residents=4, bandwidth=12.5, egress_bytes=900)
-        assert LoadDigest.from_dict(digest.describe()) == digest
+    def test_text_round_trip(self):
+        digest = _digest("s01", residents=4, cpu_rate=0.1 / 3, bandwidth=12.5, egress_bytes=900)
+        assert LoadDigest.from_text("s01", digest.hlc, digest.to_text()) == digest
 
-    def test_from_dict_defaults_missing_load_fields(self):
-        sparse = LoadDigest.from_dict(
-            {"server": "s02", "seq": 3, "hlc": _digest("s02").hlc}
-        )
-        assert sparse.residents == 0 and sparse.score() == 0.0
+    def test_text_missing_a_number_is_refused(self):
+        text = _digest("s02", residents=2).to_text()
+        with pytest.raises(ValueError):
+            LoadDigest.from_text("s02", _digest("s02").hlc, text.rsplit(" ", 1)[0])
 
 
 class TestSpaceView:
@@ -157,20 +155,21 @@ class TestHeartbeat:
         assert first.detail == {"error": repr(RuntimeError("beat broke"))}
 
     def test_malformed_frame_is_rejected_politely(self, space):
-        _net, servers = space(line(2, prefix="s"))
-        reply = servers["s01"].health.handle_load_frame(
-            Frame(
+        _net, servers = space(line(2, prefix="s"), config=ServerConfig(health_cadence=60.0))
+        plane = servers["s01"].health
+        hlc = {"hlc": servers["s00"].health.local_digest().hlc}
+        for payload, headers in ((b"garbage", hlc), (b"\xde\xad", hlc), (b"1 2", hlc), (b"", {})):
+            frame = Frame(
                 kind=FrameKind.LOAD,
                 source=servers["s00"].urn,
                 dest=servers["s01"].urn,
-                payload=b"garbage",
+                payload=payload,
+                headers=headers,
             )
-        )
-        assert pickle.loads(reply) == {
-            "ok": False, "reason": "malformed load digest",
-        }
+            assert plane.handle_load_frame(frame) is None
+        assert plane.view.digest("s00") is None
 
-    def test_dormant_observatory_acks_but_never_merges(self, space):
+    def test_dormant_observatory_never_merges(self, space):
         _net, servers = space(
             line(2, prefix="s"), config=ServerConfig(telemetry_enabled=False)
         )
@@ -183,10 +182,11 @@ class TestHeartbeat:
                 kind=FrameKind.LOAD,
                 source=servers["s00"].urn,
                 dest=servers["s01"].urn,
-                payload=pickle.dumps(digest.describe()),
+                payload=digest.to_text().encode(),
+                headers={"hlc": digest.hlc},
             )
         )
-        assert pickle.loads(reply) == {"ok": True, "merged": False}
+        assert reply is None
         assert obs.view.peers() == []
 
     def test_local_digest_counts_residency_and_dead_letters(self, space):

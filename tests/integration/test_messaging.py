@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
 import threading
 
 import pytest
@@ -21,7 +20,6 @@ from repro.itinerary import (
 )
 from repro.server.messages import UserMessage
 from repro.simnet import line, star
-from repro.transport.base import Frame, FrameKind
 from repro.util.concurrency import wait_until
 from tests.conftest import CollectorNaplet, EchoNaplet, StallNaplet
 
@@ -161,16 +159,13 @@ class TestSpecialMailbox:
             nid = naplet.naplet_id
             if nid not in injected and fork.manager.is_resident(nid):
                 injected.append(nid)
-                message = UserMessage(sender="peer", target=nid, body=f"early-{nid}")
-                frame = Frame(
-                    kind=FrameKind.MESSAGE,
-                    source="naplet://s01",
-                    dest=fork.urn,
-                    payload=fork.serializer.dumps(message),
-                    headers={"target": str(nid)},
+                peer = servers["s01"]
+                message = UserMessage(
+                    sender="peer", target=nid, body=f"early-{nid}", origin=peer.urn
                 )
-                reply = pickle.loads(fork.messenger.handle_message_frame(frame))
-                assert reply["status"] == "delivered"
+                frame = peer.messenger._frame(message, fork.urn)
+                reply = fork.messenger.handle_message_frame(frame).decode().split(" ")
+                assert reply[0] == "delivered"
             real_transfer(naplet, dest_urn)
 
         fork.navigator.transfer = transfer

@@ -13,18 +13,23 @@ from repro.server.messages import (
     join_token_of,
     make_join_body,
 )
+from repro.simnet import line
 
 TARGET = NapletID.parse("t@h:240101120000:0")
 
 
 class TestUserMessage:
-    def test_unique_increasing_ids(self):
-        a = UserMessage(sender="x", target=TARGET, body=1)
-        b = UserMessage(sender="x", target=TARGET, body=2)
+    def test_unique_increasing_ids(self, space):
+        """Each origin numbers its own messages: ``(origin, id)`` is unique."""
+        _network, servers = space(line(2, prefix="s"))
+        post = {host: s.messenger.post for host, s in servers.items()}
+        a, b = (post["s00"](None, TARGET, i, dest_urn="naplet://s01") for i in (1, 2))
+        c = post["s01"](None, TARGET, 3, dest_urn="naplet://s00")
         assert b.message_id > a.message_id
+        assert c.message_id == a.message_id  # another origin's first
 
     def test_hopped_preserves_identity(self):
-        message = UserMessage(sender="x", target=TARGET, body="data")
+        message = UserMessage(sender="x", target=TARGET, body="data", message_id=3)
         forwarded = message.hopped().hopped()
         assert forwarded.hops == 2
         assert forwarded.message_id == message.message_id
@@ -32,7 +37,9 @@ class TestUserMessage:
         assert message.hops == 0  # original untouched
 
     def test_pickles(self):
-        message = UserMessage(sender=TARGET, target=TARGET, body={"k": 1})
+        message = UserMessage(
+            sender=TARGET, target=TARGET, body={"k": 1}, message_id=7, origin="naplet://s"
+        )
         copy = pickle.loads(pickle.dumps(message))
         assert copy.body == {"k": 1}
         assert copy.message_id == message.message_id
