@@ -28,6 +28,12 @@ home, after one warm-up tour with the same plan.  ``bytes_per_hop`` counts
 the transfer and one-way directory-event frames of a hop — a structural metric:
 each thing a small hop carries crosses once (the plan by reference after
 the launch, the credential only as the transfer payload) and compactly.
+After the timed legs' servers are gone, the same lap also counts what the
+flight recorder kept of it: ``journal_records_per_hop`` (records the four
+journals appended) and ``journal_bytes_per_hop`` (what those records retain,
+by the deep walk of ``benchmarks/journal_memory.py``, shared objects
+charged once).  Both are structural: a new record per hop, or a record that
+grows a container, regresses them.
 
 **Frame leg** (``frame``).  One pooled request/reply in isolation (a
 128-byte frame, and a transfer-shaped frame with 13 out-of-band segments)
@@ -65,6 +71,7 @@ from repro.transport.base import Frame, FrameKind
 from repro.transport.pool import REP, REQ
 from repro.transport.tcp import TcpTransport
 from repro.util.concurrency import wait_until
+from benchmarks.journal_memory import retained
 from benchmarks.journey.agents import TourNaplet
 from tests.conftest import CollectorNaplet, StallNaplet
 
@@ -227,12 +234,14 @@ def _measure_delta(route: list[str], full_hops: int) -> dict:
 
 
 def _measure_tour() -> dict:
-    """Hop frame bytes of a counter-only tour, after one warm-up tour."""
+    """Hop frame bytes and journal records of a counter-only tour, after
+    one warm-up tour."""
     transport, servers = _space(("b00", *sorted(set(TOUR) - {"b00"})))
     try:
         wire = transport.metrics.counter("wire_bytes_total")
         for lap in range(2):
             before = sum(wire.value(kind=kind) for kind in _HOP_KINDS)
+            marks = {name: s.journal.total_appended for name, s in servers.items()}
             agent = TourNaplet("tour")
             agent.set_itinerary(
                 Itinerary(SeqPattern.of_servers(TOUR, post_action=ResultReport("result")))
@@ -247,7 +256,24 @@ def _measure_tour() -> dict:
                 timeout=10,
             )
         hop_bytes = sum(wire.value(kind=kind) for kind in _HOP_KINDS) - before
-        return {"hops": len(TOUR), "bytes_per_hop": hop_bytes / len(TOUR)}
+        # Every naplet thread ends after its hop's last record is written.
+        assert all(s.wait_idle(10) for s in servers.values())
+        seen: set[int] = set()
+        for name, server in servers.items():  # the warm-up lap pays for what it shares
+            for record in server.journal.snapshot():
+                if record.seq <= marks[name]:
+                    retained(record, seen)
+        lap = [
+            record
+            for name, server in servers.items()
+            for record in server.journal.records(after_seq=marks[name])
+        ]
+        return {
+            "hops": len(TOUR),
+            "bytes_per_hop": hop_bytes / len(TOUR),
+            "journal_records_per_hop": len(lap) / len(TOUR),
+            "journal_bytes_per_hop": sum(retained(r, seen) for r in lap) / len(TOUR),
+        }
     finally:
         _shutdown(transport, servers)
 
@@ -380,8 +406,12 @@ class TestTransportFastPath:
         assert tour["bytes_per_hop"] <= 1700
         table(
             "E8d: a counter-only tour round three peers (12 hops, after a warm-up tour)",
-            ["bytes/hop"],
-            [[f"{tour['bytes_per_hop']:.0f}"]],
+            ["bytes/hop", "journal records/hop", "journal B/hop"],
+            [[
+                f"{tour['bytes_per_hop']:.0f}",
+                f"{tour['journal_records_per_hop']:.2f}",
+                f"{tour['journal_bytes_per_hop']:.0f}",
+            ]],
         )
 
         frame = _measure_frame()

@@ -66,6 +66,8 @@ class NapletID:
             raise ValueError(f"invalid timestamp: {self.stamp!r}")
         if not self.heritage or any(h < 0 for h in self.heritage):
             raise ValueError(f"invalid heritage: {self.heritage!r}")
+        heritage = ".".join(map(str, self.heritage))
+        object.__setattr__(self, "_text", f"{self.owner}@{self.home}:{self.stamp}:{heritage}")
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -198,8 +200,7 @@ class NapletID:
         return hash((self.owner, self.home, self.stamp, self.heritage))
 
     def __str__(self) -> str:
-        heritage = ".".join(str(h) for h in self.heritage)
-        return f"{self.owner}@{self.home}:{self.stamp}:{heritage}"
+        return self._text  # computed once: every journal record about this naplet shares it
 
     def __repr__(self) -> str:
         return f"NapletID({str(self)!r})"
@@ -213,6 +214,6 @@ def _revive(text: str, clone_count: int) -> NapletID:
     nid.__dict__.update(
         owner=owner, home=home, stamp=stamp,
         heritage=tuple(map(int, heritage.split("."))),
-        _clone_counter=[clone_count], _clone_lock=threading.Lock(),
+        _clone_counter=[clone_count], _clone_lock=threading.Lock(), _text=text,
     )
     return nid

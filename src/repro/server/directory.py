@@ -216,10 +216,11 @@ class DirectoryClient:
             reply = self.transport.request(frame)
         except NapletCommunicationError:
             return None
-        if not reply:
+        try:
+            event, urn, count = reply.decode().split(" ")
+            return DirectoryRecord(nid, event, urn, int(count))
+        except ValueError:  # b"" (no record), or a refusal read as an unreachable authority
             return None
-        event, urn, count = reply.decode().split(" ")
-        return DirectoryRecord(nid, event, urn, int(count))
 
     # -- frame handling on the authority side --------------------------------- #
 

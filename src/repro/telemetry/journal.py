@@ -31,7 +31,6 @@ import json
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.telemetry.trace import Span
@@ -72,34 +71,52 @@ _CATEGORY_BY_KIND = {
 _NAPLET_KEYS = ("naplet", "target", "clone")
 
 
-@dataclass(frozen=True)
 class JournalRecord:
-    """One flight-recorder entry: typed, stamped, JSON-describable."""
+    """One flight-recorder entry: typed, stamped, JSON-describable.
 
-    seq: int  # per-server append sequence (merge tie-break)
-    hlc: HLCStamp
-    kind: str
-    category: str  # one of CATEGORIES
-    server: str
-    wall: float
-    mono: float
-    naplet: str | None = None
-    trace_id: str | None = None
-    detail: dict[str, Any] = field(default_factory=dict)
+    It stores only its content (DESIGN.md §6.5): the HLC stamp inline, its
+    node only when it is not *server*, and ``detail`` as an interned key
+    tuple beside a value tuple.  No field is ever reassigned.
+    """
+
+    __slots__ = ("seq", "kind", "category", "server", "wall", "mono", "naplet", "trace_id",
+                 "_hlc_wall", "_hlc_logical", "_hlc_node", "_keys", "_values")
+    # The constructor's fields; *seq* is the per-server append order (merge tie-break).
+    _FIELDS = ("seq", "hlc", "kind", "category", "server", "wall", "mono", "naplet",
+               "trace_id", "detail")
+    # Every distinct set of detail keys, interned: records of one kind share one tuple.
+    _DETAIL_KEYS: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+    def __init__(self, seq: int, hlc: HLCStamp, kind: str, category: str, server: str,
+                 wall: float, mono: float, naplet: str | None = None,
+                 trace_id: str | None = None, detail: dict[str, Any] | None = None) -> None:
+        self.seq, self.kind, self.category, self.server = seq, kind, category, server
+        self.wall, self.mono, self.naplet, self.trace_id = wall, mono, naplet, trace_id
+        self._hlc_wall, self._hlc_logical = hlc.wall, hlc.logical
+        self._hlc_node = None if hlc.node == server else hlc.node
+        keys = tuple(detail) if detail else ()
+        self._keys = self._DETAIL_KEYS.setdefault(keys, keys)
+        self._values = tuple(detail.values()) if detail else ()
+
+    @property
+    def hlc(self) -> HLCStamp:
+        return HLCStamp(self._hlc_wall, self._hlc_logical, self._hlc_node or self.server)
+
+    @property
+    def detail(self) -> dict[str, Any]:
+        return dict(zip(self._keys, self._values))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, JournalRecord) and self.describe() == other.describe()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"JournalRecord({fields})"
 
     def describe(self) -> dict[str, Any]:
-        return {
-            "seq": self.seq,
-            "hlc": self.hlc.describe(),
-            "kind": self.kind,
-            "category": self.category,
-            "server": self.server,
-            "wall": self.wall,
-            "mono": self.mono,
-            "naplet": self.naplet,
-            "trace_id": self.trace_id,
-            "detail": dict(self.detail),
-        }
+        data = {name: getattr(self, name) for name in self._FIELDS}
+        data["hlc"] = self.hlc.describe()
+        return data
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "JournalRecord":
@@ -113,25 +130,26 @@ class JournalRecord:
             mono=float(data["mono"]),
             naplet=data.get("naplet"),
             trace_id=data.get("trace_id"),
-            detail=dict(data.get("detail") or {}),
+            detail=data.get("detail"),
         )
 
     def matches(self, kind: str, **detail: Any) -> bool:
         """True when this record has *kind* and every given detail item."""
         if self.kind != kind:
             return False
-        return all(self.detail.get(k) == v for k, v in detail.items())
+        keys, values = self._keys, self._values
+        return all((values[keys.index(k)] if k in keys else None) == v for k, v in detail.items())
 
     def mentions(self, subject: str) -> bool:
         """True when this record is about *subject* (naplet id or host)."""
         if self.naplet == subject or self.server == subject:
             return True
-        return any(str(v) == subject for v in self.detail.values())
+        return any(str(v) == subject for v in self._values)
 
 
 def causal_key(record: JournalRecord) -> tuple:
     """Sort key realizing the HLC total order (seq breaks same-node ties)."""
-    return (record.hlc, record.seq)
+    return (record._hlc_wall, record._hlc_logical, record._hlc_node or record.server, record.seq)
 
 
 def merge_journals(
@@ -300,7 +318,7 @@ class SpaceJournal:
                 mono=time.monotonic() if mono is None else mono,
                 naplet=naplet,
                 trace_id=trace_id,
-                detail=detail or {},
+                detail=detail,
             )
             self._records.append(record)
             self._tally[kind] = self._tally.get(kind, 0) + 1
@@ -338,7 +356,7 @@ class SpaceJournal:
                 "parent_id": span.parent_id,
                 "duration": span.duration,
                 "status": span.status,
-                "attributes": dict(span.attributes),
+                "attributes": span.attributes,
             },
             wall=span.start_wall,
             mono=span.start_mono,

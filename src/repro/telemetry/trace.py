@@ -214,7 +214,7 @@ class Tracer:
             start_wall=time.time(),
             start_mono=time.monotonic(),
             duration=duration,
-            attributes=dict(attributes),
+            attributes=attributes,
         )
         self._emit(span)
         return span

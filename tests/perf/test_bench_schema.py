@@ -93,6 +93,8 @@ class TestFlattenAndDirections:
             ("delta_on.bytes_per_hop", "lower"),
             ("delta_on.ring_bytes_per_hop", "lower"),
             ("delta_on.hops_per_sec", "higher"),
+            ("tour.journal_records_per_hop", "lower"),
+            ("tour.journal_bytes_per_hop", "lower"),
         ],
     )
     def test_metric_direction(self, key, direction):
@@ -111,6 +113,18 @@ class TestFlattenAndDirections:
         assert not is_timing_metric("bytes_per_hop")
         assert not is_timing_metric("delta_on.ring_bytes_per_hop")
         assert metric_direction("delta_full.bytes_per_hop") == "lower"
+
+    def test_the_tour_legs_journal_metrics_are_structural(self):
+        # What the flight recorder keeps per hop is a count of records and
+        # of their bytes, not machine speed: the structural gate reads both.
+        assert not is_timing_metric("tour.journal_records_per_hop")
+        assert not is_timing_metric("tour.journal_bytes_per_hop")
+        old = bench_snapshot("e8", {"tour": {"journal_records_per_hop": 8.4,
+                                             "journal_bytes_per_hop": 4000.0}})
+        new = bench_snapshot("e8", {"tour": {"journal_records_per_hop": 10.5,
+                                             "journal_bytes_per_hop": 8000.0}})
+        regressed = {e.key for e in diff_bench(old, new, structural_only=True).regressions}
+        assert regressed == {"tour.journal_records_per_hop", "tour.journal_bytes_per_hop"}
 
 
 class TestDiff:

@@ -242,3 +242,30 @@ class TestNoneMode:
             self_urn="naplet://edge",
         )
         assert client.lookup(_nid(home="ghosthome")) is None
+
+
+class TestRefusingAuthority:
+    def test_a_shutting_down_authority_reads_as_unreachable(self, space):
+        """A home server whose shutdown has begun answers every frame with
+        a pickled refusal; a lookup there is an unreachable authority, and a
+        post to its naplet fails to locate it rather than to decode."""
+        from repro.core.errors import NapletLocationError
+        from repro.itinerary import Itinerary, SeqPattern
+        from repro.simnet import line
+        from repro.util.concurrency import wait_until
+
+        from tests.conftest import StallNaplet
+
+        _net, servers = space(line(4, prefix="s"))
+        agent = StallNaplet("sitter", spin_seconds=30.0)
+        agent.set_itinerary(Itinerary(SeqPattern.of_servers(["s01"])))
+        nid = servers["s00"].launch(agent, owner="alice")
+        assert wait_until(lambda: servers["s01"].manager.is_resident(nid), timeout=10)
+        servers["s00"]._shutdown.set()
+        try:
+            assert servers["s02"].directory_client.lookup(nid) is None
+            with pytest.raises(NapletLocationError):
+                servers["s02"].messenger.post(None, nid, "hi")
+        finally:
+            servers["s00"]._shutdown.clear()
+            servers["s01"].terminate_naplet(nid)
