@@ -20,7 +20,11 @@ wire counters prove the byte win against the cargo it did not re-ship
 (``bytes_per_hop`` ≤ 40% of ``cargo_bytes``) — a structural metric CI
 gates on.  The same courier then tours a ring of three servers for 12
 hops: the cargo crosses each of the three links once and every later hop
-omits it (``ring_bytes_per_hop``, structural as well).
+omits it (``ring_bytes_per_hop``, structural as well).  The cargo is
+exactly ``bytes``, so it is its own field image: ``cargo_copies_per_hop``
+counts the landings whose cargo is not the one object the destination's
+delta cache holds for it (an unpickled or copied duplicate), per hop —
+structural, and 0.
 
 **Tour leg** (``tour``).  The journey benchmark's ``tour_small`` shape: a
 counter-only naplet tours a ring of three servers for 11 hops and hops
@@ -193,6 +197,19 @@ def _measure_delta(route: list[str], full_hops: int) -> dict:
     """One journey of the heavy courier over *route*, of which the first
     *full_hops* hops — one per link — pay for the cargo."""
     transport, servers = _space(sorted(set(route)))
+    copies = []
+    for server in servers.values():
+        serializer = server.serializer
+
+        def landing(data, cache=None, *, buffers=None, serializer=serializer,
+                    loads=serializer.loads_with_info):
+            naplet, info = loads(data, cache, buffers=buffers)
+            if info["hash"] is not None:  # a landed image, not a message body
+                held = serializer.delta_cache.peek(info["nid"]).fields["cargo"]
+                copies.append(naplet.cargo is not serializer.delta_cache.blob(held.hash))
+            return naplet, info
+
+        serializer.loads_with_info = landing
     try:
         agent = CourierNaplet("courier", cargo=b"\xc3" * CARGO_BYTES)
         agent.set_itinerary(
@@ -228,6 +245,7 @@ def _measure_delta(route: list[str], full_hops: int) -> dict:
             "hops_per_sec": DELTA_HOPS / elapsed,
             "delta_hops": delta_hops,
             "delta_saved_bytes": saved_bytes,
+            "cargo_copies_per_hop": sum(copies) / DELTA_HOPS,
         }
     finally:
         _shutdown(transport, servers)
@@ -369,6 +387,8 @@ class TestTransportFastPath:
         # ... and the wire carried well under the 40% byte budget per hop,
         # against the cargo a full image would have re-shipped every time.
         assert delta["bytes_per_hop"] <= 0.4 * delta["cargo_bytes"]
+        # ... and every landing's cargo is the destination cache's one object.
+        assert delta["cargo_copies_per_hop"] == 0
 
         table(
             "E8b: delta state shipping (12-hop ping-pong, 2 MiB cargo)",
@@ -386,6 +406,7 @@ class TestTransportFastPath:
         ring = _measure_delta(RING, full_hops=3)
         assert ring["delta_hops"] == DELTA_HOPS - 3
         assert ring["bytes_per_hop"] <= 0.3 * ring["cargo_bytes"]
+        assert ring["cargo_copies_per_hop"] == 0
         delta["ring_bytes_per_hop"] = ring["bytes_per_hop"]
         delta["ring_delta_hops"] = ring["delta_hops"]
 

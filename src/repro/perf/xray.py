@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Container
 
 from repro.core.errors import SerializationError
-from repro.transport.delta import content_hash, field_fate, image_hash
+from repro.transport.delta import content_hash, field_fate, field_key, image_hash
 from repro.transport.serializer import (
     NapletSerializer,
     _SelfReferential,
@@ -251,8 +251,8 @@ def explain_delta(
 ) -> DeltaXray:
     """Preview *naplet*'s next hop under delta shipping — a pure probe.
 
-    Pickles each ``image_state()`` field (the itinerary's plan and cursor
-    apart, no credential) through the serializer's own per-field pickler
+    Images each ``image_state()`` field (the itinerary's plan and cursor
+    apart, no credential) as the serializer does, raw ``bytes`` or pickle,
     and asks the serializer's own rule what the hop would do with it, so
     the view cannot drift from the envelope.  *held*
     is what the destination is known to hold
@@ -276,14 +276,14 @@ def explain_delta(
     field_hashes: dict[str, str] = {}
     for attr, value in state.items():
         try:
-            data, _stamps = serializer._pickle_field(naplet, attr, value)
+            data, raw, _stamps = serializer._field_image(naplet, attr, value)
         except (SerializationError, _SelfReferential):
             # Unpicklable (the three pickling errors, wrapped) or reaching
             # back to the naplet: the real dump fails or goes as one pickle.
             shipped[_friendly(attr)] = 0
             continue
-        digest = field_hashes[attr] = content_hash(data)
-        fate = field_fate(prev, attr, digest, len(data), nid, held)
+        digest = field_hashes[field_key(attr, raw)] = content_hash(data)
+        fate = field_fate(prev, attr, digest, len(data), nid, held, raw)
         (shipped if fate == "ships" else skipped)[_friendly(attr)] = len(data)
         if fate == "referenced":
             referenced.add(_friendly(attr))

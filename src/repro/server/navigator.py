@@ -120,8 +120,8 @@ class Navigator:
         self.server = server
         # Exactly-once landing: retransmitted transfers (the source never
         # saw our ack) are recognized by their source and transfer-id and
-        # re-acked without landing a second copy of the naplet.
-        self._landed_transfers: OrderedDict[tuple[str, str], NapletID] = OrderedDict()
+        # re-acked without landing a second copy of the naplet (kept: its id text).
+        self._landed_transfers: OrderedDict[tuple[str, str], str] = OrderedDict()
         self._transfer_seq = itertools.count(1)
         # Delta-shipping hints (DESIGN.md §6.7), all advisory: what each
         # peer's delta cache is known to hold — field hashes and naplet ids
@@ -484,7 +484,7 @@ class Navigator:
             return None
         self.server.journal.record(
             "duplicate-transfer",
-            naplet=str(nid),
+            naplet=nid,
             transfer_id=transfer_id,
             source=frame.source,
         )
@@ -494,7 +494,7 @@ class Navigator:
         transfer_id = frame.headers.get("transfer-id")
         if not transfer_id:
             return
-        self._landed_transfers[frame.source, transfer_id] = nid
+        self._landed_transfers[frame.source, transfer_id] = str(nid)
         while len(self._landed_transfers) > _TRANSFER_DEDUP_CAPACITY:
             self._landed_transfers.popitem(last=False)
 

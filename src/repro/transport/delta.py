@@ -1,10 +1,11 @@
 """Delta shipping support: content hashes, image records, the field index.
 
 A migrating naplet ships as a *per-field* image (DESIGN.md §6.7) —
-``{field name: pickled bytes}`` — and every field, image and shipped module
-source is addressed by :func:`content_hash`, SHA-256 truncated to 128 bits:
-an address, not a security boundary (the credential signature guards
-integrity).  The buffer goes to hashlib as it is, read once, never copied.
+``{field name: bytes}``, each a pickle or a value of exact ``bytes`` itself
+(*raw*) — and every field, image and shipped module source is addressed by
+:func:`content_hash`, SHA-256 truncated to 128 bits: an address, not a
+security boundary (the credential signature guards integrity).  The
+buffer goes to hashlib as it is, read once, never copied.
 
 :class:`DeltaCache` holds what one server leans on, as sender and receiver:
 
@@ -43,6 +44,8 @@ __all__ = [
     "ImageRecord",
     "content_hash",
     "field_fate",
+    "field_key",
+    "field_name",
     "image_hash",
 ]
 
@@ -57,11 +60,24 @@ def content_hash(data: bytes | memoryview) -> str:
     return hashlib.sha256(data).hexdigest()[:32]
 
 
+def field_key(name: str, raw: bool) -> str:
+    """*name* spelled with its field's kind, as envelopes and image hashes
+    carry it: ``=`` before a raw field's name, ``-`` before a pickled one's
+    that begins with ``=`` or ``-``, so every key reads back one way."""
+    return "=" + name if raw else "-" + name if name[:1] in ("=", "-") else name
+
+
+def field_name(key: str) -> tuple[str, bool]:
+    """``(name, raw)`` of a :func:`field_key`."""
+    return (key[1:], key[0] == "=") if key[:1] in ("=", "-") else (key, False)
+
+
 def image_hash(field_hashes: dict[str, str]) -> str:
     """Hash of a whole per-field image, order-independent.
 
-    Derived from the sorted ``name:hash`` pairs so sender and receiver
-    compute identical image hashes without exchanging field bytes.
+    Derived from the sorted ``key:hash`` pairs (:func:`field_key`: the
+    kinds are part of the image) so sender and receiver compute identical
+    image hashes without exchanging field bytes.
     """
     return content_hash(
         "".join(f"{name}\0{field_hashes[name]}\0" for name in sorted(field_hashes))
@@ -73,6 +89,8 @@ def image_hash(field_hashes: dict[str, str]) -> str:
 class FieldEntry:
     """One field of a cached image.
 
+    A ``raw`` field's ``data`` is its exact-``bytes`` value, not a pickle:
+    stable from the start, it never proves its blob stable for pickles.
     ``value`` holds a *strong* reference to the live object the bytes were
     pickled from — identity comparison against it is only meaningful while
     the object cannot have been garbage collected and its ``id`` reused;
@@ -90,6 +108,7 @@ class FieldEntry:
     fingerprint: Any | None = None
     stable: bool | None = None
     stamps: frozenset[tuple[str, str, str]] = frozenset()
+    raw: bool = False
 
     @property
     def live(self) -> bool:
@@ -111,7 +130,7 @@ class ImageRecord:
 
 def field_fate(
     prev: ImageRecord | None, name: str, digest: str, nbytes: int,
-    nid: str, held: Container[str],
+    nid: str, held: Container[str], raw: bool = False,
 ) -> str:
     """What a dump toward a peer does with one field: ``ships``, ``omitted``
     or ``referenced``.
@@ -123,10 +142,10 @@ def field_fate(
     when it has one, and is otherwise sent the hash — when that is shorter
     than the bytes.  Unchanged-here is what makes a remembered hash worth
     trusting: values that change every hop recur across naplets long after
-    the peer overwrote them.
+    the peer overwrote them.  A field whose kind (*raw*) changed ships.
     """
     before = prev.fields.get(name) if prev is not None else None
-    if before is None or before.hash != digest or digest not in held:
+    if before is None or before.hash != digest or before.raw != raw or digest not in held:
         return "ships"
     if nid in held:
         return "omitted"

@@ -130,8 +130,8 @@ def recv_segments(sock: socket.socket, sizes: list[int]) -> tuple:
 
     A run of small segments (``COALESCE_MAX`` in total) is read in one
     recv and sliced; a larger segment is read alone, as the ``bytes`` it
-    arrived in — the serializer keeps a bulk field segment as its cached
-    image, so that one pays no copy past the kernel's.
+    arrived in: the serializer caches it as it is and lands a raw field's
+    segment as the value itself (a pickled field's value is a second copy).
     """
     if sizes and max(sizes) > MAX_FRAME:
         raise NapletCommunicationError(f"frame segment too large: {max(sizes)} bytes")

@@ -23,14 +23,15 @@ no option, no negotiation — and every reader reads both (DESIGN.md §6.7):
 - **per-field** ``(nid, digest, shipped, removed, refs, cls, bundles,
   code_refs)``, the migration image (:meth:`dumps_with_cost`): absent
   slots ``None``, trailing ones dropped, every hash 16 raw bytes.  Per
-  ``image_state()`` field (:func:`~repro.transport.delta.field_fate`) the
-  bytes **ship** (``shipped``: name, buffer, …; out-of-band
-  :class:`pickle.PickleBuffer` segments under protocol 5), are
-  **referenced** by hash (``refs``: name, hash, …) or are **omitted**,
-  taken by name from the destination's own record of this naplet:
-  ``removed`` (names dropped since) is present, and ``cls`` (a shipping
-  stamp or the pickled class) absent, exactly then.  Eager bundles the
-  destination holds travel as ``code_refs`` hashes.
+  ``image_state()`` field (:func:`~repro.transport.delta.field_fate`) its
+  image — its pickle, or a value of exact ``bytes`` itself — **ships**
+  (``shipped``: key, buffer, …; out-of-band segments; a key is the name
+  spelled with the kind, ``field_key``), is **referenced** by hash
+  (``refs``: key, hash, …) or is **omitted**, taken by name from the
+  destination's own record of this naplet: ``removed`` (names dropped
+  since) is present, and ``cls`` (a shipping stamp or the pickled class)
+  absent, exactly then.  Eager bundles the destination holds travel as
+  ``code_refs`` hashes.
 
 A field is re-used without a re-pickle or re-hash only when it provably
 cannot have changed: the same object, not rebound, and either immutable
@@ -71,6 +72,8 @@ from repro.transport.delta import (
     ImageRecord,
     content_hash,
     field_fate,
+    field_key,
+    field_name,
     image_hash,
 )
 
@@ -290,6 +293,14 @@ class NapletSerializer:
                 bundles[(codebase_name, module_key)] = codebase.source_of(module_key)
         return bundles, code_refs
 
+    def _field_image(self, root: Any, name: str, value: Any) -> tuple[bytes, bool, frozenset]:
+        """``(data, raw, stamps)`` of a field: a value that is exactly ``bytes``
+        is its own image (raw), anything else its pickle."""
+        if type(value) is bytes:
+            return value, True, frozenset()
+        data, stamps = self._pickle_field(root, name, value)
+        return data, False, stamps
+
     def _pickle_field(self, root: Any, name: str, value: Any) -> tuple[bytes, frozenset]:
         # A protocol-5 pickler hands a large bytes payload to ``write``
         # as the object itself: collect the writes and join once.
@@ -336,13 +347,15 @@ class NapletSerializer:
                     # Provably unchanged: reuse bytes and hash, skip the pickle.
                     new_fields[name] = entry
                     continue
-                data, stamps = self._pickle_field(obj, name, value)
+                data, raw, stamps = self._field_image(obj, name, value)
                 new_fields[name] = FieldEntry(
                     data=data,
                     hash=content_hash(data),
                     value=value,
                     fingerprint=delta_fingerprint(value),
+                    stable=raw or None,
                     stamps=stamps,
+                    raw=raw,
                 )
         except _SelfReferential:
             # The field graph reaches the naplet itself: one pickle keeps
@@ -360,12 +373,12 @@ class NapletSerializer:
                     f"cannot serialize {type(obj).__name__}: {exc}"
                 ) from exc
 
-        img_hash = image_hash({n: e.hash for n, e in new_fields.items()})
+        img_hash = image_hash({field_key(n, e.raw): e.hash for n, e in new_fields.items()})
         # Into the cache first: a field re-pickled to content some record
         # already holds ships (and stays) as that record's bytes object.
         cache.put(nid, ImageRecord(img_hash, cls_ref, new_fields))
         fates = {
-            n: field_fate(prev, n, e.hash, len(e.data), nid, held)
+            n: field_fate(prev, n, e.hash, len(e.data), nid, held, e.raw)
             for n, e in new_fields.items()
         }
         shipped = {n: e for n, e in new_fields.items() if fates[n] == "ships"}
@@ -377,11 +390,12 @@ class NapletSerializer:
         envelope = (
             nid,
             bytes.fromhex(img_hash),
-            _flat((n, self._wrap(e.data)) for n, e in shipped.items()),
+            _flat((field_key(n, e.raw), self._wrap(e.data)) for n, e in shipped.items()),
             # The destination patches omitted fields onto its own record of
             # this naplet: everything there it is not told otherwise.
             tuple(n for n in prev.fields if n not in new_fields) if omitted else None,
-            _flat((n, bytes.fromhex(new_fields[n].hash)) for n, f in fates.items() if f == "referenced"),
+            _flat((field_key(n, e.raw), bytes.fromhex(e.hash))
+                  for n, e in new_fields.items() if fates[n] == "referenced"),
             None if omitted else cls_ref,
             bundles or None,
             code_refs or None,
@@ -493,10 +507,10 @@ class NapletSerializer:
                     "server does not hold — sender must re-ship the bundle"
                 )
 
-        # Compose the per-field byte image: the destination's own record
-        # for the omitted fields, its hash index for the referenced ones.
-        field_bytes: dict[str, Any] = {}
-        field_hashes: dict[str, str] = {}
+        # Compose the image, name -> (bytes, hash, raw): the destination's own
+        # record for the omitted fields, its hash index for the referenced ones.
+        fields: dict[str, tuple[Any, str, bool]] = {}
+        raw_blobs: dict[str, bytes] = {}  # hash -> the one object equal raw fields land as
         if removed is not None:
             record = self._delta_cache.get(nid)
             if record is None:
@@ -504,18 +518,22 @@ class NapletSerializer:
             cls_ref = record.cls_ref
             for name, entry in record.fields.items():
                 if name not in removed:
-                    field_bytes[name] = entry.data
-                    field_hashes[name] = entry.hash
-        for name, ref in refs.items():
-            blob = field_bytes[name] = self._delta_cache.blob(ref)
-            field_hashes[name] = ref
-            if blob is None:
-                raise _miss(nid, f"references {name!r} by hash {ref[:12]} which no record here holds")
+                    fields[name] = (entry.data, entry.hash, entry.raw)
         try:
-            for name, blob in shipped.items():
-                field_bytes[name] = blob
-                field_hashes[name] = content_hash(blob)
-            composed = image_hash(field_hashes)
+            for key, ref in refs.items():
+                name, raw = field_name(key)
+                blob = self._delta_cache.blob(ref)
+                if blob is None:
+                    raise _miss(nid, f"references {name!r} by hash {ref[:12]} which no record here holds")
+                fields[name] = (blob, ref, raw)
+            for key, blob in shipped.items():
+                name, raw = field_name(key)
+                digest = content_hash(blob)
+                if raw:  # lands as the one bytes object held here, else as itself
+                    held = self._delta_cache.blob(digest) or (blob if type(blob) is bytes else bytes(blob))
+                    blob = raw_blobs.setdefault(digest, held)
+                fields[name] = (blob, digest, raw)
+            composed = image_hash({field_key(n, raw): h for n, (_, h, raw) in fields.items()})
         except _MALFORMED as exc:
             raise SerializationError(f"malformed per-field envelope: {exc}") from exc
         delta = removed is not None or bool(refs)
@@ -533,7 +551,8 @@ class NapletSerializer:
         else:
             cls = _unpickled(cls_ref, "naplet class")
         with resolver_installed(cache) if cache is not None else nullcontext():
-            state = {name: _unpickled(blob, f"field {name!r}") for name, blob in field_bytes.items()}
+            state = {name: blob if raw else _unpickled(blob, f"field {name!r}")
+                     for name, (blob, _, raw) in fields.items()}
         try:
             obj = cls.__new__(cls)
             setstate = getattr(obj, "__setstate__", None)
@@ -548,12 +567,14 @@ class NapletSerializer:
         # hop from this server gets the identity-based pickle skip.
         record = ImageRecord(img_hash, cls_ref, {
             name: FieldEntry(
-                data=blob if isinstance(blob, bytes) else bytes(blob),
-                hash=field_hashes[name],
+                data=blob if type(blob) is bytes else bytes(blob),
+                hash=digest,
                 value=state[name],
                 fingerprint=delta_fingerprint(state[name]),
+                stable=raw or None,
+                raw=raw,
             )
-            for name, blob in field_bytes.items()
+            for name, (blob, digest, raw) in fields.items()
         })
         self._delta_cache.landed(nid, record)
         return obj, {"v": 2, "mode": "delta" if delta else "full", "nid": nid, "hash": img_hash}

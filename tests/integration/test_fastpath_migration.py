@@ -80,6 +80,19 @@ class TestOneExchangePerHop:
         assert _wire_frames(network, "directory-event") == hops - 1
         assert sum(s.journal.count("hop-cost") for s in servers.values()) == hops
 
+    def test_transfer_dedup_table_keeps_only_the_id_text(self, space):
+        _network, servers = space(line(4, prefix="s"))
+        listener = repro.NapletListener()
+        nid = servers["s00"].launch(_tour_agent(["s01", "s02", "s03"]), owner="alice",
+                                    listener=listener)
+        assert listener.next_report(timeout=10).payload == ["s01", "s02", "s03"]
+        for name in ("s01", "s02", "s03"):
+            table = servers[name].navigator._landed_transfers
+            # A landing is remembered after the naplet starts, which can report first.
+            assert wait_until(lambda: table, timeout=10)
+            remembered = list(table.values())
+            assert remembered == [str(nid)] and type(remembered[0]) is str
+
     def test_message_chases_moved_naplet(self, space):
         network, servers = space(line(5, prefix="s"))
         agent = StallNaplet("mover", spin_seconds=2.0)

@@ -17,6 +17,7 @@ from repro.perf.bench import (
     metric_direction,
     write_bench,
 )
+from tests.conftest import load_tool
 
 pytestmark = pytest.mark.perf
 
@@ -95,6 +96,7 @@ class TestFlattenAndDirections:
             ("delta_on.hops_per_sec", "higher"),
             ("tour.journal_records_per_hop", "lower"),
             ("tour.journal_bytes_per_hop", "lower"),
+            ("delta_on.cargo_copies_per_hop", "lower"),
         ],
     )
     def test_metric_direction(self, key, direction):
@@ -125,6 +127,17 @@ class TestFlattenAndDirections:
                                              "journal_bytes_per_hop": 8000.0}})
         regressed = {e.key for e in diff_bench(old, new, structural_only=True).regressions}
         assert regressed == {"tour.journal_records_per_hop", "tour.journal_bytes_per_hop"}
+
+    def test_cargo_copies_per_hop_is_gated_by_the_structural_diff(self, tmp_path, capsys):
+        # A landing that copies its bytes cargo again is a protocol fact:
+        # `napletperf diff --structural` (CI's gate) fails on it.
+        napletperf = load_tool("napletperf")
+        assert not is_timing_metric("delta_on.cargo_copies_per_hop")
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        write_bench(old, "e8", {"delta_on": {"cargo_copies_per_hop": 0.0, "hops_per_sec": 50.0}})
+        write_bench(new, "e8", {"delta_on": {"cargo_copies_per_hop": 1.0, "hops_per_sec": 50.0}})
+        assert napletperf.main(["diff", str(old), str(new), "--structural"]) == 1
+        assert "delta_on.cargo_copies_per_hop" in capsys.readouterr().out
 
 
 class TestDiff:

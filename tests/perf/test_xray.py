@@ -155,6 +155,19 @@ class TestDeltaView:
         assert "omitted (saved)" in default.render()
         assert json.loads(json.dumps(default.describe()))["referenced"] == []
 
+    def test_a_bytes_cargo_previews_as_its_own_image(self):
+        """The preview images fields with the serializer's own rule: an
+        exact ``bytes`` cargo is its raw bytes, and the kind it travels as
+        is part of the image hash both compute."""
+        serializer = NapletSerializer()
+        agent = _identified("xray-raw")
+        agent.cargo = b"\xef" * 10_000
+        view = explain_delta(agent, serializer)
+        data, buffers, _ = serializer.dumps_with_cost(agent)
+        envelope = read_envelope(data, buffers)
+        assert view.shipped["cargo"] == len(agent.cargo) and "cargo" in envelope["raw"]
+        assert view.image_hash == envelope["hash"]
+
     def test_only_what_the_real_dump_tolerates_reads_as_zero_bytes(self):
         class Exploding:
             def __reduce__(self):

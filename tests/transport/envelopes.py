@@ -2,7 +2,10 @@
 
 The wire form (DESIGN.md §6.7) is a flat tuple — ``(nid, digest, shipped,
 removed, refs, cls, bundles, code_refs)`` with trailing absent slots
-dropped, flat name/value pairs, digests as 16 raw bytes.  Tests read it
+dropped, flat name/value pairs, digests as 16 raw bytes.  A field whose
+value is exactly ``bytes`` (raw: the segment is the value, no pickle) has
+its name spelled with a leading ``=``; a pickled field whose name begins
+with ``=`` or ``-`` gains a leading ``-``.  Tests read it
 keyed by what each slot means, so their assertions name fields, not
 positions; this module decodes the layout on its own, as a second reading
 of the format the serializer writes.
@@ -26,11 +29,30 @@ def _flat(mapping: dict[Any, Any]) -> tuple | None:
     return tuple(item for pair in mapping.items() for item in pair) or None
 
 
+def _unspelled(mapping: dict[str, Any], raw: set[str]) -> dict[str, Any]:
+    """*mapping* keyed by plain field names; raw ones are added to *raw*."""
+    plain = {}
+    for key, value in mapping.items():
+        if key[:1] == "=":
+            raw.add(key[1:])
+        plain[key[1:] if key[:1] in ("=", "-") else key] = value
+    return plain
+
+
+def _spelled(mapping: dict[str, Any], raw: set[str]) -> dict[str, Any]:
+    return {
+        ("=" + name if name in raw else "-" + name if name[:1] in ("=", "-") else name): value
+        for name, value in mapping.items()
+    }
+
+
 def read_envelope(data: bytes, buffers: Any = None) -> dict[str, Any]:
     """The per-field envelope in *data* as ``{slot: value}``.
 
     Absent slots are left out, except that ``fields``, ``refs``,
-    ``bundles`` and ``code_refs`` read empty; digests read as hex;
+    ``bundles`` and ``code_refs`` read empty; ``fields`` and ``refs`` are
+    keyed by plain field names, and ``raw`` is the set of those that are
+    raw ``bytes`` fields; digests read as hex;
     ``omitted`` is True when the envelope leans on the receiver's record
     (``removed`` present); ``mode`` is ``delta`` when anything stayed off
     the wire.
@@ -39,8 +61,9 @@ def read_envelope(data: bytes, buffers: Any = None) -> dict[str, Any]:
     assert isinstance(envelope, tuple) and isinstance(envelope[0], str)
     view = {slot: value for slot, value in zip(SLOTS, envelope) if value is not None}
     view["hash"] = view["hash"].hex()
-    view["fields"] = _pairs(view.get("fields"))
-    view["refs"] = {name: ref.hex() for name, ref in _pairs(view.get("refs")).items()}
+    view["raw"] = raw = set()
+    view["fields"] = _unspelled(_pairs(view.get("fields")), raw)
+    view["refs"] = {name: ref.hex() for name, ref in _unspelled(_pairs(view.get("refs")), raw).items()}
     view["bundles"] = view.get("bundles") or {}
     view["code_refs"] = {key: ref.hex() for key, ref in (view.get("code_refs") or {}).items()}
     if "removed" in view:
@@ -56,9 +79,9 @@ def write_envelope(view: dict[str, Any]) -> bytes:
     envelope = (
         view["nid"],
         bytes.fromhex(view["hash"]),
-        _flat(view["fields"]),
+        _flat(_spelled(view["fields"], view["raw"])),
         tuple(view["removed"]) if view.get("omitted") else None,
-        _flat({name: bytes.fromhex(ref) for name, ref in view["refs"].items()}),
+        _flat(_spelled({name: bytes.fromhex(ref) for name, ref in view["refs"].items()}, view["raw"])),
         view.get("cls"),
         view["bundles"] or None,
         {key: bytes.fromhex(ref) for key, ref in view["code_refs"].items()} or None,

@@ -1,0 +1,79 @@
+"""A field whose value is exactly ``bytes`` is its own image: a landing
+installs the bytes it received or holds, never an unpickled copy."""
+
+from __future__ import annotations
+
+import tracemalloc
+
+from repro.transport.base import Frame, FrameKind
+from repro.transport.serializer import NapletSerializer
+from repro.transport.tcp import TcpTransport
+from tests.core.test_naplet import _identified
+from tests.transport.envelopes import read_envelope
+
+CARGO_BYTES = 1 << 20
+
+
+def _courier():
+    agent = _identified("courier")
+    agent.cargo = bytes(range(256)) * (CARGO_BYTES // 256)
+    return agent
+
+
+def _blob_of(serializer: NapletSerializer, nid: str) -> bytes:
+    """The one bytes object *serializer*'s cache holds for *nid*'s cargo."""
+    cache = serializer.delta_cache
+    return cache.blob(cache.peek(nid).fields["cargo"].hash)
+
+
+class TestPingPong:
+    def test_a_landing_that_omits_the_cargo_copies_nothing(self):
+        here, there = NapletSerializer(), NapletSerializer()
+        agent = _courier()
+        nid, cargo = str(agent.naplet_id), agent.cargo
+        data, buffers, _ = here.dumps_with_cost(agent)
+        agent, _ = there.loads_with_info(data, buffers=buffers or None)  # the full launch hop
+        for hop in range(1, 5):
+            sender, receiver = (there, here) if hop % 2 else (here, there)
+            agent.count = hop
+            # The receiver holds the image the sender last dumped or landed.
+            held = {nid, *sender.delta_cache.peek(nid).field_hashes().values()}
+            data, buffers, _ = sender.dumps_with_cost(agent, held=held)
+            envelope = read_envelope(data, buffers)
+            assert envelope.get("omitted") and "cargo" not in envelope["fields"]
+            tracemalloc.start()
+            try:
+                agent, info = receiver.loads_with_info(data, buffers=buffers or None)
+                _now, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert info["mode"] == "delta" and agent.count == hop
+            assert peak < CARGO_BYTES / 10, (hop, peak)
+            assert agent.cargo == cargo and agent.cargo is _blob_of(receiver, nid)
+
+    def test_a_full_landing_over_tcp_keeps_the_received_segment(self):
+        sender, receiver = NapletSerializer(), NapletSerializer()
+        agent = _courier()
+        nid = str(agent.naplet_id)
+        landed = {}
+
+        def handler(frame):
+            landed["segments"] = frame.buffers
+            landed["naplet"], _ = receiver.loads_with_info(frame.payload, buffers=frame.buffers)
+            return b"ok"
+
+        transport = TcpTransport()
+        try:
+            transport.register("naplet://dest", handler)
+            data, buffers, _ = sender.dumps_with_cost(agent)
+            frame = Frame(
+                kind=FrameKind.NAPLET_TRANSFER, source="naplet://src", dest="naplet://dest",
+                payload=data, buffers=tuple(buffers),
+            )
+            assert transport.request(frame, timeout=10) == b"ok"
+        finally:
+            transport.close()
+        cargo = landed["naplet"].cargo
+        assert type(cargo) is bytes and cargo == agent.cargo
+        assert any(cargo is segment for segment in landed["segments"])
+        assert cargo is _blob_of(receiver, nid)
