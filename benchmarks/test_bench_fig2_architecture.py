@@ -45,8 +45,7 @@ class TestFigure2:
         benchmark.pedantic(_one_round_trip, args=(servers,), rounds=20, iterations=1)
         rows = [
             ["launch events (h00)", servers["h00"].journal.count("naplet-launch")],
-            ["landings granted (h01)", servers["h01"].journal.count("landing-granted")],
-            ["arrivals (h01)", servers["h01"].journal.count("naplet-arrive")],
+            ["landings (h01)", servers["h01"].journal.count("landing")],
             ["naplets admitted (h01)", servers["h01"].monitor.admitted],
             ["bytes on the wire", network.meter.total_bytes],
         ]

@@ -111,10 +111,10 @@ class TestTelemetryOverhead:
             # absolute cushion for scheduler jitter on loaded CI boxes)
             assert health_on <= instrumented * 1.05 + 0.25
             # hop-cost attribution rode along for free: every tour hop left
-            # a perf record and fed the byte/serialize histograms, and the
+            # a hop span and fed the byte/serialize histograms, and the
             # overhead bounds above were met with attribution enabled
             assert sum(
-                len(s.journal.records(category="perf")) for s in on.values()
+                len(s.journal.records(kind="hop")) for s in on.values()
             ) >= TOURS * len(ROUTE)
             assert on["s00"].telemetry.hop_bytes.value(part="payload").count > 0
             assert on["s00"].telemetry.serialize_seconds.value(op="dumps").count > 0

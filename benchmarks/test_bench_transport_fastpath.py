@@ -267,9 +267,9 @@ def _measure_tour() -> dict:
             listener = repro.NapletListener()
             servers["b00"].launch(agent, owner="bench", listener=listener)
             assert listener.next_report(timeout=20).payload == len(TOUR)
-            # The last hop's sender books it after the report is home.
+            # The last hop's sender closes its hop span after the report is home.
             assert wait_until(
-                lambda: sum(s.journal.count("hop-cost") for s in servers.values())
+                lambda: sum(s.journal.count("hop") for s in servers.values())
                 == len(TOUR) * (lap + 1),
                 timeout=10,
             )

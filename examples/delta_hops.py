@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import repro
 from repro.itinerary import Itinerary, ResultReport, SeqPattern
-from repro.perf import explain_delta, render_hop_costs
+from repro.perf import explain_delta, hop_cost_rows, render_hop_costs
 from repro.server import SpaceAdmin, deploy
 from repro.simnet import VirtualNetwork, full_mesh
 
@@ -87,7 +87,7 @@ def main() -> None:
 
         # 3. What the hops actually cost: repeat hops read ``delta`` in
         #    the ``image`` column and show a fat ``saved`` column.
-        records = admin.harvest_journal(category="perf")
+        records = admin.harvest_journal(kind="hop")
         print("\n=== per-hop costs (repeat hops ship deltas) ===")
         print(render_hop_costs(records, naplet=str(nid)))
 
@@ -110,9 +110,8 @@ def main() -> None:
         listener.next_report(timeout=30)
         admin.wait_space_idle()
         costs = [
-            r.detail["total_bytes"]
-            for r in admin.harvest_journal(category="perf")
-            if r.kind == "hop-cost" and r.naplet == str(ring_nid)
+            row["total_bytes"]
+            for row in hop_cost_rows(admin.harvest_journal(kind="hop"), naplet=str(ring_nid))
         ]
         print("\n=== the same cargo round a ring of three (bytes per hop) ===")
         print(f"  launch + first lap : {costs[:4]}")

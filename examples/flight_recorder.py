@@ -10,8 +10,8 @@ that piggyback on every frame header and naplet pickle.
 
 Back home we show:
 
-1. the harvested space-wide timeline, causally ordered — every hop's
-   depart precedes its landing despite the skew;
+1. the harvested space-wide timeline, causally ordered — every hop
+   span precedes its landing span despite the skew;
 2. the same records sorted by raw wall time, where the skew visibly
    *inverts* hops (the proof the HLC is doing the work);
 3. a journey query (``select``/``order``, what ``tools/naplet.py log``
@@ -95,17 +95,17 @@ def main() -> None:
         story = admin.harvest_journal(naplet=str(nid))
         show("causal order (harvest_journal)", story)
 
-        # 2. Raw wall order inverts hops: a depart minted at wall+5 sorts
-        #    after its landing minted at wall-5.
-        hops = [r for r in story if r.kind in ("naplet-depart", "naplet-arrive")]
+        # 2. Raw wall order inverts hops: a hop span begun at wall+5 sorts
+        #    after its landing begun at wall-5.
+        hops = [r for r in story if r.kind in ("hop", "landing")]
         by_wall = sorted(hops, key=lambda r: (r.wall, r.server, r.seq))
         show("the same hops by raw wall clock (inverted!)", by_wall)
         causal_hops = sorted(hops, key=causal_key)
         inverted = [r.kind for r in by_wall] != [r.kind for r in causal_hops]
         print(f"\nwall order differs from causal order: {inverted}")
 
-        # 3. Reconstruct the itinerary from arrivals alone.
-        arrived = admin.harvest_journal(journey=str(nid), kind="naplet-arrive")
+        # 3. Reconstruct the itinerary from landings alone.
+        arrived = admin.harvest_journal(journey=str(nid), kind="landing")
         arrivals = [r.server for r in order(arrived, causal=True)]
         print(f"itinerary reconstructed from the journal: {arrivals}")
         assert arrivals == ROUTE

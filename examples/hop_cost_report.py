@@ -5,8 +5,8 @@ A naplet's migration bill has three line items: the time to pickle it,
 the bytes its image occupies on the wire, and the framing around it.
 This walkthrough makes all three visible for one journey:
 
-1. a tour through three servers leaves a ``hop-cost`` record in the
-   flight recorder at every departure — serialize seconds plus the
+1. a tour through three servers leaves a ``hop`` span in the flight
+   recorder at every departure — serialize seconds plus the
    payload/header/code byte split of the transfer frame;
 2. ``render_hop_costs`` turns the harvested records into the same
    per-hop table ``tools/naplet.py hops`` prints;
@@ -67,7 +67,7 @@ def main() -> None:
         admin.wait_space_idle()
 
         # 1. The per-hop cost table from the flight recorder.
-        records = admin.harvest_journal(category="perf")
+        records = admin.harvest_journal(kind="hop")
         print("\n=== per-hop costs (flight recorder) ===")
         print(render_hop_costs(records, naplet=str(nid)))
 

@@ -96,15 +96,15 @@ def main() -> None:
     print(f"  {'host':<6}{'landings':>9}{'hops':>6}{'delivered':>11}{'spans':>7}")
     for row in rows:
         print(
-            f"  {row['server']:<6}{total(row, RECORDS, kind='naplet-arrive'):>9.0f}"
-            f"{total(row, RECORDS, kind='hop-cost'):>6.0f}"
+            f"  {row['server']:<6}{total(row, RECORDS, kind='landing'):>9.0f}"
+            f"{total(row, RECORDS, kind='hop'):>6.0f}"
             f"{total(row, 'naplet_messages_delivered_total'):>11.0f}"
             f"{len(row['journal']):>7}"
         )
 
     merged = admin.space_metrics()
     print("\n— space-wide merged counters —")
-    for kind in ("naplet-launch", "hop-cost", "naplet-arrive"):
+    for kind in ("naplet-launch", "hop", "landing"):
         print(f"  {kind + ' records':<28} {merged.value(RECORDS, kind=kind):,.0f}")
     for name in ("naplet_frame_bytes_total", "wire_frames_total", "wire_bytes_total"):
         print(f"  {name:<28} {merged.total(name):,.0f}")

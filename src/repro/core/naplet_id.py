@@ -16,6 +16,7 @@ sequence.
 from __future__ import annotations
 
 import re
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -207,13 +208,14 @@ class NapletID:
 
 
 def _revive(text: str, clone_count: int) -> NapletID:
-    """Unpickle a :class:`NapletID`; its ``__str__`` text is split, not re-validated."""
+    """Unpickle a :class:`NapletID`; its ``__str__`` text is split, not
+    re-validated, and interned: every landing of one naplet shares it."""
     head, stamp, heritage = text.rsplit(":", 2)
     owner, home = head.split("@")
     nid = object.__new__(NapletID)
     nid.__dict__.update(
         owner=owner, home=home, stamp=stamp,
         heritage=tuple(map(int, heritage.split("."))),
-        _clone_counter=[clone_count], _clone_lock=threading.Lock(), _text=text,
+        _clone_counter=[clone_count], _clone_lock=threading.Lock(), _text=sys.intern(text),
     )
     return nid

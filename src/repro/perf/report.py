@@ -1,10 +1,10 @@
-"""Per-hop cost tables from the flight recorder's ``perf`` records.
+"""Per-hop cost tables from the flight recorder's ``hop`` spans.
 
-The navigator journals a ``hop-cost`` record (category ``perf``) on
-every successful migration, carrying the serialize time and the
-payload/header/code byte split of that hop.  This module turns a
-timeline of :class:`~repro.telemetry.journal.JournalRecord`\\ s — a live
-harvest, or a dump read back with ``load_records`` — into the table
+The source navigator's ``hop`` span is a migration's cost record: it
+carries the serialize time and the payload/header/code byte split of that
+hop.  This module turns a timeline of
+:class:`~repro.telemetry.journal.JournalRecord`\\ s — a live harvest, or a
+dump read back with ``load_records`` — into the table
 ``tools/naplet.py hops`` renders.
 """
 
@@ -22,24 +22,29 @@ def hop_cost_rows(
 ) -> list[dict[str, Any]]:
     """Extract hop-cost rows from journal *records*.
 
-    Only ``kind == "hop-cost"`` records survive; with *naplet* set, only
-    that naplet's hops.  Rows keep the records' order.
+    Only ``hop`` spans of migrations that happened (status ``ok``)
+    survive; with *naplet* set, only that naplet's hops.  Rows keep the
+    records' order.
     """
     rows: list[dict[str, Any]] = []
-    for record in select(records, kind="hop-cost", naplet=naplet):
+    for record in select(records, kind="hop", category="span", naplet=naplet):
         detail = record.detail
+        if detail.get("status") != "ok":
+            continue
+        hop = detail.get("attributes") or {}
+        payload, header = int(hop.get("bytes", 0)), int(hop.get("header_bytes", 0))
         rows.append(
             {
                 "naplet": record.naplet,
-                "source": detail.get("source", "?"),
-                "dest": detail.get("dest", "?"),
-                "serialize_s": float(detail.get("serialize_s", 0.0)),
-                "payload_bytes": int(detail.get("payload_bytes", 0)),
-                "header_bytes": int(detail.get("header_bytes", 0)),
-                "code_bytes": int(detail.get("code_bytes", 0)),
-                "total_bytes": int(detail.get("total_bytes", 0)),
-                "delta": bool(detail.get("delta", False)),
-                "saved_bytes": int(detail.get("saved_bytes", 0)),
+                "source": hop.get("source", record.server),
+                "dest": hop.get("dest", "?"),
+                "serialize_s": float(hop.get("serialize_s", 0.0)),
+                "payload_bytes": payload,
+                "header_bytes": header,
+                "code_bytes": int(hop.get("code_bytes", 0)),
+                "total_bytes": payload + header,
+                "delta": bool(hop.get("delta", False)),
+                "saved_bytes": int(hop.get("saved_bytes", 0)),
             }
         )
     return rows

@@ -109,7 +109,9 @@ class Locator:
         if use_cache:
             cached = self._cached(nid)
             if cached is not None:
-                self.journal.record("locator-cache-hit", naplet=str(nid), urn=cached)
+                # Counted, not recorded: one record per cached post would
+                # flush the ring of everything older in about a second.
+                self.journal.note("locator-cache-hit")
                 return cached
         self.journal.record("locator-cache-miss", naplet=str(nid))
         record = self.directory.lookup(nid)

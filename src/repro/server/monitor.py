@@ -189,8 +189,9 @@ class NapletMonitor:
         # of a live thread.
         self._draining: list[_ControlBlock] = []
         self._lock = threading.RLock()
-        # Kept beside the journal's "naplet-admitted" tally: the space
-        # summary reports it with telemetry off, when the journal is dark.
+        # The one count of admissions and outcomes (the journal keeps no
+        # record of either): the space summary reports them with telemetry
+        # off, when the journal is dark.
         self.admitted = 0
         self.outcomes: dict[str, int] = {}
 
@@ -218,7 +219,7 @@ class NapletMonitor:
             # A fast ping-pong itinerary can land the naplet back here
             # while the thread of its *previous* residency is still inside
             # the navigator finishing the departure (ack bookkeeping,
-            # hop-cost journaling).  Park that block in the drain list so
+            # closing the hop span).  Park that block in the drain list so
             # it stays visible to active_count until its thread exits.
             previous = self._runs.get(nid)
             if previous is not None:
@@ -261,7 +262,6 @@ class NapletMonitor:
             target=_thread_main, name=f"naplet-{nid}@{self.hostname}", daemon=True
         )
         block.thread = thread
-        self.journal.record("naplet-admitted", naplet=str(nid))
         thread.start()
         return block
 
@@ -285,7 +285,6 @@ class NapletMonitor:
                 except ValueError:
                     pass
             self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
-        self.journal.record("naplet-finished", naplet=str(nid), outcome=outcome)
         if self.telemetry is not None:
             self.telemetry.outcomes.inc(outcome=outcome)
             self.telemetry.cpu_seconds.inc(block.usage.cpu_seconds)

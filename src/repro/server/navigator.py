@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import pickle
+import sys
 import time
 from collections import OrderedDict
 from typing import TYPE_CHECKING
@@ -70,7 +71,6 @@ from repro.server.messenger import NapletMessengerProxy
 from repro.server.monitor import NapletOutcome, _ControlBlock
 from repro.server.security import Permission
 from repro.transport.base import Frame, FrameKind, urn_of
-from repro.util.hlc import HLCStamp
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.server.server import NapletServer
@@ -133,9 +133,9 @@ class Navigator:
 
     @property
     def migrations_in(self) -> int:
-        """Landings at this server: a view over the journal's tally, read
-        by the frozen journey harness."""
-        return self.server.journal.count("naplet-arrive")
+        """Landings at this server: a view over the journal's tally of
+        ``landing`` spans, read by the frozen journey harness."""
+        return self.server.journal.count("landing")
 
     # ------------------------------------------------------------------ #
     # Outbound
@@ -233,13 +233,6 @@ class Navigator:
         # back what it added.
         image = self.server.serializer.delta_cache.peek(str(nid))
         noted = self._note_held(dest_urn, str(nid), image)
-        # Journal the departure *before* the frame's HLC header is minted:
-        # the merged timeline must show this record ahead of the landing.
-        # (A re-ship mints a fresh header, still after this record.)
-        self.server.journal.record(
-            "naplet-depart", naplet=str(nid), dest=dest_urn,
-            bytes=_image_nbytes(data, buffers), delta=bool(cost.delta),
-        )
         try:
             frame = self._transfer_frame(naplet, dest_urn, hop, transfer_id, *dumped)
             ack = pickle.loads(self.server.transport.request(frame))
@@ -262,7 +255,7 @@ class Navigator:
             self._rollback_departure(naplet, nid, resident_record, noted)
             raise NapletMigrationError(f"transfer to {dest_urn} failed: {exc}") from exc
         if ack.get("ok") is True:
-            self._transfer_acked(naplet, nid, dest_urn, frame, cost, ack, image, count)
+            self._transfer_acked(nid, dest_urn, cost, ack, image, count)
             return
         self._rollback_departure(naplet, nid, resident_record, noted)
         if ack.get("denied"):
@@ -320,12 +313,14 @@ class Navigator:
         hop.set("bytes", image_bytes)
         self.server.telemetry.frame_bytes.inc(image_bytes, kind="naplet-transfer")
         headers = {"transfer-id": transfer_id}
-        # The HLC stamp is minted *after* the depart event was journaled,
-        # so the receiver's clock update places every landing record
-        # causally after it.
+        # The hop span's record is written at the stamp this frame carries:
+        # the receiver's clock update places every landing record causally
+        # after it, however late the source closes the span.  (A re-ship
+        # mints a fresh stamp, still before the landing.)
         hlc = self.server.journal.header_stamp()
         if hlc is not None:
             headers["hlc"] = hlc
+            hop.stamp(hlc)
         if hop.span_id and naplet.trace_context is not None:
             # The landing span at the destination nests under this hop (the
             # trace id itself rides in the image).
@@ -340,8 +335,9 @@ class Navigator:
         )
         # Hop-cost attribution (perf plane): split this hop's wire size
         # into payload vs. header vs. shipped code, on the histogram and
-        # on the hop span (the journey's bytes column reads the span).
-        # Delta hops also record what stayed *off* the wire (part "saved").
+        # on the hop span, which is the hop's cost record (``naplet hops``
+        # and the journey's bytes column read it).  Delta hops also record
+        # what stayed *off* the wire (part "saved").
         telemetry = self.server.telemetry
         header_bytes = frame.size - image_bytes
         telemetry.hop_bytes.observe(image_bytes, part="payload")
@@ -356,43 +352,6 @@ class Navigator:
                 telemetry.hop_bytes.observe(cost.saved_bytes, part="saved")
                 hop.set("saved_bytes", cost.saved_bytes)
         return frame
-
-    def _journal_hop_cost(
-        self, nid: NapletID, naplet: "Naplet", dest_urn: str, frame: Frame, cost
-    ) -> None:
-        """Flight-record this hop's cost split (category ``perf``).
-
-        Written only after the destination acked the transfer, so every
-        record describes a migration that actually happened; harvested
-        journals feed ``napletperf hops`` and the per-hop cost tables.
-        By then the naplet is running at the destination and may have
-        left it again, so the record carries the HLC that rode the acked
-        frame: it sorts after this hop's depart event and before the
-        landing, however late this thread gets to write it.
-        """
-        journal = self.server.journal
-        if not journal.enabled:
-            return
-        ctx = naplet.trace_context
-        image_bytes = _image_nbytes(frame.payload, frame.buffers)
-        journal.append(
-            kind="hop-cost",
-            category="perf",
-            naplet=str(nid),
-            trace_id=ctx.trace_id if ctx is not None else None,
-            hlc=HLCStamp.decode(frame.headers["hlc"]),
-            detail={
-                "source": self.server.hostname,
-                "dest": dest_urn,
-                "serialize_s": round(cost.seconds, 9),
-                "payload_bytes": image_bytes,
-                "header_bytes": frame.size - image_bytes,
-                "code_bytes": cost.code_bytes,
-                "total_bytes": frame.size,
-                "delta": bool(cost.delta),
-                "saved_bytes": cost.saved_bytes,
-            },
-        )
 
     # -- delta-shipping hints (DESIGN.md §6.7) ----------------------------- #
 
@@ -418,8 +377,7 @@ class Navigator:
         return added
 
     def _transfer_acked(
-        self, naplet: "Naplet", nid: NapletID, dest_urn: str, frame: Frame,
-        cost, ack: dict, image, count: int,
+        self, nid: NapletID, dest_urn: str, cost, ack: dict, image, count: int
     ) -> None:
         """Source-side bookkeeping once *dest_urn* acked the landing."""
         directory = self.server.directory_client
@@ -435,7 +393,6 @@ class Navigator:
         code = ack.get("code")
         if isinstance(code, list):
             self._peer_code[dest_urn] = set(code)
-        self._journal_hop_cost(nid, naplet, dest_urn, frame, cost)
         # Messages waiting here for this naplet — in its mailbox or parked
         # before it ever landed — chase it.  Every departure (launch,
         # dispatch, spawn) passes here, so none leaves a message behind.
@@ -530,9 +487,6 @@ class Navigator:
         if reason is not None:
             self.server.telemetry.landings_denied.inc()
             return pickle.dumps({"ok": False, "denied": True, "reason": reason})
-        self.server.journal.record(
-            "landing-granted", naplet=str(credential.naplet_id), source=frame.source
-        )
         image, oob = frame.buffers[0], tuple(frame.buffers[1:])
         deserialize_started = time.perf_counter()
         try:
@@ -576,7 +530,7 @@ class Navigator:
             ack = pickle.dumps({"ok": True, "code": self.server.code_cache.known_hashes()})
         self.receive(
             naplet,
-            arrived_from=frame.source,
+            arrived_from=sys.intern(frame.source),  # one string per peer in the ring
             payload_bytes=_image_nbytes(image, oob),
             trace_parent=frame.headers.get("trace-parent"),
             deserialize_s=time.perf_counter() - deserialize_started,
@@ -610,6 +564,14 @@ class Navigator:
         stamp = naplet.hlc_stamp
         if stamp is not None:
             self.server.journal.receive(stamp)
+        # Register the landing, one-way: the naplet starts without waiting
+        # for the directory.  Sent before anything here changes, so an
+        # unreachable authority refuses the landing cleanly — and before
+        # the landing span opens, so a refused landing leaves no landing
+        # record (the source's hop span ends in error).
+        self.server.directory_client.report_migration(
+            nid, arrived_from, self.server.urn, len(naplet.navigation_log) + 1
+        )
         landing_attrs = {"arrived_from": arrived_from, "bytes": payload_bytes}
         if deserialize_s is not None:
             landing_attrs["deserialize_s"] = deserialize_s
@@ -619,23 +581,11 @@ class Navigator:
             parent_id=trace_parent,
             **landing_attrs,
         ):
-            # Register the landing, one-way: the naplet starts without
-            # waiting for the directory.  Sent before anything here changes,
-            # so an unreachable authority still refuses the landing cleanly.
-            self.server.directory_client.report_migration(
-                nid, arrived_from, self.server.urn, len(naplet.navigation_log) + 1
-            )
             self.server.manager.record_arrival(naplet, arrived_from=arrived_from)
             naplet.navigation_log.record_arrival(self.server.urn)
             self.server.messenger.create_mailbox(nid)
             self.server.locator.note_location(nid, self.server.urn)
         telemetry.itinerary_depth.observe(len(naplet.navigation_log))
-        self.server.journal.record(
-            "naplet-arrive",
-            naplet=str(nid),
-            source=arrived_from,
-            bytes=payload_bytes,
-        )
         self._start_naplet(naplet)
 
     def _start_naplet(self, naplet: "Naplet") -> None:

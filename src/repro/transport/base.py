@@ -20,6 +20,7 @@ block indefinitely.
 from __future__ import annotations
 
 import abc
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
@@ -54,10 +55,11 @@ class FrameKind:
 
 
 def urn_of(hostname: str) -> str:
-    """Canonical server URN for a hostname."""
+    """Canonical server URN for a hostname (interned: a server names a
+    handful of peers, and every record naming one shares its string)."""
     if hostname.startswith("naplet://"):
         return hostname
-    return f"naplet://{hostname}"
+    return sys.intern(f"naplet://{hostname}")
 
 
 def host_of(urn: str) -> str:

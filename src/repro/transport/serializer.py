@@ -152,6 +152,13 @@ def _buf_bytes(buffers: Iterable[Any]) -> int:
     return sum(b.nbytes if isinstance(b, memoryview) else len(b) for b in buffers)
 
 
+def _whole_bytes(segment: Any) -> bytes:
+    """*segment* as ``bytes``: itself, the ``bytes`` a memoryview spans whole
+    (an in-process frame's segment), or else a copy."""
+    base = getattr(segment, "obj", segment)
+    return base if type(base) is bytes and len(base) == len(segment) else bytes(segment)
+
+
 def _unframed(data: bytes) -> bytes:
     """A one-frame pickle less its 9-byte FRAME header, which restates a length
     its carrier knows (readers need no frames); a larger pickle stays whole."""
@@ -530,7 +537,7 @@ class NapletSerializer:
                 name, raw = field_name(key)
                 digest = content_hash(blob)
                 if raw:  # lands as the one bytes object held here, else as itself
-                    held = self._delta_cache.blob(digest) or (blob if type(blob) is bytes else bytes(blob))
+                    held = self._delta_cache.blob(digest) or _whole_bytes(blob)
                     blob = raw_blobs.setdefault(digest, held)
                 fields[name] = (blob, digest, raw)
             composed = image_hash({field_key(n, raw): h for n, (_, h, raw) in fields.items()})
@@ -567,7 +574,7 @@ class NapletSerializer:
         # hop from this server gets the identity-based pickle skip.
         record = ImageRecord(img_hash, cls_ref, {
             name: FieldEntry(
-                data=blob if type(blob) is bytes else bytes(blob),
+                data=_whole_bytes(blob),
                 hash=digest,
                 value=state[name],
                 fingerprint=delta_fingerprint(state[name]),

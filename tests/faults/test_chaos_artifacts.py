@@ -74,7 +74,7 @@ class TestDumpArtifacts:
 
         dump = json.loads((tmp_path / journal_path.rsplit("/", 1)[-1]).read_text())
         records = [JournalRecord.from_dict(d) for d in dump["records"]]
-        assert any(r.kind == "naplet-arrive" for r in records)
+        assert any(r.kind == "landing" for r in records)
 
         trace = json.loads((tmp_path / trace_path.rsplit("/", 1)[-1]).read_text())
         names = {e["name"] for e in trace["traceEvents"] if e["ph"] == "X"}

@@ -12,6 +12,7 @@ import pytest
 import repro
 from repro.faults import FaultPlan
 from repro.itinerary import Itinerary, ResultReport, SeqPattern, alt, seq, singleton
+from repro.perf import hop_cost_rows
 from repro.server.admin import SpaceAdmin
 from repro.transport.base import FrameKind, urn_of
 from repro.util.concurrency import wait_until
@@ -37,7 +38,7 @@ def _assert_converged(servers, nid, visited_route):
     """Exactly-once landings, a retired agent, and no directory orphans."""
     admin = SpaceAdmin(servers)
     assert wait_until(lambda: admin.locate(nid) is None, timeout=5)
-    landings = sum(s.journal.count("naplet-arrive") for s in servers.values())
+    landings = sum(s.journal.count("landing") for s in servers.values())
     assert landings == len(visited_route)
     # The home (HOME-mode authority) record comes to point at the final
     # landing host — not at a rolled-back source or a host that never saw
@@ -256,9 +257,6 @@ class TestLostAckOnADeltaHop:
         # Launch plus the first lap over the three ring links ship in full.
         delta_hops = sum(s.telemetry.delta_hops.total() for s in servers.values())
         assert delta_hops == len(self.RING) - 4
-        costs = [
-            r.detail for r in admin.harvest_journal(category="perf")
-            if r.kind == "hop-cost" and r.naplet == str(nid)
-        ]
+        costs = hop_cost_rows(admin.harvest_journal(kind="hop"), naplet=str(nid))
         assert len(costs) == len(self.RING)
         assert all(c["saved_bytes"] >= len(cargo) for c in costs[4:])

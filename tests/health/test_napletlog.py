@@ -75,12 +75,12 @@ class TestCli:
     ):
         path, nid = dumpfile
         assert (
-            naplet_cli.main(["log", path, "--journey", nid, "--kind", "naplet-arrive",
+            naplet_cli.main(["log", path, "--journey", nid, "--kind", "landing",
                             "--causal"])
             == 0
         )
         out = capsys.readouterr().out
-        lines = [l for l in out.splitlines() if "naplet-arrive" in l]
+        lines = [l for l in out.splitlines() if " landing " in l]
         assert [l.split()[1] for l in lines] == ["s01", "s02"]
 
     def test_limit_keeps_the_tail(self, naplet_cli, dumpfile, capsys):
@@ -138,7 +138,7 @@ class TestCli:
         nid = launched[0].naplet
         assert naplet_cli.main(["log", "--demo", "--journey", nid, "--causal"]) == 0
         lines = capsys.readouterr().out.splitlines()[1:-1]
-        assert len([l for l in lines if "naplet-arrive" in l]) == 12
+        assert len([l for l in lines if " landing " in l]) == 12
         assert all(nid in l for l in lines)
 
 

@@ -273,7 +273,7 @@ class TestJourneyAndFollow:
         rows = admin.harvest(("journal",))
         records = naplet_cli.tail(rows, {}, journey=str(nid))
         assert records == admin.harvest_journal(journey=str(nid))
-        assert {"naplet-depart", "hop", "landing", "hop-cost"} <= {
+        assert {"naplet-launch", "hop", "landing"} <= {
             r.kind for r in records
         }
         assert naplet_cli.tail(rows, {}, journey="no-such-journey") == []
@@ -286,7 +286,7 @@ class TestJourneyAndFollow:
         records = admin.harvest_journal(journey=str(nid))
         output = naplet_cli.render_journey(records, str(nid))
         assert f"journey {nid}" in output
-        assert "naplet-depart" in output
+        assert " hop " in output
         empty = naplet_cli.render_journey([], "ghost")
         assert "no records" in empty
 

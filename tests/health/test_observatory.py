@@ -295,11 +295,11 @@ class TestOrderingLadder:
         admin = SpaceAdmin(mesh)
         assert admin.wait_space_idle()
         landed = [
-            r for r in mesh["s02"].journal.snapshot() if r.kind == "naplet-arrive"
+            r for r in mesh["s02"].journal.snapshot() if r.kind == "landing"
         ]
         assert landed, "the idle mirror should have been chosen first"
         assert not [
-            r for r in mesh["s01"].journal.snapshot() if r.kind == "naplet-arrive"
+            r for r in mesh["s01"].journal.snapshot() if r.kind == "landing"
         ]
         assert obs.reroutes() == 1
 

@@ -81,7 +81,7 @@ class TestBroadcast:
         reports = listener.reports(3, timeout=15)
         assert len(reports) == 3
         for hostname in _devices(3):
-            assert servers[hostname].journal.count("landing-granted") == 1
+            assert servers[hostname].journal.count("landing") == 1
 
 
 class TestJoinPolicies:

@@ -22,6 +22,7 @@ import repro
 from repro.codeshipping.codebase import CodeBaseRegistry
 from repro.core.credential import SigningAuthority
 from repro.itinerary import Itinerary, ResultReport, SeqPattern
+from repro.perf import hop_cost_rows
 from repro.server import NapletServer, ServerConfig, SpaceAdmin
 from repro.simnet import VirtualNetwork, full_mesh, line
 from repro.transport.tcp import TcpTransport
@@ -245,9 +246,8 @@ def ring_space(request):
 
 
 def _hop_costs(servers, nid: str) -> list[dict]:
-    """The journey's hop-cost records, in hop order."""
-    records = SpaceAdmin(servers).harvest_journal(category="perf")
-    return [r.detail for r in records if r.kind == "hop-cost" and r.naplet == nid]
+    """The journey's hop-cost rows (its hop spans), in hop order."""
+    return hop_cost_rows(SpaceAdmin(servers).harvest_journal(kind="hop"), naplet=nid)
 
 
 def _transfer_envelopes(server) -> list[dict]:
@@ -333,7 +333,7 @@ def _sabotaged_ping_pong(servers, sabotage, other_landings: int = 0) -> None:
         _SABOTAGE.clear()
     # Landed exactly once per hop, through exactly one in-hop re-ship.
     assert _tally(servers, "delta-full-reship") == 1
-    assert _tally(servers, "naplet-arrive") == len(ROUTE) + other_landings
+    assert _tally(servers, "landing") == len(ROUTE) + other_landings
     assert _tally(servers, "duplicate-transfer") == 0
     assert _tally(servers, "migration-retry") == 0
     assert _total(servers, "delta_hops") == len(ROUTE) - 2

@@ -78,7 +78,7 @@ class TestOneExchangePerHop:
         hops = 3
         assert _wire_frames(network, "naplet-transfer") == hops
         assert _wire_frames(network, "directory-event") == hops - 1
-        assert sum(s.journal.count("hop-cost") for s in servers.values()) == hops
+        assert sum(s.journal.count("hop") for s in servers.values()) == hops
 
     def test_transfer_dedup_table_keeps_only_the_id_text(self, space):
         _network, servers = space(line(4, prefix="s"))
@@ -221,7 +221,7 @@ class TestTransferFrameChecks:
         ack = self._offer(servers, frame, buffers=bomb)
         assert ack == {"ok": False, "reason": ack["reason"]}
         assert _WENT_OFF == ["boom"]
-        assert servers["s01"].journal.count("naplet-arrive") == 1
+        assert servers["s01"].journal.count("landing") == 1
         servers["s00"].terminate_naplet(nid)
 
     def test_frame_without_image_or_with_undecodable_credential_is_rejected(self, space):
@@ -231,7 +231,7 @@ class TestTransferFrameChecks:
         ack = self._offer(servers, frame, payload=b"\xde\xad" + frame.payload[2:])
         assert ack["ok"] is False and ack["reason"].startswith("bad transfer frame: ")
         assert "denied" not in ack and "need_full" not in ack
-        assert servers["s01"].journal.count("naplet-arrive") == 1
+        assert servers["s01"].journal.count("landing") == 1
         assert int(servers["s01"].telemetry.landings_denied.total()) == 0
         servers["s00"].terminate_naplet(nid)
 
@@ -246,5 +246,5 @@ class TestTransferFrameChecks:
         ack = self._offer(servers, frame, buffers=(write_envelope(envelope),))
         assert ack["ok"] is False and "content hash" in ack["reason"]
         assert "need_full" not in ack and "denied" not in ack
-        assert servers["s01"].journal.count("naplet-arrive") == 1
+        assert servers["s01"].journal.count("landing") == 1
         servers["s00"].terminate_naplet(nid)

@@ -99,7 +99,7 @@ class TestLandingIdentity:
         landed = pair["s01"]
         assert not landed.manager.is_resident(mallory)
         assert not landed.manager.is_resident(credential.naplet_id)
-        assert landed.journal.count("naplet-arrive") == 0
+        assert landed.journal.count("landing") == 0
         assert str(mallory) not in landed.serializer.delta_cache
         (event,) = [
             r for r in SpaceAdmin(pair).harvest_journal()

@@ -99,8 +99,7 @@ class TestTourSideEffects:
         nid = servers["s00"].launch(agent, owner="alice", listener=listener)
         listener.next_report(timeout=10)
         assert servers["s00"].journal.count("naplet-launch") == 1
-        assert servers["s01"].journal.count("naplet-arrive") == 1
-        assert servers["s01"].journal.count("landing-granted") == 1
+        assert servers["s01"].journal.count("landing") == 1
 
     def test_revisit_same_server(self, small_line):
         network, servers = small_line

@@ -1,7 +1,7 @@
 """Per-hop cost attribution, end to end on a live space.
 
-Every successful migration must leave (a) a ``perf`` hop-cost record in
-the flight recorder, (b) observations in the ``naplet_hop_bytes`` /
+Every successful migration must leave (a) a ``hop`` span — its hop-cost
+record — in the flight recorder, (b) observations in the ``naplet_hop_bytes`` /
 ``naplet_serialize_seconds`` histograms, (c) a bytes column in the
 journey's critical path, and (d) counter tracks in the Chrome export —
 the four surfaces DESIGN.md §6.6 promises — and ``naplet hops`` prints the
@@ -48,46 +48,45 @@ def toured(small_line):
 class TestJournalRecords:
     def test_every_hop_leaves_one_perf_record(self, toured):
         servers, admin, nid = toured
-        records = admin.harvest_journal(category="perf", naplet=str(nid))
-        assert len(records) == len(ROUTE)
-        assert [r.kind for r in records] == ["hop-cost"] * len(ROUTE)
+        records = admin.harvest_journal(category="span", naplet=str(nid))
+        hops = [r for r in records if r.kind == "hop"]
+        assert len(hops) == len(ROUTE)
         # Causal order follows the route.
-        assert [r.detail["source"] for r in records] == ["s00", "s01", "s02"]
+        assert [r.detail["attributes"]["source"] for r in hops] == ["s00", "s01", "s02"]
 
     def test_record_sorts_at_its_departure_however_late_it_is_written(
         self, small_line, monkeypatch
     ):
-        """The record is appended after the ack, when the naplet is already
+        """The hop span closes after the ack, when the naplet is already
         running — and may have left again — at the destination; its causal
-        position is the acked frame's stamp, not the moment of the append."""
+        position is the acked frame's stamp, not the moment it closes."""
         import time
+
+        from repro.util.concurrency import wait_until
 
         _network, servers = small_line
         navigator = servers["s01"].navigator
-        real = navigator._journal_hop_cost
+        real = navigator._transfer_acked
 
         def late(*args, **kwargs):
             time.sleep(0.3)  # the whole rest of the tour fits in here
             real(*args, **kwargs)
 
-        monkeypatch.setattr(navigator, "_journal_hop_cost", late)
+        monkeypatch.setattr(navigator, "_transfer_acked", late)
         admin = SpaceAdmin(servers)
         nid = _tour(servers)
         assert admin.wait_space_idle()
+        assert wait_until(lambda: len(admin.harvest_journal(naplet=str(nid), kind="hop")) == 3)
         merged = admin.harvest_journal(naplet=str(nid))
-        sources = [r.detail["source"] for r in merged if r.kind == "hop-cost"]
+        sources = [r.detail["attributes"]["source"] for r in merged if r.kind == "hop"]
         assert sources == ["s00", "s01", "s02"]
         kinds = [(r.server, r.kind) for r in merged]
-        assert (
-            kinds.index(("s01", "naplet-depart"))
-            < kinds.index(("s01", "hop-cost"))
-            < kinds.index(("s02", "naplet-arrive"))
-        )
+        assert kinds.index(("s01", "hop")) < kinds.index(("s02", "landing"))
 
     def test_record_detail_decomposes_the_frame(self, toured):
         _servers, admin, nid = toured
-        record = admin.harvest_journal(category="perf", naplet=str(nid))[0]
-        detail = record.detail
+        record = admin.harvest_journal(kind="hop", naplet=str(nid))[0]
+        (detail,) = hop_cost_rows([record])
         assert detail["serialize_s"] > 0
         assert detail["payload_bytes"] > 0
         assert detail["header_bytes"] > 0
@@ -105,13 +104,13 @@ class TestJournalRecords:
         admin = SpaceAdmin(servers)
         _tour(servers)
         assert admin.wait_space_idle()
-        assert admin.harvest_journal(category="perf") == []
+        assert admin.harvest_journal(kind="hop") == []
 
 
 class TestHopCostTable:
     def test_rows_and_render_from_a_live_harvest(self, toured):
         _servers, admin, nid = toured
-        records = admin.harvest_journal(category="perf")
+        records = admin.harvest_journal(kind="hop")
         rows = hop_cost_rows(records, naplet=str(nid))
         assert len(rows) == len(ROUTE)
         assert rows[0]["source"] == "s00"

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 from repro.core.naplet_id import NapletID
+from repro.itinerary import Itinerary, seq
 from repro.server.directory import DirectoryClient, DirectoryMode, NapletDirectory
 from repro.server.locator import Locator
 from repro.transport.base import urn_of
 from repro.transport.inmemory import InMemoryTransport
+from repro.util.concurrency import wait_until
+from tests.conftest import StallNaplet
 
 
 class FakeTime:
@@ -108,3 +111,27 @@ class TestCacheMaintenance:
         locator, _ = _locator()
         locator.note_location(_nid(), "naplet://x")
         assert locator.cache_size == 1
+
+
+class TestCachedPostsKeepTheRing:
+    def test_ten_thousand_cached_posts_evict_no_record(self, small_line):
+        """A cache hit is counted, not recorded: at thousands of posts a
+        second a record per hit would flush the ring within seconds."""
+        _net, servers = small_line
+        home = servers["s00"]
+        sitter = StallNaplet("sitter", spin_seconds=30.0)
+        sitter.set_itinerary(Itinerary(seq("s01")))
+        nid = home.launch(sitter, owner="alice")
+        assert wait_until(lambda: servers["s01"].manager.is_resident(nid))
+        assert home.messenger.post(None, nid, "warm").status == "delivered"
+        hits = home.locator.cache_hits
+        before = home.journal.record("before-the-posts")
+        for body in range(10_000):
+            assert home.messenger.post(None, nid, body).status == "delivered"
+        assert home.locator.cache_hits - hits == 10_000
+        assert before in home.journal.snapshot()
+        families = home.telemetry.registry.snapshot()
+        assert families.value("naplet_journal_records_total", kind="locator-cache-hit") == (
+            home.locator.cache_hits
+        )
+        home.terminate_naplet(nid)

@@ -44,8 +44,8 @@ class TestDisabledTelemetry:
         for server in servers.values():
             assert server.telemetry.enabled is False
             snap = server.telemetry.registry.snapshot()
-            assert snap.value("naplet_journal_records_total", kind="naplet-arrive") == 0
-            assert snap.value("naplet_journal_records_total", kind="hop-cost") == 0
+            assert snap.value("naplet_journal_records_total", kind="landing") == 0
+            assert snap.value("naplet_journal_records_total", kind="hop") == 0
             # Nothing is recorded at all: the journal is off with telemetry.
             assert server.journal.total_appended == 0
 

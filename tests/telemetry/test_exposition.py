@@ -51,7 +51,7 @@ class TestHarvestedMetrics:
         arrivals = [
             sample["value"]
             for sample in families["naplet_journal_records_total"]["samples"]
-            if sample["labels"] == {"kind": "naplet-arrive"}
+            if sample["labels"] == {"kind": "landing"}
         ]
         assert arrivals == [1]
         egress, ingress = servers["s01"].transport.endpoint_bytes("s01")
@@ -63,7 +63,7 @@ class TestHarvestedMetrics:
 
         text = _metrics_text(servers["s01"])
         assert "# TYPE naplet_journal_records_total counter" in text
-        assert 'naplet_journal_records_total{kind="naplet-arrive"} 1' in text
+        assert 'naplet_journal_records_total{kind="landing"} 1' in text
 
     def test_spans_and_event_counts_ride_the_journal(self, small_line):
         """What the old per-span / per-kind service calls answered is a
@@ -76,8 +76,8 @@ class TestHarvestedMetrics:
         trace_id = spans[0]["trace_id"]
         same = service.harvest(("journal",), trace_id=trace_id)["journal"]
         assert same and all(d["trace_id"] == trace_id for d in same)
-        arrivals = service.harvest(("journal",), kind="naplet-arrive")["journal"]
-        assert len(arrivals) == servers["s01"].journal.count("naplet-arrive") >= 1
+        arrivals = service.harvest(("journal",), kind="landing")["journal"]
+        assert len(arrivals) == servers["s01"].journal.count("landing") >= 1
 
     def test_metrics_payload_is_json_serializable(self, small_line):
         _network, servers = small_line

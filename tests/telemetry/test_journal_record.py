@@ -2,9 +2,9 @@
 
 A golden dump, recorded before records were slotted, pins the JSON form
 and the ``naplet log --causal`` rendering byte for byte.  A traced tour
-pins what a record retains: the ring holds about 26 000 records at the
+pins what a record retains: the rings hold about 7 800 records at the
 point where the journey benchmark reads ``tour_small``'s peak RSS, so a
-container byte per record is a MiB of RSS per 40 bytes.
+container byte per record is a MiB of RSS per 134 bytes.
 """
 
 from __future__ import annotations
@@ -64,13 +64,13 @@ def _tour(servers) -> None:
     agent.set_itinerary(
         Itinerary(SeqPattern.of_servers(TOUR, post_action=ResultReport("visited")))
     )
-    hop_costs = sum(s.journal.count("hop-cost") for s in servers.values())
+    hops = sum(s.journal.count("hop") for s in servers.values())
     servers["s00"].launch(agent, owner="alice", listener=listener)
     assert listener.next_report(timeout=15).payload == TOUR
-    # The last hop's source books its hop-cost record after the report is home.
+    # The last hop's source closes its hop span after the report is home.
     assert wait_until(
-        lambda: sum(s.journal.count("hop-cost") for s in servers.values())
-        == hop_costs + len(TOUR),
+        lambda: sum(s.journal.count("hop") for s in servers.values())
+        == hops + len(TOUR),
         timeout=10,
     )
 
@@ -99,5 +99,5 @@ class TestRetainedBytes:
              tracemalloc.Filter(True, hlc_module.__file__)]
         )
         retained = sum(stat.size for stat in own.statistics("filename"))
-        assert records >= 8 * len(TOUR)
+        assert records >= 2 * len(TOUR)
         assert retained / records <= RETAINED_BYTES_PER_RECORD, (retained, records)

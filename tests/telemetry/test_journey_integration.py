@@ -152,13 +152,13 @@ class TestSpaceMetrics:
         admin.wait_space_idle()
         # Source-side hop records flush after the destination goes idle.
         assert wait_until(
-            lambda: admin.space_metrics().value(RECORDS, kind="hop-cost") >= 4
+            lambda: admin.space_metrics().value(RECORDS, kind="hop") >= 4
         )
 
         merged = admin.space_metrics()
         assert merged.value(RECORDS, kind="naplet-launch") == 2
-        assert merged.value(RECORDS, kind="hop-cost") >= 4
-        assert merged.value(RECORDS, kind="naplet-arrive") >= 4
+        assert merged.value(RECORDS, kind="hop") >= 4
+        assert merged.value(RECORDS, kind="landing") >= 4
         assert merged.total("naplet_messages_delivered_total") >= 1
         assert merged.total("naplet_messages_forwarded_total") >= 1
         assert merged.total("naplet_frame_bytes_total") > 0
@@ -174,13 +174,13 @@ class TestSpaceMetrics:
         servers["s00"].launch(agent, owner="alice", listener=listener)
         listener.next_report(timeout=10)
         assert servers["s03"].wait_idle()
-        assert wait_until(lambda: servers["s02"].journal.count("hop-cost") == 1)
+        assert wait_until(lambda: servers["s02"].journal.count("hop") == 1)
 
         assert servers["s00"].journal.count("naplet-launch") == 1
-        assert servers["s00"].journal.count("hop-cost") == 1  # home -> s01 only
-        assert servers["s01"].journal.count("naplet-arrive") == 1
-        assert servers["s02"].journal.count("hop-cost") == 1
-        assert servers["s03"].journal.count("naplet-arrive") == 1
+        assert servers["s00"].journal.count("hop") == 1  # home -> s01 only
+        assert servers["s01"].journal.count("landing") == 1
+        assert servers["s02"].journal.count("hop") == 1
+        assert servers["s03"].journal.count("landing") == 1
         # Landing depth observed at the last server covers the whole tour.
         depth = servers["s03"].telemetry.itinerary_depth.value()
         assert depth.count == 1

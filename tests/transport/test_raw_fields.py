@@ -6,6 +6,7 @@ from __future__ import annotations
 import tracemalloc
 
 from repro.transport.base import Frame, FrameKind
+from repro.transport.inmemory import InMemoryTransport
 from repro.transport.serializer import NapletSerializer
 from repro.transport.tcp import TcpTransport
 from tests.core.test_naplet import _identified
@@ -51,18 +52,24 @@ class TestPingPong:
             assert peak < CARGO_BYTES / 10, (hop, peak)
             assert agent.cargo == cargo and agent.cargo is _blob_of(receiver, nid)
 
-    def test_a_full_landing_over_tcp_keeps_the_received_segment(self):
+    def _land_in_full(self, transport):
+        """Ship a courier's launch image over *transport*; the landed naplet,
+        the segments it arrived as, its receiver and the bytes the landing
+        allocated."""
         sender, receiver = NapletSerializer(), NapletSerializer()
         agent = _courier()
-        nid = str(agent.naplet_id)
         landed = {}
 
         def handler(frame):
             landed["segments"] = frame.buffers
-            landed["naplet"], _ = receiver.loads_with_info(frame.payload, buffers=frame.buffers)
+            tracemalloc.start()
+            try:
+                landed["naplet"], _ = receiver.loads_with_info(frame.payload, buffers=frame.buffers)
+                _now, landed["peak"] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
             return b"ok"
 
-        transport = TcpTransport()
         try:
             transport.register("naplet://dest", handler)
             data, buffers, _ = sender.dumps_with_cost(agent)
@@ -75,5 +82,19 @@ class TestPingPong:
             transport.close()
         cargo = landed["naplet"].cargo
         assert type(cargo) is bytes and cargo == agent.cargo
+        assert cargo is _blob_of(receiver, str(agent.naplet_id))
+        return cargo, landed
+
+    def test_a_full_landing_over_tcp_keeps_the_received_segment(self):
+        cargo, landed = self._land_in_full(TcpTransport())
         assert any(cargo is segment for segment in landed["segments"])
-        assert cargo is _blob_of(receiver, nid)
+
+    def test_a_full_landing_in_process_keeps_the_bytes_the_segment_spans(self):
+        """In-process a segment is a memoryview over the sender's field
+        bytes: the landing takes those bytes, it does not copy them."""
+        cargo, landed = self._land_in_full(InMemoryTransport())
+        assert any(
+            isinstance(segment, memoryview) and cargo is segment.obj
+            for segment in landed["segments"]
+        )
+        assert landed["peak"] < CARGO_BYTES / 10, landed["peak"]
