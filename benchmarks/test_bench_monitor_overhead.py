@@ -80,7 +80,7 @@ class TestMonitorOverhead:
         for _ in range(5):
             agent, holder, done = _admit_spinner(monitor)
             start = time.perf_counter()
-            monitor.interrupt(agent.naplet_id, SystemControl.TERMINATE)
+            holder["block"].post_interrupt(SystemControl.TERMINATE, None)
             assert done.wait(5)
             samples.append((time.perf_counter() - start) * 1000)
             assert holder["outcome"] == NapletOutcome.TERMINATED
@@ -92,8 +92,8 @@ class TestMonitorOverhead:
         assert max(samples) < 1000  # cooperative checkpoints react promptly
 
         def kill_one():
-            agent, _holder, done = _admit_spinner(monitor)
-            monitor.interrupt(agent.naplet_id, SystemControl.TERMINATE)
+            _agent, holder, done = _admit_spinner(monitor)
+            holder["block"].post_interrupt(SystemControl.TERMINATE, None)
             assert done.wait(5)
 
         benchmark.pedantic(kill_one, rounds=10, iterations=1)

@@ -176,7 +176,7 @@ class HealthPlane:
             return 0
         now_mono = self.clock()
         now_wall = time.time()
-        usage = self.server.monitor.usage_table()
+        usage = self.server.manager.usage_table()
         for nid, snapshot in usage.items():
             profile = self.profiles.touch(nid)
             profile.resident = True

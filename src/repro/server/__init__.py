@@ -11,7 +11,7 @@ from repro.server.directory import (
 )
 from repro.server.locator import Locator
 from repro.server.mailbox import Mailbox
-from repro.server.manager import Footprint, NapletManager, ResidentRecord
+from repro.server.manager import NapletManager, Resident
 from repro.server.messages import (
     DeliveryReceipt,
     SystemControl,
@@ -52,8 +52,7 @@ __all__ = [
     "NapletStatus",
     "ServerSummary",
     "NapletManager",
-    "ResidentRecord",
-    "Footprint",
+    "Resident",
     "Navigator",
     "NavigatorOps",
     "NapletMonitor",

@@ -26,7 +26,7 @@ from repro.core.naplet_id import NapletID
 from repro.health.findings import HealthFinding, Severity
 from repro.health.harvest import ALL, HarvestService, merged_journal
 from repro.health.profile import ResourceProfile
-from repro.server.manager import Footprint
+from repro.server.manager import Resident
 from repro.server.messages import SystemControl
 from repro.server.monitor import ResourceUsage
 from repro.telemetry.journal import JournalRecord, span_from_record
@@ -100,21 +100,25 @@ class SpaceAdmin:
                 return hostname
         return None
 
-    def trace(self, nid: NapletID) -> list[Footprint]:
-        """The naplet's journey, reconstructed from per-server footprints,
-        ordered by arrival time."""
-        footprints = [
-            fp
-            for server in self._servers.values()
+    def _visits(self, nid: NapletID) -> list[tuple[str, Resident]]:
+        """``(hostname, footprint)`` of every server *nid* visited, by arrival."""
+        visits = [
+            (hostname, fp)
+            for hostname, server in self._servers.items()
             if (fp := server.manager.footprint(nid)) is not None
         ]
-        footprints.sort(key=lambda fp: fp.arrived_at)
-        return footprints
+        return sorted(visits, key=lambda visit: visit[1].arrived_at)
+
+    def trace(self, nid: NapletID) -> list[Resident]:
+        """The naplet's journey, reconstructed from per-server footprints,
+        ordered by arrival time."""
+        return [fp for _, fp in self._visits(nid)]
 
     def status(self, nid: NapletID) -> NapletStatus:
         """Aggregate status of one naplet across the space."""
         resident_at = self.locate(nid)
-        trace = self.trace(nid)
+        visits = self._visits(nid)
+        trace = [fp for _, fp in visits]
         outcome = None
         for footprint in trace:
             if footprint.outcome is not None:
@@ -126,12 +130,8 @@ class SpaceAdmin:
         )
         usage: ResourceUsage | None = None
         if resident_at is not None:
-            usage = self._servers[resident_at].monitor.usage_of(nid)
-        visited = tuple(
-            host
-            for fp in trace
-            if (host := _host_of_fp(fp, self._servers)) is not None
-        )
+            usage = self._servers[resident_at].manager.usage_table().get(nid)
+        visited = tuple(hostname for hostname, _ in visits)
         return NapletStatus(
             naplet_id=nid,
             resident_at=resident_at,
@@ -366,11 +366,3 @@ class SpaceAdmin:
     def wait_space_idle(self, timeout: float = 10.0) -> bool:
         """Block until no naplet runs anywhere in the space."""
         return wait_until(self._space_is_idle, timeout, interval=0.01)
-
-
-def _host_of_fp(footprint: Footprint, servers: dict) -> str | None:
-    """Hostname a footprint belongs to (the server whose manager holds it)."""
-    for hostname, server in servers.items():
-        if server.manager.footprint(footprint.naplet_id) is footprint:
-            return hostname
-    return None

@@ -24,6 +24,7 @@ __all__ = [
     "SystemControl",
     "UserMessage",
     "SystemMessage",
+    "Message",
     "DeliveryReceipt",
     "make_join_body",
     "join_token_of",
@@ -85,12 +86,15 @@ class SystemMessage:
         return replace(self, hops=self.hops + 1)
 
 
+Message = UserMessage | SystemMessage
+
+
 @dataclass(frozen=True)
 class DeliveryReceipt:
     """Confirmation kept by the sending Messenger for later inquiry.
 
     ``status`` is ``delivered`` (handed to the resident target) or
-    ``parked`` (target not yet arrived; waiting in a special mailbox) at
+    ``parked`` (target not yet arrived; waiting on its record) at
     ``final_server``; ``hops > 0`` says the message was forwarded that
     many times along the target's trace to get there, in ``nbytes`` bytes.
     """

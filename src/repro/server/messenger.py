@@ -8,12 +8,14 @@ Implements the three-case post-office protocol verbatim:
    message to the server it departed for; forwarding repeats until the
    message catches up (the receipt's ``hops`` counts the forwards);
 3. target not arrived yet (naplet temporarily blocked in the network) →
-   park the message in the **special mailbox**; when the naplet lands, its
-   fresh mailbox is seeded from the parked messages (*parked*).
+   park the message on its record in the naplet table, the paper's
+   **special mailbox**, where the naplet finds it when it lands (*parked*).
 
+The naplet table picks the case under its one lock (``manager.take``).
 User and system messages share one path: one frame kind, one send, one
 forward and one departure chase.  They differ only at the hand-over, where
-a system message becomes a monitor interrupt instead of a mailbox entry.
+a system message becomes an interrupt (held until the naplet is admitted)
+instead of a mailbox entry.
 
 On the wire a message is its body, pickled by the server's NapletSerializer
 (so it may carry shipped-class instances), under text headers (DESIGN.md
@@ -39,6 +41,7 @@ from repro.faults.retry import RetryPolicy, no_retry
 from repro.server.mailbox import Mailbox
 from repro.server.messages import (
     DeliveryReceipt,
+    Message,
     SystemMessage,
     UserMessage,
     join_token_of,
@@ -66,8 +69,6 @@ _DEAD_LETTER_CAPACITY = 256
 # The departure chase sends once; only the origin retries a message.
 _ONCE = no_retry()
 
-Message = UserMessage | SystemMessage
-
 
 def _naplet_or_text(text: str) -> NapletID | str:
     """A sender or reporter from its header: a naplet id when it reads as one."""
@@ -94,11 +95,9 @@ class Messenger:
 
     def __init__(self, server: "NapletServer") -> None:
         self.server = server
-        self._mailboxes: dict[NapletID, Mailbox] = {}
-        self._special: dict[NapletID, list[Message]] = {}
         self._receipts: OrderedDict[int, DeliveryReceipt] = OrderedDict()
         self._seq = itertools.count(1)  # ids of the messages that start here
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()  # guards the receipts
         # Messages that exhausted their delivery budget wait here for a
         # requeue once the network heals, instead of vanishing.
         self.dead_letters = DeadLetterQueue(_DEAD_LETTER_CAPACITY)
@@ -112,7 +111,7 @@ class Messenger:
         registry.gauge_fn(
             "naplet_mailbox_queue_depth",
             "Messages waiting across resident mailboxes",
-            lambda: float(self.mailbox_queue_depth()),
+            lambda: float(server.manager.waiting()[0]),
         )
         registry.gauge_fn(
             "naplet_special_mailbox_depth",
@@ -176,62 +175,21 @@ class Messenger:
         return message
 
     # ------------------------------------------------------------------ #
-    # Mailbox lifecycle (driven by Navigator arrivals/departures)
+    # Views of the naplet table, and the departure chase
     # ------------------------------------------------------------------ #
 
-    def create_mailbox(self, nid: NapletID) -> Mailbox:
-        """Create the mailbox on arrival and seed it from the special mailbox."""
-        with self._lock:
-            mailbox = self._mailboxes.get(nid)
-            if mailbox is None:
-                mailbox = Mailbox()
-                self._mailboxes[nid] = mailbox
-            parked = self._special.pop(nid, [])
-            for message in parked:
-                self._hand_over(message, mailbox)
-        if parked:
-            self.server.telemetry.special_mailbox_hits.inc(len(parked))
-        return mailbox
-
-    def _hand_over(self, message: Message, mailbox: Mailbox) -> None:
-        """Give a message to its resident target: a user message goes in
-        *mailbox*, a system message becomes a monitor interrupt."""
-        if isinstance(message, SystemMessage):
-            self.server.monitor.interrupt(message.target, message.control, message.payload)
-        else:
-            mailbox.put(message)
-
-    def remove_mailbox(self, nid: NapletID) -> None:
-        """Drop a retiring naplet's mailbox with whatever it never read."""
-        with self._lock:
-            mailbox = self._mailboxes.pop(nid, None)
-        if mailbox is not None:
-            mailbox.close()
-
     def mailbox_of(self, nid: NapletID) -> Mailbox | None:
-        with self._lock:
-            return self._mailboxes.get(nid)
+        return self.server.manager.mailbox_of(nid)
 
-    def chase(self, nid: NapletID, dest_urn: str) -> None:
-        """Send what waits here for *nid* after it, once its departure
-        toward *dest_urn* is acked.
+    def special_mailbox_size(self, nid: NapletID | None = None) -> int:
+        """Messages parked for *nid* (or any naplet) not resident here."""
+        return self.server.manager.waiting(nid)[1]
 
-        That is its drained mailbox — including messages handed over while
-        a clone was marked resident at its fork server, before the spawn's
-        transfer — and the special-mailbox entries that arrived before it
-        ever landed here.  Each goes once through the one send, which
-        dead-letters a failure.  A naplet already back here keeps its
-        mailbox: what waits in it is its own.
-        """
-        with self._lock:
-            if self.server.manager.is_resident(nid):
-                return
-            mailbox = self._mailboxes.pop(nid, None)
-            pending = mailbox.drain() if mailbox is not None else []
-            pending += self._special.pop(nid, [])
-        if mailbox is not None:
-            mailbox.close()
-        for message in pending:
+    def chase(self, messages: list[Message], dest_urn: str) -> None:
+        """Send what waited here for a naplet after it, once its departure
+        toward *dest_urn* is acked (:meth:`NapletManager.end_departure`).
+        Each goes once through the one send, which dead-letters a failure."""
+        for message in messages:
             try:
                 self._send(message.hopped(), dest_urn, _ONCE)
             except NapletCommunicationError:
@@ -388,7 +346,7 @@ class Messenger:
             send_span.set("status", receipt.status)
             send_span.set("hops", receipt.hops)
         if sender is not None:
-            block = self.server.monitor.control_block(sender.naplet_id)
+            block = self.server.manager.control_block(sender.naplet_id)
             if block is not None:
                 block.account_message(receipt.nbytes)  # what the send serialized
         return receipt
@@ -419,28 +377,19 @@ class Messenger:
         return f"{status} {self.server.urn} {hops}".encode()
 
     def handle_message_frame(self, frame: Frame) -> bytes:
-        message, body = self._read(frame), frame.payload
+        message = self._read(frame)
         target = message.target
         hops = message.hops
-        manager = self.server.manager
         telemetry = self.server.telemetry
-        # Decided under the lock the landing's special-mailbox drain and the
-        # departure chase also take, so whichever runs second sees this
-        # message: it is handed over, parked for a landing still to come,
-        # or forwarded after a naplet that already left — never left in a
-        # mailbox or a special mailbox that nobody drains.
-        with self._lock:
-            # Case 1: resident here.
-            if manager.is_resident(target):
-                self._hand_over(self._open(message, body), self.create_mailbox(target))
-                telemetry.messages_delivered.inc()
-                return self._reply("delivered", hops)
-            next_hop = manager.trace_next_hop(target)
-            # Case 3: never seen here — park in the special mailbox.
-            if next_hop is None:
-                self._special.setdefault(target, []).append(self._open(message, body))
-                telemetry.messages_parked.inc()
-                return self._reply("parked", hops)
+        # Cases 1 and 3 (hand over, or park for a landing still to come)
+        # are decided by the naplet table under the lock every landing,
+        # admission and departure takes, so none of them can miss this
+        # message; otherwise the table names the server the naplet left for.
+        next_hop = self.server.manager.take(message, lambda: self._open(message, frame.payload))
+        if next_hop in ("delivered", "parked"):
+            delivered = next_hop == "delivered"
+            (telemetry.messages_delivered if delivered else telemetry.messages_parked).inc()
+            return self._reply(next_hop, hops)
         # Case 2: it left — forward the body bytes along the trace.
         if hops >= _MAX_HOPS:
             return self._reply("undeliverable", hops)
@@ -462,7 +411,7 @@ class Messenger:
         with forward_span:
             try:
                 reply = self.server.transport.request(
-                    self._frame(message.hopped(), next_hop, body)
+                    self._frame(message.hopped(), next_hop, frame.payload)
                 )
                 _read_reply(reply)
             except NapletCommunicationError:
@@ -487,18 +436,6 @@ class Messenger:
             raise NapletCommunicationError(
                 f"home {home_urn} refused the report for {listener_key!r}: {reply[:40]!r}"
             )
-
-    def special_mailbox_size(self, nid: NapletID | None = None) -> int:
-        with self._lock:
-            if nid is not None:
-                return len(self._special.get(nid, []))
-            return sum(len(v) for v in self._special.values())
-
-    def mailbox_queue_depth(self) -> int:
-        """Messages waiting across all resident mailboxes (gauge callback)."""
-        with self._lock:
-            mailboxes = list(self._mailboxes.values())
-        return sum(len(mb) for mb in mailboxes)
 
 
 class NapletMessengerProxy:

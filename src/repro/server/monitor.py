@@ -12,10 +12,11 @@ mechanism/policy split the paper prescribes:
   rules; exceeding a quota raises
   :class:`~repro.core.errors.ResourceLimitExceeded` at the next checkpoint.
 
-System messages (terminate/suspend/resume/callback) are delivered as
-interrupts: the naplet's ``on_interrupt`` hook runs first (the paper leaves
-the reaction to the naplet creator), then the monitor enforces the
-control's built-in meaning.
+System messages (terminate/suspend/resume/callback) are posted to the
+control block as interrupts by the naplet table (manager.py), which holds
+those that come before admission: the naplet's ``on_interrupt`` hook runs
+first (the paper leaves the reaction to the naplet creator), then the block
+enforces the control's built-in meaning.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.errors import (
@@ -39,7 +40,6 @@ from repro.telemetry.journal import SpaceJournal
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.naplet import Naplet
-    from repro.core.naplet_id import NapletID
     from repro.telemetry.exposition import ServerTelemetry
 
 __all__ = ["ResourceQuota", "ResourceUsage", "NapletOutcome", "NapletMonitor"]
@@ -108,6 +108,12 @@ class _ControlBlock:
             self.usage.messages_sent += 1
             self.usage.message_bytes += nbytes
 
+    def usage_copy(self) -> ResourceUsage:
+        """The usage so far, copied under the block's lock so a naplet
+        checkpointing concurrently cannot tear the reading."""
+        with self._lock:
+            return replace(self.usage)
+
     # -- called from the naplet thread -------------------------------------- #
 
     def _sample_cpu(self) -> None:
@@ -167,7 +173,7 @@ class _ControlBlock:
 
 
 class NapletMonitor:
-    """Creates naplet threads, tracks usage, routes interrupts."""
+    """Creates naplet threads and counts what they come to."""
 
     def __init__(
         self,
@@ -182,13 +188,11 @@ class NapletMonitor:
         # so `or` would silently drop the server's own.
         self.journal = journal if journal is not None else SpaceJournal(hostname)
         self.telemetry = telemetry
-        self._runs: dict["NapletID", _ControlBlock] = {}
-        # Runs displaced from the table by a re-landing of the same naplet
-        # (its previous thread is still unwinding post-departure
-        # bookkeeping).  Kept so active_count/wait_idle never lose sight
-        # of a live thread.
-        self._draining: list[_ControlBlock] = []
-        self._lock = threading.RLock()
+        # Blocks whose thread has not finished.  A naplet that lands back
+        # here while the thread of its previous visit is still unwinding the
+        # departure has two: active_count and wait_idle see both.
+        self._live: set[_ControlBlock] = set()
+        self._lock = threading.Lock()
         # The one count of admissions and outcomes (the journal keeps no
         # record of either): the space summary reports them with telemetry
         # off, when the journal is dark.
@@ -216,15 +220,7 @@ class NapletMonitor:
         block = _ControlBlock(naplet, quota or self.default_quota)
         nid = naplet.naplet_id
         with self._lock:
-            # A fast ping-pong itinerary can land the naplet back here
-            # while the thread of its *previous* residency is still inside
-            # the navigator finishing the departure (ack bookkeeping,
-            # closing the hop span).  Park that block in the drain list so
-            # it stays visible to active_count until its thread exits.
-            previous = self._runs.get(nid)
-            if previous is not None:
-                self._draining.append(previous)
-            self._runs[nid] = block
+            self._live.add(block)
             self.admitted += 1
         if prepare is not None:
             prepare(block)
@@ -275,15 +271,7 @@ class NapletMonitor:
     ) -> None:
         nid = naplet.naplet_id
         with self._lock:
-            # Pop only our own block: a re-landing may have replaced the
-            # table entry with a fresh run that must stay visible.
-            if self._runs.get(nid) is block:
-                self._runs.pop(nid)
-            else:
-                try:
-                    self._draining.remove(block)
-                except ValueError:
-                    pass
+            self._live.discard(block)
             self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
         if self.telemetry is not None:
             self.telemetry.outcomes.inc(outcome=outcome)
@@ -305,65 +293,17 @@ class NapletMonitor:
         finally:
             on_retire(naplet, outcome, error)
 
-    # -- control ---------------------------------------------------------------- #
-
-    def interrupt(self, nid: "NapletID", control: str, payload: Any = None) -> bool:
-        """Queue a system interrupt for a resident naplet; False if absent."""
-        with self._lock:
-            block = self._runs.get(nid)
-        if block is None:
-            return False
-        block.post_interrupt(control, payload)
-        self.journal.record("naplet-interrupt", naplet=str(nid), control=control)
-        return True
-
-    def control_block(self, nid: "NapletID") -> _ControlBlock | None:
-        with self._lock:
-            return self._runs.get(nid)
-
-    def usage_of(self, nid: "NapletID") -> ResourceUsage | None:
-        block = self.control_block(nid)
-        return block.usage if block is not None else None
-
-    def usage_table(self) -> dict["NapletID", ResourceUsage]:
-        """Consistent copies of every resident control block's usage.
-
-        The health plane's sampler calls this on its cadence; copies are
-        taken under each block's own lock so a concurrently checkpointing
-        naplet cannot tear a reading.  CPU figures advance only at
-        cooperative checkpoints — which is precisely what lets the
-        watchdog spot a wedged naplet that stopped checkpointing.
-        """
-        with self._lock:
-            blocks = dict(self._runs)
-        table: dict["NapletID", ResourceUsage] = {}
-        for nid, block in blocks.items():
-            with block._lock:
-                usage = block.usage
-                table[nid] = ResourceUsage(
-                    cpu_seconds=usage.cpu_seconds,
-                    started_at=usage.started_at,
-                    messages_sent=usage.messages_sent,
-                    message_bytes=usage.message_bytes,
-                )
-        return table
-
-    def resident_ids(self) -> list["NapletID"]:
-        with self._lock:
-            return list(self._runs)
-
     @property
     def active_count(self) -> int:
         with self._lock:
-            return len(self._runs) + len(self._draining)
+            return len(self._live)
 
     def wait_idle(self, timeout: float = 10.0) -> bool:
         """Block until no naplet threads remain (tests/benchmarks helper)."""
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             with self._lock:
-                blocks = list(self._runs.values()) + list(self._draining)
-                threads = [b.thread for b in blocks if b.thread is not None]
+                threads = [b.thread for b in self._live if b.thread is not None]
             if not threads:
                 return True
             try:

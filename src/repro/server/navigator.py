@@ -15,12 +15,13 @@ One migration path, one exchange per hop:
 4. on grant it deserializes, refuses an image that is not the naplet the
    credential names, installs that verified credential (the image carries
    none), sends the directory a one-way registration of this landing,
-   records the arrival with its NapletManager, creates the mailbox
-   (draining the special mailbox), binds a fresh context, hands control to
-   the NapletMonitor and acks;
-5. the ack releases all resources the naplet held at the source; a source
-   that hosts the naplet's directory books the landing there itself, and
-   the destination sent nothing.
+   records the arrival in the naplet table (where messages parked for it
+   already wait), binds a fresh context, hands control to the
+   NapletMonitor and acks;
+5. the ack releases all resources the naplet held at the source and sends
+   what waited there for it after it; a source that hosts the naplet's
+   directory books the landing there itself, and the destination sent
+   nothing.
 
 The paper's separate LANDING round trip is folded into the transfer
 exchange, so a hop is one round trip.  Unlike §4.1, execution does not wait
@@ -61,6 +62,7 @@ from repro.core.errors import (
     LaunchDeniedError,
     NapletCommunicationError,
     NapletDeparted,
+    NapletError,
     NapletMigrationError,
     NapletSecurityError,
     ShippedCodeMissingError,
@@ -153,7 +155,7 @@ class Navigator:
             travelled = naplet.itinerary.launch_with(
                 naplet, ops, lambda destination: self.transfer(naplet, urn_of(destination))
             )
-        except NapletMigrationError:
+        except NapletError:
             self.server.manager.record_retirement(nid, "launch-failed")
             raise
         if not travelled:
@@ -165,10 +167,7 @@ class Navigator:
     def dispatch(self, naplet: "Naplet", dest_urn: str) -> None:
         """Migrate a *resident* naplet; raises NapletDeparted on success."""
         dest_urn = urn_of(dest_urn)
-        nid = naplet.naplet_id
-        self.transfer(naplet, dest_urn)  # marks the departure itself
-        # Success: release everything the naplet held here (paper §2.2).
-        self.server.resource_manager.release(nid)
+        self.transfer(naplet, dest_urn)  # marks the departure; the ack releases its resources
         naplet._bind_context(None)
         raise NapletDeparted(dest_urn)
 
@@ -223,7 +222,12 @@ class Navigator:
         ack or roll everything back and raise."""
         nid = naplet.naplet_id
         self.server.security.check(naplet.credential, Permission.LAUNCH)
-        resident_record = self._mark_departure(naplet, nid, dest_urn)
+        # In transit before the wire transfer: messages arriving here now
+        # forward toward the destination.  The directory is not told (the
+        # landing registers the new server); _rollback_departure undoes this.
+        record = self.server.manager.begin_departure(nid, dest_urn)
+        if naplet.navigation_log.current_server() == self.server.urn:
+            naplet.navigation_log.record_departure(self.server.urn)
         data, buffers, cost = dumped = self.server.serializer.dumps_with_cost(
             naplet, held=self.held_by(dest_urn), known_code=self._peer_code.get(dest_urn)
         )
@@ -252,12 +256,12 @@ class Navigator:
                 frame = self._transfer_frame(naplet, dest_urn, hop, transfer_id, *dumped)
                 ack = pickle.loads(self.server.transport.request(frame))
         except NapletCommunicationError as exc:
-            self._rollback_departure(naplet, nid, resident_record, noted)
+            self._rollback_departure(naplet, nid, record, noted)
             raise NapletMigrationError(f"transfer to {dest_urn} failed: {exc}") from exc
         if ack.get("ok") is True:
-            self._transfer_acked(nid, dest_urn, cost, ack, image, count)
+            self._transfer_acked(nid, dest_urn, cost, ack, image, count, record)
             return
-        self._rollback_departure(naplet, nid, resident_record, noted)
+        self._rollback_departure(naplet, nid, record, noted)
         if ack.get("denied"):
             self.server.journal.record(
                 "landing-denied", naplet=str(nid), dest=dest_urn, reason=ack.get("reason")
@@ -271,27 +275,10 @@ class Navigator:
             f"{dest_urn} rejected the transfer of {nid}: {ack.get('reason')}"
         )
 
-    def _mark_departure(self, naplet: "Naplet", nid: NapletID, dest_urn: str):
-        """Mark the naplet in transit *before* the wire transfer.
-
-        Messages arriving here during the transfer must be forwarded toward
-        the destination, not deposited in a mailbox the naplet will never
-        read.  The directory is not told: the landing registers the
-        naplet's new server, and until then the directory still (rightly)
-        routes to this server, which forwards.
-        Everything here is undone by :meth:`_rollback_departure` on failure.
-        """
-        resident_record = self.server.manager.begin_departure(nid, dest_urn)
-        if naplet.navigation_log.current_server() == self.server.urn:
-            naplet.navigation_log.record_departure(self.server.urn)
-        return resident_record
-
-    def _rollback_departure(
-        self, naplet: "Naplet", nid: NapletID, resident_record, noted: list
-    ) -> None:
+    def _rollback_departure(self, naplet: "Naplet", nid: NapletID, record, noted: list) -> None:
         for key in noted:  # the peer does not hold what it never acked
             self._peer_holds.pop(key, None)
-        self.server.manager.abort_departure(nid, resident_record)
+        self.server.manager.abort_departure(nid, record)
         if naplet.navigation_log.servers_visited() and not naplet.navigation_log.current_server():
             naplet.navigation_log.record_arrival(self.server.urn)
 
@@ -377,7 +364,7 @@ class Navigator:
         return added
 
     def _transfer_acked(
-        self, nid: NapletID, dest_urn: str, cost, ack: dict, image, count: int
+        self, nid: NapletID, dest_urn: str, cost, ack: dict, image, count: int, record
     ) -> None:
         """Source-side bookkeeping once *dest_urn* acked the landing."""
         directory = self.server.directory_client
@@ -393,10 +380,10 @@ class Navigator:
         code = ack.get("code")
         if isinstance(code, list):
             self._peer_code[dest_urn] = set(code)
-        # Messages waiting here for this naplet — in its mailbox or parked
-        # before it ever landed — chase it.  Every departure (launch,
-        # dispatch, spawn) passes here, so none leaves a message behind.
-        self.server.messenger.chase(nid, dest_urn)
+        # Its record keeps only the footprint, and the messages waiting on
+        # it chase the naplet.  Every departure (launch, dispatch, spawn)
+        # passes here, so none leaves a message behind.
+        self.server.messenger.chase(self.server.manager.end_departure(nid, record), dest_urn)
         # The image stays cached here without the live objects it was
         # pickled from: they left with the naplet.
         if image is not None:
@@ -583,7 +570,6 @@ class Navigator:
         ):
             self.server.manager.record_arrival(naplet, arrived_from=arrived_from)
             naplet.navigation_log.record_arrival(self.server.urn)
-            self.server.messenger.create_mailbox(nid)
             self.server.locator.note_location(nid, self.server.urn)
         telemetry.itinerary_depth.observe(len(naplet.navigation_log))
         self._start_naplet(naplet)
@@ -603,6 +589,7 @@ class Navigator:
                 extras={"tracer": server.telemetry.tracer},
             )
             naplet._bind_context(context)
+            server.manager.record_admission(naplet.naplet_id, block)
 
         def run_body() -> None:
             naplet.on_start()
@@ -616,8 +603,6 @@ class Navigator:
             # It will not dump here again: its base image goes with it.
             server.serializer.delta_cache.drop(str(nid))
             server.manager.record_retirement(nid, outcome)
-            server.resource_manager.release(nid)
-            server.messenger.remove_mailbox(nid)
             if agent.navigation_log.current_server() == server.urn:
                 agent.navigation_log.record_departure(server.urn)
             agent._bind_context(None)
@@ -673,9 +658,13 @@ class NavigatorOps:
         server.security.check(parent.credential, Permission.CLONE)
         # Leave a trace at the fork origin so messages seeded with this
         # server's URN can chase the clone; transfer() marks the departure
-        # (and rolls it back if the spawn fails).
+        # (and rolls it back if the spawn fails, when the clone retires here).
         server.manager.record_arrival(clone, arrived_from=None)
-        self._navigator.transfer(clone, urn_of(destination))
+        try:
+            self._navigator.transfer(clone, urn_of(destination))
+        except NapletError:
+            server.manager.record_retirement(clone.naplet_id, "spawn-failed")
+            raise
         server.journal.record(
             "clone-spawned",
             parent=str(parent.naplet_id),

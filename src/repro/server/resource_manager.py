@@ -15,8 +15,8 @@ Two protection modes for server-side services:
   its own thread.  Naplet-specific access control happens here, based on
   the naplet credential (``channel:<name>`` permissions).
 
-Channels are host resources: they are tracked per naplet and closed when
-the naplet departs or retires.
+Channels are host resources: the naplet table holds them on the naplet's
+record and closes them when the naplet departs or retires.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import threading
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.errors import ServiceNotFoundError
-from repro.core.naplet_id import NapletID
 from repro.server.security import Permission
 from repro.server.service_channel import PrivilegedService, ServiceChannel
 
@@ -45,7 +44,6 @@ class ResourceManager:
         self.server = server
         self._open_services: dict[str, Any] = {}
         self._privileged: dict[str, ServiceFactory] = {}
-        self._channels: dict[NapletID, dict[str, ServiceChannel]] = {}
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------ #
@@ -120,32 +118,15 @@ class ResourceManager:
         service.bind(channel.service_reader, channel.service_writer)
         service.start(name=f"service-{name}@{self.server.hostname}")
         nid = naplet.naplet_id
-        with self._lock:
-            self._channels.setdefault(nid, {})[name] = channel
+        self.server.manager.add_channel(nid, name, channel)
         self.server.journal.record(
             "channel-created", naplet=str(nid), service=name
         )
         return channel
 
-    def channels_of(self, nid: NapletID) -> dict[str, ServiceChannel]:
-        with self._lock:
-            return dict(self._channels.get(nid, {}))
-
-    # ------------------------------------------------------------------ #
-    # Release on departure/retirement
-    # ------------------------------------------------------------------ #
-
-    def release(self, nid: NapletID) -> None:
-        """Close and drop every channel held by *nid*."""
-        with self._lock:
-            channels = self._channels.pop(nid, {})
-        for channel in channels.values():
-            channel.close()
-
     @property
     def active_channel_count(self) -> int:
-        with self._lock:
-            return sum(len(c) for c in self._channels.values())
+        return self.server.manager.channel_count()
 
     def proxy_for(self, naplet: "Naplet") -> "NapletServiceProxy":
         return NapletServiceProxy(self, naplet)
@@ -165,4 +146,4 @@ class NapletServiceProxy:
         return self._manager.request_channel(self._naplet, name)
 
     def service_channel_list(self) -> dict[str, ServiceChannel]:
-        return self._manager.channels_of(self._naplet.naplet_id)
+        return self._manager.server.manager.channels_of(self._naplet.naplet_id)

@@ -6,8 +6,8 @@ Assembles the seven architecture components around one transport endpoint:
 NapletMonitor         confined execution, resource accounting (monitor.py)
 NapletSecurityManager signature checks + access-control matrix (security.py)
 ResourceManager       open/privileged services, ServiceChannels
-NapletManager         naplet table, footprints, launching, listeners
-Messenger             post-office messaging, forwarding, special mailbox
+NapletManager         the naplet table, launching, listeners
+Messenger             post-office messaging, forwarding, the departure chase
 Navigator             LAUNCH/LANDING migration protocol
 Locator               tracing/location with cache (directory-mode aware)
 ====================  =====================================================
@@ -296,7 +296,7 @@ class NapletServer:
         naplet = self.manager.resident(nid)
         if naplet is None:
             raise NapletError(f"{nid} is not resident at {self.hostname}")
-        if not self.monitor.interrupt(nid, SystemControl.FREEZE):
+        if not self.manager.interrupt(nid, SystemControl.FREEZE):
             raise NapletError(f"{nid} has no running thread at {self.hostname}")
 
         def frozen() -> bool:
@@ -366,8 +366,8 @@ class NapletServer:
             return
         self._shutdown.set()
         self.health.stop()
-        for nid in self.monitor.resident_ids():
-            self.monitor.interrupt(nid, SystemControl.TERMINATE, "server shutdown")
+        for nid in self.manager.resident_ids():
+            self.manager.interrupt(nid, SystemControl.TERMINATE, "server shutdown")
         self.transport.unregister(self.urn)
 
     def __repr__(self) -> str:

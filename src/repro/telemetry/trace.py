@@ -211,32 +211,6 @@ class Tracer:
             attributes=dict(attributes),
         )
 
-    def record(
-        self,
-        name: str,
-        ctx: TraceContext,
-        parent_id: str | None = None,
-        duration: float = 0.0,
-        span_id: str | None = None,
-        **attributes: Any,
-    ) -> Span | None:
-        """Emit an already-timed span (for events with external timing)."""
-        if not self.enabled:
-            return None
-        span = Span(
-            trace_id=ctx.trace_id,
-            span_id=span_id or new_span_id(),
-            parent_id=parent_id if parent_id is not None else ctx.span_id,
-            name=name,
-            server=self.server,
-            start_wall=time.time(),
-            start_mono=time.monotonic(),
-            duration=duration,
-            attributes=attributes,
-        )
-        self._emit(span)
-        return span
-
     def _emit(self, span: Span) -> None:
         sink = self.on_span
         if sink is not None:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 import repro
 from repro.itinerary import Itinerary, ResultReport, SeqPattern, seq
-from repro.server import NapletOutcome
+from repro.server import NapletOutcome, SystemControl
 from repro.simnet import line
 from repro.util.concurrency import wait_until
 from tests.conftest import StallNaplet
@@ -114,3 +116,76 @@ class TestControlChase:
         assert receipt.final_server == "naplet://s01"
         assert receipt.hops == 1
         servers["s00"].terminate_naplet(nid)
+
+
+@pytest.fixture(params=["virtual", "tcp"])
+def either_space(request, space):
+    """Three servers s00..s02 on the in-memory network or over TCP sockets."""
+    if request.param == "virtual":
+        return space(line(3, prefix="s"))[1]
+    from repro.codeshipping.codebase import CodeBaseRegistry
+    from repro.core.credential import SigningAuthority
+    from repro.server import NapletServer
+    from repro.transport.tcp import TcpTransport
+
+    transport = TcpTransport()
+    authority, registry = SigningAuthority(), CodeBaseRegistry()
+    servers = {
+        name: NapletServer(name, transport, authority, registry)
+        for name in ("s00", "s01", "s02")
+    }
+    request.addfinalizer(transport.close)
+    for server in servers.values():
+        request.addfinalizer(server.shutdown)
+    return servers
+
+
+class TestControlBeforeAdmission:
+    """A system message that reaches a naplet before its monitor admits it
+    waits on the naplet's record and interrupts it once it is admitted."""
+
+    def test_control_parked_before_the_landing_terminates(self, either_space):
+        servers = either_space
+        agent, nid = _stalled(servers, route=("s01", "s02"), spin=1.0)
+        receipt = servers["s00"].messenger.send_control(
+            nid, SystemControl.TERMINATE, dest_urn=servers["s02"].urn
+        )
+        assert receipt.status == "parked"
+        s02 = servers["s02"]
+        assert wait_until(
+            lambda: sum(s02.monitor.outcomes.values()) == 1, timeout=10
+        )
+        assert s02.monitor.outcomes == {NapletOutcome.TERMINATED: 1}
+        assert s02.journal.count("naplet-interrupt", control="terminate") == 1
+
+    def test_control_in_the_admission_window_terminates(self, small_line):
+        network, servers = small_line
+        s01 = servers["s01"]
+        entered, release = threading.Event(), threading.Event()
+        real_admit = s01.monitor.admit
+
+        def held_admit(*args, **kwargs):
+            entered.set()
+            assert release.wait(10)
+            return real_admit(*args, **kwargs)
+
+        s01.monitor.admit = held_admit
+        agent = StallNaplet("late", spin_seconds=30.0)
+        agent.set_itinerary(Itinerary(seq("s01")))
+        launcher = threading.Thread(
+            target=servers["s00"].launch, args=(agent,), kwargs={"owner": "ctl"}
+        )
+        launcher.start()
+        assert entered.wait(10)
+        nid = agent.naplet_id
+        assert s01.manager.is_resident(nid)
+        receipt = servers["s00"].messenger.send_control(
+            nid, SystemControl.TERMINATE, dest_urn=s01.urn
+        )
+        assert receipt.status == "delivered"
+        release.set()
+        launcher.join(10)
+        assert not launcher.is_alive()
+        assert wait_until(lambda: sum(s01.monitor.outcomes.values()) == 1, timeout=10)
+        assert s01.monitor.outcomes == {NapletOutcome.TERMINATED: 1}
+        assert s01.journal.count("naplet-interrupt", control="terminate") == 1

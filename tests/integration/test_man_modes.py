@@ -43,9 +43,9 @@ class TestForwardingHopLimit:
         network.authority.register_owner("loopy")
         agent._assign_identity(nid, network.authority.issue(nid, "local", {}))
         servers["s01"].manager.record_arrival(agent, None)
-        servers["s01"].manager.record_departure(nid, "naplet://s02")
+        servers["s01"].manager.begin_departure(nid, "naplet://s02")
         servers["s02"].manager.record_arrival(agent, None)
-        servers["s02"].manager.record_departure(nid, "naplet://s01")
+        servers["s02"].manager.begin_departure(nid, "naplet://s01")
         with pytest.raises(NapletCommunicationError):
             servers["s00"].messenger.post(None, nid, "x", dest_urn="naplet://s01")
         # the chase was bounded: forwarding counts stayed finite
@@ -69,7 +69,7 @@ class TestForwardingHopLimit:
         agent._assign_identity(nid, network.authority.issue(nid, "local", {}))
         for here, there in (("s01", "s02"), ("s02", "s01")):
             servers[here].manager.record_arrival(agent, None)
-            servers[here].manager.record_departure(nid, f"naplet://{there}")
+            servers[here].manager.begin_departure(nid, f"naplet://{there}")
         with pytest.raises(NapletCommunicationError, match="undeliverable"):
             servers["s00"].messenger.send_control(nid, "callback", dest_urn="naplet://s01")
         total_forwards = (

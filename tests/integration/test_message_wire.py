@@ -117,5 +117,5 @@ class TestMalformedOverTcp:
         ghost = NapletID.parse("alice@t00:240101120000:0")
         assert t00.messenger.post(None, ghost, "after", dest_urn=t01.urn).status == "parked"
         assert t01.messenger.special_mailbox_size(ghost) == 1
-        (parked,) = t01.messenger._special[ghost]
+        parked = t01.manager._table[ghost].mailbox.poll()  # the record it parked on
         assert isinstance(parked, UserMessage) and parked.body == "after"

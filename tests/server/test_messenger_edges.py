@@ -7,7 +7,7 @@ import pytest
 import repro
 from repro.core.errors import NapletCommunicationError
 from repro.itinerary import Itinerary, seq
-from repro.server import deploy
+from repro.server import SystemControl, deploy
 from repro.simnet import VirtualNetwork, line
 from repro.util.concurrency import wait_until
 from tests.conftest import StallNaplet
@@ -64,18 +64,24 @@ class TestEdges:
 
     def test_chase_swallows_unreachable_destination_for_parked(self, trio):
         network, servers = trio
-        from repro.core.naplet_id import NapletID
+        from tests.core.test_naplet import _identified
 
-        nid = NapletID.create("ghost", "s00", stamp="240101120000")
-        # park a message at s01 for a naplet that never lands there
+        ghost = _identified("ghost")
+        nid = ghost.naplet_id
+        # park a message at s01 for a naplet that has not been there yet
         receipt = servers["s00"].messenger.post(
             None, nid, "early", dest_urn="naplet://s01"
         )
         assert receipt.status == "parked"
         network.partition_host("s02")
-        # chasing toward a partitioned destination must not raise
-        servers["s01"].messenger.chase(nid, "naplet://s02")
+        # it is forked at s01 and leaves toward the partitioned s02: chasing
+        # it with the parked message must not raise, and dead-letters it
+        manager = servers["s01"].manager
+        manager.record_arrival(ghost, arrived_from=None)
+        record = manager.begin_departure(nid, "naplet://s02")
+        servers["s01"].messenger.chase(manager.end_departure(nid, record), "naplet://s02")
         assert servers["s01"].messenger.special_mailbox_size(nid) == 0
+        assert len(servers["s01"].messenger.dead_letters) == 1
 
     def test_chase_swallows_unreachable_for_mailbox(self, trio):
         network, servers = trio
@@ -89,20 +95,25 @@ class TestEdges:
         assert mailbox is not None
         servers["s00"].messenger.post(None, nid, "queued")
         network.partition_host("s02")
-        record = servers["s01"].manager.begin_departure(nid, "naplet://s02")
-        servers["s01"].messenger.chase(nid, "naplet://s02")
+        manager = servers["s01"].manager
+        block = manager.control_block(nid)
+        record = manager.begin_departure(nid, "naplet://s02")
+        servers["s01"].messenger.chase(manager.end_departure(nid, record), "naplet://s02")
         assert servers["s01"].messenger.mailbox_of(nid) is None
-        servers["s01"].manager.abort_departure(nid, record)
-        servers["s00"].terminate_naplet(nid)
+        # only the footprint is left; the naplet's thread, still spinning
+        # at s01, is stopped through its control block
+        assert manager.control_block(nid) is None
+        block.post_interrupt(SystemControl.TERMINATE, None)
+        assert servers["s01"].wait_idle(10)
 
     def test_remove_mailbox_without_forward_drops_quietly(self, trio):
         _network, servers = trio
         from repro.core.naplet_id import NapletID
 
-        # removing a mailbox that never existed is a no-op
-        servers["s01"].messenger.remove_mailbox(
-            NapletID.create("nobody", "s00", stamp="240101120000")
-        )
+        # retiring a naplet that never had a mailbox here is a no-op
+        nobody = NapletID.create("nobody", "s00", stamp="240101120000")
+        servers["s01"].manager.record_retirement(nobody, "completed")
+        assert servers["s01"].manager.footprint(nobody) is None
 
     def test_a_naplet_sent_message_is_serialized_once(self, trio):
         """The sender's control block is billed the bytes the send built:

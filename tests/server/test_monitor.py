@@ -80,10 +80,10 @@ class TestOutcomes:
         agent = _identified()
         retire = Retirements()
         release = threading.Event()
-        monitor.admit(agent, lambda: release.wait(5), retire)
+        block = monitor.admit(agent, lambda: release.wait(5), retire)
         assert monitor.admitted == 1
         assert monitor.active_count == 1
-        assert agent.naplet_id in monitor.resident_ids()
+        assert block.naplet is agent and block.thread.is_alive()
         release.set()
         retire.wait()
         assert wait_until(lambda: monitor.active_count == 0)
@@ -177,14 +177,13 @@ class TestQuotas:
             holder["block"].account_message(50)
             release.wait(5)
 
-        monitor.admit(agent, body, retire,
-                      prepare=lambda b: holder.__setitem__("block", b))
-        assert wait_until(lambda: (monitor.usage_of(agent.naplet_id) or None) is not None)
-        usage = monitor.usage_of(agent.naplet_id)
-        assert wait_until(lambda: monitor.usage_of(agent.naplet_id).messages_sent == 1)
+        block = monitor.admit(agent, body, retire,
+                              prepare=lambda b: holder.__setitem__("block", b))
+        assert wait_until(lambda: block.usage_copy().messages_sent == 1)
+        assert monitor.active_count == 1
         release.set()
         retire.wait()
-        assert monitor.usage_of(agent.naplet_id) is None  # gone after retire
+        assert wait_until(lambda: monitor.active_count == 0)  # gone after retire
 
 
 class TestInterrupts:
@@ -202,7 +201,7 @@ class TestInterrupts:
 
         monitor.admit(agent, body, retire,
                       prepare=lambda b: holder.__setitem__("block", b))
-        assert monitor.interrupt(agent.naplet_id, SystemControl.TERMINATE, "why")
+        holder["block"].post_interrupt(SystemControl.TERMINATE, "why")
         outcome, _ = retire.wait()
         assert outcome == NapletOutcome.TERMINATED
         assert (SystemControl.TERMINATE, "why") in seen
@@ -225,14 +224,14 @@ class TestInterrupts:
         monitor.admit(agent, body, retire,
                       prepare=lambda b: holder.__setitem__("block", b))
         assert wait_until(lambda: len(progress) > 3)
-        monitor.interrupt(agent.naplet_id, SystemControl.SUSPEND)
+        holder["block"].post_interrupt(SystemControl.SUSPEND, None)
         assert wait_until(lambda: bool(stopped)), "on_stop never called"
         frozen_at = len(progress)
         time.sleep(0.08)
         assert len(progress) <= frozen_at + 1  # parked
-        monitor.interrupt(agent.naplet_id, SystemControl.RESUME)
+        holder["block"].post_interrupt(SystemControl.RESUME, None)
         assert wait_until(lambda: len(progress) > frozen_at + 3)
-        monitor.interrupt(agent.naplet_id, SystemControl.TERMINATE)
+        holder["block"].post_interrupt(SystemControl.TERMINATE, None)
         retire.wait()
 
     def test_callback_is_application_defined(self, monitor):
@@ -250,15 +249,17 @@ class TestInterrupts:
 
         monitor.admit(agent, body, retire,
                       prepare=lambda b: holder.__setitem__("block", b))
-        monitor.interrupt(agent.naplet_id, SystemControl.CALLBACK, {"ask": "status"})
+        holder["block"].post_interrupt(SystemControl.CALLBACK, {"ask": "status"})
         assert wait_until(lambda: SystemControl.CALLBACK in seen)
         done.set()
         retire.wait()
 
-    def test_interrupt_unknown_naplet_returns_false(self, monitor):
+    def test_interrupt_unknown_naplet_returns_false(self, small_line):
         from repro.core.naplet_id import NapletID
 
-        assert not monitor.interrupt(
+        _network, servers = small_line
+        # Interrupts are addressed by id through the server's naplet table.
+        assert not servers["s01"].manager.interrupt(
             NapletID.parse("x@y:240101120000:0"), SystemControl.TERMINATE
         )
 

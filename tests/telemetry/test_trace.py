@@ -94,7 +94,6 @@ class TestTracer:
             sp.set("ignored", 1)
         assert sp is NULL_SPAN
         assert sp.span_id == ""
-        assert tracer.record("instant", ctx) is None
         assert spans == []
 
     def test_spans_without_a_sink_are_discarded(self):
@@ -102,7 +101,6 @@ class TestTracer:
         ctx = TraceContext.mint()
         with tracer.span("hop", ctx):
             pass
-        assert tracer.record("instant", ctx).name == "instant"
 
 
 class TestStitch:
