@@ -70,7 +70,7 @@ def _run(name: str, itinerary: Itinerary, expected: int) -> dict[str, object]:
     stats = {
         "visited": visited,
         "clones": clones,
-        "bytes": network.meter.total_bytes,
+        "bytes": network.transport.meter.total_bytes,
         "virtual_ms": round(network.clock.virtual_time * 1000, 1),
     }
     for server in servers.values():

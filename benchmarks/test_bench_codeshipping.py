@@ -11,7 +11,7 @@ import pytest
 
 import repro
 from repro.itinerary import Itinerary, ResultReport, SeqPattern
-from repro.server import ServerConfig, deploy
+from repro.server import ServerConfig, SpaceAdmin, deploy
 from repro.simnet import VirtualNetwork, line
 from tests.integration.shipped_agent import RoamingProbe
 
@@ -31,10 +31,12 @@ def _run_tour(eager: bool):
     )
     servers["srv00"].launch(agent, owner="bench", listener=listener)
     assert listener.next_report(timeout=20).payload == TOUR
-    transfer = network.meter.kind_stats("naplet-transfer")
-    fetch = network.meter.kind_stats("codebase-fetch")
+    # The last hop is booked when its transfer request returns.
+    assert SpaceAdmin(servers).wait_space_idle()
+    transfer = network.transport.meter.kind_stats("naplet-transfer")
+    fetch = network.transport.meter.kind_stats("codebase-fetch")
     fetch_events = sum(s.journal.count("codebase-fetch") for s in servers.values())
-    total = network.meter.total_bytes
+    total = network.transport.meter.total_bytes
     network.shutdown()
     return {
         "transfer_bytes": transfer.bytes,

@@ -47,7 +47,7 @@ class TestFigure2:
             ["launch events (h00)", servers["h00"].journal.count("naplet-launch")],
             ["landings (h01)", servers["h01"].journal.count("landing")],
             ["naplets admitted (h01)", servers["h01"].monitor.admitted],
-            ["bytes on the wire", network.meter.total_bytes],
+            ["bytes on the wire", network.transport.meter.total_bytes],
         ]
         table("Fig. 2 — one migration through all seven components (x20)",
               ["stage", "count"], rows)

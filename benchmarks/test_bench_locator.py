@@ -38,9 +38,9 @@ class TestLocationModes:
             network, servers, nid = _resting_space(mode)
             try:
                 querier = servers["d03"]
-                network.meter.reset()
+                network.transport.meter.reset()
                 located = querier.locator.locate(nid, use_cache=False)
-                lookup_bytes = network.meter.total_bytes
+                lookup_bytes = network.transport.meter.total_bytes
                 if mode is DirectoryMode.NONE:
                     assert located is None
                     # directory-less: trace forwarding from the home server
@@ -82,14 +82,14 @@ class TestLocationModes:
         try:
             locator = servers["d03"].locator
             # cold lookup
-            network.meter.reset()
+            network.transport.meter.reset()
             locator.locate(nid, use_cache=False)
-            cold_bytes = network.meter.total_bytes
+            cold_bytes = network.transport.meter.total_bytes
             # warm lookups
-            network.meter.reset()
+            network.transport.meter.reset()
             for _ in range(100):
                 locator.locate(nid)
-            warm_bytes = network.meter.total_bytes
+            warm_bytes = network.transport.meter.total_bytes
             table(
                 "E7b — locator cache effect (100 repeat inquiries)",
                 ["metric", "value"],

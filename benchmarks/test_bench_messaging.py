@@ -55,15 +55,15 @@ class TestForwardingChains:
         for k in (1, 2, 4, 6):
             network, servers, nid, last = _chain_setup(k)
             try:
-                network.meter.reset()
+                network.transport.meter.reset()
                 receipt = servers["c00"].messenger.post(
                     None, nid, {"probe": k}, dest_urn="naplet://c01"
                 )
-                chased_bytes = network.meter.total_bytes
-                network.meter.reset()
+                chased_bytes = network.transport.meter.total_bytes
+                network.transport.meter.reset()
                 # located send: the locator resolves the current server first
                 receipt_direct = servers["c00"].messenger.post(None, nid, {"direct": k})
-                direct_bytes = network.meter.total_bytes
+                direct_bytes = network.transport.meter.total_bytes
                 rows.append(
                     [k, receipt.hops, chased_bytes, receipt_direct.hops, direct_bytes]
                 )

@@ -138,8 +138,7 @@ def _shutdown(transport, servers) -> None:
 
 
 def _hop_frames(transport) -> int:
-    counter = transport.metrics.counter("wire_frames_total")
-    return int(sum(counter.value(kind=kind) for kind in _HOP_KINDS))
+    return sum(transport.meter.kind_stats(kind).frames for kind in _HOP_KINDS)
 
 
 def _percentile(samples: list[float], fraction: float) -> float:
@@ -228,14 +227,13 @@ def _measure_delta(route: list[str], full_hops: int) -> dict:
         # The source books the last hop (wire counters, then delta
         # counters) after the landing acks, which can be after the report
         # is already home: settle before reading.
-        frames = transport.metrics.counter("wire_frames_total")
+        meter = transport.meter
         assert wait_until(
-            lambda: frames.value(kind="naplet-transfer") == DELTA_HOPS
+            lambda: meter.kind_stats("naplet-transfer").frames == DELTA_HOPS
             and counted("delta_hops") == DELTA_HOPS - full_hops,
             timeout=10,
         )
-        wire = transport.metrics.counter("wire_bytes_total")
-        transfer_bytes = int(wire.value(kind="naplet-transfer"))
+        transfer_bytes = meter.kind_stats("naplet-transfer").bytes
         delta_hops = counted("delta_hops")
         saved_bytes = counted("delta_saved_bytes")
         return {
@@ -256,9 +254,11 @@ def _measure_tour() -> dict:
     one warm-up tour."""
     transport, servers = _space(("b00", *sorted(set(TOUR) - {"b00"})))
     try:
-        wire = transport.metrics.counter("wire_bytes_total")
+        def hop_kind_bytes() -> int:
+            return sum(transport.meter.kind_stats(kind).bytes for kind in _HOP_KINDS)
+
         for lap in range(2):
-            before = sum(wire.value(kind=kind) for kind in _HOP_KINDS)
+            before = hop_kind_bytes()
             marks = {name: s.journal.total_appended for name, s in servers.items()}
             agent = TourNaplet("tour")
             agent.set_itinerary(
@@ -273,7 +273,7 @@ def _measure_tour() -> dict:
                 == len(TOUR) * (lap + 1),
                 timeout=10,
             )
-        hop_bytes = sum(wire.value(kind=kind) for kind in _HOP_KINDS) - before
+        hop_bytes = hop_kind_bytes() - before
         # Every naplet thread ends after its hop's last record is written.
         assert all(s.wait_idle(10) for s in servers.values())
         seen: set[int] = set()

@@ -28,7 +28,7 @@ from repro.hpc import (
     combine_mean_reports,
     combine_pi_reports,
 )
-from repro.server import deploy
+from repro.server import SpaceAdmin, deploy
 from repro.simnet import VirtualNetwork, full_mesh
 
 
@@ -58,13 +58,14 @@ def main() -> None:
           f"(error {abs(estimate - np.pi):.5f})")
 
     # --- data-local mean -------------------------------------------------- #
-    network.meter.reset()
+    network.transport.meter.reset()
     listener2 = repro.NapletListener()
     mean_agent = ShardAggregateNaplet("mean", workers, shard_key="telemetry", mode="seq")
     servers[home].launch(mean_agent, owner="hpc", listener=listener2)
     reports = listener2.reports(1, timeout=15)
     mean = combine_mean_reports(reports)
-    moved = network.meter.total_bytes
+    SpaceAdmin(servers).wait_space_idle()  # the last hop is booked once its sender returns
+    moved = network.transport.meter.total_bytes
     print(f"global mean of {len(workers)} shards: {mean:.4f}")
     print(f"bytes moved by the agent: {moved}  "
           f"(raw shards would have been {shard_bytes} bytes)")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import repro
 from repro.itinerary import Itinerary, ResultReport, SeqPattern
-from repro.server import deploy
+from repro.server import SpaceAdmin, deploy
 from repro.simnet import VirtualNetwork, line
 
 
@@ -48,10 +48,11 @@ def main() -> None:
     print("launching from host00 ...")
     nid = servers["host00"].launch(agent, owner="quickstart", listener=listener)
     report = listener.next_report(timeout=10)
+    SpaceAdmin(servers).wait_space_idle()  # the last hop is booked once its sender returns
 
     print(f"\nnaplet id     : {nid}")
     print(f"visited       : {report.payload}")
-    print(f"network bytes : {network.meter.total_bytes}")
+    print(f"network bytes : {network.transport.meter.total_bytes}")
     print(f"virtual delay : {network.clock.virtual_time * 1000:.1f} ms accounted")
     log = [f"{r.server_urn} ({r.dwell:.4f}s)" for r in agent.navigation_log if r.dwell]
     print(f"navigation log: {log if log else '(travelled copy holds the full log)'}")

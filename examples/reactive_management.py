@@ -51,7 +51,7 @@ def main() -> None:
           f"interfaces_down={report.payload['interfaces_down']}")
 
     time.sleep(0.1)
-    traps = framework.network.meter.kind_stats("snmp-trap")
+    traps = framework.network.transport.meter.kind_stats("snmp-trap")
     print(f"\ntotals: {dispatcher.dispatch_count} agents dispatched, "
           f"{traps.frames} trap frames ({traps.bytes} bytes) — zero polling traffic")
     sink.close()

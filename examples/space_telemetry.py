@@ -106,7 +106,7 @@ def main() -> None:
     print("\n— space-wide merged counters —")
     for kind in ("naplet-launch", "hop", "landing"):
         print(f"  {kind + ' records':<28} {merged.value(RECORDS, kind=kind):,.0f}")
-    for name in ("naplet_frame_bytes_total", "wire_frames_total", "wire_bytes_total"):
+    for name in ("wire_frames_total", "wire_bytes_total"):
         print(f"  {name:<28} {merged.total(name):,.0f}")
     latency = merged.value("naplet_hop_latency_seconds")
     print(

@@ -11,7 +11,7 @@ Public surface (see README.md for the tour):
 - :mod:`repro.transport`    — frames, in-memory + TCP transports, serializer
 - :mod:`repro.codeshipping` — codebases and lazy class loading
 - :mod:`repro.faults`       — fault injection, retry policies, dead letters
-- :mod:`repro.simnet`       — virtual networks, topologies, traffic metering
+- :mod:`repro.simnet`       — virtual networks, topologies, virtual time
 - :mod:`repro.snmp`         — simulated SNMP/MIB substrate (paper §6)
 - :mod:`repro.man`          — mobile-agent network management application
 - :mod:`repro.hpc`          — distributed-computation workloads

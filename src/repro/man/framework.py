@@ -7,8 +7,9 @@ with the NetManagement privileged service installed, and a management
 station host acting as the Mobile Agent Producer (MAP) and CNMP poller.
 
 The framework is the measurement harness for experiments E3/E4: both
-approaches run over the *same* metered transport, so per-link byte counts
-and wall/virtual times are directly comparable.
+approaches run over the *same* transport and are counted by its one frame
+ledger (``network.transport.meter``), so per-link byte counts and
+wall/virtual times are directly comparable.
 """
 
 from __future__ import annotations
@@ -154,16 +155,16 @@ class ManFramework:
 
     def station_link_bytes(self) -> int:
         """Bytes that crossed the management station's links (both ways)."""
-        return self.network.meter.host_total(self.station_host)
+        return self.network.transport.meter.host_total(self.station_host)
 
     def total_bytes(self) -> int:
-        return self.network.meter.total_bytes
+        return self.network.transport.meter.total_bytes
 
     def virtual_seconds(self) -> float:
         return self.network.clock.virtual_time
 
     def reset_measurement(self) -> None:
-        self.network.meter.reset()
+        self.network.transport.meter.reset()
         self.network.clock.reset()
 
     def wait_idle(self, timeout: float = 10.0) -> None:

@@ -355,11 +355,6 @@ class NapletManager:
         with self._lock:
             return [r for r in self._table.values() if r.state is not EXPECTED]
 
-    def trace_next_hop(self, nid: NapletID) -> str | None:
-        """Where the naplet went after visiting here (forwarding hint)."""
-        with self._lock:
-            return getattr(self._table.get(nid), "departed_to", None)
-
     # ------------------------------------------------------------------ #
     # Home listeners
     # ------------------------------------------------------------------ #

@@ -286,7 +286,6 @@ class Messenger:
     def _send_once(self, message: Message, dest_urn: str) -> DeliveryReceipt:
         """One attempt: frame, request, keep the receipt, note the location."""
         frame = self._frame(message, dest_urn)
-        self.server.telemetry.frame_bytes.inc(len(frame.payload), kind="message")
         status, final_server, hops = _read_reply(self.server.transport.request(frame))
         receipt = DeliveryReceipt(
             message.message_id, message.target, status, final_server, hops, len(frame.payload)

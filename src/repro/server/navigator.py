@@ -298,7 +298,6 @@ class Navigator:
         payload = pickle.dumps(naplet.credential)
         image_bytes = _image_nbytes(payload, segments)
         hop.set("bytes", image_bytes)
-        self.server.telemetry.frame_bytes.inc(image_bytes, kind="naplet-transfer")
         headers = {"transfer-id": transfer_id}
         # The hop span's record is written at the stamp this frame carries:
         # the receiver's clock update places every landing record causally

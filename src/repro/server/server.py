@@ -351,9 +351,8 @@ class NapletServer:
         if self.network is None or self.config.codebase_host is None:
             return
         src = self.config.codebase_host
-        delay = self.network.latency.delay(src, self.hostname, nbytes)
-        self.network.meter.record(src, self.hostname, FrameKind.CODEBASE_FETCH, nbytes, delay)
-        self.network.clock.advance(delay)
+        self.network.clock.advance(self.network.latency.delay(src, self.hostname, nbytes))
+        self.transport.meter.record(src, self.hostname, FrameKind.CODEBASE_FETCH, nbytes)
 
     # -- lifecycle ---------------------------------------------------------------- #
 

@@ -1,4 +1,5 @@
-"""Simulated network substrate: hosts, topologies, clock, traffic metering."""
+"""Simulated network substrate: hosts, topologies, clock (traffic is counted
+by the transport's frame ledger, ``network.transport.meter``)."""
 
 from repro.transport.clock import SimClock
 from repro.simnet.host import VirtualHost
@@ -11,12 +12,9 @@ from repro.simnet.topology import (
     star,
     tree,
 )
-from repro.transport.traffic import LinkStats, TrafficMeter
 
 __all__ = [
     "SimClock",
-    "TrafficMeter",
-    "LinkStats",
     "VirtualHost",
     "VirtualNetwork",
     "GraphLatency",

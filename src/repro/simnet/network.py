@@ -4,7 +4,8 @@ A :class:`VirtualNetwork` bundles everything one experiment needs:
 
 - the topology graph (hostnames + links with latency/bandwidth attributes);
 - a :class:`GraphLatency` model that routes over shortest paths;
-- one shared :class:`InMemoryTransport` with clock and traffic meter;
+- one shared :class:`InMemoryTransport` with its clock (the transport's
+  frame ledger, ``transport.meter``, counts the traffic);
 - the process-wide fixtures servers expect — a
   :class:`~repro.core.credential.SigningAuthority` (stand-in PKI) and a
   :class:`~repro.codeshipping.codebase.CodeBaseRegistry` (codebase host).
@@ -25,7 +26,6 @@ from repro.core.credential import SigningAuthority
 from repro.core.errors import NapletError
 from repro.transport.clock import SimClock
 from repro.simnet.host import VirtualHost
-from repro.transport.traffic import TrafficMeter
 from repro.transport.base import host_of
 from repro.transport.inmemory import InMemoryTransport
 from repro.transport.latency import LatencyModel
@@ -99,11 +99,8 @@ class VirtualNetwork:
     ) -> None:
         self.graph = graph
         self.clock = SimClock(scale=sleep_scale)
-        self.meter = TrafficMeter()
         self.latency = latency if latency is not None else GraphLatency(graph)
-        self.transport = InMemoryTransport(
-            latency=self.latency, clock=self.clock, meter=self.meter
-        )
+        self.transport = InMemoryTransport(latency=self.latency, clock=self.clock)
         self.fault_plan = fault_plan
         if fault_plan is not None:
             # Chaos experiments: every frame in the space crosses the

@@ -90,9 +90,6 @@ class ServerTelemetry:
             "naplet_hop_latency_seconds",
             "End-to-end migration latency (LAUNCH grant to transfer ack)",
         )
-        self.frame_bytes = reg.counter(
-            "naplet_frame_bytes_total", "Serialized payload bytes shipped, by kind"
-        )
         self.itinerary_depth = reg.histogram(
             "naplet_itinerary_depth",
             "Servers visited so far, observed at each landing",

@@ -322,6 +322,8 @@ class MetricsRegistry:
 
     def _get_or_create(self, name: str, factory: Callable[[], _Instrument]) -> _Instrument:
         with self._lock:
+            if name in self._fns:  # a stale writer would count beside the view
+                raise TypeError(f"metric {name!r} is a view read at snapshot time")
             instrument = self._instruments.get(name)
             if instrument is None:
                 instrument = self._instruments[name] = factory()

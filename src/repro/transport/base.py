@@ -6,15 +6,16 @@ inter-naplet messages, directory events, load digests.  A
 form ``naplet://<hostname>``).  Two implementations exist:
 
 - :class:`repro.transport.inmemory.InMemoryTransport` — in-process routing
-  with a latency/bandwidth model, per-link byte metering, and fault
-  injection; the substrate for experiments at scale;
+  with a latency/bandwidth model and fault injection; the substrate for
+  experiments at scale;
 - :class:`repro.transport.tcp.TcpTransport` — real localhost TCP sockets,
   proving the protocol end-to-end outside one call stack.
 
 Semantics shared by both: :meth:`Transport.send` is one-way fire-and-forget;
 :meth:`Transport.request` is synchronous request/reply returning the
-responder's payload.  Handlers run on the delivering thread and must not
-block indefinitely.
+responder's payload.  Both book what they moved in the transport's one
+frame ledger, :attr:`Transport.meter`, with the same frame sizes.  Handlers
+run on the delivering thread and must not block indefinitely.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.core.errors import NapletCommunicationError
 from repro.telemetry.metrics import MetricsRegistry
+from repro.transport.traffic import REPLY, TrafficMeter
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.telemetry.journal import SpaceJournal
@@ -96,14 +98,12 @@ class Frame:
     @property
     def size(self) -> int:
         """Approximate on-wire size in bytes (payload + buffers + header text)."""
-        header_bytes = sum(len(k) + len(v) for k, v in self.headers.items())
-        buffer_bytes = sum(
-            b.nbytes if isinstance(b, memoryview) else len(b) for b in self.buffers
-        )
-        return (
-            len(self.payload) + buffer_bytes + header_bytes
-            + len(self.kind) + len(self.source) + len(self.dest)
-        )
+        size = len(self.payload) + len(self.kind) + len(self.source) + len(self.dest)
+        for key, value in self.headers.items():
+            size += len(key) + len(value)
+        for buffer in self.buffers:
+            size += buffer.nbytes if isinstance(buffer, memoryview) else len(buffer)
+        return size
 
 
 FrameHandler = Callable[[Frame], bytes | None]
@@ -112,72 +112,66 @@ FrameHandler = Callable[[Frame], bytes | None]
 class Transport(abc.ABC):
     """Routes frames between registered endpoints.
 
-    Every transport owns a small :class:`MetricsRegistry` of wire-level
-    instruments (frames, bytes, send latency, by frame kind); concrete
-    implementations call :meth:`_observe_wire` once per frame moved.
+    Every transport owns one frame ledger, :attr:`meter`: the concrete
+    ``send``/``request`` book each frame they moved once, after the call
+    returns, and a request's reply beside it (see
+    :mod:`repro.transport.traffic`).  Its small :class:`MetricsRegistry`
+    holds connection instruments and read-only views over the ledger, so
+    ``wire_frames_total``/``wire_bytes_total`` (request frames, by kind)
+    and ``bytes_sent_total``/``bytes_received_total`` (every frame and
+    reply, by endpoint host) read the same numbers the ledger does.
     """
 
     def __init__(self) -> None:
         self._handlers: dict[str, FrameHandler] = {}
         self._lock = threading.RLock()
-        self.metrics = MetricsRegistry()
+        self.meter = meter = TrafficMeter()
+        self.metrics = metrics = MetricsRegistry()
         self._journals: dict[str, "SpaceJournal"] = {}
-        self._wire_frames = self.metrics.counter(
-            "wire_frames_total", "Frames moved by this transport, by kind"
+
+        def by_kind(field: str) -> Callable[[], dict[str, int]]:
+            return lambda: {
+                kind: getattr(stats, field)
+                for kind, stats in meter.kinds().items()
+                if not kind.endswith(REPLY)
+            }
+
+        def by_host(side: int) -> Callable[[], dict[str, int]]:
+            return lambda: {host: pair[side] for host, pair in meter.hosts().items()}
+
+        metrics.counter_fn(
+            "wire_frames_total", "Frames sent by this transport, by kind", "kind",
+            by_kind("frames"),
         )
-        self._wire_bytes = self.metrics.counter(
-            "wire_bytes_total", "On-wire bytes moved by this transport, by kind"
+        metrics.counter_fn(
+            "wire_bytes_total", "Bytes of the frames sent by this transport, by kind", "kind",
+            by_kind("bytes"),
         )
-        self._wire_send_seconds = self.metrics.histogram(
-            "wire_send_seconds", "Per-frame delivery latency at this transport"
+        metrics.counter_fn(
+            "bytes_sent_total", "Frame and reply bytes sent, by endpoint host (egress)",
+            "endpoint", by_host(0),
         )
-        self._wire_connections = self.metrics.counter(
+        metrics.counter_fn(
+            "bytes_received_total", "Frame and reply bytes received, by endpoint host (ingress)",
+            "endpoint", by_host(1),
+        )
+        self._wire_connections = metrics.counter(
             "wire_connections_opened_total",
             "Connections (real or logical) opened by this transport",
         )
-        self._wire_pool_reuse = self.metrics.counter(
+        self._wire_pool_reuse = metrics.counter(
             "wire_pool_reuse_total",
             "Frames that rode an already-open pooled connection",
         )
-        self._wire_dropped_connections = self.metrics.counter(
+        self._wire_dropped_connections = metrics.counter(
             "wire_dropped_connections_total",
             "Server-side connections dropped on error, by endpoint",
         )
-        # Per-endpoint byte accounting (perf plane): simnet's TrafficMeter
-        # already splits bytes per host; these counters give real TCP the
-        # same answer, on the same metric names for both transports.
-        self._bytes_sent = self.metrics.counter(
-            "bytes_sent_total", "Wire bytes sent, by endpoint host (egress)"
-        )
-        self._bytes_received = self.metrics.counter(
-            "bytes_received_total", "Wire bytes received, by endpoint host (ingress)"
-        )
-
-    def _observe_wire(self, frame: Frame, duration: float) -> None:
-        """Account one frame's trip (called by concrete send/request)."""
-        self._wire_frames.inc(kind=frame.kind)
-        self._wire_bytes.inc(frame.size, kind=frame.kind)
-        self._wire_send_seconds.observe(duration)
-
-    # -- byte accounting --------------------------------------------------- #
-
-    def _account_sent(self, endpoint: str, nbytes: int) -> None:
-        """Attribute *nbytes* of egress to *endpoint* (URN or hostname)."""
-        if nbytes > 0:
-            self._bytes_sent.inc(nbytes, endpoint=host_of(endpoint))
-
-    def _account_received(self, endpoint: str, nbytes: int) -> None:
-        """Attribute *nbytes* of ingress to *endpoint* (URN or hostname)."""
-        if nbytes > 0:
-            self._bytes_received.inc(nbytes, endpoint=host_of(endpoint))
 
     def endpoint_bytes(self, endpoint: str) -> tuple[int, int]:
-        """(egress, ingress) wire bytes accounted to *endpoint* so far."""
-        host = host_of(endpoint)
-        return (
-            int(self._bytes_sent.value(endpoint=host)),
-            int(self._bytes_received.value(endpoint=host)),
-        )
+        """(egress, ingress) frame and reply bytes the ledger holds for
+        *endpoint* (URN or hostname)."""
+        return self.meter.host_bytes(host_of(endpoint))
 
     # -- connection accounting -------------------------------------------- #
 

@@ -2,8 +2,9 @@
 
 Frames are delivered by direct handler invocation on the sending thread —
 the synchronous-call analogue of a blocking network send.  Before delivery
-the latency model's delay is accounted on the :class:`SimClock` and the
-frame is metered on the :class:`TrafficMeter`.  Fault injection supports
+the latency model's delay is accounted on the :class:`SimClock`; once the
+call returns, the frame (and a request's reply) is booked in the
+transport's frame ledger.  Fault injection supports
 dropped links (one-way failures) and host partitions, exercising the
 paper's "intermittent or unreliable Internet connections" motivation.
 
@@ -19,7 +20,6 @@ import threading
 
 from repro.core.errors import NapletCommunicationError
 from repro.transport.clock import SimClock
-from repro.transport.traffic import TrafficMeter
 from repro.transport.base import Frame, Transport, host_of
 from repro.transport.latency import LatencyModel, ZeroLatency
 
@@ -33,12 +33,10 @@ class InMemoryTransport(Transport):
         self,
         latency: LatencyModel | None = None,
         clock: SimClock | None = None,
-        meter: TrafficMeter | None = None,
     ) -> None:
         super().__init__()
         self.latency = latency or ZeroLatency()
         self.clock = clock or SimClock()
-        self.meter = meter or TrafficMeter()
         self._down_links: set[tuple[str, str]] = set()
         self._down_hosts: set[str] = set()
         self._fault_lock = threading.Lock()
@@ -102,7 +100,9 @@ class InMemoryTransport(Transport):
 
     # -- delivery ----------------------------------------------------------- #
 
-    def _deliver(self, frame: Frame) -> bytes | None:
+    def _deliver(self, frame: Frame) -> tuple[str, str, int, bytes | None]:
+        """Hand *frame* to its handler; returns (src host, dst host, frame
+        size, reply)."""
         src, dst = host_of(frame.source), host_of(frame.dest)
         self._check_reachable(src, dst)
         handler = self._handler_for(frame.dest)
@@ -115,28 +115,21 @@ class InMemoryTransport(Transport):
             else:
                 self._links_opened.add(link)
                 self._note_connection_opened(frame.dest)
-        delay = self.latency.delay(src, dst, frame.size)
-        self.meter.record(src, dst, frame.kind, frame.size, delay)
-        self._account_sent(src, frame.size)
-        self._account_received(dst, frame.size)
-        self.clock.advance(delay)
-        self._observe_wire(frame, delay)
-        return handler(frame)
+        nbytes = frame.size
+        self.clock.advance(self.latency.delay(src, dst, nbytes))
+        return src, dst, nbytes, handler(frame)
 
     def send(self, frame: Frame) -> None:
-        self._deliver(frame)
+        src, dst, nbytes, _reply = self._deliver(frame)
+        self.meter.record(src, dst, frame.kind, nbytes)
 
     def request(self, frame: Frame, timeout: float | None = None) -> bytes:
-        reply = self._deliver(frame)
+        src, dst, nbytes, reply = self._deliver(frame)
         if reply is None:
             raise NapletCommunicationError(
                 f"no reply from {frame.dest} for {frame.kind} frame"
             )
-        # The reply travels back over the same link: meter and account it.
-        src, dst = host_of(frame.source), host_of(frame.dest)
-        delay = self.latency.delay(dst, src, len(reply))
-        self.meter.record(dst, src, frame.kind + "-reply", len(reply), delay)
-        self._account_sent(dst, len(reply))
-        self._account_received(src, len(reply))
-        self.clock.advance(delay)
+        # The reply travels back over the same link.
+        self.clock.advance(self.latency.delay(dst, src, len(reply)))
+        self.meter.exchange(src, dst, frame.kind, nbytes, len(reply))
         return reply

@@ -3,7 +3,7 @@
 The model answers "how long does a frame of *n* bytes take from *src* to
 *dst*" — propagation latency plus serialization delay at the link bandwidth.
 Experiments sweep these parameters (E4's latency crossover); the transport
-both *accounts* the delay (virtual seconds, via the traffic meter) and
+both *accounts* the delay (virtual seconds, on the :class:`SimClock`) and
 optionally *sleeps* a scaled-down version so wall-clock benchmark timings
 show the simulated shape.
 """

@@ -22,7 +22,9 @@ request/reply exchanges over it:
   requests in flight at once;
 - the :class:`ConnectionPool` keeps at most one live connection per
   destination, transparently redials when a kept-alive peer went away, and
-  reports opens/reuses/bytes to the transport's telemetry through callbacks.
+  reports opens and reuses to the transport's telemetry through callbacks.
+  Bytes are the transport's business: it books the frame it sent, not the
+  envelope that carried it.
 
 Retry semantics: a request that dies on a *reused* connection (stale
 keepalive — the peer restarted or idled us out) is retried once on a fresh
@@ -156,14 +158,13 @@ class _Waiter:
     on ``latch``, a bare lock born held, and whoever takes the waiter out
     of ``_pending`` (the reader thread, or ``close``) releases it once."""
 
-    __slots__ = ("latch", "payload", "error", "nbytes")
+    __slots__ = ("latch", "payload", "error")
 
     def __init__(self) -> None:
         self.latch = threading.Lock()
         self.latch.acquire()
         self.payload: bytes | None = None
         self.error: str | None = None
-        self.nbytes = 0  # wire size of the reply blob (byte accounting)
 
 
 class PooledConnection:
@@ -205,7 +206,6 @@ class PooledConnection:
                     waiter = self._pending.pop(cid, None)
                 if waiter is None:
                     continue  # request timed out and gave up; drop the reply
-                waiter.nbytes = len(blob)
                 if tag == ERR:
                     waiter.error = body
                 else:
@@ -218,8 +218,8 @@ class PooledConnection:
 
     # -- wire operations ---------------------------------------------------- #
 
-    def _post(self, frame: Frame, expects_reply: bool, cid: int) -> int:
-        """Serialize and write one request; returns its wire size in bytes.
+    def _post(self, frame: Frame, expects_reply: bool, cid: int) -> None:
+        """Serialize and write one request.
 
         Frames with out-of-band buffers use the segmented ``REQB`` layout:
         only the buffer-less frame core is pickled, the buffers follow as
@@ -237,26 +237,23 @@ class PooledConnection:
             blob = pickle.dumps((REQ, cid, frame, expects_reply))
         try:
             with self._send_lock:
-                return send_blob_segments(self.sock, blob, buffers)
+                send_blob_segments(self.sock, blob, buffers)
         except OSError as exc:
             self.close()
             raise ConnectionClosedError(f"pooled connection to {self.dest} died: {exc}") from exc
 
-    def send(self, frame: Frame) -> int:
-        """Fire-and-forget delivery; returns the wire bytes written."""
-        return self._post(frame, False, next(self._ids))
+    def send(self, frame: Frame) -> None:
+        """Fire-and-forget delivery."""
+        self._post(frame, False, next(self._ids))
 
-    def request_with_cost(
-        self, frame: Frame, timeout: float | None = None
-    ) -> tuple[bytes, int, int]:
-        """Send *frame* and block until its correlated reply arrives;
-        returns the payload and the (sent, received) wire bytes."""
+    def request(self, frame: Frame, timeout: float | None = None) -> bytes:
+        """Send *frame* and block until its correlated reply arrives."""
         waiter = _Waiter()
         cid = next(self._ids)
         with self._pending_lock:
             self._pending[cid] = waiter
         try:
-            sent = self._post(frame, True, cid)
+            self._post(frame, True, cid)
             if not waiter.latch.acquire(timeout=-1 if timeout is None else max(timeout, 0)):
                 raise NapletCommunicationError(f"request to {frame.dest} timed out")
         except BaseException:
@@ -270,7 +267,7 @@ class PooledConnection:
                 f"request to {frame.dest} failed remotely: {waiter.error}"
             )
         assert waiter.payload is not None
-        return waiter.payload, sent, waiter.nbytes
+        return waiter.payload
 
     def close(self) -> None:
         self._dead = True
@@ -294,12 +291,10 @@ class ConnectionPool:
         dialer: Callable[[str], socket.socket],
         on_open: Callable[[str], None] | None = None,
         on_reuse: Callable[[str], None] | None = None,
-        on_traffic: Callable[[Frame, int, int], None] | None = None,
     ) -> None:
         self._dialer = dialer
         self._on_open = on_open
         self._on_reuse = on_reuse
-        self._on_traffic = on_traffic
         self._conns: dict[str, PooledConnection] = {}
         self._lock = threading.Lock()
         self._dest_locks: dict[str, threading.Lock] = {}
@@ -352,17 +347,13 @@ class ConnectionPool:
             conn, fresh = self._acquire(frame.dest)
             try:
                 if expects_reply:
-                    payload, sent, received = conn.request_with_cost(frame, timeout)
-                else:
-                    payload, sent, received = None, conn.send(frame), 0
+                    return conn.request(frame, timeout)
+                conn.send(frame)
+                return None
             except ConnectionClosedError:
                 self._invalidate(frame.dest, conn)
                 if fresh or retried:
                     raise
-                continue
-            if self._on_traffic is not None:
-                self._on_traffic(frame, sent, received)
-            return payload
 
     def request(self, frame: Frame, timeout: float | None = None) -> bytes:
         return self._exchange(frame, timeout, True)

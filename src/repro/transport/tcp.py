@@ -23,10 +23,9 @@ from __future__ import annotations
 import pickle
 import socket
 import threading
-import time
 
 from repro.core.errors import NapletCommunicationError
-from repro.transport.base import Frame, FrameHandler, Transport
+from repro.transport.base import Frame, FrameHandler, Transport, host_of
 from repro.transport.pool import (
     ConnectionPool,
     ERR,
@@ -150,7 +149,6 @@ class _Endpoint:
         blob = None if self._closing.is_set() else recv_blob(sock, allow_eof=True)
         if blob is None:
             return None  # clean close at a frame boundary
-        self._transport._account_received(self.urn, len(blob))
         envelope = pickle.loads(blob)
         tag = envelope[0] if isinstance(envelope, tuple) and envelope else None
         if tag == REQB and len(envelope) == 5:
@@ -158,7 +156,6 @@ class _Endpoint:
             # blob on the same connection (the sender writes both at once).
             _tag, cid, frame, expects_reply, sizes = envelope
             frame.buffers = recv_segments(sock, sizes)
-            self._transport._account_received(self.urn, sum(sizes))
             return cid, frame, expects_reply
         if tag == REQ and len(envelope) == 4:
             return envelope[1:]
@@ -182,7 +179,6 @@ class _Endpoint:
         try:
             with conn.write_lock:
                 send_blob(conn.sock, blob)
-            self._transport._account_sent(self.urn, len(blob))
         except OSError:
             pass  # requester already gone; it will time out on its side
 
@@ -219,13 +215,7 @@ class TcpTransport(Transport):
             dialer=self._connect,
             on_open=self._note_connection_opened,
             on_reuse=self._note_connection_reused,
-            on_traffic=self._pool_traffic,
         )
-
-    def _pool_traffic(self, frame: Frame, sent: int, received: int) -> None:
-        """Attribute a pooled exchange's wire bytes to the sending endpoint."""
-        self._account_sent(frame.source, sent)
-        self._account_received(frame.source, received)
 
     def register(self, urn: str, handler: FrameHandler) -> None:
         super().register(urn, handler)
@@ -280,15 +270,18 @@ class TcpTransport(Transport):
         except OSError as exc:
             raise NapletCommunicationError(f"cannot reach {urn}: {exc}") from exc
 
+    # The ledger books the frame, not the pickled envelope that carried it,
+    # so both transports count the same bytes for the same exchange.
+
     def send(self, frame: Frame) -> None:
-        started = time.monotonic()
         self.pool.send(frame)
-        self._observe_wire(frame, time.monotonic() - started)
+        self.meter.record(host_of(frame.source), host_of(frame.dest), frame.kind, frame.size)
 
     def request(self, frame: Frame, timeout: float | None = None) -> bytes:
-        started = time.monotonic()
         reply = self.pool.request(frame, timeout)
-        self._observe_wire(frame, time.monotonic() - started)
+        self.meter.exchange(
+            host_of(frame.source), host_of(frame.dest), frame.kind, frame.size, len(reply)
+        )
         return reply
 
     def close(self) -> None:

@@ -1,57 +1,68 @@
-"""Traffic metering for the simulated network.
+"""The frame ledger: every frame and reply a transport moves, counted once.
 
-Every frame that crosses the in-memory transport is accounted here:
-per-link byte/frame counts, per-host ingress/egress, per-kind totals and
-accumulated virtual latency.  The MAN experiments (E3/E4) read their
-"network load" series straight from these counters, so the meter is the
-measurement instrument of the reproduction.
+Each :class:`~repro.transport.base.Transport` owns one :class:`TrafficMeter`
+(``transport.meter``).  The transport that sends a frame books it here once,
+after its ``send``/``request`` returns, as ``(src host, dst host, kind,
+bytes)``; a request books its reply beside it as ``<kind>-reply``.  Bytes
+are :attr:`Frame.size <repro.transport.base.Frame.size>` on both transports,
+so a space reads the same numbers in memory and over TCP.  Per-link,
+per-host, per-kind and total figures are all read from the one ledger: the
+MAN experiments (E3/E4) take their "network load" series from it, and the
+transport's ``wire_*`` and ``bytes_*`` metric families are views over it.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["LinkStats", "TrafficMeter"]
+__all__ = ["LinkStats", "TrafficMeter", "REPLY"]
+
+REPLY = "-reply"  # suffix of the kind a reply is booked under
 
 
 @dataclass
 class LinkStats:
-    """Counters for one directed (src, dst) link."""
+    """Frames and bytes on one directed (src, dst) link, or of one kind."""
 
     frames: int = 0
     bytes: int = 0
-    virtual_seconds: float = 0.0
-
-    def add(self, nbytes: int, delay: float) -> None:
-        self.frames += 1
-        self.bytes += nbytes
-        self.virtual_seconds += delay
 
 
 class TrafficMeter:
-    """Thread-safe traffic accounting across the whole virtual network."""
+    """Thread-safe frame ledger of one transport."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._links: dict[tuple[str, str], LinkStats] = {}
         self._by_kind: dict[str, LinkStats] = {}
-        self._total = LinkStats()
 
-    def record(self, src: str, dst: str, kind: str, nbytes: int, delay: float) -> None:
+    def record(self, src: str, dst: str, kind: str, nbytes: int) -> None:
+        """Book one frame of *kind*, *nbytes* long, from host *src* to *dst*."""
         with self._lock:
-            link = self._links.setdefault((src, dst), LinkStats())
-            link.add(nbytes, delay)
-            by_kind = self._by_kind.setdefault(kind, LinkStats())
-            by_kind.add(nbytes, delay)
-            self._total.add(nbytes, delay)
+            self._add(src, dst, kind, nbytes)
+
+    def exchange(self, src: str, dst: str, kind: str, nbytes: int, reply_nbytes: int) -> None:
+        """Book a request and the reply it got back, under one lock."""
+        with self._lock:
+            self._add(src, dst, kind, nbytes)
+            self._add(dst, src, kind + REPLY, reply_nbytes)
+
+    def _add(self, src: str, dst: str, kind: str, nbytes: int) -> None:
+        # Caller holds the lock.
+        for table, key in ((self._links, (src, dst)), (self._by_kind, kind)):
+            stats = table.get(key)
+            if stats is None:
+                stats = table[key] = LinkStats()
+            stats.frames += 1
+            stats.bytes += nbytes
 
     # -- queries ----------------------------------------------------------- #
 
     def link(self, src: str, dst: str) -> LinkStats:
         with self._lock:
             stats = self._links.get((src, dst))
-            return LinkStats(stats.frames, stats.bytes, stats.virtual_seconds) if stats else LinkStats()
+            return LinkStats(stats.frames, stats.bytes) if stats else LinkStats()
 
     def host_bytes(self, host: str) -> tuple[int, int]:
         """(egress, ingress) byte totals for *host*."""
@@ -68,25 +79,34 @@ class TrafficMeter:
         egress, ingress = self.host_bytes(host)
         return egress + ingress
 
+    def hosts(self) -> dict[str, tuple[int, int]]:
+        """(egress, ingress) bytes of every host that sent or received."""
+        split: dict[str, list[int]] = {}
+        with self._lock:
+            for (src, dst), stats in self._links.items():
+                split.setdefault(src, [0, 0])[0] += stats.bytes
+                split.setdefault(dst, [0, 0])[1] += stats.bytes
+        return {host: (egress, ingress) for host, (egress, ingress) in split.items()}
+
     def kind_stats(self, kind: str) -> LinkStats:
         with self._lock:
             stats = self._by_kind.get(kind)
-            return LinkStats(stats.frames, stats.bytes, stats.virtual_seconds) if stats else LinkStats()
+            return LinkStats(stats.frames, stats.bytes) if stats else LinkStats()
+
+    def kinds(self) -> dict[str, LinkStats]:
+        """Frames and bytes per kind, replies under ``<kind>-reply``."""
+        with self._lock:
+            return {kind: LinkStats(v.frames, v.bytes) for kind, v in self._by_kind.items()}
 
     @property
     def total_bytes(self) -> int:
         with self._lock:
-            return self._total.bytes
+            return sum(v.bytes for v in self._by_kind.values())
 
     @property
     def total_frames(self) -> int:
         with self._lock:
-            return self._total.frames
-
-    @property
-    def total_virtual_seconds(self) -> float:
-        with self._lock:
-            return self._total.virtual_seconds
+            return sum(v.frames for v in self._by_kind.values())
 
     def snapshot(self) -> dict:
         """Internally consistent view taken under one lock acquisition.
@@ -97,28 +117,21 @@ class TrafficMeter:
         """
         with self._lock:
             return {
-                "total_bytes": self._total.bytes,
-                "total_frames": self._total.frames,
-                "total_virtual_seconds": self._total.virtual_seconds,
+                "total_bytes": sum(v.bytes for v in self._by_kind.values()),
+                "total_frames": sum(v.frames for v in self._by_kind.values()),
                 "links": {
-                    key: LinkStats(v.frames, v.bytes, v.virtual_seconds)
-                    for key, v in self._links.items()
+                    key: LinkStats(v.frames, v.bytes) for key, v in self._links.items()
                 },
                 "by_kind": {
-                    kind: LinkStats(v.frames, v.bytes, v.virtual_seconds)
-                    for kind, v in self._by_kind.items()
+                    kind: LinkStats(v.frames, v.bytes) for kind, v in self._by_kind.items()
                 },
             }
 
     def links(self) -> dict[tuple[str, str], LinkStats]:
         with self._lock:
-            return {
-                key: LinkStats(v.frames, v.bytes, v.virtual_seconds)
-                for key, v in self._links.items()
-            }
+            return {key: LinkStats(v.frames, v.bytes) for key, v in self._links.items()}
 
     def reset(self) -> None:
         with self._lock:
             self._links.clear()
             self._by_kind.clear()
-            self._total = LinkStats()

@@ -47,8 +47,12 @@ class TestProbeOverTcp:
             for row, local in zip(rows, admin.harvest()):
                 assert set(row) == set(local) == {"server", "status", *ALL}
                 assert row["status"].keys() == local["status"].keys()
-            # The probe's own hop t00 -> t01 crossed a real socket.
-            assert rows[1]["metrics"]["ingress_bytes"] > 0
+            # The probe's own hop t00 -> t01 crossed a real socket.  The
+            # ledger books that exchange when t00's request returns, after
+            # the landing whose row the probe took, so read it afterwards.
+            assert isinstance(rows[1]["metrics"]["ingress_bytes"], int)
+            assert wait_until(lambda: transport.endpoint_bytes("t01")[1] > 0)
+            assert transport.meter.link("t00", "t01").frames >= 1
             wire = {(r.server, r.seq) for r in merged_journal(rows)}
             assert wire and wire <= {
                 (r.server, r.seq) for r in admin.harvest_journal()

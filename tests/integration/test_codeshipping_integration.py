@@ -6,7 +6,7 @@ import pytest
 
 import repro
 from repro.itinerary import Itinerary, ResultReport, SeqPattern
-from repro.server import ServerConfig, deploy
+from repro.server import ServerConfig, SpaceAdmin, deploy
 from repro.simnet import VirtualNetwork, line
 from tests.transport.shipped_fixture import StampedPayload
 
@@ -60,7 +60,7 @@ class TestLazyShipping:
             )
             servers["srv00"].launch(agent, owner="ship", listener=listener)
             listener.next_report(timeout=15)
-            stats = network.meter.kind_stats("codebase-fetch")
+            stats = network.transport.meter.kind_stats("codebase-fetch")
             assert stats.frames == 1
             assert stats.bytes > 100
         finally:
@@ -84,6 +84,8 @@ class TestEagerShipping:
                 )
                 servers["srv00"].launch(agent, owner="ship", listener=listener)
                 assert listener.next_report(timeout=15).payload == ["srv01", "srv02"]
+                # The last hop is booked when its transfer request returns.
+                assert SpaceAdmin(servers).wait_space_idle()
             # eager: no fetch events anywhere
             assert all(
                 s.journal.count("codebase-fetch") == 0 for s in eager_servers.values()
@@ -92,8 +94,8 @@ class TestEagerShipping:
                 s.journal.count("codebase-fetch") > 0 for s in lazy_servers.values()
             )
             # eager transfers carry the code: more naplet-transfer bytes
-            lazy_bytes = lazy_net.meter.kind_stats("naplet-transfer").bytes
-            eager_bytes = eager_net.meter.kind_stats("naplet-transfer").bytes
+            lazy_bytes = lazy_net.transport.meter.kind_stats("naplet-transfer").bytes
+            eager_bytes = eager_net.transport.meter.kind_stats("naplet-transfer").bytes
             assert eager_bytes > lazy_bytes
         finally:
             lazy_net.shutdown()

@@ -54,8 +54,7 @@ def _tour_agent(route):
 
 
 def _wire_frames(network, kind: str) -> int:
-    counter = network.transport.metrics.counter("wire_frames_total")
-    return int(counter.value(kind=kind))
+    return network.transport.meter.kind_stats(kind).frames
 
 
 class TestOneExchangePerHop:

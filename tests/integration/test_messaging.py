@@ -83,9 +83,10 @@ class TestForwarding:
         )
         # Simpler: post to the mover after it left s01, addressed at s01.
         nid = servers["s00"].launch(agent, owner="alice")
-        # wait until it has moved on to s02 at least
+        # wait until s01's record of it says it has moved on
         assert wait_until(
-            lambda: servers["s01"].manager.trace_next_hop(nid) is not None, timeout=10
+            lambda: getattr(servers["s01"].manager.footprint(nid), "departed_to", None),
+            timeout=10,
         )
         receipt = servers["s00"].messenger.post(
             None, nid, {"chase": True}, dest_urn="naplet://s01"

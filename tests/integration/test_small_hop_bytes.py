@@ -166,10 +166,10 @@ def test_a_hop_is_one_round_trip_and_names_its_source_once(monkeypatch):
         hops = list(zip(["s00", *ROUTE], ROUTE))
         neither = [hop for hop in hops if "s00" not in hop]
         registrations = [f for f in sent if f.kind == FrameKind.DIRECTORY_EVENT]
-        assert len(registrations) == len(neither) == network.meter.kind_stats(
+        assert len(registrations) == len(neither) == network.transport.meter.kind_stats(
             FrameKind.DIRECTORY_EVENT
         ).frames
-        assert network.meter.kind_stats(FrameKind.DIRECTORY_EVENT + "-reply").frames == 0
+        assert network.transport.meter.kind_stats(FrameKind.DIRECTORY_EVENT + "-reply").frames == 0
         for frame in registrations:
             assert frame.dest == home and frame.size <= 70 and not frame.headers
         assert len(frames) == len(hops)

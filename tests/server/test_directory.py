@@ -123,9 +123,9 @@ class _Recorder(InMemoryTransport):
         super().__init__()
         self.frames: list[Frame] = []
 
-    def _observe_wire(self, frame: Frame, duration: float) -> None:
+    def _deliver(self, frame: Frame):
         self.frames.append(frame)
-        super()._observe_wire(frame, duration)
+        return super()._deliver(frame)
 
 
 class TestWire:

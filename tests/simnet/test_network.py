@@ -108,5 +108,4 @@ class TestVirtualNetwork:
         network = VirtualNetwork(star(1))
         assert network.authority is not None
         assert network.code_registry is not None
-        assert network.meter is network.transport.meter
         assert network.clock is network.transport.clock

@@ -1,4 +1,4 @@
-"""InMemoryTransport: delivery, metering, clock accounting, fault injection."""
+"""InMemoryTransport: delivery, ledger booking, clock accounting, fault injection."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.transport.base import Frame, FrameKind
 from repro.transport.clock import SimClock
 from repro.transport.inmemory import InMemoryTransport
 from repro.transport.latency import UniformLatency
-from repro.transport.traffic import TrafficMeter
 
 
 def _frame(src="naplet://a", dst="naplet://b", payload=b"hello", kind=FrameKind.MESSAGE):
@@ -23,7 +22,6 @@ def transport():
     t = InMemoryTransport(
         latency=UniformLatency(latency=0.01),
         clock=SimClock(scale=0.0),
-        meter=TrafficMeter(),
     )
     received = []
     t.register("naplet://b", lambda f: pickle.dumps(("echo", len(f.payload))))
@@ -134,30 +132,6 @@ class TestClockScale:
         clock.advance(5)
         clock.reset()
         assert clock.virtual_time == 0.0
-
-
-class TestMeterQueries:
-    def test_host_bytes_directions(self):
-        meter = TrafficMeter()
-        meter.record("a", "b", "k", 100, 0.0)
-        meter.record("b", "a", "k", 40, 0.0)
-        egress, ingress = meter.host_bytes("a")
-        assert (egress, ingress) == (100, 40)
-        assert meter.host_total("a") == 140
-
-    def test_links_snapshot_is_copy(self):
-        meter = TrafficMeter()
-        meter.record("a", "b", "k", 10, 0.5)
-        snapshot = meter.links()
-        snapshot[("a", "b")].bytes = 9999
-        assert meter.link("a", "b").bytes == 10
-
-    def test_reset(self):
-        meter = TrafficMeter()
-        meter.record("a", "b", "k", 10, 0.0)
-        meter.reset()
-        assert meter.total_bytes == 0
-        assert meter.total_virtual_seconds == 0.0
 
 
 class TestLivePeers:

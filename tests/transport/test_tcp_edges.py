@@ -5,7 +5,7 @@ from __future__ import annotations
 import pickle
 import socket
 import struct
-import time
+import threading
 
 import pytest
 
@@ -25,16 +25,23 @@ def transport():
 
 
 class TestEdges:
-    @pytest.mark.slow  # the stalled handler holds its thread for 2s
     def test_request_timeout_when_handler_stalls(self, transport):
-        def slow(frame):
-            time.sleep(2.0)
+        release = threading.Event()
+
+        def stalled(frame):
+            release.wait(10)
             return pickle.dumps(b"late")
 
-        transport.register("naplet://slow", slow)
+        transport.register("naplet://slow", stalled)
         frame = Frame(kind=FrameKind.PING, source="a", dest="naplet://slow")
-        with pytest.raises(NapletCommunicationError, match="timed out"):
-            transport.request(frame, timeout=0.2)
+        try:
+            with pytest.raises(NapletCommunicationError, match="timed out"):
+                transport.request(frame, timeout=0.2)
+        finally:
+            release.set()
+        # An exchange that never completed is booked nowhere.
+        assert transport.meter.total_frames == 0
+        assert transport.metrics.snapshot().total("wire_frames_total") == 0
 
     def test_handler_exception_drops_connection(self, transport):
         def broken(frame):

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import threading
 
-import pytest
-
 from repro.transport.traffic import LinkStats, TrafficMeter
 
 RECORDERS = 8
@@ -23,9 +21,9 @@ class TestConcurrentRecorders:
                 # Half the traffic contends on one shared link, half fans
                 # out per-thread, so both dict-hit and dict-miss paths race.
                 if i % 2:
-                    meter.record("hub", "spoke", "message", 100, 0.001)
+                    meter.record("hub", "spoke", "message", 100)
                 else:
-                    meter.record(f"h{index}", "hub", "transfer", 50, 0.002)
+                    meter.record(f"h{index}", "hub", "transfer", 50)
 
         threads = [
             threading.Thread(target=work, args=(i,)) for i in range(RECORDERS)
@@ -64,8 +62,8 @@ class TestConcurrentRecorders:
 
         def record_forever() -> None:
             while not stop.is_set():
-                meter.record("a", "b", "message", 7, 0.0)
-                meter.record("b", "c", "transfer", 13, 0.0)
+                meter.record("a", "b", "message", 7)
+                meter.record("b", "c", "transfer", 13)
 
         recorders = [threading.Thread(target=record_forever) for _ in range(4)]
         for t in recorders:
@@ -85,7 +83,7 @@ class TestConcurrentRecorders:
 
     def test_snapshot_and_links_return_copies(self):
         meter = TrafficMeter()
-        meter.record("a", "b", "message", 10, 0.0)
+        meter.record("a", "b", "message", 10)
         snap = meter.snapshot()
         snap["links"][("a", "b")].bytes = 999_999
         meter.links()[("a", "b")].frames = 999_999
@@ -93,16 +91,9 @@ class TestConcurrentRecorders:
 
     def test_reset_clears_everything(self):
         meter = TrafficMeter()
-        meter.record("a", "b", "message", 10, 0.5)
+        meter.record("a", "b", "message", 10)
         meter.reset()
         assert meter.total_bytes == 0
         assert meter.total_frames == 0
         assert meter.links() == {}
         assert meter.host_bytes("a") == (0, 0)
-
-    def test_virtual_seconds_accumulate(self):
-        meter = TrafficMeter()
-        meter.record("a", "b", "message", 1, 0.25)
-        meter.record("a", "b", "message", 1, 0.25)
-        assert meter.total_virtual_seconds == pytest.approx(0.5)
-        assert meter.link("a", "b").virtual_seconds == pytest.approx(0.5)
