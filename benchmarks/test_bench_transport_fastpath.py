@@ -42,7 +42,7 @@ grows a container, regresses them.
 **Frame leg** (``frame``).  One pooled request/reply in isolation (a
 128-byte frame, and a transfer-shaped frame with 13 out-of-band segments)
 next to its floor on the same machine: a bare two-thread socket ping-pong
-plus the pickling of the two envelopes.  The process is pinned to one CPU
+plus the encoding and decoding of the two envelopes.  The process is pinned to one CPU
 for it, as the journey benchmark is: unpinned, a 2-vCPU VM pays a
 cross-CPU wake-up per thread hand-off and the numbers triple.
 
@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import pickle
 import socket
 import statistics
 import threading
@@ -72,7 +71,7 @@ from repro.core.credential import SigningAuthority
 from repro.itinerary import Itinerary, ResultReport, SeqPattern
 from repro.server import DirectoryMode, NapletServer, ServerConfig
 from repro.transport.base import Frame, FrameKind
-from repro.transport.pool import REP, REQ
+from repro.transport.pool import decode_reply, decode_request, encode_reply, encode_request
 from repro.transport.tcp import TcpTransport
 from repro.util.concurrency import wait_until
 from benchmarks.journal_memory import retained
@@ -313,7 +312,7 @@ def _measure_frame() -> dict:
     """One pooled round trip against its floor, pinned to one CPU."""
     payload = b"x" * FRAME_BYTES
     segments = tuple(bytes([i]) * 64 for i in range(FRAME_SEGMENTS))
-    reply = pickle.dumps(b"ok")
+    reply = b"ok"
 
     def frame(buffers=()):
         return Frame(
@@ -329,9 +328,9 @@ def _measure_frame() -> dict:
         near.sendall(payload)
         near.recv(4096)
 
-    def pickles():
-        pickle.loads(pickle.dumps((REQ, 1, frame(), True)))
-        pickle.loads(pickle.dumps((REP, 1, reply)))
+    def envelopes():
+        decode_request(encode_request(frame(), 1, True))
+        decode_reply(encode_reply(1, True, reply))
 
     affinity = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(affinity)})
@@ -344,7 +343,7 @@ def _measure_frame() -> dict:
             "frame_bytes": FRAME_BYTES,
             "frame_segments": FRAME_SEGMENTS,
             "floor_pingpong_us": _best_us(ping),
-            "floor_pickle_us": _best_us(pickles),
+            "floor_envelope_us": _best_us(envelopes),
             "round_trip_us": _best_us(lambda: transport.request(frame(), timeout=5)),
             "round_trip_segmented_us": _best_us(
                 lambda: transport.request(frame(segments), timeout=5)
@@ -438,10 +437,10 @@ class TestTransportFastPath:
         frame = _measure_frame()
         table(
             "E8c: one pooled frame, round trip vs floor (one CPU, best of 5 x 4000)",
-            ["ping-pong us", "pickle us", "128 B frame us", "13-segment frame us"],
+            ["ping-pong us", "envelope us", "128 B frame us", "13-segment frame us"],
             [[
                 f"{frame['floor_pingpong_us']:.1f}",
-                f"{frame['floor_pickle_us']:.1f}",
+                f"{frame['floor_envelope_us']:.1f}",
                 f"{frame['round_trip_us']:.1f}",
                 f"{frame['round_trip_segmented_us']:.1f}",
             ]],

@@ -185,12 +185,7 @@ class FaultInjector:
                 self.inner.request(wire, timeout)
             except Exception as exc:
                 self._journal("fault-duplicate-error", decision, frame, error=repr(exc))
-        try:
-            reply = self.inner.request(wire, timeout)
-        except NapletCommunicationError:
-            raise
-        except Exception as exc:
-            raise InjectedFault(f"injected corruption broke request: {exc}") from exc
+        reply = self.inner.request(wire, timeout)  # a failed handler raises as a wire error
         if decision.crash_after:
             raise self._fail(decision, frame)
         return reply

@@ -25,8 +25,10 @@ source books the landing on its ack (see :meth:`report_migration`).
 
 :class:`DirectoryClient` gives Navigators/Locators a mode-independent API.
 Its frames carry no pickle: a registration is ``"<id> <count>"`` (the
-frame's source is the server it names), a query is the id's text, and a
-query's reply is ``"<event> <urn> <count>"`` or empty.
+frame's source is the server it names) and a query is the id's text.  A
+query's reply, in the transport's one reply grammar, is ``<event> <urn>
+<count>`` or ``none``; a refusal, or a reply it cannot read, is an
+unreachable authority, and the lookup answers no record.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 from repro.core.errors import NapletCommunicationError
 from repro.core.naplet_id import NapletID
-from repro.transport.base import Frame, FrameKind, Transport, urn_of
+from repro.transport.base import Frame, FrameKind, Transport, read_reply, reply, urn_of
 
 __all__ = [
     "DirectoryMode",
@@ -213,13 +215,13 @@ class DirectoryClient:
             payload=str(nid).encode(),
         )
         try:
-            reply = self.transport.request(frame)
-        except NapletCommunicationError:
-            return None
-        try:
-            event, urn, count = reply.decode().split(" ")
+            event, fields = read_reply(
+                self.transport.request(frame), "directory",
+                DirectoryEvent.ARRIVAL, DirectoryEvent.DEPART, "none",
+            )
+            urn, count = fields  # ``none`` has no fields: no record
             return DirectoryRecord(nid, event, urn, int(count))
-        except ValueError:  # b"" (no record), or a refusal read as an unreachable authority
+        except (NapletCommunicationError, ValueError):
             return None
 
     # -- frame handling on the authority side --------------------------------- #
@@ -236,5 +238,5 @@ class DirectoryClient:
     def handle_query_frame(directory: NapletDirectory, frame: Frame) -> bytes:
         record = directory.lookup(NapletID.parse(frame.payload.decode()))
         if record is None:
-            return b""
-        return f"{record.event} {record.server_urn} {record.count}".encode()
+            return reply("none")
+        return reply(record.event, record.server_urn, str(record.count))

@@ -19,9 +19,10 @@ instead of a mailbox entry.
 
 On the wire a message is its body, pickled by the server's NapletSerializer
 (so it may carry shipped-class instances), under text headers (DESIGN.md
-§6.2); a forward relays the body's bytes.  The reply is the text
-``"<status> <server-urn> <hops>"``: one the origin cannot read is a failed
-exchange, retried and then dead-lettered.
+§6.2); a forward relays the body's bytes.  The reply, in the transport's
+one reply grammar, is ``<status> <server-urn> <hops>``; one the origin
+cannot read, a refusal included, is a failed exchange, retried and then
+dead-lettered.  A report is answered ``ok`` or refused.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from repro.server.messages import (
 )
 from repro.server.security import Permission
 from repro.telemetry.trace import NULL_SPAN, TraceContext
-from repro.transport.base import Frame, FrameKind
+from repro.transport.base import Frame, FrameKind, read_reply, refusal, reply
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.naplet import Naplet
@@ -69,6 +70,9 @@ _DEAD_LETTER_CAPACITY = 256
 # The departure chase sends once; only the origin retries a message.
 _ONCE = no_retry()
 
+# A post-office reply's status; its fields are the server and the hops.
+_POSTAL = ("delivered", "parked", "undeliverable")
+
 
 def _naplet_or_text(text: str) -> NapletID | str:
     """A sender or reporter from its header: a naplet id when it reads as one."""
@@ -76,18 +80,6 @@ def _naplet_or_text(text: str) -> NapletID | str:
         return NapletID.parse(text)
     except ValueError:
         return text
-
-
-def _read_reply(reply: bytes) -> tuple[str, str, int]:
-    """``(status, server, hops)`` from a post-office reply; anything else —
-    a shut-down server's refusal included — is a failed exchange."""
-    try:
-        status, server, hops = reply.decode().split(" ")
-        if status in ("delivered", "parked", "undeliverable"):
-            return status, server, int(hops)
-    except ValueError:
-        pass
-    raise NapletCommunicationError(f"unreadable post-office reply {reply[:40]!r}")
 
 
 class Messenger:
@@ -286,9 +278,13 @@ class Messenger:
     def _send_once(self, message: Message, dest_urn: str) -> DeliveryReceipt:
         """One attempt: frame, request, keep the receipt, note the location."""
         frame = self._frame(message, dest_urn)
-        status, final_server, hops = _read_reply(self.server.transport.request(frame))
+        answer = self.server.transport.request(frame)
+        status, fields = read_reply(answer, "post-office", *_POSTAL)
+        if len(fields) != 2 or not fields[1].isdigit():
+            raise NapletCommunicationError(f"unreadable post-office reply {answer[:80]!r}")
         receipt = DeliveryReceipt(
-            message.message_id, message.target, status, final_server, hops, len(frame.payload)
+            message.message_id, message.target, status, fields[0], int(fields[1]),
+            len(frame.payload),
         )
         if receipt.status == "undeliverable":
             raise NapletCommunicationError(
@@ -373,7 +369,7 @@ class Messenger:
     # ------------------------------------------------------------------ #
 
     def _reply(self, status: str, hops: int) -> bytes:
-        return f"{status} {self.server.urn} {hops}".encode()
+        return reply(status, self.server.urn, str(hops))
 
     def handle_message_frame(self, frame: Frame) -> bytes:
         message = self._read(frame)
@@ -409,14 +405,14 @@ class Messenger:
         )
         with forward_span:
             try:
-                reply = self.server.transport.request(
+                answer = self.server.transport.request(
                     self._frame(message.hopped(), next_hop, frame.payload)
                 )
-                _read_reply(reply)
+                read_reply(answer, "post-office", *_POSTAL)
             except NapletCommunicationError:
                 forward_span.set("undeliverable", True)
                 return self._reply("undeliverable", hops)
-        return reply
+        return answer
 
     def handle_report_frame(self, frame: Frame) -> bytes:
         delivered = self.server.manager.deliver_report(
@@ -424,17 +420,13 @@ class Messenger:
             _naplet_or_text(frame.headers["reporter"]),
             self.server.serializer.loads(frame.payload, self.server.code_cache),
         )
-        return b"ok" if delivered else b"no listener"
+        return reply("ok") if delivered else refusal(f"no listener {frame.headers['listener']!r}")
 
     def post_report(self, home_urn: str, listener_key: str, reporter: Any, payload: Any) -> None:
         headers = self._wire_headers(listener=listener_key, reporter=str(reporter))
         body = self.server.serializer.dumps(payload)
         frame = Frame(FrameKind.REPORT, self.server.urn, home_urn, body, headers)
-        reply = self.server.transport.request(frame)
-        if reply != b"ok":
-            raise NapletCommunicationError(
-                f"home {home_urn} refused the report for {listener_key!r}: {reply[:40]!r}"
-            )
+        read_reply(self.server.transport.request(frame), "report", "ok")
 
 
 class NapletMessengerProxy:

@@ -7,17 +7,19 @@ One migration path, one exchange per hop:
    forwarded toward the destination, the standard chase guarantee) and
    serializes it (transient context dropped);
 2. it sends one ``NAPLET_TRANSFER`` request: the credential as the frame
-   payload, the image as frame segments;
+   payload (its signed fields and MAC, no pickle), the image as frame
+   segments;
 3. the destination Navigator recognises a retransmission by its source
-   and transfer-id and re-acks it; otherwise it runs the **LANDING** check
-   (security manager, then residency limits) on the credential *before* it
-   deserializes any image byte; a refusal acks ``{"denied": True}``;
+   and transfer-id and re-acks it; otherwise it decodes the credential and
+   runs the **LANDING** check (signature, security policy, then residency
+   limits) *before* it unpickles any byte; a denial acks
+   ``denied <reason>``;
 4. on grant it deserializes, refuses an image that is not the naplet the
-   credential names, installs that verified credential (the image carries
-   none), sends the directory a one-way registration of this landing,
-   records the arrival in the naplet table (where messages parked for it
-   already wait), binds a fresh context, hands control to the
-   NapletMonitor and acks;
+   credential names, installs that verified credential on the naplet's
+   own id (the image carries none), sends the directory a one-way
+   registration of this landing, records the arrival in the naplet table
+   (where messages parked for it already wait), binds a fresh context,
+   hands control to the NapletMonitor and acks ``ok``;
 5. the ack releases all resources the naplet held at the source and sends
    what waited there for it after it; a source that hosts the naplet's
    directory books the landing there itself, and the destination sent
@@ -34,9 +36,10 @@ one never moves it backwards.
 
 One recovery happens inside a hop: a destination that cannot compose a
 delta envelope (a record, a blob or the code it leans on is gone) acks
-``need_full`` and the source re-ships the full image once (DESIGN.md §6.7).
-Every other rejection — a corrupt frame, a peer shutting down, a landing
-check that broke — rolls the departure back and raises
+``need_full <reason>`` and the source re-ships the full image once
+(DESIGN.md §6.7).  Every other rejection — a refusal (a corrupt frame, a
+peer shutting down, a landing check that broke), or an ack it cannot
+read — rolls the departure back and raises
 :class:`NapletMigrationError`, which ``config.migration_retry`` may retry;
 a denial raises :class:`LandingDeniedError`, which it never does.
 
@@ -47,8 +50,8 @@ clone spawning, credential re-issue, and Par join signalling.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
-import pickle
 import sys
 import time
 from collections import OrderedDict
@@ -72,15 +75,25 @@ from repro.core.naplet_id import NapletID
 from repro.server.messenger import NapletMessengerProxy
 from repro.server.monitor import NapletOutcome, _ControlBlock
 from repro.server.security import Permission
-from repro.transport.base import Frame, FrameKind, urn_of
+from repro.transport.base import (
+    Frame,
+    FrameKind,
+    decode_credential,
+    encode_credential,
+    read_reply,
+    refusal,
+    reply,
+    urn_of,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.server.server import NapletServer
 
 __all__ = ["Navigator", "NavigatorOps"]
 
-# Hot control reply, serialized once instead of per-exchange.
-_ACK_OK = pickle.dumps({"ok": True})
+# The transfer acks: ``ok [code hashes…]``, ``denied <reason>`` or
+# ``need_full <reason>``; any other answer is the one refusal.
+_ACKS = ("ok", "denied", "need_full")
 
 # Remembered (source, transfer-id) pairs per destination navigator: enough
 # to absorb any realistic retry window, small enough to never matter.
@@ -97,11 +110,6 @@ def _image_nbytes(payload: bytes, buffers: tuple | list = ()) -> int:
     for buf in buffers:
         total += buf.nbytes if isinstance(buf, memoryview) else len(buf)
     return total
-
-
-def _rejection(reason: str) -> bytes:
-    """Negative transfer ack that is neither a denial nor ``need_full``."""
-    return pickle.dumps({"ok": False, "reason": reason})
 
 
 class _HeldBy:
@@ -239,8 +247,8 @@ class Navigator:
         noted = self._note_held(dest_urn, str(nid), image)
         try:
             frame = self._transfer_frame(naplet, dest_urn, hop, transfer_id, *dumped)
-            ack = pickle.loads(self.server.transport.request(frame))
-            if ack.get("need_full"):
+            ack, fields = read_reply(self.server.transport.request(frame), "transfer", *_ACKS)
+            if ack == "need_full":
                 # The one in-hop recovery: the peer lost a record, a blob
                 # or the code this envelope leaned on.  Forget what we
                 # thought it held and ship everything, once.
@@ -249,31 +257,28 @@ class Navigator:
                         self._peer_holds.pop(key, None)
                 self.server.journal.record(
                     "delta-full-reship", naplet=str(nid), dest=dest_urn,
-                    reason=ack.get("reason"),
+                    reason=" ".join(fields),
                 )
                 *_, cost = dumped = self.server.serializer.dumps_with_cost(naplet)
                 noted = self._note_held(dest_urn, str(nid), image)
                 frame = self._transfer_frame(naplet, dest_urn, hop, transfer_id, *dumped)
-                ack = pickle.loads(self.server.transport.request(frame))
+                ack, fields = read_reply(self.server.transport.request(frame), "transfer", *_ACKS)
         except NapletCommunicationError as exc:
+            # A refusal (corrupt frame, peer shutting down, a landing check
+            # that broke) says nothing lasting about the peer: retriable.
             self._rollback_departure(naplet, nid, record, noted)
             raise NapletMigrationError(f"transfer to {dest_urn} failed: {exc}") from exc
-        if ack.get("ok") is True:
-            self._transfer_acked(nid, dest_urn, cost, ack, image, count, record)
+        if ack == "ok":
+            self._transfer_acked(nid, dest_urn, cost, fields, image, count, record)
             return
         self._rollback_departure(naplet, nid, record, noted)
-        if ack.get("denied"):
+        reason = " ".join(fields)
+        if ack == "denied":
             self.server.journal.record(
-                "landing-denied", naplet=str(nid), dest=dest_urn, reason=ack.get("reason")
+                "landing-denied", naplet=str(nid), dest=dest_urn, reason=reason
             )
-            raise LandingDeniedError(
-                f"{dest_urn} denied landing for {nid}: {ack.get('reason', 'unknown')}"
-            )
-        # Anything else (corrupt frame, peer shutting down, a landing check
-        # that broke) says nothing lasting about the peer: retriable.
-        raise NapletMigrationError(
-            f"{dest_urn} rejected the transfer of {nid}: {ack.get('reason')}"
-        )
+            raise LandingDeniedError(f"{dest_urn} denied landing for {nid}: {reason}")
+        raise NapletMigrationError(f"{dest_urn} asked again for the full image of {nid}: {reason}")
 
     def _rollback_departure(self, naplet: "Naplet", nid: NapletID, record, noted: list) -> None:
         for key in noted:  # the peer does not hold what it never acked
@@ -295,7 +300,7 @@ class Navigator:
         """
         hop.set("serialize_s", cost.seconds)
         segments = (data, *buffers)
-        payload = pickle.dumps(naplet.credential)
+        payload = encode_credential(naplet.credential)
         image_bytes = _image_nbytes(payload, segments)
         hop.set("bytes", image_bytes)
         headers = {"transfer-id": transfer_id}
@@ -363,7 +368,7 @@ class Navigator:
         return added
 
     def _transfer_acked(
-        self, nid: NapletID, dest_urn: str, cost, ack: dict, image, count: int, record
+        self, nid: NapletID, dest_urn: str, cost, code: list[str], image, count: int, record
     ) -> None:
         """Source-side bookkeeping once *dest_urn* acked the landing."""
         directory = self.server.directory_client
@@ -376,8 +381,7 @@ class Navigator:
             telemetry.delta_hops.inc()
             if cost.saved_bytes:
                 telemetry.delta_saved_bytes.inc(cost.saved_bytes)
-        code = ack.get("code")
-        if isinstance(code, list):
+        if code:  # the modules cached there, when a per-field landing said
             self._peer_code[dest_urn] = set(code)
         # Its record keeps only the footprint, and the messages waiting on
         # it chase the naplet.  Every departure (launch, dispatch, spawn)
@@ -431,7 +435,7 @@ class Navigator:
             transfer_id=transfer_id,
             source=frame.source,
         )
-        return _ACK_OK
+        return reply("ok")
 
     def _remember_transfer(self, frame: Frame, nid: NapletID) -> None:
         transfer_id = frame.headers.get("transfer-id")
@@ -444,19 +448,20 @@ class Navigator:
     def handle_transfer(self, frame: Frame) -> bytes:
         """Dedup, landing check, deserialize, land, ack — one exchange.
 
-        The credential is the frame payload and the image its segments,
-        so admission is decided *before* any image byte is unpickled; the
-        naplet that lands is the one that credential names, carrying it.
+        The credential is the frame payload, decoded without unpickling,
+        and the image its segments, so admission is decided *before* any
+        byte is unpickled; the naplet that lands is the one that credential
+        names, carrying it.
         """
         duplicate = self._duplicate_transfer_ack(frame)
         if duplicate is not None:
             return duplicate
         if not frame.buffers:
-            return _rejection("bad transfer frame: no image segment")
+            return refusal("bad transfer frame: no image segment")
         try:
-            credential = pickle.loads(frame.payload)
-        except Exception as exc:
-            return _rejection(f"bad transfer frame: {exc}")
+            credential = decode_credential(frame.payload)
+        except NapletCommunicationError as exc:
+            return refusal(f"bad transfer frame: {exc}")
         try:
             reason = self._landing_denial(credential)
         except Exception as exc:
@@ -465,14 +470,14 @@ class Navigator:
             # its retry policy decides.
             self.server.journal.record(
                 "landing-check-error",
-                naplet=str(getattr(credential, "naplet_id", None)),
+                naplet=str(credential.naplet_id),
                 source=frame.source,
                 error=f"{type(exc).__name__}: {exc}",
             )
-            return _rejection(f"landing check failed: {type(exc).__name__}: {exc}")
+            return refusal(f"landing check failed: {type(exc).__name__}: {exc}")
         if reason is not None:
             self.server.telemetry.landings_denied.inc()
-            return pickle.dumps({"ok": False, "denied": True, "reason": reason})
+            return reply("denied", reason)
         image, oob = frame.buffers[0], tuple(frame.buffers[1:])
         deserialize_started = time.perf_counter()
         try:
@@ -488,9 +493,9 @@ class Navigator:
                 source=frame.source,
                 reason=str(exc),
             )
-            return pickle.dumps({"ok": False, "need_full": True, "reason": str(exc)})
+            return reply("need_full", str(exc))
         except Exception as exc:
-            return _rejection(f"deserialization failed: {exc}")
+            return refusal(f"deserialization failed: {exc}")
         if not isinstance(naplet, Naplet) or naplet._nid != credential.naplet_id:
             # Admission was decided on the credential: an image of any other
             # naplet must not land under it, nor leave a record to lean on.
@@ -502,18 +507,18 @@ class Navigator:
                 image=str(getattr(naplet, "_nid", None)),
                 source=frame.source,
             )
-            return _rejection("image is not the naplet its credential names")
-        naplet._cred = credential
+            return refusal("image is not the naplet its credential names")
+        naplet._cred = dataclasses.replace(credential, naplet_id=naplet._nid)
         # A per-field image left a record here, and its sender keeps what it
         # just shipped: a hop toward it can lean on that at once.  Noted
         # *before* the naplet is handed to the monitor — it may dump for its
         # next hop on another thread immediately.  The ack advertises the
         # modules cached here, so eager senders skip re-shipping bundles.
-        ack = _ACK_OK
+        ack = reply("ok")
         if isinstance(info.get("hash"), str):
             record = self.server.serializer.delta_cache.peek(info["nid"])
             self._note_held(frame.source, info["nid"], record)
-            ack = pickle.dumps({"ok": True, "code": self.server.code_cache.known_hashes()})
+            ack = reply("ok", *self.server.code_cache.known_hashes())
         self.receive(
             naplet,
             arrived_from=sys.intern(frame.source),  # one string per peer in the ring

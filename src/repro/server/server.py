@@ -14,7 +14,9 @@ Locator               tracing/location with cache (directory-mode aware)
 
 A host contains at most one NapletServer; servers run autonomously and
 cooperatively form the naplet space.  All inter-server interaction goes
-through frames handled in :meth:`_handle_frame`.
+through frames handled in :meth:`_handle_frame`, which answers a frame it
+will not serve (shut down, an unknown kind, no directory here) with the one
+refusal, ``refused <reason>``.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
-
-import pickle
 
 from repro.codeshipping.codebase import CodeBaseRegistry, CodeCache
 from repro.core.credential import Credential, SigningAuthority
@@ -41,7 +41,7 @@ from repro.server.navigator import Navigator
 from repro.server.resource_manager import ResourceManager
 from repro.server.security import NapletSecurityManager, SecurityPolicy
 from repro.telemetry.exposition import ServerTelemetry
-from repro.transport.base import Frame, FrameKind, Transport, urn_of
+from repro.transport.base import Frame, FrameKind, Transport, refusal, reply, urn_of
 from repro.transport.serializer import NapletSerializer
 from repro.util.concurrency import wait_until
 
@@ -228,7 +228,7 @@ class NapletServer:
 
     def _handle_frame(self, frame: Frame) -> bytes | None:
         if self._shutdown.is_set():
-            return pickle.dumps({"ok": False, "reason": "server shut down"})
+            return refusal("server shut down")
         # Piggybacked HLC stamp: advance our clock before any handler
         # journals, so everything recorded here sorts after the sender's
         # pre-send records in the merged timeline (DESIGN.md §6.5).
@@ -244,15 +244,15 @@ class NapletServer:
             return self.messenger.handle_report_frame(frame)
         if kind in (FrameKind.DIRECTORY_EVENT, FrameKind.DIRECTORY_QUERY):
             if self.local_directory is None:
-                raise NapletError(f"{self.urn} hosts no directory")
+                return refusal(f"{self.urn} hosts no directory")
             if kind == FrameKind.DIRECTORY_EVENT:  # one-way: no reply
                 return DirectoryClient.handle_event_frame(self.local_directory, frame)
             return DirectoryClient.handle_query_frame(self.local_directory, frame)
         if kind == FrameKind.PING:
-            return pickle.dumps({"pong": self.urn})
+            return reply("pong", self.urn)
         if kind == FrameKind.LOAD:
             return self.health.handle_load_frame(frame)
-        raise NapletError(f"{self.urn}: unknown frame kind {kind!r}")
+        return refusal(f"{self.urn}: unknown frame kind {kind!r}")
 
     # ------------------------------------------------------------------ #
     # Public facade

@@ -13,20 +13,33 @@ form ``naplet://<hostname>``).  Two implementations exist:
 
 Semantics shared by both: :meth:`Transport.send` is one-way fire-and-forget;
 :meth:`Transport.request` is synchronous request/reply returning the
-responder's payload.  Both book what they moved in the transport's one
-frame ledger, :attr:`Transport.meter`, with the same frame sizes.  Handlers
-run on the delivering thread and must not block indefinitely.
+responder's payload, and a handler that fails or answers nothing is a
+:class:`NapletCommunicationError` at the requester.  Both book what they
+moved in the transport's one frame ledger, :attr:`Transport.meter`, with
+the same frame sizes.  Handlers run on the delivering thread and must not
+block indefinitely.
+
+The wire grammar itself is pickle-free (DESIGN.md §6.2).  A reply is text: a
+status word and space-separated UTF-8 fields (:func:`reply`), with one
+refusal, ``refused <reason>``, which :func:`read_reply`, the one reader,
+raises as a :class:`NapletCommunicationError` like any reply it cannot
+read.  Binary parts — the TCP envelope, the credential — are runs of
+length-prefixed UTF-8 strings (:func:`pack_strings`), and a credential
+travels as its signed fields plus its MAC (:func:`encode_credential`).
 """
 
 from __future__ import annotations
 
 import abc
+import struct
 import sys
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
+from repro.core.credential import Credential
 from repro.core.errors import NapletCommunicationError
+from repro.core.naplet_id import NapletID
 from repro.telemetry.metrics import MetricsRegistry
 from repro.transport.traffic import REPLY, TrafficMeter
 
@@ -40,6 +53,14 @@ __all__ = [
     "Transport",
     "urn_of",
     "host_of",
+    "REFUSED",
+    "reply",
+    "refusal",
+    "read_reply",
+    "pack_strings",
+    "unpack_strings",
+    "encode_credential",
+    "decode_credential",
 ]
 
 
@@ -84,15 +105,15 @@ class Frame:
     dest: str
     payload: bytes = b""
     headers: dict[str, str] = field(default_factory=dict)
-    # Correlation id: set by multiplexing transports so many concurrent
-    # request/reply exchanges can share one connection.  ``None`` means the
-    # frame travelled on a dedicated (or synchronous in-memory) channel.
+    # Correlation id: set on a received frame by a multiplexing transport,
+    # whose concurrent request/reply exchanges share one connection.
+    # ``None`` means the frame was handed over in memory.
     correlation_id: int | None = None
     # Out-of-band segments (pickle protocol 5): bytes-like blocks shipped
     # beside the payload.  The TCP wire writes them as separate frame
     # segments with no re-copy; the in-memory transport hands them over
-    # by reference.  Items may be memoryviews, which do not pickle: a
-    # frame is never pickled with its buffers on.
+    # by reference.  Items may be memoryviews; no frame is ever pickled
+    # (DESIGN.md §6.2).
     buffers: tuple = ()
 
     @property
@@ -107,6 +128,93 @@ class Frame:
 
 
 FrameHandler = Callable[[Frame], bytes | None]
+
+
+# -- replies ---------------------------------------------------------------- #
+
+REFUSED = "refused"
+
+
+def reply(status: str, *fields: str) -> bytes:
+    """A reply: the status word, then each field, space-separated UTF-8."""
+    return " ".join((status, *fields)).encode()
+
+
+def refusal(reason: str) -> bytes:
+    """The one refusal, whatever the frame kind: ``refused <reason>``."""
+    return reply(REFUSED, reason)
+
+
+def read_reply(data: bytes, what: str, *statuses: str) -> tuple[str, list[str]]:
+    """``(status, fields)`` of a *what* reply whose status is one of
+    *statuses*.  A refusal, bytes that are no reply and any other status
+    raise :class:`NapletCommunicationError`, with the reply's text."""
+    try:
+        text = data.decode()
+    except UnicodeDecodeError:
+        text = data[:80]
+    else:
+        status, *fields = text.split(" ")
+        if status in statuses and status != REFUSED:
+            return status, fields
+    raise NapletCommunicationError(f"unreadable {what} reply {text!r}")
+
+
+# -- string lists: the binary parts of the grammar --------------------------- #
+
+
+def pack_strings(strings: list[str] | tuple[str, ...]) -> bytes:
+    """The 2-byte length of each string, then the strings' UTF-8 bytes."""
+    encoded = [text.encode() for text in strings]
+    try:
+        return struct.pack(f"!{len(encoded)}H", *map(len, encoded)) + b"".join(encoded)
+    except struct.error as exc:
+        raise NapletCommunicationError(f"string too long for the wire: {exc}") from None
+
+
+def unpack_strings(data: bytes, offset: int, count: int) -> tuple[list[str], int]:
+    """*count* strings packed at *offset* in *data*, and the offset past them."""
+    try:
+        sizes = struct.unpack_from(f"!{count}H", data, offset)
+        offset += 2 * count
+        strings = []
+        for size in sizes:
+            strings.append(data[offset:offset + size].decode())
+            offset += size
+    except (struct.error, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        raise NapletCommunicationError(f"malformed string list: {exc}") from None
+    if offset > len(data):
+        raise NapletCommunicationError("malformed string list: it runs past the end")
+    return strings, offset
+
+
+# -- the credential: its signed fields, then its MAC ------------------------- #
+
+_MAC_BYTES = 32  # HMAC-SHA256
+_PAIRS = struct.Struct("!H")
+
+
+def encode_credential(credential: Credential) -> bytes:
+    """Attribute-pair count, naplet id, codebase, attribute keys and
+    values, then the signature: nothing a receiver must unpickle."""
+    fields = [str(credential.naplet_id), credential.codebase]
+    for pair in credential.attributes:
+        fields += pair
+    return _PAIRS.pack(len(credential.attributes)) + pack_strings(fields) + credential.signature
+
+
+def decode_credential(data: bytes) -> Credential:
+    """The credential :func:`encode_credential` wrote; anything else raises
+    :class:`NapletCommunicationError`.  The signature is not checked here."""
+    try:
+        (pairs,) = _PAIRS.unpack_from(data)
+        fields, end = unpack_strings(data, _PAIRS.size, 2 + 2 * pairs)
+        if len(data) - end != _MAC_BYTES:
+            raise ValueError("no MAC at its end")
+        naplet_id = NapletID.parse(fields[0])
+    except (struct.error, ValueError) as exc:
+        raise NapletCommunicationError(f"malformed credential: {exc}") from None
+    return Credential(naplet_id, fields[1], tuple(zip(fields[2::2], fields[3::2])), data[end:])
 
 
 class Transport(abc.ABC):

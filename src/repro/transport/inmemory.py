@@ -15,12 +15,11 @@ thread-safe.
 
 from __future__ import annotations
 
-import itertools
 import threading
 
 from repro.core.errors import NapletCommunicationError
 from repro.transport.clock import SimClock
-from repro.transport.base import Frame, Transport, host_of
+from repro.transport.base import Frame, FrameHandler, Transport, host_of
 from repro.transport.latency import LatencyModel, ZeroLatency
 
 __all__ = ["InMemoryTransport"]
@@ -45,7 +44,6 @@ class InMemoryTransport(Transport):
         # benchmarks one accounting surface across both transports.
         self._links_opened: set[tuple[str, str]] = set()
         self._links_lock = threading.Lock()
-        self._correlation_ids = itertools.count(1)
 
     # -- fault injection ---------------------------------------------------- #
 
@@ -100,14 +98,12 @@ class InMemoryTransport(Transport):
 
     # -- delivery ----------------------------------------------------------- #
 
-    def _deliver(self, frame: Frame) -> tuple[str, str, int, bytes | None]:
-        """Hand *frame* to its handler; returns (src host, dst host, frame
-        size, reply)."""
+    def _deliver(self, frame: Frame) -> tuple[str, str, int, FrameHandler]:
+        """Route *frame* to its handler; returns (src host, dst host, frame
+        size, handler)."""
         src, dst = host_of(frame.source), host_of(frame.dest)
         self._check_reachable(src, dst)
         handler = self._handler_for(frame.dest)
-        if frame.correlation_id is None:
-            frame.correlation_id = next(self._correlation_ids)
         link = (src, dst)
         with self._links_lock:
             if link in self._links_opened:
@@ -117,17 +113,26 @@ class InMemoryTransport(Transport):
                 self._note_connection_opened(frame.dest)
         nbytes = frame.size
         self.clock.advance(self.latency.delay(src, dst, nbytes))
-        return src, dst, nbytes, handler(frame)
+        return src, dst, nbytes, handler
 
     def send(self, frame: Frame) -> None:
-        src, dst, nbytes, _reply = self._deliver(frame)
+        src, dst, nbytes, handler = self._deliver(frame)
+        handler(frame)
         self.meter.record(src, dst, frame.kind, nbytes)
 
     def request(self, frame: Frame, timeout: float | None = None) -> bytes:
-        src, dst, nbytes, reply = self._deliver(frame)
+        src, dst, nbytes, handler = self._deliver(frame)
+        # As over TCP, a failed handler or a missing reply is the
+        # requester's NapletCommunicationError, and nothing is booked.
+        try:
+            reply = handler(frame)
+        except Exception as exc:
+            raise NapletCommunicationError(
+                f"request to {frame.dest} failed remotely: {type(exc).__name__}: {exc}"
+            ) from exc
         if reply is None:
             raise NapletCommunicationError(
-                f"no reply from {frame.dest} for {frame.kind} frame"
+                f"request to {frame.dest} failed remotely: no reply for {frame.kind} frame"
             )
         # The reply travels back over the same link.
         self.clock.advance(self.latency.delay(dst, src, len(reply)))

@@ -6,16 +6,18 @@ cost identified by the lightweight-MA literature.  This module keeps one
 keepalive socket per destination URN and multiplexes many concurrent
 request/reply exchanges over it:
 
-- every wire message is a length-prefixed pickle.  Requests travel as
-  ``("req", correlation_id, frame, expects_reply)``; replies come back as
-  ``("rep", correlation_id, payload)`` or ``("err", correlation_id, text)``
-  when the remote handler raised;
-- a frame carrying out-of-band buffers (pickle protocol 5, DESIGN.md §6.7)
-  travels as ``("reqb", correlation_id, frame_sans_buffers, expects_reply,
-  sizes)`` followed by one raw segment per buffer.  Header and segments
-  leave in one vectored write straight from the buffer memory; the server
-  reads each announced size back as one ``bytes``, small ones a run at a
-  time;
+- every wire message is length-prefixed, and its envelope is one ``struct``
+  header over length-prefixed UTF-8 strings, nothing a peer must unpickle
+  (DESIGN.md §6.2).  A request is ``(tag, flags, correlation id, header
+  pairs, segments)``, then the frame's kind, source, dest and header
+  pairs as strings, each out-of-band segment's size, and the payload; a
+  frame without buffers has zero segments.  The segments (pickle protocol
+  5 buffers of a naplet image, DESIGN.md §6.7) follow the envelope raw:
+  envelope and segments leave in one vectored write straight from the
+  buffer memory, and the server reads each announced size back as one
+  ``bytes``, small ones a run at a time.  A reply is ``(tag, status,
+  correlation id)`` and the handler's reply bytes, or, with status
+  ``FAILED``, the text of why the handler answered nothing;
 - a :class:`PooledConnection` owns the socket: senders serialize on a write
   lock, a single reader thread demultiplexes replies by correlation id to
   per-request waiters, each parked on a bare lock, so N threads can have N
@@ -35,14 +37,13 @@ remote handler error is never retried.
 from __future__ import annotations
 
 import itertools
-import pickle
 import socket
+import struct
 import threading
-from dataclasses import replace
 from typing import Callable
 
 from repro.core.errors import NapletCommunicationError
-from repro.transport.base import Frame
+from repro.transport.base import Frame, pack_strings, unpack_strings
 
 __all__ = ["ConnectionPool", "PooledConnection", "ConnectionClosedError"]
 
@@ -51,10 +52,13 @@ MAX_FRAME = 64 * 1024 * 1024
 COALESCE_MAX = 64 * 1024  # a run of segments up to this is read in one recv
 _IOV_MAX = 1024  # most buffers one sendmsg takes (Linux UIO_MAXIOV)
 
-REQ = "req"
-REQB = "reqb"  # request with out-of-band buffer segments
-REP = "rep"
-ERR = "err"
+# Envelope headers: a request's (tag, flags, correlation id, header pairs,
+# segments) and a reply's (tag, status, correlation id).
+_REQUEST = struct.Struct("!BBQBH")
+_REPLY = struct.Struct("!BBQ")
+REQUEST, REPLY = 1, 2  # tags; a pickle starts 0x80 and is neither
+EXPECTS_REPLY = 1  # the one request flag
+OK, FAILED = 0, 1  # reply status
 
 
 class ConnectionClosedError(NapletCommunicationError):
@@ -98,6 +102,56 @@ def send_blob_segments(sock: socket.socket, blob: bytes, segments: tuple = ()) -
 
 
 send_blob = send_blob_segments  # a frame without segments is the same one write
+
+
+def encode_request(frame: Frame, cid: int, expects_reply: bool) -> bytes:
+    """The request envelope of *frame*: all of it but its buffers, whose
+    sizes it announces."""
+    strings = [frame.kind, frame.source, frame.dest]
+    for pair in frame.headers.items():
+        strings += pair
+    sizes = [_nbytes(buffer) for buffer in frame.buffers]
+    try:
+        head = _REQUEST.pack(REQUEST, expects_reply, cid, len(frame.headers), len(sizes))
+        announced = struct.pack(f"!{len(sizes)}I", *sizes)
+    except struct.error as exc:
+        raise NapletCommunicationError(f"frame does not fit the envelope: {exc}") from None
+    return b"".join((head, pack_strings(strings), announced, frame.payload))
+
+
+def decode_request(blob: bytes) -> tuple[int, bool, Frame, tuple[int, ...]]:
+    """``(correlation id, expects_reply, frame, segment sizes)`` of a request
+    envelope; any other blob raises :class:`NapletCommunicationError`."""
+    try:
+        tag, flags, cid, pairs, count = _REQUEST.unpack_from(blob)
+    except struct.error:
+        tag = None
+    if tag != REQUEST or flags > EXPECTS_REPLY:
+        raise NapletCommunicationError(f"not a request envelope: {blob[:16]!r}")
+    strings, offset = unpack_strings(blob, _REQUEST.size, 3 + 2 * pairs)
+    end = offset + 4 * count
+    if end > len(blob):
+        raise NapletCommunicationError("not a request envelope: segment sizes cut short")
+    sizes = struct.unpack_from(f"!{count}I", blob, offset)
+    headers = dict(zip(strings[3::2], strings[4::2]))
+    frame = Frame(strings[0], strings[1], strings[2], blob[end:], headers, cid)
+    return cid, bool(flags), frame, sizes
+
+
+def encode_reply(cid: int, ok: bool, body: bytes) -> bytes:
+    return _REPLY.pack(REPLY, OK if ok else FAILED, cid) + body
+
+
+def decode_reply(blob: bytes) -> tuple[int, bool, bytes]:
+    """``(correlation id, ok, body)`` of a reply envelope; any other blob
+    raises :class:`NapletCommunicationError`."""
+    try:
+        tag, status, cid = _REPLY.unpack_from(blob)
+    except struct.error:
+        tag = None
+    if tag != REPLY or status not in (OK, FAILED):
+        raise NapletCommunicationError(f"not a reply envelope: {blob[:16]!r}")
+    return cid, status == OK, blob[_REPLY.size:]
 
 
 def _recv_exact(sock: socket.socket, count: int, allow_eof: bool = False) -> bytes | None:
@@ -201,43 +255,32 @@ class PooledConnection:
                 blob = recv_blob(self.sock, allow_eof=True)
                 if blob is None:
                     break
-                tag, cid, body = pickle.loads(blob)
+                cid, ok, body = decode_reply(blob)
                 with self._pending_lock:
                     waiter = self._pending.pop(cid, None)
                 if waiter is None:
                     continue  # request timed out and gave up; drop the reply
-                if tag == ERR:
-                    waiter.error = body
-                else:
+                if ok:
                     waiter.payload = body
+                else:
+                    waiter.error = body.decode(errors="replace")
                 waiter.latch.release()
-        except Exception:
-            pass  # any wire failure kills the connection below
+        except (NapletCommunicationError, OSError):
+            pass  # a dead wire or a malformed reply kills the connection below
         finally:
             self.close()
 
     # -- wire operations ---------------------------------------------------- #
 
     def _post(self, frame: Frame, expects_reply: bool, cid: int) -> None:
-        """Serialize and write one request.
-
-        Frames with out-of-band buffers use the segmented ``REQB`` layout:
-        only the buffer-less frame core is pickled, the buffers follow as
-        raw segments written from their own memory (zero-copy).
-        """
+        """Write one request: its envelope, then its buffers as raw
+        segments from their own memory (zero-copy)."""
         if self._dead:
             raise ConnectionClosedError(f"pooled connection to {self.dest} is closed")
-        frame.correlation_id = cid
-        buffers = frame.buffers
-        if buffers:
-            sizes = [_nbytes(b) for b in buffers]
-            core = replace(frame, buffers=())
-            blob = pickle.dumps((REQB, cid, core, expects_reply, sizes))
-        else:
-            blob = pickle.dumps((REQ, cid, frame, expects_reply))
+        blob = encode_request(frame, cid, expects_reply)
         try:
             with self._send_lock:
-                send_blob_segments(self.sock, blob, buffers)
+                send_blob_segments(self.sock, blob, frame.buffers)
         except OSError as exc:
             self.close()
             raise ConnectionClosedError(f"pooled connection to {self.dest} died: {exc}") from exc

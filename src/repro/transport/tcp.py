@@ -8,8 +8,11 @@ ids so many concurrent ``request()``s share that socket, and the server
 side serves each connection with a bounded set of threads, leader/followers
 style: the thread that read a frame runs its handler and writes its reply,
 while another reads the next frame (see :meth:`_Endpoint._serve`).  The one
-wire envelope is the pool's ``REQ``/``REQB`` request; any other well-framed
-blob is counted, recorded, and costs its sender that connection.
+wire envelope is the pool's ``struct`` request (:func:`~repro.transport.pool.
+decode_request`), read before anything reaches a handler and unpickled
+nowhere; any other well-framed blob is counted, recorded, and costs its
+sender that connection.  A handler that raises or answers a request with
+nothing costs only that request: its requester gets a ``FAILED`` reply.
 
 Caveat for reentrant handlers: at most ``server_workers`` handlers run at
 once per *connection*, and frames behind them wait unread, so a nested
@@ -20,7 +23,6 @@ and distinct source transports use distinct connections.
 
 from __future__ import annotations
 
-import pickle
 import socket
 import threading
 
@@ -28,10 +30,8 @@ from repro.core.errors import NapletCommunicationError
 from repro.transport.base import Frame, FrameHandler, Transport, host_of
 from repro.transport.pool import (
     ConnectionPool,
-    ERR,
-    REP,
-    REQ,
-    REQB,
+    decode_request,
+    encode_reply,
     recv_blob,
     recv_segments,
     send_blob,
@@ -149,33 +149,31 @@ class _Endpoint:
         blob = None if self._closing.is_set() else recv_blob(sock, allow_eof=True)
         if blob is None:
             return None  # clean close at a frame boundary
-        envelope = pickle.loads(blob)
-        tag = envelope[0] if isinstance(envelope, tuple) and envelope else None
-        if tag == REQB and len(envelope) == 5:
-            # Segmented request: raw out-of-band buffers follow the header
-            # blob on the same connection (the sender writes both at once).
-            _tag, cid, frame, expects_reply, sizes = envelope
+        # Anything but a request raises: _serve records it and hangs up.
+        cid, expects_reply, frame, sizes = decode_request(blob)
+        if sizes:
+            # Raw out-of-band buffers follow the envelope on the same
+            # connection (the sender writes both at once).
             frame.buffers = recv_segments(sock, sizes)
-            return cid, frame, expects_reply
-        if tag == REQ and len(envelope) == 4:
-            return envelope[1:]
-        # Anything else never reaches the handler: _serve records it and hangs up.
-        raise NapletCommunicationError(f"not a request envelope: {type(envelope).__name__}")
+        return cid, frame, expects_reply
 
     def _handle_one(self, conn: _Served, cid: int, frame: Frame, expects_reply: bool) -> None:
         try:
             reply = self.handler(frame)
+            if reply is None and expects_reply:
+                raise NapletCommunicationError(f"no reply for {frame.kind} frame")
         except Exception as exc:
             if not expects_reply:
                 self._transport._record_connection_error(self.urn, exc)
                 return
             # A handler failure poisons only this request, not the shared
             # connection: the caller gets a correlated error reply.
-            blob = pickle.dumps((ERR, cid, f"{type(exc).__name__}: {exc}"))
+            text = f"{type(exc).__name__}: {exc}"
+            blob = encode_reply(cid, False, text.encode(errors="replace"))
         else:
             if not expects_reply:
                 return
-            blob = pickle.dumps((REP, cid, reply if reply is not None else b""))
+            blob = encode_reply(cid, True, reply)
         try:
             with conn.write_lock:
                 send_blob(conn.sock, blob)
@@ -270,7 +268,7 @@ class TcpTransport(Transport):
         except OSError as exc:
             raise NapletCommunicationError(f"cannot reach {urn}: {exc}") from exc
 
-    # The ledger books the frame, not the pickled envelope that carried it,
+    # The ledger books the frame, not the envelope that carried it,
     # so both transports count the same bytes for the same exchange.
 
     def send(self, frame: Frame) -> None:

@@ -14,7 +14,6 @@ transports:
 
 from __future__ import annotations
 
-import pickle
 
 import pytest
 
@@ -28,7 +27,7 @@ from repro.simnet import VirtualNetwork, full_mesh, line
 from repro.transport.tcp import TcpTransport
 from repro.util.concurrency import wait_until
 from tests.conftest import CollectorNaplet
-from tests.transport.envelopes import read_envelope
+from tests.transport.envelopes import read_ack, read_envelope
 
 ROUTE = ["d01", "d00"] * 3  # six hops, ping-pong
 
@@ -260,7 +259,7 @@ def _transfer_envelopes(server) -> list[dict]:
         envelope = read_envelope(frame.buffers[0], frame.buffers[1:])
         envelopes.append(envelope)
         reply = landing(frame)
-        envelope["ack"] = pickle.loads(reply)
+        envelope["ack"] = read_ack(reply)
         return reply
 
     server.navigator.handle_transfer = spy

@@ -15,7 +15,7 @@ from repro.server.security import Rule, SecurityPolicy
 from repro.simnet import line
 from repro.util.concurrency import wait_until
 from tests.conftest import CollectorNaplet, StallNaplet
-from tests.transport.envelopes import read_envelope, write_envelope
+from tests.transport.envelopes import read_ack, read_envelope, write_envelope
 
 
 class DenialSurvivor(repro.Naplet):
@@ -205,7 +205,7 @@ class TestTransferFrameChecks:
         """Hand s01 a doctored copy of *frame* under a fresh transfer-id."""
         headers = {**frame.headers, "transfer-id": "naplet://s00#doctored"}
         doctored = dataclasses.replace(frame, headers=headers, **changes)
-        return pickle.loads(servers["s01"].navigator.handle_transfer(doctored))
+        return read_ack(servers["s01"].navigator.handle_transfer(doctored))
 
     def test_landing_check_precedes_any_unpickling_of_the_image(self, space):
         servers, nid, frame = self._landed_frame(space)

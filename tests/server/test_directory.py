@@ -160,13 +160,13 @@ class TestWire:
         assert store.lookup(nid).in_transit
         assert client.lookup(nid) == store.lookup(nid)
 
-    def test_unknown_naplet_is_an_empty_reply(self, wired):
+    def test_unknown_naplet_is_a_none_reply(self, wired):
         _transport, store, client = wired
         frame = Frame(
             kind=FrameKind.DIRECTORY_QUERY, source="naplet://s03",
             dest="naplet://homeserver", payload=str(_nid()).encode(),
         )
-        assert DirectoryClient.handle_query_frame(store, frame) == b""
+        assert DirectoryClient.handle_query_frame(store, frame) == b"none"
         assert client.lookup(_nid()) is None
 
     @pytest.mark.parametrize(

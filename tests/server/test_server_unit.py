@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
 from repro.core.errors import NapletError
@@ -12,7 +10,7 @@ from repro.server.monitor import ResourceQuota
 from repro.server.server import NapletServer, ServerConfig
 from repro.simnet.network import VirtualNetwork
 from repro.simnet.topology import line
-from repro.transport.base import Frame, FrameKind
+from repro.transport.base import Frame, FrameKind, read_reply
 from tests.conftest import CollectorNaplet
 
 
@@ -59,14 +57,17 @@ class TestFrameDispatch:
         reply = network.transport.request(
             Frame(kind=FrameKind.PING, source="naplet://x", dest=server.urn)
         )
-        assert pickle.loads(reply) == {"pong": server.urn}
+        assert read_reply(reply, "ping", "pong") == ("pong", [server.urn])
 
     def test_unknown_kind_raises(self, network):
+        """An unknown kind is refused, and reading the refusal raises."""
         server = NapletServer.attach(network.host("h00"))
-        with pytest.raises(NapletError):
-            network.transport.send(
-                Frame(kind="mystery", source="naplet://x", dest=server.urn)
-            )
+        reply = network.transport.request(
+            Frame(kind="mystery", source="naplet://x", dest=server.urn)
+        )
+        assert reply == b"refused naplet://h00: unknown frame kind 'mystery'"
+        with pytest.raises(NapletError, match="unknown frame kind"):
+            read_reply(reply, "mystery", "ok")
 
     def test_shutdown_refuses_frames(self, network):
         server = NapletServer.attach(network.host("h00"))

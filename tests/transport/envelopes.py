@@ -1,4 +1,5 @@
-"""Tests' reader and writer of the compact per-field envelope.
+"""Tests' reader and writer of the compact per-field envelope, and their
+reader of the transfer ack that answers it.
 
 The wire form (DESIGN.md §6.7) is a flat tuple — ``(nid, digest, shipped,
 removed, refs, cls, bundles, code_refs)`` with trailing absent slots
@@ -16,7 +17,10 @@ from __future__ import annotations
 import pickle
 from typing import Any
 
-__all__ = ["read_envelope", "write_envelope"]
+from repro.core.errors import NapletCommunicationError
+from repro.transport.base import REFUSED, read_reply
+
+__all__ = ["read_ack", "read_envelope", "write_envelope"]
 
 SLOTS = ("nid", "hash", "fields", "removed", "refs", "cls", "bundles", "code_refs")
 
@@ -89,3 +93,19 @@ def write_envelope(view: dict[str, Any]) -> bytes:
     while envelope[-1] is None:
         envelope = envelope[:-1]
     return pickle.dumps(envelope)
+
+
+def read_ack(reply: bytes) -> dict[str, Any]:
+    """A transfer ack, read through the reply reader, as a dict: ``ok`` True
+    and the ``code`` hashes it lists; ``ok`` False with a ``denied`` or
+    ``need_full`` flag and its ``reason``; or, for the refusal the reader
+    raises on, ``ok`` False and the refusal's ``reason``."""
+    try:
+        status, fields = read_reply(reply, "transfer", "ok", "denied", "need_full")
+    except NapletCommunicationError:
+        status, _, reason = reply.decode().partition(" ")
+        assert status == REFUSED, reply
+        return {"ok": False, "reason": reason}
+    if status == "ok":
+        return {"ok": True, "code": fields}
+    return {"ok": False, status: True, "reason": " ".join(fields)}

@@ -3,20 +3,18 @@ at its :attr:`Frame.size`, so the two transports read the same bytes."""
 
 from __future__ import annotations
 
-import pickle
-from dataclasses import replace
-
 import pytest
 
 import repro
 from repro.codeshipping.codebase import CodeBaseRegistry
 from repro.core.credential import SigningAuthority
+from repro.core.errors import NapletCommunicationError
 from repro.itinerary import Itinerary, ResultReport, SeqPattern
 from repro.server import NapletServer, ServerConfig, SpaceAdmin, deploy
 from repro.simnet import VirtualNetwork, line
 from repro.transport.base import Frame, FrameKind
 from repro.transport.inmemory import InMemoryTransport
-from repro.transport.pool import REP, REQ, REQB
+from repro.transport.pool import encode_reply, encode_request
 from repro.transport.tcp import TcpTransport
 from repro.transport.traffic import REPLY
 from repro.util.concurrency import wait_until
@@ -24,14 +22,15 @@ from tests.conftest import CollectorNaplet
 
 HOSTS = ("s00", "s01", "s02", "s03")
 QUIET = ServerConfig(health_cadence=60.0)  # no load heartbeat during a tour
-# Bytes the pickled TCP envelope adds to one frame of each kind on the tour,
-# which no counter sees any more: the baseline for a struct envelope.
+# Bytes the TCP envelope adds to one frame of each kind on the tour, which
+# no counter sees: the struct header, two length bytes per string and four
+# per segment size (EXPERIMENTS.md E24).
 ENVELOPE_OVERHEAD = {
-    FrameKind.DIRECTORY_EVENT: 152,
-    FrameKind.NAPLET_TRANSFER: 200,
-    FrameKind.NAPLET_TRANSFER + REPLY: 25,
-    FrameKind.REPORT: 172,
-    FrameKind.REPORT + REPLY: 25,
+    FrameKind.DIRECTORY_EVENT: 19,
+    FrameKind.NAPLET_TRANSFER: 75,
+    FrameKind.NAPLET_TRANSFER + REPLY: 10,
+    FrameKind.REPORT: 31,
+    FrameKind.REPORT + REPLY: 10,
 }
 
 
@@ -100,19 +99,17 @@ class TestTcpViews:
             transport.metrics.counter("wire_bytes_total")
 
     def test_envelope_overhead_per_kind(self, tcp_tour):
-        """What the pickled REQ/REQB/REP envelope adds to each kind's frame
-        bytes on this tour (correlation id 1): the bytes the TCP wire moves
-        beyond what the ledger counts."""
+        """What the request and reply envelopes add to each kind's frame
+        bytes on this tour: the bytes the TCP wire moves beyond what the
+        ledger counts."""
         _rows, carried, _transport = tcp_tour
         overhead: dict[str, set[int]] = {}
         for frame, reply in carried:
             sizes = [len(memoryview(b).cast("B")) for b in frame.buffers]
-            core = replace(frame, buffers=(), correlation_id=1)
-            envelope = (REQB, 1, core, True, sizes) if sizes else (REQ, 1, core, True)
-            extra = len(pickle.dumps(envelope)) + sum(sizes) - frame.size
+            extra = len(encode_request(frame, 1, True)) + sum(sizes) - frame.size
             overhead.setdefault(frame.kind, set()).add(extra)
             if reply is not None:
-                extra = len(pickle.dumps((REP, 1, reply))) - len(reply)
+                extra = len(encode_reply(1, True, reply)) - len(reply)
                 overhead.setdefault(frame.kind + REPLY, set()).add(extra)
         assert overhead == {kind: {n} for kind, n in ENVELOPE_OVERHEAD.items()}
 
@@ -147,5 +144,30 @@ class TestBothTransports:
             transport.send(one_way)
             assert computed == [*frames, one_way]
             assert transport.meter.total_frames == 2 * len(frames) + 1
+        finally:
+            transport.close()
+
+    @pytest.mark.parametrize("make", [InMemoryTransport, TcpTransport], ids=["inmemory", "tcp"])
+    def test_a_failed_or_silent_handler_is_a_communication_error(self, make):
+        """A handler that raises, or answers a request with nothing, is the
+        requester's NapletCommunicationError on either transport, chained
+        from the handler's exception where it ran in-process; a reply that
+        never came is booked nowhere, and the channel keeps serving."""
+        transport = make()
+        try:
+            transport.register("naplet://silent", lambda f: None)
+            transport.register("naplet://broken", lambda f: {}["missing"])
+            transport.register("naplet://fine", lambda f: b"ok")
+            for dest, why in (("naplet://silent", "no reply"), ("naplet://broken", "KeyError")):
+                frame = Frame(kind=FrameKind.PING, source="naplet://a", dest=dest)
+                failed = f"failed remotely: .*{why}"
+                with pytest.raises(NapletCommunicationError, match=failed) as err:
+                    transport.request(frame, timeout=5)
+            if make is InMemoryTransport:
+                assert isinstance(err.value.__cause__, KeyError)
+            assert transport.meter.total_frames == 0
+            fine = Frame(kind=FrameKind.PING, source="naplet://a", dest="naplet://fine")
+            assert transport.request(fine, timeout=5) == b"ok"
+            assert transport.meter.total_frames == 2
         finally:
             transport.close()

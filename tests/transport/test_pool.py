@@ -85,7 +85,7 @@ class TestPooledReuse:
 
     def test_one_way_send_rides_the_pool(self, transport):
         seen = threading.Event()
-        transport.register("naplet://sink", lambda f: seen.set())
+        transport.register("naplet://sink", lambda f: seen.set() or b"ok")
         transport.request(_frame("naplet://sink"), timeout=5)  # open the conn
         seen.clear()
         transport.send(_frame("naplet://sink"))
@@ -191,7 +191,7 @@ class TestFrameSizeBoundary:
 
 
 class TestOutOfBandSegments:
-    """REQB frames: protocol-5 buffers travel as raw segments, uncopied."""
+    """Segmented requests: protocol-5 buffers travel as raw segments, uncopied."""
 
     def test_request_with_buffers_round_trips_segments(self, transport):
         seen = {}
