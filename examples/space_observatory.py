@@ -127,8 +127,12 @@ def main() -> None:
             print("   ", format_record(record))
 
         # 4. Partition s01 and let its digest age out: unknown, not idle.
-        network.partition_host("s01")
-        time.sleep(STALE_AFTER + 0.3)
+        # Time passes on s00's plane clock, not in a sleep; s00 and s02,
+        # still in touch, beat once more at the aged time.
+        network.fault_plan.partition("s01")
+        servers["s00"].health.clock = lambda: time.monotonic() + STALE_AFTER + 0.3
+        for name in ("s00", "s02"):
+            servers[name].health.tick()
         print(f"\n=== 4. s01 partitioned, {STALE_AFTER}s stale_after elapsed ===")
         show_view(admin, "s00")
         blind = Tourist("blind")

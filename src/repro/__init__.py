@@ -27,7 +27,7 @@ from repro.core import (
     NapletState,
     SigningAuthority,
 )
-from repro.faults import FaultInjector, FaultPlan, RetryPolicy
+from repro.faults import FaultPlan, RetryPolicy
 from repro.itinerary import Itinerary, JoinPolicy, alt, par, seq, singleton
 from repro.server import (
     NapletServer,
@@ -62,7 +62,6 @@ __all__ = [
     "deploy",
     "VirtualNetwork",
     "FaultPlan",
-    "FaultInjector",
     "RetryPolicy",
     "__version__",
 ]

@@ -5,7 +5,10 @@ codebase URL — with the creator's digital signature; naplet servers use the
 credential to derive naplet-specific security and access-control policies.
 
 We reproduce this with stdlib HMAC-SHA256 over a canonical rendering of the
-immutable attributes.  A :class:`SigningAuthority` plays the role of the PKI:
+immutable attributes: the attribute-pair count, then the naplet id, the
+codebase and each attribute key and value as a length-prefixed string
+list (:func:`~repro.core.strings.pack_strings`), so no two credentials
+sign the same bytes.  A :class:`SigningAuthority` plays the role of the PKI:
 it holds per-owner secrets and both signs and verifies.  This preserves the
 behaviour the servers depend on (tamper detection over immutable attributes,
 a feature set for the policy matrix) without a real certificate
@@ -16,18 +19,22 @@ from __future__ import annotations
 
 import hmac
 import hashlib
+import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.errors import CredentialError
 from repro.core.naplet_id import NapletID
+from repro.core.strings import pack_strings
 
 __all__ = ["Credential", "SigningAuthority"]
 
 
 def _canonical(nid: NapletID, codebase: str, attributes: tuple[tuple[str, str], ...]) -> bytes:
-    attr_text = ";".join(f"{k}={v}" for k, v in attributes)
-    return f"{nid}|{codebase}|{attr_text}".encode()
+    fields = [str(nid), codebase]
+    for pair in attributes:
+        fields += pair
+    return struct.pack("!H", len(attributes)) + pack_strings(fields)
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,10 @@
 This package supplies both halves of the reliability story promised by the
 Naplet paper's "reliable location-independent communication":
 
-- the *attack* side — :class:`FaultPlan` / :class:`FaultInjector`, a
-  seeded, declarative way to drop, delay, duplicate, and corrupt frames,
-  refuse dials, partition hosts, and crash mid-transfer, wrapped around
-  any transport;
+- the *attack* side — :class:`FaultPlan`, a seeded, declarative way to
+  drop, delay, duplicate, and corrupt frames, refuse dials, partition
+  hosts, and crash mid-transfer, which any transport carries out once it
+  is set as that transport's ``fault_plan``;
 - the *defense* side — :class:`RetryPolicy` (bounded exponential backoff
   with seeded jitter, applied to migrations and messenger sends) and the
   :class:`DeadLetterQueue` that catches messages the retries could not
@@ -16,8 +16,7 @@ See DESIGN.md section 6.3 for the full fault model and semantics.
 """
 
 from repro.faults.deadletter import DeadLetter, DeadLetterQueue
-from repro.faults.engine import FaultInjector, InjectedFault
-from repro.faults.plan import FaultAction, FaultDecision, FaultPlan, FaultRule
+from repro.faults.plan import FaultAction, FaultDecision, FaultPlan, FaultRule, InjectedFault
 from repro.faults.retry import RetryPolicy, no_retry
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "FaultDecision",
     "FaultPlan",
     "FaultRule",
-    "FaultInjector",
     "InjectedFault",
     "RetryPolicy",
     "no_retry",

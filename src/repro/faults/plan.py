@@ -20,11 +20,18 @@ probability) with an action:
     fail-before-delivery (``when="before"``); used for one-shot
     "crash during NAPLET_TRANSFER" scenarios.
 
-Rules are evaluated in declaration order by the
-:class:`~repro.faults.engine.FaultInjector`; probability draws come from a
-single seeded :class:`random.Random` owned by the plan, so a seeded plan
+A transport whose ``fault_plan`` is set hands every frame to
+:meth:`FaultPlan.carry`, on the sending thread; DESIGN.md §6.3 tabulates
+what each action does to a ``send`` and to a ``request``.  Rules are
+evaluated in declaration order; probability draws come from a single
+seeded :class:`random.Random` owned by the plan, so a seeded plan
 replayed against the same traffic makes identical decisions.  Partitions
 are checked before any rule and drop traffic in both directions.
+
+Every fired fault adds one to ``fault_injected_total{fault=<label>}`` on
+the carrying transport's registry and is journaled as one
+``fault-injected`` record in the journal bound to the frame's *source*
+endpoint: the counter answers *how many*, the record *when and to whom*.
 """
 
 from __future__ import annotations
@@ -32,10 +39,21 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable
 
+from repro.core.errors import NapletCommunicationError
 from repro.transport.base import Frame, FrameKind, host_of
 
-__all__ = ["FaultAction", "FaultRule", "FaultDecision", "FaultPlan"]
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.transport.base import Transport
+
+__all__ = ["FaultAction", "FaultRule", "FaultDecision", "FaultPlan", "InjectedFault"]
+
+_CORRUPT_MARK = b"\xde\xad"
+
+
+class InjectedFault(NapletCommunicationError):
+    """A fault-plan rule refused, dropped, or crashed this exchange."""
 
 
 class FaultAction:
@@ -98,7 +116,7 @@ class FaultRule:
 
 @dataclass
 class FaultDecision:
-    """What the injector should do to one frame, composed across rules."""
+    """What the transport should do to one frame, composed across rules."""
 
     drop: bool = False
     refuse_dial: bool = False
@@ -243,6 +261,55 @@ class FaultPlan:
                     break
         return decision
 
+    # -- execution ---------------------------------------------------------- #
+
+    def carry(
+        self,
+        transport: "Transport",
+        frame: Frame,
+        deliver: Callable[[Frame], bytes | None],
+        one_way: bool,
+    ) -> bytes | None:
+        """Move *frame* through *deliver* (the transport's own delivery) as
+        this plan decides, and return what *deliver* returned.
+
+        A refused dial raises, as a real one does; a drop, a partition or a
+        crash before delivery raises from a request and loses a one-way
+        frame silently.  Otherwise the frame is delayed (on the transport's
+        :meth:`~repro.transport.base.Transport.pause`), corrupted, and
+        delivered once more ahead of the real delivery as the decision
+        says; a crash after delivery raises once it went through.
+        """
+        decision = self.decide(frame)
+        if not decision.labels:
+            return deliver(frame)
+        counter = transport.metrics.counter(
+            "fault_injected_total", "Faults injected into the wire, by fault label."
+        )
+        for label in decision.labels:
+            counter.inc(fault=label)
+        journal = transport.journal_of(frame.source)
+        _journal(journal, "fault-injected", decision, frame)
+        if decision.terminal:
+            if one_way and not decision.refuse_dial:
+                return None  # one-way loss is silent, like the real network
+            raise _failure(decision, frame)
+        if decision.delay > 0:
+            transport.pause(decision.delay)
+        if decision.corrupt:
+            frame = _corrupted(frame)
+        if decision.duplicate:
+            # Best-effort extra delivery ahead of the real one; the
+            # receiver's dedup machinery must make it invisible.
+            try:
+                deliver(frame)
+            except Exception as exc:
+                _journal(journal, "fault-duplicate-error", decision, frame, error=repr(exc))
+        result = deliver(frame)
+        if decision.crash_after:
+            raise _failure(decision, frame)
+        return result
+
     # -- introspection ------------------------------------------------------ #
 
     def summary(self) -> list[dict]:
@@ -257,3 +324,39 @@ class FaultPlan:
                 }
                 for rule in self._rules
             ]
+
+
+def _journal(journal, kind: str, decision: FaultDecision, frame: Frame, **detail) -> None:
+    if journal is not None:
+        journal.append(
+            kind,
+            category="fault",
+            detail={
+                "labels": list(decision.labels),
+                "kind": str(frame.kind),
+                "source": frame.source,
+                "dest": frame.dest,
+                **detail,
+            },
+        )
+
+
+def _corrupted(frame: Frame) -> Frame:
+    """*frame* with its leading payload bytes overwritten and its
+    out-of-band buffers gone, so its reader fails."""
+    payload = frame.payload
+    if len(payload) >= len(_CORRUPT_MARK):
+        payload = _CORRUPT_MARK + bytes(payload[len(_CORRUPT_MARK):])
+    else:
+        payload = _CORRUPT_MARK
+    return Frame(frame.kind, frame.source, frame.dest, payload, dict(frame.headers))
+
+
+def _failure(decision: FaultDecision, frame: Frame) -> InjectedFault:
+    reason = "refused dial" if decision.refuse_dial else (
+        "crashed" if decision.crash_before or decision.crash_after else "dropped"
+    )
+    return InjectedFault(
+        f"injected fault ({'+'.join(decision.labels) or reason}): "
+        f"{frame.kind} {frame.source} -> {frame.dest} {reason}"
+    )

@@ -99,7 +99,7 @@ class SpaceView:
 
     Merging is by HLC order: a digest replaces the held one for its
     server only when its stamp is strictly newer, so duplicated or
-    reordered heartbeats (the fault injector produces both) cannot roll
+    reordered heartbeats (a fault plan produces both) cannot roll
     the view backwards.  Staleness is judged against the *local*
     monotonic receipt time, not the digest's remote clock — a partition
     freezes receipts, which is exactly the signal to decay on.  *clock*

@@ -11,27 +11,29 @@ A :class:`VirtualNetwork` bundles everything one experiment needs:
   :class:`~repro.codeshipping.codebase.CodeBaseRegistry` (codebase host).
 
 Hosts are created from graph nodes; naplet servers attach to hosts (one per
-host).  Fault injection and metering are reached through the transport.
+host).  The network always holds a :class:`~repro.faults.plan.FaultPlan`
+(an empty one unless given), set as its transport's ``fault_plan``: a
+chaos experiment partitions, drops or refuses through ``fault_plan``, and
+a full :meth:`~repro.faults.plan.FaultPlan.heal` requeues dead letters
+space-wide.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 import networkx as nx
 
 from repro.codeshipping.codebase import CodeBaseRegistry
 from repro.core.credential import SigningAuthority
 from repro.core.errors import NapletError
+from repro.faults.plan import FaultPlan
 from repro.transport.clock import SimClock
 from repro.simnet.host import VirtualHost
 from repro.transport.base import host_of
 from repro.transport.inmemory import InMemoryTransport
 from repro.transport.latency import LatencyModel
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.faults.plan import FaultPlan
 
 __all__ = ["GraphLatency", "VirtualNetwork"]
 
@@ -95,20 +97,15 @@ class VirtualNetwork:
         graph: nx.Graph,
         latency: LatencyModel | None = None,
         sleep_scale: float = 0.0,
-        fault_plan: "FaultPlan | None" = None,
+        fault_plan: FaultPlan | None = None,
     ) -> None:
         self.graph = graph
         self.clock = SimClock(scale=sleep_scale)
         self.latency = latency if latency is not None else GraphLatency(graph)
         self.transport = InMemoryTransport(latency=self.latency, clock=self.clock)
-        self.fault_plan = fault_plan
-        if fault_plan is not None:
-            # Chaos experiments: every frame in the space crosses the
-            # injector.  Healing the plan also flushes dead letters.
-            from repro.faults.engine import FaultInjector
-
-            self.transport = FaultInjector(self.transport, fault_plan)
-            fault_plan.on_heal(self._requeue_dead_letters)
+        self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
+        self.transport.fault_plan = self.fault_plan
+        self.fault_plan.on_heal(self._requeue_dead_letters)
         self.authority = SigningAuthority()
         self.code_registry = CodeBaseRegistry()
         self._hosts: dict[str, VirtualHost] = {}
@@ -153,26 +150,9 @@ class VirtualNetwork:
         with self._lock:
             return host_of(hostname) in self._hosts
 
-    # -- fault injection (delegated) ----------------------------------------- #
-
-    def fail_link(self, a: str, b: str, symmetric: bool = True) -> None:
-        self.transport.fail_link(host_of(a), host_of(b), symmetric)
-
-    def heal_link(self, a: str, b: str, symmetric: bool = True) -> None:
-        self.transport.heal_link(host_of(a), host_of(b), symmetric)
-
-    def partition_host(self, hostname: str) -> None:
-        self.transport.partition_host(host_of(hostname))
-
-    def heal_host(self, hostname: str) -> None:
-        self.transport.heal_host(host_of(hostname))
-        if self.fault_plan is not None:
-            self.fault_plan.heal_host(host_of(hostname))
-
     def heal(self) -> None:
-        """Clear the fault plan (if any) and requeue dead letters space-wide."""
-        if self.fault_plan is not None:
-            self.fault_plan.heal()
+        """Clear the fault plan and requeue dead letters space-wide."""
+        self.fault_plan.heal()
 
     def _requeue_dead_letters(self) -> None:
         for host in self.hosts():

@@ -9,7 +9,7 @@ format so a whole chaos experiment can be scrubbed on one timeline:
   server and one *thread* row per naplet (spans naming no naplet group
   under their trace id);
 - every ``fault`` record (an injected fault) becomes an instant (``"i"``)
-  event, pinning "the injector dropped this frame here" onto the exact
+  event, pinning "the fault plan dropped this frame here" onto the exact
   moment the surrounding spans stretched;
 - the event kinds in :data:`INSTANT_EVENT_KINDS` become instants on their
   server's row;

@@ -11,21 +11,24 @@ form ``naplet://<hostname>``).  Two implementations exist:
 - :class:`repro.transport.tcp.TcpTransport` — real localhost TCP sockets,
   proving the protocol end-to-end outside one call stack.
 
-Semantics shared by both: :meth:`Transport.send` is one-way fire-and-forget;
-:meth:`Transport.request` is synchronous request/reply returning the
-responder's payload, and a handler that fails or answers nothing is a
-:class:`NapletCommunicationError` at the requester.  Both book what they
-moved in the transport's one frame ledger, :attr:`Transport.meter`, with
-the same frame sizes.  Handlers run on the delivering thread and must not
-block indefinitely.
+Semantics shared by both: :meth:`Transport.send` is one-way fire-and-forget
+(a handler that fails costs its sender nothing: it is counted as a dropped
+connection at the destination); :meth:`Transport.request` is synchronous
+request/reply returning the responder's payload, and a handler that fails
+or answers nothing is a :class:`NapletCommunicationError` at the requester.
+Both book what they moved in the transport's one frame ledger,
+:attr:`Transport.meter`, with the same frame sizes, and both carry out the
+transport's one fault table, :attr:`Transport.fault_plan`, the same way.
+Handlers run on the delivering thread and must not block indefinitely.
 
 The wire grammar itself is pickle-free (DESIGN.md §6.2).  A reply is text: a
 status word and space-separated UTF-8 fields (:func:`reply`), with one
 refusal, ``refused <reason>``, which :func:`read_reply`, the one reader,
 raises as a :class:`NapletCommunicationError` like any reply it cannot
 read.  Binary parts — the TCP envelope, the credential — are runs of
-length-prefixed UTF-8 strings (:func:`pack_strings`), and a credential
-travels as its signed fields plus its MAC (:func:`encode_credential`).
+length-prefixed UTF-8 strings (:func:`~repro.core.strings.pack_strings`),
+and a credential travels as its signed form plus its MAC
+(:func:`encode_credential`).
 """
 
 from __future__ import annotations
@@ -34,16 +37,19 @@ import abc
 import struct
 import sys
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.credential import Credential
 from repro.core.errors import NapletCommunicationError
 from repro.core.naplet_id import NapletID
+from repro.core.strings import unpack_strings
 from repro.telemetry.metrics import MetricsRegistry
 from repro.transport.traffic import REPLY, TrafficMeter
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.plan import FaultPlan
     from repro.telemetry.journal import SpaceJournal
 
 __all__ = [
@@ -57,8 +63,6 @@ __all__ = [
     "reply",
     "refusal",
     "read_reply",
-    "pack_strings",
-    "unpack_strings",
     "encode_credential",
     "decode_credential",
 ]
@@ -160,47 +164,17 @@ def read_reply(data: bytes, what: str, *statuses: str) -> tuple[str, list[str]]:
     raise NapletCommunicationError(f"unreadable {what} reply {text!r}")
 
 
-# -- string lists: the binary parts of the grammar --------------------------- #
-
-
-def pack_strings(strings: list[str] | tuple[str, ...]) -> bytes:
-    """The 2-byte length of each string, then the strings' UTF-8 bytes."""
-    encoded = [text.encode() for text in strings]
-    try:
-        return struct.pack(f"!{len(encoded)}H", *map(len, encoded)) + b"".join(encoded)
-    except struct.error as exc:
-        raise NapletCommunicationError(f"string too long for the wire: {exc}") from None
-
-
-def unpack_strings(data: bytes, offset: int, count: int) -> tuple[list[str], int]:
-    """*count* strings packed at *offset* in *data*, and the offset past them."""
-    try:
-        sizes = struct.unpack_from(f"!{count}H", data, offset)
-        offset += 2 * count
-        strings = []
-        for size in sizes:
-            strings.append(data[offset:offset + size].decode())
-            offset += size
-    except (struct.error, ValueError) as exc:  # UnicodeDecodeError is a ValueError
-        raise NapletCommunicationError(f"malformed string list: {exc}") from None
-    if offset > len(data):
-        raise NapletCommunicationError("malformed string list: it runs past the end")
-    return strings, offset
-
-
 # -- the credential: its signed fields, then its MAC ------------------------- #
 
 _MAC_BYTES = 32  # HMAC-SHA256
-_PAIRS = struct.Struct("!H")
+_PAIRS = struct.Struct("!H")  # the pair count that leads a credential's signed form
 
 
 def encode_credential(credential: Credential) -> bytes:
-    """Attribute-pair count, naplet id, codebase, attribute keys and
-    values, then the signature: nothing a receiver must unpickle."""
-    fields = [str(credential.naplet_id), credential.codebase]
-    for pair in credential.attributes:
-        fields += pair
-    return _PAIRS.pack(len(credential.attributes)) + pack_strings(fields) + credential.signature
+    """The signed form (attribute-pair count, naplet id, codebase,
+    attribute keys and values), then the signature: nothing a receiver
+    must unpickle."""
+    return credential.payload() + credential.signature
 
 
 def decode_credential(data: bytes) -> Credential:
@@ -228,7 +202,21 @@ class Transport(abc.ABC):
     ``wire_frames_total``/``wire_bytes_total`` (request frames, by kind)
     and ``bytes_sent_total``/``bytes_received_total`` (every frame and
     reply, by endpoint host) read the same numbers the ledger does.
+
+    Every transport also carries out one fault table, :attr:`fault_plan`
+    (a :class:`~repro.faults.plan.FaultPlan`, or ``None`` for a clean
+    wire).  :meth:`send` and :meth:`request` hand each frame to the plan,
+    on the sending thread, before the subclass's :meth:`_send` or
+    :meth:`_request` moves it; a frame the plan stops never reaches the
+    subclass, so it is neither delivered nor booked.  One rule decides
+    one-way frames: a refused dial raises from :meth:`send` as from
+    :meth:`request`, exactly as a real refused dial does on TCP, while a
+    drop, a partition or a crash before delivery loses a one-way frame
+    silently, as real packet loss is silent.  A delay advances the
+    simulated clock in memory and sleeps on a real wire (:meth:`pause`).
     """
+
+    fault_plan: "FaultPlan | None" = None
 
     def __init__(self) -> None:
         self._handlers: dict[str, FrameHandler] = {}
@@ -322,8 +310,7 @@ class Transport(abc.ABC):
         owning server's journal).
         """
         self._wire_dropped_connections.inc(endpoint=urn)
-        with self._lock:
-            journal = self._journals.get(urn)
+        journal = self.journal_of(urn)
         if journal is not None:
             journal.record(
                 "transport-connection-dropped",
@@ -332,9 +319,15 @@ class Transport(abc.ABC):
             )
 
     def bind_event_log(self, urn: str, journal: "SpaceJournal") -> None:
-        """Record connection-level failures at *urn* into *journal*."""
+        """Record connection-level failures at *urn*, and faults fired on
+        frames from it, into *journal*."""
         with self._lock:
             self._journals[urn] = journal
+
+    def journal_of(self, urn: str) -> "SpaceJournal | None":
+        """The journal bound to *urn* by :meth:`bind_event_log`, if any."""
+        with self._lock:
+            return self._journals.get(urn)
 
     # -- endpoint management --------------------------------------------- #
 
@@ -366,13 +359,35 @@ class Transport(abc.ABC):
 
     # -- wire operations --------------------------------------------------- #
 
-    @abc.abstractmethod
     def send(self, frame: Frame) -> None:
-        """Deliver *frame* one-way; raises on unreachable destination."""
+        """Deliver *frame* one-way.  Raises :class:`NapletCommunicationError`
+        when no endpoint is registered at its destination or its dial is
+        refused; a frame lost on the way, or a failed handler, does not
+        raise here."""
+        plan = self.fault_plan
+        if plan is None:
+            self._send(frame)
+        else:
+            plan.carry(self, frame, self._send, one_way=True)
 
-    @abc.abstractmethod
     def request(self, frame: Frame, timeout: float | None = None) -> bytes:
         """Deliver *frame* and return the handler's reply payload."""
+        plan = self.fault_plan
+        if plan is None:
+            return self._request(frame, timeout)
+        return plan.carry(self, frame, lambda f: self._request(f, timeout), one_way=False)
+
+    def pause(self, seconds: float) -> None:
+        """Hold a frame back for *seconds* (a delay fault): a real sleep."""
+        time.sleep(seconds)
+
+    @abc.abstractmethod
+    def _send(self, frame: Frame) -> None:
+        """Move *frame* one-way and book it."""
+
+    @abc.abstractmethod
+    def _request(self, frame: Frame, timeout: float | None) -> bytes:
+        """Move *frame*, book it and its reply, and return the reply."""
 
     def close(self) -> None:
         """Release transport resources (sockets, threads)."""

@@ -4,9 +4,10 @@ Frames are delivered by direct handler invocation on the sending thread —
 the synchronous-call analogue of a blocking network send.  Before delivery
 the latency model's delay is accounted on the :class:`SimClock`; once the
 call returns, the frame (and a request's reply) is booked in the
-transport's frame ledger.  Fault injection supports
-dropped links (one-way failures) and host partitions, exercising the
-paper's "intermittent or unreliable Internet connections" motivation.
+transport's frame ledger.  Faults come from the transport's
+``fault_plan``, as on every transport (see
+:class:`~repro.transport.base.Transport`); a delay fault advances the
+clock instead of sleeping.
 
 Handlers therefore run on foreign threads: server components keep their
 handler work short (enqueue long work to their own executors) and
@@ -26,7 +27,7 @@ __all__ = ["InMemoryTransport"]
 
 
 class InMemoryTransport(Transport):
-    """Synchronous in-process frame router with metering and fault injection."""
+    """Synchronous in-process frame router with metering."""
 
     def __init__(
         self,
@@ -36,45 +37,15 @@ class InMemoryTransport(Transport):
         super().__init__()
         self.latency = latency or ZeroLatency()
         self.clock = clock or SimClock()
-        self._down_links: set[tuple[str, str]] = set()
-        self._down_hosts: set[str] = set()
-        self._fault_lock = threading.Lock()
         # Pool-aware semantics: the first frame over a (src, dst) link is a
         # logical connection open; every later frame is a reuse.  This gives
         # benchmarks one accounting surface across both transports.
         self._links_opened: set[tuple[str, str]] = set()
         self._links_lock = threading.Lock()
 
-    # -- fault injection ---------------------------------------------------- #
-
-    def fail_link(self, src_host: str, dst_host: str, symmetric: bool = True) -> None:
-        """Make frames from *src_host* to *dst_host* fail."""
-        with self._fault_lock:
-            self._down_links.add((src_host, dst_host))
-            if symmetric:
-                self._down_links.add((dst_host, src_host))
-
-    def heal_link(self, src_host: str, dst_host: str, symmetric: bool = True) -> None:
-        with self._fault_lock:
-            self._down_links.discard((src_host, dst_host))
-            if symmetric:
-                self._down_links.discard((dst_host, src_host))
-
-    def partition_host(self, host: str) -> None:
-        """Isolate *host* from everyone."""
-        with self._fault_lock:
-            self._down_hosts.add(host)
-
-    def heal_host(self, host: str) -> None:
-        with self._fault_lock:
-            self._down_hosts.discard(host)
-
-    def _check_reachable(self, src: str, dst: str) -> None:
-        with self._fault_lock:
-            if src in self._down_hosts or dst in self._down_hosts:
-                raise NapletCommunicationError(f"host partitioned: {src} -> {dst}")
-            if (src, dst) in self._down_links:
-                raise NapletCommunicationError(f"link down: {src} -> {dst}")
+    def pause(self, seconds: float) -> None:
+        """A delay fault costs simulated time, not wall-clock time."""
+        self.clock.advance(seconds)
 
     # -- open links --------------------------------------------------------- #
 
@@ -84,8 +55,7 @@ class InMemoryTransport(Transport):
         Mirrors the pool-accounting semantics below: the first frame over
         a ``(src, dst)`` link is the logical dial, so a heartbeat toward a
         listed peer is always accounted as a reuse, never an open.
-        Partitions do not unlist a peer — the send fails instead, which is
-        the signal the health plane counts.
+        Partitions do not unlist a peer: the plan stops the send instead.
         """
         src = host_of(source_urn)
         with self._links_lock:
@@ -102,7 +72,6 @@ class InMemoryTransport(Transport):
         """Route *frame* to its handler; returns (src host, dst host, frame
         size, handler)."""
         src, dst = host_of(frame.source), host_of(frame.dest)
-        self._check_reachable(src, dst)
         handler = self._handler_for(frame.dest)
         link = (src, dst)
         with self._links_lock:
@@ -115,12 +84,20 @@ class InMemoryTransport(Transport):
         self.clock.advance(self.latency.delay(src, dst, nbytes))
         return src, dst, nbytes, handler
 
-    def send(self, frame: Frame) -> None:
+    def _send(self, frame: Frame) -> None:
         src, dst, nbytes, handler = self._deliver(frame)
-        handler(frame)
+        try:
+            handler(frame)
+        except Exception as exc:
+            # As over TCP, the frame went out and is booked; its failed
+            # handler is a dropped connection at the destination, not the
+            # sender's error.
+            self.meter.record(src, dst, frame.kind, nbytes)
+            self._record_connection_error(frame.dest, exc)
+            return
         self.meter.record(src, dst, frame.kind, nbytes)
 
-    def request(self, frame: Frame, timeout: float | None = None) -> bytes:
+    def _request(self, frame: Frame, timeout: float | None = None) -> bytes:
         src, dst, nbytes, handler = self._deliver(frame)
         # As over TCP, a failed handler or a missing reply is the
         # requester's NapletCommunicationError, and nothing is booked.

@@ -43,7 +43,8 @@ import threading
 from typing import Callable
 
 from repro.core.errors import NapletCommunicationError
-from repro.transport.base import Frame, pack_strings, unpack_strings
+from repro.core.strings import pack_strings, unpack_strings
+from repro.transport.base import Frame
 
 __all__ = ["ConnectionPool", "PooledConnection", "ConnectionClosedError"]
 

@@ -271,11 +271,11 @@ class TcpTransport(Transport):
     # The ledger books the frame, not the envelope that carried it,
     # so both transports count the same bytes for the same exchange.
 
-    def send(self, frame: Frame) -> None:
+    def _send(self, frame: Frame) -> None:
         self.pool.send(frame)
         self.meter.record(host_of(frame.source), host_of(frame.dest), frame.kind, frame.size)
 
-    def request(self, frame: Frame, timeout: float | None = None) -> bytes:
+    def _request(self, frame: Frame, timeout: float | None = None) -> bytes:
         reply = self.pool.request(frame, timeout)
         self.meter.exchange(
             host_of(frame.source), host_of(frame.dest), frame.kind, frame.size, len(reply)

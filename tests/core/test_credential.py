@@ -9,6 +9,7 @@ import pytest
 from repro.core.credential import Credential, SigningAuthority
 from repro.core.errors import CredentialError
 from repro.core.naplet_id import NapletID
+from repro.transport.base import decode_credential, encode_credential
 
 
 @pytest.fixture
@@ -47,6 +48,19 @@ class TestIssueAndVerify:
         cred = authority.issue(nid, "codebase://x", {"role": "guest"})
         forged = dataclasses.replace(cred, attributes=(("role", "admin"),))
         assert not authority.verify(forged)
+
+    def test_attributes_cannot_be_split_out_of_one_value(self, authority, nid):
+        """The signed form is length-prefixed: a value that reads like a
+        separator and a second pair does not sign those two pairs."""
+        cred = authority.issue(nid, "codebase://x", {"app": "netman;role=admin"})
+        forged = dataclasses.replace(cred, attributes=(("app", "netman"), ("role", "admin")))
+        assert not authority.verify(forged)
+        assert authority.verify(cred)
+
+    def test_the_signed_form_is_what_travels_ahead_of_the_mac(self, authority, nid):
+        cred = authority.issue(nid, "codebase://x", {"app": "netman", "role": "admin"})
+        assert encode_credential(cred) == cred.payload() + cred.signature
+        assert decode_credential(encode_credential(cred)) == cred
 
     def test_tampered_signature_fails(self, authority, nid):
         cred = authority.issue(nid, "codebase://x")

@@ -1,10 +1,10 @@
 """Fixtures for the chaos suite: one space factory over both transports.
 
 Every test in ``tests/faults`` runs twice — once on the synchronous
-:class:`InMemoryTransport` (via :class:`VirtualNetwork`'s ``fault_plan``
-hook) and once on the pooled :class:`TcpTransport` wrapped directly in a
-:class:`FaultInjector` — so the resilience machinery is proven against
-both the simulated and the real wire.
+:class:`InMemoryTransport` (via :class:`VirtualNetwork`'s ``fault_plan``)
+and once on the pooled :class:`TcpTransport` with the plan set as its
+``fault_plan`` — so the resilience machinery is proven against both the
+simulated and the real wire.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import pytest
 
 from repro.codeshipping.codebase import CodeBaseRegistry
 from repro.core.credential import SigningAuthority
-from repro.faults import FaultInjector, FaultPlan, RetryPolicy
+from repro.faults import FaultPlan, RetryPolicy
 from repro.server import NapletServer, ServerConfig, deploy
 from repro.simnet import VirtualNetwork, full_mesh
 from repro.transport.tcp import TcpTransport
@@ -108,11 +108,11 @@ def pytest_runtest_makereport(item, call):
 
 @pytest.fixture(params=["inmemory", "tcp"])
 def chaos_space(request):
-    """Factory: ``(plan, config) -> (servers, faulty_transport)``.
+    """Factory: ``(plan, config) -> (servers, transport)``.
 
-    The returned transport is the injector-wrapped one shared by every
-    server; ``transport.heal()`` clears the plan and (through the on_heal
-    hook) requeues dead letters space-wide on both transports.
+    The returned transport, shared by every server, carries out *plan*;
+    ``plan.heal()`` clears it and (through the on_heal hook) requeues dead
+    letters space-wide on both transports.
     """
     cleanups = []
 
@@ -127,13 +127,13 @@ def chaos_space(request):
             _LIVE_SPACES.append(servers)
             return servers, network.transport
         transport = TcpTransport()
-        injector = FaultInjector(transport, plan)
+        transport.fault_plan = plan
         authority = SigningAuthority()
         registry = CodeBaseRegistry()
         servers = {
             name: NapletServer(
                 hostname=name,
-                transport=injector,
+                transport=transport,
                 authority=authority,
                 code_registry=registry,
                 config=config,
@@ -152,7 +152,7 @@ def chaos_space(request):
 
         cleanups.append(_shutdown)
         _LIVE_SPACES.append(servers)
-        return servers, injector
+        return servers, transport
 
     yield _build
     _LIVE_SPACES.clear()

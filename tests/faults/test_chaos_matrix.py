@@ -151,7 +151,7 @@ class TestChaosMatrix:
             .drop(kind=FrameKind.NAPLET_TRANSFER, nth=1)
             .partition("c02")
         )
-        servers, transport = chaos_space(plan)
+        servers, _ = chaos_space(plan)
 
         # Journey: Alt primary c02 is partitioned; retries exhaust, the
         # itinerary falls through to the c01 mirror, whose first transfer
@@ -182,7 +182,7 @@ class TestChaosMatrix:
 
         # Heal: the plan clears, dead letters requeue automatically, and the
         # redelivery re-resolves the target to where it actually lives.
-        transport.heal()
+        plan.heal()
         assert len(servers["c00"].messenger.dead_letters) == 0
         assert servers["c00"].telemetry.dead_letters_requeued.value() == 1
         mailbox = servers["c01"].messenger.mailbox_of(sitter_id)

@@ -93,7 +93,7 @@ class TestDeadLetterIntegration:
         assert servers["c00"].journal.count("message-dead-lettered") == 1
 
     def test_admin_surfaces_and_requeues_the_backlog(self, dlq_space):
-        network, servers, _ = dlq_space
+        _network, servers, plan = dlq_space
         sitter_id = self._park_sitter(servers)
         for n in range(2):
             with pytest.raises(NapletCommunicationError):
@@ -105,9 +105,10 @@ class TestDeadLetterIntegration:
         backlog = admin.dead_letters("c00")["c00"]
         assert len(backlog) == 2 and all(b["dest"] == urn_of("c02") for b in backlog)
 
-        # Heal only the transport-level partition, then requeue via admin:
-        # redelivery re-resolves the sitter to c01 and both messages land.
-        network.heal_host("c02")
+        # Lift only the partition (a partial heal requeues nothing), then
+        # requeue via admin: redelivery re-resolves the sitter to c01 and
+        # both messages land.
+        plan.heal_host("c02")
         delivered, requeued = admin.requeue_dead_letters()
         assert (delivered, requeued) == (2, 0)
         assert admin.dead_letter_depth() == 0

@@ -1,42 +1,38 @@
-"""FaultPlan grammar and FaultInjector mechanics (no servers involved)."""
+"""FaultPlan grammar, and the plan carried out by a transport (no servers involved)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.errors import NapletCommunicationError
-from repro.faults import FaultInjector, FaultPlan, FaultRule
+from repro.faults import FaultPlan, FaultRule
 from repro.telemetry.journal import SpaceJournal
-from repro.telemetry.metrics import MetricsRegistry
-from repro.transport.base import Frame, FrameKind, urn_of
+from repro.transport.base import Frame, FrameKind, Transport, urn_of
 
 
 def frame(kind=FrameKind.MESSAGE, src="a", dst="b", payload=b"payload-bytes"):
     return Frame(kind=kind, source=urn_of(src), dest=urn_of(dst), payload=payload)
 
 
-class FakeTransport:
-    """Inner transport double recording every delivery."""
+class FakeTransport(Transport):
+    """Transport double recording every frame its own delivery moved."""
 
-    def __init__(self):
-        self.metrics = MetricsRegistry()
+    def __init__(self, plan: FaultPlan | None = None):
+        super().__init__()
+        self.fault_plan = plan
         self.sent: list[Frame] = []
         self.requested: list[Frame] = []
-        self.registered: dict[str, object] = {}
-        self.bound: dict[str, object] = {}
+        self.paused: list[float] = []
 
-    def send(self, f: Frame) -> None:
+    def _send(self, f: Frame) -> None:
         self.sent.append(f)
 
-    def request(self, f: Frame, timeout=None) -> bytes:
+    def _request(self, f: Frame, timeout=None) -> bytes:
         self.requested.append(f)
         return b"reply"
 
-    def register(self, urn, handler):
-        self.registered[urn] = handler
-
-    def bind_event_log(self, urn, journal):
-        self.bound[urn] = journal
+    def pause(self, seconds: float) -> None:
+        self.paused.append(seconds)
 
 
 class TestFaultPlan:
@@ -132,74 +128,64 @@ class TestFaultPlan:
         assert row["fired"] == 1 and row["matched"] == 2 and row["exhausted"]
 
 
-class TestFaultInjector:
+class TestTransportFaults:
     def test_clean_frames_pass_through_untouched(self):
-        inner = FakeTransport()
-        injector = FaultInjector(inner, FaultPlan())
+        transport = FakeTransport(FaultPlan())
         f = frame()
-        injector.send(f)
-        assert injector.request(frame()) == b"reply"
-        assert inner.sent == [f] and len(inner.requested) == 1
+        transport.send(f)
+        assert transport.request(frame()) == b"reply"
+        assert transport.sent == [f] and len(transport.requested) == 1
 
     def test_dropped_send_is_silent_but_dropped_request_raises(self):
-        inner = FakeTransport()
-        injector = FaultInjector(inner, FaultPlan().drop(times=2))
-        injector.send(frame())  # one-way loss: no error, nothing delivered
+        transport = FakeTransport(FaultPlan().drop(times=2))
+        transport.send(frame())  # one-way loss: no error, nothing delivered
         with pytest.raises(NapletCommunicationError):
-            injector.request(frame())
-        assert inner.sent == [] and inner.requested == []
+            transport.request(frame())
+        assert transport.sent == [] and transport.requested == []
 
     def test_refuse_dial_raises_before_any_bytes_move(self):
-        inner = FakeTransport()
-        injector = FaultInjector(inner, FaultPlan().refuse_dial())
+        transport = FakeTransport(FaultPlan().refuse_dial())
         with pytest.raises(NapletCommunicationError, match="injected"):
-            injector.request(frame())
-        assert inner.requested == []
+            transport.request(frame())
+        with pytest.raises(NapletCommunicationError, match="refused dial"):
+            transport.send(frame())  # as a real refused dial does
+        assert transport.requested == [] and transport.sent == []
 
     def test_duplicate_delivers_twice(self):
-        inner = FakeTransport()
-        injector = FaultInjector(inner, FaultPlan().duplicate(times=1))
-        injector.request(frame())
-        assert len(inner.requested) == 2
+        transport = FakeTransport(FaultPlan().duplicate(times=1))
+        transport.request(frame())
+        assert len(transport.requested) == 2
+
+    def test_delay_pauses_on_the_transport_then_delivers(self):
+        transport = FakeTransport(FaultPlan().delay(0.25, times=1))
+        transport.send(frame())
+        assert transport.paused == [0.25] and len(transport.sent) == 1
 
     def test_corrupt_mangles_leading_payload_bytes(self):
-        inner = FakeTransport()
-        injector = FaultInjector(inner, FaultPlan().corrupt(times=1))
-        injector.send(frame(payload=b"hello world"))
-        (delivered,) = inner.sent
+        transport = FakeTransport(FaultPlan().corrupt(times=1))
+        transport.send(frame(payload=b"hello world"))
+        (delivered,) = transport.sent
         assert delivered.payload.startswith(b"\xde\xad")
         assert delivered.payload[2:] == b"llo world"
 
     def test_crash_after_delivers_then_raises(self):
-        inner = FakeTransport()
         plan = FaultPlan()
         plan.rule(FaultRule("crash", when="after", times=1))
-        injector = FaultInjector(inner, plan)
+        transport = FakeTransport(plan)
         with pytest.raises(NapletCommunicationError):
-            injector.request(frame())
-        assert len(inner.requested) == 1  # the exchange DID complete remotely
+            transport.request(frame())
+        assert len(transport.requested) == 1  # the exchange DID complete remotely
 
-    def test_fault_counter_lands_on_the_inner_registry(self):
-        inner = FakeTransport()
-        injector = FaultInjector(inner, FaultPlan().drop(times=1))
-        injector.send(frame())
-        assert inner.metrics.snapshot().total("fault_injected_total") == 1.0
+    def test_fault_counter_lands_on_the_transport_registry(self):
+        transport = FakeTransport(FaultPlan().drop(times=1))
+        transport.send(frame())
+        assert transport.metrics.snapshot().total("fault_injected_total") == 1.0
 
-    def test_attribute_fallthrough_reaches_the_inner_transport(self):
-        inner = FakeTransport()
-        injector = FaultInjector(inner, FaultPlan())
-        handler = object()
-        injector.register("naplet://x", handler)
-        assert inner.registered["naplet://x"] is handler
-        assert injector.metrics is inner.metrics
-
-    def test_faults_are_journaled_at_the_source_and_the_bind_reaches_inner(self):
-        inner = FakeTransport()
-        injector = FaultInjector(inner, FaultPlan().drop(times=1))
+    def test_faults_are_journaled_at_the_source(self):
+        transport = FakeTransport(FaultPlan().drop(times=1))
         journal = SpaceJournal("a")
-        injector.bind_event_log(urn_of("a"), journal)
-        assert inner.bound[urn_of("a")] is journal
-        injector.send(frame())
+        transport.bind_event_log(urn_of("a"), journal)
+        transport.send(frame())
         (record,) = journal.records(category="fault")
         assert record.kind == "fault-injected"
         assert record.detail == {
@@ -211,8 +197,8 @@ class TestFaultInjector:
 
     @pytest.mark.parametrize("op", ["send", "request"])
     def test_a_failing_duplicate_copy_is_journaled_not_swallowed(self, op):
-        inner = FakeTransport()
-        deliver = getattr(inner, op)
+        transport = FakeTransport(FaultPlan().duplicate(times=1))
+        deliver = getattr(transport, f"_{op}")
         calls = []
 
         def first_copy_raises(f, *args):
@@ -221,11 +207,10 @@ class TestFaultInjector:
                 raise RuntimeError("duplicate copy blew up")
             return deliver(f, *args)
 
-        setattr(inner, op, first_copy_raises)
-        injector = FaultInjector(inner, FaultPlan().duplicate(times=1))
+        setattr(transport, f"_{op}", first_copy_raises)
         journal = SpaceJournal("a")
-        injector.bind_event_log(urn_of("a"), journal)
-        getattr(injector, op)(frame())  # the real exchange still goes through
+        transport.bind_event_log(urn_of("a"), journal)
+        getattr(transport, op)(frame())  # the real exchange still goes through
         assert len(calls) == 2
         (error,) = journal.find("fault-duplicate-error")
         assert error.category == "fault"

@@ -134,10 +134,17 @@ class TestPartitionedObserver:
         last_seq = servers["c00"].health.local_digest().seq
         assert wait_until(lambda: view.digest("c00").seq == last_seq, timeout=10)
         plan.partition("c00")
-        # The cut-off observer's own heartbeat must not raise; failed
-        # sends either drop silently (injector) or count as failures
-        # (virtual network) — in both cases nothing new merges at c01.
+        # The cut-off observer's own heartbeat must not raise: the plan
+        # loses each digest on the sending thread, before the wire, so c00
+        # books no load frame, journals one fault per live peer, and
+        # nothing new merges at c01.
         before = view.digest("c00")
+        transport, journal = servers["c00"].transport, servers["c00"].journal
+        booked = transport.meter.kind_stats(FrameKind.LOAD).frames
+        faults = journal.count("fault-injected")
+        peers = transport.live_peers(servers["c00"].urn)
+        assert peers
         servers["c00"].health.tick()
-        time.sleep(0.1)  # let any (wrongly) delivered frame land
+        assert transport.meter.kind_stats(FrameKind.LOAD).frames == booked
+        assert journal.count("fault-injected") == faults + len(peers)
         assert view.digest("c00") == before

@@ -33,7 +33,7 @@ class SlowCollector(CollectorNaplet):
 class TestMigrationFaults:
     def test_launch_over_dead_link_fails(self, space):
         network, servers = space(line(2, prefix="s"))
-        network.fail_link("s00", "s01")
+        network.fault_plan.refuse_dial(src="s00", dst="s01").refuse_dial(src="s01", dst="s00")
         agent = CollectorNaplet("doomed")
         agent.set_itinerary(Itinerary(seq("s01")))
         with pytest.raises(NapletMigrationError):
@@ -50,7 +50,7 @@ class TestMigrationFaults:
         network = VirtualNetwork(line(2, prefix="s"))
 
         def heal_during_backoff(_wait: float) -> None:
-            network.heal_link("s00", "s01")
+            network.fault_plan.heal()
 
         config = ServerConfig(
             migration_retry=RetryPolicy(
@@ -58,7 +58,7 @@ class TestMigrationFaults:
             )
         )
         network, servers = space(network, config=config)
-        network.fail_link("s00", "s01")
+        network.fault_plan.refuse_dial(src="s00", dst="s01").refuse_dial(src="s01", dst="s00")
         listener = repro.NapletListener()
         agent = CollectorNaplet("retry")
         agent.set_itinerary(
@@ -74,7 +74,7 @@ class TestMigrationFaults:
             line(2, prefix="s"),
             config=ServerConfig(migration_retry=RetryPolicy(max_attempts=1)),
         )
-        network.fail_link("s00", "s01")
+        network.fault_plan.refuse_dial(src="s00", dst="s01").refuse_dial(src="s01", dst="s00")
         agent = CollectorNaplet("doomed-no-retry")
         agent.set_itinerary(Itinerary(seq("s01")))
         with pytest.raises(NapletMigrationError):
@@ -83,7 +83,7 @@ class TestMigrationFaults:
 
     def test_skip_policy_survives_partitioned_host(self, space):
         network, servers = space(full_mesh(4, prefix="n"))
-        network.partition_host("n02")
+        network.fault_plan.partition("n02")
         listener = repro.NapletListener()
         agent = CollectorNaplet("resilient")
         agent.set_itinerary(
@@ -100,7 +100,7 @@ class TestMigrationFaults:
 
     def test_alt_falls_back_to_reachable_mirror(self, space):
         network, servers = space(full_mesh(4, prefix="n"))
-        network.partition_host("n01")  # primary mirror dead
+        network.fault_plan.partition("n01")  # primary mirror dead
         listener = repro.NapletListener()
         agent = CollectorNaplet("mirror-client")
         pattern = seq(
@@ -127,7 +127,7 @@ class TestMigrationFaults:
         )
         nid = servers["s00"].launch(agent, owner="ops", listener=listener)
         assert wait_until(lambda: servers["s01"].manager.is_resident(nid), timeout=5)
-        network.fail_link("s01", "s02")
+        network.fault_plan.refuse_dial(src="s01", dst="s02").refuse_dial(src="s02", dst="s01")
         # dispatch to s02 fails; skip policy completes the journey at s01
         report = listener.next_report(timeout=15)
         assert report.payload == ["s01"]

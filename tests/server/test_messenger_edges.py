@@ -73,7 +73,7 @@ class TestEdges:
             None, nid, "early", dest_urn="naplet://s01"
         )
         assert receipt.status == "parked"
-        network.partition_host("s02")
+        network.fault_plan.partition("s02")
         # it is forked at s01 and leaves toward the partitioned s02: chasing
         # it with the parked message must not raise, and dead-letters it
         manager = servers["s01"].manager
@@ -94,7 +94,7 @@ class TestEdges:
         mailbox = servers["s01"].messenger.mailbox_of(nid)
         assert mailbox is not None
         servers["s00"].messenger.post(None, nid, "queued")
-        network.partition_host("s02")
+        network.fault_plan.partition("s02")
         manager = servers["s01"].manager
         block = manager.control_block(nid)
         record = manager.begin_departure(nid, "naplet://s02")

@@ -86,23 +86,25 @@ class TestVirtualNetwork:
         assert host.attachment("absent", 1) == 1
 
     def test_fault_injection_delegates(self):
+        """The network's fault plan is its transport's: an empty one by
+        default, whose rules every frame in the space then meets."""
         network = VirtualNetwork(line(2, prefix="h"))
+        assert network.transport.fault_plan is network.fault_plan
         network.transport.register("naplet://h01", lambda f: b"ok")
         from repro.core.errors import NapletCommunicationError
         from repro.transport.base import Frame
 
-        network.fail_link("h00", "h01")
+        ping = Frame(kind="ping", source="naplet://h00", dest="naplet://h01")
+        network.transport.send(ping)
+        network.fault_plan.refuse_dial(src="h00", dst="h01")
         with pytest.raises(NapletCommunicationError):
-            network.transport.send(
-                Frame(kind="ping", source="naplet://h00", dest="naplet://h01")
-            )
-        network.heal_link("h00", "h01")
-        network.partition_host("h01")
+            network.transport.send(ping)
+        network.heal()
+        network.fault_plan.partition("h01")
         with pytest.raises(NapletCommunicationError):
-            network.transport.send(
-                Frame(kind="ping", source="naplet://h00", dest="naplet://h01")
-            )
-        network.heal_host("h01")
+            network.transport.request(ping)
+        network.fault_plan.heal_host("h01")
+        assert network.transport.request(ping) == b"ok"
 
     def test_shared_fixtures_exist(self):
         network = VirtualNetwork(star(1))

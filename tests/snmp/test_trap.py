@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.faults import FaultPlan
 from repro.snmp.device import DeviceProfile, ManagedDevice
 from repro.snmp.oid import OID
 from repro.snmp.trap import TrapSender, TrapSink, TrapType, trap_sink_urn
@@ -51,7 +52,7 @@ class TestDelivery:
 
     def test_unreachable_sink_is_silent_loss(self, wired):
         transport, sink, _device, sender = wired
-        transport.partition_host("station")
+        transport.fault_plan = FaultPlan().refuse_dial(dst="station")
         sender.cold_start()  # no raise: traps are unacknowledged datagrams
         assert sender.sent == 0
 

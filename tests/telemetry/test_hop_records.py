@@ -17,6 +17,7 @@ import pytest
 import repro
 from repro.codeshipping.codebase import CodeBaseRegistry
 from repro.core.credential import SigningAuthority
+from repro.faults import FaultPlan
 from repro.itinerary import Itinerary, ResultReport, SeqPattern
 from repro.server import NapletServer, SpaceAdmin
 from repro.simnet import line
@@ -126,12 +127,12 @@ def _field(line: str, name: str) -> str:
 
 
 class TestRefusedLanding:
-    def test_a_landing_the_authority_cannot_hear_of_is_not_counted(self, space):
+    def test_a_landing_the_authority_cannot_hear_of_is_not_counted(self, four):
         """s02's registration cannot reach the naplet's home (the HOME-mode
-        authority): s02 refuses the landing, writes no landing record, and
-        the hop from s01 ends in error."""
-        network, servers = space(line(4, prefix="s"))
-        network.transport.fail_link("s02", "s00", symmetric=False)
+        authority): its dial is refused, so s02 refuses the landing, writes
+        no landing record, and the hop from s01 ends in error."""
+        servers = four
+        servers["s00"].transport.fault_plan = FaultPlan().refuse_dial(src="s02", dst="s00")
         agent = CollectorNaplet("refused")
         agent.set_itinerary(Itinerary(SeqPattern.of_servers(["s01", "s02"])))
         nid = str(servers["s00"].launch(agent, owner="alice"))

@@ -1,4 +1,4 @@
-"""InMemoryTransport: delivery, ledger booking, clock accounting, fault injection."""
+"""InMemoryTransport: delivery, ledger booking, clock accounting, its fault plan."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import pickle
 import pytest
 
 from repro.core.errors import NapletCommunicationError
+from repro.faults import FaultPlan
 from repro.transport.base import Frame, FrameKind
 from repro.transport.clock import SimClock
 from repro.transport.inmemory import InMemoryTransport
@@ -75,37 +76,49 @@ class TestMetering:
 
 
 class TestFaults:
+    """The transport's fault plan, on a bare in-memory transport."""
+
     def test_failed_link_blocks_both_ways(self, transport):
-        transport.fail_link("a", "b")
+        transport.fault_plan = (
+            FaultPlan().refuse_dial(src="a", dst="b").refuse_dial(src="b", dst="a")
+        )
         with pytest.raises(NapletCommunicationError):
             transport.send(_frame())
         with pytest.raises(NapletCommunicationError):
             transport.send(_frame(src="naplet://b", dst="naplet://a"))
 
     def test_asymmetric_failure(self, transport):
-        transport.fail_link("a", "b", symmetric=False)
+        transport.fault_plan = FaultPlan().refuse_dial(src="a", dst="b")
         with pytest.raises(NapletCommunicationError):
             transport.send(_frame())
         transport.register("naplet://a", lambda f: None)
         transport.send(_frame(src="naplet://b", dst="naplet://a"))  # reverse ok
 
-    def test_heal_link(self, transport):
-        transport.fail_link("a", "b")
-        transport.heal_link("a", "b")
+    def test_a_healed_plan_lets_frames_through(self, transport):
+        transport.fault_plan = plan = FaultPlan().refuse_dial(src="a", dst="b")
+        plan.heal()
         transport.request(_frame())  # works again
 
-    def test_partition_host(self, transport):
-        transport.partition_host("b")
+    def test_a_partition_fails_requests_and_loses_sends(self, transport):
+        transport.fault_plan = plan = FaultPlan().partition("b")
         with pytest.raises(NapletCommunicationError):
-            transport.send(_frame())
-        transport.heal_host("b")
+            transport.request(_frame())
+        transport.send(_frame())  # one-way loss is silent
+        plan.heal_host("b")
         transport.request(_frame())
 
     def test_failures_not_metered(self, transport):
-        transport.fail_link("a", "b")
+        transport.fault_plan = FaultPlan().refuse_dial(src="a", dst="b").partition("sink")
         with pytest.raises(NapletCommunicationError):
             transport.send(_frame())
-        assert transport.meter.total_frames == 0
+        transport.send(_frame(dst="naplet://sink"))
+        assert transport.meter.total_frames == 0 and transport.received == []
+
+    def test_a_delay_advances_the_clock_not_the_wall(self, transport):
+        transport.fault_plan = FaultPlan().delay(30.0, times=1)
+        transport.send(_frame(dst="naplet://sink"))
+        # 30 s of fault delay plus the 0.01 s latency model, all simulated
+        assert transport.clock.virtual_time == pytest.approx(30.01)
 
 
 class TestClockScale:
