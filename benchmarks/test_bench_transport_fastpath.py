@@ -199,12 +199,12 @@ def _measure_delta(route: list[str], full_hops: int) -> dict:
     for server in servers.values():
         serializer = server.serializer
 
-        def landing(data, cache=None, *, buffers=None, serializer=serializer,
+        def landing(data, cache=None, *, buffers=None, prev=None, serializer=serializer,
                     loads=serializer.loads_with_info):
-            naplet, info = loads(data, cache, buffers=buffers)
-            if info["hash"] is not None:  # a landed image, not a message body
-                held = serializer.delta_cache.peek(info["nid"]).fields["cargo"]
-                copies.append(naplet.cargo is not serializer.delta_cache.blob(held.hash))
+            naplet, info = loads(data, cache, buffers=buffers, prev=prev)
+            if info["image"] is not None:  # a landed image, not a message body
+                held = info["image"].entries["cargo"]
+                copies.append(naplet.cargo is not serializer.blobs.get(held.hash))
             return naplet, info
 
         serializer.loads_with_info = landing

@@ -113,7 +113,8 @@ def main() -> None:
     wait_until(lambda: admin.dead_letter_depth() == 0, timeout=5)
     print("\n— after heal —")
     print(f"  dead-letter depth : {admin.dead_letter_depth()}")
-    requeued = servers["h00"].telemetry.dead_letters_requeued.value()
+    metrics = servers["h00"].telemetry.registry.snapshot()
+    requeued = metrics.value("naplet_dead_letters_requeued_total")
     print(f"  letters requeued  : {requeued:.0f}")
     # The redelivery re-resolved the target and landed in the sitter's h01
     # mailbox — NOT at the dead h02 address the message was posted to.

@@ -12,9 +12,9 @@ The walkthrough shows the mechanism at four magnifications:
 1. ``explain_delta`` *before the journey*: no previous image, everything
    ships — the classic full-image hop;
 2. ``explain_delta`` *after the journey*, at the server the courier last
-   left: its record knows the cargo didn't move, so a hop from there back
-   would ship a few hundred bytes and keep the cargo off the wire (the
-   server it retired at dropped its record with it);
+   left: the manifest its record keeps (hashes and blobs, no live values)
+   knows the cargo didn't move, so a hop from there back would ship a few
+   hundred bytes and keep the cargo off the wire;
 3. the per-hop cost table (``image`` and ``saved`` columns) and the
    ``naplet_delta_*`` counters tally what the journey actually saved;
 4. a second courier with the *same* cargo tours a ring of three servers:
@@ -78,12 +78,14 @@ def main() -> None:
         admin = SpaceAdmin(servers)
         admin.wait_space_idle()
 
-        # 2. After the journey d01 still holds the last image it shipped
-        #    (bytes only: the live values were released when d00 acked);
-        #    an unchanged cargo would ride that cache, not the wire.  The
-        #    launcher, where the courier retired, holds no record any more.
+        # 2. After the journey d01's record of the courier still keeps the
+        #    last image it shipped, cut to a manifest (hashes and blobs: the
+        #    live values left with the courier); an unchanged cargo would
+        #    ride those blobs, not the wire.
         print("\n=== delta view after the journey, from d01 ===")
-        print(explain_delta(agent, servers["d01"].serializer).render())
+        d01 = servers["d01"]
+        base = d01.manager.footprint(nid).image
+        print(explain_delta(agent, d01.serializer, prev=base).render())
 
         # 3. What the hops actually cost: repeat hops read ``delta`` in
         #    the ``image`` column and show a fat ``saved`` column.
@@ -118,7 +120,9 @@ def main() -> None:
         print(f"  second lap onward  : {costs[4:]}")
         print("\n=== delta view from d03 toward d01, by what d03 knows d01 holds ===")
         d03 = servers["d03"]
-        print(explain_delta(ring_agent, d03.serializer, held=d03.navigator.held_by("d01")).render())
+        base = d03.manager.footprint(ring_nid).image
+        held = d03.navigator.held_by("d01")
+        print(explain_delta(ring_agent, d03.serializer, held=held, prev=base).render())
     finally:
         network.shutdown()
 

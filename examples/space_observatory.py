@@ -6,8 +6,9 @@ the whole space without a single extra connection: each tick's heartbeat
 rides the channels earlier traffic already opened.  This walkthrough shows the
 loop closing:
 
-1. a warm-up tour opens the links, and one heartbeat later every server
-   holds fresh digests of its peers — the merged ``SpaceView``;
+1. a warm-up tour opens the links — every server sends each of the others
+   a frame of its own — and one heartbeat later every server holds fresh
+   digests of its peers — the merged ``SpaceView``;
 2. a pack of parked residents makes ``s01`` visibly busy, and the next
    heartbeat carries the skew to the launcher;
 3. an ``alt(s01, s02)`` journey — declared busy-first — is rerouted to
@@ -17,7 +18,7 @@ loop closing:
    decays to *unknown* (never to idle) and navigation falls back to
    static declaration order, journaled with the reason.
 
-Run:  python examples/space_observatory.py
+Run:  python examples/space_observatory.py  (exits 1 unless step 3 reroutes)
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def show_view(admin: SpaceAdmin, observer: str) -> None:
         print(f"    {peer:<6} {label:<18} age {entry['age_s']:.2f}s")
 
 
-def main() -> None:
+def main() -> int:
     network = VirtualNetwork(full_mesh(3, prefix="s"))
     servers = deploy(
         network,
@@ -71,18 +72,21 @@ def main() -> None:
     admin = SpaceAdmin(servers)
     try:
         # 1. Warm-up tour: its frames open the links the heartbeats will
-        # ride.  A beat later, every server holds its peers' digests.
+        # ride — s00 -> s01 -> s02 -> s01 -> s00 by transfer, s02 and s01
+        # -> s00 by the landings' registrations at the HOME directory.  A
+        # beat later, every server holds its peers' digests.
         warmup = Tourist("warmup")
         warmup.set_itinerary(
             Itinerary(
                 SeqPattern.of_servers(
-                    ["s01", "s02"], post_action=ResultReport("visited")
+                    ["s01", "s02", "s01", "s00"], post_action=ResultReport("visited")
                 )
             )
         )
         listener = repro.NapletListener()
         servers["s00"].launch(warmup, owner="demo", listener=listener)
         listener.next_report(timeout=10)
+        admin.wait_space_idle(timeout=10)
         for server in servers.values():
             server.health.tick()
         print("=== 1. the merged space view after one heartbeat ===")
@@ -120,8 +124,9 @@ def main() -> None:
         servers["s00"].launch(tourist, owner="demo", listener=listener)
         report = listener.next_report(timeout=10)
         print("\n=== 3. alt(s01, s02) with s01 busy ===")
+        reroutes = servers["s00"].health.reroutes()
         print(f"  journey landed at: {report.payload[0]}")
-        print(f"  reroutes at s00:   {servers['s00'].health.reroutes()}")
+        print(f"  reroutes at s00:   {reroutes}")
         print("  the decision, from the flight recorder alone:")
         for record in servers["s00"].journal.records(kind="load"):
             print("   ", format_record(record))
@@ -154,7 +159,8 @@ def main() -> None:
         print(f"  fallback reason:   {fallback.detail['fallback']}")
     finally:
         network.shutdown()
+    return 0 if reroutes == 1 else 1
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Container
 
 from repro.core.errors import SerializationError
-from repro.transport.delta import content_hash, field_fate, field_key, image_hash
+from repro.transport.delta import Image, content_hash, field_fate, field_key, image_hash
 from repro.transport.serializer import (
     NapletSerializer,
     _SelfReferential,
@@ -175,16 +175,16 @@ class DeltaXray:
 
     Decided field by field with the serializer's own rule
     (:func:`~repro.transport.delta.field_fate`) from the naplet's
-    *current* per-field pickle, its previous image in *serializer*'s
-    delta cache (the last one dumped or landed here) and what the peer is
-    known to hold.  ``shipped`` maps the fields whose bytes would go on
-    the wire to their sizes; ``skipped`` maps the fields kept off it —
-    omitted, or sent as a hash if named in ``referenced``.  Without a
-    previous image every field ships (``base_hash`` is None — a launch is
-    always a full image).  ``base_live`` is False when that image holds no
-    live values — the departure it was dumped for was acked and they were
-    released — so a dump here would re-pickle every field; what ships is
-    decided by the bytes' hashes either way.
+    *current* per-field pickle, its previous image at a server (the last
+    one dumped or landed there, kept on its naplet-table record) and what
+    the peer is known to hold.  ``shipped`` maps the fields whose bytes
+    would go on the wire to their sizes; ``skipped`` maps the fields kept
+    off it — omitted, or sent as a hash if named in ``referenced``.
+    Without a previous image every field ships (``base_hash`` is None — a
+    launch is always a full image).  ``base_live`` is False when that
+    image is a manifest — the naplet left or retired there, taking its
+    live values along — so a dump there would re-pickle every field; what
+    ships is decided by the bytes' hashes either way.
     """
 
     base_hash: str | None
@@ -220,7 +220,7 @@ class DeltaXray:
         }
 
     def render(self) -> str:
-        """Aligned text table: what ships, what the peer's cache saves."""
+        """Aligned text table: what ships, what the peer already holds saves."""
         names = list(self.shipped) + list(self.skipped) + ["(total)"]
         width = max(len(name) for name in names)
         if not self.base_hash:
@@ -228,7 +228,7 @@ class DeltaXray:
         else:
             what = "delta against image " + self.base_hash[:12]
             if not self.base_live:
-                what += " (values released)"
+                what += " (a manifest: no live values)"
         lines = [
             "  next hop ships a " + what,
             f"  {'attribute':<{width}} {'bytes':>10}  {'fate'}",
@@ -247,28 +247,29 @@ class DeltaXray:
 
 
 def explain_delta(
-    naplet: Any, serializer: NapletSerializer, held: Container[str] | None = None
+    naplet: Any, serializer: NapletSerializer, held: Container[str] | None = None,
+    prev: Image | None = None,
 ) -> DeltaXray:
     """Preview *naplet*'s next hop under delta shipping — a pure probe.
 
     Images each ``image_state()`` field (the itinerary's plan and cursor
     apart, no credential) as the serializer does, raw ``bytes`` or pickle,
     and asks the serializer's own rule what the hop would do with it, so
-    the view cannot drift from the envelope.  *held*
-    is what the destination is known to hold
-    (``server.navigator.held_by(peer)``); by default it is the naplet's
-    previous image here — the view of a hop back to the peer that image
-    came from or went to.  Nothing is mutated: the cache is peeked, not
-    promoted, and dirty flags stay as they are.
+    the view cannot drift from the envelope.  *prev* is the naplet's
+    previous image at the sending server (``server.manager.footprint(nid).image``;
+    None: a launch).  *held* is what the destination is known to hold
+    (``server.navigator.held_by(peer)``); by default it is *prev* — the
+    view of a hop back to the peer that image came from or went to.
+    Nothing is mutated: no blob is touched, and dirty flags stay as they are.
     """
     getstate = getattr(naplet, "image_state", None) or getattr(naplet, "__getstate__", None)
     state = getstate() if callable(getstate) else dict(naplet.__dict__)
     if not isinstance(state, dict):
         state = {"(state)": state}
     nid = str(naplet.naplet_id) if getattr(naplet, "has_id", False) else ""
-    prev = serializer.delta_cache.peek(nid) if nid else None
+    before = prev.field_hashes() if prev is not None else {}
     if held is None:  # a hop back to the peer the previous image came from or went to
-        held = {nid, *prev.field_hashes().values()} if prev is not None else ()
+        held = {nid, *before.values()} if prev is not None else ()
 
     shipped: dict[str, int] = {}
     skipped: dict[str, int] = {}
@@ -282,8 +283,9 @@ def explain_delta(
             # back to the naplet: the real dump fails or goes as one pickle.
             shipped[_friendly(attr)] = 0
             continue
-        digest = field_hashes[field_key(attr, raw)] = content_hash(data)
-        fate = field_fate(prev, attr, digest, len(data), nid, held, raw)
+        key = field_key(attr, raw)
+        digest = field_hashes[key] = content_hash(data)
+        fate = field_fate(before.get(key), digest, len(data), nid, held)
         (shipped if fate == "ships" else skipped)[_friendly(attr)] = len(data)
         if fate == "referenced":
             referenced.add(_friendly(attr))
@@ -292,7 +294,6 @@ def explain_delta(
         image_hash=image_hash(field_hashes),
         shipped=shipped,
         skipped=skipped,
-        base_live=prev is not None
-        and all(entry.live for entry in prev.fields.values()),
+        base_live=prev is not None and prev.entries is not None,
         referenced=frozenset(referenced),
     )

@@ -14,8 +14,8 @@ Cache entries are invalidated on migration notifications and expire after a
 TTL so stale locations self-heal; a stale answer is *safe* regardless,
 because message forwarding chases naplets along server traces.  The cache
 is LRU-bounded (``cache_capacity``) so a long-running server tracking
-millions of naplets cannot grow it without limit; evictions are counted in
-telemetry.
+millions of naplets cannot grow it without limit; evictions are counted
+once, in ``cache_evictions``, which the metrics page reads.
 """
 
 from __future__ import annotations
@@ -56,10 +56,15 @@ class Locator:
         self.cache_capacity = cache_capacity
         self._now = time_source
         self.journal = journal if journal is not None else SpaceJournal("locator")
-        self.telemetry = telemetry
         self._cache: OrderedDict[NapletID, tuple[str, float]] = OrderedDict()
         self._lock = threading.Lock()
         self.cache_evictions = 0
+        if telemetry is not None:  # the metrics page's view of that count
+            telemetry.registry.counter_fn(
+                "naplet_locator_cache_evictions_total",
+                "Locator cache entries evicted by the LRU capacity bound", None,
+                lambda: self.cache_evictions,
+            )
 
     # Read by the frozen journey harness: views over the journal's tally.
     @property
@@ -74,7 +79,6 @@ class Locator:
 
     def note_location(self, nid: NapletID, urn: str) -> None:
         """Record a location learned out-of-band (confirmations, arrivals)."""
-        evicted = 0
         with self._lock:
             self._cache[nid] = (urn, self._now())
             self._cache.move_to_end(nid)
@@ -82,9 +86,6 @@ class Locator:
                 while len(self._cache) > self.cache_capacity:
                     self._cache.popitem(last=False)
                     self.cache_evictions += 1
-                    evicted += 1
-        if evicted and self.telemetry is not None:
-            self.telemetry.locator_evictions.inc(evicted)
 
     def invalidate(self, nid: NapletID) -> None:
         with self._lock:

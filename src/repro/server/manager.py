@@ -5,14 +5,15 @@ execution states, control their behaviour.  It keeps the server's one
 *naplet table*: a :class:`Resident` record for each naplet the server holds
 anything of, under one lock.  A record holds the naplet, its mailbox, the
 system messages held for its admission, its control block, its service
-channels, and the footprint of its visit that message forwarding and
-management tooling rely on ("the NapletManager maintains the source and
-destination information about each naplet visit").
+channels, its last per-field image here (:class:`~repro.transport.delta.Image`),
+and the footprint of its visit that message forwarding and management
+tooling rely on ("the NapletManager maintains the source and destination
+information about each naplet visit").
 
 Each state change is one method under the table lock: ``expected``
 (messages came first: the paper's special mailbox) → ``arriving`` →
 ``admitted`` → ``departing`` → ``departed`` or ``retired``, which keep only
-the footprint (DESIGN.md §6.3).
+the footprint and the image's manifest (DESIGN.md §6.3, §6.7).
 
 It also owns the home-side listener registry: launching with a
 :class:`~repro.core.listener.NapletListener` hands the travelling naplet a
@@ -39,6 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.server.monitor import ResourceUsage, _ControlBlock
     from repro.server.server import NapletServer
     from repro.server.service_channel import ServiceChannel
+    from repro.transport.delta import Image
 
 __all__ = ["Resident", "NapletManager"]
 
@@ -56,7 +58,7 @@ class Resident:
     """One row of the naplet table; once the naplet is gone, its footprint."""
 
     __slots__ = (
-        "naplet_id", "state", "naplet", "mailbox", "held", "block", "channels",
+        "naplet_id", "state", "naplet", "mailbox", "held", "block", "channels", "image",
         "arrived_from", "arrived_at", "departed_to", "departed_at", "outcome",
     )
 
@@ -70,6 +72,7 @@ class Resident:
         self.held: list[SystemMessage] | None = None  # system messages awaiting admission
         self.block: "_ControlBlock | None" = None
         self.channels: dict[str, "ServiceChannel"] | None = None
+        self.image: "Image | None" = None  # the last one dumped or landed here
         self.arrived_from = arrived_from
         self.arrived_at = time.time()
         self.departed_to: str | None = None
@@ -99,6 +102,7 @@ class NapletManager:
         self._gone = 0  # departed and retired records in the table
         self._listeners: dict[str, NapletListener] = {}
         self._lock = threading.RLock()  # a message body is decoded under it
+        self._blobs = server.serializer.blobs  # what the records' images name
 
     # ------------------------------------------------------------------ #
     # Launching (realized by the home Navigator; see paper §2.2)
@@ -154,13 +158,16 @@ class NapletManager:
     # The naplet table
     # ------------------------------------------------------------------ #
 
-    def record_arrival(self, naplet: "Naplet", arrived_from: str | None) -> None:
+    def record_arrival(
+        self, naplet: "Naplet", arrived_from: str | None, image: "Image | None" = None
+    ) -> None:
         """A landing, or a launch or spawn from here: a fresh ``arriving``
-        record.  What waited on the one it replaces — messages parked
-        before the naplet came, or left by a departure it came back from
-        before the ack — is its own."""
+        record keeping the landed *image*.  What waited on the one it
+        replaces — messages parked before the naplet came, or left by a
+        departure it came back from before the ack — is its own."""
         nid = naplet.naplet_id
         record = Resident(nid, naplet, arrived_from)
+        record.image = image
         parked = 0
         with self._lock:
             previous = self._table.pop(nid, None)
@@ -170,6 +177,7 @@ class NapletManager:
                 if previous.state in (EXPECTED, RETIRED):
                     parked = previous.waiting()
                 record.mailbox, record.held = previous.mailbox, previous.held
+                self._blobs.let_go(previous.image)
             if record.mailbox is None:
                 record.mailbox = Mailbox()
             self._table[nid] = record
@@ -187,18 +195,28 @@ class NapletManager:
                     self._interrupt(record, message.control, message.payload)
                 record.held = None
 
-    def begin_departure(self, nid: NapletID, departed_to: str) -> Resident | None:
+    def begin_departure(
+        self, nid: NapletID, departed_to: str, visit: Resident | None = None
+    ) -> Resident | None:
         """Mark *nid* in transit BEFORE the transfer is attempted: from now
         on messages for it are forwarded toward *departed_to*, where they
-        park until it lands.  Returns the record, for
-        :meth:`abort_departure` or :meth:`end_departure`."""
+        park until it lands.  Returns the record, for :meth:`abort_departure`
+        or :meth:`end_departure`; None if the naplet is not resident here
+        under the *visit* record, when given."""
         with self._lock:
             record = self._table.get(nid)
-            if record is None or record.state not in _RESIDENT:
+            if record is None or record.state not in _RESIDENT or visit not in (None, record):
                 return None
             record.state = DEPARTING
             record.departed_to, record.departed_at = departed_to, time.time()
             return record
+
+    def keep_image(self, record: Resident | None, image: "Image | None") -> None:
+        """*image*, dumped for the departure *record* marks, replaces its image."""
+        with self._lock:
+            self._blobs.let_go(image if record is None else record.image)
+            if record is not None:
+                record.image = image
 
     def abort_departure(self, nid: NapletID, record: Resident | None) -> None:
         """Roll back :meth:`begin_departure` after a failed transfer."""
@@ -226,17 +244,20 @@ class NapletManager:
         return record is not None and self._table.get(nid) is record and record.state is DEPARTING
 
     def _bury(self, record: Resident, state: str) -> list[Message]:
-        """Leave only *record*'s footprint, closing its mailbox and channels;
-        returns the messages that waited on it."""
+        """Leave only *record*'s footprint and its image's manifest, closing
+        its mailbox and channels; returns the messages that waited on it."""
         pending: list[Message] = record.mailbox.drain() + (record.held or [])
         record.mailbox.close()
         for channel in (record.channels or {}).values():
             channel.close()
         record.state = state
         record.naplet = record.mailbox = record.held = record.block = record.channels = None
+        if record.image is not None:  # the live values left with the naplet
+            record.image = record.image.manifest()
         self._gone += 1
         while self._gone > _FOOTPRINT_CAPACITY:  # forget the oldest footprint
-            del self._table[next(nid for nid, r in self._table.items() if r.state in _GONE)]
+            oldest = next(nid for nid, r in self._table.items() if r.state in _GONE)
+            self._blobs.let_go(self._table.pop(oldest).image)
             self._gone -= 1
         return pending
 

@@ -95,6 +95,11 @@ class Messenger:
         self.dead_letters = DeadLetterQueue(_DEAD_LETTER_CAPACITY)
         # Queue depths are sampled lazily at snapshot time, not on every put.
         registry = server.telemetry.registry
+        registry.counter_fn(
+            "naplet_dead_letters_requeued_total",
+            "Dead letters successfully redelivered after a heal", None,
+            lambda: self.dead_letters.total_redelivered,
+        )
         registry.gauge_fn(
             "naplet_dead_letter_depth",
             "Undeliverable messages waiting in the dead-letter queue",
@@ -209,8 +214,6 @@ class Messenger:
             self._send_once(message, destination)
 
         delivered, requeued = self.dead_letters.redeliver(_deliver)
-        if delivered:
-            self.server.telemetry.dead_letters_requeued.inc(delivered)
         if delivered or requeued:
             self.server.journal.record(
                 "dead-letters-requeued", delivered=delivered, requeued=requeued

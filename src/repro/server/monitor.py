@@ -198,6 +198,11 @@ class NapletMonitor:
         # off, when the journal is dark.
         self.admitted = 0
         self.outcomes: dict[str, int] = {}
+        if telemetry is not None:  # the metrics page's view of that count
+            telemetry.registry.counter_fn(
+                "naplet_outcomes_total", "Visit outcomes, by terminal state", "outcome",
+                lambda: dict(self.outcomes),
+            )
 
     # -- admission ----------------------------------------------------------- #
 
@@ -274,7 +279,6 @@ class NapletMonitor:
             self._live.discard(block)
             self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
         if self.telemetry is not None:
-            self.telemetry.outcomes.inc(outcome=outcome)
             self.telemetry.cpu_seconds.inc(block.usage.cpu_seconds)
             if outcome == NapletOutcome.QUOTA:
                 resource = getattr(error, "resource", "unknown")

@@ -134,7 +134,7 @@ class Navigator:
         self._landed_transfers: OrderedDict[tuple[str, str], str] = OrderedDict()
         self._transfer_seq = itertools.count(1)
         # Delta-shipping hints (DESIGN.md §6.7), all advisory: what each
-        # peer's delta cache is known to hold — field hashes and naplet ids
+        # peer is known to hold — field hashes and naplet ids
         # of every image it acked or shipped here, an LRU that only ever
         # learns — and which module content hashes its code cache holds.
         # Stale or lost entries cost shipped bytes or one in-hop re-ship.
@@ -198,12 +198,15 @@ class Navigator:
         # attempt: a rolled-back attempt reopens the visit here, which
         # lengthens the log, and a count booked here must never run ahead.
         count = len(naplet.navigation_log) + 1
+        # The visit this departure ends: a retry after an attempt that
+        # landed (its ack lost) must not take a later visit's record.
+        visit = self.server.manager.footprint(nid)
 
         def _attempt() -> None:
             with telemetry.naplet_span(
                 naplet, "hop", source=self.server.hostname, dest=dest_urn
             ) as hop:
-                self._transfer(naplet, dest_urn, hop, transfer_id, count)
+                self._transfer(naplet, dest_urn, hop, transfer_id, count, visit)
             telemetry.hop_latency.observe(hop.duration)
 
         def _on_retry(attempt: int, wait: float, exc: BaseException) -> None:
@@ -224,31 +227,36 @@ class Navigator:
         )
 
     def _transfer(
-        self, naplet: "Naplet", dest_urn: str, hop, transfer_id: str, count: int
+        self, naplet: "Naplet", dest_urn: str, hop, transfer_id: str, count: int, visit
     ) -> None:
-        """One attempt: mark departure, dump, ship, and either book the
-        ack or roll everything back and raise."""
+        """One attempt: mark departure, dump against the visit's image, ship,
+        and either book the ack or roll everything back and raise."""
         nid = naplet.naplet_id
         self.server.security.check(naplet.credential, Permission.LAUNCH)
         # In transit before the wire transfer: messages arriving here now
         # forward toward the destination.  The directory is not told (the
         # landing registers the new server); _rollback_departure undoes this.
-        record = self.server.manager.begin_departure(nid, dest_urn)
+        manager, serializer = self.server.manager, self.server.serializer
+        record = manager.begin_departure(nid, dest_urn, visit)
         if naplet.navigation_log.current_server() == self.server.urn:
             naplet.navigation_log.record_departure(self.server.urn)
-        data, buffers, cost = dumped = self.server.serializer.dumps_with_cost(
-            naplet, held=self.held_by(dest_urn), known_code=self._peer_code.get(dest_urn)
-        )
-        # What the peer holds once it acks (a re-ship is the same image),
-        # booked before it can ack: the naplet may run there and be back
-        # here before this thread sees the ack.  A failed attempt takes
-        # back what it added.
-        image = self.server.serializer.delta_cache.peek(str(nid))
-        noted = self._note_held(dest_urn, str(nid), image)
+        prev, held, full = getattr(visit, "image", None), self.held_by(dest_urn), False
+        known = self._peer_code.get(dest_urn)
         try:
-            frame = self._transfer_frame(naplet, dest_urn, hop, transfer_id, *dumped)
-            ack, fields = read_reply(self.server.transport.request(frame), "transfer", *_ACKS)
-            if ack == "need_full":
+            while True:
+                data, buffers, cost, image = serializer.dumps_with_cost(
+                    naplet, held=held, known_code=known, prev=prev
+                )
+                manager.keep_image(record, image)
+                # What the peer holds once it acks (a re-ship is the same
+                # image), booked before it can ack: the naplet may run there
+                # and be back here before this thread sees the ack.  A
+                # failed attempt takes back what it added.
+                noted = self._note_held(dest_urn, str(nid), image)
+                frame = self._transfer_frame(naplet, dest_urn, hop, transfer_id, data, buffers, cost)
+                ack, fields = read_reply(self.server.transport.request(frame), "transfer", *_ACKS)
+                if ack != "need_full" or full:
+                    break
                 # The one in-hop recovery: the peer lost a record, a blob
                 # or the code this envelope leaned on.  Forget what we
                 # thought it held and ship everything, once.
@@ -259,17 +267,14 @@ class Navigator:
                     "delta-full-reship", naplet=str(nid), dest=dest_urn,
                     reason=" ".join(fields),
                 )
-                *_, cost = dumped = self.server.serializer.dumps_with_cost(naplet)
-                noted = self._note_held(dest_urn, str(nid), image)
-                frame = self._transfer_frame(naplet, dest_urn, hop, transfer_id, *dumped)
-                ack, fields = read_reply(self.server.transport.request(frame), "transfer", *_ACKS)
+                prev, held, known, full = image, (), None, True
         except NapletCommunicationError as exc:
             # A refusal (corrupt frame, peer shutting down, a landing check
             # that broke) says nothing lasting about the peer: retriable.
             self._rollback_departure(naplet, nid, record, noted)
             raise NapletMigrationError(f"transfer to {dest_urn} failed: {exc}") from exc
         if ack == "ok":
-            self._transfer_acked(nid, dest_urn, cost, fields, image, count, record)
+            self._transfer_acked(nid, dest_urn, cost, fields, count, record)
             return
         self._rollback_departure(naplet, nid, record, noted)
         reason = " ".join(fields)
@@ -351,14 +356,14 @@ class Navigator:
         return _HeldBy(self._peer_holds, urn_of(peer_urn))
 
     def _note_held(self, peer_urn: str, nid: str, image) -> list:
-        """Remember that *peer_urn* holds *image* — this server's delta-cache
-        record of a per-field image shipped to, or landed from, that peer
-        (a single pickle left none): a record of naplet *nid*, and every
-        field hash in it.  Returns the entries that are new."""
+        """Remember that *peer_urn* holds *image* — a per-field image shipped
+        to, or landed from, that peer (a single pickle has none): an image
+        of naplet *nid*, and every field hash in it.  Returns the entries
+        that are new."""
         if image is None:
             return []
         table = self._peer_holds
-        keys = [(peer_urn, key) for key in (nid, *(e.hash for e in image.fields.values()))]
+        keys = [(peer_urn, key) for key in (nid, *(blob.hash for blob in image.blobs))]
         added = [key for key in keys if key not in table]
         for key in keys:  # re-inserted last: the most recently learnt
             table.pop(key, None)
@@ -368,7 +373,7 @@ class Navigator:
         return added
 
     def _transfer_acked(
-        self, nid: NapletID, dest_urn: str, cost, code: list[str], image, count: int, record
+        self, nid: NapletID, dest_urn: str, cost, code: list[str], count: int, record
     ) -> None:
         """Source-side bookkeeping once *dest_urn* acked the landing."""
         directory = self.server.directory_client
@@ -383,14 +388,11 @@ class Navigator:
                 telemetry.delta_saved_bytes.inc(cost.saved_bytes)
         if code:  # the modules cached there, when a per-field landing said
             self._peer_code[dest_urn] = set(code)
-        # Its record keeps only the footprint, and the messages waiting on
+        # Its record keeps only the footprint and the image's manifest (the
+        # live values left with the naplet), and the messages waiting on
         # it chase the naplet.  Every departure (launch, dispatch, spawn)
         # passes here, so none leaves a message behind.
         self.server.messenger.chase(self.server.manager.end_departure(nid, record), dest_urn)
-        # The image stays cached here without the live objects it was
-        # pickled from: they left with the naplet.
-        if image is not None:
-            self.server.serializer.delta_cache.release(str(nid), image.hash)
 
     # ------------------------------------------------------------------ #
     # Inbound (frame handler)
@@ -479,10 +481,12 @@ class Navigator:
             self.server.telemetry.landings_denied.inc()
             return reply("denied", reason)
         image, oob = frame.buffers[0], tuple(frame.buffers[1:])
+        footprint = self.server.manager.footprint(credential.naplet_id)
         deserialize_started = time.perf_counter()
         try:
             naplet, info = self.server.serializer.loads_with_info(
-                image, self.server.code_cache, buffers=oob or None
+                image, self.server.code_cache, buffers=oob or None,
+                prev=getattr(footprint, "image", None),
             )
         except (DeltaBaseMissingError, ShippedCodeMissingError) as exc:
             # Recoverable by protocol: the sender forgets what this peer
@@ -498,9 +502,7 @@ class Navigator:
             return refusal(f"deserialization failed: {exc}")
         if not isinstance(naplet, Naplet) or naplet._nid != credential.naplet_id:
             # Admission was decided on the credential: an image of any other
-            # naplet must not land under it, nor leave a record to lean on.
-            if isinstance(info.get("hash"), str):
-                self.server.serializer.delta_cache.drop(info["nid"])
+            # naplet must not land under it, nor be kept to lean on.
             self.server.journal.record(
                 "landing-identity-mismatch",
                 naplet=str(credential.naplet_id),
@@ -509,15 +511,15 @@ class Navigator:
             )
             return refusal("image is not the naplet its credential names")
         naplet._cred = dataclasses.replace(credential, naplet_id=naplet._nid)
-        # A per-field image left a record here, and its sender keeps what it
-        # just shipped: a hop toward it can lean on that at once.  Noted
-        # *before* the naplet is handed to the monitor — it may dump for its
-        # next hop on another thread immediately.  The ack advertises the
-        # modules cached here, so eager senders skip re-shipping bundles.
+        # A per-field image is kept here, and its sender keeps what it just
+        # shipped: a hop toward it can lean on that at once.  Noted *before*
+        # the naplet is handed to the monitor — it may dump for its next hop
+        # on another thread immediately.  The ack advertises the modules
+        # cached here, so eager senders skip re-shipping bundles.
         ack = reply("ok")
-        if isinstance(info.get("hash"), str):
-            record = self.server.serializer.delta_cache.peek(info["nid"])
-            self._note_held(frame.source, info["nid"], record)
+        landed = info["image"]
+        if landed is not None:
+            self._note_held(frame.source, info["nid"], landed)
             ack = reply("ok", *self.server.code_cache.known_hashes())
         self.receive(
             naplet,
@@ -525,6 +527,7 @@ class Navigator:
             payload_bytes=_image_nbytes(image, oob),
             trace_parent=frame.headers.get("trace-parent"),
             deserialize_s=time.perf_counter() - deserialize_started,
+            image=landed,
         )
         # Remember only after the landing succeeded: a failed landing must
         # NOT dedup the retry that follows it.
@@ -538,14 +541,16 @@ class Navigator:
         payload_bytes: int = 0,
         trace_parent: str | None = None,
         deserialize_s: float | None = None,
+        image=None,
     ) -> None:
         """Land *naplet* at this server: register, bind, and start it.
 
-        Shared by the wire transfer path (``arrived_from`` is the source)
-        and local revival (thaw, no source).  ``trace_parent`` is the
-        source hop's span id (from the transfer frame headers), so the
-        landing span nests under the hop in the journey tree; without one
-        (thaw) it parents to the journey root.
+        Shared by the wire transfer path (``arrived_from`` is the source,
+        *image* the landed per-field image its record keeps) and local
+        revival (thaw, no source).  ``trace_parent`` is the source hop's
+        span id (from the transfer frame headers), so the landing span
+        nests under the hop in the journey tree; without one (thaw) it
+        parents to the journey root.
         """
         nid = naplet.naplet_id
         telemetry = self.server.telemetry
@@ -572,7 +577,7 @@ class Navigator:
             parent_id=trace_parent,
             **landing_attrs,
         ):
-            self.server.manager.record_arrival(naplet, arrived_from=arrived_from)
+            self.server.manager.record_arrival(naplet, arrived_from, image)
             naplet.navigation_log.record_arrival(self.server.urn)
             self.server.locator.note_location(nid, self.server.urn)
         telemetry.itinerary_depth.observe(len(naplet.navigation_log))
@@ -604,8 +609,6 @@ class Navigator:
             nid = agent.naplet_id
             if outcome == NapletOutcome.DEPARTED:
                 return  # dispatch() already released everything
-            # It will not dump here again: its base image goes with it.
-            server.serializer.delta_cache.drop(str(nid))
             server.manager.record_retirement(nid, outcome)
             if agent.navigation_log.current_server() == server.urn:
                 agent.navigation_log.record_departure(server.urn)

@@ -68,9 +68,6 @@ class ServerConfig:
     require_signature: bool = True
     codebase_host: str | None = None  # where lazy code fetches are billed from
     telemetry_enabled: bool = True  # False: no-op metrics/tracer (benchmarks)
-    # Delta state shipping (DESIGN.md §6.7): repeat hops ship only the
-    # fields changed since a base image the destination acked holding.
-    delta_cache_capacity: int = 64  # base images kept per server (LRU)
     # Resilience policies (DESIGN.md §6.3).  The defaults are the
     # single-attempt policies — exactly the historical give-up behavior —
     # so existing spaces are unaffected until a config opts in.
@@ -133,7 +130,6 @@ class NapletServer:
             registry=code_registry,
             eager_code=self.config.eager_code,
             observer=self.telemetry.serializer_observer(),
-            delta_cache_capacity=self.config.delta_cache_capacity,
         )
         self.code_cache = CodeCache(
             code_registry, fetch_observer=self._on_code_fetch, journal=self.journal
@@ -368,6 +364,7 @@ class NapletServer:
         for nid in self.manager.resident_ids():
             self.manager.interrupt(nid, SystemControl.TERMINATE, "server shutdown")
         self.transport.unregister(self.urn)
+        self.serializer.blobs.clear()  # no image here is leaned on again
 
     def __repr__(self) -> str:
         return f"<NapletServer {self.hostname!r} residents={self.manager.resident_count}>"

@@ -120,24 +120,14 @@ class ServerTelemetry:
             "naplet_special_mailbox_hits_total",
             "Parked messages claimed by a landing naplet",
         )
-        self.dead_letters_requeued = reg.counter(
-            "naplet_dead_letters_requeued_total",
-            "Dead letters successfully redelivered after a heal",
-        )
-        # Locator
-        self.locator_evictions = reg.counter(
-            "naplet_locator_cache_evictions_total",
-            "Locator cache entries evicted by the LRU capacity bound",
-        )
-        # NapletMonitor
+        # NapletMonitor (its outcomes, the locator's evictions and the
+        # dead-letter redeliveries are views its owner registers over its
+        # own count)
         self.quota_trips = reg.counter(
             "naplet_quota_trips_total", "Quota violations raised, by resource"
         )
         self.cpu_seconds = reg.counter(
             "naplet_cpu_seconds_total", "CPU seconds consumed by retired naplets"
-        )
-        self.outcomes = reg.counter(
-            "naplet_outcomes_total", "Visit outcomes, by terminal state"
         )
 
     # -- perf plane -------------------------------------------------------- #

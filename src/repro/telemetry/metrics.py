@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 __all__ = [
     "Counter",
@@ -361,16 +361,20 @@ class MetricsRegistry:
             self._fns[name] = ("gauge", help_text, lambda: {(): float(fn())})
 
     def counter_fn(
-        self, name: str, help_text: str, label: str, fn: Callable[[], dict[str, int]]
+        self, name: str, help_text: str, label: str | None, fn: Callable[[], Any]
     ) -> None:
         """Register a counter kept elsewhere and read at snapshot time, one
-        sample per value of *label* (the journal's per-kind tally)."""
+        sample per value of *label* (the journal's per-kind tally) — or,
+        with *label* None, *fn*'s one number, a sample once it is not 0."""
+
+        def samples() -> dict[LabelKey, float]:
+            if label is None:
+                n = fn()
+                return {(): float(n)} if n else {}
+            return {((label, key),): float(n) for key, n in fn().items()}
+
         with self._lock:
-            self._fns[name] = (
-                "counter",
-                help_text,
-                lambda: {((label, key),): float(n) for key, n in fn().items()},
-            )
+            self._fns[name] = ("counter", help_text, samples)
 
     # -- export ----------------------------------------------------------- #
 

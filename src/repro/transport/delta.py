@@ -1,4 +1,4 @@
-"""Delta shipping support: content hashes, image records, the field index.
+"""Delta shipping support: content hashes, images, the blob store.
 
 A migrating naplet ships as a *per-field* image (DESIGN.md §6.7) —
 ``{field name: bytes}``, each a pickle or a value of exact ``bytes`` itself
@@ -7,25 +7,21 @@ A migrating naplet ships as a *per-field* image (DESIGN.md §6.7) —
 security boundary (the credential signature guards integrity).  The
 buffer goes to hashlib as it is, read once, never copied.
 
-:class:`DeltaCache` holds what one server leans on, as sender and receiver:
+An :class:`Image` is what a server keeps of one naplet's last image: its
+hash, its class reference and a :class:`Blob` per field.  It lives on the
+naplet's record in the naplet table (the serializer is handed the previous
+image and hands back the new one): while the naplet is resident its
+:class:`FieldEntry` values let the next dump skip an unchanged field
+without re-pickling it, and once the naplet has left or retired only the
+:meth:`Image.manifest` stays — keys and blobs — so a hop back here can
+still omit the fields it did not change.
 
-- per naplet, the last image dumped or landed here (:class:`ImageRecord`):
-  the next dump reuses an unchanged field's bytes without re-pickling and
-  ships only what :func:`field_fate` says it must; a landing takes the
-  fields the sender *omitted* from it by name;
-- per content hash, the one ``bytes`` object that backs that field in every
-  record naming it, reference-counted: equal fields of any number of
-  naplets cost one copy, and :meth:`DeltaCache.blob` resolves a field the
-  sender *referenced* by hash no matter which naplet brought it here,
-  and whether a value of those bytes was proved immutable
-  (:meth:`DeltaCache.stable`).
-
-Lifetime: a record stays until the naplet retires at this server
-(:meth:`DeltaCache.drop`) or the LRU evicts it, a blob exactly as long as
-some record names it; a record's live values, kept only so the next dump
-*here* can skip an unchanged field by identity, go as soon as the
-destination acks the departure (:meth:`DeltaCache.release`) — the naplet
-cannot dump here again before landing here writes a fresh record.
+:class:`BlobStore` holds every field's bytes once per content hash, for all
+images alike: a field a sender *references* by hash resolves whichever
+naplet brought it here.  A blob is freed when the last image naming it is
+let go, and the least recently used one is evicted whenever the store
+holds more than :data:`BLOB_BUDGET` bytes; an image naming an evicted blob
+is a miss, which costs the sender one full re-ship.
 """
 
 from __future__ import annotations
@@ -33,15 +29,17 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Container
+from dataclasses import dataclass
+from typing import Any, Container, Iterable
 
 from repro.core.tracking import is_delta_stable
 
 __all__ = [
-    "DeltaCache",
+    "BLOB_BUDGET",
+    "Blob",
+    "BlobStore",
     "FieldEntry",
-    "ImageRecord",
+    "Image",
     "content_hash",
     "field_fate",
     "field_key",
@@ -49,10 +47,8 @@ __all__ = [
     "image_hash",
 ]
 
-
-# What a released FieldEntry holds in place of its live value.  Never None:
-# a field whose value *is* None would then pass the dump's identity skip.
-_RELEASED = object()
+# Bytes of field blobs one server keeps, least recently used evicted first.
+BLOB_BUDGET = 16 << 20
 
 
 def content_hash(data: bytes | memoryview) -> str:
@@ -85,25 +81,38 @@ def image_hash(field_hashes: dict[str, str]) -> str:
     )
 
 
-@dataclass
-class FieldEntry:
-    """One field of a cached image.
+@dataclass(slots=True, eq=False)
+class Blob:
+    """One field's bytes as a server holds them, once per content hash.
 
-    A ``raw`` field's ``data`` is its exact-``bytes`` value, not a pickle:
-    stable from the start, it never proves its blob stable for pickles.
-    ``value`` holds a *strong* reference to the live object the bytes were
-    pickled from — identity comparison against it is only meaningful while
-    the object cannot have been garbage collected and its ``id`` reused;
-    once released (:attr:`live` False) no value compares identical to it.
-    ``fingerprint`` is the value's ``__delta_fingerprint__`` at pickle
-    time (None when the protocol is absent); ``stable`` whether the value
-    provably cannot mutate (None: not asked yet); ``stamps`` are the shipping
-    stamps encountered while pickling this field, kept so eager code
-    bundles survive even when the field's bytes are later reused.
+    ``names`` counts the images naming it; ``stable`` is set once a value
+    decoded from these bytes was proved immutable.  ``data`` is None once
+    the store evicted it.
     """
 
-    data: bytes
     hash: str
+    data: bytes | None
+    names: int = 0
+    stable: bool = False
+
+
+@dataclass(slots=True, eq=False)
+class FieldEntry:
+    """One field of a resident naplet's image.
+
+    ``value`` holds a *strong* reference to the live object the blob was
+    pickled from or decoded to — identity comparison against it is only
+    meaningful while the object cannot have been garbage collected and its
+    ``id`` reused.  ``fingerprint`` is the value's ``__delta_fingerprint__``
+    at pickle time (None when the protocol is absent); ``stable`` whether
+    the value provably cannot mutate (None: not asked yet); ``stamps`` are
+    the shipping stamps encountered while pickling this field, kept so
+    eager code bundles survive even when the field's bytes are later
+    reused.  A ``raw`` field's blob is its exact-``bytes`` value: stable
+    from the start, it never proves its blob stable for pickles.
+    """
+
+    blob: Blob
     value: Any
     fingerprint: Any | None = None
     stable: bool | None = None
@@ -111,172 +120,136 @@ class FieldEntry:
     raw: bool = False
 
     @property
-    def live(self) -> bool:
-        """False once :meth:`DeltaCache.release` let the value go."""
-        return self.value is not _RELEASED
+    def hash(self) -> str:
+        return self.blob.hash
+
+    def proved_stable(self) -> bool:
+        """Whether the live value provably cannot mutate, walked once
+        (:func:`~repro.core.tracking.is_delta_stable`).  The proof holds for
+        values decoded from the same bytes and no other — a custom reducer
+        can make any object pickle to a frozen value's bytes — so it is
+        left on the blob for the next landing of those bytes."""
+        if self.stable is None:
+            self.stable = is_delta_stable(self.value)
+            if self.stable:
+                self.blob.stable = True
+        return self.stable
 
 
-@dataclass
-class ImageRecord:
-    """A full per-field image of one naplet, as last dumped/accepted."""
+@dataclass(slots=True, eq=False)
+class Image:
+    """A naplet's per-field image at one server: ``keys`` (field names
+    spelled with their kind, :func:`field_key`) and the ``blobs`` of their
+    bytes, in step; ``entries`` by field name while the naplet is resident
+    here, None in a :meth:`manifest`."""
 
     hash: str
     cls_ref: Any
-    fields: dict[str, FieldEntry] = field(default_factory=dict)
+    keys: tuple[str, ...]
+    blobs: tuple[Blob, ...]
+    entries: dict[str, FieldEntry] | None = None
+
+    @classmethod
+    def of(cls, cls_ref: Any, entries: dict[str, FieldEntry], img_hash: str | None = None) -> "Image":
+        """The image of *entries*, hashed unless *img_hash* already is its hash."""
+        keys = tuple(field_key(name, entry.raw) for name, entry in entries.items())
+        blobs = tuple(entry.blob for entry in entries.values())
+        if img_hash is None:
+            img_hash = image_hash({key: blob.hash for key, blob in zip(keys, blobs)})
+        return cls(img_hash, cls_ref, keys, blobs, entries)
+
+    def manifest(self) -> "Image":
+        """This image without live values: what stays once the naplet left."""
+        return Image(self.hash, self.cls_ref, self.keys, self.blobs)
 
     def field_hashes(self) -> dict[str, str]:
-        return {name: entry.hash for name, entry in self.fields.items()}
+        """``{field key: content hash}``, what :func:`image_hash` composes."""
+        return {key: blob.hash for key, blob in zip(self.keys, self.blobs)}
 
 
-def field_fate(
-    prev: ImageRecord | None, name: str, digest: str, nbytes: int,
-    nid: str, held: Container[str], raw: bool = False,
-) -> str:
+def field_fate(before: str | None, digest: str, nbytes: int, nid: str, held: Container[str]) -> str:
     """What a dump toward a peer does with one field: ``ships``, ``omitted``
     or ``referenced``.
 
-    *prev* is this naplet's previous image at this server, *held* what the
-    peer is known to hold (field hashes, ids of naplets it has a record of).
-    Only a field unchanged since *prev* whose hash the peer holds stays off
-    the wire: the peer takes it by name from its own record of the naplet
-    when it has one, and is otherwise sent the hash — when that is shorter
-    than the bytes.  Unchanged-here is what makes a remembered hash worth
-    trusting: values that change every hop recur across naplets long after
-    the peer overwrote them.  A field whose kind (*raw*) changed ships.
+    *before* is the field's hash in this naplet's previous image here,
+    under the same :func:`field_key` (a field whose kind changed ships),
+    *held* what the peer is known to hold (field hashes, ids of naplets it
+    has a record of).  Only a field unchanged since then whose hash the
+    peer holds stays off the wire: the peer takes it by name from its own
+    record of the naplet when it has one, and is otherwise sent the hash —
+    when that is shorter than the bytes.  Unchanged-here is what makes a
+    remembered hash worth trusting: values that change every hop recur
+    across naplets long after the peer overwrote them.
     """
-    before = prev.fields.get(name) if prev is not None else None
-    if before is None or before.hash != digest or before.raw != raw or digest not in held:
+    if before != digest or digest not in held:
         return "ships"
     if nid in held:
         return "omitted"
     return "referenced" if nbytes > len(digest) else "ships"
 
 
-class DeltaCache:
-    """Thread-safe LRU of :class:`ImageRecord` keyed by naplet id string,
-    with a reference-counted index of their fields by content hash.
+class BlobStore:
+    """Thread-safe store of field bytes by content hash, least recently
+    used first, bounded by :data:`BLOB_BUDGET` bytes.
 
     Bounded because a long-lived server sees many one-shot naplets; the
-    protocol tolerates eviction — a sender that lost its record ships in
-    full, a receiver that lost a record or a blob acks ``need_full``.
+    protocol tolerates eviction — a sender whose blob went pickles again,
+    a receiver missing a blob acks ``need_full``.
     """
 
-    def __init__(self, capacity: int = 64) -> None:
-        if capacity < 1:
-            raise ValueError("delta cache capacity must be >= 1")
-        self._capacity = capacity
-        self._records: OrderedDict[str, ImageRecord] = OrderedDict()
-        self._blobs: dict[str, list] = {}  # hash -> [bytes, fields naming it, proved stable]
+    def __init__(self) -> None:
+        self._blobs: OrderedDict[str, Blob] = OrderedDict()
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self.nbytes = 0
 
-    def get(self, nid: str) -> ImageRecord | None:
-        """The cached image for *nid*."""
+    def get(self, digest: str) -> bytes | None:
+        """The bytes held here under *digest*, now the most recently used."""
         with self._lock:
-            record = self._records.get(nid)
-            if record is None:
-                self.misses += 1
+            blob = self._blobs.get(digest)
+            if blob is None:
                 return None
-            self._records.move_to_end(nid)
-            self.hits += 1
-            return record
+            self._blobs.move_to_end(digest)
+            return blob.data
 
-    def peek(self, nid: str) -> ImageRecord | None:
-        """Like :meth:`get` but a pure probe: no stats, no LRU promotion.
-
-        The pickle X-ray's delta view uses this so inspecting a naplet
-        mid-flight cannot perturb the cache order or the hit counters.
-        """
+    def name(self, blobs: Iterable[Blob]) -> list[Blob]:
+        """Each of *blobs* as held here, named once more by the image being
+        made: the blob held under its hash already, or itself from now on."""
+        named: list[Blob] = []
         with self._lock:
-            return self._records.get(nid)
+            for blob in blobs:
+                held = self._blobs.get(blob.hash)
+                if held is None:
+                    held = self._blobs[blob.hash] = blob
+                    self.nbytes += len(blob.data)
+                else:
+                    self._blobs.move_to_end(blob.hash)
+                held.names += 1
+                named.append(held)
+            while self.nbytes > BLOB_BUDGET:
+                _, evicted = self._blobs.popitem(last=False)
+                self.nbytes -= len(evicted.data)
+                evicted.data = None  # an image may still name it
+        return named
 
-    def blob(self, digest: str) -> bytes | None:
-        """The bytes some record here holds under content hash *digest*."""
-        with self._lock:
-            slot = self._blobs.get(digest)
-            return slot[0] if slot is not None else None
-
-    def stable(self, entry: FieldEntry) -> bool:
-        """Whether *entry*'s live value provably cannot mutate, walked once
-        (:func:`~repro.core.tracking.is_delta_stable`).  The proof holds for
-        values decoded from the same bytes (:meth:`landed`) and no other: a
-        custom reducer can make any object pickle to a frozen value's bytes."""
-        if entry.stable is None:
-            entry.stable = is_delta_stable(entry.value)
-            with self._lock:
-                if entry.stable and entry.hash in self._blobs:
-                    self._blobs[entry.hash][2] = True
-        return entry.stable
-
-    def _unindex(self, record: ImageRecord | None) -> None:
-        if record is None:
+    def let_go(self, image: Image | None) -> None:
+        """*image* is no longer kept: free what no other image names."""
+        if image is None:
             return
-        for entry in record.fields.values():
-            slot = self._blobs.get(entry.hash)
-            if slot is not None:
-                slot[1] -= 1
-                if not slot[1]:
-                    del self._blobs[entry.hash]
-
-    def put(self, nid: str, record: ImageRecord) -> None:
         with self._lock:
-            # Index the new record before letting the old one go, so a
-            # field both name keeps its one bytes object throughout.
-            for entry in record.fields.values():
-                slot = self._blobs.setdefault(entry.hash, [entry.data, 0, False])
-                slot[1] += 1
-                entry.data = slot[0]
-            self._unindex(self._records.get(nid))
-            self._records[nid] = record
-            self._records.move_to_end(nid)
-            while len(self._records) > self._capacity:
-                self._unindex(self._records.popitem(last=False)[1])
-                self.evictions += 1
-
-    def landed(self, nid: str, record: ImageRecord) -> None:
-        """:meth:`put` for an image decoded here: fields of proved bytes are stable."""
-        self.put(nid, record)
-        with self._lock:
-            for entry in record.fields.values():
-                slot = self._blobs.get(entry.hash)  # gone if cleared meanwhile
-                if slot is not None and slot[2]:
-                    entry.stable = True
-
-    def release(self, nid: str, img_hash: str) -> None:
-        """Let go of the live values of *nid*'s record if it still is the
-        image the destination acked — not the newer one of a naplet that
-        already landed back, whose values are the objects it runs with."""
-        with self._lock:
-            record = self._records.get(nid)
-            if record is not None and record.hash == img_hash:
-                for entry in record.fields.values():
-                    entry.value = _RELEASED
-
-    def drop(self, nid: str) -> None:
-        with self._lock:
-            self._unindex(self._records.pop(nid, None))
+            for blob in image.blobs:
+                blob.names -= 1
+                if not blob.names and self._blobs.get(blob.hash) is blob:
+                    del self._blobs[blob.hash]
+                    self.nbytes -= len(blob.data)
 
     def clear(self) -> None:
+        """Let every blob go, bytes and all, whatever still names it."""
         with self._lock:
-            self._records.clear()
+            for blob in self._blobs.values():
+                blob.data = None
             self._blobs.clear()
+            self.nbytes = 0
 
-    def __len__(self) -> int:
+    def __contains__(self, digest: str) -> bool:
         with self._lock:
-            return len(self._records)
-
-    def __contains__(self, nid: str) -> bool:
-        with self._lock:
-            return nid in self._records
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "size": len(self._records),
-                "capacity": self._capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
+            return digest in self._blobs

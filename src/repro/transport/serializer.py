@@ -28,17 +28,21 @@ no option, no negotiation — and every reader reads both (DESIGN.md §6.7):
   (``shipped``: key, buffer, …; out-of-band segments; a key is the name
   spelled with the kind, ``field_key``), is **referenced** by hash
   (``refs``: key, hash, …) or is **omitted**, taken by name from the
-  destination's own record of this naplet: ``removed`` (names dropped
+  destination's own image of this naplet: ``removed`` (names dropped
   since) is present, and ``cls`` (a shipping stamp or the pickled class)
   absent, exactly then.  Eager bundles the destination holds travel as
   ``code_refs`` hashes.
 
+The serializer keeps no image per naplet: both directions are handed the
+naplet's previous :class:`~repro.transport.delta.Image` at this server
+(the navigator keeps it on the naplet-table record) and hand back the new
+one; the field bytes of every image live once in :attr:`NapletSerializer.blobs`.
 A field is re-used without a re-pickle or re-hash only when it provably
 cannot have changed: the same object, not rebound, and either immutable
-all the way down (:meth:`~repro.transport.delta.DeltaCache.stable`: walked
-once, or inherited by a value that landed from bytes already proved) or
-with an unchanged mutation fingerprint.  It stays off the wire only when unchanged
-since this naplet's previous image here *and* held by the destination.
+all the way down (:meth:`~repro.transport.delta.FieldEntry.proved_stable`:
+walked once, or inherited by a value that landed from bytes already
+proved) or with an unchanged mutation fingerprint.  It stays off the wire
+only when unchanged since the previous image *and* held by the destination.
 The receiver re-hashes what arrives and verifies the composed image hash:
 a delta that does not compose raises
 :class:`~repro.core.errors.DeltaBaseMissingError` (one full re-ship), a
@@ -67,9 +71,10 @@ from repro.core.errors import (
 )
 from repro.core.tracking import TrackedState, delta_fingerprint
 from repro.transport.delta import (
-    DeltaCache,
+    Blob,
+    BlobStore,
     FieldEntry,
-    ImageRecord,
+    Image,
     content_hash,
     field_fate,
     field_key,
@@ -199,7 +204,6 @@ class NapletSerializer:
         eager_code: bool = False,
         protocol: int = pickle.HIGHEST_PROTOCOL,
         observer: SerializerObserver | None = None,
-        delta_cache_capacity: int = 64,
     ) -> None:
         if eager_code and registry is None:
             raise SerializationError("eager code shipping needs a codebase registry")
@@ -207,17 +211,12 @@ class NapletSerializer:
         self._eager = eager_code
         self._protocol = protocol
         self._observer = observer
-        self._delta_cache = DeltaCache(delta_cache_capacity)
+        self.blobs = BlobStore()  # field bytes of every image kept here
         self._cls_refs: dict[type, bytes] = {}  # pickled once per class
 
     @property
     def eager_code(self) -> bool:
         return self._eager
-
-    @property
-    def delta_cache(self) -> DeltaCache:
-        """Image records and their field index (sender and receiver share it)."""
-        return self._delta_cache
 
     # -- encode --------------------------------------------------------------- #
 
@@ -225,7 +224,7 @@ class NapletSerializer:
         """Serialize *obj* into a self-contained single-pickle envelope.
 
         Always in-band: the result round-trips through any storage (freeze/thaw images, message bodies) with
-        no delta cache or buffer plumbing involved.
+        no blob store or buffer plumbing involved.
         """
         data, cost = self._encode_v1(obj)
         if self._observer is not None:
@@ -238,28 +237,32 @@ class NapletSerializer:
         *,
         held: Container[str] = (),
         known_code: set[str] | None = None,
-    ) -> tuple[bytes, list[Any], SerializeCost]:
-        """Serialize *obj* for migration: ``(data, buffers, cost)``.
+        prev: Image | None = None,
+    ) -> tuple[bytes, list[Any], SerializeCost, Image | None]:
+        """Serialize *obj* for migration: ``(data, buffers, cost, image)``.
 
         ``buffers`` are protocol-5 out-of-band segments (memoryviews over
         the field pickles) a capable transport ships without re-copying;
-        pass them back to :meth:`loads` unchanged.  ``held`` is what the
-        destination is known to hold — field content hashes, ids of naplets
-        it has a record of; a field in it, unchanged since this naplet's
-        previous image here, stays off the wire (``mode: delta``).
+        pass them back to :meth:`loads` unchanged.  *prev* is this naplet's
+        previous image here, ``image`` the new one to keep in its place
+        (its blobs are named in :attr:`blobs` until it is let go).
+        ``held`` is what the destination is known to hold — field content
+        hashes, ids of naplets it has a record of; a field in it, unchanged
+        since *prev*, stays off the wire (``mode: delta``).
         ``known_code`` holds content hashes of modules the
         destination's code cache was seen holding; matching eager bundles
         are replaced by hash references.  Anything that cannot travel per
-        field comes back as one single-pickle envelope and no buffers.
+        field comes back as one single-pickle envelope, no buffers and no
+        image.
         """
         encoded = None
         if isinstance(obj, TrackedState) and getattr(obj, "has_id", False):
             state = obj.image_state()
             if isinstance(state, dict):
-                encoded = self._encode_v2(obj, str(obj.naplet_id), state, held, known_code)
+                encoded = self._encode_v2(obj, str(obj.naplet_id), state, held, known_code, prev)
         if encoded is None:
             data, cost = self._encode_v1(obj)
-            encoded = (data, [], cost)
+            encoded = (data, [], cost, None)
         if self._observer is not None:
             self._observer.serialized(encoded[2])
         return encoded
@@ -330,44 +333,37 @@ class NapletSerializer:
         state: dict[str, Any],
         held: Container[str],
         known_code: set[str] | None,
-    ) -> tuple[bytes, list[Any], SerializeCost] | None:
+        prev: Image | None,
+    ) -> tuple[bytes, list[Any], SerializeCost, Image] | None:
         started = time.perf_counter()
         dirty = obj.dirty_fields()
-        cache = self._delta_cache
-        prev = cache.get(nid)
-        new_fields: dict[str, FieldEntry] = {}
+        before = prev.entries or {} if prev is not None else {}
+        entries: dict[str, FieldEntry] = {}
         try:
             for name, value in state.items():
-                entry = prev.fields.get(name) if prev is not None else None
-                if (
+                entry = before.get(name)
+                if not (
                     entry is not None
                     and entry.value is value
                     and name not in dirty
+                    and entry.blob.data is not None
                     and (
-                        cache.stable(entry)
+                        entry.proved_stable()
                         or (
                             entry.fingerprint is not None
                             and entry.fingerprint == delta_fingerprint(value)
                         )
                     )
-                ):
-                    # Provably unchanged: reuse bytes and hash, skip the pickle.
-                    new_fields[name] = entry
-                    continue
-                data, raw, stamps = self._field_image(obj, name, value)
-                new_fields[name] = FieldEntry(
-                    data=data,
-                    hash=content_hash(data),
-                    value=value,
-                    fingerprint=delta_fingerprint(value),
-                    stable=raw or None,
-                    stamps=stamps,
-                    raw=raw,
-                )
+                ):  # it may have changed: pickle it, else reuse bytes and hash
+                    data, raw, stamps = self._field_image(obj, name, value)
+                    entry = FieldEntry(
+                        Blob(content_hash(data), data), value, delta_fingerprint(value),
+                        stable=raw or None, stamps=stamps, raw=raw,
+                    )
+                entries[name] = entry
         except _SelfReferential:
             # The field graph reaches the naplet itself: one pickle keeps
-            # the cycle, and no per-field record describes this naplet.
-            cache.drop(nid)
+            # the cycle, and no per-field image describes this naplet.
             return None
 
         stamp = shipping_stamp_of(obj)
@@ -380,29 +376,33 @@ class NapletSerializer:
                     f"cannot serialize {type(obj).__name__}: {exc}"
                 ) from exc
 
-        img_hash = image_hash({field_key(n, e.raw): e.hash for n, e in new_fields.items()})
-        # Into the cache first: a field re-pickled to content some record
-        # already holds ships (and stays) as that record's bytes object.
-        cache.put(nid, ImageRecord(img_hash, cls_ref, new_fields))
-        fates = {
-            n: field_fate(prev, n, e.hash, len(e.data), nid, held, e.raw)
-            for n, e in new_fields.items()
-        }
-        shipped = {n: e for n, e in new_fields.items() if fates[n] == "ships"}
-        omitted = "omitted" in fates.values()
+        # The bytes to ship, taken before the image names its blobs (which
+        # may push some of its own past the budget); named first, a field
+        # re-pickled to content held here already stays as that one object.
+        datas = [entry.blob.data for entry in entries.values()]
+        for entry, blob in zip(entries.values(), self.blobs.name(e.blob for e in entries.values())):
+            entry.blob = blob
+        image = Image.of(cls_ref, entries)
+        previous = prev.field_hashes() if prev is not None else {}
+        rows = [
+            (key, entry, data, field_fate(previous.get(key), entry.hash, len(data), nid, held))
+            for key, entry, data in zip(image.keys, entries.values(), datas)
+        ]
+        shipped = [(key, entry, data) for key, entry, data, fate in rows if fate == "ships"]
+        omitted = any(fate == "omitted" for *_, fate in rows)
         stamps: set[tuple[str, str, str]] = set() if stamp is None else {stamp}
-        for entry in shipped.values():
+        for _, entry, _ in shipped:
             stamps.update(entry.stamps)
         bundles, code_refs = self._bundles(stamps, known_code)
         envelope = (
             nid,
-            bytes.fromhex(img_hash),
-            _flat((field_key(n, e.raw), self._wrap(e.data)) for n, e in shipped.items()),
-            # The destination patches omitted fields onto its own record of
+            bytes.fromhex(image.hash),
+            _flat((key, self._wrap(data)) for key, _, data in shipped),
+            # The destination patches omitted fields onto its own image of
             # this naplet: everything there it is not told otherwise.
-            tuple(n for n in prev.fields if n not in new_fields) if omitted else None,
-            _flat((field_key(n, e.raw), bytes.fromhex(e.hash))
-                  for n, e in new_fields.items() if fates[n] == "referenced"),
+            tuple(n for n, _ in map(field_name, prev.keys) if n not in entries) if omitted else None,
+            _flat((key, bytes.fromhex(entry.hash))
+                  for key, entry, _, fate in rows if fate == "referenced"),
             None if omitted else cls_ref,
             bundles or None,
             code_refs or None,
@@ -410,18 +410,18 @@ class NapletSerializer:
         while envelope[-1] is None:
             envelope = envelope[:-1]
         data, buffers = self._pack(envelope)
-        payload_bytes = sum(len(e.data) for e in shipped.values())
-        image_bytes = sum(len(e.data) for e in new_fields.values())
+        payload_bytes = sum(len(data) for *_, data in shipped)
+        image_bytes = sum(len(data) for data in datas)
         cost = SerializeCost(
             seconds=time.perf_counter() - started,
             total_bytes=len(data) + _buf_bytes(buffers),
             payload_bytes=payload_bytes,
             code_bytes=sum(len(s.encode("utf-8")) for s in bundles.values()),
-            delta=len(shipped) < len(new_fields),
+            delta=len(shipped) < len(entries),
             saved_bytes=image_bytes - payload_bytes,
         )
         obj.clear_dirty()
-        return data, buffers, cost
+        return data, buffers, cost, image
 
     def _wrap(self, data: bytes) -> Any:
         """Field bytes as they sit in the envelope: protocol-5 readers get
@@ -452,12 +452,14 @@ class NapletSerializer:
         return self.loads_with_info(data, cache, buffers=buffers)[0]
 
     def loads_with_info(
-        self, data: bytes, cache: CodeCache | None = None, *, buffers: Any = None
+        self, data: bytes, cache: CodeCache | None = None, *, buffers: Any = None,
+        prev: Image | None = None,
     ) -> tuple[Any, dict[str, Any]]:
-        """Like :meth:`loads`, also reporting ``{v, mode, nid, hash}``.
+        """Like :meth:`loads`, also reporting ``{v, mode, nid, hash, image}``.
 
-        The navigator's landing handler learns from it whether the image
-        left a record in the delta cache (``hash`` is None when it did not).
+        *prev* is the naplet's previous image here, which omitted fields
+        come from; ``image`` the landed one to keep in its place (None, as
+        is ``hash``, for a single pickle).
         """
         started = time.perf_counter()
         try:
@@ -467,12 +469,12 @@ class NapletSerializer:
         if not isinstance(envelope, tuple) or not envelope:
             raise SerializationError("unrecognised envelope format")
         if isinstance(envelope[0], str):
-            result = self._loads_v2(envelope, cache)
+            result = self._loads_v2(envelope, cache, prev)
         elif len(envelope) <= 2 and isinstance(envelope[0], bytes):
             self._install_bundles(envelope[1] if len(envelope) == 2 else None, cache)
             with resolver_installed(cache) if cache is not None else nullcontext():
                 obj = _unpickled(envelope[0], "payload")
-            result = obj, {"v": 1, "mode": "full", "nid": None, "hash": None}
+            result = obj, {"v": 1, "mode": "full", "nid": None, "hash": None, "image": None}
         else:
             raise SerializationError("unrecognised envelope format")
         if self._observer is not None:
@@ -492,7 +494,7 @@ class NapletSerializer:
             raise SerializationError(f"malformed code bundles: {exc}") from exc
 
     def _loads_v2(
-        self, envelope: tuple, cache: CodeCache | None
+        self, envelope: tuple, cache: CodeCache | None, prev: Image | None
     ) -> tuple[Any, dict[str, Any]]:
         try:
             nid, digest, shipped, removed, refs, cls_ref, bundles, code_refs = (
@@ -514,36 +516,34 @@ class NapletSerializer:
                     "server does not hold — sender must re-ship the bundle"
                 )
 
-        # Compose the image, name -> (bytes, hash, raw): the destination's own
-        # record for the omitted fields, its hash index for the referenced ones.
+        # Compose the image, name -> (bytes, hash, raw), from the blob store:
+        # the omitted fields are the previous image's here, by their hashes.
+        blobs = self.blobs
         fields: dict[str, tuple[Any, str, bool]] = {}
         raw_blobs: dict[str, bytes] = {}  # hash -> the one object equal raw fields land as
+        delta = removed is not None or bool(refs)
         if removed is not None:
-            record = self._delta_cache.get(nid)
-            if record is None:
-                raise _miss(nid, "omits fields but no record of it is cached here")
-            cls_ref = record.cls_ref
-            for name, entry in record.fields.items():
-                if name not in removed:
-                    fields[name] = (entry.data, entry.hash, entry.raw)
+            if prev is None:
+                raise _miss(nid, "omits fields but no image of it is kept here")
+            cls_ref = prev.cls_ref
+            kept = zip(prev.keys, prev.blobs)
+            refs = {**{key: b.hash for key, b in kept if field_name(key)[0] not in removed}, **refs}
         try:
             for key, ref in refs.items():
                 name, raw = field_name(key)
-                blob = self._delta_cache.blob(ref)
-                if blob is None:
-                    raise _miss(nid, f"references {name!r} by hash {ref[:12]} which no record here holds")
-                fields[name] = (blob, ref, raw)
+                held = blobs.get(ref)
+                if held is None:
+                    raise _miss(nid, f"leans on {name!r} by hash {ref[:12]}, which is not held here")
+                fields[name] = (held, ref, raw)
             for key, blob in shipped.items():
                 name, raw = field_name(key)
                 digest = content_hash(blob)
                 if raw:  # lands as the one bytes object held here, else as itself
-                    held = self._delta_cache.blob(digest) or _whole_bytes(blob)
-                    blob = raw_blobs.setdefault(digest, held)
+                    blob = raw_blobs.setdefault(digest, blobs.get(digest) or _whole_bytes(blob))
                 fields[name] = (blob, digest, raw)
             composed = image_hash({field_key(n, raw): h for n, (_, h, raw) in fields.items()})
         except _MALFORMED as exc:
             raise SerializationError(f"malformed per-field envelope: {exc}") from exc
-        delta = removed is not None or bool(refs)
         if composed != img_hash:
             if delta:  # what is held here is not what the sender believed
                 raise _miss(nid, "does not compose to the announced content hash")
@@ -569,22 +569,19 @@ class NapletSerializer:
                 obj.__dict__.update(state)
         except Exception as exc:
             raise SerializationError(f"cannot restore naplet {nid}: {exc}") from exc
-        # Seed the cache with the composed image: the field values in the
-        # entries ARE the objects now installed on the naplet, so the next
-        # hop from this server gets the identity-based pickle skip.
-        record = ImageRecord(img_hash, cls_ref, {
+        # The landed image: its values ARE the objects now installed on the
+        # naplet, so the next hop from this server gets the identity-based
+        # pickle skip, and bytes already proved stable prove their value.
+        named = blobs.name(Blob(digest, _whole_bytes(data)) for data, digest, _ in fields.values())
+        image = Image.of(cls_ref, {
             name: FieldEntry(
-                data=_whole_bytes(blob),
-                hash=digest,
-                value=state[name],
-                fingerprint=delta_fingerprint(state[name]),
-                stable=raw or None,
-                raw=raw,
+                blob, state[name], delta_fingerprint(state[name]),
+                stable=True if raw or blob.stable else None, raw=raw,
             )
-            for name, (blob, digest, raw) in fields.items()
-        })
-        self._delta_cache.landed(nid, record)
-        return obj, {"v": 2, "mode": "delta" if delta else "full", "nid": nid, "hash": img_hash}
+            for (name, (_, _, raw)), blob in zip(fields.items(), named)
+        }, img_hash)
+        info = {"v": 2, "mode": "delta" if delta else "full", "nid": nid, "hash": img_hash}
+        return obj, {**info, "image": image}
 
     # -- sizing ----------------------------------------------------------------- #
 
@@ -593,7 +590,7 @@ class NapletSerializer:
 
         A pure probe: bypasses the perf observer (a sizing call is not a
         hop — see the telemetry-pollution regression test) and never
-        touches the delta caches, so probing a naplet mid-flight cannot
+        touches the blob store, so probing a naplet mid-flight cannot
         perturb the delta negotiation.
         """
         return len(self._encode_v1(obj)[0])

@@ -184,7 +184,8 @@ class TestChaosMatrix:
         # redelivery re-resolves the target to where it actually lives.
         plan.heal()
         assert len(servers["c00"].messenger.dead_letters) == 0
-        assert servers["c00"].telemetry.dead_letters_requeued.value() == 1
+        metrics = servers["c00"].telemetry.registry.snapshot()
+        assert metrics.value("naplet_dead_letters_requeued_total") == 1
         mailbox = servers["c01"].messenger.mailbox_of(sitter_id)
         assert mailbox is not None and len(mailbox) == 1
         SpaceAdmin(servers).terminate(sitter_id)

@@ -126,7 +126,8 @@ class TestDeadLetterIntegration:
         assert len(servers["c00"].messenger.dead_letters) == 1
         network.heal()  # clears the plan AND flushes dead letters
         assert len(servers["c00"].messenger.dead_letters) == 0
-        assert servers["c00"].telemetry.dead_letters_requeued.value() == 1
+        metrics = servers["c00"].telemetry.registry.snapshot()
+        assert metrics.value("naplet_dead_letters_requeued_total") == 1
         mailbox = servers["c01"].messenger.mailbox_of(sitter_id)
         assert mailbox is not None and len(mailbox) == 1
         SpaceAdmin(servers).terminate(sitter_id)

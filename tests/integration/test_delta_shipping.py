@@ -7,9 +7,11 @@ transports:
 - repeat hops between the same pair of servers ship deltas, and so do ring
   laps, the hop home and another naplet's first visit with the same cargo:
   a field crosses a link once;
-- a destination that lost what a delta leans on mid-itinerary (cache
-  eviction, restart, a record that is not what the sender believes) acks
-  ``need_full`` and the sender re-ships the full image within the same hop.
+- a destination that lost what a delta leans on mid-itinerary (blob
+  eviction, restart, an image that is not what the sender believes) acks
+  ``need_full`` and the sender re-ships the full image within the same hop;
+- a naplet's image lives on its naplet-table record, cut to a manifest
+  once it left or retired, and the blob store stays under its byte budget.
 """
 
 from __future__ import annotations
@@ -20,10 +22,13 @@ import pytest
 import repro
 from repro.codeshipping.codebase import CodeBaseRegistry
 from repro.core.credential import SigningAuthority
+from repro.core.naplet_id import NapletID
 from repro.itinerary import Itinerary, ResultReport, SeqPattern
 from repro.perf import hop_cost_rows
 from repro.server import NapletServer, ServerConfig, SpaceAdmin
 from repro.simnet import VirtualNetwork, full_mesh, line
+from repro.transport import delta
+from repro.transport.delta import Image
 from repro.transport.tcp import TcpTransport
 from repro.util.concurrency import wait_until
 from tests.conftest import CollectorNaplet
@@ -106,23 +111,36 @@ def _tally(servers, kind: str) -> int:
     return sum(s.journal.count(kind) for s in servers.values())
 
 
-def _assert_cache_lifetime(servers, nid: str) -> None:
-    """Retired at d00: no record there.  Departed from d01 and acked: the
-    image stays as a delta base, none of the objects it was pickled from."""
-    assert nid not in servers["d00"].serializer.delta_cache
-    record = servers["d01"].serializer.delta_cache.peek(nid)
-    assert record is not None
-    assert not any(entry.live for entry in record.fields.values())
+def _image(server, nid: str) -> Image | None:
+    """*server*'s image of naplet *nid*, kept on its naplet-table record."""
+    record = server.manager.footprint(NapletID.parse(nid))
+    return None if record is None else record.image
+
+
+def _blob(server, nid: str, key: str):
+    """The blob *server*'s image of *nid* names for field key *key*."""
+    image = _image(server, nid)
+    return dict(zip(image.keys, image.blobs))[key]
+
+
+def _assert_image_lifetime(servers, nid: str) -> None:
+    """Retired at d00, departed from d01 and acked: each record keeps the
+    manifest of its last image there — hashes and held blobs, none of the
+    objects it was pickled from or decoded to."""
+    for server in servers.values():
+        image = _image(server, nid)
+        assert image is not None and image.entries is None
+        assert all(blob.hash in server.serializer.blobs for blob in image.blobs)
 
 
 def _journey_with_evicted_base(servers) -> None:
     """While the naplet sits on d01 (hop 3), every other server loses its
-    delta cache; the next hop lands on d00, which no longer holds the base."""
+    blobs; the next hop lands on d00, which no longer holds the base."""
 
     def evict_everywhere_else(current_host: str) -> None:
         for name, server in servers.items():
             if name != current_host:
-                server.serializer.delta_cache.clear()
+                server.serializer.blobs.clear()
 
     _SABOTAGE.update(hook=evict_everywhere_else, at=3)
     try:
@@ -158,7 +176,7 @@ class TestDeltaOverInMemory:
         assert _total(servers, "delta_hops") == len(ROUTE) - 1
         assert _total(servers, "delta_saved_bytes") > 0
         assert _tally(servers, "delta-full-reship") == 0
-        _assert_cache_lifetime(servers, nid)
+        _assert_image_lifetime(servers, nid)
 
     def test_evicted_base_forces_transparent_full_reship(self, memory_space):
         _journey_with_evicted_base(self._attach(memory_space, _configs()))
@@ -167,10 +185,10 @@ class TestDeltaOverInMemory:
         servers = self._attach(memory_space, _configs())
         _journey(servers, Ouroboros("ouroboros"))
         # The input selected the single-pickle envelope on every hop:
-        # nothing to delta against, nothing cached, the cycle kept.
+        # nothing to delta against, nothing kept, the cycle kept.
         assert _total(servers, "delta_hops") == 0
         assert _tally(servers, "delta-full-reship") == 0
-        assert all(len(s.serializer.delta_cache) == 0 for s in servers.values())
+        assert all(s.serializer.blobs.nbytes == 0 for s in servers.values())
 
 
 class TestDeltaOverTcp:
@@ -180,7 +198,7 @@ class TestDeltaOverTcp:
             nid = _journey(servers)
             assert _total(servers, "delta_hops") == len(ROUTE) - 1
             assert _tally(servers, "delta-full-reship") == 0
-            _assert_cache_lifetime(servers, nid)
+            _assert_image_lifetime(servers, nid)
         finally:
             for server in servers.values():
                 server.shutdown()
@@ -300,8 +318,7 @@ class TestAFieldCrossesALinkOnce:
         self, ring_space
     ):
         servers = ring_space()
-        # Home retires the naplet (and drops its record); the servers it
-        # merely passed through keep theirs.
+        # Every server the naplet passed through keeps its manifest.
         route = ["d01", "d02", "d03", "d00"]
         first = _journey(servers, Courier("first"), route=route)
         offered = _transfer_envelopes(servers["d02"])
@@ -313,9 +330,9 @@ class TestAFieldCrossesALinkOnce:
         assert hops[1]["delta"] and hops[1]["saved_bytes"] >= len(CARGO)
         (envelope,) = offered
         assert "omitted" not in envelope and "cargo" not in envelope["fields"]
-        cache = servers["d02"].serializer.delta_cache
-        assert envelope["refs"]["cargo"] == cache.peek(first).fields["cargo"].hash
-        assert cache.peek(second).fields["cargo"].data is cache.peek(first).fields["cargo"].data
+        d02 = servers["d02"]
+        assert envelope["refs"]["cargo"] == _blob(d02, first, "=cargo").hash
+        assert _blob(d02, second, "=cargo").data is _blob(d02, first, "=cargo").data
         assert _tally(servers, "delta-full-reship") == 0
 
 
@@ -339,18 +356,29 @@ def _sabotaged_ping_pong(servers, sabotage, other_landings: int = 0) -> None:
 
 
 def _corrupt_a_cached_hash(servers, nid: str) -> None:
-    servers["d01"].serializer.delta_cache.peek(nid).fields["cargo"].hash = "0" * 32
+    """d01's image names other bytes for the cargo than the sender believes."""
+    d01 = servers["d01"]
+    record, cargo = d01.manager.footprint(NapletID.parse(nid)), _blob(d01, nid, "=cargo")
+    (other,) = d01.serializer.blobs.name([delta.Blob(delta.content_hash(b"other"), b"other")])
+    kept = record.image
+    blobs = tuple(other if blob is cargo else blob for blob in kept.blobs)
+    record.image = Image(kept.hash, kept.cls_ref, kept.keys, blobs)
 
 
 def _drop_the_record(servers, nid: str) -> None:
-    servers["d01"].serializer.delta_cache.drop(nid)
+    manager = servers["d01"].manager
+    manager.keep_image(manager.footprint(NapletID.parse(nid)), None)
 
 
 def _evict_through_a_capacity_one_cache(servers, nid: str) -> None:
+    """A filler's cargo lands at d01 and pushes the victim's out of its
+    byte budget."""
+    cargo = _blob(servers["d01"], nid, "=cargo")
     filler = CollectorNaplet("filler")
+    filler.cargo = b"\x17" * 60_000
     filler.set_itinerary(Itinerary(SeqPattern.of_servers(["d01"])))
     servers["d00"].launch(filler, owner="bob")
-    assert wait_until(lambda: nid not in servers["d01"].serializer.delta_cache, timeout=10)
+    assert wait_until(lambda: cargo.hash not in servers["d01"].serializer.blobs, timeout=10)
 
 
 class TestAWrongHintCostsOneFullReship:
@@ -363,6 +391,78 @@ class TestAWrongHintCostsOneFullReship:
     def test_record_that_does_not_compose_or_is_gone(self, ring_space, sabotage):
         _sabotaged_ping_pong(ring_space(), sabotage)
 
-    def test_capacity_one_cache_at_the_destination(self, ring_space):
-        servers = ring_space({"d01": ServerConfig(delta_cache_capacity=1)})
+    def test_capacity_one_cache_at_the_destination(self, ring_space, monkeypatch):
+        # Room for one cargo: the filler's evicts the victim's.
+        monkeypatch.setattr(delta, "BLOB_BUDGET", 100_000)
+        servers = ring_space()
         _sabotaged_ping_pong(servers, _evict_through_a_capacity_one_cache, other_landings=1)
+
+
+class TestOneLifetimePerImage:
+    """A naplet's image lives on its naplet-table record: cut to a manifest
+    when the naplet leaves or retires, its bytes held once, under the
+    blob store's byte budget."""
+
+    def test_one_shot_couriers_leave_at_most_the_budget(self, ring_space, monkeypatch):
+        monkeypatch.setattr(delta, "BLOB_BUDGET", 1 << 20)
+        servers = ring_space()
+        cargos = [bytes([n]) * (256 << 10) for n in range(8)]  # 2 MiB in all
+        nids = [
+            _journey(servers, Courier(f"one-shot-{n}", cargo), route=["d01", "d02"])
+            for n, cargo in enumerate(cargos)
+        ]
+        for server in servers.values():
+            assert server.serializer.blobs.nbytes <= delta.BLOB_BUDGET
+        # Every courier keeps its footprint and manifest; the eldest cargo
+        # is what went.
+        assert all(_image(servers["d02"], nid) is not None for nid in nids)
+        assert _blob(servers["d01"], nids[0], "=cargo").hash not in servers["d01"].serializer.blobs
+        assert _blob(servers["d01"], nids[-1], "=cargo").hash in servers["d01"].serializer.blobs
+        # What the retired couriers share stays held: no hop asked again.
+        assert _tally(servers, "delta-full-reship") == 0
+
+    def test_bytes_held_only_under_a_retired_naplet_resolve_by_reference(self, ring_space):
+        servers = ring_space()
+        first = _journey(servers, Courier("first"), route=["d01", "d02"])  # retires at d02
+        assert _image(servers["d02"], first).entries is None
+        offered = _transfer_envelopes(servers["d02"])
+        second = _journey(servers, Courier("second"), route=["d01", "d02"])
+        (envelope,) = offered
+        assert envelope["refs"]["cargo"] == _blob(servers["d02"], first, "=cargo").hash
+        assert envelope["ack"]["ok"] is True
+        hops = _hop_costs(servers, second)
+        assert hops[1]["delta"] and hops[1]["saved_bytes"] >= len(CARGO)
+        assert _tally(servers, "delta-full-reship") == 0
+        assert _tally(servers, "delta-need-full") == 0
+
+    def test_a_hop_back_to_a_manifest_omits_the_unchanged_fields(self, ring_space):
+        servers = ring_space()
+        d01 = servers["d01"]
+        agent = SaboteurCourier("boomerang")
+        agent.cargo = CARGO
+        bases: list = []
+        landing = d01.navigator.handle_transfer
+
+        def base_then_land(frame):
+            bases.append(_image(d01, read_envelope(frame.buffers[0], frame.buffers[1:])["nid"]))
+            return landing(frame)
+
+        def buried_at_d01(_host: str) -> None:  # at d02, before the hop back
+            record = lambda: d01.manager.footprint(agent.naplet_id)  # noqa: E731
+            assert wait_until(lambda: record().state == "departed", timeout=10)
+
+        d01.navigator.handle_transfer = base_then_land
+        offered = _transfer_envelopes(d01)
+        _SABOTAGE.update(hook=buried_at_d01, at=2)
+        try:
+            nid = _journey(servers, agent, route=["d01", "d02", "d01", "d00"])
+        finally:
+            _SABOTAGE.clear()
+        # The hop back found d01's record buried: a manifest, no values.
+        assert bases[0] is None and bases[1].entries is None
+        envelope = offered[1]
+        assert envelope["omitted"] is True and "cargo" not in envelope["fields"]
+        assert envelope["ack"]["ok"] is True
+        hops = _hop_costs(servers, nid)
+        assert hops[2]["delta"] and hops[2]["saved_bytes"] >= len(CARGO)
+        assert _tally(servers, "delta-full-reship") == 0

@@ -86,7 +86,7 @@ def _forged_naplet(nid: NapletID, self_referential: bool) -> ForgedImage:
 
 def _offer(servers, credential: Credential, image_of: ForgedImage) -> dict:
     """Send one transfer of *image_of* under *credential* from s00 to s01."""
-    data, buffers, _cost = servers["s00"].serializer.dumps_with_cost(image_of)
+    data, buffers, _cost, _image = servers["s00"].serializer.dumps_with_cost(image_of)
     frame = Frame(
         kind=FrameKind.NAPLET_TRANSFER,
         source=servers["s00"].urn,
@@ -110,7 +110,7 @@ class TestLandingIdentity:
         assert not landed.manager.is_resident(mallory)
         assert not landed.manager.is_resident(credential.naplet_id)
         assert landed.journal.count("landing") == 0
-        assert str(mallory) not in landed.serializer.delta_cache
+        assert landed.manager.footprint(mallory) is None
         (event,) = [
             r for r in SpaceAdmin(pair).harvest_journal()
             if r.kind == "landing-identity-mismatch"

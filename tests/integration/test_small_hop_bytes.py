@@ -15,6 +15,7 @@ changed.
 from __future__ import annotations
 
 import repro
+from repro.core.naplet_id import NapletID
 from repro.itinerary import Itinerary, ResultReport, SeqPattern
 from repro.server import SpaceAdmin, deploy
 from repro.simnet import VirtualNetwork, ring
@@ -81,10 +82,11 @@ def test_a_small_hop_ships_what_changed_once():
         envelopes = [read_envelope(f.buffers[0], f.buffers[1:]) for f in frames]
         for envelope in envelopes:
             assert "_cred" not in envelope["fields"] and "_cred" not in envelope.get("refs", {})
-        records = [
-            s.serializer.delta_cache.peek(key) for s in servers.values() for key in (warm_up, nid)
+        images = [
+            s.manager.footprint(NapletID.parse(key)).image
+            for s in servers.values() for key in (warm_up, nid)
         ]
-        assert all("_cred" not in r.fields for r in records if r is not None)
+        assert all("_cred" not in image.keys for image in images)
         launch, *later = zip(frames, envelopes)
         assert "_plan" in launch[1]["fields"] and launch[0].size <= LAUNCH_BUDGET
         for frame, envelope in later:

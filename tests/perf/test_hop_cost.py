@@ -60,16 +60,18 @@ class TestJournalRecords:
         """The hop span closes after the ack, when the naplet is already
         running — and may have left again — at the destination; its causal
         position is the acked frame's stamp, not the moment it closes."""
-        import time
-
         from repro.util.concurrency import wait_until
 
         _network, servers = small_line
         navigator = servers["s01"].navigator
         real = navigator._transfer_acked
 
+        def landings() -> int:
+            return sum(server.journal.count("landing") for server in servers.values())
+
         def late(*args, **kwargs):
-            time.sleep(0.3)  # the whole rest of the tour fits in here
+            # The whole rest of the tour lands before this ack is booked.
+            wait_until(lambda: landings() == len(ROUTE), timeout=10)
             real(*args, **kwargs)
 
         monkeypatch.setattr(navigator, "_transfer_acked", late)

@@ -12,6 +12,7 @@ from repro.transport.serializer import NapletSerializer
 from tests.conftest import CollectorNaplet
 from tests.core.test_naplet import _identified
 from tests.transport.envelopes import read_envelope
+from tests.transport.images import ImageKeeper
 from tests.transport.shipped_fixture import StampedPayload
 
 pytestmark = pytest.mark.perf
@@ -99,44 +100,46 @@ class TestAttribution:
 
 class TestDeltaView:
     def test_released_base_reads_as_no_live_value(self):
-        serializer = NapletSerializer()
+        serializer = ImageKeeper()
         agent = _identified("xray-released")
         agent.cargo = b"\xab" * 10_000
         nid = str(agent.naplet_id)
-        serializer.dumps_with_cost(agent)
+        serializer.dump(agent)
         agent.state.set("k", 1)
-        live = explain_delta(agent, serializer)
-        assert live.base_live and "released" not in live.render()
+        live = explain_delta(agent, serializer, prev=serializer.image(nid))
+        assert live.base_live and "manifest" not in live.render()
         assert "state" in live.shipped and "cargo" in live.skipped
 
-        cache = serializer.delta_cache
-        cache.release(nid, live.base_hash)
-        before = cache.stats()
-        released = explain_delta(agent, serializer)
-        # What ships is decided by the cached bytes, which a release keeps.
-        assert not released.base_live and "(values released)" in released.render()
+        serializer.bury(nid)  # the departure was acked
+        manifest = serializer.image(nid)
+        held = serializer.blobs.nbytes
+        released = explain_delta(agent, serializer, prev=manifest)
+        # What ships is decided by the bytes' hashes, which a manifest keeps.
+        assert not released.base_live and "(a manifest: no live values)" in released.render()
         assert released.describe()["base_live"] is False
         assert (released.base_hash, released.shipped, released.skipped) == (
             live.base_hash, live.shipped, live.skipped,
         )
-        assert cache.stats() == before  # still a pure probe
+        # Still a pure probe.
+        assert serializer.image(nid) is manifest and manifest.entries is None
+        assert serializer.blobs.nbytes == held
         assert not explain_delta(_identified("never-dumped"), serializer).base_live
 
     def test_preview_is_the_envelope_the_serializer_then_builds(self):
         """Shipped / omitted / referenced per field, for any peer table."""
         from repro.perf.xray import _friendly
 
-        serializer = NapletSerializer()
+        serializer = ImageKeeper()
         agent = _identified("xray-fates")
         agent.cargo = b"\xcd" * 10_000
         nid = str(agent.naplet_id)
         assert not explain_delta(agent, serializer, held={nid}).skipped  # a launch
-        serializer.dumps_with_cost(agent)
-        hashes = set(serializer.delta_cache.peek(nid).field_hashes().values())
+        serializer.dump(agent)
+        hashes = set(serializer.image(nid).field_hashes().values())
         agent.state.set("k", 1)
         for held in (set(), hashes, hashes | {nid}, {nid}):
-            view = explain_delta(agent, serializer, held=held)
-            data, buffers, cost = serializer.dumps_with_cost(agent, held=held)
+            view = explain_delta(agent, serializer, held=held, prev=serializer.image(nid))
+            data, buffers, cost = serializer.dump(agent, held=held)
             envelope = read_envelope(data, buffers)
             refs = envelope.get("refs", {})
             assert set(view.shipped) == {_friendly(n) for n in envelope["fields"]}
@@ -147,10 +150,11 @@ class TestDeltaView:
             )
             assert view.image_hash == envelope["hash"]
         # With a record at the peer the cargo is omitted; without, referenced.
-        assert "cargo" in explain_delta(agent, serializer, held=hashes).referenced
-        text = explain_delta(agent, serializer, held=hashes).render()
+        prev = serializer.image(nid)
+        assert "cargo" in explain_delta(agent, serializer, held=hashes, prev=prev).referenced
+        text = explain_delta(agent, serializer, held=hashes, prev=prev).render()
         assert "referenced (saved)" in text and "omitted" not in text
-        default = explain_delta(agent, serializer)  # a hop back where it came from
+        default = explain_delta(agent, serializer, prev=prev)  # a hop back where it came from
         assert "cargo" in default.skipped and not default.referenced
         assert "omitted (saved)" in default.render()
         assert json.loads(json.dumps(default.describe()))["referenced"] == []
@@ -163,7 +167,7 @@ class TestDeltaView:
         agent = _identified("xray-raw")
         agent.cargo = b"\xef" * 10_000
         view = explain_delta(agent, serializer)
-        data, buffers, _ = serializer.dumps_with_cost(agent)
+        data, buffers, _, _ = serializer.dumps_with_cost(agent)
         envelope = read_envelope(data, buffers)
         assert view.shipped["cargo"] == len(agent.cargo) and "cargo" in envelope["raw"]
         assert view.image_hash == envelope["hash"]

@@ -16,8 +16,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import DeltaBaseMissingError
-from repro.transport.serializer import NapletSerializer
 from tests.core.test_naplet import _identified
+from tests.transport.images import ImageKeeper
 
 _NAMES = ["f0", "f1", "f2", "f3"]
 _values = st.one_of(
@@ -67,7 +67,7 @@ class TestDeltaNeverLandsADifferentState:
     @given(_rounds, st.data())
     @settings(max_examples=120, deadline=None)
     def test_loads_of_dumps_is_the_state_or_delta_base_missing(self, rounds, data):
-        sender, receiver = NapletSerializer(), NapletSerializer()
+        sender, receiver = ImageKeeper(), ImageKeeper()
         agent = _identified("prop")
         nid = str(agent.naplet_id)
         seen: set[str] = {nid, "someone-else", "0" * 32}
@@ -75,19 +75,20 @@ class TestDeltaNeverLandsADifferentState:
             for op in ops:
                 _apply(agent, *op)
             if fate == "receiver-forgets":
-                receiver.delta_cache.clear()
+                receiver.images.clear()
+                receiver.blobs.clear()
             held = data.draw(st.sets(st.sampled_from(sorted(seen))), label="held")
-            payload, buffers, cost = sender.dumps_with_cost(agent, held=held)
-            seen.update(sender.delta_cache.peek(nid).field_hashes().values())
+            payload, buffers, cost = sender.dump(agent, held=held)
+            seen.update(sender.image(nid).field_hashes().values())
             if fate == "elsewhere":
                 continue  # shipped to some other peer: the receiver's record goes stale
             try:
-                copy = receiver.loads(payload, buffers=buffers or None)
+                copy, _ = receiver.land(payload, buffers=buffers or None)
             except DeltaBaseMissingError:
                 event("asked for the full image")
                 assert cost.delta  # only a delta may ask for the full image
-                payload, buffers, cost = sender.dumps_with_cost(agent)
+                payload, buffers, cost = sender.dump(agent)
                 assert not cost.delta
-                copy = receiver.loads(payload, buffers=buffers or None)
+                copy, _ = receiver.land(payload, buffers=buffers or None)
             event("landed a delta" if cost.delta else "landed a full image")
             assert _state_bytes(copy) == _state_bytes(agent)

@@ -20,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import DeltaBaseMissingError, SerializationError
-from repro.transport.serializer import NapletSerializer
 from tests.core.test_naplet import _identified
+from tests.transport.images import ImageKeeper
 
 
 class Colour(enum.Enum):
@@ -56,14 +56,14 @@ def _travelled(agent, visits: int) -> None:
 
 
 def _prepared(first: dict, visits: int, receiver_has: bool):
-    sender, receiver = NapletSerializer(), NapletSerializer()
+    sender, receiver = ImageKeeper(), ImageKeeper()
     agent = _identified("envelope")
     for name, value in first.items():
         setattr(agent, name, value)
     _travelled(agent, visits)
-    payload, buffers, _ = sender.dumps_with_cost(agent)
+    payload, buffers, _ = sender.dump(agent)
     if receiver_has:
-        receiver.loads_with_info(payload, buffers=buffers or None)
+        receiver.land(payload, buffers=buffers or None)
     return sender, receiver, agent
 
 
@@ -79,7 +79,7 @@ class TestEnvelopeRoundTrip:
     ):
         sender, receiver, agent = _prepared(first, visits, receiver_has)
         nid = str(agent.naplet_id)
-        prev = sender.delta_cache.peek(nid)
+        prev = sender.image(nid)
         for name in set(first) - set(second):
             delattr(agent, name)
         for name, value in second.items():
@@ -87,18 +87,19 @@ class TestEnvelopeRoundTrip:
         _travelled(agent, data.draw(st.integers(0, 5), label="more visits"))
         candidates = sorted({nid, "someone-else", *prev.field_hashes().values()})
         held = data.draw(st.sets(st.sampled_from(candidates)), label="held")
-        payload, buffers, cost = sender.dumps_with_cost(agent, held=held)
+        payload, buffers, cost = sender.dump(agent, held=held)
         try:
-            copy, info = receiver.loads_with_info(payload, buffers=buffers or None)
+            copy, info = receiver.land(payload, buffers=buffers or None)
         except DeltaBaseMissingError:
             assert cost.delta  # only a delta may ask for the full image
-            payload, buffers, cost = sender.dumps_with_cost(agent)
-            copy, info = receiver.loads_with_info(payload, buffers=buffers or None)
+            payload, buffers, cost = sender.dump(agent)
+            copy, info = receiver.land(payload, buffers=buffers or None)
+        assert info.pop("image").hash == info["hash"]
         assert info == {
             "v": 2,
             "mode": "delta" if cost.delta else "full",
             "nid": nid,
-            "hash": sender.delta_cache.peek(nid).hash,
+            "hash": sender.image(nid).hash,
         }
         assert {name: getattr(copy, name) for name in second} == second
         assert not any(hasattr(copy, name) for name in set(first) - set(second))
@@ -114,8 +115,8 @@ class TestDamagedEnvelope:
         sender, receiver, agent = _prepared(fields, visits, receiver_has=True)
         nid = str(agent.naplet_id)
         agent.count = data.draw(st.integers(0, 3), label="count")
-        held = {nid, *sender.delta_cache.peek(nid).field_hashes().values()} if delta else ()
-        payload, buffers, _ = sender.dumps_with_cost(agent, held=held)
+        held = {nid, *sender.image(nid).field_hashes().values()} if delta else ()
+        payload, buffers, _ = sender.dump(agent, held=held)
         segments = [bytearray(payload), *(bytearray(b) for b in buffers)]
         segment = segments[data.draw(st.integers(0, len(segments) - 1), label="segment")]
         at = data.draw(st.integers(0, max(0, len(segment) - 1)), label="at")
@@ -124,7 +125,7 @@ class TestDamagedEnvelope:
         elif segment:
             segment[at] ^= 1 << data.draw(st.integers(0, 7), label="bit")
         try:
-            copy, _ = receiver.loads_with_info(
+            copy, _ = receiver.land(
                 bytes(segments[0]), buffers=[bytes(s) for s in segments[1:]] or None
             )
         except SerializationError:  # DeltaBaseMissingError included

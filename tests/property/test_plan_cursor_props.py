@@ -85,7 +85,7 @@ def _future(agent) -> tuple[str | None, list[str], bool]:
 
 
 def _per_field(agent):
-    data, buffers, _cost = NapletSerializer().dumps_with_cost(agent)
+    data, buffers, _cost, _image = NapletSerializer().dumps_with_cost(agent)
     return NapletSerializer().loads(data, buffers=buffers or None)
 
 
@@ -95,8 +95,8 @@ def _frozen(agent):
 
 
 def _plan_hash(serializer: NapletSerializer, agent) -> str:
-    serializer.dumps_with_cost(agent)
-    return serializer.delta_cache.peek(str(agent.naplet_id)).fields["_plan"].hash
+    *_, image = serializer.dumps_with_cost(agent)
+    return image.entries["_plan"].hash
 
 
 class TestPlanAndCursorRoundTrip:
@@ -119,7 +119,7 @@ class TestPlanAndCursorRoundTrip:
         assert _plan_hash(NapletSerializer(), second) == digest
         # Re-pickled where it landed, the plan still hashes the same.
         sender, receiver = NapletSerializer(), NapletSerializer()
-        data, buffers, _cost = sender.dumps_with_cost(first)
+        data, buffers, _cost, _image = sender.dumps_with_cost(first)
         landed = receiver.loads(data, buffers=buffers or None)
         assert _plan_hash(receiver, landed) == digest
 

@@ -19,9 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import SerializationError
-from repro.transport.serializer import NapletSerializer
 from tests.core.test_naplet import _identified
 from tests.transport.envelopes import read_envelope, write_envelope
+from tests.transport.images import ImageKeeper
 
 
 class Blob(bytes):
@@ -40,34 +40,34 @@ class _Space:
     """A naplet at a sender, and a mirror that landed every image it dumped."""
 
     def __init__(self, fields: dict) -> None:
-        self.sender, self.mirror = NapletSerializer(), NapletSerializer()
+        self.sender, self.mirror = ImageKeeper(), ImageKeeper()
         self.agent = _identified("raw")
         self.nid = str(self.agent.naplet_id)
         self.hop(fields, "ships")
 
     def entry(self, name: str):
-        return self.sender.delta_cache.peek(self.nid).fields[name]
+        return self.sender.image(self.nid).entries[name]
 
     def dump(self, fields: dict, fate: str):
         """Set *fields* and dump toward a mirror told it holds what *fate* needs."""
         for name, value in fields.items():
             setattr(self.agent, name, value)
-        record = self.sender.delta_cache.peek(self.nid)
+        record = self.sender.image(self.nid)
         hashes = set(record.field_hashes().values()) if record is not None else set()
         held = {"ships": set(), "omitted": {self.nid, *hashes}, "referenced": hashes}[fate]
-        data, buffers, _ = self.sender.dumps_with_cost(self.agent, held=held)
+        data, buffers, _ = self.sender.dump(self.agent, held=held)
         return data, buffers
 
     def hop(self, fields: dict, fate: str):
         data, buffers = self.dump(fields, fate)
         envelope = read_envelope(data, buffers)
-        copy, _ = self.mirror.loads_with_info(data, buffers=buffers or None)
+        copy, _ = self.mirror.land(data, buffers=buffers or None)
         for name, value in fields.items():
             landed = getattr(copy, name)
             assert landed == value and type(landed) is type(value)
             if type(value) is bytes:
-                cache = self.mirror.delta_cache
-                assert landed is cache.blob(cache.peek(self.nid).fields[name].hash)
+                mirror = self.mirror
+                assert landed is mirror.blobs.get(mirror.image(self.nid).entries[name].hash)
             marked = name in envelope["fields"] or name in envelope["refs"]
             assert (name in envelope["raw"]) == (marked and type(value) is bytes)
         return envelope
@@ -87,7 +87,7 @@ class TestRawFieldRoundTrip:
         envelope = space.hop(fields, fate)
         for name in fields:
             # A hash reference is sent only when shorter than the bytes.
-            short = fate == "referenced" and len(space.entry(name).data) <= 32
+            short = fate == "referenced" and len(space.entry(name).blob.data) <= 32
             assert _fate(envelope, name) == ("ships" if short else fate)
 
     @given(
@@ -100,7 +100,7 @@ class TestRawFieldRoundTrip:
         for value in values:
             if value is _MIMIC:  # the same content hash under the other kind
                 before = space.entry("cargo")
-                value = before.data if not before.raw else "launch"
+                value = before.blob.data if not before.raw else "launch"
             fate = data.draw(st.sampled_from(FATES), label="fate")
             space.hop({"cargo": value}, fate)
 
@@ -126,4 +126,4 @@ class TestTamperedKind:
             )
             view["fields"]["cargo"] = bytes(segment)
         with pytest.raises(SerializationError):
-            space.mirror.loads_with_info(write_envelope(view))
+            space.mirror.land(write_envelope(view))

@@ -9,7 +9,6 @@ the landing.  Nothing else is written per hop.  A journey adds its launch
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 
 import pytest
@@ -98,8 +97,14 @@ class TestRecordBudget:
         navigator = four["s01"].navigator
         acked = navigator._transfer_acked
 
+        def landings() -> int:
+            return sum(server.journal.count("landing") for server in four.values())
+
         def late(*args, **kwargs):
-            time.sleep(0.2)  # the next hops of the tour fit in here
+            # The tour's next two hops land (the second back here) before
+            # this ack is booked.
+            later = min(landings() + 2, len(TOUR))
+            wait_until(lambda: landings() >= later, timeout=10)
             acked(*args, **kwargs)
 
         monkeypatch.setattr(navigator, "_transfer_acked", late)

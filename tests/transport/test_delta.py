@@ -1,4 +1,4 @@
-"""Delta shipping: image records, the field index, v2 envelopes, the fallback contract."""
+"""Delta shipping: images, the blob store, v2 envelopes, the fallback contract."""
 
 from __future__ import annotations
 
@@ -15,10 +15,12 @@ from repro.core.errors import (
 )
 from repro.core.credential import SigningAuthority
 from repro.core.naplet_id import NapletID
+from repro.transport import delta
 from repro.transport.delta import (
-    DeltaCache,
+    Blob,
+    BlobStore,
     FieldEntry,
-    ImageRecord,
+    Image,
     content_hash,
     field_fate,
     image_hash,
@@ -26,15 +28,15 @@ from repro.transport.delta import (
 from repro.transport.serializer import NapletSerializer
 from tests.core.test_naplet import ProbeNaplet, _identified
 from tests.transport.envelopes import read_envelope, write_envelope
+from tests.transport.images import ImageKeeper
 from tests.transport.shipped_fixture import StampedPayload
 
 
-def _record(img: str, **fields: bytes) -> ImageRecord:
-    entries = {
-        name: FieldEntry(data=data, hash=content_hash(data), value=data)
-        for name, data in fields.items()
-    }
-    return ImageRecord(hash=img, cls_ref=("pickle", b""), fields=entries)
+def _image(store: BlobStore, img: str = "H", **fields: bytes) -> Image:
+    """An image of *fields*, named in *store* as the serializer names one."""
+    blobs = store.name(Blob(content_hash(data), data) for data in fields.values())
+    entries = {name: FieldEntry(blob, blob.data) for name, blob in zip(fields, blobs)}
+    return Image.of(("pickle", b""), entries, img)
 
 
 class TestHashes:
@@ -67,161 +69,147 @@ class TestHashes:
         assert image_hash({"a": "2" * 32}) != base
 
 
-def _held(serializer: NapletSerializer, agent) -> set[str]:
-    """What a peer that acked *serializer*'s current image of *agent* holds."""
-    nid = str(agent.naplet_id)
-    return {nid, *serializer.delta_cache.peek(nid).field_hashes().values()}
+class TestBlobStore:
+    def test_lru_eviction_at_the_byte_budget(self, monkeypatch):
+        monkeypatch.setattr(delta, "BLOB_BUDGET", 10)
+        store = BlobStore()
+        one, two = _image(store, a=b"1111"), _image(store, b=b"2222")
+        assert store.get(content_hash(b"1111")) == b"1111"  # promote; 2222 is the eldest
+        three = _image(store, c=b"3333")
+        assert store.nbytes == 8 <= delta.BLOB_BUDGET
+        assert content_hash(b"2222") not in store and content_hash(b"1111") in store
+        # The image naming it keeps the blob object, not the bytes.
+        assert two.blobs[0].data is None and store.get(two.blobs[0].hash) is None
+        assert one.blobs[0].data == b"1111" and three.blobs[0].data == b"3333"
 
+    def test_contains_is_a_pure_probe(self, monkeypatch):
+        monkeypatch.setattr(delta, "BLOB_BUDGET", 8)
+        store = BlobStore()
+        _image(store, a=b"1111")
+        _image(store, b=b"2222")
+        assert content_hash(b"1111") in store and "0" * 32 not in store
+        _image(store, c=b"3333")
+        assert content_hash(b"1111") not in store  # `in` did not promote it over 2222
 
-class TestDeltaCache:
-    def test_lru_eviction_at_capacity(self):
-        cache = DeltaCache(capacity=2)
-        cache.put("n1", _record("H1"))
-        cache.put("n2", _record("H2"))
-        cache.get("n1")  # promote n1; n2 becomes LRU
-        cache.put("n3", _record("H3"))
-        assert "n1" in cache and "n3" in cache and "n2" not in cache
-        assert cache.stats()["evictions"] == 1
-        assert cache.get("n2") is None and cache.stats()["misses"] == 1
+    def test_a_manifest_lets_values_go_and_keeps_the_blobs(self):
+        store = BlobStore()
+        image = _image(store, "H2", f=b"x", g=b"y")
+        manifest = image.manifest()
+        assert image.entries is not None and manifest.entries is None
+        # Hashes and blobs stay: the manifest still backs omitted fields.
+        assert manifest.blobs == image.blobs and manifest.field_hashes() == image.field_hashes()
+        assert image_hash(manifest.field_hashes()) == image_hash({"f": content_hash(b"x"), "g": content_hash(b"y")})
+        assert store.get(content_hash(b"x")) == b"x"
+        store.let_go(manifest)
+        assert store.nbytes == 0 and content_hash(b"x") not in store
 
-    def test_peek_is_a_pure_probe(self):
-        cache = DeltaCache(capacity=2)
-        cache.put("n1", _record("H1"))
-        cache.put("n2", _record("H2"))
-        before = cache.stats()
-        assert cache.peek("n1").hash == "H1"
-        assert cache.peek("missing") is None
-        assert cache.stats() == before  # no hit/miss movement
-        cache.put("n3", _record("H3"))
-        assert "n1" not in cache  # peek did not promote n1 over n2
-
-    def test_release_lets_values_go_only_for_the_acked_image(self):
-        cache = DeltaCache()
-        cache.put("n1", _record("H2", f=b"x", g=b"y"))
-        before = cache.stats()
-        cache.release("n1", "H1")  # stale ack: the naplet landed back since
-        cache.release("missing", "H2")
-        assert all(e.live for e in cache.peek("n1").fields.values())
-        cache.release("n1", "H2")
-        record = cache.peek("n1")
-        assert not any(e.live for e in record.fields.values())
-        # Bytes and hashes stay: the record still backs omitted fields.
-        assert record.fields["f"].data == b"x"
-        assert record.field_hashes() == _record("H2", f=b"x", g=b"y").field_hashes()
-        assert cache.stats() == before  # no hit/miss/LRU movement
-
-    def test_drop_and_clear(self):
-        cache = DeltaCache()
-        cache.put("n1", _record("H1", f=b"x"))
-        cache.drop("n1")
-        assert len(cache) == 0 and cache.blob(content_hash(b"x")) is None
-        cache.put("n2", _record("H2", f=b"x"))
-        cache.clear()
-        assert "n2" not in cache and cache.blob(content_hash(b"x")) is None
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            DeltaCache(capacity=0)
+    def test_let_go_and_clear(self):
+        store = BlobStore()
+        store.let_go(_image(store, "H1", f=b"x"))
+        assert store.nbytes == 0 and store.get(content_hash(b"x")) is None
+        _image(store, "H2", f=b"x")
+        store.clear()
+        assert store.get(content_hash(b"x")) is None and store.nbytes == 0
 
 
 class TestFieldIndex:
-    """One ``bytes`` per content, present exactly while a record names it."""
+    """One ``bytes`` per content, present exactly while an image names it."""
 
     def test_equal_fields_of_two_records_share_one_bytes_object(self):
-        cache = DeltaCache()
+        store = BlobStore()
         first, second = bytes(b"cargo" * 100), bytes(bytearray(b"cargo" * 100))
         assert first is not second
-        cache.put("n1", _record("H1", cargo=first, own=b"1"))
-        cache.put("n2", _record("H2", cargo=second, other=b"2"))
-        held = cache.blob(content_hash(first))
+        one = _image(store, "H1", cargo=first, own=b"1")
+        two = _image(store, "H2", cargo=second, other=b"2")
+        held = store.get(content_hash(first))
         assert held is first
-        assert cache.peek("n1").fields["cargo"].data is held
-        assert cache.peek("n2").fields["cargo"].data is held
+        assert one.entries["cargo"].blob.data is held
+        assert two.entries["cargo"].blob.data is held
 
     def test_a_blob_lives_exactly_as_long_as_some_record_names_it(self):
-        cache = DeltaCache(capacity=2)
+        store = BlobStore()
         shared, own1, own2 = (content_hash(b) for b in (b"shared", b"one", b"two"))
-        cache.put("n1", _record("H1", s=b"shared", f=b"one"))
-        cache.put("n2", _record("H2", s=b"shared", f=b"two"))
-        assert cache.blob(shared) == b"shared" and cache.blob(own1) == b"one"
-        # release lets values go, never bytes.
-        cache.release("n1", "H1")
-        assert cache.blob(own1) == b"one"
-        # put over an existing record: what only the old image named goes.
-        cache.put("n1", _record("H1b", s=b"shared", f=b"one-b"))
-        assert cache.blob(own1) is None and cache.blob(shared) == b"shared"
-        # LRU eviction (n2 is the eldest) and drop: the last namer counts.
-        cache.put("n3", _record("H3", f=b"three"))
-        assert "n2" not in cache and cache.blob(own2) is None
-        assert cache.blob(shared) == b"shared"
-        cache.drop("n1")
-        assert cache.blob(shared) is None and cache.blob(content_hash(b"one-b")) is None
-        assert cache.blob(content_hash(b"three")) == b"three"
+        n1 = _image(store, "H1", s=b"shared", f=b"one")
+        n2 = _image(store, "H2", s=b"shared", f=b"two")
+        assert store.get(shared) == b"shared" and store.get(own1) == b"one"
+        # A manifest lets values go, never bytes.
+        n1 = n1.manifest()
+        assert store.get(own1) == b"one"
+        # A new image in place of the old: what only the old one named goes.
+        n1b = _image(store, "H1b", s=b"shared", f=b"one-b")
+        store.let_go(n1)
+        assert store.get(own1) is None and store.get(shared) == b"shared"
+        store.let_go(n2)
+        assert store.get(own2) is None and store.get(shared) == b"shared"
+        store.let_go(n1b)
+        assert store.get(shared) is None and store.get(content_hash(b"one-b")) is None
+        assert store.nbytes == 0
 
     def test_one_record_naming_a_blob_twice_counts_twice(self):
-        cache = DeltaCache()
-        cache.put("n1", _record("H1", a=b"same", b=b"same"))
-        cache.put("n2", _record("H2", a=b"same"))
-        cache.drop("n1")
-        assert cache.blob(content_hash(b"same")) == b"same"
-        cache.drop("n2")
-        assert cache.blob(content_hash(b"same")) is None
+        store = BlobStore()
+        n1 = _image(store, "H1", a=b"same", b=b"same")
+        n2 = _image(store, "H2", a=b"same")
+        store.let_go(n1)
+        assert store.get(content_hash(b"same")) == b"same"
+        store.let_go(n2)
+        assert store.get(content_hash(b"same")) is None
 
     def test_entries_carried_over_from_the_previous_image_keep_their_blob(self):
-        cache = DeltaCache()
-        old = _record("H1", keep=b"kept", go=b"gone")
-        cache.put("n1", old)
-        # The next dump reuses the unchanged field's very FieldEntry.
-        cache.put("n1", ImageRecord("H2", ("pickle", b""), {"keep": old.fields["keep"]}))
-        assert cache.blob(content_hash(b"kept")) == b"kept"
-        assert cache.blob(content_hash(b"gone")) is None
+        sender = ImageKeeper()
+        agent = _identified("carried")
+        agent.keep, agent.go = b"kept" * 10, b"gone" * 10
+        sender.dump(agent)
+        old = sender.image(agent.naplet_id)
+        del agent.go
+        sender.dump(agent)  # the next dump reuses the unchanged field's entry
+        assert sender.image(agent.naplet_id).entries["keep"] is old.entries["keep"]
+        assert sender.blobs.get(content_hash(b"kept" * 10)) == b"kept" * 10
+        assert sender.blobs.get(content_hash(b"gone" * 10)) is None
 
 
 class TestFieldFate:
-    PREV = _record("H", cargo=b"c" * 100, tiny=b"t")
     CARGO, TINY = content_hash(b"c" * 100), content_hash(b"t")
 
-    def fate(self, name, digest, nbytes, held, prev=PREV):
-        return field_fate(prev, name, digest, nbytes, "n1", held)
+    def fate(self, digest, nbytes, held, before=None):
+        return field_fate(digest if before is None else before, digest, nbytes, "n1", held)
 
     def test_ships_without_a_previous_image_whatever_the_peer_holds(self):
         held = {"n1", self.CARGO}
-        assert self.fate("cargo", self.CARGO, 100, held, prev=None) == "ships"
+        assert field_fate(None, self.CARGO, 100, "n1", held) == "ships"
 
     def test_ships_when_changed_here_even_if_the_peer_once_held_the_new_hash(self):
         other = content_hash(b"recurring value")
-        assert self.fate("cargo", other, 100, {"n1", other}) == "ships"
-        assert self.fate("new", other, 100, {"n1", other}) == "ships"
+        assert self.fate(other, 100, {"n1", other}, before=self.CARGO) == "ships"
+        assert field_fate(None, other, 100, "n1", {"n1", other}) == "ships"
 
     def test_ships_when_the_peer_is_not_known_to_hold_it(self):
-        assert self.fate("cargo", self.CARGO, 100, {"n1"}) == "ships"
-        assert self.fate("cargo", self.CARGO, 100, ()) == "ships"
+        assert self.fate(self.CARGO, 100, {"n1"}) == "ships"
+        assert self.fate(self.CARGO, 100, ()) == "ships"
 
     def test_omitted_when_the_peer_has_a_record_of_this_naplet(self):
         held = {"n1", self.CARGO, self.TINY}
-        assert self.fate("cargo", self.CARGO, 100, held) == "omitted"
-        assert self.fate("tiny", self.TINY, 1, held) == "omitted"
+        assert self.fate(self.CARGO, 100, held) == "omitted"
+        assert self.fate(self.TINY, 1, held) == "omitted"
 
     def test_referenced_otherwise_and_only_when_the_hash_is_the_shorter(self):
         held = {self.CARGO, self.TINY}
-        assert self.fate("cargo", self.CARGO, 100, held) == "referenced"
-        assert self.fate("tiny", self.TINY, 1, held) == "ships"
-        assert self.fate("edge", self.CARGO, len(self.CARGO), held,
-                         prev=_record("H", edge=b"c" * 100)) == "ships"
+        assert self.fate(self.CARGO, 100, held) == "referenced"
+        assert self.fate(self.TINY, 1, held) == "ships"
+        assert self.fate(self.CARGO, len(self.CARGO), held) == "ships"
 
 
 class TestV2Envelope:
     def _pair(self):
-        return NapletSerializer(), NapletSerializer()
+        return ImageKeeper(), ImageKeeper()
 
     def test_first_dump_is_full_v2(self):
         sender, receiver = self._pair()
         agent = _identified("full")
         agent.state.set("k", 1)
         # No previous image here: full, even toward a peer holding it all.
-        data, buffers, cost = sender.dumps_with_cost(agent, held=_AnyKey())
+        data, buffers, cost = sender.dump(agent, held=_AnyKey())
         assert not cost.delta and cost.saved_bytes == 0
-        copy, info = receiver.loads_with_info(data, buffers=buffers or None)
+        copy, info = receiver.land(data, buffers=buffers or None)
         assert info["v"] == 2 and info["mode"] == "full"
         assert isinstance(info["hash"], str)
         assert copy.state.get("k") == 1
@@ -233,11 +221,11 @@ class TestV2Envelope:
         agent = _identified("delta")
         agent.state.set("k", 1)
         agent.cargo = b"\xee" * 50_000
-        data, buffers, full_cost = sender.dumps_with_cost(agent)
-        receiver.loads_with_info(data, buffers=buffers or None)
+        data, buffers, full_cost = sender.dump(agent)
+        receiver.land(data, buffers=buffers or None)
 
         agent.state.set("k", 2)  # tiny mutation; cargo untouched
-        data2, buffers2, cost = sender.dumps_with_cost(agent, held=_held(sender, agent))
+        data2, buffers2, cost = sender.dump(agent, held=sender.held(agent))
         assert cost.delta
         assert cost.saved_bytes > 50_000
         assert cost.payload_bytes < full_cost.payload_bytes / 10
@@ -245,7 +233,7 @@ class TestV2Envelope:
         assert envelope["omitted"] is True and envelope["refs"] == {}
         assert "cargo" not in envelope["fields"] and "_state" in envelope["fields"]
         assert not {"base"} & set(envelope)
-        copy, info2 = receiver.loads_with_info(data2, buffers=buffers2 or None)
+        copy, info2 = receiver.land(data2, buffers=buffers2 or None)
         assert info2["mode"] == "delta"
         assert copy.state.get("k") == 2
         assert copy.cargo == b"\xee" * 50_000
@@ -253,10 +241,10 @@ class TestV2Envelope:
     def test_unacked_base_ships_full(self):
         sender, receiver = self._pair()
         agent = _identified("no-ack")
-        sender.dumps_with_cost(agent)
-        data, buffers, cost = sender.dumps_with_cost(agent)
+        sender.dump(agent)
+        data, buffers, cost = sender.dump(agent)
         assert not cost.delta
-        copy, info = receiver.loads_with_info(data, buffers=buffers or None)
+        copy, info = receiver.land(data, buffers=buffers or None)
         assert info["mode"] == "full"
 
     def test_blob_held_under_another_naplets_record_travels_as_a_reference(self):
@@ -264,75 +252,76 @@ class TestV2Envelope:
         first, second = _identified("first"), _identified("second")
         second._nid = NapletID.create("alice", "home", stamp="240101120009")
         first.cargo = second.cargo = b"\xab" * 50_000
-        data, buffers, _ = sender.dumps_with_cost(first)
-        receiver.loads_with_info(data, buffers=buffers or None)
-        held = _held(sender, first)  # hashes and the *first* naplet's id
+        data, buffers, _ = sender.dump(first)
+        receiver.land(data, buffers=buffers or None)
+        held = sender.held(first)  # hashes and the *first* naplet's id
 
-        sender.dumps_with_cost(second)  # its previous image here
-        data2, buffers2, cost = sender.dumps_with_cost(second, held=held)
+        sender.dump(second)  # its previous image here
+        data2, buffers2, cost = sender.dump(second, held=held)
         envelope = read_envelope(data2, buffers2)
-        cargo_hash = sender.delta_cache.peek(str(second.naplet_id)).fields["cargo"].hash
+        cargo_hash = sender.image(str(second.naplet_id)).entries["cargo"].hash
         assert cost.delta and cost.saved_bytes >= 50_000
         assert envelope["refs"]["cargo"] == cargo_hash
         assert "omitted" not in envelope and "cargo" not in envelope["fields"]
         # Small fields both naplets share go inline: a hash would be longer.
         assert all(
-            len(sender.delta_cache.blob(h)) > len(h) for h in envelope["refs"].values()
+            len(sender.blobs.get(h)) > len(h) for h in envelope["refs"].values()
         )
-        assert str(second.naplet_id) not in receiver.delta_cache
-        copy, info = receiver.loads_with_info(data2, buffers=buffers2 or None)
+        assert receiver.image(second.naplet_id) is None
+        copy, info = receiver.land(data2, buffers=buffers2 or None)
         assert info["mode"] == "delta" and copy.cargo == second.cargo
-        # Resolved, not copied: both records lean on one bytes object.
+        # Resolved, not copied: both images lean on one bytes object.
         assert (
-            receiver.delta_cache.peek(str(second.naplet_id)).fields["cargo"].data
-            is receiver.delta_cache.peek(str(first.naplet_id)).fields["cargo"].data
+            receiver.image(str(second.naplet_id)).entries["cargo"].blob.data
+            is receiver.image(str(first.naplet_id)).entries["cargo"].blob.data
         )
 
     def test_deleted_field_travels_in_removed_list(self):
         sender, receiver = self._pair()
         agent = _identified("shrink")
         agent.extra = "short-lived"
-        data, buffers, _ = sender.dumps_with_cost(agent)
-        receiver.loads_with_info(data, buffers=buffers or None)
+        data, buffers, _ = sender.dump(agent)
+        receiver.land(data, buffers=buffers or None)
 
         del agent.extra
-        data2, buffers2, cost = sender.dumps_with_cost(agent, held=_held(sender, agent))
+        data2, buffers2, cost = sender.dump(agent, held=sender.held(agent))
         assert cost.delta and read_envelope(data2, buffers2)["removed"] == ["extra"]
-        copy, _ = receiver.loads_with_info(data2, buffers=buffers2 or None)
+        copy, _ = receiver.land(data2, buffers=buffers2 or None)
         assert not hasattr(copy, "extra")
 
     def _evicted(self, held_nid: bool):
-        """A delta dumped toward a receiver that has since lost its cache."""
+        """A delta dumped toward a receiver that has since lost its images and blobs."""
         sender, receiver = self._pair()
         agent = _identified("evicted")
         agent.cargo = b"\xcd" * 1000
-        data, buffers, _ = sender.dumps_with_cost(agent)
-        receiver.loads_with_info(data, buffers=buffers or None)
-        held = _held(sender, agent)
+        data, buffers, _ = sender.dump(agent)
+        receiver.land(data, buffers=buffers or None)
+        held = sender.held(agent)
         if not held_nid:
             held.discard(str(agent.naplet_id))  # references, not omissions
-        receiver.delta_cache.clear()
+        receiver.images.clear()
+        receiver.blobs.clear()
         agent.state.set("k", 9)
-        data2, buffers2, cost = sender.dumps_with_cost(agent, held=held)
+        data2, buffers2, cost = sender.dump(agent, held=held)
         assert cost.delta
         return sender, receiver, agent, data2, buffers2
 
     def test_evicted_base_raises_delta_base_missing(self):
         sender, receiver, agent, data2, buffers2 = self._evicted(held_nid=True)
-        with pytest.raises(DeltaBaseMissingError, match="no record"):
-            receiver.loads_with_info(data2, buffers=buffers2 or None)
+        with pytest.raises(DeltaBaseMissingError, match="no image"):
+            receiver.land(data2, buffers=buffers2 or None)
         # The sender's escalation re-ships full; the receiver recovers.
-        data3, buffers3, cost3 = sender.dumps_with_cost(agent)
+        data3, buffers3, cost3 = sender.dump(agent)
         assert not cost3.delta
-        copy, info3 = receiver.loads_with_info(data3, buffers=buffers3 or None)
+        copy, info3 = receiver.land(data3, buffers=buffers3 or None)
         assert info3["mode"] == "full"
         assert copy.state.get("k") == 9
 
     def test_evicted_blob_raises_delta_base_missing(self):
         _, receiver, _, data2, buffers2 = self._evicted(held_nid=False)
         assert read_envelope(data2, buffers2)["refs"]
-        with pytest.raises(DeltaBaseMissingError, match="references .* which no record here holds"):
-            receiver.loads_with_info(data2, buffers=buffers2 or None)
+        with pytest.raises(DeltaBaseMissingError, match="leans on .* which is not held here"):
+            receiver.land(data2, buffers=buffers2 or None)
 
     def test_corrupt_delta_fails_the_image_hash_check(self):
         """A delta that does not compose is a recoverable miss (the bytes
@@ -340,22 +329,26 @@ class TestV2Envelope:
         sender, receiver = self._pair()
         agent = _identified("drift")
         agent.cargo = b"\x01" * 1000
-        data, buffers, _ = sender.dumps_with_cost(agent)
-        receiver.loads_with_info(data, buffers=buffers or None)
+        data, buffers, _ = sender.dump(agent)
+        receiver.land(data, buffers=buffers or None)
         nid = str(agent.naplet_id)
-        receiver.delta_cache.peek(nid).fields["cargo"].hash = "0" * 32
+        # The image kept here names other bytes for the cargo than it did.
+        kept, cargo = receiver.image(nid), content_hash(b"\x01" * 1000)
+        (other,) = receiver.blobs.name([Blob(content_hash(b"\x02" * 1000), b"\x02" * 1000)])
+        blobs = tuple(other if blob.hash == cargo else blob for blob in kept.blobs)
+        receiver.images[nid] = Image(kept.hash, kept.cls_ref, kept.keys, blobs)
         agent.state.set("k", 1)
-        data2, buffers2, cost = sender.dumps_with_cost(agent, held=_held(sender, agent))
+        data2, buffers2, cost = sender.dump(agent, held=sender.held(agent))
         assert cost.delta
         with pytest.raises(DeltaBaseMissingError, match="content hash"):
-            receiver.loads_with_info(data2, buffers=buffers2 or None)
+            receiver.land(data2, buffers=buffers2 or None)
 
     def test_tampered_full_image_fails_the_image_hash_check(self):
         import pickle as _pickle
 
         sender, receiver = self._pair()
         agent = _identified("tamper")
-        data, buffers, _ = sender.dumps_with_cost(agent)
+        data, buffers, _ = sender.dump(agent)
         envelope = read_envelope(data, buffers)
         envelope["fields"] = {n: bytes(b) for n, b in envelope["fields"].items()}
         envelope["fields"]["_state"] = _pickle.dumps("tampered")
@@ -368,12 +361,12 @@ class TestV2Envelope:
         sender, receiver = self._pair()
         agent = _identified("bitflip")
         agent.cargo = b"\xc4" * 4096
-        data, buffers, cost = sender.dumps_with_cost(agent)
+        data, buffers, cost = sender.dump(agent)
         if mode == "delta":
-            receiver.loads_with_info(data, buffers=buffers or None)
-            held = _held(sender, agent)
+            receiver.land(data, buffers=buffers or None)
+            held = sender.held(agent)
             agent.cargo = b"\xc5" * 4096
-            data, buffers, cost = sender.dumps_with_cost(agent, held=held)
+            data, buffers, cost = sender.dump(agent, held=held)
         assert cost.delta == (mode == "delta")
         segments = [bytearray(b) for b in buffers]
         cargo = max(segments, key=len)
@@ -381,18 +374,18 @@ class TestV2Envelope:
         # Never landed; a delta may be asked for again in full, a full
         # image is simply corrupt.
         with pytest.raises(SerializationError, match="the announced content hash") as caught:
-            receiver.loads_with_info(data, buffers=[bytes(b) for b in segments])
+            receiver.land(data, buffers=[bytes(b) for b in segments])
         assert isinstance(caught.value, DeltaBaseMissingError) == (mode == "delta")
 
     def test_self_referential_naplet_leaves_no_record_behind(self):
-        sender = NapletSerializer()
+        sender = ImageKeeper()
         agent = _identified("ouroboros")
-        sender.dumps_with_cost(agent)
-        assert str(agent.naplet_id) in sender.delta_cache
+        sender.dump(agent)
+        assert sender.image(agent.naplet_id) is not None
         agent.ring = {"me": agent}
-        data, buffers, cost = sender.dumps_with_cost(agent, held=_held(sender, agent))
+        data, buffers, cost = sender.dump(agent, held=sender.held(agent))
         assert buffers == [] and not cost.delta
-        assert str(agent.naplet_id) not in sender.delta_cache
+        assert sender.image(agent.naplet_id) is None
 
 
 class _AnyKey:
@@ -473,10 +466,10 @@ class TestStableFields:
         names: list[str] = []
         real = sender._pickle_field
         sender._pickle_field = lambda root, name, value: names.append(name) or real(root, name, value)
-        held = _held(sender, agent) if sender.delta_cache.peek(str(agent.naplet_id)) else set()
-        data, buffers, _ = sender.dumps_with_cost(agent, held=held)
+        held = sender.held(agent) if sender.image(str(agent.naplet_id)) else set()
+        data, buffers, _ = sender.dump(agent, held=held)
         del sender._pickle_field
-        copy, _ = receiver.loads_with_info(data, buffers=buffers or None)
+        copy, _ = receiver.land(data, buffers=buffers or None)
         return set(names), set(read_envelope(data, buffers)["fields"]), copy
 
     def _landed(self):
@@ -484,7 +477,7 @@ class TestStableFields:
         from repro.core.listener import ListenerRef
         from repro.itinerary import Itinerary, ResultReport, SeqPattern
 
-        a, b = NapletSerializer(), NapletSerializer()
+        a, b = ImageKeeper(), ImageKeeper()
         agent = _identified("stable")
         agent.set_itinerary(Itinerary(SeqPattern.of_servers(["s1", "s2"], post_action=ResultReport())))
         agent.set_listener(ListenerRef("naplet://home", "key"))
@@ -507,22 +500,22 @@ class TestStableFields:
         assert copy.address_book.lookup(friend).server_urn == "naplet://s2"
 
     def test_only_a_landed_value_proves_its_bytes_stable(self):
-        here, there = NapletSerializer(), NapletSerializer()
+        here, there = ImageKeeper(), ImageKeeper()
         first = _identified("first")
         first.payload = _Frozen(1)
         _, _, landed = self._hop(there, here, first)
         self._hop(here, there, landed)  # its bytes proved stable here
-        assert here.delta_cache.peek(str(first.naplet_id)).fields["payload"].stable
+        assert here.image(str(first.naplet_id)).entries["payload"].stable
         second = ProbeNaplet("second")
         nid = NapletID.create("alice", "home", stamp="240101120001")
         authority = SigningAuthority()
         authority.register_owner("alice")
         second._assign_identity(nid, authority.issue(nid, second.codebase, {}))
         second.payload = impostor = _Impostor(1)
-        elsewhere = NapletSerializer()
+        elsewhere = ImageKeeper()
         self._hop(here, elsewhere, second)
-        sent = here.delta_cache.peek(str(nid)).fields["payload"]
-        assert sent.hash == here.delta_cache.peek(str(first.naplet_id)).fields["payload"].hash
+        sent = here.image(str(nid)).entries["payload"]
+        assert sent.hash == here.image(str(first.naplet_id)).entries["payload"].hash
         impostor.value = 2  # in place: only a re-pickle can see it
         pickled, _, copy = self._hop(here, elsewhere, second)
         assert "payload" in pickled and copy.payload == _Frozen(2)
@@ -530,11 +523,11 @@ class TestStableFields:
     def test_a_landed_value_inherits_the_proof_of_its_bytes(self):
         here, there, agent = self._landed()
         nid = str(agent.naplet_id)
-        assert here.delta_cache.peek(nid).fields["_plan"].stable is None  # not walked on landing
+        assert here.image(nid).entries["_plan"].stable is None  # not walked on landing
         _, _, back = self._hop(here, there, agent)
-        assert here.delta_cache.peek(nid).fields["_plan"].stable  # walked once, when asked
+        assert here.image(nid).entries["_plan"].stable  # walked once, when asked
         self._hop(there, here, back)
-        assert here.delta_cache.peek(nid).fields["_plan"].stable  # landed proved: no walk
+        assert here.image(nid).entries["_plan"].stable  # landed proved: no walk
 
     def test_clone_spawn_between_hops_reships_the_id(self):
         here, there, agent = self._landed()
@@ -546,7 +539,8 @@ class TestStableFields:
 
 
 class TestRelease:
-    """Values released on ack: every later dump and landing stays right."""
+    """Values released when the naplet leaves (its image cut to the
+    manifest): every later dump and landing stays right."""
 
     @staticmethod
     def _pickled_names(serializer, monkeypatch) -> list[str]:
@@ -561,58 +555,55 @@ class TestRelease:
         return names
 
     def test_none_valued_field_is_repickled_after_release(self, monkeypatch):
-        sender, receiver = NapletSerializer(), NapletSerializer()
+        sender, receiver = ImageKeeper(), ImageKeeper()
         agent = _identified("released")
         agent.note = None
         nid = str(agent.naplet_id)
-        sender.dumps_with_cost(agent)
+        sender.dump(agent)
         names = self._pickled_names(sender, monkeypatch)
-        sender.dumps_with_cost(agent)
+        sender.dump(agent)
         assert "note" not in names  # live base: skipped by identity
-        sender.delta_cache.release(nid, sender.delta_cache.peek(nid).hash)
+        sender.bury(nid)
         del names[:]
-        data, buffers, _ = sender.dumps_with_cost(agent)
+        data, buffers, _ = sender.dump(agent)
         assert "note" in names and "_state" in names
-        copy, _ = receiver.loads_with_info(data, buffers=buffers or None)
+        copy, _ = receiver.land(data, buffers=buffers or None)
         assert copy.note is None
-        assert all(e.live for e in sender.delta_cache.peek(nid).fields.values())
+        assert sender.image(nid).entries is not None  # the new image is live
 
     def test_delta_lands_onto_a_released_base(self):
-        here, there = NapletSerializer(), NapletSerializer()
+        here, there = ImageKeeper(), ImageKeeper()
         agent = _identified("round-trip")
         agent.cargo = b"\xd1" * 20_000
         nid = str(agent.naplet_id)
-        data, buffers, _ = here.dumps_with_cost(agent)
-        away, info = there.loads_with_info(data, buffers=buffers or None)
-        here.delta_cache.release(nid, info["hash"])  # the departure was acked
+        data, buffers, _ = here.dump(agent)
+        away, info = there.land(data, buffers=buffers or None)
+        here.bury(nid)  # the departure was acked
 
         away.state.set("k", 5)
         # The sender of a landed image holds all of it, by the landing itself.
-        data2, buffers2, cost = there.dumps_with_cost(away, held=_held(there, away))
+        data2, buffers2, cost = there.dump(away, held=there.held(away))
         assert cost.delta and cost.saved_bytes >= 20_000
-        back, info2 = here.loads_with_info(data2, buffers=buffers2 or None)
+        back, info2 = here.land(data2, buffers=buffers2 or None)
         assert info2["mode"] == "delta"
         assert back.state.get("k") == 5 and back.cargo == b"\xd1" * 20_000
-        assert all(e.live for e in here.delta_cache.peek(nid).fields.values())
+        assert here.image(nid).entries is not None
 
     def test_redump_after_a_rolled_back_transfer_ships_the_right_bytes(self):
-        sender, receiver = NapletSerializer(), NapletSerializer()
+        sender, receiver = ImageKeeper(), ImageKeeper()
         agent = _identified("retry")
         agent.cargo = b"\xd2" * 20_000
         nid = str(agent.naplet_id)
-        sender.dumps_with_cost(agent)  # attempt 1: never acked, rolled back
-        first = sender.delta_cache.peek(nid).hash
-        # An ack for some other image of this naplet must not touch it.
-        sender.delta_cache.release(nid, "0" * 32)
+        sender.dump(agent)  # attempt 1: never acked, rolled back
+        first = sender.image(nid).hash
         agent.cargo = b"\xd3" * 20_000
-        data, buffers, cost = sender.dumps_with_cost(agent)  # attempt 2
+        data, buffers, cost = sender.dump(agent)  # attempt 2
         assert not cost.delta
-        copy, info = receiver.loads_with_info(data, buffers=buffers or None)
+        copy, info = receiver.land(data, buffers=buffers or None)
         assert copy.cargo == b"\xd3" * 20_000 and info["hash"] != first
-        # Attempt 1 *had* landed (its ack was lost) and is acked late: the
-        # record is attempt 2's by now, so nothing is released.
-        sender.delta_cache.release(nid, first)
-        assert all(e.live for e in sender.delta_cache.peek(nid).fields.values())
+        # The image kept is attempt 2's, and attempt 1's own cargo is gone.
+        assert sender.image(nid).hash == info["hash"]
+        assert sender.blobs.get(content_hash(b"\xd2" * 20_000)) is None
 
 
 class TestCodeNegotiation:
@@ -627,49 +618,49 @@ class TestCodeNegotiation:
         return registry.get(codebase_name).hash_of(module_key)
 
     def test_known_code_replaces_bundle_with_hash_ref(self, registry):
-        sender = NapletSerializer(registry, eager_code=True)
+        sender = ImageKeeper(registry, eager_code=True)
         agent = _identified("codeful")
         agent.payload = StampedPayload(11)
 
-        data, buffers, cost = sender.dumps_with_cost(agent)
+        data, buffers, cost = sender.dump(agent)
         envelope = read_envelope(data, buffers)
         assert envelope["bundles"] and not envelope["code_refs"]
         assert cost.code_bytes > 0
 
         known = {self._module_hash(registry)}
-        sender2 = NapletSerializer(registry, eager_code=True)
-        data2, buffers2, cost2 = sender2.dumps_with_cost(agent, known_code=known)
+        sender2 = ImageKeeper(registry, eager_code=True)
+        data2, buffers2, cost2 = sender2.dump(agent, known_code=known)
         envelope2 = read_envelope(data2, buffers2)
         assert envelope2["code_refs"] and not envelope2["bundles"]
         assert cost2.code_bytes == 0
 
     def test_code_ref_resolves_when_cache_holds_the_module(self, registry):
-        sender = NapletSerializer(registry, eager_code=True)
-        receiver = NapletSerializer()
+        sender = ImageKeeper(registry, eager_code=True)
+        receiver = ImageKeeper()
         cache = CodeCache(CodeBaseRegistry())  # fetchless: bundles only
         agent = _identified("code-hop")
         agent.payload = StampedPayload(21)
 
         # Hop 1 ships the bundle; the landing installs it in the cache.
-        data, buffers, _ = sender.dumps_with_cost(agent)
-        copy, _ = receiver.loads_with_info(data, cache, buffers=buffers or None)
+        data, buffers, _ = sender.dump(agent)
+        copy, _ = receiver.land(data, cache, buffers=buffers or None)
         assert copy.payload.value == 21
         known = set(cache.known_hashes())
         assert self._module_hash(registry) in known
 
         # Hop 2 ships only the hash reference — and it resolves.
-        sender2 = NapletSerializer(registry, eager_code=True)
-        data2, buffers2, _ = sender2.dumps_with_cost(agent, known_code=known)
-        receiver2 = NapletSerializer()
-        copy2, _ = receiver2.loads_with_info(data2, cache, buffers=buffers2 or None)
+        sender2 = ImageKeeper(registry, eager_code=True)
+        data2, buffers2, _ = sender2.dump(agent, known_code=known)
+        receiver2 = ImageKeeper()
+        copy2, _ = receiver2.land(data2, cache, buffers=buffers2 or None)
         assert copy2.payload.value == 21
 
     def test_missing_code_ref_raises_shipped_code_missing(self, registry):
-        sender = NapletSerializer(registry, eager_code=True)
+        sender = ImageKeeper(registry, eager_code=True)
         agent = _identified("code-miss")
         agent.payload = StampedPayload(31)
         known = {self._module_hash(registry)}
-        data, buffers, _ = sender.dumps_with_cost(agent, known_code=known)
+        data, buffers, _ = sender.dump(agent, known_code=known)
         bare_cache = CodeCache(CodeBaseRegistry())  # never saw the bundle
         with pytest.raises(ShippedCodeMissingError):
             NapletSerializer().loads_with_info(data, bare_cache, buffers=buffers or None)

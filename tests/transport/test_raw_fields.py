@@ -7,10 +7,10 @@ import tracemalloc
 
 from repro.transport.base import Frame, FrameKind
 from repro.transport.inmemory import InMemoryTransport
-from repro.transport.serializer import NapletSerializer
 from repro.transport.tcp import TcpTransport
 from tests.core.test_naplet import _identified
 from tests.transport.envelopes import read_envelope
+from tests.transport.images import ImageKeeper
 
 CARGO_BYTES = 1 << 20
 
@@ -21,33 +21,34 @@ def _courier():
     return agent
 
 
-def _blob_of(serializer: NapletSerializer, nid: str) -> bytes:
-    """The one bytes object *serializer*'s cache holds for *nid*'s cargo."""
-    cache = serializer.delta_cache
-    return cache.blob(cache.peek(nid).fields["cargo"].hash)
+def _blob_of(serializer: ImageKeeper, nid: str) -> bytes:
+    """The one bytes object *serializer*'s blob store holds for *nid*'s cargo."""
+    return serializer.blobs.get(serializer.image(nid).entries["cargo"].hash)
 
 
 class TestPingPong:
     def test_a_landing_that_omits_the_cargo_copies_nothing(self):
-        here, there = NapletSerializer(), NapletSerializer()
+        here, there = ImageKeeper(), ImageKeeper()
         agent = _courier()
         nid, cargo = str(agent.naplet_id), agent.cargo
-        data, buffers, _ = here.dumps_with_cost(agent)
-        agent, _ = there.loads_with_info(data, buffers=buffers or None)  # the full launch hop
+        data, buffers, _ = here.dump(agent)
+        agent, _ = there.land(data, buffers=buffers or None)  # the full launch hop
         for hop in range(1, 5):
             sender, receiver = (there, here) if hop % 2 else (here, there)
             agent.count = hop
             # The receiver holds the image the sender last dumped or landed.
-            held = {nid, *sender.delta_cache.peek(nid).field_hashes().values()}
-            data, buffers, _ = sender.dumps_with_cost(agent, held=held)
+            data, buffers, _ = sender.dump(agent, held=sender.held(agent))
             envelope = read_envelope(data, buffers)
             assert envelope.get("omitted") and "cargo" not in envelope["fields"]
             tracemalloc.start()
             try:
-                agent, info = receiver.loads_with_info(data, buffers=buffers or None)
+                agent, info = receiver.loads_with_info(
+                    data, buffers=buffers or None, prev=receiver.image(nid)
+                )
                 _now, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
+            receiver.keep(nid, info["image"])
             assert info["mode"] == "delta" and agent.count == hop
             assert peak < CARGO_BYTES / 10, (hop, peak)
             assert agent.cargo == cargo and agent.cargo is _blob_of(receiver, nid)
@@ -56,7 +57,7 @@ class TestPingPong:
         """Ship a courier's launch image over *transport*; the landed naplet,
         the segments it arrived as, its receiver and the bytes the landing
         allocated."""
-        sender, receiver = NapletSerializer(), NapletSerializer()
+        sender, receiver = ImageKeeper(), ImageKeeper()
         agent = _courier()
         landed = {}
 
@@ -64,15 +65,16 @@ class TestPingPong:
             landed["segments"] = frame.buffers
             tracemalloc.start()
             try:
-                landed["naplet"], _ = receiver.loads_with_info(frame.payload, buffers=frame.buffers)
+                landed["naplet"], info = receiver.loads_with_info(frame.payload, buffers=frame.buffers)
                 _now, landed["peak"] = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
+            receiver.keep(info["nid"], info["image"])
             return b"ok"
 
         try:
             transport.register("naplet://dest", handler)
-            data, buffers, _ = sender.dumps_with_cost(agent)
+            data, buffers, _ = sender.dump(agent)
             frame = Frame(
                 kind=FrameKind.NAPLET_TRANSFER, source="naplet://src", dest="naplet://dest",
                 payload=data, buffers=tuple(buffers),

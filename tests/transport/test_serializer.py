@@ -96,7 +96,7 @@ class TestPlainRoundtrip:
 
         serializer = NapletSerializer()
         serializer.payload_size(_identified("probe-sized"))
-        assert len(serializer.delta_cache) == 0
+        assert serializer.blobs.nbytes == 0
 
 
 class TestShippedClasses:
